@@ -57,4 +57,4 @@ for q in (2, 3):
     print(f"  q={q}: {sig}   formula {formula}", "OK" if (sig.n, sig.k, sig.g, sig.lam) == formula else "MISMATCH")
 
 print()
-print("Every edge of every graph above was checked by exact cycle enumeration.")
+print("Every edge of every graph above was checked by exact non-backtracking walk counts.")

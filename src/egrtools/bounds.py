@@ -88,6 +88,15 @@ def even_girth_bound(k: int, g: int, lam: int, bipartite: bool = False) -> Fract
     return Fraction(cg + k * lam + k**g, cg + k * lam)
 
 
+def _odd_girth_terms(k: int, g: int, lam: int) -> tuple[int, int]:
+    """Numerator and denominator of the odd-girth bound's closed form."""
+    cm = tree_walk_count(g - 1, k)
+    inner = tree_walk_count(g + 1, k) + k * (k - 1) ** ((g + 1) // 2) - lam * k
+    num = k ** (g + 1) * cm + k ** (g - 1) * inner - 2 * k ** (g + 1) * lam
+    den = cm * inner - k * k * lam * lam
+    return num, den
+
+
 def odd_girth_bound(k: int, g: int, lam: int) -> Fraction:
     """Order bound for odd girth from the walk moments at g-1, g, g+1 and
     the per-vertex (g+1)-cycle cap.
@@ -100,10 +109,7 @@ def odd_girth_bound(k: int, g: int, lam: int) -> Fraction:
         raise ValueError("need odd girth g >= 5")
     if k < 3 or lam < 1:
         raise ValueError("need k >= 3 and lambda >= 1")
-    cm = tree_walk_count(g - 1, k)
-    inner = tree_walk_count(g + 1, k) + k * (k - 1) ** ((g + 1) // 2) - lam * k
-    num = k ** (g + 1) * cm + k ** (g - 1) * inner - 2 * k ** (g + 1) * lam
-    den = cm * inner - k * k * lam * lam
+    num, den = _odd_girth_terms(k, g, lam)
     if den == 0:
         raise DegenerateBound(f"odd-girth bound degenerate at k={k}, g={g}, lambda={lam}")
     return Fraction(num, den)
@@ -192,14 +198,11 @@ def bound_report(k: int, g: int, lam: int, bipartite: bool = False) -> BoundRepo
         vertex_cap = vertex_cycle_cap(k, g, lam)
         if vertex_cap is None:
             notes.append("vertex_cap: lambda exceeds (k-1)^(h+1); omitted")
-        try:
-            spectral_odd = odd_girth_bound(k, g, lam)
-        except DegenerateBound:
+        num, den = _odd_girth_terms(k, g, lam)
+        if den == 0:
             notes.append("spectral_odd: denominator vanishes; omitted")
         else:
-            den = tree_walk_count(g - 1, k) * (
-                tree_walk_count(g + 1, k) + k * (k - 1) ** ((g + 1) // 2) - lam * k
-            ) - k * k * lam * lam
+            spectral_odd = Fraction(num, den)
             if den > 0:
                 contributions["spectral_odd"] = feasible_order(spectral_odd, k, bipartite)
             else:

@@ -1,9 +1,16 @@
 """Simple-graph data model, exact girth/cycle-count verifiers, and
 graph6 I/O.
 
-Cycle counts are computed by distance-pruned depth-first path
-enumeration, never by matrix heuristics: edge-girth-regularity demands
-exact per-edge counts.
+Cycle counts are exact integer counts of non-backtracking walks, read
+from rows of the walk matrices A_l (entry [u, w]: walks of l edges from u
+to w that never reverse the edge just used), computed in int64 behind an
+overflow guard.  In a graph of girth g, a non-backtracking walk of fewer
+than g edges repeats no vertex, so a walk of g-1 edges between the ends
+of an edge uv is a path that closes one g-cycle through uv.  A closed
+non-backtracking walk shorter than 2g holds a single cycle; unless it is
+that cycle, it adds a tail walked out and back, for at least g+2 edges.
+So a closed walk of g or g+1 edges from v is a cycle through v, counted
+once in each direction.
 """
 
 from __future__ import annotations
@@ -11,6 +18,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
+
+_INT64_MAX = 2**63 - 1
 
 
 class Graph:
@@ -123,17 +134,14 @@ class NotEdgeGirthRegular(Exception):
         self.details = details or {}
 
 
-def bfs_distances(G: Graph, root: int, skip_edge=None) -> list:
-    """BFS distances from root (math.inf when unreachable).  skip_edge,
-    if given, is an edge (u, v) the search may not traverse."""
+def bfs_distances(G: Graph, root: int) -> list:
+    """BFS distances from root (math.inf when unreachable)."""
     dist = [math.inf] * G.n
     dist[root] = 0
     queue = deque([root])
     while queue:
         u = queue.popleft()
         for v in G.adj[u]:
-            if skip_edge and (u, v) in (skip_edge, skip_edge[::-1]):
-                continue
             if dist[v] == math.inf:
                 dist[v] = dist[u] + 1
                 queue.append(v)
@@ -149,12 +157,6 @@ def distance_layers(G: Graph, root: int) -> list[list[int]]:
         if d != math.inf:
             layers[int(d)].append(v)
     return layers
-
-
-def is_connected(G: Graph) -> bool:
-    if G.n == 0:
-        return True
-    return all(d != math.inf for d in bfs_distances(G, 0))
 
 
 def bipartition(G: Graph):
@@ -205,81 +207,68 @@ def girth(G: Graph):
     return best
 
 
-def _count_paths(G: Graph, u: int, v: int, length: int, banned_edge) -> int:
-    """Simple u->v paths of exactly ``length`` edges avoiding banned_edge,
-    counted by DFS pruned with BFS distances to the target."""
-    dist_v = bfs_distances(G, v, skip_edge=banned_edge)
-    visited = [False] * G.n
-    visited[u] = True
-    bu, bv = banned_edge
+def _check_walk_bound(k: int, length: int) -> None:
+    """Raise OverflowError unless every non-backtracking walk count of the
+    given length in a graph of maximum degree k fits in int64.
 
-    def dfs(c: int, remaining: int) -> int:
-        if remaining == 0:
-            return 1 if c == v else 0
-        total = 0
-        for w in G.adj[c]:
-            if visited[w] or (w == v and remaining > 1):
-                continue
-            if (c, w) in ((bu, bv), (bv, bu)):
-                continue
-            if dist_v[w] > remaining - 1:
-                continue
-            visited[w] = True
-            total += dfs(w, remaining - 1)
-            visited[w] = False
-        return total
+    k*(k-1)**(length-1) bounds the number of such walks from any vertex,
+    so it bounds every entry of A_length and every partial sum the
+    recurrence forms on the way there.
+    """
+    if k * (k - 1) ** (length - 1) > _INT64_MAX:
+        raise OverflowError(
+            f"non-backtracking walks of length {length} at degree {k} exceed int64"
+        )
 
-    return dfs(u, length)
+
+def _nb_rows(G: Graph, rows, length: int) -> np.ndarray:
+    """Rows ``rows`` of the non-backtracking walk matrix A_length, exactly.
+
+    A_length[u, w] counts walks of ``length`` edges from u to w that never
+    step straight back along the edge just used.  Row blocks follow
+    A_1 = A, A_2 = A^2 - D, A_{l+1} = A_l A - A_{l-1}(D - I), so each
+    step holds only |rows| x n state.
+    """
+    n = G.n
+    A = np.zeros((n, n), dtype=np.int64)
+    for u, neigh in enumerate(G.adj):
+        A[u, neigh] = 1
+    deg = A.sum(axis=1)
+    _check_walk_bound(int(deg.max(initial=0)), length)
+    rows = np.asarray(rows, dtype=np.intp)
+    back = np.zeros((len(rows), n), dtype=np.int64)
+    back[np.arange(len(rows)), rows] = deg[rows]
+    cur = A[rows]
+    for _ in range(length - 1):
+        back, cur = cur * (deg - 1), cur @ A - back
+    return cur
 
 
 def count_girth_cycles_through_edge(G: Graph, edge, g: int) -> int:
     """Number of distinct g-cycles containing the edge, where g must be
     the girth of G.  Each cycle corresponds to exactly one simple path of
-    length g-1 between the endpoints that avoids the edge itself; paths
-    are enumerated from the smaller endpoint."""
+    length g-1 between the endpoints that avoids the edge itself, read off
+    as a non-backtracking walk count."""
     if g != girth(G):
         raise ValueError(f"g={g} is not the girth of the graph")
-    return _edge_cycle_count(G, edge, g)
-
-
-def _edge_cycle_count(G: Graph, edge, g: int) -> int:
-    u, v = min(edge), max(edge)
+    u, v = edge
     if not G.has_edge(u, v):
         raise ValueError(f"{edge} is not an edge")
-    return _count_paths(G, u, v, g - 1, (u, v))
+    return int(_nb_rows(G, [u], g - 1)[0, v])
 
 
 def count_cycles_through_vertex(G: Graph, v: int, length: int) -> int:
-    """Number of distinct cycles of the given length through vertex v.
+    """Number of distinct cycles of the given length through vertex v,
+    for length g or g+1 where g is the girth of G.
 
-    Cycles are vertex sets with cyclic adjacency; each is counted once by
-    rooting at v and keeping only the orientation whose second vertex is
-    smaller than its last.
+    Closed non-backtracking walks of these lengths are exactly the cycles
+    through v, each traversed in both directions.  Other lengths raise
+    ValueError.
     """
-    if length < 3:
-        raise ValueError("cycles have length >= 3")
-    dist_v = bfs_distances(G, v)
-    visited = [False] * G.n
-    visited[v] = True
-
-    def dfs(c: int, first: int, remaining: int) -> int:
-        if remaining == 0:
-            return 1 if c in G.adj[v] and c > first else 0
-        total = 0
-        for w in G.adj[c]:
-            if visited[w] or dist_v[w] > remaining:
-                continue
-            visited[w] = True
-            total += dfs(w, first, remaining - 1)
-            visited[w] = False
-        return total
-
-    total = 0
-    for first in G.adj[v]:
-        visited[first] = True
-        total += dfs(first, first, length - 2)
-        visited[first] = False
-    return total
+    g = girth(G)
+    if length not in (g, g + 1):
+        raise ValueError(f"length {length} is neither the girth {g} nor girth + 1")
+    return int(_nb_rows(G, [v], length)[0, v]) // 2
 
 
 def verify_egr(G: Graph) -> EgrSignature:
@@ -305,24 +294,18 @@ def verify_egr(G: Graph) -> EgrSignature:
     g = girth(G)
     if g is math.inf:
         raise NotEdgeGirthRegular("acyclic", None, "graph has no cycle")
-    lam = None
-    low = high = None
-    deviant = None
-    for e in G.edges():
-        c = _edge_cycle_count(G, e, g)
-        if lam is None:
-            lam = c
-        low = c if low is None else min(low, c)
-        high = c if high is None else max(high, c)
-        if c != lam and deviant is None:
-            deviant = (e, c)
-    if deviant is not None:
-        e, c = deviant
+    edges = list(G.edges())
+    us, vs = zip(*edges)
+    counts = _nb_rows(G, range(G.n), g - 1)[us, vs]
+    lam = int(counts[0])
+    deviant = np.flatnonzero(counts != lam)
+    if deviant.size:
+        e, c = edges[deviant[0]], int(counts[deviant[0]])
         raise NotEdgeGirthRegular(
             "nonuniform_cycle_counts",
             e,
             f"edge {e} lies on {c} girth cycles, expected {lam}",
-            details={"min_count": low, "max_count": high},
+            details={"min_count": int(counts.min()), "max_count": int(counts.max())},
         )
     return EgrSignature(n=G.n, k=k, g=g, lam=lam, bipartite=bipartition(G) is not None)
 

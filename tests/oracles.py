@@ -1,5 +1,9 @@
-"""Brute-force oracles, deliberately independent of the library's pruned
-enumeration code paths: used to cross-check derived expected values."""
+"""Brute-force and depth-first oracles, deliberately independent of the
+library's non-backtracking walk engine: used to cross-check derived
+expected values and the engine itself."""
+
+import math
+from collections import deque
 
 from egrtools.graph_core import Graph
 
@@ -47,6 +51,77 @@ def edge_cycle_count_naive(G: Graph, edge, length: int) -> int:
 
 def vertex_cycle_count_naive(G: Graph, v: int, length: int) -> int:
     return sum(1 for cyc in all_cycles(G, length) if v in cyc)
+
+
+def _distances_avoiding(G: Graph, root: int, banned_edge=None) -> list:
+    """BFS distances from root that never traverse banned_edge."""
+    dist = [math.inf] * G.n
+    dist[root] = 0
+    queue = deque([root])
+    banned = {banned_edge, banned_edge[::-1]} if banned_edge else set()
+    while queue:
+        u = queue.popleft()
+        for v in G.adj[u]:
+            if (u, v) not in banned and dist[v] == math.inf:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def edge_cycle_count_dfs(G: Graph, edge, length: int) -> int:
+    """Cycles of the given length through an edge: simple paths of
+    length-1 edges between its endpoints that avoid the edge, counted by
+    DFS pruned with BFS distances to the target."""
+    u, v = min(edge), max(edge)
+    dist_v = _distances_avoiding(G, v, (u, v))
+    visited = [False] * G.n
+    visited[u] = True
+
+    def dfs(c: int, remaining: int) -> int:
+        if remaining == 0:
+            return 1 if c == v else 0
+        total = 0
+        for w in G.adj[c]:
+            if visited[w] or (w == v and remaining > 1):
+                continue
+            if {c, w} == {u, v}:
+                continue
+            if dist_v[w] > remaining - 1:
+                continue
+            visited[w] = True
+            total += dfs(w, remaining - 1)
+            visited[w] = False
+        return total
+
+    return dfs(u, length - 1)
+
+
+def vertex_cycle_count_dfs(G: Graph, v: int, length: int) -> int:
+    """Cycles of the given length through v, by DFS pruned with BFS
+    distances to v; each is rooted at v and kept in the orientation whose
+    second vertex is smaller than its last."""
+    dist_v = _distances_avoiding(G, v)
+    visited = [False] * G.n
+    visited[v] = True
+
+    def dfs(c: int, first: int, remaining: int) -> int:
+        if remaining == 0:
+            return 1 if c in G.adj[v] and c > first else 0
+        total = 0
+        for w in G.adj[c]:
+            if visited[w] or dist_v[w] > remaining:
+                continue
+            visited[w] = True
+            total += dfs(w, first, remaining - 1)
+            visited[w] = False
+        return total
+
+    total = 0
+    for first in G.adj[v]:
+        visited[first] = True
+        total += dfs(first, first, length - 2)
+        visited[first] = False
+    return total
 
 
 def truncated_tree(k: int, depth: int) -> Graph:

@@ -1,5 +1,6 @@
 import math
 
+import networkx as nx
 import pytest
 
 from egrtools.constructions import (
@@ -11,9 +12,11 @@ from egrtools.constructions import (
     tutte_coxeter,
 )
 from egrtools.graph_core import (
+    _INT64_MAX,
     EgrSignature,
     Graph,
     NotEdgeGirthRegular,
+    _check_walk_bound,
     bipartition,
     count_cycles_through_vertex,
     count_girth_cycles_through_edge,
@@ -21,7 +24,13 @@ from egrtools.graph_core import (
     girth,
     verify_egr,
 )
-from oracles import all_cycles, edge_cycle_count_naive, vertex_cycle_count_naive
+from oracles import (
+    all_cycles,
+    edge_cycle_count_dfs,
+    edge_cycle_count_naive,
+    vertex_cycle_count_dfs,
+    vertex_cycle_count_naive,
+)
 
 
 def test_graph_validation():
@@ -102,6 +111,79 @@ def test_girth_cycles_per_vertex_is_half_k_lambda():
         assert all(count_cycles_through_vertex(G, v, sig.g) == expect for v in range(G.n))
 
 
+def test_vertex_count_rejects_lengths_other_than_g_and_g_plus_1():
+    with pytest.raises(ValueError, match="girth"):
+        count_cycles_through_vertex(petersen(), 0, 7)
+
+
+def test_walk_bound_at_int64_boundary():
+    # k * (k-1)**(length-1) is the largest walk count the engine can meet
+    _check_walk_bound(3, 62)  # 3 * 2**61 < 2**63
+    with pytest.raises(OverflowError):
+        _check_walk_bound(3, 63)  # 3 * 2**62 > 2**63
+    _check_walk_bound(_INT64_MAX, 1)
+    with pytest.raises(OverflowError):
+        _check_walk_bound(_INT64_MAX + 1, 1)
+
+
+def _switched(G: Graph) -> Graph:
+    """One degree-preserving switch, replacing edges ab, cd by ad, cb or by
+    ac, bd: the first choice, in G.edges() order, that keeps G simple."""
+    edges = list(G.edges())
+    for i, (a, b) in enumerate(edges):
+        for c, d in edges[i + 1 :]:
+            if len({a, b, c, d}) < 4:
+                continue
+            kept = [e for e in edges if e not in ((a, b), (c, d))]
+            for new in (((a, d), (c, b)), ((a, c), (b, d))):
+                if not any(G.has_edge(x, y) for x, y in new):
+                    return Graph.from_edges(G.n, kept + list(new))
+    raise AssertionError("no switch keeps the graph simple")
+
+
+def _random_regular(k: int, n: int, seed: int) -> Graph:
+    H = nx.random_regular_graph(k, n, seed=seed)
+    return Graph.from_edges(n, H.edges())
+
+
+# seeds chosen so the random graphs cover girths 3, 4 and 5
+DIFFERENTIAL_GRAPHS = {
+    **{
+        f"rr_k{k}_n{n}_s{seed}": (lambda k=k, n=n, seed=seed: _random_regular(k, n, seed))
+        for k, n, seed in [
+            (3, 10, 0), (3, 16, 12), (3, 20, 114), (3, 24, 2), (3, 24, 64),
+            (4, 12, 4), (4, 18, 5), (4, 24, 83),
+        ]
+    },
+    "petersen_switch": lambda: _switched(petersen()),
+    "heawood_switch": lambda: _switched(heawood()),
+    "k44_switch": lambda: _switched(complete_bipartite(4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GRAPHS))
+def test_engine_matches_independent_oracles(name):
+    G = DIFFERENTIAL_GRAPHS[name]()
+    H = nx.Graph(G.edges())
+    g = girth(G)
+    assert g == nx.girth(H)
+    cycles = [set(c) for c in nx.simple_cycles(H, length_bound=g + 1)]
+    edges = list(G.edges())
+    counts = [count_girth_cycles_through_edge(G, e, g) for e in edges]
+    assert counts == [edge_cycle_count_dfs(G, e, g) for e in edges]
+    assert counts == [sum(len(c) == g and set(e) <= c for c in cycles) for e in edges]
+    for length in (g, g + 1):
+        per_vertex = [count_cycles_through_vertex(G, v, length) for v in range(G.n)]
+        assert per_vertex == [vertex_cycle_count_dfs(G, v, length) for v in range(G.n)]
+        assert per_vertex == [sum(len(c) == length and v in c for c in cycles) for v in range(G.n)]
+    # every case is connected and regular but not edge-girth-regular
+    with pytest.raises(NotEdgeGirthRegular) as err:
+        verify_egr(G)
+    assert err.value.kind == "nonuniform_cycle_counts"
+    assert err.value.witness == next(e for e, c in zip(edges, counts) if c != counts[0])
+    assert err.value.details == {"min_count": min(counts), "max_count": max(counts)}
+
+
 def test_distance_layers_partition():
     G = petersen()
     layers = distance_layers(G, 0)
@@ -154,6 +236,11 @@ def test_verify_egr_nonuniform_reports_min_max():
     assert err.value.kind == "nonuniform_cycle_counts"
     assert err.value.details["min_count"] == 0
     assert err.value.details["max_count"] == 1
+    # the first deviant edge in G.edges() order, with plain Python ints
+    assert repr(err.value.witness) == "(0, 3)"
+    assert str(err.value) == "edge (0, 3) lies on 0 girth cycles, expected 1"
+    assert all(type(c) is int for c in err.value.details.values())
+    assert type(verify_egr(petersen()).lam) is int
 
 
 def test_bipartition():
