@@ -2,9 +2,9 @@
 """Exact closed-walk moments vs. floating-point spectra.
 
 Integer moments (traces of adjacency powers) are computed exactly; the
-Jacobi eigensolver output is then validated against them, and the
-four-eigenvalue tight-spectrum certificate is issued for the pencil
-graphs.
+spectrum comes from LAPACK eigvalsh and is checked against the exact
+moments at runtime before it is returned, and the four-eigenvalue
+tight-spectrum certificate is issued for the pencil graphs.
 """
 
 from egrtools import (

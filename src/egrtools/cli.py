@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (or verified egr), 1 verified-not-egr, 2 usage or
 input error, 3 internal inconsistency (a construction failed its own
-verification).  Reports are JSON with a frozen field layout
+verification, or a spectrum failed its exact moment check).  A stream
+verify reports each malformed line and goes on; it exits with the
+largest code of any line.  Reports are JSON with a frozen field layout
 (schema_version 1); rationals are emitted as {num, den, decimal}, never
 as bare floats.
 """
@@ -200,8 +202,7 @@ def cmd_verify(args, argv) -> int:
             try:
                 code, result = _verify_one(line)
             except Graph6Error as exc:
-                print(json.dumps({"line": lineno, "error": str(exc)}, sort_keys=True))
-                return EXIT_USAGE
+                code, result = EXIT_USAGE, {"error": str(exc)}
             result["line"] = lineno
             print(json.dumps(result, sort_keys=True))
             worst = max(worst, code)
@@ -258,7 +259,12 @@ def cmd_report(args, argv) -> int:
 
     t0 = time.perf_counter()
     moments = walk_moments(G, min(sig.g + 1, 16))
-    spec = eigenvalues(G)
+    try:
+        spec = eigenvalues(G)
+        tight = certify_tight_spectrum(G, sig)
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     timing["spectrum"] = time.perf_counter() - t0
     doc["moments"] = moments
     doc["spectrum"] = {
@@ -266,7 +272,6 @@ def cmd_report(args, argv) -> int:
         "max": round(spec.largest, 9),
         "multiplicities": [[round(v, 9), m] for v, m in spec.groups],
     }
-    tight = certify_tight_spectrum(G, sig)
     doc["tight_spectrum"] = {"certified": tight.certified, "reason": tight.reason}
 
     t0 = time.perf_counter()

@@ -387,6 +387,8 @@ def graph6_decode(text: str) -> Graph:
         for byte in data[2:8]:
             n = (n << 6) | (byte - 63)
         pos = 8
+    if n > GRAPH6_MAX_N:
+        raise Graph6Error(f"graph6 decoding capped at n <= {GRAPH6_MAX_N}, got n={n}", 0)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - pos != nbytes:

@@ -1,9 +1,11 @@
 """Spectral side of the toolkit: exact closed-walk moments of the
-adjacency matrix, cycle-free walk counts on the k-regular tree, and a
-floating-point eigensolver with multiplicity grouping.
+adjacency matrix, cycle-free walk counts on the k-regular tree, and the
+adjacency spectrum with multiplicity grouping.
 
 Exact integer moments are the ground truth here; the floating spectrum
-is validated against them, never the other way around.
+(LAPACK ``eigvalsh``) is checked against them at runtime, never the other
+way around: every spectrum ``eigenvalues`` returns has matched the exact
+moments of lengths 0..MOMENT_CHECK_LENGTH.
 """
 
 from __future__ import annotations
@@ -13,16 +15,49 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.linalg import eigvalsh
 
 from .graph_core import Graph, EgrSignature
 
 MAX_MOMENT_LENGTH = 16
 MAX_MOMENT_VERTICES = 2048
 
+# float64 holds every integer up to 2**53 exactly
+_FLOAT_EXACT_MAX = 2**53
+
+# every spectrum is checked against the exact moments of lengths
+# 0..MOMENT_CHECK_LENGTH, each within MOMENT_CHECK_RTOL * sum_i |lambda_i|**l
+MOMENT_CHECK_LENGTH = 4
+MOMENT_CHECK_RTOL = 1e-9
+
+
+def _adjacency(G: Graph, dtype) -> np.ndarray:
+    A = np.zeros((G.n, G.n), dtype=dtype)
+    for u, neigh in enumerate(G.adj):
+        A[u, neigh] = 1
+    return A
+
+
+def _moment_dtype(n: int, k: int, L: int):
+    """float64 when n * k**L <= 2**53, else object (Python ints).
+
+    With maximum degree k, an entry of A**j is at most k**j and
+    trace(A**L) at most n * k**L.  The counts are nonnegative, so every
+    entry, every partial sum of a matrix product and every partial sum of
+    a trace is an integer no larger than n * k**L, which float64 holds
+    exactly under the bound.
+    """
+    return np.float64 if n * k**L <= _FLOAT_EXACT_MAX else object
+
 
 def walk_moments(G: Graph, L: int) -> list[int]:
     """Exact trace of A**l for l = 0..L, i.e. the closed-walk counts
-    sum_i lambda_i**l, computed in unbounded integer arithmetic.
+    sum_i lambda_i**l.
+
+    Keeps only two consecutive powers A**j, A**(j+1) and reads
+    trace(A**l) as the sum of A**floor(l/2) * A**ceil(l/2) entrywise
+    (A is symmetric).  Products run in float64 while _moment_dtype
+    proves them exact and in Python ints otherwise.
 
     moments[0] = n, moments[1] = 0 (no loops), moments[2] = 2|E|.
     """
@@ -30,18 +65,16 @@ def walk_moments(G: Graph, L: int) -> list[int]:
         raise ValueError(f"moment length capped at {MAX_MOMENT_LENGTH}")
     if G.n > MAX_MOMENT_VERTICES:
         raise ValueError(f"moment computation capped at {MAX_MOMENT_VERTICES} vertices")
-    moments = [G.n] + [0] * L
-    for v in range(G.n):
-        x = [0] * G.n
-        x[v] = 1
-        for length in range(1, L + 1):
-            y = [0] * G.n
-            for u, cnt in enumerate(x):
-                if cnt:
-                    for w in G.adj[u]:
-                        y[w] += cnt
-            x = y
-            moments[length] += x[v]
+    k = max((len(neigh) for neigh in G.adj), default=0)
+    A = _adjacency(G, _moment_dtype(G.n, k, L))
+    moments = [G.n]
+    low, high = np.eye(G.n, dtype=A.dtype), A
+    for length in range(1, L + 1):
+        if length % 2 == 0:
+            low, high = high, high @ A
+            moments.append(int((low * low).sum()))
+        else:
+            moments.append(int((low * high).sum()))
     return moments
 
 
@@ -131,62 +164,33 @@ class Spectrum:
         return self.values[-1]
 
 
-def _jacobi_eigenvalues(A: np.ndarray, tol: float, max_sweeps: int = 100) -> np.ndarray:
-    """Cyclic Jacobi rotations on a symmetric matrix until the off-diagonal
-    Frobenius norm drops below tol.  Deterministic row-major rotation
-    order; raises ArithmeticError with the residual if the sweep cap is
-    hit."""
-    A = A.astype(float).copy()
-    n = A.shape[0]
-    if n == 1:
-        return A.reshape(1)
-
-    def off_norm(M):
-        B = M.copy()
-        np.fill_diagonal(B, 0.0)
-        return float(np.linalg.norm(B))
-
-    for _ in range(max_sweeps):
-        off = off_norm(A)
-        if off < tol:
-            return np.sort(np.diag(A))[::-1]
-        thresh = off / (n * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= thresh:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if tau >= 0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-    raise ArithmeticError(
-        f"Jacobi iteration did not converge; off-diagonal residual {off_norm(A):.3e}"
-    )
+def _check_moments(G: Graph, vals: np.ndarray) -> None:
+    """Raise ArithmeticError unless sum_i vals[i]**l matches the exact
+    walk moment for every l = 0..MOMENT_CHECK_LENGTH."""
+    exact = walk_moments(G, MOMENT_CHECK_LENGTH)
+    for length, moment in enumerate(exact):
+        powers = vals**length
+        residual = abs(float(powers.sum()) - moment)
+        scale = float(np.abs(powers).sum())
+        if residual > MOMENT_CHECK_RTOL * scale:
+            raise ArithmeticError(
+                f"spectrum fails the exact moment check at length {length}: "
+                f"sum of eigenvalue powers is off by {residual:.3e} from {moment} "
+                f"(tolerance {MOMENT_CHECK_RTOL:.0e} x {scale:.3e})"
+            )
 
 
 def eigenvalues(G: Graph, tol: float = 1e-10) -> Spectrum:
-    """All adjacency eigenvalues of G via cyclic Jacobi rotations,
-    grouped into multiplicities at 1e4 * tol."""
+    """All adjacency eigenvalues of G, descending, from LAPACK eigvalsh
+    and checked against the exact walk moments; grouped into
+    multiplicities at 1e4 * tol.  Raises ArithmeticError when the check
+    fails."""
     if G.n > MAX_MOMENT_VERTICES:
         raise ValueError(f"eigensolver capped at {MAX_MOMENT_VERTICES} vertices")
     if G.n == 0:
         return Spectrum(values=(), groups=())
-    A = np.zeros((G.n, G.n))
-    for u, v in G.edges():
-        A[u, v] = A[v, u] = 1.0
-    vals = _jacobi_eigenvalues(A, tol)
+    vals = eigvalsh(_adjacency(G, float))[::-1]
+    _check_moments(G, vals)
     group_tol = 1e4 * tol
     groups: list[tuple[float, int]] = []
     start = 0

@@ -106,6 +106,19 @@ def test_verify_stdin_stream(capsys, monkeypatch):
     assert first["egr"] is True and second["egr"] is False
 
 
+def test_verify_stdin_stream_reports_bad_lines_and_continues(capsys, monkeypatch):
+    import io
+
+    lines = "\n".join([graph6_encode(petersen()), "D", graph6_encode(Graph([[1], [0]]))]) + "\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    code = main(["verify", "--stdin-g6-stream"])
+    good, bad, not_egr = (json.loads(line) for line in capsys.readouterr().out.strip().splitlines())
+    assert code == EXIT_USAGE  # the worst line decides
+    assert good["line"] == 1 and good["egr"] is True
+    assert bad["line"] == 2 and "adjacency bytes" in bad["error"] and "egr" not in bad
+    assert not_egr["line"] == 3 and not_egr["egr"] is False
+
+
 def test_bounds_command(capsys):
     code, out, _ = run(capsys, "bounds", "-k", "3", "-g", "5", "-l", "4")
     assert code == EXIT_OK

@@ -10,7 +10,7 @@ from egrtools.constructions import (
     petersen,
 )
 from egrtools.galois import GF
-from egrtools.graph_core import Graph, Graph6Error, girth, graph6_decode, graph6_encode
+from egrtools.graph_core import GRAPH6_MAX_N, Graph, Graph6Error, girth, graph6_decode, graph6_encode
 
 nx = pytest.importorskip("networkx")
 
@@ -99,6 +99,19 @@ MALFORMED = [
 def test_malformed_inputs_rejected(bad):
     with pytest.raises(Graph6Error):
         graph6_decode(bad)
+
+
+def test_decode_enforces_size_cap():
+    # very-long-form vertex count with no adjacency bytes: at the cap the
+    # payload length is what fails, one above it the cap fails first
+    def header(n):
+        return "~~" + "".join(chr(63 + ((n >> s) & 63)) for s in (30, 24, 18, 12, 6, 0))
+
+    with pytest.raises(Graph6Error, match="expected"):
+        graph6_decode(header(GRAPH6_MAX_N))
+    with pytest.raises(Graph6Error, match="capped") as info:
+        graph6_decode(header(GRAPH6_MAX_N + 1))
+    assert info.value.offset == 0
 
 
 def test_malformed_reports_offset():

@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from egrtools import spectral
+from egrtools.cli import EXIT_INTERNAL, main
 from egrtools.constructions import (
     build_biaffine,
     build_gq_truncation,
@@ -16,6 +18,8 @@ from egrtools.constructions import (
 from egrtools.galois import GF
 from egrtools.graph_core import Graph, verify_egr
 from egrtools.spectral import (
+    MAX_MOMENT_LENGTH,
+    _moment_dtype,
     catalan,
     certify_tight_spectrum,
     eigenvalues,
@@ -52,6 +56,33 @@ def test_moments_match_eigenvalue_powers():
         for length in range(9):
             approx = sum(v**length for v in vals)
             assert abs(approx - m[length]) <= 1e-6 * G.n * k**length + 1e-9
+
+
+def test_moments_match_walk_oracle():
+    # seeded irregular graphs, sparse to dense, and K_{k,k}, at the longest
+    # moment length: both sides of the float64 bound are exercised
+    rng = random.Random(11)
+    graphs = [complete_bipartite(k) for k in (1, 2, 5, 9)]
+    for _ in range(8):
+        n, p = rng.randint(1, 18), rng.random()
+        graphs.append(Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]))
+    L = MAX_MOMENT_LENGTH
+    dtypes = set()
+    for G in graphs:
+        dtypes.add(_moment_dtype(G.n, max(map(len, G.adj)), L))
+        expected = [sum(closed_walks_at_root(G, v, length) for v in range(G.n)) for length in range(L + 1)]
+        moments = walk_moments(G, L)
+        assert moments == expected
+        assert all(type(m) is int for m in moments)
+    assert dtypes == {np.float64, object}
+
+
+def test_moment_dtype_float64_bound():
+    # float64 is exact up to n * k**L = 2**53 and no further
+    assert _moment_dtype(32, 8, 16) is np.float64  # 32 * 8**16 == 2**53
+    assert _moment_dtype(33, 8, 16) is object
+    assert _moment_dtype(2**53, 1, 16) is np.float64
+    assert _moment_dtype(2**53 + 1, 1, 16) is object
 
 
 def test_trivial_lengths():
@@ -216,13 +247,20 @@ def test_moment_identity_on_gq_truncation():
     assert all(m[length] == 0 for length in (1, 3, 5, 7))
 
 
-def test_jacobi_convergence_reports_residual():
-    # the solver must converge on everything we build; force the cap to
-    # exercise the failure path
-    from egrtools.spectral import _jacobi_eigenvalues
+def test_moment_check_rejects_perturbed_spectrum(monkeypatch, capsys):
+    # an eigensolver result that drifts from the exact walk moments must
+    # never be returned, and the report turns the failure into exit 3
+    def perturbed(A):
+        vals = np.linalg.eigvalsh(A)
+        vals[0] += 1e-6
+        return vals
 
-    A = np.zeros((6, 6))
-    for u, v in complete_bipartite(3).edges():
-        A[u, v] = A[v, u] = 1.0
-    with pytest.raises(ArithmeticError, match="residual"):
-        _jacobi_eigenvalues(A, tol=1e-10, max_sweeps=0)
+    monkeypatch.setattr(spectral, "eigvalsh", perturbed)
+    with pytest.raises(ArithmeticError, match="moment check at length 1"):
+        eigenvalues(petersen())
+    code = main(["report", "--family", "named", "--name", "petersen"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("internal error: spectrum fails the exact moment check")
