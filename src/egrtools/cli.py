@@ -26,9 +26,10 @@ from .constructions import (
     build_gq_truncation,
     build_ovoid_spread,
     build_pencil_graph,
+    check_order,
     named_graph,
 )
-from .galois import GF, is_prime
+from .galois import GF, prime_power
 from .graph_core import (
     Graph,
     Graph6Error,
@@ -51,19 +52,6 @@ class UsageError(Exception):
     pass
 
 
-def _field_for(q: int):
-    for p in range(2, q + 1):
-        if is_prime(p):
-            e = 0
-            qq = 1
-            while qq < q:
-                qq *= p
-                e += 1
-            if qq == q:
-                return GF(p, e)
-    raise UsageError(f"q = {q} is not a prime power")
-
-
 def build_family(family: str, q: int | None = None, name: str | None = None) -> Graph:
     if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
@@ -76,7 +64,12 @@ def build_family(family: str, q: int | None = None, name: str | None = None) -> 
             raise UsageError(str(exc)) from None
     if q is None:
         raise UsageError(f"--q is required for family {family}")
-    F = _field_for(q)
+    try:
+        p, e = prime_power(q)
+        check_order(family, q)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    F = GF(p, e)
     builder = {
         "biaffine1": lambda f: build_biaffine(f, 1),
         "biaffine2": lambda f: build_biaffine(f, 2),

@@ -10,20 +10,39 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
 from .galois import Field
 from .geometry import (
     IncidenceGeometry,
     ovoid_search,
     pg2_geometry,
     pg_points,
+    plane_incidence,
     singer_pencil,
     spread_search,
     symplectic_gq,
-    tangent_plane,
+    tangent_planes,
 )
 from .graph_core import Graph
 
 FAMILIES = ("biaffine1", "biaffine2", "gq_truncation", "ovoid_spread", "pencil", "named")
+
+# Largest q each family builds in under 60 s and 1 GiB peak RSS (2 CPUs,
+# Python 3.11, numpy 2.4): biaffine q=127 12 s / 668 MiB and gq_truncation
+# q=25 14 s / 318 MiB, the next q needing an incidence array past
+# geometry.MAX_INCIDENCE_CELLS; pencil q=19 9 s / 878 MiB, q=23 25 s / 1854 MiB;
+# ovoid_spread q=4, the ovoid search in W(8) not finishing in 200 s.
+MAX_ORDER = {"biaffine1": 127, "biaffine2": 127, "gq_truncation": 25, "ovoid_spread": 4, "pencil": 19}
+
+
+def check_order(family: str, q: int) -> None:
+    """ValueError when q is above the family's size cap, MAX_ORDER."""
+    if q > MAX_ORDER[family]:
+        raise ValueError(
+            f"{family} is capped at q <= {MAX_ORDER[family]} (got q = {q}); "
+            "larger q does not build in 60 s and 1 GiB"
+        )
 
 
 def levi_graph(geom: IncidenceGeometry, keep_points=None, keep_blocks=None,
@@ -57,6 +76,7 @@ def build_biaffine(F: Field, kind: int) -> Graph:
         raise ValueError("kind must be 1 or 2")
     if F.q < 3:
         raise ValueError("biaffine construction needs q >= 3 (q = 2 degenerates to degree 2)")
+    check_order(f"biaffine{kind}", F.q)
     geom = pg2_geometry(F)
     P = 0
     want = kind == 1
@@ -80,6 +100,7 @@ def build_gq_truncation(F: Field) -> Graph:
     """
     if F.q < 3:
         raise ValueError("GQ truncation needs q >= 3 (q = 2 degenerates to degree 2)")
+    check_order("gq_truncation", F.q)
     geom = symplectic_gq(F)
     through = geom.blocks_through()
     P = 0
@@ -101,6 +122,7 @@ def build_ovoid_spread(F: Field) -> Graph:
         raise ValueError("q = 2 degenerates to degree 2")
     if F.q % 2 != 0:
         raise ValueError(f"W({F.q}) has no ovoid for odd q; construction unavailable")
+    check_order("ovoid_spread", F.q)
     geom = symplectic_gq(F)
     ovoid = ovoid_search(geom)
     if ovoid is None:
@@ -123,23 +145,16 @@ def build_pencil_graph(F: Field) -> Graph:
     (q^2+q+1)-regular of girth 4; contains every diagonal edge (p, p')
     since each point lies on its own tangent plane.
     """
+    check_order("pencil", F.q)
     points = pg_points(3, F)
     n = len(points)
-    members = singer_pencil(F)
-    member_of = {}
-    for mem in members:
-        for p in mem:
-            member_of[p] = mem
+    plane_of = np.empty(n, dtype=np.intp)
+    for member in singer_pencil(F):
+        at, planes = tangent_planes(F, member)
+        plane_of[at] = planes
+    left, right = np.nonzero(plane_incidence(F)[plane_of])
     labels = [("left", pt) for pt in points] + [("right", pt) for pt in points]
-    edges = []
-    from .geometry import dot
-
-    for p in range(n):
-        plane = tangent_plane(F, member_of[p], p)
-        for r in range(n):
-            if dot(F, plane, points[r]) == 0:
-                edges.append((p, n + r))
-    return Graph.from_edges(2 * n, edges, labels)
+    return Graph.from_edges(2 * n, zip(left.tolist(), (right + n).tolist()), labels)
 
 
 # ----------------------------------------------------------------------

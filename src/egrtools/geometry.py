@@ -1,19 +1,47 @@
-"""Projective geometries over GF(q): PG(2,q), PG(3,q), the symplectic
-generalized quadrangle W(q), pencils of ovoids from a Singer cycle,
-tangent planes, and deterministic ovoid/spread search.
+"""Projective geometries over GF(q) as numpy incidence arrays: PG(2,q),
+PG(3,q), the symplectic generalized quadrangle W(q), pencils of ovoids
+from a Singer cycle, tangent planes, and deterministic ovoid/spread
+search.
 
-Points and hyperplanes are coordinate tuples of field-element indices,
-normalized so the first nonzero coordinate is 1; all enumerations are
-lexicographically sorted, so point/block indices are reproducible.
+Points are the rows of an (N x d) array of field-element indices
+(``point_array``), normalized so the first nonzero coordinate is 1 and
+sorted lexicographically; ``pg_points`` gives the same points as
+tuples.  A hyperplane is named by the same kind of canonical vector, its
+dual coordinates, so plane i of PG(3,q) is the plane with the
+coordinates of point i.
+
+All incidence is read off one vectorised builder, ``incidence(F, duals,
+points)``: the boolean matrix of ``sum(a_k * x_k) == 0``, evaluated with
+the field's numpy add/mul tables.
+
+- PG(2,q): the lines are the rows of the points x points incidence.
+- W(q): the isotropy matrix B[x, y] = (<x, y> == 0) is the incidence of
+  the vectors J x with the points.  A totally isotropic line is its own
+  perp, so the line through isotropic x, y is the row B[x] & B[y].
+- PG(3,q): the planes x points incidence (``plane_incidence``) gives
+  tangent planes, plane point sets, the pencil's cap check and the
+  pencil graph's edges.
+
+A dense incidence array is never allocated past ``MAX_INCIDENCE_CELLS``
+entries; larger requests raise ValueError.  Block and point indices are
+reproducible: every enumeration is in lexicographic order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
+
+import numpy as np
 
 from .galois import Field
+
+# Largest dense incidence array, in entries (256 MiB of bool): PG(2,127)
+# and PG(3,25) fit, PG(2,128) and PG(3,27) do not.  The table lookups that
+# fill it run over blocks of at most _BLOCK_CELLS entries.
+MAX_INCIDENCE_CELLS = 2**28
+_BLOCK_CELLS = 2**20
 
 
 def normalize_point(F: Field, coords) -> tuple[int, ...]:
@@ -30,33 +58,87 @@ def normalize_point(F: Field, coords) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def point_array(dim: int, F: Field) -> np.ndarray:
+    """The points of PG(dim, q) as a read-only (N x (dim+1)) int64 array
+    of canonical coordinates in lexicographic order, N =
+    (q**(dim+1) - 1) // (q - 1).
+
+    Sorted order groups the points by the position of their leading 1,
+    latest position first; within a group the free tail coordinates run
+    through GF(q)^m in lexicographic order."""
+    if dim not in (2, 3):
+        raise ValueError("only PG(2,q) and PG(3,q) are supported")
+    q = F.q
+    groups = []
+    for lead in range(dim, -1, -1):
+        m = dim - lead
+        group = np.zeros((q**m, dim + 1), dtype=np.int64)
+        group[:, lead] = 1
+        group[:, lead + 1 :] = (np.arange(q**m)[:, None] // q ** np.arange(m - 1, -1, -1)) % q
+        groups.append(group)
+    pts = np.concatenate(groups)
+    pts.setflags(write=False)
+    return pts
+
+
+@lru_cache(maxsize=None)
 def pg_points(dim: int, F: Field) -> tuple[tuple[int, ...], ...]:
     """All points of PG(dim, q) as canonical coordinate tuples, sorted
     lexicographically.  There are (q**(dim+1) - 1) // (q - 1) of them."""
-    if dim not in (2, 3):
-        raise ValueError("only PG(2,q) and PG(3,q) are supported")
-    pts = []
-    for lead in range(dim + 1):
-        for tail in product(range(F.q), repeat=dim - lead):
-            pts.append((0,) * lead + (1,) + tail)
-    pts.sort()
-    return tuple(pts)
+    return tuple(map(tuple, point_array(dim, F).tolist()))
 
 
-def dot(F: Field, a, x) -> int:
-    """Bilinear form sum(a_i * x_i) in F."""
-    s = 0
-    for ai, xi in zip(a, x):
-        s = F.add(s, F.mul(ai, xi))
-    return s
+def point_index(F: Field, vectors: np.ndarray) -> np.ndarray:
+    """Index into point_array(d-1, F) of the projective point of each
+    nonzero row of the (K x d) array ``vectors``."""
+    q = F.q
+    dim = vectors.shape[1] - 1
+    tab = F.tables
+    lead = (vectors != 0).argmax(axis=1)
+    scale = tab.inv[vectors[np.arange(len(vectors)), lead]]
+    canon = tab.mul[scale[:, None], vectors].astype(np.int64)
+    # rank = (points whose leading 1 comes later) + (tail read in base q)
+    top = q ** (dim - lead)
+    return (top - 1) // (q - 1) + canon @ (q ** np.arange(dim, -1, -1)) - top
 
 
-def line_through(F: Field, x, y) -> tuple[tuple[int, ...], ...]:
-    """The q+1 canonical points of the projective line spanned by x, y."""
-    pts = {normalize_point(F, y)}
-    for t in range(F.q):
-        pts.add(normalize_point(F, tuple(F.add(xi, F.mul(t, yi)) for xi, yi in zip(x, y))))
-    return tuple(sorted(pts))
+def incidence(F: Field, duals: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Boolean (len(duals) x len(points)) matrix, entry [i, j] true when
+    sum_k duals[i, k] * points[j, k] == 0 in F.  Built in blocks of rows,
+    so the table lookups never hold more than _BLOCK_CELLS entries; a
+    matrix of more than MAX_INCIDENCE_CELLS entries raises ValueError."""
+    if len(duals) * len(points) > MAX_INCIDENCE_CELLS:
+        raise ValueError(
+            f"incidence array of {len(duals)} x {len(points)} exceeds the cap of {MAX_INCIDENCE_CELLS} entries"
+        )
+    tab = F.tables
+    out = np.empty((len(duals), len(points)), dtype=bool)
+    rows = max(1, _BLOCK_CELLS // max(1, len(points)))
+    for lo in range(0, len(duals), rows):
+        block = duals[lo : lo + rows]
+        acc = tab.mul[block[:, :1], points[:, 0]]
+        for k in range(1, duals.shape[1]):
+            acc = tab.add[acc, tab.mul[block[:, k : k + 1], points[:, k]]]
+        np.equal(acc, 0, out=out[lo : lo + rows])
+    return out
+
+
+def _rows(mask: np.ndarray, size: int) -> np.ndarray:
+    """Column indices of the true entries of each row, as a (rows x size)
+    array; ArithmeticError unless every row has exactly ``size``."""
+    if not (mask.sum(axis=1) == size).all():
+        raise ArithmeticError(f"incidence rows must each hold {size} points; field arithmetic is broken")
+    return np.nonzero(mask)[1].reshape(len(mask), size)
+
+
+@lru_cache(maxsize=None)
+def plane_incidence(F: Field) -> np.ndarray:
+    """Read-only planes x points incidence of PG(3,q); plane i has the
+    dual coordinates of point i."""
+    pts = point_array(3, F)
+    inc = incidence(F, pts, pts)
+    inc.setflags(write=False)
+    return inc
 
 
 @dataclass(frozen=True)
@@ -94,17 +176,14 @@ class IncidenceGeometry:
 def pg2_geometry(F: Field) -> IncidenceGeometry:
     """The projective plane PG(2,q): q^2+q+1 points and lines, incidence
     sum(a_i x_i) = 0."""
+    pts = point_array(2, F)
+    blocks = _rows(incidence(F, pts, pts), F.q + 1)
+    order = np.lexsort(blocks.T[::-1])
     points = pg_points(2, F)
-    index = {pt: i for i, pt in enumerate(points)}
-    duals = pg_points(2, F)
-    blocks = []
-    for a in duals:
-        blocks.append(tuple(sorted(index[x] for x in points if dot(F, a, x) == 0)))
-    order = sorted(range(len(blocks)), key=lambda i: blocks[i])
     return IncidenceGeometry(
         points=points,
-        blocks=tuple(blocks[i] for i in order),
-        block_coords=tuple(duals[i] for i in order),
+        blocks=tuple(map(tuple, blocks[order].tolist())),
+        block_coords=tuple(points[i] for i in order.tolist()),
     )
 
 
@@ -113,27 +192,32 @@ def symplectic_gq(F: Field) -> IncidenceGeometry:
     """The generalized quadrangle W(q): all points of PG(3,q) together with
     the lines that are totally isotropic for the alternating form
     <x,y> = x0*y1 - x1*y0 + x2*y3 - x3*y2."""
-    points = pg_points(3, F)
-    index = {pt: i for i, pt in enumerate(points)}
-
-    def form(x, y):
-        t1 = F.sub(F.mul(x[0], y[1]), F.mul(x[1], y[0]))
-        t2 = F.sub(F.mul(x[2], y[3]), F.mul(x[3], y[2]))
-        return F.add(t1, t2)
-
-    blocks = set()
-    npts = len(points)
-    for i in range(npts):
-        x = points[i]
-        for j in range(i + 1, npts):
-            y = points[j]
-            if form(x, y) == 0:
-                blocks.add(tuple(sorted(index[z] for z in line_through(F, x, y))))
     q = F.q
-    blocks = tuple(sorted(blocks))
-    if len(blocks) != (q + 1) * (q * q + 1):
+    pts = point_array(3, F)
+    neg = F.tables.neg
+    # <x, y> = (J x) . y with J x = (-x1, x0, -x3, x2)
+    jx = np.stack([neg[pts[:, 1]], pts[:, 0], neg[pts[:, 3]], pts[:, 2]], axis=1)
+    iso = incidence(F, jx, pts)
+    # Walk x in index order.  A line through x whose least point is below x
+    # was listed earlier and is in through[x]; every other partner y > x
+    # of x lies on a new line, x^perp & y^perp.  Taking the least such y
+    # each time lists the lines in lexicographic order.
+    lines = []
+    through = [[] for _ in range(len(pts))]
+    for x in range(len(pts)):
+        todo = iso[x].copy()
+        todo[: x + 1] = False
+        for line in through[x]:
+            todo[line] = False
+        while todo.any():
+            line = np.flatnonzero(iso[x] & iso[todo.argmax()])
+            lines.append(line)
+            todo[line] = False
+            for z in line[1:]:
+                through[z].append(line)
+    if len(lines) != (q + 1) * (q * q + 1) or any(len(line) != q + 1 for line in lines):
         raise ArithmeticError("W(q) line count mismatch; symplectic form implementation is broken")
-    return IncidenceGeometry(points=points, blocks=blocks)
+    return IncidenceGeometry(points=pg_points(3, F), blocks=tuple(map(tuple, np.array(lines).tolist())))
 
 
 @lru_cache(maxsize=None)
@@ -153,35 +237,43 @@ def singer_pencil(F: Field) -> tuple[tuple[int, ...], ...]:
     """
     q = F.q
     E = F.extension(4)
-    points = pg_points(3, F)
-    index = {pt: i for i, pt in enumerate(points)}
-    n = len(points)  # q^3 + q^2 + q + 1
-
-    def point_of_exponent(t: int) -> int:
-        return index[normalize_point(F, E.coords(E.pow(E.generator, t)))]
-
+    n = (q**4 - 1) // (q - 1)  # q^3 + q^2 + q + 1; w^t for t < n meets each point once
+    powers = np.array(E._exp[:n], dtype=np.int64)
+    point_of_exponent = point_index(F, (powers[:, None] // q ** np.arange(4)) % q)
     members = []
     for r in range(q + 1):
-        orbit = {point_of_exponent(r + m * (q + 1)) for m in range(q * q + 1)}
+        orbit = np.unique(point_of_exponent[r :: q + 1])
         if len(orbit) != q * q + 1:
             raise ArithmeticError("pencil member has wrong cardinality")
-        members.append(tuple(sorted(orbit)))
+        members.append(orbit)
 
-    covered = set().union(*members)
-    if len(covered) != n or sum(len(m) for m in members) != n:
+    if len(np.unique(np.concatenate(members))) != n:
         raise ArithmeticError("pencil members do not partition PG(3,q)")
     for member in members:
-        _check_cap(F, points, member)
-    return tuple(members)
-
-
-def _check_cap(F: Field, points, member) -> None:
-    """Raise unless no three points of the member are collinear."""
-    coords_in_member = {points[i] for i in member}
-    for a, b in combinations(member, 2):
-        hits = sum(1 for z in line_through(F, points[a], points[b]) if z in coords_in_member)
-        if hits > 2:
+        if _collinear_triples(F, member):
             raise ArithmeticError("pencil member contains three collinear points")
+    return tuple(tuple(member.tolist()) for member in members)
+
+
+def _collinear_triples(F: Field, points) -> int:
+    """Number of collinear triples in a set of PG(3,q) point indices.  A
+    non-collinear triple lies on one plane and a collinear one on q+1, so
+    the sum over planes of C(|plane & set|, 3) is C(m, 3) plus q times
+    the collinear triples."""
+    members = np.array(sorted(set(points)), dtype=np.intp)
+    c = plane_incidence(F)[:, members].sum(axis=1, dtype=np.int64)
+    m = len(members)
+    on_planes = int((c * (c - 1) * (c - 2)).sum()) // 6
+    return (on_planes - m * (m - 1) * (m - 2) // 6) // F.q
+
+
+def _tangent_matrix(F: Field, ovoid) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct points M of ``ovoid`` and the boolean
+    planes x len(M) matrix T: T[i, j] when plane i meets the set in M[j]
+    alone."""
+    members = np.array(sorted(set(ovoid)), dtype=np.intp)
+    on = plane_incidence(F)[:, members]
+    return members, on & (on.sum(axis=1) == 1)[:, None]
 
 
 def tangent_plane(F: Field, ovoid, p: int) -> tuple[int, ...]:
@@ -193,30 +285,41 @@ def tangent_plane(F: Field, ovoid, p: int) -> tuple[int, ...]:
     tangent plane is required, otherwise ValueError is raised (the input
     was not an ovoid).
     """
-    points = pg_points(3, F)
-    members = set(ovoid)
-    if p not in members:
+    members, tangent = _tangent_matrix(F, ovoid)
+    j = int(np.searchsorted(members, p))
+    if j == len(members) or members[j] != p:
         raise ValueError("p must belong to the ovoid")
-    x = points[p]
-    found = None
-    count = 0
-    for a in pg_points(3, F):  # dual coordinates of all planes
-        if dot(F, a, x) != 0:
-            continue
-        meets = sum(1 for i in members if dot(F, a, points[i]) == 0)
-        if meets == 1:
-            count += 1
-            found = a
-    if count != 1:
-        raise ValueError(f"expected exactly one tangent plane through p, found {count}; the point set is not an ovoid")
-    return found
+    planes = np.flatnonzero(tangent[:, j])
+    if len(planes) != 1:
+        raise ValueError(
+            f"expected exactly one tangent plane through p, found {len(planes)}; the point set is not an ovoid"
+        )
+    return pg_points(3, F)[planes[0]]
+
+
+def tangent_planes(F: Field, ovoid) -> tuple[np.ndarray, np.ndarray]:
+    """(M, planes): the sorted distinct points M of the ovoid and, for each,
+    the index of its tangent plane.  ValueError unless every point has
+    exactly one."""
+    members, tangent = _tangent_matrix(F, ovoid)
+    counts = tangent.sum(axis=0)
+    bad = np.flatnonzero(counts != 1)
+    if len(bad):
+        raise ValueError(
+            f"expected exactly one tangent plane through point {members[bad[0]]}, "
+            f"found {counts[bad[0]]}; the point set is not an ovoid"
+        )
+    return members, tangent.argmax(axis=0)
 
 
 def plane_points(F: Field, dual) -> tuple[int, ...]:
     """Indices of the PG(3,q) points on the plane with the given dual
     coordinates."""
-    points = pg_points(3, F)
-    return tuple(i for i, x in enumerate(points) if dot(F, dual, x) == 0)
+    dual = tuple(dual)
+    if len(dual) != 4 or not all(0 <= a < F.q for a in dual):
+        raise ValueError(f"{dual} is not a vector of 4 elements of GF({F.q})")
+    on = incidence(F, np.array([dual], dtype=np.int64), point_array(3, F))[0]
+    return tuple(np.flatnonzero(on).tolist())
 
 
 def _gq_order(G: IncidenceGeometry) -> int:

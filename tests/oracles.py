@@ -1,10 +1,11 @@
 """Brute-force and depth-first oracles, deliberately independent of the
-library's non-backtracking walk engine: used to cross-check derived
-expected values and the engine itself."""
+library's non-backtracking walk engine and of its incidence arrays: used
+to cross-check derived expected values and the engines themselves."""
 
 import math
 from collections import deque
 
+from egrtools.geometry import normalize_point
 from egrtools.graph_core import Graph
 
 
@@ -153,3 +154,19 @@ def closed_walks_at_root(G: Graph, root: int, length: int) -> int:
                     y[w] += c
         x = y
     return x[root]
+
+
+def dot(F, a, x) -> int:
+    """Bilinear form sum(a_i * x_i) in F, one scalar operation at a time."""
+    s = 0
+    for ai, xi in zip(a, x):
+        s = F.add(s, F.mul(ai, xi))
+    return s
+
+
+def line_through(F, x, y) -> tuple[tuple[int, ...], ...]:
+    """The q+1 canonical points of the projective line spanned by x, y."""
+    pts = {normalize_point(F, y)}
+    for t in range(F.q):
+        pts.add(normalize_point(F, tuple(F.add(xi, F.mul(t, yi)) for xi, yi in zip(x, y))))
+    return tuple(sorted(pts))

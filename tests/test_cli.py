@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from egrtools.cli import EXIT_NOT_EGR, EXIT_OK, EXIT_USAGE, main
 from egrtools.constructions import petersen
+from egrtools.galois import GF
 from egrtools.graph_core import Graph, graph6_encode
 
 
@@ -190,3 +193,30 @@ def test_construct_deterministic_across_processes():
     runs = [subprocess.run(cmd, capture_output=True, text=True, check=True) for _ in range(2)]
     assert runs[0].stdout == runs[1].stdout
     assert json.loads(runs[0].stdout)["signature"]["n"] == 18
+
+
+@pytest.mark.parametrize(
+    "q,message",
+    [
+        (0, "not a prime power"),
+        (-3, "not a prime power"),
+        (6, "not a prime power"),
+        (2**21, "exceeds the field-order cap 1048576"),
+        (1048573, "pencil is capped at q <= 19"),
+    ],
+)
+def test_construct_bad_q_is_a_usage_error(capsys, q, message):
+    misses = GF.cache_info().misses
+    code, out, err = run(capsys, "construct", "--family", "pencil", "--q", str(q))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {err[7:]}" and message in err and len(err.splitlines()) == 1
+    assert GF.cache_info().misses == misses  # rejected before any field was built
+
+
+@pytest.mark.parametrize("family,q", [("biaffine1", 128), ("biaffine2", 128), ("gq_truncation", 27),
+                                      ("ovoid_spread", 8), ("pencil", 23)])
+def test_report_over_size_cap_is_a_usage_error(capsys, family, q):
+    code, out, err = run(capsys, "report", "--family", family, "--q", str(q))
+    assert code == EXIT_USAGE
+    assert out == "" and "capped at q <=" in err

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from egrtools.bounds import certify_extremal
@@ -6,13 +8,14 @@ from egrtools.constructions import (
     build_gq_truncation,
     build_ovoid_spread,
     build_pencil_graph,
+    check_order,
     complete_bipartite,
     cycle_graph,
     named_graph,
 )
-from egrtools.galois import GF
+from egrtools.galois import GF, prime_power
 from egrtools.geometry import symplectic_gq
-from egrtools.graph_core import bipartition, verify_egr
+from egrtools.graph_core import bipartition, graph6_encode, verify_egr
 
 F = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5)}
 
@@ -132,3 +135,118 @@ def test_heawood_is_extremal_reference():
 def test_cycle_graph_bounds_args():
     with pytest.raises(ValueError):
         cycle_graph(2)
+
+
+BUILDERS = {
+    "biaffine1": lambda F: build_biaffine(F, 1),
+    "biaffine2": lambda F: build_biaffine(F, 2),
+    "gq_truncation": build_gq_truncation,
+    "ovoid_spread": build_ovoid_spread,
+    "pencil": build_pencil_graph,
+}
+
+# sha256 of graph6_encode of each family/q, recorded with the per-element
+# (scalar field arithmetic, per-pair geometry scan) implementation.
+GRAPH6_SHA256 = {
+    ("biaffine1", 3): "d6bdca56a65d918d1d872d9dded8900e27f219347e005630cd7c8b6f3f0b7f5f",
+    ("biaffine1", 4): "c305de1d0fa4164889cbb235256a5a849261f55e19f1cb2af1d0d1ffed2f8ae0",
+    ("biaffine1", 5): "6a9f8c1d8e7ded142a77fd1fb919a8642104366afd6e6e9e7e758df08b8b063a",
+    ("biaffine1", 7): "7369e78c3511bca161f5e235183ac5b12115bbb10948de14a5adfbe21c839d9d",
+    ("biaffine1", 8): "46b5bdf59188eab80f2bc9fc20b540c470f4d3293e74b665fb4a3375e7a50c1c",
+    ("biaffine1", 9): "7c68c4cc7e9bf12a47904e379460da2f09ac979c3b68d59182b73cecc920c5bf",
+    ("biaffine1", 11): "7b650301b50e9564e0f7f68021dbbfa9ffdf819279441a9242be7c7c72958d76",
+    ("biaffine2", 3): "13a90b8f1dd6737337be766b428bb36ce442787efe126bafff991344369fc118",
+    ("biaffine2", 4): "57083bc4a42e3fd9e3ffdf4c20516647d56dc303ba4433718da80c2a97c5b828",
+    ("biaffine2", 5): "a8f07b8650654cc87f2bec7f5705f7bc67160eff18c9bc6bbb6ee89581cd1804",
+    ("biaffine2", 7): "0f54ce7ac7cb865abbea3062b960d0d4c849cbd1943d8dca0c0d093db8c31888",
+    ("biaffine2", 8): "83754335c66a0efcc29ac25a4a8f63449ce5a519a643d9cf931363b958f7ba9a",
+    ("biaffine2", 9): "8eaca50c0b6d40879fd655cec5c69767a0299d7746a0de814382c730221c512d",
+    ("biaffine2", 11): "387a78b6c6c865873505bf8dcb7e6a0c299aabc890aa686996eb42294db96110",
+    ("gq_truncation", 3): "0b9d666da913de8c080ddaf0063a6f2321df58536a3fe4147eadf80888557c68",
+    ("gq_truncation", 4): "9e048932be2984cac3bc92682ad1b50fd6e460d77256c0d3f4cad3c74dffb0df",
+    ("gq_truncation", 5): "3ee2192c021a157a94ed543a1752ff7f7fba9bc1d35327531dbfa796a827df76",
+    ("gq_truncation", 7): "745c726430e55648f5f0c0c67b9ca6a11bd73a8a4a7de51b6120710c9547efb7",
+    ("ovoid_spread", 4): "ef88384a797dfde44d26bff86f4a46fd642513f25525e549c0492a90177723db",
+    ("pencil", 2): "5527224266ddc50454865cfbed72c7c22f4302b1412aecec451355af6e95bfab",
+    ("pencil", 3): "4934eb80f49c8789547be016befd76e2e075e440a8ccf57d2dd6c421ba960ed8",
+    ("pencil", 4): "ad34d3746512ec6ab9aacc94f7734dcc18bcc7502e52437632ce926264cc8a82",
+    ("pencil", 5): "5051a036a1ca63a7fea466c1f43e4798ba712903bd16bb0a3766affff03f4539",
+    ("pencil", 7): "cfe2cf22269c7b61d8d2d12bd9b7f11f5c8e7c4a60821eb45e91865b08680f77",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family,q", sorted(GRAPH6_SHA256))
+def test_graph6_is_pinned(family, q):
+    G = BUILDERS[family](GF(*prime_power(q)))
+    assert _sha256(graph6_encode(G)) == GRAPH6_SHA256[family, q]
+
+
+# (family, q): (vertex count, first label, last label, sha256 of repr(labels))
+LABELS = {
+    ("biaffine1", 3): (
+        18,
+        ("point", (1, 0, 0)),
+        ("line", ((0, 1, 2), (1, 0, 2), (1, 1, 1), (1, 2, 0))),
+        "d253ec6036c683428ef970d66448aa88a01dc7e8559e8350271342fd1e616910",
+    ),
+    ("biaffine2", 3): (
+        16,
+        ("point", (0, 1, 1)),
+        ("line", ((0, 1, 2), (1, 0, 2), (1, 1, 1), (1, 2, 0))),
+        "2f9960b14b8cc83d719c267d309e37a506d349d898b4d71ce77e6814f089935c",
+    ),
+    ("gq_truncation", 3): (
+        54,
+        ("point", (0, 0, 1, 0)),
+        ("line", ((0, 1, 2, 2), (1, 0, 2, 1), (1, 1, 1, 0), (1, 2, 0, 2))),
+        "ec7cc6207c996f554ac406f9aa11563807a8d0232f66b2a8cd26e2acb68e112a",
+    ),
+    ("ovoid_spread", 4): (
+        136,
+        ("point", (0, 0, 1, 1)),
+        ("line", ((0, 1, 3, 3), (1, 0, 3, 1), (1, 1, 0, 2), (1, 2, 2, 0), (1, 3, 1, 3))),
+        "0abddfa56da4053d3e3bf4adc619564eb354759258818980080f9b1860f3efba",
+    ),
+    ("pencil", 2): (
+        30,
+        ("left", (0, 0, 0, 1)),
+        ("right", (1, 1, 1, 1)),
+        "719b494341ef325046ea2ad69119f2f49027756b5292ec976f1c3431ad238146",
+    ),
+}
+
+
+@pytest.mark.parametrize("family,q", sorted(LABELS))
+def test_labels_are_pinned(family, q):
+    n, first, last, digest = LABELS[family, q]
+    labels = BUILDERS[family](GF(*prime_power(q))).labels
+    assert (len(labels), labels[0], labels[-1]) == (n, first, last)
+    assert all(type(c) is int for _, coords in labels[:3] for c in coords)
+    assert _sha256(repr(labels)) == digest
+
+
+# The next q above each family's cap that the family takes (ovoid_spread
+# needs q even).
+OVER_CAP = {"biaffine1": 128, "biaffine2": 128, "gq_truncation": 27, "ovoid_spread": 8, "pencil": 23}
+
+
+@pytest.mark.parametrize("family", sorted(OVER_CAP))
+def test_size_cap_rejects_next_q_before_building(family):
+    from egrtools import geometry
+    from egrtools.constructions import MAX_ORDER
+
+    q = OVER_CAP[family]
+    assert MAX_ORDER[family] < q
+    check_order(family, MAX_ORDER[family])
+    with pytest.raises(ValueError, match=f"capped at q <= {MAX_ORDER[family]}"):
+        check_order(family, q)
+    caches = [geometry.point_array, geometry.pg2_geometry, geometry.symplectic_gq,
+              geometry.singer_pencil, geometry.plane_incidence]
+    misses = [c.cache_info().misses for c in caches]
+    with pytest.raises(ValueError, match="capped"):
+        BUILDERS[family](GF(*prime_power(q)))
+    assert [c.cache_info().misses for c in caches] == misses

@@ -1,9 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
 
-from egrtools.galois import GF, MAX_EXTENSION_ORDER, MAX_FIELD_ORDER, Field, is_prime
+from egrtools.galois import GF, MAX_EXTENSION_ORDER, MAX_FIELD_ORDER, MAX_TABLE_ORDER, Field, is_prime, prime_power
 
 
 def test_gf4_has_the_unique_irreducible_quadratic():
@@ -164,3 +165,97 @@ def test_determinism_across_instances():
 
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def _digit_add(F, a, b, sign=1):
+    """a + sign*b by base-p digits, independent of every table."""
+    out, w = 0, 1
+    for _ in range(F.e):
+        out += ((a % F.p + sign * (b % F.p)) % F.p) * w
+        a, b, w = a // F.p, b // F.p, w * F.p
+    return out
+
+
+def _check_against_schoolbook(F, pairs):
+    for a, b in pairs:
+        assert F.mul(a, b) == F._raw_mul(a, b), (F, a, b)
+        assert F.add(a, b) == _digit_add(F, a, b), (F, a, b)
+        assert F.sub(a, b) == _digit_add(F, a, b, -1), (F, a, b)
+    for a in {a for a, _ in pairs}:
+        assert F.neg(a) == _digit_add(F, 0, a, -1)
+        if a:
+            assert F._raw_mul(a, F.inv(a)) == 1
+
+
+SMALL_ORDERS = [q for q in range(2, 65) if len({d for d in range(2, q + 1) if q % d == 0 and is_prime(d)}) == 1]
+
+
+@pytest.mark.parametrize("q", SMALL_ORDERS)
+def test_tables_match_schoolbook_exhaustively(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    F = GF(p, round(math.log(q, p)))
+    assert F.q == q
+    elems = range(q)
+    _check_against_schoolbook(F, list(itertools.product(elems, repeat=2)))
+    tab = F.tables
+    assert [[int(tab.mul[a, b]) for b in elems] for a in elems] == [[F._raw_mul(a, b) for b in elems] for a in elems]
+    assert [[int(tab.add[a, b]) for b in elems] for a in elems] == [[_digit_add(F, a, b) for b in elems] for a in elems]
+    assert [int(x) for x in tab.neg] == [_digit_add(F, 0, a, -1) for a in elems]
+    assert [int(x) for x in tab.inv[1:]] == [F.inv(a) for a in elems[1:]]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GF(2).extension(4),
+        lambda: GF(3).extension(4),
+        lambda: GF(2, 2).extension(4),
+        lambda: GF(5).extension(4),
+        lambda: GF(2, 16),
+        lambda: GF(3, 10),
+    ],
+)
+def test_tables_match_schoolbook_on_sample(make):
+    F = make()
+    rng = random.Random(F.q)
+    _check_against_schoolbook(F, [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(10_000)])
+    # the exp table walks the powers of the generator
+    n = min(50, F.q - 1)
+    assert F._exp[:n] == list(itertools.accumulate(range(n - 1), lambda x, _: F._raw_mul(x, F.generator), initial=1))
+
+
+def test_elements_out_of_range_are_rejected():
+    F = GF(7)
+    for bad in (F.q, -1):
+        for op in (F.mul, F.add, F.sub):
+            with pytest.raises(ValueError, match="out of range"):
+                op(bad, 1)
+            with pytest.raises(ValueError, match="out of range"):
+                op(1, bad)
+        for op in (F.neg, F.inv, F.coords, F.mul_order, lambda a: F.pow(a, 2)):
+            with pytest.raises(ValueError, match="out of range"):
+                op(bad)
+    with pytest.raises(ValueError):
+        F.mul(0, F.q)
+
+
+def test_bulk_tables_capped():
+    assert MAX_TABLE_ORDER == 2**8
+    assert GF(2, 8).tables.mul.shape == (256, 256)
+    with pytest.raises(ValueError, match="bulk-table cap"):
+        GF(257).tables
+
+
+def test_prime_power():
+    assert prime_power(2) == (2, 1)
+    assert prime_power(64) == (2, 6)
+    assert prime_power(3**12) == (3, 12)
+    assert prime_power(1048573) == (1048573, 1)
+    assert prime_power(MAX_FIELD_ORDER) == (2, 20)
+    for bad in (0, 1, -3, 6, 12, 1000):
+        with pytest.raises(ValueError, match="not a prime power"):
+            prime_power(bad)
+    with pytest.raises(ValueError, match="field-order cap"):
+        prime_power(MAX_FIELD_ORDER + 1)
+    with pytest.raises(TypeError):
+        prime_power(4.0)

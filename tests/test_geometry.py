@@ -1,20 +1,28 @@
+import random
 from itertools import combinations
 
+import numpy as np
 import pytest
+from oracles import dot, line_through
 
+from egrtools import geometry
 from egrtools.galois import GF
 from egrtools.geometry import (
-    dot,
-    line_through,
+    MAX_INCIDENCE_CELLS,
+    incidence,
     normalize_point,
     ovoid_search,
     pg2_geometry,
     pg_points,
+    plane_incidence,
     plane_points,
+    point_array,
+    point_index,
     singer_pencil,
     spread_search,
     symplectic_gq,
     tangent_plane,
+    tangent_planes,
 )
 
 FIELDS = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5)}
@@ -191,3 +199,97 @@ def test_searches_are_deterministic_and_lex_minimal_on_w2():
         if cand >= first:
             break
         assert any(b in collinear[a] for a, b in comb(cand, 2))
+
+
+@pytest.mark.parametrize("dim,q", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 8), (2, 9), (3, 2), (3, 3), (3, 4)])
+def test_incidence_matches_scalar_form(dim, q):
+    F = GF(2, 3) if q == 8 else GF(3, 2) if q == 9 else FIELDS[q]
+    pts = pg_points(dim, F)
+    assert point_array(dim, F).tolist() == [list(p) for p in pts]
+    inc = incidence(F, point_array(dim, F), point_array(dim, F))
+    assert inc.tolist() == [[dot(F, a, x) == 0 for x in pts] for a in pts]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_point_index_inverts_scaling(q):
+    F = FIELDS[q]
+    pts = point_array(3, F)
+    for s in range(1, q):
+        scaled = F.tables.mul[s, pts]
+        assert point_index(F, scaled).tolist() == list(range(len(pts)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_symplectic_lines_match_pairwise_scan(q):
+    F = FIELDS[q]
+    pts = pg_points(3, F)
+    index = {pt: i for i, pt in enumerate(pts)}
+
+    def form(x, y):
+        t1 = F.sub(F.mul(x[0], y[1]), F.mul(x[1], y[0]))
+        t2 = F.sub(F.mul(x[2], y[3]), F.mul(x[3], y[2]))
+        return F.add(t1, t2)
+
+    lines = {
+        tuple(sorted(index[z] for z in line_through(F, x, y)))
+        for x, y in combinations(pts, 2)
+        if form(x, y) == 0
+    }
+    assert symplectic_gq(F).blocks == tuple(sorted(lines))
+
+
+def test_collinear_triples_match_brute_force():
+    F = FIELDS[3]
+    pts = pg_points(3, F)
+    rng = random.Random(3)
+    for size in (3, 6, 10, 14):
+        chosen = rng.sample(range(len(pts)), size)
+        brute = sum(
+            1 for a, b, c in combinations(chosen, 3) if pts[c] in line_through(F, pts[a], pts[b])
+        )
+        assert geometry._collinear_triples(F, chosen) == brute
+    for member in singer_pencil(F):
+        assert geometry._collinear_triples(F, member) == 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_tangent_planes_match_single_point_search(q):
+    F = FIELDS[q]
+    pts = pg_points(3, F)
+    for member in singer_pencil(F):
+        at, planes = tangent_planes(F, member)
+        assert at.tolist() == list(member)
+        assert [pts[b] for b in planes] == [tangent_plane(F, member, p) for p in member]
+
+
+def test_tangent_planes_reject_non_ovoid():
+    F = FIELDS[3]
+    line = symplectic_gq(F).blocks[0]  # q^2 planes through each point meet the line there alone
+    with pytest.raises(ValueError, match="exactly one tangent plane"):
+        tangent_planes(F, line)
+    member = singer_pencil(F)[0]
+    with pytest.raises(ValueError, match="must belong"):
+        tangent_plane(F, member[:-1], member[-1])
+
+
+def test_plane_points_match_scalar_form():
+    F = FIELDS[4]
+    pts = pg_points(3, F)
+    for dual in [(0, 0, 0, 1), (1, 2, 3, 1), (2, 3, 1, 0), (3, 0, 0, 0)]:
+        assert plane_points(F, dual) == tuple(i for i, x in enumerate(pts) if dot(F, dual, x) == 0)
+    with pytest.raises(ValueError):
+        plane_points(F, (0, 0, 4, 1))
+
+
+def test_incidence_cap_is_checked_before_allocating():
+    side = 2**14
+    duals = np.broadcast_to(np.zeros(4, dtype=np.int64), (side + 1, 4))
+    points = np.broadcast_to(np.zeros(4, dtype=np.int64), (side, 4))
+    assert (side + 1) * side > MAX_INCIDENCE_CELLS >= side * side
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        incidence(FIELDS[2], duals, points)
+    # PG(2,131) has 17293 points; PG(3,27) has 20440
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        pg2_geometry(GF(131))
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        plane_incidence(GF(3, 3))
