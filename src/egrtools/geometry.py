@@ -242,12 +242,12 @@ def singer_pencil(F: Field) -> tuple[tuple[int, ...], ...]:
     point_of_exponent = point_index(F, (powers[:, None] // q ** np.arange(4)) % q)
     members = []
     for r in range(q + 1):
-        orbit = np.unique(point_of_exponent[r :: q + 1])
-        if len(orbit) != q * q + 1:
+        orbit = np.sort(point_of_exponent[r :: q + 1])
+        if (orbit[1:] == orbit[:-1]).any():
             raise ArithmeticError("pencil member has wrong cardinality")
         members.append(orbit)
 
-    if len(np.unique(np.concatenate(members))) != n:
+    if not (np.sort(np.concatenate(members)) == np.arange(n)).all():
         raise ArithmeticError("pencil members do not partition PG(3,q)")
     for member in members:
         if _collinear_triples(F, member):
