@@ -1,10 +1,11 @@
 """Command-line front end: construct, verify, bounds, report.
 
 Exit codes: 0 success (or verified egr), 1 verified-not-egr, 2 usage or
-input error, 3 internal inconsistency (a construction failed its own
-verification, or a spectrum failed its exact moment check).  A stream
-verify reports each malformed line and goes on; it exits with the
-largest code of any line.  Reports are JSON with a frozen field layout
+input error (a graph over the verify or report vertex cap included), 3
+internal inconsistency (a construction failed its own verification, or a
+spectrum failed its exact moment check).  A stream verify reports each
+malformed or oversized line and goes on; it exits with the largest code
+of any line.  Reports are JSON with a frozen field layout
 (schema_version 1); rationals are emitted as {num, den, decimal}, never
 as bare floats.
 """
@@ -38,7 +39,7 @@ from .graph_core import (
     graph6_encode,
     verify_egr,
 )
-from .spectral import certify_tight_spectrum, eigenvalues, walk_moments
+from .spectral import MAX_MOMENT_VERTICES, certify_tight_spectrum, eigenvalues, walk_moments
 
 SCHEMA_VERSION = 1
 
@@ -146,6 +147,8 @@ def cmd_construct(args, argv) -> int:
     except NotEdgeGirthRegular as exc:
         print(f"internal error: construction failed verification: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except ValueError as exc:  # over the verify vertex cap
+        raise UsageError(str(exc)) from None
     if args.format == "graph6":
         payload = graph6_encode(G)
         if args.out:
@@ -194,7 +197,7 @@ def cmd_verify(args, argv) -> int:
                 continue
             try:
                 code, result = _verify_one(line)
-            except Graph6Error as exc:
+            except ValueError as exc:  # malformed graph6, or a graph over the size cap
                 code, result = EXIT_USAGE, {"error": str(exc)}
             result["line"] = lineno
             print(json.dumps(result, sort_keys=True))
@@ -211,6 +214,8 @@ def cmd_verify(args, argv) -> int:
     except Graph6Error as exc:
         print(f"malformed graph6 input: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ValueError as exc:  # over the verify vertex cap
+        raise UsageError(str(exc)) from None
     doc.update(result)
     doc["input"] = args.path
     _emit(doc, args.out)
@@ -239,6 +244,8 @@ def cmd_report(args, argv) -> int:
     t0 = time.perf_counter()
     G = build_family(args.family, args.q, args.name)
     timing["construct"] = time.perf_counter() - t0
+    if G.n > MAX_MOMENT_VERTICES:
+        raise UsageError(f"report is capped at {MAX_MOMENT_VERTICES} vertices (got n = {G.n})")
 
     t0 = time.perf_counter()
     try:
@@ -260,10 +267,11 @@ def cmd_report(args, argv) -> int:
         return EXIT_INTERNAL
     timing["spectrum"] = time.perf_counter() - t0
     doc["moments"] = moments
+    # + 0.0 prints a zero eigenvalue as 0.0, whichever sign the solver left
     doc["spectrum"] = {
-        "min": round(spec.smallest, 9),
-        "max": round(spec.largest, 9),
-        "multiplicities": [[round(v, 9), m] for v, m in spec.groups],
+        "min": round(spec.smallest, 9) + 0.0,
+        "max": round(spec.largest, 9) + 0.0,
+        "multiplicities": [[round(v, 9) + 0.0, m] for v, m in spec.groups],
     }
     doc["tight_spectrum"] = {"certified": tight.certified, "reason": tight.reason}
 

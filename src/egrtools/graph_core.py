@@ -1,16 +1,26 @@
 """Simple-graph data model, exact girth/cycle-count verifiers, and
 graph6 I/O.
 
-Cycle counts are exact integer counts of non-backtracking walks, read
-from rows of the walk matrices A_l (entry [u, w]: walks of l edges from u
-to w that never reverse the edge just used), computed in int64 behind an
-overflow guard.  In a graph of girth g, a non-backtracking walk of fewer
-than g edges repeats no vertex, so a walk of g-1 edges between the ends
-of an edge uv is a path that closes one g-cycle through uv.  A closed
+Girth and cycle counts come from one pass over the non-backtracking walk
+matrices A_l (entry [u, w]: walks of l edges from u to w that never
+reverse the edge just used).  The girth g is the first l with a nonzero
+diagonal.  In a graph of girth g, a non-backtracking walk of fewer than g
+edges repeats no vertex, so a walk of g-1 edges between the ends of an
+edge uv is a path that closes one g-cycle through uv.  A closed
 non-backtracking walk shorter than 2g holds a single cycle; unless it is
 that cycle, it adds a tail walked out and back, for at least g+2 edges.
 So a closed walk of g or g+1 edges from v is a cycle through v, counted
 once in each direction.
+
+The counts are exact integers under one rule, ``_exact_dtype``: a
+computation runs in float64 while no integer it forms can pass 2**53, where
+float64 holds every integer, and in Python ints beyond, so no count can
+wrap.  With maximum degree k, at most N_l = k(k-1)**(l-1) non-backtracking
+walks of l steps leave a vertex.  The step forming A_l forms the entries
+of A_l (at most N_l), the partial sums of A_{l-1} A (sums over one row of
+A_{l-1}, at most N_{l-1}) and A_{l-1}(D - I) (each walk it counts extends
+in deg - 1 ways, at most N_l).  So that step runs in float64 while
+k * max(k-1, 1)**(l-1) <= 2**53; the max covers k = 1, where A A forms ones.
 """
 
 from __future__ import annotations
@@ -21,7 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_INT64_MAX = 2**63 - 1
+# float64 holds every integer up to 2**53 exactly
+_FLOAT_EXACT_MAX = 2**53
+
+# The largest vertex count the walk pass takes, measured on one thread: it
+# holds four dense n x n float64 matrices and makes one n x n product per
+# step, g - 1 of them to reach the girth g, and a graph of degree >= 3 on
+# 4096 vertices has g <= 22 (Moore bound).  22 walk matrices of a random
+# cubic graph took 54 s / 575 MiB peak at n = 4096 and 66 s / 655 MiB at
+# n = 4400 (2 CPUs, OpenBLAS, one thread).
+MAX_VERIFY_VERTICES = 4096
 
 
 class Graph:
@@ -123,7 +142,7 @@ class NotEdgeGirthRegular(Exception):
     """Verification failure report: which condition broke, with a witness.
 
     kind is one of "disconnected", "not_regular", "degree_too_small",
-    "acyclic", "nonuniform_cycle_counts".  For nonuniform counts,
+    "nonuniform_cycle_counts".  For nonuniform counts,
     ``details`` carries the min/max per-edge counts seen.
     """
 
@@ -207,41 +226,65 @@ def girth(G: Graph):
     return best
 
 
-def _check_walk_bound(k: int, length: int) -> None:
-    """Raise OverflowError unless every non-backtracking walk count of the
-    given length in a graph of maximum degree k fits in int64.
+def _exact_dtype(bound: int):
+    """The one exactness rule for walk counts: float64 when ``bound``, an
+    upper bound on every integer a computation forms, is at most 2**53,
+    else object (Python ints).
 
-    k*(k-1)**(length-1) bounds the number of such walks from any vertex,
-    so it bounds every entry of A_length and every partial sum the
-    recurrence forms on the way there.
+    The counts are nonnegative, so no partial sum passes its final value,
+    and float64 forms them exactly in any order under the bound.
     """
-    if k * (k - 1) ** (length - 1) > _INT64_MAX:
-        raise OverflowError(
-            f"non-backtracking walks of length {length} at degree {k} exceed int64"
-        )
+    return np.float64 if bound <= _FLOAT_EXACT_MAX else object
 
 
-def _nb_rows(G: Graph, rows, length: int) -> np.ndarray:
-    """Rows ``rows`` of the non-backtracking walk matrix A_length, exactly.
-
-    A_length[u, w] counts walks of ``length`` edges from u to w that never
-    step straight back along the edge just used.  Row blocks follow
-    A_1 = A, A_2 = A^2 - D, A_{l+1} = A_l A - A_{l-1}(D - I), so each
-    step holds only |rows| x n state.
-    """
-    n = G.n
-    A = np.zeros((n, n), dtype=np.int64)
+def _adjacency(G: Graph, dtype) -> np.ndarray:
+    """Dense adjacency matrix of G."""
+    A = np.zeros((G.n, G.n), dtype=dtype)
     for u, neigh in enumerate(G.adj):
         A[u, neigh] = 1
-    deg = A.sum(axis=1)
-    _check_walk_bound(int(deg.max(initial=0)), length)
-    rows = np.asarray(rows, dtype=np.intp)
-    back = np.zeros((len(rows), n), dtype=np.int64)
-    back[np.arange(len(rows)), rows] = deg[rows]
-    cur = A[rows]
-    for _ in range(length - 1):
-        back, cur = cur * (deg - 1), cur @ A - back
-    return cur
+    return A
+
+
+def _nb_walks(G: Graph):
+    """Yield the non-backtracking walk matrices A_1, A_2, ... of G, exactly,
+    and stop at the first all-zero one (G is then a forest).
+
+    A_1 = A, A_2 = A^2 - D, A_{l+1} = A_l A - A_{l-1}(D - I).  The step
+    forming A_l runs in float64 while k * max(k-1, 1)**(l-1) <= 2**53 (k the
+    maximum degree; see the module docstring) and in Python ints once that
+    bound is crossed.  Raises ValueError before allocating anything when G
+    has more than MAX_VERIFY_VERTICES vertices.
+    """
+    if G.n > MAX_VERIFY_VERTICES:
+        raise ValueError(
+            f"verification is capped at {MAX_VERIFY_VERTICES} vertices (got n = {G.n})"
+        )
+    deg = np.array([len(neigh) for neigh in G.adj], dtype=np.float64)
+    k = int(deg.max(initial=0))
+    A = _adjacency(G, np.float64)
+    back, cur, step = np.diag(deg), A, deg - 1
+    length = 1
+    while cur.any():
+        yield cur
+        length += 1
+        if _exact_dtype(k * max(k - 1, 1) ** (length - 1)) is object and A.dtype != object:
+            A, back, cur, step = (m.astype(np.int64).astype(object) for m in (A, back, cur, step))
+        nxt = cur @ A
+        nxt -= back
+        np.multiply(cur, step, out=back)
+        cur = nxt
+
+
+def _walks_at_girth(G: Graph, beyond: int = 0):
+    """The girth g of G (math.inf for a forest) and the walk matrices
+    [A_{g-1}, A_g, ..., A_{g+beyond}] ([] for a forest), from one pass."""
+    walks = _nb_walks(G)
+    prev = None
+    for length, cur in enumerate(walks, start=1):
+        if cur.diagonal().any():
+            return length, [prev, cur] + [next(walks) for _ in range(beyond)]
+        prev = cur
+    return math.inf, []
 
 
 def count_girth_cycles_through_edge(G: Graph, edge, g: int) -> int:
@@ -249,12 +292,13 @@ def count_girth_cycles_through_edge(G: Graph, edge, g: int) -> int:
     the girth of G.  Each cycle corresponds to exactly one simple path of
     length g-1 between the endpoints that avoids the edge itself, read off
     as a non-backtracking walk count."""
-    if g != girth(G):
+    girth_g, walks = _walks_at_girth(G)
+    if g != girth_g:
         raise ValueError(f"g={g} is not the girth of the graph")
     u, v = edge
     if not G.has_edge(u, v):
         raise ValueError(f"{edge} is not an edge")
-    return int(_nb_rows(G, [u], g - 1)[0, v])
+    return int(walks[0][u, v])
 
 
 def count_cycles_through_vertex(G: Graph, v: int, length: int) -> int:
@@ -265,16 +309,19 @@ def count_cycles_through_vertex(G: Graph, v: int, length: int) -> int:
     through v, each traversed in both directions.  Other lengths raise
     ValueError.
     """
-    g = girth(G)
+    g, walks = _walks_at_girth(G, beyond=1)
     if length not in (g, g + 1):
         raise ValueError(f"length {length} is neither the girth {g} nor girth + 1")
-    return int(_nb_rows(G, [v], length)[0, v]) // 2
+    return int(walks[length - g + 1][v, v]) // 2
 
 
 def verify_egr(G: Graph) -> EgrSignature:
     """Check Definition: connected, k-regular, and every edge on exactly
     lambda girth cycles.  Returns the verified signature, or raises
     NotEdgeGirthRegular with the first violated condition and a witness.
+    The girth and the counts come from one walk pass, which raises
+    ValueError for a connected regular graph of degree >= 3 on more than
+    MAX_VERIFY_VERTICES vertices.
     """
     if G.n == 0:
         raise NotEdgeGirthRegular("disconnected", None, "empty graph")
@@ -291,12 +338,11 @@ def verify_egr(G: Graph) -> EgrSignature:
             )
     if k < 3:
         raise NotEdgeGirthRegular("degree_too_small", k, f"degree {k} < 3")
-    g = girth(G)
-    if g is math.inf:
-        raise NotEdgeGirthRegular("acyclic", None, "graph has no cycle")
+    # connected and k-regular with k >= 3, so G has a cycle
+    g, walks = _walks_at_girth(G)
     edges = list(G.edges())
     us, vs = zip(*edges)
-    counts = _nb_rows(G, range(G.n), g - 1)[us, vs]
+    counts = walks[0][us, vs]
     lam = int(counts[0])
     deviant = np.flatnonzero(counts != lam)
     if deviant.size:
@@ -326,6 +372,14 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
+def _column_starts(n: int) -> np.ndarray:
+    """The graph6 bit map: graph6 lists the upper triangle column by
+    column, so edge (u, v), u < v, is bit _column_starts(n)[v] + u, where
+    entry v is v(v-1)/2 for v = 0..n."""
+    v = np.arange(n + 1, dtype=np.int64)
+    return v * (v - 1) // 2
+
+
 def graph6_encode(G: Graph) -> str:
     """Encode as a graph6 string (labels are not representable and are
     dropped)."""
@@ -338,20 +392,14 @@ def graph6_encode(G: Graph) -> str:
         head = [126] + [63 + ((n >> s) & 63) for s in (12, 6, 0)]
     else:
         head = [126, 126] + [63 + ((n >> s) & 63) for s in (30, 24, 18, 12, 6, 0)]
-    bits = []
-    for j in range(1, n):
-        row = set(G.adj[j])
-        for i in range(j):
-            bits.append(1 if i in row else 0)
-    body = []
-    for i in range(0, len(bits), 6):
-        group = bits[i : i + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        body.append(63 + val)
-    return bytes(head + body).decode("ascii")
+    deg = [len(neigh) for neigh in G.adj]
+    us = np.repeat(np.arange(n, dtype=np.int64), deg)
+    vs = np.fromiter((v for neigh in G.adj for v in neigh), dtype=np.int64, count=len(us))
+    below = us < vs
+    bits = _column_starts(n)[vs[below]] + us[below]
+    body = np.zeros((n * (n - 1) // 2 + 5) // 6, dtype=np.uint8)
+    np.bitwise_or.at(body, bits // 6, (32 >> (bits % 6)).astype(np.uint8))
+    return bytes(head).decode("ascii") + (body + 63).tobytes().decode("ascii")
 
 
 def graph6_decode(text: str) -> Graph:
@@ -366,9 +414,11 @@ def graph6_decode(text: str) -> Graph:
         raise Graph6Error("non-ASCII byte in graph6 input", exc.start) from None
     if not data:
         raise Graph6Error("empty graph6 input", 0)
-    for off, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise Graph6Error(f"byte {byte!r} outside graph6 range 63..126", off)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    bad = np.flatnonzero((raw < 63) | (raw > 126))
+    if bad.size:
+        off = int(bad[0])
+        raise Graph6Error(f"byte {data[off]!r} outside graph6 range 63..126", off)
     pos = 0
     if data[0] != 126:
         n = data[0] - 63
@@ -395,19 +445,13 @@ def graph6_decode(text: str) -> Graph:
         raise Graph6Error(
             f"expected {nbytes} adjacency bytes for n={n}, got {len(data) - pos}", pos
         )
-    bits = []
-    for byte in data[pos:]:
-        val = byte - 63
-        bits.extend((val >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
-    for extra in range(nbits, len(bits)):
-        if bits[extra]:
-            raise Graph6Error("nonzero padding bits", pos + extra // 6)
-    adj = [[] for _ in range(n)]
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                adj[i].append(j)
-                adj[j].append(i)
-            idx += 1
-    return Graph(adj)
+    # each byte carries six bits, most significant first, below its two top bits
+    bits = np.unpackbits(raw[pos:] - 63).reshape(-1, 8)[:, 2:].ravel()
+    padding = np.flatnonzero(bits[nbits:])
+    if padding.size:
+        raise Graph6Error("nonzero padding bits", pos + (nbits + int(padding[0])) // 6)
+    edge_bits = np.flatnonzero(bits[:nbits])
+    starts = _column_starts(n)
+    vs = np.searchsorted(starts, edge_bits, side="right") - 1
+    us = edge_bits - starts[vs]
+    return Graph.from_edges(n, zip(us.tolist(), vs.tolist()))

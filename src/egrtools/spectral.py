@@ -5,7 +5,9 @@ adjacency spectrum with multiplicity grouping.
 Exact integer moments are the ground truth here; the floating spectrum
 (LAPACK ``eigvalsh``) is checked against them at runtime, never the other
 way around: every spectrum ``eigenvalues`` returns has matched the exact
-moments of lengths 0..MOMENT_CHECK_LENGTH.
+moments of lengths 0..MOMENT_CHECK_LENGTH.  The moments take the adjacency
+matrix and the exactness rule of ``graph_core`` (float64 while no count
+exceeds 2**53, Python ints beyond), the same ones its walk pass uses.
 """
 
 from __future__ import annotations
@@ -17,13 +19,10 @@ from fractions import Fraction
 import numpy as np
 from numpy.linalg import eigvalsh
 
-from .graph_core import Graph, EgrSignature
+from .graph_core import EgrSignature, Graph, _adjacency, _exact_dtype
 
 MAX_MOMENT_LENGTH = 16
 MAX_MOMENT_VERTICES = 2048
-
-# float64 holds every integer up to 2**53 exactly
-_FLOAT_EXACT_MAX = 2**53
 
 # every spectrum is checked against the exact moments of lengths
 # 0..MOMENT_CHECK_LENGTH, each within MOMENT_CHECK_RTOL * sum_i |lambda_i|**l
@@ -31,33 +30,17 @@ MOMENT_CHECK_LENGTH = 4
 MOMENT_CHECK_RTOL = 1e-9
 
 
-def _adjacency(G: Graph, dtype) -> np.ndarray:
-    A = np.zeros((G.n, G.n), dtype=dtype)
-    for u, neigh in enumerate(G.adj):
-        A[u, neigh] = 1
-    return A
-
-
-def _moment_dtype(n: int, k: int, L: int):
-    """float64 when n * k**L <= 2**53, else object (Python ints).
-
-    With maximum degree k, an entry of A**j is at most k**j and
-    trace(A**L) at most n * k**L.  The counts are nonnegative, so every
-    entry, every partial sum of a matrix product and every partial sum of
-    a trace is an integer no larger than n * k**L, which float64 holds
-    exactly under the bound.
-    """
-    return np.float64 if n * k**L <= _FLOAT_EXACT_MAX else object
-
-
 def walk_moments(G: Graph, L: int) -> list[int]:
     """Exact trace of A**l for l = 0..L, i.e. the closed-walk counts
     sum_i lambda_i**l.
 
     Keeps only two consecutive powers A**j, A**(j+1) and reads
-    trace(A**l) as the sum of A**floor(l/2) * A**ceil(l/2) entrywise
-    (A is symmetric).  Products run in float64 while _moment_dtype
-    proves them exact and in Python ints otherwise.
+    trace(A**l) as the Python-int sum of the row sums of
+    A**floor(l/2) * A**ceil(l/2) entrywise (A is symmetric); row i sums to
+    A**l[i, i].  With maximum degree k, every entry of a power, every
+    partial sum of a product and every partial row sum counts walks of at
+    most L steps from one vertex, so none exceeds k**L, and the arrays take
+    their dtype from graph_core._exact_dtype(k**L).
 
     moments[0] = n, moments[1] = 0 (no loops), moments[2] = 2|E|.
     """
@@ -66,15 +49,16 @@ def walk_moments(G: Graph, L: int) -> list[int]:
     if G.n > MAX_MOMENT_VERTICES:
         raise ValueError(f"moment computation capped at {MAX_MOMENT_VERTICES} vertices")
     k = max((len(neigh) for neigh in G.adj), default=0)
-    A = _adjacency(G, _moment_dtype(G.n, k, L))
+    A = _adjacency(G, _exact_dtype(k**L))
     moments = [G.n]
     low, high = np.eye(G.n, dtype=A.dtype), A
     for length in range(1, L + 1):
         if length % 2 == 0:
             low, high = high, high @ A
-            moments.append(int((low * low).sum()))
+            entrywise = low * low
         else:
-            moments.append(int((low * high).sum()))
+            entrywise = low * high
+        moments.append(sum(int(d) for d in entrywise.sum(axis=1)))
     return moments
 
 

@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from egrtools import cli, graph_core
 from egrtools.cli import EXIT_NOT_EGR, EXIT_OK, EXIT_USAGE, main
 from egrtools.constructions import petersen
 from egrtools.galois import GF
@@ -220,3 +222,60 @@ def test_report_over_size_cap_is_a_usage_error(capsys, family, q):
     code, out, err = run(capsys, "report", "--family", family, "--q", str(q))
     assert code == EXIT_USAGE
     assert out == "" and "capped at q <=" in err
+
+
+# Size caps are lowered below Petersen's 10 vertices, so no large graph is built.
+def _one_error_line(err: str, text: str) -> bool:
+    return err.startswith("error: ") and text in err and len(err.splitlines()) == 1
+
+
+def test_construct_over_vertex_cap_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(graph_core, "MAX_VERIFY_VERTICES", 9)
+    code, out, err = run(capsys, "construct", "--family", "named", "--name", "petersen")
+    assert code == EXIT_USAGE and out == ""
+    assert _one_error_line(err, "verification is capped at 9 vertices (got n = 10)")
+
+
+def test_report_over_vertex_cap_exits_before_verifying(capsys, monkeypatch):
+    def verify_egr(G):
+        raise AssertionError("verified a graph over the report cap")
+
+    monkeypatch.setattr(cli, "MAX_MOMENT_VERTICES", 9)
+    monkeypatch.setattr(cli, "verify_egr", verify_egr)
+    code, out, err = run(capsys, "report", "--family", "named", "--name", "petersen")
+    assert code == EXIT_USAGE and out == ""
+    assert _one_error_line(err, "report is capped at 9 vertices (got n = 10)")
+
+
+def test_verify_over_vertex_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "pet.g6"
+    path.write_text(graph6_encode(petersen()) + "\n")
+    monkeypatch.setattr(graph_core, "MAX_VERIFY_VERTICES", 9)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert _one_error_line(err, "verification is capped at 9 vertices (got n = 10)")
+
+
+def test_verify_stream_reports_graph_over_vertex_cap_and_continues(capsys, monkeypatch):
+    import io
+
+    K4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    lines = "\n".join([graph6_encode(petersen()), graph6_encode(K4)]) + "\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    monkeypatch.setattr(graph_core, "MAX_VERIFY_VERTICES", 9)
+    code = main(["verify", "--stdin-g6-stream"])
+    over, k4 = (json.loads(line) for line in capsys.readouterr().out.strip().splitlines())
+    assert code == EXIT_USAGE
+    assert over == {"line": 1, "error": "verification is capped at 9 vertices (got n = 10)"}
+    assert k4["line"] == 2 and k4["egr"] is True and k4["signature"]["g"] == 3
+
+
+@pytest.mark.parametrize("argv", [("--family", "gq_truncation", "--q", "3"), ("--family", "named", "--name", "complete_bipartite(6)")])
+def test_report_prints_zero_eigenvalues_unsigned(capsys, argv):
+    # both graphs have 0 as an eigenvalue; LAPACK may leave it as -0.0
+    code, out, _ = run(capsys, "report", *argv)
+    assert code == EXIT_OK
+    spectrum = json.loads(out)["spectrum"]
+    values = [spectrum["min"], spectrum["max"]] + [v for v, _ in spectrum["multiplicities"]]
+    zeros = [v for v in values if v == 0]
+    assert zeros and all(math.copysign(1.0, v) == 1.0 for v in zeros)

@@ -101,6 +101,27 @@ def test_malformed_inputs_rejected(bad):
         graph6_decode(bad)
 
 
+# (input, offset, message) as the decoder reports them
+MALFORMED_REPORTS = [
+    ("", 0, "empty graph6 input (byte 0)"),
+    ("~~~", 3, "truncated very-long-form vertex count (byte 3)"),
+    (chr(62), 0, "byte 62 outside graph6 range 63..126 (byte 0)"),
+    ("DqKK", 1, "expected 2 adjacency bytes for n=5, got 3 (byte 1)"),
+    ("D\x7fK", 1, "byte 127 outside graph6 range 63..126 (byte 1)"),
+    ("AC", 1, "nonzero padding bits (byte 1)"),
+    ("DqL", 2, "nonzero padding bits (byte 2)"),  # the 5-cycle "DqK" with a padding bit set
+    ("Bé", 1, "non-ASCII byte in graph6 input (byte 1)"),
+]
+
+
+@pytest.mark.parametrize("bad,offset,message", MALFORMED_REPORTS)
+def test_malformed_inputs_report_offset_and_message(bad, offset, message):
+    with pytest.raises(Graph6Error) as info:
+        graph6_decode(bad)
+    assert info.value.offset == offset
+    assert str(info.value) == message
+
+
 def test_decode_enforces_size_cap():
     # very-long-form vertex count with no adjacency bytes: at the cap the
     # payload length is what fails, one above it the cap fails first

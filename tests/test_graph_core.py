@@ -11,12 +11,16 @@ from egrtools.constructions import (
     petersen,
     tutte_coxeter,
 )
+import numpy as np
+
+from egrtools import graph_core
 from egrtools.graph_core import (
-    _INT64_MAX,
     EgrSignature,
     Graph,
     NotEdgeGirthRegular,
-    _check_walk_bound,
+    _exact_dtype,
+    _nb_walks,
+    _walks_at_girth,
     bipartition,
     count_cycles_through_vertex,
     count_girth_cycles_through_edge,
@@ -24,6 +28,7 @@ from egrtools.graph_core import (
     girth,
     verify_egr,
 )
+from egrtools.spectral import walk_moments
 from oracles import (
     all_cycles,
     edge_cycle_count_dfs,
@@ -116,14 +121,25 @@ def test_vertex_count_rejects_lengths_other_than_g_and_g_plus_1():
         count_cycles_through_vertex(petersen(), 0, 7)
 
 
-def test_walk_bound_at_int64_boundary():
-    # k * (k-1)**(length-1) is the largest walk count the engine can meet
-    _check_walk_bound(3, 62)  # 3 * 2**61 < 2**63
-    with pytest.raises(OverflowError):
-        _check_walk_bound(3, 63)  # 3 * 2**62 > 2**63
-    _check_walk_bound(_INT64_MAX, 1)
-    with pytest.raises(OverflowError):
-        _check_walk_bound(_INT64_MAX + 1, 1)
+def test_exact_dtype_boundary():
+    # float64 holds every integer up to 2**53 and no further
+    assert _exact_dtype(2**53) is np.float64
+    assert _exact_dtype(2**53 + 1) is object
+    assert _exact_dtype(0) is np.float64
+
+
+def test_walk_pass_switches_to_python_ints_past_the_walk_bound(monkeypatch):
+    # the step forming A_l stays in float64 while k(k-1)**(l-1) is within
+    # the bound: with the bound at 3 * 2**3, Petersen's A_1..A_4 are float64
+    # and A_5 on, whose entries reach 3 * 2**4 in general, Python ints
+    G = petersen()
+    exact = [walks for _, walks in zip(range(7), _nb_walks(G))]
+    monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 3 * 2**3)
+    walks = [walks for _, walks in zip(range(7), _nb_walks(G))]
+    assert [w.dtype for w in walks] == [np.float64] * 4 + [np.dtype(object)] * 3
+    assert all(type(x) is int for x in walks[4].flat)
+    for got, want in zip(walks, exact):
+        assert got.tolist() == want.astype(np.int64).tolist()
 
 
 def _switched(G: Graph) -> Graph:
@@ -167,6 +183,7 @@ def test_engine_matches_independent_oracles(name):
     H = nx.Graph(G.edges())
     g = girth(G)
     assert g == nx.girth(H)
+    assert _walks_at_girth(G)[0] == g
     cycles = [set(c) for c in nx.simple_cycles(H, length_bound=g + 1)]
     edges = list(G.edges())
     counts = [count_girth_cycles_through_edge(G, e, g) for e in edges]
@@ -182,6 +199,45 @@ def test_engine_matches_independent_oracles(name):
     assert err.value.kind == "nonuniform_cycle_counts"
     assert err.value.witness == next(e for e, c in zip(edges, counts) if c != counts[0])
     assert err.value.details == {"min_count": min(counts), "max_count": max(counts)}
+
+
+def _walk_results(G: Graph):
+    """verify_egr's verdict, the count_* results on the first three edges
+    and vertices, and walk_moments(G, 8)."""
+    try:
+        verdict = verify_egr(G)
+    except NotEdgeGirthRegular as exc:
+        verdict = (exc.kind, exc.witness, str(exc), exc.details)
+    g = girth(G)
+    edges = [count_girth_cycles_through_edge(G, e, g) for e in list(G.edges())[:3]]
+    vertices = [count_cycles_through_vertex(G, v, length) for v in range(3) for length in (g, g + 1)]
+    return verdict, edges, vertices, walk_moments(G, 8)
+
+
+ONE_RULE_GRAPHS = {
+    "petersen": petersen,
+    "hoffman_singleton": hoffman_singleton,
+    "heawood": heawood,
+    **DIFFERENTIAL_GRAPHS,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_RULE_GRAPHS))
+def test_python_int_path_matches_float64(name, monkeypatch):
+    # a bound of 1 sends every walk step and every moment product to
+    # Python ints; the results must not change, down to their types
+    G = ONE_RULE_GRAPHS[name]()
+    expected = _walk_results(G)
+    monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 1)
+    assert _exact_dtype(G.degree(0)) is object
+    got = _walk_results(G)
+    assert got == expected
+    assert repr(got) == repr(expected)
+
+
+@pytest.mark.parametrize("G", [petersen(), heawood(), hoffman_singleton(), tutte_coxeter(), complete_bipartite(4)])
+def test_verified_girth_is_the_bfs_girth(G):
+    assert verify_egr(G).g == girth(G)
 
 
 def test_distance_layers_partition():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from egrtools import spectral
+from egrtools import graph_core, spectral
 from egrtools.cli import EXIT_INTERNAL, main
 from egrtools.constructions import (
     build_biaffine,
@@ -16,10 +16,9 @@ from egrtools.constructions import (
     tutte_coxeter,
 )
 from egrtools.galois import GF
-from egrtools.graph_core import Graph, verify_egr
+from egrtools.graph_core import Graph, _exact_dtype, verify_egr
 from egrtools.spectral import (
     MAX_MOMENT_LENGTH,
-    _moment_dtype,
     catalan,
     certify_tight_spectrum,
     eigenvalues,
@@ -69,7 +68,7 @@ def test_moments_match_walk_oracle():
     L = MAX_MOMENT_LENGTH
     dtypes = set()
     for G in graphs:
-        dtypes.add(_moment_dtype(G.n, max(map(len, G.adj)), L))
+        dtypes.add(_exact_dtype(max(map(len, G.adj)) ** L))
         expected = [sum(closed_walks_at_root(G, v, length) for v in range(G.n)) for length in range(L + 1)]
         moments = walk_moments(G, L)
         assert moments == expected
@@ -77,12 +76,26 @@ def test_moments_match_walk_oracle():
     assert dtypes == {np.float64, object}
 
 
-def test_moment_dtype_float64_bound():
-    # float64 is exact up to n * k**L = 2**53 and no further
-    assert _moment_dtype(32, 8, 16) is np.float64  # 32 * 8**16 == 2**53
-    assert _moment_dtype(33, 8, 16) is object
-    assert _moment_dtype(2**53, 1, 16) is np.float64
-    assert _moment_dtype(2**53 + 1, 1, 16) is object
+def test_moment_dtype_follows_k_to_the_L(monkeypatch):
+    # every count walk_moments forms is at most k**L, so float64 serves
+    # while k**L <= 2**53 whatever n is: 10**15 < 2**53 < 10**16
+    dtypes = []
+
+    def spy(G, dtype):
+        dtypes.append(dtype)
+        return graph_core._adjacency(G, dtype)
+
+    monkeypatch.setattr(spectral, "_adjacency", spy)
+    k10 = complete_bipartite(10)
+    # K_{k,k} has eigenvalues +-k once and 0 otherwise
+    assert walk_moments(k10, 15) == [20] + [0 if l % 2 else 2 * 10**l for l in range(1, 16)]
+    assert walk_moments(k10, 16)[16] == 2 * 10**16
+    assert dtypes == [np.float64, object]
+    # three disjoint K_{8,8}: n * k**16 = 48 * 2**48 > 2**53, k**16 = 2**48
+    edges = [(8 * c + i, 8 * c + 8 + j) for c in (0, 2, 4) for i in range(8) for j in range(8)]
+    moments = walk_moments(Graph.from_edges(48, edges), 16)
+    assert moments == [48] + [0 if l % 2 else 6 * 8**l for l in range(1, 17)]
+    assert dtypes[2] is np.float64
 
 
 def test_trivial_lengths():
