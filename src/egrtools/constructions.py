@@ -9,6 +9,7 @@ two runs produce identical adjacency lists.
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 import numpy as np
 
@@ -53,15 +54,17 @@ def levi_graph(geom: IncidenceGeometry, keep_points=None, keep_blocks=None,
     tuples."""
     pts = sorted(keep_points) if keep_points is not None else list(range(geom.n_points))
     blks = sorted(keep_blocks) if keep_blocks is not None else list(range(geom.n_blocks))
-    pt_pos = {p: i for i, p in enumerate(pts)}
     labels = [(point_label, geom.points[p]) for p in pts]
     labels += [(block_label, tuple(geom.points[p] for p in geom.blocks[b])) for b in blks]
-    edges = []
-    for j, b in enumerate(blks):
-        for p in geom.blocks[b]:
-            if p in pt_pos:
-                edges.append((pt_pos[p], len(pts) + j))
-    return Graph.from_edges(len(pts) + len(blks), edges, labels)
+    # one (point vertex, block vertex) pair per incidence; -1 marks a point not kept
+    vertex_of = np.full(geom.n_points, -1, dtype=np.int64)
+    vertex_of[pts] = np.arange(len(pts))
+    sizes = np.fromiter((len(geom.blocks[b]) for b in blks), dtype=np.int64, count=len(blks))
+    members = np.fromiter(chain.from_iterable(geom.blocks[b] for b in blks), dtype=np.int64)
+    left = vertex_of[members]
+    right = np.repeat(np.arange(len(pts), len(pts) + len(blks)), sizes)
+    kept = left >= 0
+    return Graph.from_edges(len(pts) + len(blks), np.stack((left[kept], right[kept]), axis=1), labels)
 
 
 def build_biaffine(F: Field, kind: int) -> Graph:
@@ -154,7 +157,7 @@ def build_pencil_graph(F: Field) -> Graph:
         plane_of[at] = planes
     left, right = np.nonzero(plane_incidence(F)[plane_of])
     labels = [("left", pt) for pt in points] + [("right", pt) for pt in points]
-    return Graph.from_edges(2 * n, zip(left.tolist(), (right + n).tolist()), labels)
+    return Graph.from_edges(2 * n, np.stack((left, right + n), axis=1), labels)
 
 
 # ----------------------------------------------------------------------

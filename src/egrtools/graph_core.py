@@ -1,6 +1,14 @@
 """Simple-graph data model, exact girth/cycle-count verifiers, and
 graph6 I/O.
 
+A ``Graph`` holds its adjacency as compressed sparse rows: int64 arrays
+``indptr``, ``indices`` (sorted within each row) and ``deg``, validated
+with numpy when the graph is built.  The per-graph verify path reads those
+arrays directly: the degrees, the edge list, the dense adjacency of the
+walk pass and graph6 encoding.  ``G.adj``, a cached list of neighbour
+lists in Python ints, serves the pure-Python BFS routines (connectivity,
+bipartition, ``girth``) and the JSON output of ``construct``.
+
 Girth and cycle counts come from one pass over the non-backtracking walk
 matrices A_l (entry [u, w]: walks of l edges from u to w that never
 reverse the edge just used).  The girth g is the first l with a nonzero
@@ -28,6 +36,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, pairwise
 
 import numpy as np
 
@@ -44,73 +53,169 @@ MAX_VERIFY_VERTICES = 4096
 
 
 class Graph:
-    """Undirected simple graph on vertices 0..n-1 with sorted adjacency
-    lists and optional per-vertex labels (geometric provenance tags).
+    """Undirected simple graph on vertices 0..n-1, stored as compressed
+    sparse rows (CSR), with optional per-vertex labels (geometric
+    provenance tags).
+
+    The neighbours of v are ``indices[indptr[v]:indptr[v + 1]]`` in
+    ascending order and ``deg[v]`` is their count; all three are read-only
+    int64 arrays.  ``adj`` is the same adjacency as a list of sorted lists
+    of Python ints, built on first use and cached, for pure-Python
+    traversals and JSON output.
+
+    ``Graph(adj)`` takes a sequence whose entry v holds the neighbours of v
+    in any order; ``Graph.from_edges`` takes the edges.  Both validate with
+    numpy: neighbours in range, no loops, no parallel edges, symmetric
+    adjacency.  On a fault they raise ValueError naming the first one in
+    vertex order, then neighbour order, a loop before a parallel edge
+    before an out-of-range neighbour; asymmetry is reported only when no
+    other fault exists.
 
     Equality and hashing consider adjacency only; labels are metadata.
     """
 
-    __slots__ = ("adj", "labels")
+    __slots__ = ("indptr", "indices", "deg", "labels", "_adj")
 
     def __init__(self, adj, labels=None):
-        adj = [sorted(neigh) for neigh in adj]
         n = len(adj)
-        seen = []
-        for u, neigh in enumerate(adj):
-            prev = -1
-            for v in neigh:
-                if v == u:
-                    raise ValueError(f"loop at vertex {u}")
-                if v == prev:
-                    raise ValueError(f"parallel edge {u}-{v}")
-                if not 0 <= v < n:
-                    raise ValueError(f"neighbor {v} of {u} out of range")
-                prev = v
-            seen.append(set(neigh))
-        for u in range(n):
-            for v in seen[u]:
-                if u not in seen[v]:
-                    raise ValueError(f"asymmetric adjacency {u}-{v}")
-        if labels is not None and len(labels) != n:
-            raise ValueError("labels length must equal vertex count")
-        self.adj = adj
-        self.labels = list(labels) if labels is not None else None
+        deg = np.fromiter(map(len, adj), dtype=np.int64, count=n)
+        rows = np.arange(n, dtype=np.int64).repeat(deg)
+        cols = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=len(rows))
+        # with every neighbour in range, sorting the codes u*n + v sorts each
+        # row and keeps the rows in place
+        start = rows * n
+        codes = start + cols
+        codes.sort()
+        indices = codes - start
+        if not (
+            _in_range(cols, n)
+            and not (indices == rows).any()
+            and _distinct(codes)
+            and np.array_equal(codes, np.sort(indices * n + rows))
+        ):
+            raise ValueError(_first_fault(n, rows, cols))
+        self._store(deg, indices, labels)
 
     @classmethod
     def from_edges(cls, n: int, edges, labels=None) -> "Graph":
-        adj = [[] for _ in range(n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return cls(adj, labels)
+        """Graph from its edges: an iterable of (u, v) pairs, or an m x 2
+        integer array, in any order and orientation."""
+        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        if e.shape[1:] != (2,):
+            raise ValueError("edges must be (u, v) pairs")
+        if not _in_range(e, n):
+            i, j = np.argwhere((e < 0) | (e >= n))[0]
+            raise ValueError(f"neighbor {e[i, j]} of {e[i, 1 - j]} out of range")
+        rows = np.concatenate((e[:, 0], e[:, 1]))
+        cols = np.concatenate((e[:, 1], e[:, 0]))
+        codes = rows * n + cols
+        codes.sort()
+        # both orientations are listed, so the adjacency is symmetric and a
+        # loop shows up as a repeated code, like a repeated edge
+        if not _distinct(codes):
+            raise ValueError(_first_fault(n, rows, cols))
+        rows, indices = np.divmod(codes, n)
+        G = cls.__new__(cls)
+        G._store(np.bincount(rows, minlength=n), indices, labels)
+        return G
+
+    def _store(self, deg, indices, labels) -> None:
+        n = len(deg)
+        if labels is not None and len(labels) != n:
+            raise ValueError("labels length must equal vertex count")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.add.accumulate(deg, out=indptr[1:])
+        for a in (indptr, indices, deg):
+            a.setflags(write=False)
+        self.indptr, self.indices, self.deg = indptr, indices, deg
+        self.labels = list(labels) if labels is not None else None
+        self._adj = None
+
+    @property
+    def adj(self) -> list[list[int]]:
+        """Sorted neighbour lists of Python ints (cached; do not mutate)."""
+        if self._adj is None:
+            flat = self.indices.tolist()
+            self._adj = [flat[a:b] for a, b in pairwise(self.indptr.tolist())]
+        return self._adj
 
     @property
     def n(self) -> int:
-        return len(self.adj)
+        return len(self.deg)
 
     def num_edges(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return len(self.indices) // 2
 
-    def edges(self):
-        for u, neigh in enumerate(self.adj):
-            for v in neigh:
-                if u < v:
-                    yield (u, v)
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges as int64 arrays (us, vs) with us < vs, in the order of
+        ``edges()``."""
+        rows = np.arange(self.n, dtype=np.int64).repeat(self.deg)
+        below = rows < self.indices
+        return rows[below], self.indices[below]
+
+    def edges(self) -> list[tuple[int, int]]:
+        """The edges (u, v), u < v, as Python ints, sorted."""
+        us, vs = self.edge_arrays()
+        return list(zip(us.tolist(), vs.tolist()))
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return int(self.deg[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.adj == other.adj
+        return (
+            isinstance(other, Graph)
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
 
     def __hash__(self):
-        return hash(tuple(tuple(a) for a in self.adj))
+        return hash((self.indptr.tobytes(), self.indices.tobytes()))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.num_edges()})"
+
+
+def _in_range(a: np.ndarray, n: int) -> bool:
+    """Whether every entry of the int64 array ``a`` lies in 0..n-1."""
+    # read as unsigned, a negative entry is past n too
+    return not a.size or a.view(np.uint64).max() < n
+
+
+def _distinct(codes: np.ndarray) -> bool:
+    """Whether the sorted array ``codes`` holds no value twice."""
+    return not (codes[1:] == codes[:-1]).any()
+
+
+def _first_fault(n: int, rows: np.ndarray, cols: np.ndarray) -> str:
+    """The message for the first fault of the adjacency given as pairs
+    (rows[i], cols[i]), rows in range: in row order and ascending
+    neighbour order, the first entry that is a loop, repeats the previous
+    entry of its row, or is out of range, checked in that order; failing
+    those, the first entry whose reverse is missing."""
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    prev = np.empty_like(cols)
+    prev[1:] = cols[:-1]
+    # a row's first entry is compared with -1, as if a -1 preceded it
+    prev[np.flatnonzero(np.diff(rows, prepend=-1))] = -1
+    loop = cols == rows
+    parallel = cols == prev
+    bad = np.flatnonzero(loop | parallel | (cols < 0) | (cols >= n))
+    if bad.size:
+        i = bad[0]
+        u, v = int(rows[i]), int(cols[i])
+        if loop[i]:
+            return f"loop at vertex {u}"
+        if parallel[i]:
+            return f"parallel edge {u}-{v}"
+        return f"neighbor {v} of {u} out of range"
+    i = np.flatnonzero(~np.isin(rows * n + cols, cols * n + rows))[0]
+    return f"asymmetric adjacency {rows[i]}-{cols[i]}"
 
 
 @dataclass(frozen=True)
@@ -155,12 +260,13 @@ class NotEdgeGirthRegular(Exception):
 
 def bfs_distances(G: Graph, root: int) -> list:
     """BFS distances from root (math.inf when unreachable)."""
+    adj = G.adj
     dist = [math.inf] * G.n
     dist[root] = 0
     queue = deque([root])
     while queue:
         u = queue.popleft()
-        for v in G.adj[u]:
+        for v in adj[u]:
             if dist[v] == math.inf:
                 dist[v] = dist[u] + 1
                 queue.append(v)
@@ -180,6 +286,7 @@ def distance_layers(G: Graph, root: int) -> list[list[int]]:
 
 def bipartition(G: Graph):
     """A 2-coloring as a list of 0/1, or None if an odd cycle exists."""
+    adj = G.adj
     color = [None] * G.n
     for start in range(G.n):
         if color[start] is not None:
@@ -188,7 +295,7 @@ def bipartition(G: Graph):
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for v in G.adj[u]:
+            for v in adj[u]:
                 if color[v] is None:
                     color[v] = 1 - color[u]
                     queue.append(v)
@@ -204,6 +311,7 @@ def girth(G: Graph):
     a walk of length dist[u]+dist[w]+1 through r, and the minimum over
     all roots and edges is exact.
     """
+    adj = G.adj
     best = math.inf
     for root in range(G.n):
         dist = [-1] * G.n
@@ -214,7 +322,7 @@ def girth(G: Graph):
             u = queue.popleft()
             if 2 * dist[u] >= best:
                 continue
-            for w in G.adj[u]:
+            for w in adj[u]:
                 if dist[w] == -1:
                     dist[w] = dist[u] + 1
                     parent[w] = u
@@ -239,10 +347,25 @@ def _exact_dtype(bound: int):
 
 def _adjacency(G: Graph, dtype) -> np.ndarray:
     """Dense adjacency matrix of G."""
-    A = np.zeros((G.n, G.n), dtype=dtype)
-    for u, neigh in enumerate(G.adj):
-        A[u, neigh] = 1
+    n = G.n
+    A = np.zeros((n, n), dtype=dtype)
+    # entry (u, v) is flat position u*n + v
+    A.ravel()[np.arange(0, n * n, n).repeat(G.deg) + G.indices] = 1
     return A
+
+
+def _object_length(k: int):
+    """The first walk length l >= 2 whose step runs in Python ints: the
+    least l with k * max(k-1, 1)**(l-1) past the float64 bound of
+    _exact_dtype, or math.inf when that bound never passes it."""
+    growth = max(k - 1, 1)
+    if growth == 1:
+        return 2 if _exact_dtype(k) is object else math.inf
+    # start at or below the answer, then step up exactly
+    e = max(1, int(math.log(_FLOAT_EXACT_MAX / k, growth)) - 1)
+    while _exact_dtype(k * growth**e) is not object:
+        e += 1
+    return e + 1
 
 
 def _nb_walks(G: Graph):
@@ -259,15 +382,15 @@ def _nb_walks(G: Graph):
         raise ValueError(
             f"verification is capped at {MAX_VERIFY_VERTICES} vertices (got n = {G.n})"
         )
-    deg = np.array([len(neigh) for neigh in G.adj], dtype=np.float64)
-    k = int(deg.max(initial=0))
+    deg = G.deg.astype(np.float64)
+    to_object = _object_length(int(G.deg.max(initial=0)))
     A = _adjacency(G, np.float64)
     back, cur, step = np.diag(deg), A, deg - 1
     length = 1
     while cur.any():
         yield cur
         length += 1
-        if _exact_dtype(k * max(k - 1, 1) ** (length - 1)) is object and A.dtype != object:
+        if length == to_object:
             A, back, cur, step = (m.astype(np.int64).astype(object) for m in (A, back, cur, step))
         nxt = cur @ A
         nxt -= back
@@ -281,7 +404,8 @@ def _walks_at_girth(G: Graph, beyond: int = 0):
     walks = _nb_walks(G)
     prev = None
     for length, cur in enumerate(walks, start=1):
-        if cur.diagonal().any():
+        # the entries are nonnegative, so a nonzero diagonal has a nonzero trace
+        if cur.trace():
             return length, [prev, cur] + [next(walks) for _ in range(beyond)]
         prev = cur
     return math.inf, []
@@ -319,6 +443,9 @@ def verify_egr(G: Graph) -> EgrSignature:
     """Check Definition: connected, k-regular, and every edge on exactly
     lambda girth cycles.  Returns the verified signature, or raises
     NotEdgeGirthRegular with the first violated condition and a witness.
+    The expected degree k is the most common degree, ties going to the
+    smallest; an irregular graph fails at its first vertex of another
+    degree.
     The girth and the counts come from one walk pass, which raises
     ValueError for a connected regular graph of degree >= 3 on more than
     MAX_VERIFY_VERTICES vertices.
@@ -326,27 +453,28 @@ def verify_egr(G: Graph) -> EgrSignature:
     if G.n == 0:
         raise NotEdgeGirthRegular("disconnected", None, "empty graph")
     dist = bfs_distances(G, 0)
-    for v, d in enumerate(dist):
-        if d == math.inf:
-            raise NotEdgeGirthRegular("disconnected", v, f"vertex {v} unreachable from 0")
-    degrees = [G.degree(v) for v in range(G.n)]
-    k = max(set(degrees), key=degrees.count)
-    for v, d in enumerate(degrees):
-        if d != k:
-            raise NotEdgeGirthRegular(
-                "not_regular", v, f"vertex {v} has degree {d}, expected {k}"
-            )
+    if math.inf in dist:
+        v = dist.index(math.inf)
+        raise NotEdgeGirthRegular("disconnected", v, f"vertex {v} unreachable from 0")
+    deg = G.deg
+    k = int(deg[0])
+    if (deg != k).any():
+        k = int(np.bincount(deg).argmax())  # argmax takes the first, so the smallest, mode
+        v = int(np.flatnonzero(deg != k)[0])
+        raise NotEdgeGirthRegular(
+            "not_regular", v, f"vertex {v} has degree {deg[v]}, expected {k}"
+        )
     if k < 3:
         raise NotEdgeGirthRegular("degree_too_small", k, f"degree {k} < 3")
     # connected and k-regular with k >= 3, so G has a cycle
     g, walks = _walks_at_girth(G)
-    edges = list(G.edges())
-    us, vs = zip(*edges)
+    us, vs = G.edge_arrays()
     counts = walks[0][us, vs]
     lam = int(counts[0])
-    deviant = np.flatnonzero(counts != lam)
-    if deviant.size:
-        e, c = edges[deviant[0]], int(counts[deviant[0]])
+    deviant = counts != lam
+    if deviant.any():
+        i = deviant.argmax()
+        e, c = (int(us[i]), int(vs[i])), int(counts[i])
         raise NotEdgeGirthRegular(
             "nonuniform_cycle_counts",
             e,
@@ -392,11 +520,8 @@ def graph6_encode(G: Graph) -> str:
         head = [126] + [63 + ((n >> s) & 63) for s in (12, 6, 0)]
     else:
         head = [126, 126] + [63 + ((n >> s) & 63) for s in (30, 24, 18, 12, 6, 0)]
-    deg = [len(neigh) for neigh in G.adj]
-    us = np.repeat(np.arange(n, dtype=np.int64), deg)
-    vs = np.fromiter((v for neigh in G.adj for v in neigh), dtype=np.int64, count=len(us))
-    below = us < vs
-    bits = _column_starts(n)[vs[below]] + us[below]
+    us, vs = G.edge_arrays()
+    bits = _column_starts(n)[vs] + us
     body = np.zeros((n * (n - 1) // 2 + 5) // 6, dtype=np.uint8)
     np.bitwise_or.at(body, bits // 6, (32 >> (bits % 6)).astype(np.uint8))
     return bytes(head).decode("ascii") + (body + 63).tobytes().decode("ascii")
@@ -414,10 +539,10 @@ def graph6_decode(text: str) -> Graph:
         raise Graph6Error("non-ASCII byte in graph6 input", exc.start) from None
     if not data:
         raise Graph6Error("empty graph6 input", 0)
-    raw = np.frombuffer(data, dtype=np.uint8)
-    bad = np.flatnonzero((raw < 63) | (raw > 126))
-    if bad.size:
-        off = int(bad[0])
+    # the six data bits of each byte; a byte outside 63..126 wraps past 63
+    six = np.frombuffer(data, dtype=np.uint8) - 63
+    if six.max() > 63:
+        off = int(np.flatnonzero(six > 63)[0])
         raise Graph6Error(f"byte {data[off]!r} outside graph6 range 63..126", off)
     pos = 0
     if data[0] != 126:
@@ -446,12 +571,12 @@ def graph6_decode(text: str) -> Graph:
             f"expected {nbytes} adjacency bytes for n={n}, got {len(data) - pos}", pos
         )
     # each byte carries six bits, most significant first, below its two top bits
-    bits = np.unpackbits(raw[pos:] - 63).reshape(-1, 8)[:, 2:].ravel()
-    padding = np.flatnonzero(bits[nbits:])
-    if padding.size:
+    bits = np.unpackbits(six[pos:]).reshape(-1, 8)[:, 2:].ravel()
+    if bits[nbits:].any():
+        padding = np.flatnonzero(bits[nbits:])
         raise Graph6Error("nonzero padding bits", pos + (nbits + int(padding[0])) // 6)
-    edge_bits = np.flatnonzero(bits[:nbits])
+    edge_bits = bits[:nbits].nonzero()[0]
     starts = _column_starts(n)
     vs = np.searchsorted(starts, edge_bits, side="right") - 1
     us = edge_bits - starts[vs]
-    return Graph.from_edges(n, zip(us.tolist(), vs.tolist()))
+    return Graph.from_edges(n, np.array((us, vs)).T)

@@ -48,7 +48,7 @@ def walk_moments(G: Graph, L: int) -> list[int]:
         raise ValueError(f"moment length capped at {MAX_MOMENT_LENGTH}")
     if G.n > MAX_MOMENT_VERTICES:
         raise ValueError(f"moment computation capped at {MAX_MOMENT_VERTICES} vertices")
-    k = max((len(neigh) for neigh in G.adj), default=0)
+    k = int(G.deg.max(initial=0))
     A = _adjacency(G, _exact_dtype(k**L))
     moments = [G.n]
     low, high = np.eye(G.n, dtype=A.dtype), A

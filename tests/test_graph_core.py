@@ -1,9 +1,11 @@
 import math
+import random
 
 import networkx as nx
 import pytest
 
 from egrtools.constructions import (
+    build_biaffine,
     complete_bipartite,
     cycle_graph,
     heawood,
@@ -14,18 +16,22 @@ from egrtools.constructions import (
 import numpy as np
 
 from egrtools import graph_core
+from egrtools.galois import GF
 from egrtools.graph_core import (
     EgrSignature,
     Graph,
     NotEdgeGirthRegular,
     _exact_dtype,
     _nb_walks,
+    _object_length,
     _walks_at_girth,
     bipartition,
     count_cycles_through_vertex,
     count_girth_cycles_through_edge,
     distance_layers,
     girth,
+    graph6_decode,
+    graph6_encode,
     verify_egr,
 )
 from egrtools.spectral import walk_moments
@@ -47,6 +53,130 @@ def test_graph_validation():
         Graph([[1], []])
     with pytest.raises(ValueError, match="out of range"):
         Graph([[5]])
+
+
+# Graphs with several faults and the message the list-based validator
+# gave for each (recorded before the CSR storage): the first fault in
+# vertex order, then neighbour order, a loop before a parallel edge before
+# an out-of-range neighbour, and asymmetry only when nothing else is wrong.
+FAULTY_ADJACENCIES = [
+    ([[5], [1]], "neighbor 5 of 0 out of range"),
+    ([[1], [1, 0]], "loop at vertex 1"),
+    ([[1], [2, 2], [1, 1]], "parallel edge 1-2"),
+    ([[1, 1], [], [0]], "parallel edge 0-1"),
+    ([[-1, 1], [0]], "parallel edge 0--1"),
+    ([[0, 0], []], "loop at vertex 0"),
+    ([[1, 1, 0], [0]], "loop at vertex 0"),
+    ([[1], [0, 7]], "neighbor 7 of 1 out of range"),
+    ([[1, 2], [], []], "asymmetric adjacency 0-1"),
+    ([[], [2], []], "asymmetric adjacency 1-2"),
+    ([[1], [0, 0, 2, 2], [1, 2]], "parallel edge 1-0"),
+    ([[3, 1, 1], [0], [], [0]], "parallel edge 0-1"),
+]
+
+
+@pytest.mark.parametrize("adj, message", FAULTY_ADJACENCIES)
+def test_graph_validation_reports_the_first_fault(adj, message):
+    with pytest.raises(ValueError) as err:
+        Graph(adj)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        # recorded before the CSR storage, like FAULTY_ADJACENCIES
+        (3, [(1, 2), (0, 0), (1, 2)], "loop at vertex 0"),
+        (3, [(0, 1), (1, 2), (1, 0)], "parallel edge 0-1"),
+        (4, [(3, 3), (0, 2), (2, 0)], "parallel edge 0-2"),
+        # these raised IndexError, or wrapped a negative vertex, before
+        (3, [(0, 1), (1, 5)], "neighbor 5 of 1 out of range"),
+        (3, [(0, 1), (-1, 2)], "neighbor -1 of 2 out of range"),
+    ],
+)
+def test_from_edges_reports_the_first_fault(n, edges, message):
+    for given in (edges, np.array(edges)):
+        with pytest.raises(ValueError) as err:
+            Graph.from_edges(n, given)
+        assert str(err.value) == message
+
+
+def test_from_edges_rejects_anything_but_pairs():
+    with pytest.raises(ValueError, match="pairs"):
+        Graph.from_edges(3, np.array([[0, 1, 2]]))
+    with pytest.raises(ValueError, match="pairs"):
+        Graph.from_edges(3, np.array([0, 1]))
+    assert Graph.from_edges(3, np.empty((0, 2), dtype=np.int64)) == Graph([[], [], []])
+
+
+def test_labels_length_is_checked_after_the_adjacency():
+    with pytest.raises(ValueError, match="labels length"):
+        Graph([[1], [0]], labels=["a"])
+    with pytest.raises(ValueError, match="loop"):
+        Graph([[0]], labels=[])
+
+
+def _shuffled_routes(G: Graph, seed: int):
+    """G rebuilt four ways: from its lists, from shuffled pairs of mixed
+    orientation, from an m x 2 array, and through graph6."""
+    rng = random.Random(seed)
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in G.edges()]
+    rng.shuffle(pairs)
+    return [
+        Graph([list(a) for a in G.adj]),
+        Graph.from_edges(G.n, pairs),
+        Graph.from_edges(G.n, np.array(pairs[::-1], dtype=np.int32)),
+        graph6_decode(graph6_encode(G)),
+    ]
+
+
+@pytest.mark.parametrize("build", [petersen, lambda: build_biaffine(GF(3), 1)], ids=["petersen", "biaffine1_q3"])
+def test_construction_routes_agree_on_equality_and_hash(build):
+    G = build()
+    routes = _shuffled_routes(G, seed=7)
+    for H in routes:
+        assert H == G and G == H
+        assert hash(H) == hash(G)
+        assert H.adj == G.adj
+        assert H.indptr.tolist() == G.indptr.tolist() and H.indices.tolist() == G.indices.tolist()
+    # labels are metadata: they change neither equality nor the hash
+    labelled = Graph(G.adj, labels=[("v", i) for i in range(G.n)])
+    assert labelled == routes[1] and hash(labelled) == hash(routes[1])
+    assert len({G, *routes, labelled}) == 1
+    other = Graph.from_edges(G.n, G.edges()[1:])
+    assert other != G
+
+
+def test_csr_arrays_and_adjacency_view():
+    G = Graph.from_edges(5, [(3, 0), (0, 1), (4, 3), (1, 3)])
+    assert G.indptr.tolist() == [0, 2, 4, 4, 7, 8]
+    assert G.indices.tolist() == [1, 3, 0, 3, 0, 1, 4, 3]
+    assert G.deg.tolist() == [2, 2, 0, 3, 1]
+    assert all(a.dtype == np.int64 and not a.flags.writeable for a in (G.indptr, G.indices, G.deg))
+    assert G.adj == [[1, 3], [0, 3], [], [0, 1, 4], [3]]
+    assert all(type(v) is int for row in G.adj for v in row)
+    assert G.adj is G.adj
+    us, vs = G.edge_arrays()
+    assert list(zip(us.tolist(), vs.tolist())) == G.edges() == [(0, 1), (0, 3), (1, 3), (3, 4)]
+    assert (G.n, G.num_edges(), G.degree(3), G.has_edge(4, 3), G.has_edge(2, 3)) == (5, 4, 3, True, False)
+
+
+def test_majority_degree_ties_go_to_the_smallest():
+    # ten vertices of degree 9 (K_10 minus a perfect matching, plus one edge
+    # each to the rest) and ten of degree 3 (a 10-cycle plus that edge)
+    def tied(high: list[int], low: list[int]) -> Graph:
+        edges = [(high[i], high[j]) for i in range(10) for j in range(i + 1, 10) if not (j == i + 1 and i % 2 == 0)]
+        edges += [(high[i], low[i]) for i in range(10)] + [(low[i], low[(i + 1) % 10]) for i in range(10)]
+        return Graph.from_edges(20, edges)
+
+    for high, low, first_deviant in ((range(10), range(10, 20), 0), (range(10, 20), range(10), 10)):
+        G = tied(list(high), list(low))
+        assert sorted(G.deg.tolist()) == [3] * 10 + [9] * 10
+        with pytest.raises(NotEdgeGirthRegular) as err:
+            verify_egr(G)
+        assert err.value.kind == "not_regular"
+        assert err.value.witness == first_deviant and type(err.value.witness) is int
+        assert str(err.value) == f"vertex {first_deviant} has degree 9, expected 3"
 
 
 def test_graph_basics():
@@ -126,6 +256,19 @@ def test_exact_dtype_boundary():
     assert _exact_dtype(2**53) is np.float64
     assert _exact_dtype(2**53 + 1) is object
     assert _exact_dtype(0) is np.float64
+
+
+@pytest.mark.parametrize("bound", [2**53, 3 * 2**3, 1, 2, 6, 7])
+def test_object_length_matches_the_per_step_rule(bound, monkeypatch):
+    # the length computed once equals the first l >= 2 at which the per-step
+    # rule, k * max(k-1, 1)**(l-1) past the bound, sends the step to Python ints
+    monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", bound)
+    for k in [*range(0, 40), 2**20, 2**26 + 1, 2**52, 2**53 - 1, 2**53, 2**53 + 1]:
+        first = next(
+            (l for l in range(2, 200) if _exact_dtype(k * max(k - 1, 1) ** (l - 1)) is object),
+            math.inf,
+        )
+        assert _object_length(k) == first, k
 
 
 def test_walk_pass_switches_to_python_ints_past_the_walk_bound(monkeypatch):
