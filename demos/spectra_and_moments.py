@@ -4,7 +4,9 @@
 Integer moments (traces of adjacency powers) are computed exactly; the
 spectrum comes from LAPACK eigvalsh and is checked against the exact
 moments at runtime before it is returned, and the four-eigenvalue
-tight-spectrum certificate is issued for the pencil graphs.
+tight-spectrum certificate, cross-checked by the exact identity
+NN^T = (k - mu)I + mu J on the biadjacency matrix N, is issued for the
+pencil graphs from the spectrum already computed.
 """
 
 from egrtools import (
@@ -48,7 +50,7 @@ for q in (2, 3):
     sig = verify_egr(G)
     spec = eigenvalues(G)
     groups = ", ".join(f"{v:+.4f} x{m}" for v, m in spec.groups)
-    cert = certify_tight_spectrum(G, sig)
+    cert = certify_tight_spectrum(G, sig, spectrum=spec)
     print(f"  pencil q={q}: spectrum {{{groups}}}")
     print(f"    -> {cert.reason}")
     assert cert.certified

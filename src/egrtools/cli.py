@@ -2,10 +2,11 @@
 
 Exit codes: 0 success (or verified egr), 1 verified-not-egr, 2 usage or
 input error (a graph over the verify or report vertex cap included), 3
-internal inconsistency (a construction failed its own verification, or a
-spectrum failed its exact moment check).  A stream verify reports each
-malformed or oversized line and goes on; it exits with the largest code
-of any line.  Reports are JSON with a frozen field layout
+internal inconsistency (a construction failed its own verification, a
+spectrum failed its exact moment check, or the float tight-spectrum
+verdict disagreed with its exact incidence identity).  A stream verify
+reports each malformed or oversized line and goes on; it exits with the
+largest code of any line.  Reports are JSON with a frozen field layout
 (schema_version 1); rationals are emitted as {num, den, decimal}, never
 as bare floats.
 """
@@ -260,8 +261,8 @@ def cmd_report(args, argv) -> int:
     t0 = time.perf_counter()
     moments = walk_moments(G, min(sig.g + 1, 16))
     try:
-        spec = eigenvalues(G)
-        tight = certify_tight_spectrum(G, sig)
+        spec = eigenvalues(G, moments=moments)
+        tight = certify_tight_spectrum(G, sig, spectrum=spec)
     except ArithmeticError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -33,6 +33,7 @@ k * max(k-1, 1)**(l-1) <= 2**53; the max covers k = 1, where A A forms ones.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -425,18 +426,27 @@ def count_girth_cycles_through_edge(G: Graph, edge, g: int) -> int:
     return int(walks[0][u, v])
 
 
-def count_cycles_through_vertex(G: Graph, v: int, length: int) -> int:
-    """Number of distinct cycles of the given length through vertex v,
-    for length g or g+1 where g is the girth of G.
+def cycle_counts_through_vertices(G: Graph, length: int) -> list[int]:
+    """Number of distinct cycles of the given length through each vertex
+    0..n-1, for length g or g+1 where g is the girth of G, from one walk
+    pass.
 
     Closed non-backtracking walks of these lengths are exactly the cycles
-    through v, each traversed in both directions.  Other lengths raise
-    ValueError.
+    through a vertex, each traversed in both directions.  Other lengths
+    raise ValueError.
     """
     g, walks = _walks_at_girth(G, beyond=1)
     if length not in (g, g + 1):
         raise ValueError(f"length {length} is neither the girth {g} nor girth + 1")
-    return int(walks[length - g + 1][v, v]) // 2
+    return [int(c) // 2 for c in walks[length - g + 1].diagonal()]
+
+
+def count_cycles_through_vertex(G: Graph, v: int, length: int) -> int:
+    """Number of distinct cycles of the given length through vertex v,
+    for length g or g+1 where g is the girth of G; entry v of
+    ``cycle_counts_through_vertices``, which a sweep over the vertices
+    should call once instead."""
+    return cycle_counts_through_vertices(G, length)[v]
 
 
 def verify_egr(G: Graph) -> EgrSignature:
@@ -500,12 +510,17 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
+# a stream of graph6 lines repeats a few vertex counts
+@functools.lru_cache(maxsize=64)
 def _column_starts(n: int) -> np.ndarray:
     """The graph6 bit map: graph6 lists the upper triangle column by
     column, so edge (u, v), u < v, is bit _column_starts(n)[v] + u, where
-    entry v is v(v-1)/2 for v = 0..n."""
+    entry v is v(v-1)/2 for v = 0..n.  Cached per n, and read-only so that
+    no caller can change the cached array."""
     v = np.arange(n + 1, dtype=np.int64)
-    return v * (v - 1) // 2
+    starts = v * (v - 1) // 2
+    starts.setflags(write=False)
+    return starts
 
 
 def graph6_encode(G: Graph) -> str:

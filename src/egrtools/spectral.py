@@ -8,6 +8,21 @@ way around: every spectrum ``eigenvalues`` returns has matched the exact
 moments of lengths 0..MOMENT_CHECK_LENGTH.  The moments take the adjacency
 matrix and the exactness rule of ``graph_core`` (float64 while no count
 exceeds 2**53, Python ints beyond), the same ones its walk pass uses.
+
+A caller that already holds work can pass it in instead of having it
+redone: ``eigenvalues(G, moments=walk_moments(G, L))`` checks against the
+first MOMENT_CHECK_LENGTH + 1 of those moments, and
+``certify_tight_spectrum(G, sig, spectrum=eigenvalues(G))`` reads that
+spectrum instead of solving again.  Both check what they are given
+(moments 0..2 are n, 0 and 2|E|; a spectrum has G.n values) and raise
+ValueError when it cannot belong to G.
+
+The tight four-value spectrum of a bipartite girth-4 graph is also
+decided exactly.  It holds exactly when the n/2 x n/2 biadjacency matrix N
+satisfies NN^T = N^TN = (k - mu)I + mu J with mu = k(k-1)/(n/2 - 1) an
+integer, i.e. when the graph is the incidence graph of a symmetric
+2-(n/2, k, mu) design; the float verdict must agree with that identity or
+the certificate raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -19,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.linalg import eigvalsh
 
-from .graph_core import EgrSignature, Graph, _adjacency, _exact_dtype
+from .graph_core import EgrSignature, Graph, _adjacency, _exact_dtype, bipartition
 
 MAX_MOMENT_LENGTH = 16
 MAX_MOMENT_VERTICES = 2048
@@ -148,11 +163,10 @@ class Spectrum:
         return self.values[-1]
 
 
-def _check_moments(G: Graph, vals: np.ndarray) -> None:
+def _check_moments(vals: np.ndarray, exact: list[int]) -> None:
     """Raise ArithmeticError unless sum_i vals[i]**l matches the exact
-    walk moment for every l = 0..MOMENT_CHECK_LENGTH."""
-    exact = walk_moments(G, MOMENT_CHECK_LENGTH)
-    for length, moment in enumerate(exact):
+    walk moment exact[l] for every l = 0..MOMENT_CHECK_LENGTH."""
+    for length, moment in enumerate(exact[: MOMENT_CHECK_LENGTH + 1]):
         powers = vals**length
         residual = abs(float(powers.sum()) - moment)
         scale = float(np.abs(powers).sum())
@@ -164,17 +178,31 @@ def _check_moments(G: Graph, vals: np.ndarray) -> None:
             )
 
 
-def eigenvalues(G: Graph, tol: float = 1e-10) -> Spectrum:
+def eigenvalues(G: Graph, tol: float = 1e-10, moments: list[int] | None = None) -> Spectrum:
     """All adjacency eigenvalues of G, descending, from LAPACK eigvalsh
-    and checked against the exact walk moments; grouped into
-    multiplicities at 1e4 * tol.  Raises ArithmeticError when the check
-    fails."""
+    and checked against the exact walk moments of lengths
+    0..MOMENT_CHECK_LENGTH; grouped into multiplicities at 1e4 * tol.
+    Raises ArithmeticError when the check fails.
+
+    ``moments``, when given, is ``walk_moments(G, L)`` for some
+    L >= MOMENT_CHECK_LENGTH, and the check reads its first
+    MOMENT_CHECK_LENGTH + 1 entries instead of computing them.  A shorter
+    list, or one whose entries 0..2 are not (n, 0, 2|E|), raises
+    ValueError."""
     if G.n > MAX_MOMENT_VERTICES:
         raise ValueError(f"eigensolver capped at {MAX_MOMENT_VERTICES} vertices")
+    if moments is not None:
+        if len(moments) <= MOMENT_CHECK_LENGTH:
+            raise ValueError(
+                f"need the moments of lengths 0..{MOMENT_CHECK_LENGTH}, got {len(moments)} of them"
+            )
+        head = [G.n, 0, 2 * G.num_edges()]
+        if list(moments[:3]) != head:
+            raise ValueError(f"moments 0..2 are {list(moments[:3])}, not (n, 0, 2|E|) = {head} of this graph")
     if G.n == 0:
         return Spectrum(values=(), groups=())
     vals = eigvalsh(_adjacency(G, float))[::-1]
-    _check_moments(G, vals)
+    _check_moments(vals, walk_moments(G, MOMENT_CHECK_LENGTH) if moments is None else moments)
     group_tol = 1e4 * tol
     groups: list[tuple[float, int]] = []
     start = 0
@@ -201,11 +229,50 @@ class TightSpectrumResult:
         return self.certified
 
 
-def certify_tight_spectrum(G: Graph, sig: EgrSignature, tol: float = 1e-6) -> TightSpectrumResult:
+def _tight_identity(G: Graph, k: int) -> bool:
+    """Whether G is the incidence graph of a symmetric design: two colour
+    classes of n/2 vertices, mu = k(k-1)/(n/2 - 1) an integer, and the
+    biadjacency matrix N with NN^T = N^TN = (k - mu)I + mu J.
+
+    Exact in float64: every entry of NN^T and N^TN counts common
+    neighbours, at most k.  The identity holds exactly when G has the tight
+    spectrum {+-k, +-sqrt(k - mu)^(n/2 - 1)}, and k - mu = (nk - 2k^2)/(n - 2).
+    """
+    colour = bipartition(G)
+    if colour is None or 2 * sum(colour) != G.n or G.n < 4:
+        return False
+    half = G.n // 2
+    mu, rem = divmod(k * (k - 1), half - 1)
+    if rem:
+        return False
+    right = np.array(colour, dtype=bool)
+    # each vertex's position within its colour class
+    pos = np.where(right, np.cumsum(right), np.cumsum(~right)) - 1
+    us, vs = G.edge_arrays()
+    left_end = np.where(right[us], vs, us)
+    N = np.zeros((half, half))
+    N[pos[left_end], pos[us + vs - left_end]] = 1
+    target = np.full((half, half), float(mu))
+    np.fill_diagonal(target, k)
+    return np.array_equal(N @ N.T, target) and np.array_equal(N.T @ N, target)
+
+
+def certify_tight_spectrum(
+    G: Graph, sig: EgrSignature, tol: float = 1e-6, spectrum: Spectrum | None = None
+) -> TightSpectrumResult:
     """Certificate that the spectrum matches the tight four-eigenvalue
     pattern (implying the graph meets the girth-4 lower bound with
     equality).  Refuses when the signature is not bipartite of girth 4.
+
+    The verdict compares ``spectrum`` (default: ``eigenvalues(G)``) with
+    the pattern within ``tol``.  It is then checked against the exact
+    identity NN^T = N^TN = (k - mu)I + mu J on the biadjacency matrix N,
+    mu = k(k-1)/(n/2 - 1), which holds exactly when the spectrum is tight
+    and needs mu to be an integer; ArithmeticError is raised when the two
+    disagree.  A ``spectrum`` with other than G.n values raises ValueError.
     """
+    if spectrum is not None and spectrum.n != G.n:
+        raise ValueError(f"spectrum has {spectrum.n} eigenvalues, the graph {G.n} vertices")
     if sig.g != 4 or not sig.bipartite:
         return TightSpectrumResult(
             certified=False,
@@ -218,9 +285,15 @@ def certify_tight_spectrum(G: Graph, sig: EgrSignature, tol: float = 1e-6) -> Ti
         return TightSpectrumResult(certified=False, reason="nk < 2k^2: no admissible spectrum", lambda2_squared=lam2sq)
     s = math.sqrt(float(lam2sq))
     expected = sorted([float(k), float(-k)] + [s] * ((n - 2) // 2) + [-s] * ((n - 2) // 2), reverse=True)
-    spec = eigenvalues(G)
+    spec = eigenvalues(G) if spectrum is None else spectrum
     deviation = max(abs(a - b) for a, b in zip(spec.values, expected))
-    if deviation > tol:
+    certified = deviation <= tol
+    if _tight_identity(G, k) != certified:
+        raise ArithmeticError(
+            f"tight-spectrum verdict {certified} (deviation {deviation:.3e}, tolerance {tol:.1e}) "
+            f"disagrees with the exact identity NN^T = N^TN = (k - mu)I + mu J"
+        )
+    if not certified:
         return TightSpectrumResult(
             certified=False,
             reason=f"spectrum deviates from the tight pattern by {deviation:.3e} > {tol:.1e}",

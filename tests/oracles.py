@@ -125,6 +125,24 @@ def vertex_cycle_count_dfs(G: Graph, v: int, length: int) -> int:
     return total
 
 
+def degree_preserving_switch(G: Graph, keep_sides: bool = False) -> Graph:
+    """One degree-preserving switch, replacing edges ab, cd (a < b, c < d)
+    by ad, cb or by ac, bd: the first choice, in G.edges() order, that
+    keeps G simple.  With keep_sides only ad, cb is tried, which keeps a
+    bipartite graph bipartite when every edge runs from its lower-numbered
+    side to the other, as in a Levi graph."""
+    edges = list(G.edges())
+    for i, (a, b) in enumerate(edges):
+        for c, d in edges[i + 1 :]:
+            if len({a, b, c, d}) < 4:
+                continue
+            kept = [e for e in edges if e not in ((a, b), (c, d))]
+            for new in (((a, d), (c, b)), ((a, c), (b, d)))[: 1 if keep_sides else 2]:
+                if not any(G.has_edge(x, y) for x, y in new):
+                    return Graph.from_edges(G.n, kept + list(new))
+    raise AssertionError("no switch keeps the graph simple")
+
+
 def truncated_tree(k: int, depth: int) -> Graph:
     """Explicit k-regular tree truncated at the given depth (leaves have
     degree 1), rooted at vertex 0."""

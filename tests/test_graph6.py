@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from egrtools.constructions import (
@@ -9,6 +10,7 @@ from egrtools.constructions import (
     cycle_graph,
     petersen,
 )
+from egrtools import graph_core
 from egrtools.galois import GF
 from egrtools.graph_core import GRAPH6_MAX_N, Graph, Graph6Error, girth, graph6_decode, graph6_encode
 
@@ -151,3 +153,13 @@ def test_decoder_fuzz_never_raises_anything_else():
         except Graph6Error:
             continue
         assert isinstance(G, Graph)
+
+
+def test_column_starts_are_cached_and_read_only():
+    starts = graph_core._column_starts(40)
+    assert graph_core._column_starts(40) is starts
+    assert not starts.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        starts[3] = 0
+    assert starts.dtype == np.int64
+    assert starts.tolist() == [v * (v - 1) // 2 for v in range(41)]

@@ -6,6 +6,7 @@ import pytest
 
 from egrtools.constructions import (
     build_biaffine,
+    build_gq_truncation,
     complete_bipartite,
     cycle_graph,
     heawood,
@@ -15,7 +16,7 @@ from egrtools.constructions import (
 )
 import numpy as np
 
-from egrtools import graph_core
+from egrtools import cycle_counts_through_vertices, graph_core
 from egrtools.galois import GF
 from egrtools.graph_core import (
     EgrSignature,
@@ -37,6 +38,7 @@ from egrtools.graph_core import (
 from egrtools.spectral import walk_moments
 from oracles import (
     all_cycles,
+    degree_preserving_switch,
     edge_cycle_count_dfs,
     edge_cycle_count_naive,
     vertex_cycle_count_dfs,
@@ -285,21 +287,6 @@ def test_walk_pass_switches_to_python_ints_past_the_walk_bound(monkeypatch):
         assert got.tolist() == want.astype(np.int64).tolist()
 
 
-def _switched(G: Graph) -> Graph:
-    """One degree-preserving switch, replacing edges ab, cd by ad, cb or by
-    ac, bd: the first choice, in G.edges() order, that keeps G simple."""
-    edges = list(G.edges())
-    for i, (a, b) in enumerate(edges):
-        for c, d in edges[i + 1 :]:
-            if len({a, b, c, d}) < 4:
-                continue
-            kept = [e for e in edges if e not in ((a, b), (c, d))]
-            for new in (((a, d), (c, b)), ((a, c), (b, d))):
-                if not any(G.has_edge(x, y) for x, y in new):
-                    return Graph.from_edges(G.n, kept + list(new))
-    raise AssertionError("no switch keeps the graph simple")
-
-
 def _random_regular(k: int, n: int, seed: int) -> Graph:
     H = nx.random_regular_graph(k, n, seed=seed)
     return Graph.from_edges(n, H.edges())
@@ -314,9 +301,9 @@ DIFFERENTIAL_GRAPHS = {
             (4, 12, 4), (4, 18, 5), (4, 24, 83),
         ]
     },
-    "petersen_switch": lambda: _switched(petersen()),
-    "heawood_switch": lambda: _switched(heawood()),
-    "k44_switch": lambda: _switched(complete_bipartite(4)),
+    "petersen_switch": lambda: degree_preserving_switch(petersen()),
+    "heawood_switch": lambda: degree_preserving_switch(heawood()),
+    "k44_switch": lambda: degree_preserving_switch(complete_bipartite(4)),
 }
 
 
@@ -342,6 +329,39 @@ def test_engine_matches_independent_oracles(name):
     assert err.value.kind == "nonuniform_cycle_counts"
     assert err.value.witness == next(e for e, c in zip(edges, counts) if c != counts[0])
     assert err.value.details == {"min_count": min(counts), "max_count": max(counts)}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        petersen,
+        heawood,
+        lambda: build_gq_truncation(GF(3)),
+        DIFFERENTIAL_GRAPHS["petersen_switch"],
+        DIFFERENTIAL_GRAPHS["heawood_switch"],
+    ],
+    ids=["petersen", "heawood", "gq_truncation_q3", "petersen_switch", "heawood_switch"],
+)
+def test_vertex_cycle_counts_come_from_one_walk_pass(build, monkeypatch):
+    G = build()
+    g = girth(G)
+    passes = []
+
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return _walks_at_girth(*args, **kwargs)
+
+    for length in (g, g + 1):
+        expected = [vertex_cycle_count_dfs(G, v, length) for v in range(G.n)]
+        assert [count_cycles_through_vertex(G, v, length) for v in range(G.n)] == expected
+        with monkeypatch.context() as m:
+            m.setattr(graph_core, "_walks_at_girth", counted)
+            counts = cycle_counts_through_vertices(G, length)
+        assert counts == expected
+        assert all(type(c) is int for c in counts)
+    assert len(passes) == 2
+    with pytest.raises(ValueError, match="girth"):
+        cycle_counts_through_vertices(G, g + 2)
 
 
 def _walk_results(G: Graph):

@@ -1,10 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from egrtools import graph_core, spectral
+from egrtools import cli, graph_core, spectral
 from egrtools.cli import EXIT_INTERNAL, main
 from egrtools.constructions import (
     build_biaffine,
@@ -26,7 +27,7 @@ from egrtools.spectral import (
     tree_walk_polynomial,
     walk_moments,
 )
-from oracles import closed_walks_at_root, truncated_tree
+from oracles import closed_walks_at_root, degree_preserving_switch, truncated_tree
 
 # closed-walk polynomials in the degree k, as printed lists of coefficients
 PRINTED_POLYS = {
@@ -277,3 +278,106 @@ def test_moment_check_rejects_perturbed_spectrum(monkeypatch, capsys):
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("internal error: spectrum fails the exact moment check")
+
+
+def _hypercube(d: int) -> Graph:
+    return Graph.from_edges(2**d, [(i, i ^ (1 << b)) for i in range(2**d) for b in range(d) if i < i ^ (1 << b)])
+
+
+def test_report_computes_moments_and_spectrum_once(monkeypatch, capsys):
+    calls = {"eigvalsh": 0, "walk_moments": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    moments = counted("walk_moments", spectral.walk_moments)
+    monkeypatch.setattr(spectral, "walk_moments", moments)
+    monkeypatch.setattr(cli, "walk_moments", moments)
+    monkeypatch.setattr(spectral, "eigvalsh", counted("eigvalsh", spectral.eigvalsh))
+    assert main(["report", "--family", "pencil", "--q", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["tight_spectrum"]["certified"] is True
+    assert calls == {"eigvalsh": 1, "walk_moments": 1}
+
+
+def test_exact_identity_overrides_the_tolerance():
+    # one switch breaks the symmetric design behind pencil q=3 (and here
+    # its bipartiteness); eigenvalues lie in [-k, k], so a tolerance of 100
+    # passes any spectrum and only the exact identity can refuse it
+    G = build_pencil_graph(GF(3))
+    sig = verify_egr(G)
+    switched = degree_preserving_switch(G)
+    res = certify_tight_spectrum(switched, sig)
+    assert not res.certified
+    assert res.reason == "spectrum deviates from the tight pattern by 1.073e+00 > 1.0e-06"
+    with pytest.raises(ArithmeticError, match="verdict True .* disagrees with the exact identity"):
+        certify_tight_spectrum(switched, sig, tol=100.0)
+    # a switch between the two sides keeps pencil q=2 bipartite with an
+    # integral mu = 3, so the refusal comes from NN^T itself
+    G = build_pencil_graph(GF(2))
+    sig = verify_egr(G)
+    switched = degree_preserving_switch(G, keep_sides=True)
+    assert graph_core.bipartition(switched) is not None
+    assert not certify_tight_spectrum(switched, sig).certified
+    with pytest.raises(ArithmeticError, match="disagrees with the exact identity"):
+        certify_tight_spectrum(switched, sig, tol=100.0)
+
+
+def test_exact_identity_refuses_what_the_float_check_refuses(monkeypatch):
+    q4 = _hypercube(4)
+    sig = verify_egr(q4)
+    assert not spectral._tight_identity(q4, sig.k)  # mu = 12/7 is not an integer
+    k34 = Graph.from_edges(7, [(u, v) for u in range(3) for v in range(3, 7)])
+    assert not spectral._tight_identity(k34, 3)  # colour classes of 3 and 4 vertices
+    monkeypatch.setattr(spectral, "_tight_identity", lambda G, k: True)
+    with pytest.raises(ArithmeticError, match="verdict False"):
+        certify_tight_spectrum(q4, sig)
+
+
+def test_report_exits_3_when_the_exact_identity_disagrees(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(spectral, "_tight_identity", lambda G, k: False)
+    out = tmp_path / "report.json"
+    code = main(["report", "--family", "pencil", "--q", "2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert captured.out == "" and not out.exists()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("internal error: tight-spectrum verdict True")
+
+
+PASS_THROUGH_GRAPHS = {
+    "pencil_q2": lambda: build_pencil_graph(GF(2)),
+    "pencil_q3": lambda: build_pencil_graph(GF(3)),
+    "k33": lambda: complete_bipartite(3),
+    "k66": lambda: complete_bipartite(6),
+    "q3": lambda: _hypercube(3),
+    "q4": lambda: _hypercube(4),
+    "petersen": petersen,
+    "heawood": heawood,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PASS_THROUGH_GRAPHS))
+def test_pass_through_gives_the_same_results(name):
+    G = PASS_THROUGH_GRAPHS[name]()
+    sig = verify_egr(G)
+    spec = eigenvalues(G)
+    for L in (4, min(sig.g + 1, MAX_MOMENT_LENGTH)):
+        assert eigenvalues(G, moments=walk_moments(G, L)) == spec
+    # dataclass equality compares every field: verdict, reason, lambda2^2, spectrum
+    assert certify_tight_spectrum(G, sig, spectrum=spec) == certify_tight_spectrum(G, sig)
+
+
+def test_pass_through_input_is_checked():
+    G = petersen()
+    with pytest.raises(ValueError, match="lengths 0..4, got 4"):
+        eigenvalues(G, moments=walk_moments(G, 3))
+    wrong = walk_moments(G, 6)
+    wrong[2] += 2
+    with pytest.raises(ValueError, match=r"not \(n, 0, 2\|E\|\)"):
+        eigenvalues(G, moments=wrong)
+    with pytest.raises(ValueError, match="10 eigenvalues, the graph 14 vertices"):
+        certify_tight_spectrum(heawood(), verify_egr(heawood()), spectrum=eigenvalues(G))
