@@ -3,18 +3,27 @@ graph6 I/O.
 
 A ``Graph`` holds its adjacency as compressed sparse rows: int64 arrays
 ``indptr``, ``indices`` (sorted within each row) and ``deg``, validated
-with numpy when the graph is built.  The per-graph verify path reads those
-arrays directly: the degrees, the edge list, the dense adjacency of the
-walk pass and graph6 encoding.  ``G.adj``, a cached list of neighbour
-lists in Python ints, serves the pure-Python BFS routines (connectivity,
-bipartition, ``girth``) and the JSON output of ``construct``.
+with numpy when the graph is built.  Verification reads those arrays
+directly: the degrees, the edge list, the dense adjacency of the walk pass
+and graph6 encoding.  ``G.adj``, a cached list of neighbour lists in
+Python ints, serves the public pure-Python BFS routines (``bfs_distances``,
+``bipartition``, ``girth``) and the JSON output of ``construct``.
+
+``verify_many`` verifies a list of graphs at once, and ``verify_egr(G)`` is
+``verify_many([G])``.  Connectivity (with the smallest unreachable vertex
+as witness) and bipartiteness come from one level-synchronous numpy BFS
+over the disjoint union of the graphs in CSR, rooted at every graph's
+vertex 0.  The graphs that pass the degree checks are grouped by order and
+degree, and each group takes one walk pass over a (B, n, n) stack of its
+matrices: one stacked product per step instead of one per graph.
 
 Girth and cycle counts come from one pass over the non-backtracking walk
 matrices A_l (entry [u, w]: walks of l edges from u to w that never
-reverse the edge just used).  The girth g is the first l with a nonzero
-diagonal.  In a graph of girth g, a non-backtracking walk of fewer than g
-edges repeats no vertex, so a walk of g-1 edges between the ends of an
-edge uv is a path that closes one g-cycle through uv.  A closed
+reverse the edge just used).  The girth g of each graph in a stack is the
+first l at which its A_l has a nonzero diagonal.  In a graph of girth g,
+a non-backtracking walk of fewer than g edges repeats no vertex, so a walk
+of g-1 edges between the ends of an edge uv is a path that closes one
+g-cycle through uv.  A closed
 non-backtracking walk shorter than 2g holds a single cycle; unless it is
 that cycle, it adds a tail walked out and back, for at least g+2 edges.
 So a closed walk of g or g+1 edges from v is a cycle through v, counted
@@ -29,6 +38,7 @@ of A_l (at most N_l), the partial sums of A_{l-1} A (sums over one row of
 A_{l-1}, at most N_{l-1}) and A_{l-1}(D - I) (each walk it counts extends
 in deg - 1 ways, at most N_l).  So that step runs in float64 while
 k * max(k-1, 1)**(l-1) <= 2**53; the max covers k = 1, where A A forms ones.
+A stack takes the rule once, with k its largest degree.
 """
 
 from __future__ import annotations
@@ -51,6 +61,11 @@ _FLOAT_EXACT_MAX = 2**53
 # cubic graph took 54 s / 575 MiB peak at n = 4096 and 66 s / 655 MiB at
 # n = 4400 (2 CPUs, OpenBLAS, one thread).
 MAX_VERIFY_VERTICES = 4096
+
+# The most entries a stack of walk matrices holds (2 MiB each in float64):
+# verify_many splits a group of graphs of order n into stacks of at most
+# MAX_STACK_CELLS // n**2 members, and a larger graph runs alone.
+MAX_STACK_CELLS = 2**18
 
 
 class Graph:
@@ -346,12 +361,14 @@ def _exact_dtype(bound: int):
     return np.float64 if bound <= _FLOAT_EXACT_MAX else object
 
 
-def _adjacency(G: Graph, dtype) -> np.ndarray:
-    """Dense adjacency matrix of G."""
-    n = G.n
-    A = np.zeros((n, n), dtype=dtype)
-    # entry (u, v) is flat position u*n + v
-    A.ravel()[np.arange(0, n * n, n).repeat(G.deg) + G.indices] = 1
+def _adjacency(graphs, dtype) -> np.ndarray:
+    """Dense adjacency matrices of graphs of one order n, as a (B, n, n)
+    stack."""
+    n = graphs[0].n
+    A = np.zeros((len(graphs), n, n), dtype=dtype)
+    # entry (b, u, v) is flat position (b*n + u)*n + v
+    rows = np.arange(0, len(graphs) * n * n, n).repeat(np.concatenate([G.deg for G in graphs]))
+    A.ravel()[rows + np.concatenate([G.indices for G in graphs])] = 1
     return A
 
 
@@ -369,24 +386,28 @@ def _object_length(k: int):
     return e + 1
 
 
-def _nb_walks(G: Graph):
-    """Yield the non-backtracking walk matrices A_1, A_2, ... of G, exactly,
-    and stop at the first all-zero one (G is then a forest).
+def _nb_walks(*graphs: Graph):
+    """Yield the non-backtracking walk matrices A_1, A_2, ... of graphs of
+    one order n, exactly, as (B, n, n) stacks (entry b of a stack belongs to
+    graphs[b]), and stop at the first all-zero stack.
 
-    A_1 = A, A_2 = A^2 - D, A_{l+1} = A_l A - A_{l-1}(D - I).  The step
-    forming A_l runs in float64 while k * max(k-1, 1)**(l-1) <= 2**53 (k the
-    maximum degree; see the module docstring) and in Python ints once that
-    bound is crossed.  Raises ValueError before allocating anything when G
-    has more than MAX_VERIFY_VERTICES vertices.
+    A_1 = A, A_2 = A^2 - D, A_{l+1} = A_l A - A_{l-1}(D - I), one stacked
+    product per step.  The step forming A_l runs in float64 while
+    k * max(k-1, 1)**(l-1) <= 2**53 (k the largest degree in the stack; see
+    the module docstring) and in Python ints once that bound is crossed.
+    Raises ValueError before allocating anything when n is over
+    MAX_VERIFY_VERTICES.
     """
-    if G.n > MAX_VERIFY_VERTICES:
-        raise ValueError(
-            f"verification is capped at {MAX_VERIFY_VERTICES} vertices (got n = {G.n})"
-        )
-    deg = G.deg.astype(np.float64)
-    to_object = _object_length(int(G.deg.max(initial=0)))
-    A = _adjacency(G, np.float64)
-    back, cur, step = np.diag(deg), A, deg - 1
+    n = graphs[0].n
+    if n > MAX_VERIFY_VERTICES:
+        raise ValueError(f"verification is capped at {MAX_VERIFY_VERTICES} vertices (got n = {n})")
+    deg = np.array([G.deg for G in graphs], dtype=np.float64)
+    to_object = _object_length(int(deg.max(initial=0)))
+    A = _adjacency(graphs, np.float64)
+    back = np.zeros_like(A)
+    back.reshape(len(graphs), -1)[:, :: n + 1] = deg
+    # (D - I) acts on the right, scaling column w by deg(w) - 1
+    cur, step = A, (deg - 1)[:, None, :]
     length = 1
     while cur.any():
         yield cur
@@ -399,17 +420,49 @@ def _nb_walks(G: Graph):
         cur = nxt
 
 
+def _girth_walks(*graphs: Graph, beyond: int = 0) -> list:
+    """For each of graphs, of one order n, its girth g and its walk matrices
+    [A_{g-1}, A_g, ..., A_{g+beyond}], from one stacked pass; (math.inf, [])
+    for a forest.
+
+    The pass stops once every member has its matrices or is known to be a
+    forest: the stack is all zero, or the pass has reached length n, the
+    longest a cycle can be, without a closed walk for it.
+    """
+
+    def own(stack, b):
+        # a member's matrix is copied out of a shared stack, so that the
+        # stack can be freed once the pass moves on
+        return stack[b].copy() if len(stack) > 1 else stack[b]
+
+    n = graphs[0].n
+    found = [(math.inf, []) for _ in graphs]
+    left = len(graphs)  # members still without their girth
+    last = 0  # the last length a member with its girth still needs
+    prev = None
+    for length, cur in enumerate(_nb_walks(*graphs), start=1):
+        if beyond:
+            for b, (g, walks) in enumerate(found):
+                if g < length <= g + beyond:
+                    walks.append(own(cur, b))
+        # the entries are nonnegative, so a nonzero diagonal has a nonzero trace
+        closed = cur.trace(axis1=1, axis2=2)
+        if closed.any():
+            for b in np.flatnonzero(closed).tolist():
+                if found[b][0] == math.inf:
+                    found[b] = (length, [own(prev, b), own(cur, b)])
+                    left -= 1
+                    last = length + beyond
+        if length >= last and (length >= n or not left):
+            break
+        prev = cur
+    return found
+
+
 def _walks_at_girth(G: Graph, beyond: int = 0):
     """The girth g of G (math.inf for a forest) and the walk matrices
     [A_{g-1}, A_g, ..., A_{g+beyond}] ([] for a forest), from one pass."""
-    walks = _nb_walks(G)
-    prev = None
-    for length, cur in enumerate(walks, start=1):
-        # the entries are nonnegative, so a nonzero diagonal has a nonzero trace
-        if cur.trace():
-            return length, [prev, cur] + [next(walks) for _ in range(beyond)]
-        prev = cur
-    return math.inf, []
+    return _girth_walks(G, beyond=beyond)[0]
 
 
 def count_girth_cycles_through_edge(G: Graph, edge, g: int) -> int:
@@ -449,6 +502,147 @@ def count_cycles_through_vertex(G: Graph, v: int, length: int) -> int:
     return cycle_counts_through_vertices(G, length)[v]
 
 
+def _reach_and_parity(graphs) -> tuple[list[int | None], list[bool]]:
+    """For each of graphs, the smallest vertex unreachable from vertex 0
+    (None when there is none) and whether vertex 0's component is
+    bipartite.
+
+    One level-synchronous BFS over the disjoint union of the graphs in CSR
+    (edge i runs from rows[i] to indices[i]), rooted at every graph's vertex
+    0: each level is one scan of all the edges for those that leave the
+    current level, so the cost is the edge count times the largest depth.
+    A component is bipartite exactly when no edge joins two vertices at the
+    same distance from its root.
+    """
+    offsets = np.cumsum([0] + [G.n for G in graphs])
+    starts, ends = offsets[:-1], offsets[1:]
+    deg = np.concatenate([G.deg for G in graphs])
+    rows = np.arange(len(deg)).repeat(deg)
+    indices = np.concatenate([G.indices + start for G, start in zip(graphs, starts.tolist())])
+    level = np.full(len(deg), -1)
+    level[starts[starts < ends]] = 0
+    depth = 0
+    while True:
+        fresh = indices[level[rows] == depth]
+        fresh = fresh[level[fresh] < 0]
+        if not fresh.size:
+            break
+        depth += 1
+        level[fresh] = depth
+    # the first unreached vertex at or after each graph's vertex 0
+    missing = np.flatnonzero(level < 0)
+    first = np.append(missing, len(deg))[np.searchsorted(missing, starts)]
+    unreached = [v - a if v < b else None for v, a, b in zip(first.tolist(), starts.tolist(), ends.tolist())]
+    at = level[rows]
+    odd = rows[(at == level[indices]) & (at >= 0)]
+    bipartite = np.ones(len(graphs), dtype=bool)
+    bipartite[np.searchsorted(ends, odd, side="right")] = False
+    return unreached, bipartite.tolist()
+
+
+def verify_many(graphs) -> list:
+    """Verify each graph as ``verify_egr`` does, and return for each, in
+    order, its EgrSignature, or the NotEdgeGirthRegular or ValueError
+    instance that ``verify_egr`` would raise.
+
+    Connectivity and bipartiteness come from one BFS over all the graphs
+    (``_reach_and_parity``).  The graphs that pass the degree checks are
+    grouped by order n and degree k, and each group takes one stacked walk
+    pass, split into stacks of at most MAX_STACK_CELLS matrix entries (a
+    graph larger than that runs alone).
+    """
+    graphs = list(graphs)
+    if not graphs:
+        return []
+    results: list = [None] * len(graphs)
+    unreached, bipartite = _reach_and_parity(graphs)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, G in enumerate(graphs):
+        if G.n == 0:
+            results[i] = NotEdgeGirthRegular("disconnected", None, "empty graph")
+            continue
+        v = unreached[i]
+        if v is not None:
+            results[i] = NotEdgeGirthRegular("disconnected", v, f"vertex {v} unreachable from 0")
+            continue
+        deg = G.deg
+        k = int(deg[0])
+        if (deg != k).any():
+            k = int(np.bincount(deg).argmax())  # argmax takes the first, so the smallest, mode
+            v = int(np.flatnonzero(deg != k)[0])
+            results[i] = NotEdgeGirthRegular(
+                "not_regular", v, f"vertex {v} has degree {deg[v]}, expected {k}"
+            )
+            continue
+        if k < 3:
+            results[i] = NotEdgeGirthRegular("degree_too_small", k, f"degree {k} < 3")
+            continue
+        # connected and k-regular with k >= 3, so G has a cycle
+        groups.setdefault((G.n, k), []).append(i)
+    for (n, k), members in groups.items():
+        size = max(1, MAX_STACK_CELLS // (n * n))
+        for start in range(0, len(members), size):
+            stack = members[start : start + size]
+            try:
+                found = _girth_walks(*(graphs[i] for i in stack))
+            except ValueError as exc:  # over the vertex cap
+                for i in stack:
+                    results[i] = exc
+                continue
+            verdicts = _lambda_verdicts(
+                [graphs[i] for i in stack], k, found, [bipartite[i] for i in stack]
+            )
+            for i, verdict in zip(stack, verdicts):
+                results[i] = verdict
+    return results
+
+
+def _lambda_verdicts(graphs, k: int, found: list, bipartite: list[bool]) -> list:
+    """The verdicts of connected k-regular graphs of one order n, given
+    their girths and walk matrices from ``_girth_walks`` and whether each is
+    bipartite: the signature, or the NotEdgeGirthRegular for the first edge
+    in ``edges()`` order whose girth-cycle count A_{g-1}[u, v] differs from
+    that of the first edge.
+
+    Each graph lists k neighbours per vertex in ascending order, so the
+    entries v > u of its (n, k) neighbour table, read row by row, are its
+    n*k/2 edges (u, v) in ``edges()`` order."""
+    n = graphs[0].n
+    table = np.array([G.indices for G in graphs]).reshape(len(graphs), n, k)
+    upper = table > np.arange(n)[:, None]
+    us = upper.nonzero()[1].reshape(len(graphs), -1)
+    vs = table[upper].reshape(len(graphs), -1)
+    counts = np.array([walks[0][u, v] for (_, walks), u, v in zip(found, us, vs)])
+    deviant = counts != counts[:, :1]
+    # per graph: its first deviant edge, or edge 0 when there is none
+    at = (np.arange(len(graphs)), deviant.argmax(axis=1))
+    columns = zip(
+        counts[:, 0].tolist(),
+        deviant[at].tolist(),
+        us[at].tolist(),
+        vs[at].tolist(),
+        counts[at].tolist(),
+        counts.min(axis=1).tolist(),
+        counts.max(axis=1).tolist(),
+    )
+    verdicts = []
+    for (g, _), bip, (lam, wrong, u, v, c, low, high) in zip(found, bipartite, columns):
+        lam = int(lam)
+        if not wrong:
+            verdicts.append(EgrSignature(n=n, k=k, g=g, lam=lam, bipartite=bip))
+            continue
+        e = (u, v)
+        verdicts.append(
+            NotEdgeGirthRegular(
+                "nonuniform_cycle_counts",
+                e,
+                f"edge {e} lies on {int(c)} girth cycles, expected {lam}",
+                details={"min_count": int(low), "max_count": int(high)},
+            )
+        )
+    return verdicts
+
+
 def verify_egr(G: Graph) -> EgrSignature:
     """Check Definition: connected, k-regular, and every edge on exactly
     lambda girth cycles.  Returns the verified signature, or raises
@@ -458,40 +652,12 @@ def verify_egr(G: Graph) -> EgrSignature:
     degree.
     The girth and the counts come from one walk pass, which raises
     ValueError for a connected regular graph of degree >= 3 on more than
-    MAX_VERIFY_VERTICES vertices.
+    MAX_VERIFY_VERTICES vertices.  This is ``verify_many([G])``.
     """
-    if G.n == 0:
-        raise NotEdgeGirthRegular("disconnected", None, "empty graph")
-    dist = bfs_distances(G, 0)
-    if math.inf in dist:
-        v = dist.index(math.inf)
-        raise NotEdgeGirthRegular("disconnected", v, f"vertex {v} unreachable from 0")
-    deg = G.deg
-    k = int(deg[0])
-    if (deg != k).any():
-        k = int(np.bincount(deg).argmax())  # argmax takes the first, so the smallest, mode
-        v = int(np.flatnonzero(deg != k)[0])
-        raise NotEdgeGirthRegular(
-            "not_regular", v, f"vertex {v} has degree {deg[v]}, expected {k}"
-        )
-    if k < 3:
-        raise NotEdgeGirthRegular("degree_too_small", k, f"degree {k} < 3")
-    # connected and k-regular with k >= 3, so G has a cycle
-    g, walks = _walks_at_girth(G)
-    us, vs = G.edge_arrays()
-    counts = walks[0][us, vs]
-    lam = int(counts[0])
-    deviant = counts != lam
-    if deviant.any():
-        i = deviant.argmax()
-        e, c = (int(us[i]), int(vs[i])), int(counts[i])
-        raise NotEdgeGirthRegular(
-            "nonuniform_cycle_counts",
-            e,
-            f"edge {e} lies on {c} girth cycles, expected {lam}",
-            details={"min_count": int(counts.min()), "max_count": int(counts.max())},
-        )
-    return EgrSignature(n=G.n, k=k, g=g, lam=lam, bipartite=bipartition(G) is not None)
+    result = verify_many([G])[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,9 @@ def walk_moments(G: Graph, L: int) -> list[int]:
     Keeps only two consecutive powers A**j, A**(j+1) and reads
     trace(A**l) as the Python-int sum of the row sums of
     A**floor(l/2) * A**ceil(l/2) entrywise (A is symmetric); row i sums to
-    A**l[i, i].  With maximum degree k, every entry of a power, every
+    A**l[i, i].  So A**j costs one product each for j = 2..ceil(L/2): at
+    an even last length L, A**(L/2 + 1) is never formed.  With maximum
+    degree k, every entry of a power, every
     partial sum of a product and every partial row sum counts walks of at
     most L steps from one vertex, so none exceeds k**L, and the arrays take
     their dtype from graph_core._exact_dtype(k**L).
@@ -64,12 +66,14 @@ def walk_moments(G: Graph, L: int) -> list[int]:
     if G.n > MAX_MOMENT_VERTICES:
         raise ValueError(f"moment computation capped at {MAX_MOMENT_VERTICES} vertices")
     k = int(G.deg.max(initial=0))
-    A = _adjacency(G, _exact_dtype(k**L))
+    A = _adjacency([G], _exact_dtype(k**L))[0]
     moments = [G.n]
     low, high = np.eye(G.n, dtype=A.dtype), A
     for length in range(1, L + 1):
         if length % 2 == 0:
-            low, high = high, high @ A
+            low = high
+            if length < L:  # A**(length/2 + 1), read only at length + 1
+                high = high @ A
             entrywise = low * low
         else:
             entrywise = low * high
@@ -201,7 +205,7 @@ def eigenvalues(G: Graph, tol: float = 1e-10, moments: list[int] | None = None) 
             raise ValueError(f"moments 0..2 are {list(moments[:3])}, not (n, 0, 2|E|) = {head} of this graph")
     if G.n == 0:
         return Spectrum(values=(), groups=())
-    vals = eigvalsh(_adjacency(G, float))[::-1]
+    vals = eigvalsh(_adjacency([G], float)[0])[::-1]
     _check_moments(vals, walk_moments(G, MOMENT_CHECK_LENGTH) if moments is None else moments)
     group_tol = 1e4 * tol
     groups: list[tuple[float, int]] = []

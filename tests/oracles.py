@@ -4,6 +4,7 @@ to cross-check derived expected values and the engines themselves."""
 
 import math
 from collections import deque
+from itertools import combinations
 
 from egrtools.geometry import normalize_point
 from egrtools.graph_core import Graph
@@ -141,6 +142,23 @@ def degree_preserving_switch(G: Graph, keep_sides: bool = False) -> Graph:
                 if not any(G.has_edge(x, y) for x, y in new):
                     return Graph.from_edges(G.n, kept + list(new))
     raise AssertionError("no switch keeps the graph simple")
+
+
+def complete(n: int) -> Graph:
+    return Graph.from_edges(n, list(combinations(range(n), 2)))
+
+
+def generalized_petersen(n: int, k: int) -> Graph:
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+    return Graph.from_edges(2 * n, edges + [(n + i, n + (i + k) % n) for i in range(n)])
+
+
+def coxeter() -> Graph:
+    """egr(28, 3, 7, 4): the 3-subsets of 0..6 that are not lines of the
+    Fano plane, adjacent when disjoint."""
+    lines = {frozenset({i, (i + 1) % 7, (i + 3) % 7}) for i in range(7)}
+    verts = [set(t) for t in combinations(range(7), 3) if frozenset(t) not in lines]
+    return Graph.from_edges(len(verts), [(i, j) for i, j in combinations(range(len(verts)), 2) if not verts[i] & verts[j]])
 
 
 def truncated_tree(k: int, depth: int) -> Graph:

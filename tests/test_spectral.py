@@ -77,6 +77,31 @@ def test_moments_match_walk_oracle():
     assert dtypes == {np.float64, object}
 
 
+class _CountedProducts(np.ndarray):
+    """An adjacency matrix that counts the matrix products taken with it."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        type(self).products += 1
+        return super().__matmul__(other)
+
+
+def test_moments_form_only_the_powers_they_read(monkeypatch):
+    # one product for each of A**2 .. A**ceil(L/2): at an even last length
+    # L the moment reads A**(L/2) alone, so A**(L/2 + 1) is never formed
+    def counted(graphs, dtype):
+        return graph_core._adjacency(graphs, dtype).view(_CountedProducts)
+
+    monkeypatch.setattr(spectral, "_adjacency", counted)
+    G = petersen()
+    full = walk_moments(G, 10)
+    for L in range(11):
+        _CountedProducts.products = 0
+        assert walk_moments(G, L) == full[: L + 1]
+        assert _CountedProducts.products == max(0, (L + 1) // 2 - 1)
+
+
 def test_moment_dtype_follows_k_to_the_L(monkeypatch):
     # every count walk_moments forms is at most k**L, so float64 serves
     # while k**L <= 2**53 whatever n is: 10**15 < 2**53 < 10**16

@@ -1,0 +1,250 @@
+"""verify_many and the stacked walk pass against per-graph verification,
+networkx and the path-enumeration oracles."""
+
+from collections import Counter
+
+import networkx as nx
+import numpy as np
+import pytest
+
+from egrtools import graph_core
+from egrtools.constructions import (
+    build_biaffine,
+    complete_bipartite,
+    cycle_graph,
+    heawood,
+    hoffman_singleton,
+    petersen,
+    tutte_coxeter,
+)
+from egrtools.galois import GF
+from egrtools.graph_core import (
+    EgrSignature,
+    Graph,
+    NotEdgeGirthRegular,
+    _girth_walks,
+    _nb_walks,
+    _reach_and_parity,
+    verify_egr,
+    verify_many,
+)
+from oracles import complete, coxeter, degree_preserving_switch, edge_cycle_count_dfs, generalized_petersen
+
+
+def two_diamonds() -> Graph:
+    """A cubic graph on 10 vertices with girth 3: two K4 minus an edge,
+    joined through vertices 8 and 9; edge 8-9 lies on no triangle."""
+    diamond = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
+    edges = diamond + [(u + 4, v + 4) for u, v in diamond]
+    return Graph.from_edges(10, edges + [(0, 8), (4, 8), (3, 9), (7, 9), (8, 9)])
+
+
+def tied_degrees() -> Graph:
+    """Ten vertices of degree 9 and ten of degree 3."""
+    edges = [(i, j) for i in range(10) for j in range(i + 1, 10) if not (j == i + 1 and i % 2 == 0)]
+    edges += [(i, 10 + i) for i in range(10)] + [(10 + i, 10 + (i + 1) % 10) for i in range(10)]
+    return Graph.from_edges(20, edges)
+
+
+# the (10, 3) members reach their girths at lengths 3, 4, 5 and 4
+STACK_10_3 = {
+    "two_diamonds": two_diamonds,
+    "prism_5": lambda: generalized_petersen(5, 1),
+    "petersen": petersen,
+    "petersen_switch": lambda: degree_preserving_switch(petersen()),
+}
+
+MIXED = {
+    **STACK_10_3,
+    "K4": lambda: complete(4),
+    "K5": lambda: complete(5),
+    "K44": lambda: complete_bipartite(4),
+    "cube": lambda: generalized_petersen(4, 1),
+    "dodecahedron": lambda: generalized_petersen(10, 2),
+    "hoffman_singleton": hoffman_singleton,
+    "heawood": heawood,
+    "heawood_switch": lambda: degree_preserving_switch(heawood()),
+    "biaffine1_q3": lambda: build_biaffine(GF(3), 1),
+    "coxeter": coxeter,
+    "tutte_coxeter": tutte_coxeter,
+    "gp_24_5": lambda: generalized_petersen(24, 5),
+    "two_triangles": lambda: Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+    "isolated_0": lambda: Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+    "petersen_minus_edge": lambda: Graph.from_edges(10, petersen().edges()[1:]),
+    "tied_degrees": tied_degrees,
+    "cycle_8": lambda: cycle_graph(8),
+    "empty": lambda: Graph([]),
+    "one_vertex": lambda: Graph([[]]),
+}
+
+
+def verdict_key(verdict):
+    """Everything a verdict carries, for comparison."""
+    if isinstance(verdict, NotEdgeGirthRegular):
+        return ("not_egr", verdict.kind, repr(verdict.witness), str(verdict), verdict.details)
+    if isinstance(verdict, ValueError):
+        return ("error", str(verdict))
+    return ("egr", repr(verdict))
+
+
+def one_by_one(graphs):
+    """verify_egr on each graph, its exception taken as the verdict."""
+    verdicts = []
+    for G in graphs:
+        try:
+            verdicts.append(verify_egr(G))
+        except (NotEdgeGirthRegular, ValueError) as exc:
+            verdicts.append(exc)
+    return verdicts
+
+
+def oracle_verdict(G: Graph):
+    """The verdict from networkx and the DFS path counter alone."""
+    if G.n == 0:
+        return ("not_egr", "disconnected", "None")
+    H = nx.Graph()
+    H.add_nodes_from(range(G.n))
+    H.add_edges_from(G.edges())
+    unreached = set(H) - nx.node_connected_component(H, 0)
+    if unreached:
+        return ("not_egr", "disconnected", repr(min(unreached)))
+    degrees = [d for _, d in sorted(H.degree())]
+    k = min(Counter(degrees).items(), key=lambda item: (-item[1], item[0]))[0]
+    if any(d != k for d in degrees):
+        return ("not_egr", "not_regular", repr(next(v for v, d in enumerate(degrees) if d != k)))
+    if k < 3:
+        return ("not_egr", "degree_too_small", repr(k))
+    g = nx.girth(H)
+    counts = [edge_cycle_count_dfs(G, e, g) for e in G.edges()]
+    if len(set(counts)) > 1:
+        edge = next(e for e, c in zip(G.edges(), counts) if c != counts[0])
+        return ("not_egr", "nonuniform_cycle_counts", repr(edge), min(counts), max(counts))
+    return ("egr", EgrSignature(G.n, k, g, counts[0], nx.is_bipartite(H)))
+
+
+def brief(verdict):
+    """verdict_key cut down to what oracle_verdict states."""
+    if isinstance(verdict, NotEdgeGirthRegular):
+        extra = (verdict.details["min_count"], verdict.details["max_count"]) if verdict.details else ()
+        return ("not_egr", verdict.kind, repr(verdict.witness), *extra)
+    return ("egr", verdict)
+
+
+def test_verify_many_matches_per_graph_verification_and_oracles(monkeypatch):
+    graphs = [build() for build in MIXED.values()]
+    # lower the cap so that Hoffman-Singleton (n = 50) is over it
+    monkeypatch.setattr(graph_core, "MAX_VERIFY_VERTICES", 49)
+    together = verify_many(graphs)
+    assert [verdict_key(v) for v in together] == [verdict_key(v) for v in one_by_one(graphs)]
+    kinds = Counter(verdict_key(v)[1] if verdict_key(v)[0] == "not_egr" else verdict_key(v)[0] for v in together)
+    assert kinds == {
+        "egr": 11,
+        "nonuniform_cycle_counts": 4,
+        "disconnected": 3,
+        "not_regular": 2,
+        "degree_too_small": 2,
+        "error": 1,
+    }
+    assert {v.g for v in together if isinstance(v, EgrSignature)} == {3, 4, 5, 6, 7, 8}
+    for name, G, verdict in zip(MIXED, graphs, together):
+        if isinstance(verdict, ValueError):
+            assert name == "hoffman_singleton"
+            assert str(verdict) == "verification is capped at 49 vertices (got n = 50)"
+        else:
+            assert brief(verdict) == oracle_verdict(G), name
+    # the witnesses and counts are plain Python ints
+    for verdict in together:
+        if isinstance(verdict, NotEdgeGirthRegular):
+            w = verdict.witness
+            assert w is None or type(w) is int or all(type(x) is int for x in w)
+            assert all(type(c) is int for c in verdict.details.values())
+        elif isinstance(verdict, EgrSignature):
+            assert type(verdict.lam) is int and type(verdict.bipartite) is bool
+
+
+def test_stack_members_reach_their_girths_at_different_lengths():
+    graphs = [build() for build in STACK_10_3.values()]
+    found = _girth_walks(*graphs, beyond=1)
+    assert [g for g, _ in found] == [3, 4, 5, 4]
+    for G, (g, walks) in zip(graphs, found):
+        alone_g, alone = _girth_walks(G, beyond=1)[0]
+        assert alone_g == g and len(walks) == len(alone) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(walks, alone))
+    # one stacked product per step, each member's slice its own walk matrix
+    for _, stacked, *alone in zip(range(8), _nb_walks(*graphs), *(_nb_walks(G) for G in graphs)):
+        assert stacked.shape == (4, 10, 10)
+        assert all(np.array_equal(stacked[b], a[0]) for b, a in enumerate(alone))
+
+
+def test_a_forest_member_does_not_hold_up_the_stack():
+    path = Graph.from_edges(10, [(i, i + 1) for i in range(9)])
+    found = _girth_walks(path, cycle_graph(10), petersen(), beyond=1)
+    assert found[0] == (float("inf"), [])
+    assert [g for g, _ in found[1:]] == [10, 5]
+
+
+def test_stacked_python_int_path_matches_float64(monkeypatch):
+    # the stacked counterpart of the single-graph switch test: with the
+    # bound at 3 * 2**3, A_1..A_4 of a stack of cubic graphs are float64
+    # and A_5 on Python ints, with the same counts
+    graphs = [build() for build in STACK_10_3.values()]
+    exact = [w for _, w in zip(range(7), _nb_walks(*graphs))]
+    verdicts = [verdict_key(v) for v in verify_many(graphs)]
+    monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 3 * 2**3)
+    walks = [w for _, w in zip(range(7), _nb_walks(*graphs))]
+    assert [w.dtype for w in walks] == [np.float64] * 4 + [np.dtype(object)] * 3
+    assert all(type(x) is int for x in walks[4].flat)
+    for got, want in zip(walks, exact):
+        assert got.tolist() == want.astype(np.int64).tolist()
+    # a bound of 1 runs every step in Python ints; the verdicts stay the same
+    monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 1)
+    walks = _nb_walks(*graphs)
+    assert next(walks).dtype == np.float64 and next(walks).dtype == object
+    assert [verdict_key(v) for v in verify_many(graphs)] == verdicts
+
+
+@pytest.mark.parametrize("cells, sizes", [(2**18, [4]), (250, [2, 2]), (99, [1, 1, 1, 1])])
+def test_stacks_are_capped_by_cell_count(cells, sizes, monkeypatch):
+    graphs = [build() for build in STACK_10_3.values()] + [complete(4), generalized_petersen(10, 2)]
+    expected = [verdict_key(v) for v in one_by_one(graphs)]
+    seen = []
+
+    def recorded(*members, **kwargs):
+        seen.append(len(members))
+        return _girth_walks(*members, **kwargs)
+
+    monkeypatch.setattr(graph_core, "MAX_STACK_CELLS", cells)
+    monkeypatch.setattr(graph_core, "_girth_walks", recorded)
+    assert [verdict_key(v) for v in verify_many(graphs)] == expected
+    # K4 and the dodecahedron are alone in their (n, k) groups
+    assert sorted(seen) == sorted(sizes + [1, 1])
+
+
+def test_union_bfs_matches_networkx():
+    graphs = [
+        Graph([]),
+        Graph([[]]),
+        Graph.from_edges(3, []),
+        Graph.from_edges(4, [(1, 2), (2, 3), (1, 3)]),
+        Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)]),
+        cycle_graph(7),
+        cycle_graph(8),
+        petersen(),
+        heawood(),
+        Graph.from_edges(9, [(0, 1), (1, 2), (2, 0), (5, 6), (7, 8)]),
+        Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        Graph.from_edges(7, [(0, 1), (0, 2), (1, 3), (2, 3), (4, 5), (5, 6), (4, 6)]),
+    ]
+    unreached, bipartite = _reach_and_parity(graphs)
+    for G, v, bip in zip(graphs, unreached, bipartite):
+        if G.n == 0:
+            assert (v, bip) == (None, True)
+            continue
+        H = nx.Graph()
+        H.add_nodes_from(range(G.n))
+        H.add_edges_from(G.edges())
+        component = nx.node_connected_component(H, 0)
+        missing = sorted(set(H) - component)
+        assert v == (missing[0] if missing else None)
+        assert bip == nx.is_bipartite(H.subgraph(component))
+        assert v is None or type(v) is int
