@@ -1,7 +1,8 @@
 """Command-line front end: construct, verify, bounds, report.
 
 Exit codes: 0 success (or verified egr), 1 verified-not-egr, 2 usage or
-input error (a graph over the verify or report vertex cap included), 3
+input error (a graph over the verify or report vertex cap, or an --out
+path that cannot be written, included), 3
 internal inconsistency (a construction failed its own verification, a
 spectrum failed its exact moment check, or the float tight-spectrum
 verdict disagreed with its exact incidence identity).  A stream verify
@@ -119,18 +120,6 @@ def _bounds_json(rep) -> dict:
     }
 
 
-def _labels_json(G: Graph):
-    if G.labels is None:
-        return None
-
-    def clean(x):
-        if isinstance(x, tuple):
-            return [clean(y) for y in x]
-        return x
-
-    return [clean(lbl) for lbl in G.labels]
-
-
 def _report_skeleton(argv) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -140,11 +129,20 @@ def _report_skeleton(argv) -> dict:
     }
 
 
+def _write(path: str, text: str) -> None:
+    """Write ``text`` and a newline to ``path``; UsageError when the path
+    cannot be written."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _emit(doc: dict, out_path: str | None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        _write(out_path, text)
     else:
         print(text)
 
@@ -159,27 +157,22 @@ def cmd_construct(args, argv) -> int:
     except ValueError as exc:  # over the verify vertex cap
         raise UsageError(str(exc)) from None
     if args.format == "graph6":
-        payload = graph6_encode(G)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload + "\n")
+        graph = graph6_encode(G)
     else:
-        doc = {
+        graph = {
             "schema_version": SCHEMA_VERSION,
             "family": args.family,
             "q": args.q,
             "name": args.name,
             "signature": _signature_json(sig),
             "adjacency": G.adj,
-            "labels": _labels_json(G),
+            "labels": G.labels,
         }
-        payload = json.dumps(doc, indent=2, sort_keys=True)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload + "\n")
     summary = {"signature": _signature_json(sig)}
-    if not args.out:
-        summary["graph"] = payload if args.format == "graph6" else json.loads(payload)
+    if args.out:
+        _write(args.out, graph if args.format == "graph6" else json.dumps(graph, indent=2, sort_keys=True))
+    else:
+        summary["graph"] = graph
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
 

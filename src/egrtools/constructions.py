@@ -9,7 +9,6 @@ two runs produce identical adjacency lists.
 from __future__ import annotations
 
 import re
-from itertools import chain
 
 import numpy as np
 
@@ -46,25 +45,23 @@ def check_order(family: str, q: int) -> None:
         )
 
 
-def levi_graph(geom: IncidenceGeometry, keep_points=None, keep_blocks=None,
-               point_label="point", block_label="line") -> Graph:
-    """Bipartite incidence graph of a geometry, optionally restricted to a
-    subset of points/blocks.  Point vertices come first and carry their
-    coordinates as labels; block vertices carry their point-coordinate
-    tuples."""
-    pts = sorted(keep_points) if keep_points is not None else list(range(geom.n_points))
-    blks = sorted(keep_blocks) if keep_blocks is not None else list(range(geom.n_blocks))
-    labels = [(point_label, geom.points[p]) for p in pts]
-    labels += [(block_label, tuple(geom.points[p] for p in geom.blocks[b])) for b in blks]
+def levi_graph(geom: IncidenceGeometry, keep_points=None, keep_blocks=None) -> Graph:
+    """Bipartite incidence graph of a geometry, optionally restricted by
+    boolean masks over its points and blocks (None keeps all).  Point
+    vertices come first and carry their coordinates as labels; block
+    vertices carry their point-coordinate tuples."""
+    pts = np.arange(geom.n_points) if keep_points is None else np.arange(geom.n_points)[keep_points]
+    rows = geom.blocks if keep_blocks is None else geom.blocks[keep_blocks]
     # one (point vertex, block vertex) pair per incidence; -1 marks a point not kept
     vertex_of = np.full(geom.n_points, -1, dtype=np.int64)
     vertex_of[pts] = np.arange(len(pts))
-    sizes = np.fromiter((len(geom.blocks[b]) for b in blks), dtype=np.int64, count=len(blks))
-    members = np.fromiter(chain.from_iterable(geom.blocks[b] for b in blks), dtype=np.int64)
-    left = vertex_of[members]
-    right = np.repeat(np.arange(len(pts), len(pts) + len(blks)), sizes)
+    left = vertex_of[rows]
+    right = np.broadcast_to(np.arange(len(pts), len(pts) + len(rows))[:, None], left.shape)
     kept = left >= 0
-    return Graph.from_edges(len(pts) + len(blks), np.stack((left[kept], right[kept]), axis=1), labels)
+    coords = geom.points
+    labels = [("point", coords[p]) for p in pts.tolist()]
+    labels += [("line", tuple(map(coords.__getitem__, row))) for row in rows.tolist()]
+    return Graph.from_edges(len(pts) + len(rows), np.stack((left[kept], right[kept]), axis=1), labels)
 
 
 def build_biaffine(F: Field, kind: int) -> Graph:
@@ -82,15 +79,14 @@ def build_biaffine(F: Field, kind: int) -> Graph:
     check_order(f"biaffine{kind}", F.q)
     geom = pg2_geometry(F)
     P = 0
-    want = kind == 1
-    ell = next(b for b, blk in enumerate(geom.blocks) if (P in blk) == want)
-    dead_points = {P} | set(geom.blocks[ell])
-    dead_blocks = {ell} | {b for b, blk in enumerate(geom.blocks) if P in blk}
-    return levi_graph(
-        geom,
-        keep_points=[p for p in range(geom.n_points) if p not in dead_points],
-        keep_blocks=[b for b in range(geom.n_blocks) if b not in dead_blocks],
-    )
+    on_P = (geom.blocks == P).any(axis=1)
+    # the first line through P for kind 1, the first line missing P for kind 2
+    ell = int(np.argmax(on_P == (kind == 1)))
+    keep_points = np.ones(geom.n_points, dtype=bool)
+    keep_points[P] = keep_points[geom.blocks[ell]] = False
+    keep_blocks = ~on_P
+    keep_blocks[ell] = False
+    return levi_graph(geom, keep_points, keep_blocks)
 
 
 def build_gq_truncation(F: Field) -> Graph:
@@ -107,15 +103,12 @@ def build_gq_truncation(F: Field) -> Graph:
     geom = symplectic_gq(F)
     through = geom.blocks_through()
     P = 0
-    lines_at_P = through[P]
-    e0 = min(lines_at_P)
-    dead_points = {pt for b in lines_at_P for pt in geom.blocks[b]}
-    dead_blocks = {b for pt in geom.blocks[e0] for b in through[pt]}
-    return levi_graph(
-        geom,
-        keep_points=[p for p in range(geom.n_points) if p not in dead_points],
-        keep_blocks=[b for b in range(geom.n_blocks) if b not in dead_blocks],
-    )
+    e0 = through[P, 0]
+    keep_points = np.ones(geom.n_points, dtype=bool)
+    keep_points[geom.blocks[through[P]]] = False
+    keep_blocks = np.ones(geom.n_blocks, dtype=bool)
+    keep_blocks[through[geom.blocks[e0]]] = False
+    return levi_graph(geom, keep_points, keep_blocks)
 
 
 def build_ovoid_spread(F: Field) -> Graph:
@@ -133,11 +126,11 @@ def build_ovoid_spread(F: Field) -> Graph:
     spread = spread_search(geom)
     if spread is None:
         raise ValueError(f"no spread found in W({F.q})")
-    return levi_graph(
-        geom,
-        keep_points=[p for p in range(geom.n_points) if p not in set(ovoid)],
-        keep_blocks=[b for b in range(geom.n_blocks) if b not in set(spread)],
-    )
+    keep_points = np.ones(geom.n_points, dtype=bool)
+    keep_points[list(ovoid)] = False
+    keep_blocks = np.ones(geom.n_blocks, dtype=bool)
+    keep_blocks[list(spread)] = False
+    return levi_graph(geom, keep_points, keep_blocks)
 
 
 def build_pencil_graph(F: Field) -> Graph:

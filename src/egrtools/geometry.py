@@ -22,6 +22,11 @@ the field's numpy add/mul tables.
   tangent planes, plane point sets, the pencil's cap check and the
   pencil graph's edges.
 
+An ``IncidenceGeometry`` holds its blocks as one read-only
+(blocks x (q+1)) int64 array of point indices, a sorted row per block;
+``blocks_through()`` is its inverse, a (points x (q+1)) array of block
+indices.  Builders index and mask these arrays directly.
+
 A dense incidence array is never allocated past ``MAX_INCIDENCE_CELLS``
 entries; larger requests raise ValueError.  Block and point indices are
 reproducible: every enumeration is in lexicographic order.
@@ -141,19 +146,20 @@ def plane_incidence(F: Field) -> np.ndarray:
     return inc
 
 
-@dataclass(frozen=True)
+# eq=False: numpy compares the blocks arrays entrywise, so field-wise == and
+# hash do not apply; geometries compare by identity.
+@dataclass(frozen=True, eq=False)
 class IncidenceGeometry:
     """Point-block incidence structure with indexed points and blocks.
 
     points: canonical coordinate tuples, lexicographically sorted.
-    blocks: sorted tuples of point indices, lexicographically sorted.
-    block_coords: for PG(2,q), the dual coordinates of each line (None
-        for geometries whose blocks are not hyperplanes).
+    blocks: read-only (blocks x (q+1)) int64 array; row b holds the point
+        indices of block b in ascending order, and the rows are sorted
+        lexicographically.
     """
 
     points: tuple[tuple[int, ...], ...]
-    blocks: tuple[tuple[int, ...], ...]
-    block_coords: tuple[tuple[int, ...], ...] | None = None
+    blocks: np.ndarray
 
     @property
     def n_points(self) -> int:
@@ -163,13 +169,12 @@ class IncidenceGeometry:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    def blocks_through(self) -> list[list[int]]:
-        """For each point index, the indices of blocks containing it."""
-        through = [[] for _ in self.points]
-        for b, blk in enumerate(self.blocks):
-            for p in blk:
-                through[p].append(b)
-        return through
+    def blocks_through(self) -> np.ndarray:
+        """(points x (q+1)) array: row p holds the indices of the blocks
+        through point p in ascending order.  Every point must lie on the
+        same number of blocks, as in PG(2,q) and W(q)."""
+        order = np.argsort(self.blocks, axis=None, kind="stable")
+        return (order // self.blocks.shape[1]).reshape(self.n_points, -1)
 
 
 @lru_cache(maxsize=None)
@@ -178,13 +183,9 @@ def pg2_geometry(F: Field) -> IncidenceGeometry:
     sum(a_i x_i) = 0."""
     pts = point_array(2, F)
     blocks = _rows(incidence(F, pts, pts), F.q + 1)
-    order = np.lexsort(blocks.T[::-1])
-    points = pg_points(2, F)
-    return IncidenceGeometry(
-        points=points,
-        blocks=tuple(map(tuple, blocks[order].tolist())),
-        block_coords=tuple(points[i] for i in order.tolist()),
-    )
+    blocks = blocks[np.lexsort(blocks.T[::-1])]
+    blocks.setflags(write=False)
+    return IncidenceGeometry(points=pg_points(2, F), blocks=blocks)
 
 
 @lru_cache(maxsize=None)
@@ -217,7 +218,9 @@ def symplectic_gq(F: Field) -> IncidenceGeometry:
                 through[z].append(line)
     if len(lines) != (q + 1) * (q * q + 1) or any(len(line) != q + 1 for line in lines):
         raise ArithmeticError("W(q) line count mismatch; symplectic form implementation is broken")
-    return IncidenceGeometry(points=pg_points(3, F), blocks=tuple(map(tuple, np.array(lines).tolist())))
+    blocks = np.array(lines, dtype=np.int64)
+    blocks.setflags(write=False)
+    return IncidenceGeometry(points=pg_points(3, F), blocks=blocks)
 
 
 @lru_cache(maxsize=None)
@@ -323,7 +326,7 @@ def plane_points(F: Field, dual) -> tuple[int, ...]:
 
 
 def _gq_order(G: IncidenceGeometry) -> int:
-    return len(G.blocks[0]) - 1
+    return G.blocks.shape[1] - 1
 
 
 def _first_cover_solution(n_items: int, compat: list[int], target: int, cover_masks: list[int]):
@@ -373,14 +376,15 @@ def ovoid_search(G: IncidenceGeometry):
     search finds none (e.g. W(q) for odd q)."""
     q = _gq_order(G)
     n = G.n_points
+    blocks = G.blocks.tolist()
     collinear = [0] * n
-    for blk in G.blocks:
+    for blk in blocks:
         for a, b in combinations(blk, 2):
             collinear[a] |= 1 << b
             collinear[b] |= 1 << a
     full = (1 << n) - 1
     compat = [full & ~(collinear[v] | (1 << v)) for v in range(n)]
-    line_masks = [sum(1 << p for p in blk) for blk in G.blocks]
+    line_masks = [sum(1 << p for p in blk) for blk in blocks]
     return _first_cover_solution(n, compat, q * q + 1, line_masks)
 
 
@@ -390,10 +394,7 @@ def spread_search(G: IncidenceGeometry):
     q = _gq_order(G)
     m = G.n_blocks
     meets = [0] * m
-    through = [[] for _ in range(G.n_points)]
-    for b, blk in enumerate(G.blocks):
-        for p in blk:
-            through[p].append(b)
+    through = G.blocks_through().tolist()
     for lines in through:
         for a, b in combinations(lines, 2):
             meets[a] |= 1 << b

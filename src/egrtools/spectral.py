@@ -81,14 +81,22 @@ def walk_moments(G: Graph, L: int) -> list[int]:
     return moments
 
 
+def _returns(s: int, j: int) -> int:
+    """Dyck paths of 2s steps (s >= 1) that return to zero j times
+    (1 <= j <= s): the ballot number j/(2s-j) * binom(2s-j, s)."""
+    return j * math.comb(2 * s - j, s) // (2 * s - j)
+
+
 def tree_walk_count(length: int, k: int) -> int:
     """Closed walks of the given length from a vertex of the infinite
     k-regular tree (equivalently: cycle-free closed walks in any
     k-regular graph, for lengths below the girth).  Zero for odd lengths.
 
-    Dynamic program over the distance from the root: stepping away has
-    multiplicity k at the root and k-1 elsewhere, stepping back has
-    multiplicity 1.
+    A closed walk of 2s steps records its distance from the root as a
+    Dyck path.  Each of its s steps away has k choices at the root and
+    k-1 elsewhere, and a path returning to the root j times takes j of
+    them at the root, so
+    c(2s, k) = sum_j j/(2s-j) binom(2s-j, s) k^j (k-1)^(s-j), j = 1..s.
     """
     if length < 0:
         raise ValueError("walk length must be nonnegative")
@@ -96,15 +104,10 @@ def tree_walk_count(length: int, k: int) -> int:
         raise ValueError("tree walks need degree k >= 2")
     if length % 2:
         return 0
-    ways = {0: 1}
-    for _ in range(length):
-        nxt: dict[int, int] = {}
-        for d, c in ways.items():
-            nxt[d + 1] = nxt.get(d + 1, 0) + c * (k if d == 0 else k - 1)
-            if d > 0:
-                nxt[d - 1] = nxt.get(d - 1, 0) + c
-        ways = nxt
-    return ways.get(0, 0)
+    s = length // 2
+    if s == 0:
+        return 1
+    return sum(_returns(s, j) * k**j * (k - 1) ** (s - j) for j in range(1, s + 1))
 
 
 def catalan(s: int) -> int:
@@ -116,34 +119,20 @@ def catalan(s: int) -> int:
 
 def tree_walk_polynomial(length: int) -> list[int]:
     """Coefficients (ascending in k) of the closed tree-walk count as a
-    polynomial in the degree k; exact integers via Lagrange interpolation
-    on length//2 + 1 sample points.  The leading coefficient is the
-    Catalan number C_{length//2}."""
+    polynomial in the degree k: the sum of ``tree_walk_count`` with each
+    (k-1)^(s-j) expanded binomially.  The leading coefficient is the
+    Catalan number C_{length//2}, the number of Dyck paths."""
     if length % 2:
         raise ValueError("odd walk lengths count zero walks; no polynomial")
     s = length // 2
-    xs = list(range(2, 2 + s + 1))
-    ys = [tree_walk_count(length, k) for k in xs]
-    coeffs = [Fraction(0)] * (s + 1)
-    for i, xi in enumerate(xs):
-        # Lagrange basis polynomial for xi, expanded to coefficients
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = [Fraction(0)] + basis  # multiply by k
-            for t in range(len(basis) - 1):
-                basis[t] -= xj * basis[t + 1]
-            denom *= xi - xj
-        for t in range(len(basis)):
-            coeffs[t] += ys[i] * basis[t] / denom
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError("interpolated tree-walk polynomial is not integral")
-        out.append(int(c))
-    return out
+    if s == 0:
+        return [1]
+    coeffs = [0] * (s + 1)
+    for j in range(1, s + 1):
+        m = s - j
+        for i in range(m + 1):  # k^j * binom(m, i) k^i (-1)^(m-i)
+            coeffs[j + i] += (-1) ** (m - i) * _returns(s, j) * math.comb(m, i)
+    return coeffs
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,24 @@ def closed_walks_at_root(G: Graph, root: int, length: int) -> int:
     return x[root]
 
 
+def tree_walk_counts(L: int, k: int) -> list[int]:
+    """Closed walks of lengths 0..L from the root of the infinite k-regular
+    tree, by a dynamic program over the distance from the root: stepping
+    away has multiplicity k at the root and k-1 elsewhere, stepping back
+    has multiplicity 1."""
+    counts = [1]
+    ways = {0: 1}
+    for _ in range(L):
+        nxt: dict[int, int] = {}
+        for d, c in ways.items():
+            nxt[d + 1] = nxt.get(d + 1, 0) + c * (k if d == 0 else k - 1)
+            if d > 0:
+                nxt[d - 1] = nxt.get(d - 1, 0) + c
+        ways = nxt
+        counts.append(ways.get(0, 0))
+    return counts
+
+
 def dot(F, a, x) -> int:
     """Bilinear form sum(a_i * x_i) in F, one scalar operation at a time."""
     s = 0

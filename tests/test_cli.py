@@ -279,3 +279,23 @@ def test_report_prints_zero_eigenvalues_unsigned(capsys, argv):
     values = [spectrum["min"], spectrum["max"]] + [v for v, _ in spectrum["multiplicities"]]
     zeros = [v for v in values if v == 0]
     assert zeros and all(math.copysign(1.0, v) == 1.0 for v in zeros)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--family", "named", "--name", "petersen"],
+        ["construct", "--family", "named", "--name", "petersen", "--format", "json"],
+        ["verify", "petersen.g6"],
+        ["bounds", "-k", "3", "-g", "5", "-l", "4"],
+        ["report", "--family", "named", "--name", "petersen"],
+    ],
+    ids=["construct-graph6", "construct-json", "verify", "bounds", "report"],
+)
+def test_unwritable_out_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "petersen.g6").write_text(graph6_encode(petersen()) + "\n")
+    code, out, err = run(capsys, *argv, "--out", "missing/x.json")
+    assert code == EXIT_USAGE
+    assert _one_error_line(err, "cannot write missing/x.json")
+    assert out == "" and "Traceback" not in err and not (tmp_path / "missing").exists()

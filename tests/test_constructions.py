@@ -1,4 +1,6 @@
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -250,3 +252,17 @@ def test_size_cap_rejects_next_q_before_building(family):
     with pytest.raises(ValueError, match="capped"):
         BUILDERS[family](GF(*prime_power(q)))
     assert [c.cache_info().misses for c in caches] == misses
+
+
+# sha256 of repr(G.adj), repr(G.labels) and graph6_encode(G) of each Levi
+# graph, keyed "family/q" or by name, recorded while geometry blocks were
+# still tuples of tuples.
+LEVI_PINS = json.loads((Path(__file__).parent / "data" / "levi_pins.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(LEVI_PINS))
+def test_levi_graphs_match_tuple_block_record(key):
+    family, _, q = key.partition("/")
+    G = BUILDERS[family](GF(*prime_power(int(q)))) if q else named_graph(family)
+    got = {"adj": repr(G.adj), "labels": repr(G.labels), "graph6": graph6_encode(G)}
+    assert {k: _sha256(v) for k, v in got.items()} == LEVI_PINS[key]

@@ -73,6 +73,21 @@ def test_symplectic_gq_counts(q):
     assert all(len(t) == q + 1 for t in through)
 
 
+@pytest.mark.parametrize("name,q", [("pg2", 2), ("pg2", 3), ("pg2", 4), ("pg2", 5), ("w", 2), ("w", 3), ("w", 4)])
+def test_blocks_array_and_blocks_through_match_scan(name, q):
+    geom = (pg2_geometry if name == "pg2" else symplectic_gq)(FIELDS[q])
+    blocks = geom.blocks
+    assert isinstance(blocks, np.ndarray) and blocks.dtype == np.int64
+    assert blocks.shape == (geom.n_blocks, q + 1)
+    assert not blocks.flags.writeable
+    with pytest.raises(ValueError):
+        blocks[0, 0] = 1
+    rows = blocks.tolist()
+    assert rows == sorted(rows) and all(row == sorted(row) for row in rows)
+    through = geom.blocks_through()
+    assert through.tolist() == [[b for b, row in enumerate(rows) if p in row] for p in range(geom.n_points)]
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_gq_unique_trace_axiom(q):
     geom = symplectic_gq(FIELDS[q])
@@ -235,7 +250,7 @@ def test_symplectic_lines_match_pairwise_scan(q):
         for x, y in combinations(pts, 2)
         if form(x, y) == 0
     }
-    assert symplectic_gq(F).blocks == tuple(sorted(lines))
+    assert symplectic_gq(F).blocks.tolist() == [list(line) for line in sorted(lines)]
 
 
 def test_collinear_triples_match_brute_force():

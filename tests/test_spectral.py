@@ -27,7 +27,7 @@ from egrtools.spectral import (
     tree_walk_polynomial,
     walk_moments,
 )
-from oracles import closed_walks_at_root, degree_preserving_switch, truncated_tree
+from oracles import closed_walks_at_root, degree_preserving_switch, tree_walk_counts, truncated_tree
 
 # closed-walk polynomials in the degree k, as printed lists of coefficients
 PRINTED_POLYS = {
@@ -149,6 +149,14 @@ def test_tree_walks_against_explicit_tree():
         for length in (2, 4, 6, 8):
             T = truncated_tree(k, depth=length // 2)
             assert tree_walk_count(length, k) == closed_walks_at_root(T, 0, length)
+
+
+def test_tree_walk_closed_form_matches_distance_dp():
+    for k in range(2, 40):
+        dp = tree_walk_counts(40, k)
+        assert [tree_walk_count(length, k) for length in range(41)] == dp
+        for length in range(0, 41, 2):
+            assert sum(c * k**t for t, c in enumerate(tree_walk_polynomial(length))) == dp[length]
 
 
 def test_tree_walk_polynomial_coefficients():
