@@ -8,9 +8,10 @@ spectrum failed its exact moment check, or the float tight-spectrum
 verdict disagreed with its exact incidence identity).  A stream verify
 reports each malformed or oversized line and goes on; it exits with the
 largest code of any line.  It works on blocks of STREAM_BLOCK_LINES input
-lines: it decodes each line of a block, verifies the block's graphs with
-one ``verify_many`` call, and writes the block's records in line order
-with one write and a flush, the same bytes a line at a time would print.
+lines: it decodes a block's lines with one ``graph6_decode_many`` call,
+verifies its graphs with one ``verify_many`` call, and writes the block's
+records in line order with one write and a flush, to stdout or the --out
+file, the same bytes a line at a time would print.
 Reports are JSON with a frozen field layout (schema_version 1); rationals
 are emitted as {num, den, decimal}, never as bare floats.
 """
@@ -42,6 +43,7 @@ from .graph_core import (
     Graph6Error,
     NotEdgeGirthRegular,
     graph6_decode,
+    graph6_decode_many,
     graph6_encode,
     verify_egr,
     verify_many,
@@ -191,39 +193,52 @@ def _record(verdict) -> tuple[int, dict]:
 
 def _verify_block(lines: list[str], first: int) -> tuple[int, str]:
     """The largest exit code and the output text of a block of stream lines,
-    the first of them line number ``first``: every line is decoded, a
-    malformed one giving its own error record, and the graphs are verified
-    in one ``verify_many`` call; blank lines give no record."""
-    records, graphs = [], []
-    for lineno, line in enumerate(lines, start=first):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            graphs.append(graph6_decode(line))
-            records.append((lineno, None))
-        except ValueError as exc:  # malformed graph6
-            records.append((lineno, (EXIT_USAGE, {"error": str(exc)})))
-    verdicts = iter(verify_many(graphs))
+    the first of them line number ``first``: the lines are decoded with one
+    ``graph6_decode_many`` call, a malformed one giving its own error
+    record, and the graphs are verified in one ``verify_many`` call; blank
+    lines give no record."""
+    numbered = [(lineno, line) for lineno, line in enumerate(lines, start=first) if line.strip()]
+    decoded = graph6_decode_many([line for _, line in numbered])
+    verdicts = iter(verify_many([G for G in decoded if isinstance(G, Graph)]))
     worst, out = EXIT_OK, []
-    for lineno, decoded in records:
-        code, result = decoded or _record(next(verdicts))
+    for (lineno, _), G in zip(numbered, decoded):
+        if isinstance(G, Graph6Error):
+            code, result = EXIT_USAGE, {"error": str(G)}
+        else:
+            code, result = _record(next(verdicts))
         result["line"] = lineno
         out.append(json.dumps(result, sort_keys=True) + "\n")
         worst = max(worst, code)
     return worst, "".join(out)
 
 
+def _verify_stream(out) -> int:
+    """Verify stdin a block at a time, writing each block's records to
+    ``out`` with one write and a flush; the largest exit code of any line."""
+    worst, first = EXIT_OK, 1
+    while lines := list(islice(sys.stdin, STREAM_BLOCK_LINES)):
+        code, text = _verify_block(lines, first)
+        out.write(text)
+        out.flush()
+        worst, first = max(worst, code), first + len(lines)
+    return worst
+
+
 def cmd_verify(args, argv) -> int:
+    if args.path and args.stdin_g6_stream:
+        raise UsageError("give a path or --stdin-g6-stream, not both")
+    if not args.path and not args.stdin_g6_stream:
+        raise UsageError("verify needs a path or --stdin-g6-stream")
     doc = _report_skeleton(argv)
     if args.stdin_g6_stream:
-        worst, first = EXIT_OK, 1
-        while lines := list(islice(sys.stdin, STREAM_BLOCK_LINES)):
-            code, text = _verify_block(lines, first)
-            sys.stdout.write(text)
-            sys.stdout.flush()
-            worst, first = max(worst, code), first + len(lines)
-        return worst
+        if not args.out:
+            return _verify_stream(sys.stdout)
+        try:
+            fh = open(args.out, "w")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror}") from None
+        with fh:
+            return _verify_stream(fh)
     try:
         with open(args.path) as fh:
             text = fh.read()
@@ -359,9 +374,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if args.command == "verify" and not args.stdin_g6_stream and not args.path:
-        print("verify needs a path or --stdin-g6-stream", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.fn(args, ["egrtools"] + argv)
     except UsageError as exc:

@@ -39,6 +39,21 @@ A_{l-1}, at most N_{l-1}) and A_{l-1}(D - I) (each walk it counts extends
 in deg - 1 ways, at most N_l).  So that step runs in float64 while
 k * max(k-1, 1)**(l-1) <= 2**53; the max covers k = 1, where A A forms ones.
 A stack takes the rule once, with k its largest degree.
+
+graph6 (McKay's format) stores the upper triangle column by column, six
+bits to a printable byte, so bit i of a body is always the same pair
+u < v.  ``graph6_decode_many`` decodes a block of lines, and
+``graph6_decode(text)`` is that block decoder on one line.  Each line
+takes only the checks in O(1) Python steps (header, ASCII, byte range
+63..126, body length, padding, each with its byte offset); the valid
+bodies are grouped by vertex count n, and each group takes one numpy
+pass: its set bits map to pairs through the cached column starts, both
+orientations of every pair of graph b become codes (b*n + u)*n + v, one
+sort orders them, and one bincount splits them into the graphs' CSR
+arrays.  The pass reads a group MAX_DECODE_BYTES bytes at a time and
+unpacks only the nonzero ones, so it never holds more than
+8 * MAX_DECODE_BYTES bytes of bits (512 KiB), and its peak, besides the
+graphs it returns, stays near the size of the input.
 """
 
 from __future__ import annotations
@@ -110,7 +125,7 @@ class Graph:
             and np.array_equal(codes, np.sort(indices * n + rows))
         ):
             raise ValueError(_first_fault(n, rows, cols))
-        self._store(deg, indices, labels)
+        self._store(*_csr(n, 1, codes)[0], labels)
 
     @classmethod
     def from_edges(cls, n: int, edges, labels=None) -> "Graph":
@@ -132,19 +147,13 @@ class Graph:
         # loop shows up as a repeated code, like a repeated edge
         if not _distinct(codes):
             raise ValueError(_first_fault(n, rows, cols))
-        rows, indices = np.divmod(codes, n)
         G = cls.__new__(cls)
-        G._store(np.bincount(rows, minlength=n), indices, labels)
+        G._store(*_csr(n, 1, codes)[0], labels)
         return G
 
-    def _store(self, deg, indices, labels) -> None:
-        n = len(deg)
-        if labels is not None and len(labels) != n:
+    def _store(self, indptr, indices, deg, labels) -> None:
+        if labels is not None and len(labels) != len(deg):
             raise ValueError("labels length must equal vertex count")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.accumulate(deg, out=indptr[1:])
-        for a in (indptr, indices, deg):
-            a.setflags(write=False)
         self.indptr, self.indices, self.deg = indptr, indices, deg
         self.labels = list(labels) if labels is not None else None
         self._adj = None
@@ -205,6 +214,21 @@ def _in_range(a: np.ndarray, n: int) -> bool:
 def _distinct(codes: np.ndarray) -> bool:
     """Whether the sorted array ``codes`` holds no value twice."""
     return not (codes[1:] == codes[:-1]).any()
+
+
+def _csr(n: int, count: int, codes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The CSR arrays (indptr, indices, deg) of ``count`` graphs on n
+    vertices, from the sorted codes (b*n + u)*n + v of their adjacency
+    entries, entry v of row u of graph b.  The arrays are read-only views
+    into arrays shared by the ``count`` graphs."""
+    rows, indices = np.divmod(codes, n)
+    deg = np.bincount(rows, minlength=count * n).reshape(count, n)
+    indptr = np.zeros((count, n + 1), dtype=np.int64)
+    np.add.accumulate(deg, axis=1, out=indptr[:, 1:])
+    for a in (indptr, indices, deg):
+        a.setflags(write=False)
+    ends = indptr[:, -1].cumsum().tolist()
+    return [(p, indices[a:b], d) for p, d, a, b in zip(indptr, deg, [0] + ends, ends)]
 
 
 def _first_fault(n: int, rows: np.ndarray, cols: np.ndarray) -> str:
@@ -666,6 +690,11 @@ def verify_egr(G: Graph) -> EgrSignature:
 
 GRAPH6_MAX_N = 10**6  # practical cap; the format itself allows 2^36 - 1
 _G6_HEADER = ">>graph6<<"
+_G6_BYTES = bytes(range(63, 127))
+
+# The most graph6 bytes a decode pass unpacks at a time, one byte per bit:
+# 512 KiB of bits, whatever the line lengths and the number of lines.
+MAX_DECODE_BYTES = 2**16
 
 
 class Graph6Error(ValueError):
@@ -710,7 +739,44 @@ def graph6_encode(G: Graph) -> str:
 
 def graph6_decode(text: str) -> Graph:
     """Decode a graph6 string (optional '>>graph6<<' header allowed).
-    Raises Graph6Error with a byte offset on malformed input."""
+    Raises Graph6Error with a byte offset on malformed input.  This is
+    ``graph6_decode_many([text])``."""
+    result = graph6_decode_many([text])[0]
+    if isinstance(result, Graph6Error):
+        raise result
+    return result
+
+
+def graph6_decode_many(texts) -> list:
+    """Decode each of the graph6 strings ``texts`` as ``graph6_decode``
+    does, and return for each, in order, its Graph or the Graph6Error
+    that ``graph6_decode`` would raise.
+
+    Each string takes only the checks of ``_graph6_body``; the bodies that
+    pass are grouped by vertex count n, and each group is decoded in one
+    pass (``_decode_group``)."""
+    results: list = []
+    groups: dict[int, tuple[bytearray, list[int]]] = {}
+    for i, text in enumerate(texts):
+        try:
+            n, body = _graph6_body(text)
+        except Graph6Error as exc:
+            results.append(exc)
+            continue
+        buf, members = groups.setdefault(n, (bytearray(), []))
+        buf += body
+        members.append(i)
+        results.append(None)
+    for n, (buf, members) in groups.items():
+        for i, G in zip(members, _decode_group(n, len(members), buf)):
+            results[i] = G
+    return results
+
+
+def _graph6_body(text: str) -> tuple[int, memoryview]:
+    """The vertex count n and the adjacency bytes of one graph6 string,
+    which must be (n(n-1)/2 + 5) // 6 bytes in 63..126 whose padding bits
+    are zero; raises Graph6Error with a byte offset on malformed input."""
     s = text.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER) :]
@@ -720,11 +786,10 @@ def graph6_decode(text: str) -> Graph:
         raise Graph6Error("non-ASCII byte in graph6 input", exc.start) from None
     if not data:
         raise Graph6Error("empty graph6 input", 0)
-    # the six data bits of each byte; a byte outside 63..126 wraps past 63
-    six = np.frombuffer(data, dtype=np.uint8) - 63
-    if six.max() > 63:
-        off = int(np.flatnonzero(six > 63)[0])
-        raise Graph6Error(f"byte {data[off]!r} outside graph6 range 63..126", off)
+    bad = data.translate(None, _G6_BYTES)
+    if bad:
+        # every occurrence of bad[0] is out of range, so the first is the first fault
+        raise Graph6Error(f"byte {bad[0]!r} outside graph6 range 63..126", data.index(bad[0]))
     pos = 0
     if data[0] != 126:
         n = data[0] - 63
@@ -751,13 +816,45 @@ def graph6_decode(text: str) -> Graph:
         raise Graph6Error(
             f"expected {nbytes} adjacency bytes for n={n}, got {len(data) - pos}", pos
         )
-    # each byte carries six bits, most significant first, below its two top bits
-    bits = np.unpackbits(six[pos:]).reshape(-1, 8)[:, 2:].ravel()
-    if bits[nbits:].any():
-        padding = np.flatnonzero(bits[nbits:])
-        raise Graph6Error("nonzero padding bits", pos + (nbits + int(padding[0])) // 6)
-    edge_bits = bits[:nbits].nonzero()[0]
+    # the padding bits are the low 6*nbytes - nbits bits of the last byte
+    if nbytes and (data[-1] - 63) & ((1 << (6 * nbytes - nbits)) - 1):
+        raise Graph6Error("nonzero padding bits", pos + nbytes - 1)
+    return n, memoryview(data)[pos:]
+
+
+def _decode_group(n: int, count: int, buf: bytearray) -> list[Graph]:
+    """The ``count`` graphs on n vertices whose graph6 adjacency bytes,
+    checked by ``_graph6_body``, are concatenated in ``buf``.
+
+    One pass: the set bits of the bodies, read MAX_DECODE_BYTES bytes at a
+    time and unpacked only from their nonzero bytes, map to their pairs
+    u < v through ``_column_starts(n)``; both orientations of each pair,
+    as codes (b*n + u)*n + v of graph b, take one sort, and ``_csr``
+    splits them into the graphs."""
+    nbytes = len(buf) // count
+    flat = np.frombuffer(buf, dtype=np.uint8)
     starts = _column_starts(n)
-    vs = np.searchsorted(starts, edge_bits, side="right") - 1
-    us = edge_bits - starts[vs]
-    return Graph.from_edges(n, np.array((us, vs)).T)
+    parts = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, len(flat), MAX_DECODE_BYTES):
+        six = flat[lo : lo + MAX_DECODE_BYTES] - 63
+        full = np.flatnonzero(six)
+        # each byte carries six data bits, most significant first, below two
+        # zero bits: unpacked bit i is data bit (i & 7) - 2 of byte i >> 3
+        ones = np.flatnonzero(np.unpackbits(six[full]))
+        b, j = np.divmod(full[ones >> 3] + lo, nbytes)
+        bit = 6 * j + (ones & 7) - 2
+        v = np.searchsorted(starts, bit, side="right") - 1
+        u = bit - starts[v]
+        row = b * n
+        parts += [(row + u) * n + v, (row + v) * n + u]
+    codes = np.concatenate(parts)
+    codes.sort()
+    # the bit map gives each graph's pairs u < v once, in range; checked all the same
+    if not (_in_range(codes, count * n * n) and _distinct(codes)):
+        raise AssertionError(f"graph6 bit map formed a repeated or out-of-range entry at n={n}")
+    graphs = []
+    for csr in _csr(n, count, codes):
+        G = Graph.__new__(Graph)
+        G._store(*csr, None)
+        graphs.append(G)
+    return graphs

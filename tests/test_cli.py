@@ -287,10 +287,11 @@ def test_report_prints_zero_eigenvalues_unsigned(capsys, argv):
         ["construct", "--family", "named", "--name", "petersen"],
         ["construct", "--family", "named", "--name", "petersen", "--format", "json"],
         ["verify", "petersen.g6"],
+        ["verify", "--stdin-g6-stream"],
         ["bounds", "-k", "3", "-g", "5", "-l", "4"],
         ["report", "--family", "named", "--name", "petersen"],
     ],
-    ids=["construct-graph6", "construct-json", "verify", "bounds", "report"],
+    ids=["construct-graph6", "construct-json", "verify", "verify-stream", "bounds", "report"],
 )
 def test_unwritable_out_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -299,3 +300,27 @@ def test_unwritable_out_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
     assert code == EXIT_USAGE
     assert _one_error_line(err, "cannot write missing/x.json")
     assert out == "" and "Traceback" not in err and not (tmp_path / "missing").exists()
+
+
+def test_verify_stream_writes_out_file_block_by_block(tmp_path, capsys, monkeypatch):
+    import io
+    from pathlib import Path
+
+    data = Path(__file__).with_name("data")
+    monkeypatch.setattr(cli, "STREAM_BLOCK_LINES", 7)
+    monkeypatch.setattr("sys.stdin", io.StringIO((data / "stream_sample.g6").read_text(encoding="utf-8")))
+    out_path = tmp_path / "records.jsonl"
+    code, out, err = run(capsys, "verify", "--stdin-g6-stream", "--out", str(out_path))
+    assert code == EXIT_USAGE and out == "" and err == ""
+    assert out_path.read_text(encoding="utf-8") == (data / "stream_sample.jsonl").read_text(encoding="utf-8")
+
+
+def test_verify_path_and_stream_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    import io
+
+    path = tmp_path / "pet.g6"
+    path.write_text(graph6_encode(petersen()) + "\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(graph6_encode(petersen()) + "\n"))
+    code, out, err = run(capsys, "verify", str(path), "--stdin-g6-stream")
+    assert code == EXIT_USAGE and out == ""
+    assert _one_error_line(err, "give a path or --stdin-g6-stream, not both")

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,15 @@ from egrtools.constructions import (
 )
 from egrtools import graph_core
 from egrtools.galois import GF
-from egrtools.graph_core import GRAPH6_MAX_N, Graph, Graph6Error, girth, graph6_decode, graph6_encode
+from egrtools.graph_core import (
+    GRAPH6_MAX_N,
+    Graph,
+    Graph6Error,
+    girth,
+    graph6_decode,
+    graph6_decode_many,
+    graph6_encode,
+)
 
 nx = pytest.importorskip("networkx")
 
@@ -163,3 +173,83 @@ def test_column_starts_are_cached_and_read_only():
         starts[3] = 0
     assert starts.dtype == np.int64
     assert starts.tolist() == [v * (v - 1) // 2 for v in range(41)]
+
+
+def nx_graph6(G) -> str:
+    """G's graph6 string as networkx writes it."""
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(G.n))
+    nxg.add_edges_from(G.edges())
+    return nx.to_graph6_bytes(nxg, nodes=range(G.n), header=False).decode().strip()
+
+
+def nx_reference(line: str) -> Graph:
+    """The graph of a graph6 line, decoded by networkx and built with
+    ``Graph.from_edges``."""
+    nxg = nx.from_graph6_bytes(line.encode())
+    return Graph.from_edges(nxg.number_of_nodes(), list(nxg.edges()))
+
+
+def assert_same_csr(G: Graph, H: Graph):
+    for name in ("indptr", "indices", "deg"):
+        a, b = getattr(G, name), getattr(H, name)
+        assert a.dtype == b.dtype == np.int64 and not a.flags.writeable
+        assert np.array_equal(a, b), name
+
+
+def test_block_decoder_matches_networkx_and_from_edges():
+    rng = random.Random(2718)
+    lines = []
+    for n in (0, 1, 2, 62, 63, 100):
+        for p in (0.0, 0.05, 0.5, 1.0):
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            lines.append(nx_graph6(Graph.from_edges(n, edges)))
+    rng.shuffle(lines)
+    for line, G in zip(lines, graph6_decode_many(lines)):
+        assert_same_csr(G, nx_reference(line))
+
+
+def test_block_decoder_on_the_stream_sample():
+    text = (Path(__file__).with_name("data") / "stream_sample.g6").read_text(encoding="utf-8")
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    decoded = graph6_decode_many(lines)
+    graphs = [(line, G) for line, G in zip(lines, decoded) if isinstance(G, Graph)]
+    assert len(graphs) > 200
+    for line, G in graphs:
+        assert_same_csr(G, nx_reference(line))
+
+
+@pytest.mark.parametrize("bad,offset,message", MALFORMED_REPORTS)
+def test_malformed_line_inside_a_block(bad, offset, message):
+    # the valid neighbours share the malformed line's vertex count where
+    # its first byte gives one
+    n = ord(bad[0]) - 63 if bad and 63 <= ord(bad[0]) < 126 else 5
+    rng = random.Random(n)
+    neighbours = [random_graph(rng, n) for _ in range(6)]
+    lines = [graph6_encode(G) for G in neighbours]
+    decoded = graph6_decode_many(lines[:3] + [bad] + lines[3:])
+    error = decoded.pop(3)
+    assert isinstance(error, Graph6Error)
+    assert error.offset == offset and str(error) == message
+    for G, H in zip(decoded, neighbours):
+        assert_same_csr(G, H)
+
+
+def test_block_decoder_memory_stays_near_the_input_size():
+    # 64 relabelled cycles on 2000 vertices: 21 MB of graph6 that would
+    # unpack to 170 MB of bits at one byte per bit
+    rng = random.Random(64)
+    n = 2000
+    lines = []
+    for _ in range(64):
+        perm = rng.sample(range(n), n)
+        lines.append(graph6_encode(Graph.from_edges(n, [(perm[i], perm[(i + 1) % n]) for i in range(n)])))
+    size = sum(map(len, lines))
+    tracemalloc.start()
+    try:
+        graphs = graph6_decode_many(lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(G.num_edges() == n and (G.deg == 2).all() for G in graphs)
+    assert peak < 2 * size

@@ -1,4 +1,6 @@
 import io
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +54,20 @@ def test_stream_writes_each_block_once_and_flushes(monkeypatch):
     records = [sum(bool(line.strip()) for line in block) for block in blocks]
     assert out.calls == [call for n in records for call in (("write", n), ("flush", None))]
     assert out.getvalue() == (DATA / "stream_sample.jsonl").read_text(encoding="utf-8")
+
+
+def test_stream_run_leaves_numpy_ma_unimported():
+    # np.unique and np.setdiff1d import numpy.ma: decoding and verifying a
+    # stream, malformed lines included, uses neither
+    script = (
+        "import sys; from egrtools.cli import main; "
+        "before = 'numpy.ma' in sys.modules; "
+        "code = main(['verify', '--stdin-g6-stream']); "
+        "print(code, before, 'numpy.ma' in sys.modules)"
+    )
+    sample = (DATA / "stream_sample.g6").read_text(encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-c", script], input=sample, capture_output=True, text=True, check=True)
+    code, before, after = proc.stdout.splitlines()[-1].split()
+    if before == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert (code, after) == (str(EXIT_USAGE), "False")
