@@ -98,7 +98,12 @@ def build_family(family: str, q: int | None = None, name: str | None = None) -> 
 
 def _rat_json(value) -> dict:
     fr = Fraction(value)
-    return {"num": fr.numerator, "den": fr.denominator, "decimal": f"{float(fr):.6f}"}
+    try:
+        decimal = f"{float(fr):.6f}"
+    except OverflowError:
+        bits = (fr.numerator // fr.denominator).bit_length()
+        raise UsageError(f"a bound near 2**{bits} is past the float range of the report's decimal field") from None
+    return {"num": fr.numerator, "den": fr.denominator, "decimal": decimal}
 
 
 def _signature_json(sig) -> dict:

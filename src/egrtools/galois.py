@@ -15,29 +15,51 @@ operation is a range check plus a constant number of list lookups:
 ``a*b = exp[log a + log b]``, ``a + b = exp[log a + zech[log b - log a]]``
 and ``-a = exp[log a + log(-1)]``.
 
-Doubling.  Multiplication by ``g`` is a GF(p)-linear map on the base-p
-digit vector of an index; its e x e matrix ``M`` comes from ``e``
-schoolbook products.  The exp table is filled by doubling,
-``exp[h:2h] = exp[:h] * g**h``, i.e. the digit rows already filled times
-``M**h`` mod p: one small integer matmul per step, log2(q) steps in all,
-into one preallocated digit array of the smallest dtype that holds the
-dot products.  The generator is checked to have order exactly ``q - 1``
-and ``exp`` to be a bijection onto the nonzero elements.
+Linear algebra.  Every index is a vector of e base-p digits, and
+multiplication by an element g is a GF(p)-linear map on it: the e x e
+matrix M_g over GF(p), row j the digits of g * p**j.  The tables are built
+from these matrices, with no scalar field arithmetic on the hot path.
+
+Generator test.  M_g is a sum of the e basis matrices M_{p**j} weighted by
+g's digits.  g generates the multiplicative group exactly when
+M_g**((q-1)/r) != I for every prime r | q-1; the candidates are taken in
+index order, GENERATOR_BATCH at a time, and each batch is powered by
+repeated squaring in int64.  Constants (indices below the coefficient
+field's order) lie in a proper subfield and are skipped when the degree
+is at least 2.  The chosen g is the smallest generator.
+
+Doubling.  The exp table is filled by doubling, ``exp[h:2h] = exp[:h] *
+g**h``: the digit rows already filled times ``M_g**h`` mod p, log2(q)
+steps in all, starting from M_g itself.  The digits are stored in the
+smallest integer dtype that holds a digit; each block's product runs
+SCRATCH_ROWS rows at a time through one fixed float scratch (a BLAS gemm)
+and is reduced mod p exactly, in float32 or float64 by the rule of
+``_float_dtype``; one more product with the place values p**j gives the
+rows' exp entries.  Every build checks that g**(q-1) = 1 and that exp is a
+bijection onto the nonzero elements.
 
 Bulk tables.  Fields of order at most ``MAX_TABLE_ORDER`` expose numpy
 add/neg/mul/inv tables (``Field.tables``) for vectorised geometry.
 
-The reducing modulus is always the lexicographically smallest monic
-irreducible polynomial, coefficients compared constant-term first, so
-every field -- and everything built on top of it -- is reproducible
-byte-for-byte across runs.  Size caps: q <= 2**20 for ``GF``,
-q**d <= 2**24 for ``Field.extension``, q <= 2**8 for ``Field.tables``.
+Modulus search.  The reducing modulus is always the lexicographically
+smallest monic irreducible polynomial, coefficients compared constant-term
+first, so every field -- and everything built on top of it -- is
+reproducible byte-for-byte across runs.  The candidates with a nonzero
+constant term are taken in that order, SEARCH_BATCH at a time, and each
+batch is divided by all monic polynomials of one degree at once, smallest
+degree first: the remainder mod every divisor d is one GF(p)-linear map of
+the candidate's coefficient digits, read off precomputed tables of
+x**i mod d.  The coefficient arithmetic runs on arrays -- mod p over a
+prime field, through the base field's exp/log tables for an extension --
+so GF(p, e) and ``Field.extension`` share the one search.
+
+Size caps: q <= 2**20 for ``GF``, q**d <= 2**24 for ``Field.extension``,
+q <= 2**8 for ``Field.tables``.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +67,14 @@ import numpy as np
 MAX_FIELD_ORDER = 2**20
 MAX_EXTENSION_ORDER = 2**24
 MAX_TABLE_ORDER = 2**8
+# generator candidates tested per batch of matrix powers
+GENERATOR_BATCH = 8
+# rows of the doubling's fixed float scratch
+SCRATCH_ROWS = 1024
+# modulus candidates per batch, and the cells of one remainder product
+SEARCH_BATCH = 64
+SEARCH_CELLS = 2**18
+_FLOAT32_EXACT_MAX = 2**24
 
 
 def is_prime(n: int) -> bool:
@@ -143,18 +173,7 @@ class Field:
         self._order = self.q - 1
         # log(-1): -1 = 1 in characteristic 2, else g**((q-1)/2)
         self._log_neg1 = 0 if p == 2 else self._order // 2
-        self._build_tables()
-
-    # -- coefficient-field arithmetic (ints mod p, or the base field) --
-
-    def _cadd(self, a: int, b: int) -> int:
-        return (a + b) % self.p if self.base is None else self.base.add(a, b)
-
-    def _csub(self, a: int, b: int) -> int:
-        return (a - b) % self.p if self.base is None else self.base.sub(a, b)
-
-    def _cmul(self, a: int, b: int) -> int:
-        return (a * b) % self.p if self.base is None else self.base.mul(a, b)
+        self._build_tables(_Coefficients(p, base))
 
     # -- digit vector <-> element index --
 
@@ -179,64 +198,27 @@ class Field:
             idx = idx * self._csize + c
         return idx
 
-    def _vec_mul_mod(self, u: list[int], w: list[int]) -> list[int]:
-        """Schoolbook product of two coefficient vectors, reduced by the modulus."""
-        m = self.degree
-        prod = [0] * (2 * m - 1)
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            for j, wj in enumerate(w):
-                if wj:
-                    prod[i + j] = self._cadd(prod[i + j], self._cmul(ui, wj))
-        # reduce: x^t = -(modulus minus leading term) * x^(t-m), top down
-        for t in range(2 * m - 2, m - 1, -1):
-            c = prod[t]
-            if c == 0:
-                continue
-            prod[t] = 0
-            for j in range(m):
-                prod[t - m + j] = self._csub(prod[t - m + j], self._cmul(c, self.modulus[j]))
-        return prod[:m]
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        """Schoolbook product, independent of the tables."""
-        return self.from_coords(self._vec_mul_mod(list(self.coords(a)), list(self.coords(b))))
-
     # -- table construction --
 
-    def _build_tables(self):
-        q, p, e, order = self.q, self.p, self.e, self._order
-        gen = 1 if q == 2 else None
-        factors = _prime_factors(order)
-        for g in range(2, q):
-            if all(self._raw_pow(g, order // r) != 1 for r in factors):
-                gen = g
-                break
+    def _build_tables(self, cf: _Coefficients):
+        q, p, e, order, csize = self.q, self.p, self.e, self._order, self._csize
+        if q == 2:
+            gen, step = 1, np.eye(1, dtype=np.int64)
+        else:
+            # a constant c (index < csize) has c**(csize-1) = 1, so no
+            # constant generates unless the field is its coefficient field
+            start = 2 if self.degree == 1 else csize
+            gen, step = _first_generator(_basis_matrices(cf, self.modulus), order, p, start)
         if gen is None:
             raise ArithmeticError("no multiplicative generator found; modulus is not irreducible")
-        # digits[i] = base-p digits of g**i.  step holds M**h, row j being
-        # the digits of g**h * p**j; every dot product is at most e*(p-1)**2.
-        dtype = np.min_scalar_type(e * (p - 1) ** 2)
-        digits = np.zeros((order, e), dtype=dtype)
+        # digits[i] = base-p digits of g**i and exp[i] its index, by doubling
+        digits = np.zeros((order, e), dtype=np.min_scalar_type(p - 1))
         digits[0, 0] = 1
-        step = _digits(np.array([self._raw_mul(gen, p**j) for j in range(e)]), p, e).astype(dtype)
-        h = 1
-        while h < order:
-            k = min(h, order - h)
-            block = digits[h : h + k]
-            np.matmul(digits[:k], step, out=block)
-            np.remainder(block, p, out=block)
-            h *= 2
-            if h < order:
-                step = (step @ step) % p
-        exp = np.zeros(order, dtype=np.int32)  # q <= MAX_EXTENSION_ORDER < 2**31
-        for j in reversed(range(e)):
-            exp *= p
-            exp += digits[:, j].astype(np.int32)
-        del digits
-        if self._raw_mul(int(exp[-1]), gen) != 1:
+        exp = np.ones(order, dtype=np.int32)  # q <= MAX_EXTENSION_ORDER < 2**31
+        _double_powers(digits, exp, step, p)
+        if ((digits[-1].astype(np.int64) @ step) % p != digits[0]).any():  # g**(q-1) != 1
             raise ArithmeticError("multiplicative group is not cyclic of order q-1")
+        del digits
         hits = np.bincount(exp, minlength=q)
         bijective = hits[0] == 0 and (hits[1:] == 1).all()
         del hits
@@ -249,15 +231,6 @@ class Field:
         self._exp = exp.tolist()
         del exp
         self._log = log.tolist()
-
-    def _raw_pow(self, a: int, n: int) -> int:
-        r = 1
-        while n:
-            if n & 1:
-                r = self._raw_mul(r, a)
-            a = self._raw_mul(a, a)
-            n >>= 1
-        return r
 
     @cached_property
     def _zech(self) -> list[int]:
@@ -376,39 +349,206 @@ class Field:
         return f"Field(GF({self.p}^{self.e}))" if self.e > 1 else f"Field(GF({self.p}))"
 
 
-def _smallest_irreducible(csize: int, degree: int, cadd, csub, cmul) -> list[int]:
-    """Lexicographically smallest monic irreducible polynomial of the given
-    degree over a coefficient field, low-degree coefficients compared first.
+class _Coefficients:
+    """Array arithmetic in a coefficient field of order ``size = p**f``:
+    ints mod p for a prime field, the base field's exp/log tables for an
+    extension.  Elements are indices, and an index's ``f`` base-p digits
+    are its coordinates over GF(p)."""
 
-    Irreducibility by trial division against every monic polynomial of
-    degree 1..degree//2 (exhaustive factor test).
-    """
-    if degree == 1:
+    def __init__(self, p: int, base: "Field | None"):
+        self.p = p
+        self.f = 1 if base is None else base.e
+        self.size = p**self.f
+        if self.f > 1:
+            self._log = np.array(base._log, dtype=np.int64)
+            # log a + log b < 2(size - 1) indexes the doubled table unreduced
+            self._exp = np.array(base._exp * 2, dtype=np.int64)
+
+    def mul(self, a, b) -> np.ndarray:
+        a, b = np.asarray(a), np.asarray(b)
+        if self.f == 1:
+            return a * b % self.p
+        return np.where((a == 0) | (b == 0), 0, self._exp[self._log[a] + self._log[b]])
+
+    def sub(self, a, b) -> np.ndarray:
+        a, b = np.asarray(a), np.asarray(b)
+        if self.f == 1:
+            return (a - b) % self.p
+        diff = (self.digits(a) - self.digits(b)) % self.p
+        return diff @ self.p ** np.arange(self.f)
+
+    def digits(self, a) -> np.ndarray:
+        return _digits(np.asarray(a), self.p, self.f)
+
+
+def _basis_matrices(cf: _Coefficients, modulus: list[int]) -> np.ndarray:
+    """B[j], the e x e matrix over GF(p) of multiplication by the element
+    of index p**j: row l holds the digits of p**j * p**l.  With j = i*f + k
+    that element is p**k * x**i (p**k in the coefficient field), so B[j] is
+    P[k] X**i: X multiplies by x, P[k] by p**k one coefficient at a time."""
+    p, f, d = cf.p, cf.f, len(modulus) - 1
+    e = d * f
+    unit = p ** np.arange(f)
+    # row (i, k) of X: the digits of p**k x**(i+1), a unit row below the top
+    # coefficient and p**k * -(modulus without its leading term) on it
+    X = np.zeros((e, e), dtype=np.int64)
+    X[np.arange(e - f), np.arange(f, e)] = 1
+    X[e - f :] = cf.digits(cf.mul(unit[:, None], cf.sub(0, modulus[:d]))).reshape(f, e)
+    P = np.zeros((f, e, e), dtype=np.int64)
+    block = cf.digits(cf.mul(unit[:, None], unit))  # [k, k'] = digits of p**k * p**k'
+    for i in range(d):
+        P[:, i * f : (i + 1) * f, i * f : (i + 1) * f] = block
+    B = np.empty((e, e, e), dtype=np.int64)
+    Xi = np.eye(e, dtype=np.int64)
+    for i in range(d):
+        B[i * f : (i + 1) * f] = P @ Xi % p
+        Xi = Xi @ X % p
+    return B
+
+
+def _first_generator(B: np.ndarray, order: int, p: int, start: int):
+    """(g, M_g) for the smallest index g >= start of multiplicative order
+    ``order``, M_g its multiplication matrix; (None, None) if there is none.
+
+    Candidates go GENERATOR_BATCH at a time.  g generates exactly when
+    M_g**(order/r) != I for every prime r | order; the powers come from
+    repeated squaring of the whole batch in int64, exact because every dot
+    product is at most e(p-1)**2 <= 2**40 under the size caps."""
+    e = B.shape[0]
+    exponents = [order // r for r in _prime_factors(order)]
+    eye = np.eye(e, dtype=np.int64)
+    for first in range(start, order + 1, GENERATOR_BATCH):
+        g = np.arange(first, min(first + GENERATOR_BATCH, order + 1))
+        M = np.einsum("nl,lij->nij", _digits(g, p, e), B) % p
+        powers = [np.broadcast_to(eye, M.shape)] * len(exponents)
+        square = M
+        for bit in range(max(exponents).bit_length()):
+            if bit:
+                square = square @ square % p
+            powers = [P @ square % p if n >> bit & 1 else P for P, n in zip(powers, exponents)]
+        generates = ~np.logical_or.reduce([(P == eye).all(axis=(1, 2)) for P in powers])
+        if generates.any():
+            i = int(generates.argmax())
+            return int(g[i]), M[i]
+    return None, None
+
+
+def _float_dtype(p: int, e: int):
+    """The one exactness rule for the doubling's float products: float32
+    when e(p-1)**2 + p <= 2**24, else float64 (which the size caps keep
+    within its own 2**53).
+
+    A product entry x is a dot product of e digits and e matrix entries,
+    all below p, so x <= e(p-1)**2, formed exactly from nonnegative partial
+    sums while x <= 2**24.  Then x - p*floor(x/p) is exact: write x = np + r
+    with 0 <= r < p.  If r = 0, x/p = n exactly.  Otherwise x/p lies in
+    [n, n+1 - 1/p], and 1/p exceeds half the float spacing below n+1, at
+    most (n+1)/2**24, because p(n+1) <= x + p - 1 < 2**24; so x/p rounds
+    into [n, n+1), its floor is n, and p*n <= x and x - p*n are exact."""
+    return np.float32 if e * (p - 1) ** 2 + p <= _FLOAT32_EXACT_MAX else np.float64
+
+
+def _reduce_mod(y: np.ndarray, p: int, z: np.ndarray) -> None:
+    """y = y - p*floor(y/p) in place, z a scratch of y's shape; exact for
+    the integers of ``_float_dtype``."""
+    np.divide(y, p, out=z)
+    np.floor(z, out=z)
+    z *= p
+    y -= z
+
+
+def _double_powers(digits: np.ndarray, exp: np.ndarray, step: np.ndarray, p: int) -> None:
+    """Fill the base-p digit rows digits[1:] = g**1, g**2, ... from
+    digits[0] = 1 and step = M_g, and exp[1:] with their indices: each
+    doubling sets digits[h:2h] to digits[:h] M_g**h mod p, then squares the
+    step.  The products run SCRATCH_ROWS rows at a time through one fixed
+    float scratch (BLAS gemm, exact by ``_float_dtype``) back into the
+    narrow integer store; each reduced row's index, below q <= 2**24, is
+    one more exact product with the place values p**j."""
+    order, e = digits.shape
+    dtype = _float_dtype(p, e)
+    rows = min(SCRATCH_ROWS, order)
+    src, out, quo = (np.empty((rows, e), dtype=dtype) for _ in range(3))
+    index = np.empty(rows, dtype=dtype)
+    place = (p ** np.arange(e)).astype(dtype)
+    h = 1
+    while h < order:
+        k = min(h, order - h)
+        m = step.astype(dtype)
+        for s in range(0, k, rows):
+            c = min(rows, k - s)
+            x, y, z = src[:c], out[:c], quo[:c]
+            x[...] = digits[s : s + c]
+            np.matmul(x, m, out=y)
+            _reduce_mod(y, p, z)
+            digits[h + s : h + s + c] = y
+            np.matmul(y, place, out=index[:c])
+            exp[h + s : h + s + c] = index[:c]
+        h *= 2
+        if h < order:
+            step = step @ step % p
+
+
+def _remainder_map(cf: _Coefficients, dd: int, n: int) -> np.ndarray:
+    """The GF(p)-linear map, as a float64 matrix, from the coefficient
+    digits of a polynomial of degree <= n to the digits of its remainders
+    modulo every monic divisor of degree dd: column block t holds divisor
+    t, whose low coefficients are the base-Q digits of t.
+
+    A polynomial sum c_i x**i leaves sum c_i (x**i mod d), and c_i is
+    sum_k c_ik p**k over its digits, so the map's row (i, k) is the digits
+    of p**k (x**i mod d), from the tables x**i mod d for i <= n."""
+    Q, f = cf.size, cf.f
+    tails = _digits(np.arange(Q**dd), Q, dd)
+    T = np.zeros((n + 1, len(tails), dd), dtype=np.int64)
+    for i in range(dd):
+        T[i, :, i] = 1
+    for i in range(dd, n + 1):
+        # x**i = x * x**(i-1): shift up, and x**dd = -tail
+        T[i, :, 1:] = T[i - 1, :, :-1]
+        T[i] = cf.sub(T[i], cf.mul(T[i - 1, :, -1:], tails))
+    W = cf.digits(cf.mul(cf.p ** np.arange(f)[:, None, None, None], T))
+    return W.transpose(1, 0, 2, 3, 4).reshape((n + 1) * f, -1).astype(np.float64)
+
+
+def _smallest_irreducible(cf: _Coefficients, n: int) -> list[int]:
+    """Lexicographically smallest monic irreducible polynomial of degree n
+    over the coefficient field, low-degree coefficients compared first.
+
+    Candidates with a nonzero constant term (the others are divisible by x)
+    go SEARCH_BATCH at a time, in order.  A batch meets the monic divisors
+    of degree 1, 2, ..., n//2 one degree at a time, all divisors of that
+    degree in one product with ``_remainder_map``; a candidate leaves at
+    the first degree that divides it, and the first one left is returned.
+    Each product takes at most SEARCH_CELLS cells, a slice of the
+    candidates at a time; its entries are at most (n+1) f (p-1)**2, exact
+    in float64 under the size caps."""
+    if n == 1:
         return [0, 1]  # the polynomial x; never used for reduction
-
-    def divides(div: list[int], poly: list[int]) -> bool:
-        # div monic; remainder of poly / div == 0?
-        rem = list(poly)
-        dd = len(div) - 1
-        for t in range(len(rem) - 1, dd - 1, -1):
-            c = rem[t]
-            if c == 0:
-                continue
-            for j in range(dd + 1):
-                rem[t - dd + j] = csub(rem[t - dd + j], cmul(c, div[j]))
-        return all(c == 0 for c in rem)
-
-    monic_divisors = []
-    for dd in range(1, degree // 2 + 1):
-        for tail in product(range(csize), repeat=dd):
-            monic_divisors.append(list(tail) + [1])
-
-    for coeffs in product(range(csize), repeat=degree):
-        cand = list(coeffs) + [1]
-        if cand[0] == 0:
-            continue  # divisible by x
-        if not any(divides(d, cand) for d in monic_divisors):
-            return cand
+    Q, p = cf.size, cf.p
+    place = Q ** np.arange(n - 1, -1, -1)  # c_0 is the most significant digit
+    maps = {}
+    for start in range(Q ** (n - 1), Q**n, SEARCH_BATCH):
+        t = np.arange(start, min(start + SEARCH_BATCH, Q**n))
+        cand = np.ones((len(t), n + 1), dtype=np.int64)
+        cand[:, :n] = t[:, None] // place % Q
+        alive = np.arange(len(t))
+        for dd in range(1, n // 2 + 1):
+            if dd not in maps:
+                maps[dd] = _remainder_map(cf, dd, n)
+            W = maps[dd]
+            rows = max(1, SEARCH_CELLS // W.shape[1])
+            kept = []
+            for s in range(0, len(alive), rows):
+                part = alive[s : s + rows]
+                rem = cf.digits(cand[part]).reshape(len(part), -1).astype(np.float64) @ W
+                divisible = (np.fmod(rem, p) == 0).reshape(len(part), -1, dd * cf.f).all(axis=2).any(axis=1)
+                kept.append(part[~divisible])
+            alive = np.concatenate(kept)
+            if not len(alive):
+                break
+        if len(alive):
+            return cand[alive[0]].tolist()
     raise ArithmeticError("no irreducible polynomial found")  # unreachable for q, degree valid
 
 
@@ -428,13 +568,9 @@ def GF(p: int, e: int = 1) -> Field:
         raise ValueError("extension degree e must be >= 1")
     if p**e > MAX_FIELD_ORDER:
         raise ValueError(f"field order {p}**{e} exceeds the cap {MAX_FIELD_ORDER}")
-    modulus = _smallest_irreducible(
-        p, e, lambda a, b: (a + b) % p, lambda a, b: (a - b) % p, lambda a, b: (a * b) % p
-    )
-    return Field(p, modulus, base=None)
+    return Field(p, _smallest_irreducible(_Coefficients(p, None), e), base=None)
 
 
 @lru_cache(maxsize=None)
 def _extension_cached(F: Field, d: int) -> Field:
-    modulus = _smallest_irreducible(F.q, d, F.add, F.sub, F.mul)
-    return Field(F.p, modulus, base=F)
+    return Field(F.p, _smallest_irreducible(_Coefficients(F.p, F), d), base=F)

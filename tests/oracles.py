@@ -4,7 +4,7 @@ to cross-check derived expected values and the engines themselves."""
 
 import math
 from collections import deque
-from itertools import combinations
+from itertools import combinations, product
 
 from egrtools.geometry import normalize_point
 from egrtools.graph_core import Graph
@@ -224,3 +224,82 @@ def line_through(F, x, y) -> tuple[tuple[int, ...], ...]:
     for t in range(F.q):
         pts.add(normalize_point(F, tuple(F.add(xi, F.mul(t, yi)) for xi, yi in zip(x, y))))
     return tuple(sorted(pts))
+
+
+def coeff_ops(F):
+    """Scalar add, sub and mul of F's coefficient field: ints mod p for a
+    prime-built field, else the base field's own (table) arithmetic."""
+    if F.base is None:
+        p = F.p
+        return (lambda a, b: (a + b) % p), (lambda a, b: (a - b) % p), (lambda a, b: (a * b) % p)
+    return F.base.add, F.base.sub, F.base.mul
+
+
+def schoolbook_mul(F, a: int, b: int) -> int:
+    """a * b in F by schoolbook polynomial multiplication and reduction by
+    F.modulus, independent of F's own tables."""
+    cadd, csub, cmul = coeff_ops(F)
+    m = F.degree
+    u, w = F.coords(a), F.coords(b)
+    prod = [0] * (2 * m - 1)
+    for i, ui in enumerate(u):
+        if ui == 0:
+            continue
+        for j, wj in enumerate(w):
+            if wj:
+                prod[i + j] = cadd(prod[i + j], cmul(ui, wj))
+    # reduce: x^t = -(modulus minus leading term) * x^(t-m), top down
+    for t in range(2 * m - 2, m - 1, -1):
+        c = prod[t]
+        if c == 0:
+            continue
+        prod[t] = 0
+        for j in range(m):
+            prod[t - m + j] = csub(prod[t - m + j], cmul(c, F.modulus[j]))
+    return F.from_coords(prod[:m])
+
+
+def schoolbook_pow(F, a: int, n: int) -> int:
+    """a**n in F by square-and-multiply on schoolbook_mul."""
+    r = 1
+    while n:
+        if n & 1:
+            r = schoolbook_mul(F, r, a)
+        a = schoolbook_mul(F, a, a)
+        n >>= 1
+    return r
+
+
+def smallest_generator(F) -> int:
+    """The smallest element of multiplicative order q - 1, by one
+    schoolbook power per prime factor of q - 1 and candidate."""
+    order = F.q - 1
+    factors = [r for r in range(2, order + 1) if order % r == 0 and all(r % s for s in range(2, math.isqrt(r) + 1))]
+    return next((g for g in range(2, F.q) if all(schoolbook_pow(F, g, order // r) != 1 for r in factors)), 1)
+
+
+def smallest_irreducible(csize: int, degree: int, cadd, csub, cmul) -> list[int]:
+    """Lexicographically smallest monic irreducible polynomial of the given
+    degree over a coefficient field of size csize, low-degree coefficients
+    compared first, by trial division against every monic polynomial of
+    degree 1..degree//2."""
+    if degree == 1:
+        return [0, 1]
+
+    def divides(div: list[int], poly: list[int]) -> bool:
+        rem = list(poly)
+        dd = len(div) - 1
+        for t in range(len(rem) - 1, dd - 1, -1):
+            c = rem[t]
+            if c == 0:
+                continue
+            for j in range(dd + 1):
+                rem[t - dd + j] = csub(rem[t - dd + j], cmul(c, div[j]))
+        return all(c == 0 for c in rem)
+
+    monic_divisors = [list(tail) + [1] for dd in range(1, degree // 2 + 1) for tail in product(range(csize), repeat=dd)]
+    for coeffs in product(range(csize), repeat=degree):
+        cand = list(coeffs) + [1]
+        if cand[0] != 0 and not any(divides(d, cand) for d in monic_divisors):
+            return cand
+    raise ArithmeticError("no irreducible polynomial found")

@@ -143,6 +143,13 @@ def test_bounds_invalid_triple(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("k,g", [(100000, 200), (1000, 2000)])
+def test_bounds_past_float_range_is_a_usage_error(capsys, k, g):
+    code, out, err = run(capsys, "bounds", "-k", str(k), "-g", str(g), "-l", "1")
+    assert code == EXIT_USAGE and out == ""
+    assert _one_error_line(err, "past the float range") and "Traceback" not in err
+
+
 def test_report_pencil(capsys):
     code, out, _ = run(capsys, "report", "--family", "pencil", "--q", "2")
     assert code == EXIT_OK

@@ -1,10 +1,18 @@
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
+from field_pins import FIELD_SPECS, build_uncached, pin_of, spec_id
+from oracles import coeff_ops, schoolbook_mul, smallest_generator, smallest_irreducible
 
+from egrtools import galois
 from egrtools.galois import GF, MAX_EXTENSION_ORDER, MAX_FIELD_ORDER, MAX_TABLE_ORDER, Field, is_prime, prime_power
+
+FIELD_PINS = json.loads((Path(__file__).with_name("data") / "field_pins.json").read_text())["fields"]
 
 
 def test_gf4_has_the_unique_irreducible_quadratic():
@@ -178,13 +186,13 @@ def _digit_add(F, a, b, sign=1):
 
 def _check_against_schoolbook(F, pairs):
     for a, b in pairs:
-        assert F.mul(a, b) == F._raw_mul(a, b), (F, a, b)
+        assert F.mul(a, b) == schoolbook_mul(F, a, b), (F, a, b)
         assert F.add(a, b) == _digit_add(F, a, b), (F, a, b)
         assert F.sub(a, b) == _digit_add(F, a, b, -1), (F, a, b)
     for a in {a for a, _ in pairs}:
         assert F.neg(a) == _digit_add(F, 0, a, -1)
         if a:
-            assert F._raw_mul(a, F.inv(a)) == 1
+            assert schoolbook_mul(F, a, F.inv(a)) == 1
 
 
 SMALL_ORDERS = [q for q in range(2, 65) if len({d for d in range(2, q + 1) if q % d == 0 and is_prime(d)}) == 1]
@@ -198,7 +206,9 @@ def test_tables_match_schoolbook_exhaustively(q):
     elems = range(q)
     _check_against_schoolbook(F, list(itertools.product(elems, repeat=2)))
     tab = F.tables
-    assert [[int(tab.mul[a, b]) for b in elems] for a in elems] == [[F._raw_mul(a, b) for b in elems] for a in elems]
+    assert [[int(tab.mul[a, b]) for b in elems] for a in elems] == [
+        [schoolbook_mul(F, a, b) for b in elems] for a in elems
+    ]
     assert [[int(tab.add[a, b]) for b in elems] for a in elems] == [[_digit_add(F, a, b) for b in elems] for a in elems]
     assert [int(x) for x in tab.neg] == [_digit_add(F, 0, a, -1) for a in elems]
     assert [int(x) for x in tab.inv[1:]] == [F.inv(a) for a in elems[1:]]
@@ -221,7 +231,8 @@ def test_tables_match_schoolbook_on_sample(make):
     _check_against_schoolbook(F, [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(10_000)])
     # the exp table walks the powers of the generator
     n = min(50, F.q - 1)
-    assert F._exp[:n] == list(itertools.accumulate(range(n - 1), lambda x, _: F._raw_mul(x, F.generator), initial=1))
+    powers = itertools.accumulate(range(n - 1), lambda x, _: schoolbook_mul(F, x, F.generator), initial=1)
+    assert F._exp[:n] == list(powers)
 
 
 def test_elements_out_of_range_are_rejected():
@@ -259,3 +270,80 @@ def test_prime_power():
         prime_power(MAX_FIELD_ORDER + 1)
     with pytest.raises(TypeError):
         prime_power(4.0)
+
+
+def test_field_pins_cover_the_specs():
+    assert [(pin["p"], pin["e"], pin["extension"]) for pin in FIELD_PINS] == [tuple(spec) for spec in FIELD_SPECS]
+
+
+@pytest.mark.parametrize("spec,pin", zip(FIELD_SPECS, FIELD_PINS), ids=[spec_id(spec) for spec in FIELD_SPECS])
+def test_field_is_pinned(spec, pin):
+    # modulus, generator and the exp/log tables, byte for byte
+    assert pin_of(spec, build_uncached(spec)) == pin
+
+
+def _oracle_fields():
+    """Every GF(p^e) with p^e <= 2**12, then every extension of GF(q),
+    q <= 9, of order at most 2**12."""
+    orders = [q for q in range(2, 2**12 + 1) if len(galois._prime_factors(q)) == 1]
+    yield from (prime_power(q) + (None,) for q in orders)
+    for q in (q for q in orders if q <= 9):
+        d = 2
+        while q**d <= 2**12:
+            yield prime_power(q) + (d,)
+            d += 1
+
+
+def test_search_and_generator_match_the_oracles():
+    count = 0
+    for spec in _oracle_fields():
+        F = build_uncached(spec)
+        csize = F.base.q if F.base is not None else F.p
+        assert F.modulus == smallest_irreducible(csize, F.degree, *coeff_ops(F)), spec
+        assert F.generator == smallest_generator(F), spec
+        count += 1
+    assert count > 580
+
+
+@pytest.mark.parametrize(
+    "p,modulus,base",
+    [
+        (2, [1, 0, 1], None),
+        (2, [1, 0, 0, 0, 1], None),
+        (5, [1, 0, 1], None),
+        (2, [1, 0, 1], (2, 2)),
+        (3, [1, 2, 1], (3, 1)),
+    ],
+)
+def test_reducible_modulus_is_rejected(p, modulus, base):
+    # x^2+1 = (x+1)^2 and x^4+1 = (x+1)^4 over GF(2), x^2+1 = (x-2)(x-3) over
+    # GF(5), x^2+1 = (x+1)^2 over GF(4) and x^2+2x+1 = (x+1)^2 over GF(3)
+    with pytest.raises(ArithmeticError):
+        Field(p, modulus, base=None if base is None else GF(*base))
+
+
+def test_float_exactness_rule_edges():
+    # e(p-1)^2 + p <= 2**24 picks float32; both sides of the edge are pinned
+    assert 4092**2 + 4093 <= 2**24 < 4098**2 + 4099
+    assert galois._float_dtype(4093, 1) is np.float32
+    assert galois._float_dtype(4099, 1) is np.float64
+    assert galois._float_dtype(65521, 1) is np.float64
+    assert galois._float_dtype(2, 20) is np.float32
+    assert {(4093, 1, None), (4099, 1, None), (65521, 1, None)} <= set(FIELD_SPECS)
+
+
+def test_float32_reduction_is_exact_up_to_the_edge():
+    # every dot product GF(4093)'s doubling can form, reduced as it reduces them
+    p, top = 4093, 4092**2
+    for lo in range(0, top + 1, 2**20):
+        x = np.arange(lo, min(lo + 2**20, top + 1))
+        y = x.astype(np.float32)
+        galois._reduce_mod(y, p, np.empty_like(y))
+        assert (y.astype(np.int64) == x % p).all()
+
+
+@pytest.mark.parametrize("spec", [(3, 5, None), (2, 2, 4), (2, 10, None)], ids=spec_id)
+def test_doubling_through_a_small_scratch(monkeypatch, spec):
+    # every doubling block past 7 rows crosses several 7-row scratch loads
+    monkeypatch.setattr(galois, "SCRATCH_ROWS", 7)
+    assert pin_of(spec, build_uncached(spec)) == FIELD_PINS[FIELD_SPECS.index(spec)]
