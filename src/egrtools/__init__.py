@@ -21,19 +21,14 @@ from .geometry import (
     singer_pencil,
     spread_search,
     symplectic_gq,
-    tangent_plane,
 )
 from .graph_core import (
     EgrSignature,
     Graph,
     Graph6Error,
     NotEdgeGirthRegular,
-    bipartition,
-    count_cycles_through_vertex,
     count_girth_cycles_through_edge,
     cycle_counts_through_vertices,
-    distance_layers,
-    girth,
     graph6_decode,
     graph6_decode_many,
     graph6_encode,
@@ -88,18 +83,13 @@ __all__ = [
     "pg2_geometry",
     "symplectic_gq",
     "singer_pencil",
-    "tangent_plane",
     "ovoid_search",
     "spread_search",
     "Graph",
     "EgrSignature",
     "NotEdgeGirthRegular",
     "Graph6Error",
-    "girth",
-    "bipartition",
-    "distance_layers",
     "count_girth_cycles_through_edge",
-    "count_cycles_through_vertex",
     "cycle_counts_through_vertices",
     "verify_egr",
     "verify_many",

@@ -19,8 +19,7 @@ the field's numpy add/mul tables.
   the vectors J x with the points.  A totally isotropic line is its own
   perp, so the line through isotropic x, y is the row B[x] & B[y].
 - PG(3,q): the planes x points incidence (``plane_incidence``) gives
-  tangent planes, plane point sets, the pencil's cap check and the
-  pencil graph's edges.
+  tangent planes, the pencil's cap check and the pencil graph's edges.
 
 An ``IncidenceGeometry`` holds its blocks as one read-only
 (blocks x (q+1)) int64 array of point indices, a sorted row per block;
@@ -270,41 +269,13 @@ def _collinear_triples(F: Field, points) -> int:
     return (on_planes - m * (m - 1) * (m - 2) // 6) // F.q
 
 
-def _tangent_matrix(F: Field, ovoid) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct points M of ``ovoid`` and the boolean
-    planes x len(M) matrix T: T[i, j] when plane i meets the set in M[j]
-    alone."""
-    members = np.array(sorted(set(ovoid)), dtype=np.intp)
-    on = plane_incidence(F)[:, members]
-    return members, on & (on.sum(axis=1) == 1)[:, None]
-
-
-def tangent_plane(F: Field, ovoid, p: int) -> tuple[int, ...]:
-    """The unique plane through point ``p`` meeting the ovoid only in ``p``.
-
-    ``ovoid`` is an iterable of point indices into pg_points(3, F) forming
-    a cap of size q^2+1; the plane is returned as canonical dual
-    coordinates.  All q^2+q+1 planes through p are scanned and exactly one
-    tangent plane is required, otherwise ValueError is raised (the input
-    was not an ovoid).
-    """
-    members, tangent = _tangent_matrix(F, ovoid)
-    j = int(np.searchsorted(members, p))
-    if j == len(members) or members[j] != p:
-        raise ValueError("p must belong to the ovoid")
-    planes = np.flatnonzero(tangent[:, j])
-    if len(planes) != 1:
-        raise ValueError(
-            f"expected exactly one tangent plane through p, found {len(planes)}; the point set is not an ovoid"
-        )
-    return pg_points(3, F)[planes[0]]
-
-
 def tangent_planes(F: Field, ovoid) -> tuple[np.ndarray, np.ndarray]:
     """(M, planes): the sorted distinct points M of the ovoid and, for each,
-    the index of its tangent plane.  ValueError unless every point has
-    exactly one."""
-    members, tangent = _tangent_matrix(F, ovoid)
+    the index of its tangent plane, the one plane meeting the set in that
+    point alone.  ValueError unless every point has exactly one."""
+    members = np.array(sorted(set(ovoid)), dtype=np.intp)
+    on = plane_incidence(F)[:, members]
+    tangent = on & (on.sum(axis=1) == 1)[:, None]
     counts = tangent.sum(axis=0)
     bad = np.flatnonzero(counts != 1)
     if len(bad):
@@ -313,16 +284,6 @@ def tangent_planes(F: Field, ovoid) -> tuple[np.ndarray, np.ndarray]:
             f"found {counts[bad[0]]}; the point set is not an ovoid"
         )
     return members, tangent.argmax(axis=0)
-
-
-def plane_points(F: Field, dual) -> tuple[int, ...]:
-    """Indices of the PG(3,q) points on the plane with the given dual
-    coordinates."""
-    dual = tuple(dual)
-    if len(dual) != 4 or not all(0 <= a < F.q for a in dual):
-        raise ValueError(f"{dual} is not a vector of 4 elements of GF({F.q})")
-    on = incidence(F, np.array([dual], dtype=np.int64), point_array(3, F))[0]
-    return tuple(np.flatnonzero(on).tolist())
 
 
 def _gq_order(G: IncidenceGeometry) -> int:

@@ -6,16 +6,17 @@ A ``Graph`` holds its adjacency as compressed sparse rows: int64 arrays
 with numpy when the graph is built.  Verification reads those arrays
 directly: the degrees, the edge list, the dense adjacency of the walk pass
 and graph6 encoding.  ``G.adj``, a cached list of neighbour lists in
-Python ints, serves the public pure-Python BFS routines (``bfs_distances``,
-``bipartition``, ``girth``) and the JSON output of ``construct``.
+Python ints, serves the JSON output of ``construct``.
 
 ``verify_many`` verifies a list of graphs at once, and ``verify_egr(G)`` is
 ``verify_many([G])``.  Connectivity (with the smallest unreachable vertex
 as witness) and bipartiteness come from one level-synchronous numpy BFS
 over the disjoint union of the graphs in CSR, rooted at every graph's
-vertex 0.  The graphs that pass the degree checks are grouped by order and
-degree, and each group takes one walk pass over a (B, n, n) stack of its
-matrices: one stacked product per step instead of one per graph.
+vertex 0 (``_bfs_levels``, the package's one BFS, which also gives
+``spectral`` its colour classes).  The graphs that pass the degree checks
+are grouped by order and degree, and each group takes one walk pass over
+a (B, n, n) stack of its matrices: one stacked product per step instead
+of one per graph.
 
 Girth and cycle counts come from one pass over the non-backtracking walk
 matrices A_l (entry [u, w]: walks of l edges from u to w that never
@@ -60,7 +61,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain, pairwise
 
@@ -91,8 +91,7 @@ class Graph:
     The neighbours of v are ``indices[indptr[v]:indptr[v + 1]]`` in
     ascending order and ``deg[v]`` is their count; all three are read-only
     int64 arrays.  ``adj`` is the same adjacency as a list of sorted lists
-    of Python ints, built on first use and cached, for pure-Python
-    traversals and JSON output.
+    of Python ints, built on first use and cached, for JSON output.
 
     ``Graph(adj)`` takes a sequence whose entry v holds the neighbours of v
     in any order; ``Graph.from_edges`` takes the edges.  Both validate with
@@ -189,7 +188,14 @@ class Graph:
         return int(self.deg[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        """Whether uv is an edge, read from row u of the CSR arrays; raises
+        ValueError when u or v is not a vertex 0..n-1."""
+        for x in (u, v):
+            if not 0 <= x < self.n:
+                raise ValueError(f"vertex {x} out of range 0..{self.n - 1}")
+        row = self.indices[self.indptr[u] : self.indptr[u + 1]]
+        i = row.searchsorted(v)
+        return bool(i < len(row) and row[i] == v)
 
     def __eq__(self, other):
         return (
@@ -296,82 +302,6 @@ class NotEdgeGirthRegular(Exception):
         self.kind = kind
         self.witness = witness
         self.details = details or {}
-
-
-def bfs_distances(G: Graph, root: int) -> list:
-    """BFS distances from root (math.inf when unreachable)."""
-    adj = G.adj
-    dist = [math.inf] * G.n
-    dist[root] = 0
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if dist[v] == math.inf:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
-def distance_layers(G: Graph, root: int) -> list[list[int]]:
-    """Vertices of root's component grouped by BFS distance D_0, D_1, ..."""
-    dist = bfs_distances(G, root)
-    reach = [d for d in dist if d != math.inf]
-    layers = [[] for _ in range(int(max(reach)) + 1)]
-    for v, d in enumerate(dist):
-        if d != math.inf:
-            layers[int(d)].append(v)
-    return layers
-
-
-def bipartition(G: Graph):
-    """A 2-coloring as a list of 0/1, or None if an odd cycle exists."""
-    adj = G.adj
-    color = [None] * G.n
-    for start in range(G.n):
-        if color[start] is not None:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if color[v] is None:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
-    return color
-
-
-def girth(G: Graph):
-    """Length of a shortest cycle, or math.inf for a forest.
-
-    BFS from every vertex; a non-tree edge (u,w) seen from root r closes
-    a walk of length dist[u]+dist[w]+1 through r, and the minimum over
-    all roots and edges is exact.
-    """
-    adj = G.adj
-    best = math.inf
-    for root in range(G.n):
-        dist = [-1] * G.n
-        parent = [-1] * G.n
-        dist[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            if 2 * dist[u] >= best:
-                continue
-            for w in adj[u]:
-                if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w and parent[w] != u:
-                    cand = dist[u] + dist[w] + 1
-                    if cand < best:
-                        best = cand
-    return best
 
 
 def _exact_dtype(bound: int):
@@ -483,18 +413,12 @@ def _girth_walks(*graphs: Graph, beyond: int = 0) -> list:
     return found
 
 
-def _walks_at_girth(G: Graph, beyond: int = 0):
-    """The girth g of G (math.inf for a forest) and the walk matrices
-    [A_{g-1}, A_g, ..., A_{g+beyond}] ([] for a forest), from one pass."""
-    return _girth_walks(G, beyond=beyond)[0]
-
-
 def count_girth_cycles_through_edge(G: Graph, edge, g: int) -> int:
     """Number of distinct g-cycles containing the edge, where g must be
     the girth of G.  Each cycle corresponds to exactly one simple path of
     length g-1 between the endpoints that avoids the edge itself, read off
     as a non-backtracking walk count."""
-    girth_g, walks = _walks_at_girth(G)
+    girth_g, walks = _girth_walks(G)[0]
     if g != girth_g:
         raise ValueError(f"g={g} is not the girth of the graph")
     u, v = edge
@@ -512,31 +436,22 @@ def cycle_counts_through_vertices(G: Graph, length: int) -> list[int]:
     through a vertex, each traversed in both directions.  Other lengths
     raise ValueError.
     """
-    g, walks = _walks_at_girth(G, beyond=1)
+    g, walks = _girth_walks(G, beyond=1)[0]
     if length not in (g, g + 1):
         raise ValueError(f"length {length} is neither the girth {g} nor girth + 1")
     return [int(c) // 2 for c in walks[length - g + 1].diagonal()]
 
 
-def count_cycles_through_vertex(G: Graph, v: int, length: int) -> int:
-    """Number of distinct cycles of the given length through vertex v,
-    for length g or g+1 where g is the girth of G; entry v of
-    ``cycle_counts_through_vertices``, which a sweep over the vertices
-    should call once instead."""
-    return cycle_counts_through_vertices(G, length)[v]
+def _bfs_levels(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One level-synchronous BFS over the disjoint union of graphs in CSR,
+    rooted at every graph's vertex 0.  Returns the offsets of the graphs'
+    vertices in the union (len(graphs) + 1 entries), the level of each union
+    vertex (its distance from its graph's vertex 0, -1 when unreached) and
+    the union's adjacency entries as arrays rows, indices (entry i runs from
+    rows[i] to indices[i]).
 
-
-def _reach_and_parity(graphs) -> tuple[list[int | None], list[bool]]:
-    """For each of graphs, the smallest vertex unreachable from vertex 0
-    (None when there is none) and whether vertex 0's component is
-    bipartite.
-
-    One level-synchronous BFS over the disjoint union of the graphs in CSR
-    (edge i runs from rows[i] to indices[i]), rooted at every graph's vertex
-    0: each level is one scan of all the edges for those that leave the
+    Each level is one scan of all the entries for those that leave the
     current level, so the cost is the edge count times the largest depth.
-    A component is bipartite exactly when no edge joins two vertices at the
-    same distance from its root.
     """
     offsets = np.cumsum([0] + [G.n for G in graphs])
     starts, ends = offsets[:-1], offsets[1:]
@@ -553,9 +468,21 @@ def _reach_and_parity(graphs) -> tuple[list[int | None], list[bool]]:
             break
         depth += 1
         level[fresh] = depth
+    return offsets, level, rows, indices
+
+
+def _reach_and_parity(graphs) -> tuple[list[int | None], list[bool]]:
+    """For each of graphs, the smallest vertex unreachable from vertex 0
+    (None when there is none) and whether vertex 0's component is
+    bipartite, from one ``_bfs_levels`` pass.  A component is bipartite
+    exactly when no edge joins two vertices at the same distance from its
+    root.
+    """
+    offsets, level, rows, indices = _bfs_levels(graphs)
+    starts, ends = offsets[:-1], offsets[1:]
     # the first unreached vertex at or after each graph's vertex 0
     missing = np.flatnonzero(level < 0)
-    first = np.append(missing, len(deg))[np.searchsorted(missing, starts)]
+    first = np.append(missing, len(level))[np.searchsorted(missing, starts)]
     unreached = [v - a if v < b else None for v, a, b in zip(first.tolist(), starts.tolist(), ends.tolist())]
     at = level[rows]
     odd = rows[(at == level[indices]) & (at >= 0)]

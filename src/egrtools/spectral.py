@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.linalg import eigvalsh
 
-from .graph_core import EgrSignature, Graph, _adjacency, _exact_dtype, bipartition
+from .graph_core import EgrSignature, Graph, _adjacency, _bfs_levels, _exact_dtype
 
 MAX_MOMENT_LENGTH = 16
 MAX_MOMENT_VERTICES = 2048
@@ -230,15 +230,22 @@ def _tight_identity(G: Graph, k: int) -> bool:
     Exact in float64: every entry of NN^T and N^TN counts common
     neighbours, at most k.  The identity holds exactly when G has the tight
     spectrum {+-k, +-sqrt(k - mu)^(n/2 - 1)}, and k - mu = (nk - 2k^2)/(n - 2).
+
+    The colour classes are the parities of the BFS levels from vertex 0.
+    With k >= 2, mu >= 1, so any two vertices of one class share a
+    neighbour and a graph that meets the identity is connected: an
+    unreached vertex, like an edge joining equal levels, means False.
     """
-    colour = bipartition(G)
-    if colour is None or 2 * sum(colour) != G.n or G.n < 4:
+    _, level, rows, indices = _bfs_levels([G])
+    if G.n < 4 or (level < 0).any() or (level[rows] == level[indices]).any():
+        return False
+    right = (level % 2).astype(bool)
+    if 2 * right.sum() != G.n:
         return False
     half = G.n // 2
     mu, rem = divmod(k * (k - 1), half - 1)
     if rem:
         return False
-    right = np.array(colour, dtype=bool)
     # each vertex's position within its colour class
     pos = np.where(right, np.cumsum(right), np.cumsum(~right)) - 1
     us, vs = G.edge_arrays()

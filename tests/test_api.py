@@ -1,0 +1,22 @@
+import egrtools
+from egrtools import geometry, graph_core
+
+# public names that were removed; the one walk pass and the one BFS in
+# graph_core cover what they did
+REMOVED = ["girth", "bipartition", "distance_layers", "count_cycles_through_vertex", "tangent_plane"]
+
+
+def test_every_public_name_resolves():
+    assert len(set(egrtools.__all__)) == len(egrtools.__all__)
+    for name in egrtools.__all__:
+        assert getattr(egrtools, name) is not None, name
+
+
+def test_removed_names_are_gone():
+    for name in REMOVED:
+        assert name not in egrtools.__all__
+        assert not hasattr(egrtools, name), name
+    for name in ["girth", "bfs_distances", "distance_layers", "bipartition", "count_cycles_through_vertex"]:
+        assert not hasattr(graph_core, name), name
+    for name in ["tangent_plane", "plane_points"]:
+        assert not hasattr(geometry, name), name

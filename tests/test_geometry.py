@@ -15,13 +15,11 @@ from egrtools.geometry import (
     pg2_geometry,
     pg_points,
     plane_incidence,
-    plane_points,
     point_array,
     point_index,
     singer_pencil,
     spread_search,
     symplectic_gq,
-    tangent_plane,
     tangent_planes,
 )
 
@@ -131,15 +129,9 @@ def test_singer_pencil_members_have_no_three_collinear_q2():
 @pytest.mark.parametrize("q", [2, 3])
 def test_tangent_planes_biject_points_to_planes(q):
     F = FIELDS[q]
-    members = singer_pencil(F)
     n = q**3 + q**2 + q + 1
-    planes = set()
-    for member in members:
-        for p in member:
-            plane = tangent_plane(F, member, p)
-            assert sum(1 for i in member if dot(F, plane, pg_points(3, F)[i]) == 0) == 1
-            planes.add(plane)
-    assert len(planes) == n  # pairwise distinct and exhaust all planes
+    planes = np.concatenate([tangent_planes(F, member)[1] for member in singer_pencil(F)])
+    assert sorted(planes.tolist()) == list(range(n))  # pairwise distinct and exhaust all planes
 
 
 def test_tangent_plane_counts_planes_through_point():
@@ -155,14 +147,13 @@ def test_tangent_plane_rejects_non_ovoid():
     # a line is emphatically not a cap: every plane through it meets it 3 times
     geom = symplectic_gq(F)
     fake = list(geom.blocks[0]) + [max(geom.blocks[0]) + 1, max(geom.blocks[0]) + 2]
-    with pytest.raises(ValueError):
-        tangent_plane(F, fake, fake[0])
+    with pytest.raises(ValueError, match="not an ovoid"):
+        tangent_planes(F, fake)
 
 
 def test_plane_points_size():
     F = FIELDS[3]
-    duals = pg_points(3, F)
-    assert len(plane_points(F, duals[0])) == 13
+    assert plane_incidence(F).sum(axis=1).tolist() == [13] * 40  # q^2 + q + 1 points on each plane
 
 
 def test_ovoid_and_spread_of_w2():
@@ -274,7 +265,13 @@ def test_tangent_planes_match_single_point_search(q):
     for member in singer_pencil(F):
         at, planes = tangent_planes(F, member)
         assert at.tolist() == list(member)
-        assert [pts[b] for b in planes] == [tangent_plane(F, member, p) for p in member]
+        # by the scalar form: the planes that meet the member in one point
+        tangent = {}
+        for b, dual in enumerate(pts):
+            on = [i for i in member if dot(F, dual, pts[i]) == 0]
+            if len(on) == 1:
+                tangent.setdefault(on[0], []).append(b)
+        assert [[b] for b in planes.tolist()] == [tangent[p] for p in member]
 
 
 def test_tangent_planes_reject_non_ovoid():
@@ -282,18 +279,14 @@ def test_tangent_planes_reject_non_ovoid():
     line = symplectic_gq(F).blocks[0]  # q^2 planes through each point meet the line there alone
     with pytest.raises(ValueError, match="exactly one tangent plane"):
         tangent_planes(F, line)
-    member = singer_pencil(F)[0]
-    with pytest.raises(ValueError, match="must belong"):
-        tangent_plane(F, member[:-1], member[-1])
 
 
 def test_plane_points_match_scalar_form():
     F = FIELDS[4]
     pts = pg_points(3, F)
     for dual in [(0, 0, 0, 1), (1, 2, 3, 1), (2, 3, 1, 0), (3, 0, 0, 0)]:
-        assert plane_points(F, dual) == tuple(i for i, x in enumerate(pts) if dot(F, dual, x) == 0)
-    with pytest.raises(ValueError):
-        plane_points(F, (0, 0, 4, 1))
+        row = plane_incidence(F)[pts.index(normalize_point(F, dual))]
+        assert np.flatnonzero(row).tolist() == [i for i, x in enumerate(pts) if dot(F, dual, x) == 0]
 
 
 def test_incidence_cap_is_checked_before_allocating():

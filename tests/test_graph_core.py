@@ -22,15 +22,12 @@ from egrtools.graph_core import (
     EgrSignature,
     Graph,
     NotEdgeGirthRegular,
+    _bfs_levels,
     _exact_dtype,
+    _girth_walks,
     _nb_walks,
     _object_length,
-    _walks_at_girth,
-    bipartition,
-    count_cycles_through_vertex,
     count_girth_cycles_through_edge,
-    distance_layers,
-    girth,
     graph6_decode,
     graph6_encode,
     verify_egr,
@@ -163,6 +160,18 @@ def test_csr_arrays_and_adjacency_view():
     assert (G.n, G.num_edges(), G.degree(3), G.has_edge(4, 3), G.has_edge(2, 3)) == (5, 4, 3, True, False)
 
 
+def test_has_edge_rejects_vertices_out_of_range():
+    # a negative index must not wrap round to the last row
+    G = petersen()
+    assert G.has_edge(9, 4) and not G.has_edge(4, 4)
+    for u, v in [(-1, 4), (10, 4), (4, -1), (4, 10)]:
+        with pytest.raises(ValueError, match="out of range"):
+            G.has_edge(u, v)
+    for edge in [(-1, 4), (10, 4)]:
+        with pytest.raises(ValueError, match="out of range"):
+            count_girth_cycles_through_edge(G, edge, 5)
+
+
 def test_majority_degree_ties_go_to_the_smallest():
     # ten vertices of degree 9 (K_10 minus a perfect matching, plus one edge
     # each to the rest) and ten of degree 3 (a 10-cycle plus that edge)
@@ -190,19 +199,16 @@ def test_graph_basics():
 
 
 def test_girth_examples():
-    assert girth(petersen()) == 5
-    assert girth(complete_bipartite(3)) == 4
-    assert girth(cycle_graph(8)) == 8
-    assert girth(heawood()) == 6
-    assert girth(tutte_coxeter()) == 8
+    assert [verify_egr(G).g for G in (petersen(), complete_bipartite(3), heawood(), tutte_coxeter())] == [5, 4, 6, 8]
+    assert _girth_walks(cycle_graph(8))[0][0] == 8
     tree = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
-    assert girth(tree) is math.inf
+    assert _girth_walks(tree) == [(math.inf, [])]
 
 
 def test_girth_against_brute_force():
     G = petersen()
     lengths = [length for length in range(3, 11) if all_cycles(G, length)]
-    assert min(lengths) == girth(G)
+    assert min(lengths) == verify_egr(G).g
 
 
 def test_edge_counts_petersen():
@@ -231,26 +237,25 @@ def test_edge_count_sum_counts_each_cycle_g_times():
 
 def test_vertex_counts_petersen():
     G = petersen()
-    assert count_cycles_through_vertex(G, 0, 5) == 6  # k * lambda / 2
-    assert count_cycles_through_vertex(G, 0, 6) == 6
-    assert count_cycles_through_vertex(G, 3, 6) == vertex_cycle_count_naive(G, 3, 6)
+    assert cycle_counts_through_vertices(G, 5)[0] == 6  # k * lambda / 2
+    assert cycle_counts_through_vertices(G, 6)[0] == 6
+    assert cycle_counts_through_vertices(G, 6)[3] == vertex_cycle_count_naive(G, 3, 6)
 
 
 def test_vertex_count_consistency_with_global():
     G = petersen()
-    assert sum(count_cycles_through_vertex(G, v, 6) for v in range(10)) == 6 * len(all_cycles(G, 6))
+    assert sum(cycle_counts_through_vertices(G, 6)) == 6 * len(all_cycles(G, 6))
 
 
 def test_girth_cycles_per_vertex_is_half_k_lambda():
     for G in (petersen(), heawood(), complete_bipartite(4)):
         sig = verify_egr(G)
-        expect = sig.k * sig.lam // 2
-        assert all(count_cycles_through_vertex(G, v, sig.g) == expect for v in range(G.n))
+        assert cycle_counts_through_vertices(G, sig.g) == [sig.k * sig.lam // 2] * G.n
 
 
 def test_vertex_count_rejects_lengths_other_than_g_and_g_plus_1():
     with pytest.raises(ValueError, match="girth"):
-        count_cycles_through_vertex(petersen(), 0, 7)
+        cycle_counts_through_vertices(petersen(), 7)
 
 
 def test_exact_dtype_boundary():
@@ -311,16 +316,15 @@ DIFFERENTIAL_GRAPHS = {
 def test_engine_matches_independent_oracles(name):
     G = DIFFERENTIAL_GRAPHS[name]()
     H = nx.Graph(G.edges())
-    g = girth(G)
-    assert g == nx.girth(H)
-    assert _walks_at_girth(G)[0] == g
+    g = nx.girth(H)
+    assert _girth_walks(G)[0][0] == g
     cycles = [set(c) for c in nx.simple_cycles(H, length_bound=g + 1)]
     edges = list(G.edges())
     counts = [count_girth_cycles_through_edge(G, e, g) for e in edges]
     assert counts == [edge_cycle_count_dfs(G, e, g) for e in edges]
     assert counts == [sum(len(c) == g and set(e) <= c for c in cycles) for e in edges]
     for length in (g, g + 1):
-        per_vertex = [count_cycles_through_vertex(G, v, length) for v in range(G.n)]
+        per_vertex = cycle_counts_through_vertices(G, length)
         assert per_vertex == [vertex_cycle_count_dfs(G, v, length) for v in range(G.n)]
         assert per_vertex == [sum(len(c) == length and v in c for c in cycles) for v in range(G.n)]
     # every case is connected and regular but not edge-girth-regular
@@ -344,18 +348,17 @@ def test_engine_matches_independent_oracles(name):
 )
 def test_vertex_cycle_counts_come_from_one_walk_pass(build, monkeypatch):
     G = build()
-    g = girth(G)
+    g = nx.girth(nx.Graph(G.edges()))
     passes = []
 
     def counted(*args, **kwargs):
         passes.append(args)
-        return _walks_at_girth(*args, **kwargs)
+        return _girth_walks(*args, **kwargs)
 
     for length in (g, g + 1):
         expected = [vertex_cycle_count_dfs(G, v, length) for v in range(G.n)]
-        assert [count_cycles_through_vertex(G, v, length) for v in range(G.n)] == expected
         with monkeypatch.context() as m:
-            m.setattr(graph_core, "_walks_at_girth", counted)
+            m.setattr(graph_core, "_girth_walks", counted)
             counts = cycle_counts_through_vertices(G, length)
         assert counts == expected
         assert all(type(c) is int for c in counts)
@@ -371,9 +374,9 @@ def _walk_results(G: Graph):
         verdict = verify_egr(G)
     except NotEdgeGirthRegular as exc:
         verdict = (exc.kind, exc.witness, str(exc), exc.details)
-    g = girth(G)
+    g = _girth_walks(G)[0][0]
     edges = [count_girth_cycles_through_edge(G, e, g) for e in list(G.edges())[:3]]
-    vertices = [count_cycles_through_vertex(G, v, length) for v in range(3) for length in (g, g + 1)]
+    vertices = [cycle_counts_through_vertices(G, length)[:3] for length in (g, g + 1)]
     return verdict, edges, vertices, walk_moments(G, 8)
 
 
@@ -400,12 +403,22 @@ def test_python_int_path_matches_float64(name, monkeypatch):
 
 @pytest.mark.parametrize("G", [petersen(), heawood(), hoffman_singleton(), tutte_coxeter(), complete_bipartite(4)])
 def test_verified_girth_is_the_bfs_girth(G):
-    assert verify_egr(G).g == girth(G)
+    assert verify_egr(G).g == nx.girth(nx.Graph(G.edges()))
+
+
+def _distance_layers(G: Graph, root: int) -> list[list[int]]:
+    """The vertices of root's component grouped by distance D_0, D_1, ...,
+    from networkx."""
+    dist = nx.single_source_shortest_path_length(nx.Graph(G.edges()), root)
+    layers = [[] for _ in range(max(dist.values()) + 1)]
+    for v, d in sorted(dist.items()):
+        layers[d].append(v)
+    return layers
 
 
 def test_distance_layers_partition():
     G = petersen()
-    layers = distance_layers(G, 0)
+    layers = _distance_layers(G, 0)
     assert [len(layer) for layer in layers] == [1, 3, 6]
     assert sorted(v for layer in layers for v in layer) == list(range(10))
 
@@ -414,7 +427,7 @@ def test_layer_edge_counts_on_petersen():
     # girth 5 = 2h+1 with h=2: edges inside D_h number k*lambda/2,
     # edges onward to D_{h+1} number k((k-1)^h - lambda)
     G = petersen()
-    layers = distance_layers(G, 0)
+    layers = _distance_layers(G, 0)
     D2 = set(layers[2])
     inside = sum(1 for u, v in G.edges() if u in D2 and v in D2)
     assert inside == 3 * 4 // 2
@@ -463,11 +476,14 @@ def test_verify_egr_nonuniform_reports_min_max():
 
 
 def test_bipartition():
-    assert bipartition(petersen()) is None
-    colors = bipartition(heawood())
-    assert colors is not None
+    # the parities of the BFS levels from vertex 0 are networkx's 2-colouring
+    assert not verify_egr(petersen()).bipartite
     G = heawood()
-    assert all(colors[u] != colors[v] for u, v in G.edges())
+    assert verify_egr(G).bipartite
+    _, level, rows, indices = _bfs_levels([G])
+    assert (level[rows] % 2 != level[indices] % 2).all()
+    colour = nx.bipartite.color(nx.Graph(G.edges()))
+    assert (level % 2).tolist() == [int(colour[v] != colour[0]) for v in range(G.n)]
 
 
 def test_hoffman_singleton_parameters():
