@@ -26,16 +26,18 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import islice
 
-from . import __version__
+from . import __version__, graph_core
 from .bounds import bound_report, certify_extremal
 from .constructions import (
     FAMILIES,
+    FAMILY_ORDER,
     build_biaffine,
     build_gq_truncation,
     build_ovoid_spread,
     build_pencil_graph,
     check_order,
     named_graph,
+    named_order,
 )
 from .galois import GF, prime_power
 from .graph_core import (
@@ -65,33 +67,40 @@ class UsageError(Exception):
     pass
 
 
-def build_family(family: str, q: int | None = None, name: str | None = None) -> Graph:
+def family_order(family: str, q: int | None = None, name: str | None = None) -> int:
+    """Vertex count of the graph ``build_family`` builds for these
+    arguments, from its closed form, after the argument checks that
+    ``build_family`` makes; nothing is built.  UsageError when a check
+    fails."""
     if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
-    if family == "named":
-        if name is None:
-            raise UsageError("--name is required for the named family")
-        try:
-            return named_graph(name)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    if q is None:
+    if family == "named" and name is None:
+        raise UsageError("--name is required for the named family")
+    if family != "named" and q is None:
         raise UsageError(f"--q is required for family {family}")
     try:
-        p, e = prime_power(q)
+        if family == "named":
+            return named_order(name)
+        prime_power(q)
         check_order(family, q)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    F = GF(p, e)
-    builder = {
-        "biaffine1": lambda f: build_biaffine(f, 1),
-        "biaffine2": lambda f: build_biaffine(f, 2),
-        "gq_truncation": build_gq_truncation,
-        "ovoid_spread": build_ovoid_spread,
-        "pencil": build_pencil_graph,
-    }[family]
+    return FAMILY_ORDER[family](q)
+
+
+_BUILDERS = {
+    "biaffine1": lambda F: build_biaffine(F, 1),
+    "biaffine2": lambda F: build_biaffine(F, 2),
+    "gq_truncation": build_gq_truncation,
+    "ovoid_spread": build_ovoid_spread,
+    "pencil": build_pencil_graph,
+}
+
+
+def build_family(family: str, q: int | None = None, name: str | None = None) -> Graph:
+    family_order(family, q, name)
     try:
-        return builder(F)
+        return named_graph(name) if family == "named" else _BUILDERS[family](GF(*prime_power(q)))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -155,14 +164,15 @@ def _emit(doc: dict, out_path: str | None) -> None:
 
 
 def cmd_construct(args, argv) -> int:
+    n = family_order(args.family, args.q, args.name)
+    if n > graph_core.MAX_VERIFY_VERTICES:
+        raise UsageError(f"verification is capped at {graph_core.MAX_VERIFY_VERTICES} vertices (got n = {n})")
     G = build_family(args.family, args.q, args.name)
     try:
         sig = verify_egr(G)
     except NotEdgeGirthRegular as exc:
         print(f"internal error: construction failed verification: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ValueError as exc:  # over the verify vertex cap
-        raise UsageError(str(exc)) from None
     if args.format == "graph6":
         graph = graph6_encode(G)
     else:
@@ -284,11 +294,12 @@ def cmd_report(args, argv) -> int:
     doc["q"] = args.q
     doc["name"] = args.name
 
+    n = family_order(args.family, args.q, args.name)
+    if n > MAX_MOMENT_VERTICES:
+        raise UsageError(f"report is capped at {MAX_MOMENT_VERTICES} vertices (got n = {n})")
     t0 = time.perf_counter()
     G = build_family(args.family, args.q, args.name)
     timing["construct"] = time.perf_counter() - t0
-    if G.n > MAX_MOMENT_VERTICES:
-        raise UsageError(f"report is capped at {MAX_MOMENT_VERTICES} vertices (got n = {G.n})")
 
     t0 = time.perf_counter()
     try:

@@ -29,11 +29,29 @@ from .graph_core import Graph
 FAMILIES = ("biaffine1", "biaffine2", "gq_truncation", "ovoid_spread", "pencil", "named")
 
 # Largest q each family builds in under 60 s and 1 GiB peak RSS (2 CPUs,
-# Python 3.11, numpy 2.4): biaffine q=127 12 s / 668 MiB and gq_truncation
-# q=25 14 s / 318 MiB, the next q needing an incidence array past
-# geometry.MAX_INCIDENCE_CELLS; pencil q=19 9 s / 878 MiB, q=23 25 s / 1854 MiB;
+# one BLAS thread, Python 3.11, numpy 2.4).  Memory binds, mostly in the
+# Graph's CSR build over the q^3 or q^4 edges: biaffine q=193 5.6 s /
+# 987 MiB, q=197 1048 MiB; gq_truncation q=49 7.2 s / 861 MiB, q=53
+# 1155 MiB; pencil q=19 4.5 s / 394 MiB, q=23 25 s / 1854 MiB;
 # ovoid_spread q=4, the ovoid search in W(8) not finishing in 200 s.
-MAX_ORDER = {"biaffine1": 127, "biaffine2": 127, "gq_truncation": 25, "ovoid_spread": 4, "pencil": 19}
+MAX_ORDER = {"biaffine1": 193, "biaffine2": 193, "gq_truncation": 49, "ovoid_spread": 4, "pencil": 19}
+
+
+# Round sizes of complete_bipartite(k) and cycle(n) that build in under
+# 60 s and 1 GiB peak RSS, on the same machine as MAX_ORDER; memory binds:
+# complete_bipartite(3000) 2.1 s / 993 MiB, 3050 1025 MiB; cycle(9000000)
+# 1.3 s / 992 MiB, 9500000 1046 MiB.
+MAX_NAMED_SIZE = {"complete_bipartite": 3000, "cycle": 9_000_000}
+
+# Vertex count of each family's graph at q, in closed form, so that a size
+# cap can be checked before any field or geometry is built.
+FAMILY_ORDER = {
+    "biaffine1": lambda q: 2 * q * q,
+    "biaffine2": lambda q: 2 * q * q - 2,
+    "gq_truncation": lambda q: 2 * q**3,
+    "ovoid_spread": lambda q: 2 * q * (q * q + 1),
+    "pencil": lambda q: 2 * (q**3 + q**2 + q + 1),
+}
 
 
 def check_order(family: str, q: int) -> None:
@@ -42,6 +60,15 @@ def check_order(family: str, q: int) -> None:
         raise ValueError(
             f"{family} is capped at q <= {MAX_ORDER[family]} (got q = {q}); "
             "larger q does not build in 60 s and 1 GiB"
+        )
+
+
+def _check_size(kind: str, size: int) -> None:
+    """ValueError when a named graph's size is above its cap, MAX_NAMED_SIZE."""
+    if size > MAX_NAMED_SIZE[kind]:
+        raise ValueError(
+            f"{kind}({size}) is past the size cap {kind}({MAX_NAMED_SIZE[kind]}); "
+            "larger graphs do not build in 60 s and 1 GiB"
         )
 
 
@@ -201,35 +228,53 @@ def tutte_coxeter() -> Graph:
 def complete_bipartite(k: int) -> Graph:
     if k < 1:
         raise ValueError("k must be positive")
+    _check_size("complete_bipartite", k)
+    left, right = np.divmod(np.arange(k * k), k)
     labels = [("left", i) for i in range(k)] + [("right", i) for i in range(k)]
-    return Graph.from_edges(2 * k, [(i, k + j) for i in range(k) for j in range(k)], labels)
+    return Graph.from_edges(2 * k, np.stack((left, right + k), axis=1), labels)
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycles need n >= 3")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    _check_size("cycle", n)
+    return Graph.from_edges(n, np.stack((np.arange(n), (np.arange(n) + 1) % n), axis=1))
 
 
+# name -> (order, builder)
 _NAMED = {
-    "petersen": petersen,
-    "hoffman_singleton": hoffman_singleton,
-    "heawood": heawood,
-    "tutte_coxeter": tutte_coxeter,
+    "petersen": (10, petersen),
+    "hoffman_singleton": (50, hoffman_singleton),
+    "heawood": (14, heawood),
+    "tutte_coxeter": (30, tutte_coxeter),
 }
+
+
+def _named(name: str):
+    """(order, builder) of a reference graph by name; ValueError for an
+    unknown name or a size past its cap."""
+    key = name.strip().lower()
+    if key in _NAMED:
+        return _NAMED[key]
+    m = re.fullmatch(r"(complete_bipartite|cycle)\((\d+)\)", key)
+    if m:
+        size = int(m.group(2))
+        _check_size(m.group(1), size)
+        if m.group(1) == "complete_bipartite":
+            return 2 * size, lambda: complete_bipartite(size)
+        return size, lambda: cycle_graph(size)
+    raise ValueError(
+        f"unknown graph name {name!r}; expected one of {sorted(_NAMED)}, "
+        "complete_bipartite(k), or cycle(n)"
+    )
+
+
+def named_order(name: str) -> int:
+    """Vertex count of ``named_graph(name)``, without building it."""
+    return _named(name)[0]
 
 
 def named_graph(name: str) -> Graph:
     """Reference graph by name: petersen, hoffman_singleton, heawood,
     tutte_coxeter, complete_bipartite(k), cycle(n)."""
-    key = name.strip().lower()
-    if key in _NAMED:
-        return _NAMED[key]()
-    m = re.fullmatch(r"(complete_bipartite|cycle)\((\d+)\)", key)
-    if m:
-        fn = complete_bipartite if m.group(1) == "complete_bipartite" else cycle_graph
-        return fn(int(m.group(2)))
-    raise ValueError(
-        f"unknown graph name {name!r}; expected one of {sorted(_NAMED)}, "
-        "complete_bipartite(k), or cycle(n)"
-    )
+    return _named(name)[1]()

@@ -10,14 +10,12 @@ tuples.  A hyperplane is named by the same kind of canonical vector, its
 dual coordinates, so plane i of PG(3,q) is the plane with the
 coordinates of point i.
 
-All incidence is read off one vectorised builder, ``incidence(F, duals,
-points)``: the boolean matrix of ``sum(a_k * x_k) == 0``, evaluated with
-the field's numpy add/mul tables.
+Each line is listed once, from its reduced row-echelon basis (r, s):
+pivot columns i < j, r leading at i with a 0 at j, s leading at j.
 
-- PG(2,q): the lines are the rows of the points x points incidence.
-- W(q): the isotropy matrix B[x, y] = (<x, y> == 0) is the incidence of
-  the vectors J x with the points.  A totally isotropic line is its own
-  perp, so the line through isotropic x, y is the row B[x] & B[y].
+- PG(2,q): every such basis of GF(q)^3 is a line.
+- W(q): the bases of GF(q)^4 with <r, s> = 0, the totally isotropic lines
+  of PG(3,q) (Payne & Thas, Finite Generalized Quadrangles, 3.1).
 - PG(3,q): the planes x points incidence (``plane_incidence``) gives
   tangent planes, the pencil's cap check and the pencil graph's edges.
 
@@ -41,8 +39,8 @@ import numpy as np
 
 from .galois import Field
 
-# Largest dense incidence array, in entries (256 MiB of bool): PG(2,127)
-# and PG(3,25) fit, PG(2,128) and PG(3,27) do not.  The table lookups that
+# Largest dense incidence array, in entries (256 MiB of bool): the planes
+# x points of PG(3,25) fit, those of PG(3,27) do not.  The table lookups that
 # fill it run over blocks of at most _BLOCK_CELLS entries.
 MAX_INCIDENCE_CELLS = 2**28
 _BLOCK_CELLS = 2**20
@@ -127,14 +125,6 @@ def incidence(F: Field, duals: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rows(mask: np.ndarray, size: int) -> np.ndarray:
-    """Column indices of the true entries of each row, as a (rows x size)
-    array; ArithmeticError unless every row has exactly ``size``."""
-    if not (mask.sum(axis=1) == size).all():
-        raise ArithmeticError(f"incidence rows must each hold {size} points; field arithmetic is broken")
-    return np.nonzero(mask)[1].reshape(len(mask), size)
-
-
 @lru_cache(maxsize=None)
 def plane_incidence(F: Field) -> np.ndarray:
     """Read-only planes x points incidence of PG(3,q); plane i has the
@@ -176,50 +166,58 @@ class IncidenceGeometry:
         return (order // self.blocks.shape[1]).reshape(self.n_points, -1)
 
 
+def _echelon_bases(F: Field, dim: int):
+    """For each pivot pair i < j, the echelon bases (r, s) of the lines of
+    PG(dim, q) with those pivots as two uint8 arrays: every point with its
+    leading 1 at i and a 0 at j, paired with every point leading at j."""
+    pts = point_array(dim, F).astype(np.uint8)
+    lead = (pts != 0).argmax(axis=1)
+    for i, j in combinations(range(dim + 1), 2):
+        r, s = pts[(lead == i) & (pts[:, j] == 0)], pts[lead == j]
+        yield np.repeat(r, len(s), axis=0), np.tile(s, (len(r), 1))
+
+
+def _geometry(F: Field, dim: int, bases) -> IncidenceGeometry:
+    """The geometry on the points of PG(dim, q) with a line for each
+    echelon basis (r, s) in ``bases``: the points s and r + t s, canonical
+    as they stand.  ArithmeticError unless, as in PG(2,q) and W(q), there
+    are as many lines as points, q+1 on each line and q+1 through each."""
+    tab, q, n = F.tables, F.q, len(point_array(dim, F))
+    t = np.arange(q, dtype=np.uint8)[:, None]
+    rows = [np.concatenate([s[:, None], tab.add[r[:, None], tab.mul[t, s[:, None]]]], axis=1) for r, s in bases]
+    blocks = np.sort(point_index(F, np.concatenate(rows).reshape(-1, dim + 1)).reshape(-1, q + 1), axis=1)
+    blocks = blocks[np.lexsort(blocks.T[::-1])]
+    # blocks[0, 0] is the least index; a zero vector gives a negative one
+    ok = len(blocks) == n and blocks[0, 0] >= 0 and (blocks[:, 1:] > blocks[:, :-1]).all()
+    if not (ok and (np.bincount(blocks.ravel(), minlength=n) == q + 1).all()):
+        raise ArithmeticError(f"lines of PG({dim},{q}) do not form the geometry; field arithmetic is broken")
+    blocks.setflags(write=False)
+    return IncidenceGeometry(points=pg_points(dim, F), blocks=blocks)
+
+
 @lru_cache(maxsize=None)
 def pg2_geometry(F: Field) -> IncidenceGeometry:
-    """The projective plane PG(2,q): q^2+q+1 points and lines, incidence
-    sum(a_i x_i) = 0."""
-    pts = point_array(2, F)
-    blocks = _rows(incidence(F, pts, pts), F.q + 1)
-    blocks = blocks[np.lexsort(blocks.T[::-1])]
-    blocks.setflags(write=False)
-    return IncidenceGeometry(points=pg_points(2, F), blocks=blocks)
+    """The projective plane PG(2,q): q^2+q+1 points and lines, one line
+    for every echelon basis of GF(q)^3."""
+    return _geometry(F, 2, _echelon_bases(F, 2))
 
 
 @lru_cache(maxsize=None)
 def symplectic_gq(F: Field) -> IncidenceGeometry:
     """The generalized quadrangle W(q): all points of PG(3,q) together with
     the lines that are totally isotropic for the alternating form
-    <x,y> = x0*y1 - x1*y0 + x2*y3 - x3*y2."""
-    q = F.q
-    pts = point_array(3, F)
-    neg = F.tables.neg
-    # <x, y> = (J x) . y with J x = (-x1, x0, -x3, x2)
-    jx = np.stack([neg[pts[:, 1]], pts[:, 0], neg[pts[:, 3]], pts[:, 2]], axis=1)
-    iso = incidence(F, jx, pts)
-    # Walk x in index order.  A line through x whose least point is below x
-    # was listed earlier and is in through[x]; every other partner y > x
-    # of x lies on a new line, x^perp & y^perp.  Taking the least such y
-    # each time lists the lines in lexicographic order.
-    lines = []
-    through = [[] for _ in range(len(pts))]
-    for x in range(len(pts)):
-        todo = iso[x].copy()
-        todo[: x + 1] = False
-        for line in through[x]:
-            todo[line] = False
-        while todo.any():
-            line = np.flatnonzero(iso[x] & iso[todo.argmax()])
-            lines.append(line)
-            todo[line] = False
-            for z in line[1:]:
-                through[z].append(line)
-    if len(lines) != (q + 1) * (q * q + 1) or any(len(line) != q + 1 for line in lines):
-        raise ArithmeticError("W(q) line count mismatch; symplectic form implementation is broken")
-    blocks = np.array(lines, dtype=np.int64)
-    blocks.setflags(write=False)
-    return IncidenceGeometry(points=pg_points(3, F), blocks=blocks)
+    <x,y> = x0*y1 - x1*y0 + x2*y3 - x3*y2, those whose echelon basis has
+    <r, s> = 0."""
+    add, neg, mul = F.tables.add, F.tables.neg, F.tables.mul
+
+    def isotropic(r, s):
+        # <r, s> = (J r) . s with J r = (-r1, r0, -r3, r2)
+        form = mul[neg[r[:, 1]], s[:, 0]]
+        for jr, k in ((r[:, 0], 1), (neg[r[:, 3]], 2), (r[:, 2], 3)):
+            form = add[form, mul[jr, s[:, k]]]
+        return r[form == 0], s[form == 0]
+
+    return _geometry(F, 3, (isotropic(r, s) for r, s in _echelon_bases(F, 3)))
 
 
 @lru_cache(maxsize=None)

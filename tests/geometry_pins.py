@@ -1,0 +1,53 @@
+"""The line sets pinned in data/geometry_pins.json and how each pin is taken.
+
+A spec (name, q) names PG(2,q) when name is "pg2" and W(q) when it is
+"w".  Geometries are built through the uncached builders, so that a pass
+over every spec holds at most one large line set at a time."""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+from egrtools import geometry
+from egrtools.galois import GF, prime_power
+
+
+def _prime_powers(limit: int) -> list[int]:
+    out = []
+    for q in range(2, limit + 1):
+        try:
+            prime_power(q)
+        except ValueError:
+            continue
+        out.append(q)
+    return out
+
+
+# every order the biaffine planes (q <= 127) and the GQ truncation (q <= 25)
+# built from the dense points x points incidence
+GEOMETRY_SPECS = [("pg2", q) for q in _prime_powers(127)] + [("w", q) for q in _prime_powers(25)]
+
+_BUILDERS = {"pg2": geometry.pg2_geometry, "w": geometry.symplectic_gq}
+
+
+def spec_id(spec) -> str:
+    name, q = spec
+    return f"PG(2,{q})" if name == "pg2" else f"W({q})"
+
+
+def build_uncached(spec) -> geometry.IncidenceGeometry:
+    name, q = spec
+    return _BUILDERS[name].__wrapped__(GF(*prime_power(q)))
+
+
+def pin_of(spec, geom: geometry.IncidenceGeometry) -> dict:
+    name, q = spec
+    blocks = np.ascontiguousarray(geom.blocks, dtype="<i8")
+    return {
+        "geometry": name,
+        "q": q,
+        "shape": list(blocks.shape),
+        "blocks_sha256": hashlib.sha256(blocks.tobytes()).hexdigest(),
+    }

@@ -223,7 +223,7 @@ def test_construct_bad_q_is_a_usage_error(capsys, q, message):
     assert GF.cache_info().misses == misses  # rejected before any field was built
 
 
-@pytest.mark.parametrize("family,q", [("biaffine1", 128), ("biaffine2", 128), ("gq_truncation", 27),
+@pytest.mark.parametrize("family,q", [("biaffine1", 197), ("biaffine2", 197), ("gq_truncation", 53),
                                       ("ovoid_spread", 8), ("pencil", 23)])
 def test_report_over_size_cap_is_a_usage_error(capsys, family, q):
     code, out, err = run(capsys, "report", "--family", family, "--q", str(q))
@@ -252,6 +252,47 @@ def test_report_over_vertex_cap_exits_before_verifying(capsys, monkeypatch):
     code, out, err = run(capsys, "report", "--family", "named", "--name", "petersen")
     assert code == EXIT_USAGE and out == ""
     assert _one_error_line(err, "report is capped at 9 vertices (got n = 10)")
+
+
+@pytest.mark.parametrize("command", ["construct", "report"])
+@pytest.mark.parametrize(
+    "name,cap", [("complete_bipartite(20000)", "complete_bipartite(3000)"), ("cycle(50000000)", "cycle(9000000)")]
+)
+def test_named_graph_past_its_size_cap_is_a_usage_error(capsys, command, name, cap):
+    code, out, err = run(capsys, command, "--family", "named", "--name", name)
+    assert code == EXIT_USAGE and out == ""
+    assert _one_error_line(err, f"{name} is past the size cap {cap}")
+
+
+# Each probe with a lowered cap is one vertex past it.
+@pytest.mark.parametrize(
+    "argv,patch,message",
+    [
+        (["construct", "--family", "gq_truncation", "--q", "9"], (graph_core, "MAX_VERIFY_VERTICES", 1457),
+         "verification is capped at 1457 vertices (got n = 1458)"),
+        (["construct", "--family", "pencil", "--q", "9"], (graph_core, "MAX_VERIFY_VERTICES", 1639),
+         "verification is capped at 1639 vertices (got n = 1640)"),
+        (["report", "--family", "biaffine1", "--q", "193"], None,
+         "report is capped at 2048 vertices (got n = 74498)"),
+        (["report", "--family", "biaffine2", "--q", "32"], (cli, "MAX_MOMENT_VERTICES", 2045),
+         "report is capped at 2045 vertices (got n = 2046)"),
+        (["report", "--family", "ovoid_spread", "--q", "4"], (cli, "MAX_MOMENT_VERTICES", 135),
+         "report is capped at 135 vertices (got n = 136)"),
+    ],
+)
+def test_vertex_caps_are_checked_before_building(capsys, monkeypatch, argv, patch, message):
+    def builder(F):
+        raise AssertionError("built a graph over the vertex cap")
+
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    for family in cli._BUILDERS:
+        monkeypatch.setitem(cli._BUILDERS, family, builder)
+    misses = GF.cache_info().misses
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert _one_error_line(err, message)
+    assert GF.cache_info().misses == misses  # no field was built either
 
 
 def test_verify_over_vertex_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):

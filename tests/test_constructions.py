@@ -7,6 +7,8 @@ import pytest
 
 from egrtools.bounds import certify_extremal
 from egrtools.constructions import (
+    FAMILY_ORDER,
+    MAX_NAMED_SIZE,
     build_biaffine,
     build_gq_truncation,
     build_ovoid_spread,
@@ -15,10 +17,11 @@ from egrtools.constructions import (
     complete_bipartite,
     cycle_graph,
     named_graph,
+    named_order,
 )
 from egrtools.galois import GF, prime_power
 from egrtools.geometry import symplectic_gq
-from egrtools.graph_core import graph6_encode, verify_egr
+from egrtools.graph_core import Graph, graph6_encode, verify_egr
 
 F = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5)}
 
@@ -122,6 +125,32 @@ def test_named_graphs():
         named_graph("kneser")
 
 
+def test_sized_named_graphs_match_their_edge_lists():
+    for k in (1, 2, 5):
+        edges = [(i, k + j) for i in range(k) for j in range(k)]
+        G = complete_bipartite(k)
+        assert G.adj == Graph.from_edges(2 * k, edges).adj
+        assert G.labels == [("left", i) for i in range(k)] + [("right", i) for i in range(k)]
+    for n in (3, 4, 9):
+        assert cycle_graph(n).adj == Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]).adj
+
+
+@pytest.mark.parametrize("name", ["complete_bipartite", "cycle"])
+def test_named_size_cap_is_checked_before_building(name):
+    cap = MAX_NAMED_SIZE[name]
+    builder = complete_bipartite if name == "complete_bipartite" else cycle_graph
+    with pytest.raises(ValueError, match=rf"{name}\({cap + 1}\) is past the size cap {name}\({cap}\)"):
+        builder(cap + 1)
+    with pytest.raises(ValueError, match="past the size cap"):
+        named_order(f"{name}({cap + 1})")
+    assert named_order(f"{name}({cap})") == (2 * cap if name == "complete_bipartite" else cap)
+
+
+def test_named_order_matches_the_built_graph():
+    for name in ("petersen", "hoffman_singleton", "heawood", "tutte_coxeter", "complete_bipartite(4)", "cycle(7)"):
+        assert named_order(name) == named_graph(name).n
+
+
 def test_named_graph_values():
     sig = verify_egr(named_graph("hoffman_singleton"))
     assert (sig.n, sig.k, sig.g, sig.lam) == (50, 7, 5, 36)
@@ -146,6 +175,17 @@ BUILDERS = {
     "ovoid_spread": build_ovoid_spread,
     "pencil": build_pencil_graph,
 }
+
+
+@pytest.mark.parametrize(
+    "family,q",
+    [(f, q) for f in ("biaffine1", "biaffine2", "gq_truncation") for q in (3, 4, 5, 7, 8, 9)]
+    + [("ovoid_spread", 4)]
+    + [("pencil", q) for q in (2, 3, 4, 5, 7, 8, 9)],
+)
+def test_family_order_is_the_built_order(family, q):
+    assert FAMILY_ORDER[family](q) == BUILDERS[family](GF(*prime_power(q))).n
+
 
 # sha256 of graph6_encode of each family/q, recorded with the per-element
 # (scalar field arithmetic, per-pair geometry scan) implementation.
@@ -233,7 +273,7 @@ def test_labels_are_pinned(family, q):
 
 # The next q above each family's cap that the family takes (ovoid_spread
 # needs q even).
-OVER_CAP = {"biaffine1": 128, "biaffine2": 128, "gq_truncation": 27, "ovoid_spread": 8, "pencil": 23}
+OVER_CAP = {"biaffine1": 197, "biaffine2": 197, "gq_truncation": 53, "ovoid_spread": 8, "pencil": 23}
 
 
 @pytest.mark.parametrize("family", sorted(OVER_CAP))

@@ -1,8 +1,11 @@
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from geometry_pins import GEOMETRY_SPECS, build_uncached, pin_of, spec_id
 from oracles import dot, line_through
 
 from egrtools import geometry
@@ -24,6 +27,7 @@ from egrtools.geometry import (
 )
 
 FIELDS = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5)}
+GEOMETRY_PINS = json.loads((Path(__file__).with_name("data") / "geometry_pins.json").read_text())["geometries"]
 
 
 def test_point_counts():
@@ -296,8 +300,18 @@ def test_incidence_cap_is_checked_before_allocating():
     assert (side + 1) * side > MAX_INCIDENCE_CELLS >= side * side
     with pytest.raises(ValueError, match="exceeds the cap"):
         incidence(FIELDS[2], duals, points)
-    # PG(2,131) has 17293 points; PG(3,27) has 20440
-    with pytest.raises(ValueError, match="exceeds the cap"):
-        pg2_geometry(GF(131))
+    # PG(3,27) has 20440 points; PG(2,131), with 17293, builds its lines
+    # without a dense incidence array
     with pytest.raises(ValueError, match="exceeds the cap"):
         plane_incidence(GF(3, 3))
+    assert pg2_geometry(GF(131)).blocks.shape == (17293, 132)
+
+
+def test_geometry_pins_cover_the_specs():
+    assert [(pin["geometry"], pin["q"]) for pin in GEOMETRY_PINS] == GEOMETRY_SPECS
+
+
+@pytest.mark.parametrize("spec,pin", zip(GEOMETRY_SPECS, GEOMETRY_PINS), ids=[spec_id(s) for s in GEOMETRY_SPECS])
+def test_lines_are_pinned(spec, pin):
+    # the blocks array of PG(2,q) or W(q), byte for byte
+    assert pin_of(spec, build_uncached(spec)) == pin
