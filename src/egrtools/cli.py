@@ -5,7 +5,9 @@ input error (a graph over the verify or report vertex cap, or an --out
 path that cannot be written, included), 3
 internal inconsistency (a construction failed its own verification, a
 spectrum failed its exact moment check, or the float tight-spectrum
-verdict disagreed with its exact incidence identity).  A stream verify
+verdict disagreed with its exact incidence identity) or any other
+exception that escapes a command, reported as one ``internal error:``
+line without a traceback.  A stream verify
 reports each malformed or oversized line and goes on; it exits with the
 largest code of any line.  It works on blocks of STREAM_BLOCK_LINES input
 lines: it decodes a block's lines with one ``graph6_decode_many`` call,
@@ -61,6 +63,9 @@ EXIT_INTERNAL = 3
 
 # stdin lines a stream verify reads, verifies and writes out at a time
 STREAM_BLOCK_LINES = 256
+
+# writes each stream record as json.dumps(record, sort_keys=True) would
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 class UsageError(Exception):
@@ -222,7 +227,7 @@ def _verify_block(lines: list[str], first: int) -> tuple[int, str]:
         else:
             code, result = _record(next(verdicts))
         result["line"] = lineno
-        out.append(json.dumps(result, sort_keys=True) + "\n")
+        out.append(_RECORD_ENCODER.encode(result) + "\n")
         worst = max(worst, code)
     return worst, "".join(out)
 
@@ -395,6 +400,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

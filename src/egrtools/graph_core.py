@@ -13,10 +13,14 @@ Python ints, serves the JSON output of ``construct``.
 as witness) and bipartiteness come from one level-synchronous numpy BFS
 over the disjoint union of the graphs in CSR, rooted at every graph's
 vertex 0 (``_bfs_levels``, the package's one BFS, which also gives
-``spectral`` its colour classes).  The graphs that pass the degree checks
-are grouped by order and degree, and each group takes one walk pass over
-a (B, n, n) stack of its matrices: one stacked product per step instead
-of one per graph.
+``spectral`` its colour classes), and regularity from one least and one
+largest degree per graph, reduced over the graphs' concatenated degrees.
+The graphs that pass the degree checks are grouped by order alone, and
+each group takes one walk pass over a (B, n, n) stack of its matrices,
+whatever their degrees: one stacked product per step instead of one per
+graph, and one gather of every member's girth-cycle counts.  So a block's
+fixed costs grow with the number of distinct orders in it, not with the
+number of graphs or of (order, degree) pairs.
 
 Girth and cycle counts come from one pass over the non-backtracking walk
 matrices A_l (entry [u, w]: walks of l edges from u to w that never
@@ -31,30 +35,43 @@ So a closed walk of g or g+1 edges from v is a cycle through v, counted
 once in each direction.
 
 The counts are exact integers under one rule, ``_exact_dtype``: a
-computation runs in float64 while no integer it forms can pass 2**53, where
-float64 holds every integer, and in Python ints beyond, so no count can
-wrap.  With maximum degree k, at most N_l = k(k-1)**(l-1) non-backtracking
-walks of l steps leave a vertex.  The step forming A_l forms the entries
-of A_l (at most N_l), the partial sums of A_{l-1} A (sums over one row of
-A_{l-1}, at most N_{l-1}) and A_{l-1}(D - I) (each walk it counts extends
-in deg - 1 ways, at most N_l).  So that step runs in float64 while
-k * max(k-1, 1)**(l-1) <= 2**53; the max covers k = 1, where A A forms ones.
-A stack takes the rule once, with k its largest degree.
+computation runs in float32 while no integer it forms can pass 2**24, in
+float64 while none can pass 2**53, and in Python ints beyond, so no count
+can wrap or round.  A float type holds every integer up to 2**24 (float32,
+a 24-bit significand) or 2**53 (float64); the counts are nonnegative, so
+every partial sum of a product lies between 0 and the final sum, and a
+sum of integers within that range is formed exactly in any order and
+with or without fused multiply-adds (``galois._float_dtype`` rests on the
+same argument).  With maximum degree k, at most N_l = k(k-1)**(l-1)
+non-backtracking walks of l steps leave a vertex.  The step forming A_l
+forms the entries of A_l (at most N_l), the partial sums of A_{l-1} A
+(sums over one row of A_{l-1}, at most N_{l-1}) and A_{l-1}(D - I) (each
+walk it counts extends in deg - 1 ways, at most N_l).  So that step takes
+the dtype the rule gives k * max(k-1, 1)**(l-1); the max covers k = 1,
+where A A forms ones.  A stack takes the rule once per step, with k its
+largest degree, and widens at each crossing.
 
 graph6 (McKay's format) stores the upper triangle column by column, six
-bits to a printable byte, so bit i of a body is always the same pair
-u < v.  ``graph6_decode_many`` decodes a block of lines, and
+bits to a printable byte, so bit i of a body is the pair u < v with
+v(v-1)/2 <= i < v(v+1)/2 and u = i - v(v-1)/2, whatever the vertex count n.
+``graph6_decode_many`` decodes a block of lines, and
 ``graph6_decode(text)`` is that block decoder on one line.  Each line
 takes only the checks in O(1) Python steps (header, ASCII, byte range
 63..126, body length, padding, each with its byte offset); the valid
-bodies are grouped by vertex count n, and each group takes one numpy
-pass: its set bits map to pairs through the cached column starts, both
-orientations of every pair of graph b become codes (b*n + u)*n + v, one
-sort orders them, and one bincount splits them into the graphs' CSR
-arrays.  The pass reads a group MAX_DECODE_BYTES bytes at a time and
-unpacks only the nonzero ones, so it never holds more than
-8 * MAX_DECODE_BYTES bytes of bits (512 KiB), and its peak, besides the
-graphs it returns, stays near the size of the input.
+bodies, whatever their n, are concatenated and take one numpy pass: a
+search on the bodies' end offsets gives each set bit its line, the bit
+map gives its pair, both orientations of every pair become codes
+r*W + c, with r the row in the numbering of the disjoint union of the
+graphs and W the largest n, one sort orders them, and one bincount
+splits them into the graphs' CSR arrays.  A code is below V*W, V the
+union's vertex count.  A line of n vertices has at least n/62 bytes (one
+header byte for n <= 62; for larger n at least n(n-1)/12 body bytes), so
+V is at most 62 times the input's bytes, and W is at most GRAPH6_MAX_N =
+10**6: the codes fit int64 for any input under 10**11 bytes.  The pass
+reads the bodies MAX_DECODE_BYTES bytes at a time and unpacks only the
+nonzero ones, so it never holds more than 8 * MAX_DECODE_BYTES bytes of
+bits (512 KiB), and its peak, besides the graphs it returns, stays near
+the size of the input.
 """
 
 from __future__ import annotations
@@ -66,7 +83,8 @@ from itertools import chain, pairwise
 
 import numpy as np
 
-# float64 holds every integer up to 2**53 exactly
+# float32 holds every integer up to 2**24 exactly, float64 every one up to 2**53
+_FLOAT32_EXACT_MAX = 2**24
 _FLOAT_EXACT_MAX = 2**53
 
 # The largest vertex count the walk pass takes, measured on one thread: it
@@ -74,11 +92,12 @@ _FLOAT_EXACT_MAX = 2**53
 # step, g - 1 of them to reach the girth g, and a graph of degree >= 3 on
 # 4096 vertices has g <= 22 (Moore bound).  22 walk matrices of a random
 # cubic graph took 54 s / 575 MiB peak at n = 4096 and 66 s / 655 MiB at
-# n = 4400 (2 CPUs, OpenBLAS, one thread).
+# n = 4400 (2 CPUs, OpenBLAS, one thread), measured in float64; the steps
+# of a cubic graph up to length 22 now run in float32 (3 * 2**21 <= 2**24).
 MAX_VERIFY_VERTICES = 4096
 
 # The most entries a stack of walk matrices holds (2 MiB each in float64):
-# verify_many splits a group of graphs of order n into stacks of at most
+# verify_many splits the graphs of one order n into stacks of at most
 # MAX_STACK_CELLS // n**2 members, and a larger graph runs alone.
 MAX_STACK_CELLS = 2**18
 
@@ -124,7 +143,7 @@ class Graph:
             and np.array_equal(codes, np.sort(indices * n + rows))
         ):
             raise ValueError(_first_fault(n, rows, cols))
-        self._store(*_csr(n, 1, codes)[0], labels)
+        self._store(*_csr([n], n, codes)[0], labels)
 
     @classmethod
     def from_edges(cls, n: int, edges, labels=None) -> "Graph":
@@ -147,7 +166,7 @@ class Graph:
         if not _distinct(codes):
             raise ValueError(_first_fault(n, rows, cols))
         G = cls.__new__(cls)
-        G._store(*_csr(n, 1, codes)[0], labels)
+        G._store(*_csr([n], n, codes)[0], labels)
         return G
 
     def _store(self, indptr, indices, deg, labels) -> None:
@@ -222,19 +241,36 @@ def _distinct(codes: np.ndarray) -> bool:
     return not (codes[1:] == codes[:-1]).any()
 
 
-def _csr(n: int, count: int, codes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The CSR arrays (indptr, indices, deg) of ``count`` graphs on n
-    vertices, from the sorted codes (b*n + u)*n + v of their adjacency
-    entries, entry v of row u of graph b.  The arrays are read-only views
-    into arrays shared by the ``count`` graphs."""
-    rows, indices = np.divmod(codes, n)
-    deg = np.bincount(rows, minlength=count * n).reshape(count, n)
-    indptr = np.zeros((count, n + 1), dtype=np.int64)
-    np.add.accumulate(deg, axis=1, out=indptr[:, 1:])
+def _csr(orders, width: int, codes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The CSR arrays (indptr, indices, deg) of graphs of the given orders,
+    from the sorted codes r*width + v of their adjacency entries: entry v
+    (below width) of row r, r numbering the vertices of the disjoint union,
+    where the vertices of each graph follow those of the graphs before it.
+    The arrays are read-only views into arrays the graphs share."""
+    orders = np.asarray(orders, dtype=np.int64)
+    first = np.zeros(len(orders) + 1, dtype=np.int64)  # each graph's first union vertex
+    np.cumsum(orders, out=first[1:])
+    rows, indices = np.divmod(codes, max(width, 1))
+    deg = np.bincount(rows, minlength=first[-1])
+    ends = np.zeros(len(deg) + 1, dtype=np.int64)  # where each union row's entries end
+    np.cumsum(deg, out=ends[1:])
+    if len(orders) == 1:
+        # ends is the one graph's indptr; the general case would add three
+        # temporaries of n int64s to the peak on which the size caps rest
+        indptr = ends
+    else:
+        # graph b's n_b + 1 row starts sit at union rows first[b]..first[b+1],
+        # less the entries of the graphs before it
+        sizes = orders + 1
+        indptr = ends[np.arange(len(ends) + len(orders) - 1) - np.arange(len(orders)).repeat(sizes)]
+        indptr -= ends[first[:-1]].repeat(sizes)
     for a in (indptr, indices, deg):
         a.setflags(write=False)
-    ends = indptr[:, -1].cumsum().tolist()
-    return [(p, indices[a:b], d) for p, d, a, b in zip(indptr, deg, [0] + ends, ends)]
+    vs, es = first.tolist(), ends[first].tolist()
+    return [
+        (indptr[a + b : c + b + 1], indices[x:y], deg[a:c])
+        for b, (a, c, x, y) in enumerate(zip(vs, vs[1:], es, es[1:]))
+    ]
 
 
 def _first_fault(n: int, rows: np.ndarray, cols: np.ndarray) -> str:
@@ -305,14 +341,25 @@ class NotEdgeGirthRegular(Exception):
 
 
 def _exact_dtype(bound: int):
-    """The one exactness rule for walk counts: float64 when ``bound``, an
-    upper bound on every integer a computation forms, is at most 2**53,
-    else object (Python ints).
+    """The one exactness rule for walk counts, given ``bound``, an upper
+    bound on every integer a computation forms: float32 when it is at most
+    2**24, float64 when it is at most 2**53, else object (Python ints).
 
     The counts are nonnegative, so no partial sum passes its final value,
-    and float64 forms them exactly in any order under the bound.
+    and a float type forms them exactly in any order while they stay
+    within the range where it holds every integer.
     """
-    return np.float64 if bound <= _FLOAT_EXACT_MAX else object
+    if bound > _FLOAT_EXACT_MAX:
+        return object
+    return np.float32 if bound <= _FLOAT32_EXACT_MAX else np.float64
+
+
+def _widen(a: np.ndarray, dtype) -> np.ndarray:
+    """The exact integers of ``a`` in ``dtype``, a wider float type or
+    object, which takes them as Python ints."""
+    if a.dtype == dtype:
+        return a
+    return a.astype(np.int64).astype(object) if np.dtype(dtype) == object else a.astype(dtype)
 
 
 def _adjacency(graphs, dtype) -> np.ndarray:
@@ -326,91 +373,93 @@ def _adjacency(graphs, dtype) -> np.ndarray:
     return A
 
 
-def _object_length(k: int):
-    """The first walk length l >= 2 whose step runs in Python ints: the
-    least l with k * max(k-1, 1)**(l-1) past the float64 bound of
-    _exact_dtype, or math.inf when that bound never passes it."""
-    growth = max(k - 1, 1)
-    if growth == 1:
-        return 2 if _exact_dtype(k) is object else math.inf
-    # start at or below the answer, then step up exactly
-    e = max(1, int(math.log(_FLOAT_EXACT_MAX / k, growth)) - 1)
-    while _exact_dtype(k * growth**e) is not object:
-        e += 1
-    return e + 1
-
-
 def _nb_walks(*graphs: Graph):
     """Yield the non-backtracking walk matrices A_1, A_2, ... of graphs of
     one order n, exactly, as (B, n, n) stacks (entry b of a stack belongs to
     graphs[b]), and stop at the first all-zero stack.
 
     A_1 = A, A_2 = A^2 - D, A_{l+1} = A_l A - A_{l-1}(D - I), one stacked
-    product per step.  The step forming A_l runs in float64 while
-    k * max(k-1, 1)**(l-1) <= 2**53 (k the largest degree in the stack; see
-    the module docstring) and in Python ints once that bound is crossed.
-    Raises ValueError before allocating anything when n is over
+    product per step.  A_1 holds zeros and ones; the step forming A_l takes
+    the dtype ``_exact_dtype`` gives k * max(k-1, 1)**(l-1) (k the largest
+    degree in the stack; see the module docstring), so the pass widens
+    from float32 to float64 to Python ints as that bound crosses 2**24 and
+    2**53.  Raises ValueError before allocating anything when n is over
     MAX_VERIFY_VERTICES.
     """
     n = graphs[0].n
     if n > MAX_VERIFY_VERTICES:
         raise ValueError(f"verification is capped at {MAX_VERIFY_VERTICES} vertices (got n = {n})")
-    deg = np.array([G.deg for G in graphs], dtype=np.float64)
-    to_object = _object_length(int(deg.max(initial=0)))
-    A = _adjacency(graphs, np.float64)
+    dtype = _exact_dtype(1)
+    A = _adjacency(graphs, dtype)
+    deg = A.sum(axis=1)
+    k = int(deg.max(initial=0))
     back = np.zeros_like(A)
     back.reshape(len(graphs), -1)[:, :: n + 1] = deg
     # (D - I) acts on the right, scaling column w by deg(w) - 1
     cur, step = A, (deg - 1)[:, None, :]
-    length = 1
-    while cur.any():
+    # a non-backtracking walk can always go on from a vertex of degree >= 2,
+    # so only a stack with a vertex of degree < 2 can die out
+    endless = deg.size and deg.min() >= 2
+    bound = k
+    while endless or cur.any():
         yield cur
-        length += 1
-        if length == to_object:
-            A, back, cur, step = (m.astype(np.int64).astype(object) for m in (A, back, cur, step))
+        if dtype is not object:
+            bound *= max(k - 1, 1)
+            if (wider := _exact_dtype(bound)) is not dtype:
+                dtype = wider
+                A, back, cur, step = (_widen(m, dtype) for m in (A, back, cur, step))
         nxt = cur @ A
         nxt -= back
         np.multiply(cur, step, out=back)
         cur = nxt
 
 
-def _girth_walks(*graphs: Graph, beyond: int = 0) -> list:
-    """For each of graphs, of one order n, its girth g and its walk matrices
-    [A_{g-1}, A_g, ..., A_{g+beyond}], from one stacked pass; (math.inf, [])
-    for a forest.
+def _girth_walks(*graphs: Graph, beyond: int = 0) -> tuple[list, list[np.ndarray]]:
+    """The girths of graphs of one order n (math.inf for a forest) and
+    their walk matrices A_{g-1}, A_g, ..., A_{g+beyond}, from one stacked
+    pass, as 2 + beyond (B, n, n) stacks: slice b of stack j is
+    A_{g-1+j} of graphs[b], g its girth (zero for a forest).  The list of
+    stacks is empty when no graph has an edge.
 
     The pass stops once every member has its matrices or is known to be a
     forest: the stack is all zero, or the pass has reached length n, the
     longest a cycle can be, without a closed walk for it.
     """
 
-    def own(stack, b):
-        # a member's matrix is copied out of a shared stack, so that the
-        # stack can be freed once the pass moves on
-        return stack[b].copy() if len(stack) > 1 else stack[b]
+    def put(j, members, src):
+        if len(members) == len(graphs):
+            walks[j] = src  # the pass never writes to a stack it has yielded
+            return
+        # the dtype of the pass only widens, so a stack takes its sources' dtype
+        walks[j] = _widen(walks[j], src.dtype)
+        walks[j][members] = src[members]
 
     n = graphs[0].n
-    found = [(math.inf, []) for _ in graphs]
+    girth = np.zeros(len(graphs), dtype=np.int64)  # 0 until found
+    walks: list[np.ndarray] = []
     left = len(graphs)  # members still without their girth
     last = 0  # the last length a member with its girth still needs
     prev = None
     for length, cur in enumerate(_nb_walks(*graphs), start=1):
-        if beyond:
-            for b, (g, walks) in enumerate(found):
-                if g < length <= g + beyond:
-                    walks.append(own(cur, b))
-        # the entries are nonnegative, so a nonzero diagonal has a nonzero trace
-        closed = cur.trace(axis1=1, axis2=2)
-        if closed.any():
-            for b in np.flatnonzero(closed).tolist():
-                if found[b][0] == math.inf:
-                    found[b] = (length, [own(prev, b), own(cur, b)])
-                    left -= 1
-                    last = length + beyond
+        if not walks:
+            walks = [np.zeros_like(cur) for _ in range(2 + beyond)]
+        for j in range(2, min(2 + beyond, length + 1)):
+            if (later := np.flatnonzero(girth == length + 1 - j)).size:
+                put(j, later, cur)
+        # A_1 and A_2 have zero diagonals; the entries are nonnegative, so a
+        # nonzero diagonal has a nonzero trace
+        if length > 2 and (closed := cur.trace(axis1=1, axis2=2)).any():
+            fresh = np.flatnonzero((closed != 0) & (girth == 0))
+            if fresh.size:
+                girth[fresh] = length
+                put(0, fresh, prev)
+                put(1, fresh, cur)
+                left -= fresh.size
+                last = length + beyond
         if length >= last and (length >= n or not left):
             break
         prev = cur
-    return found
+    return [g or math.inf for g in girth.tolist()], walks
 
 
 def count_girth_cycles_through_edge(G: Graph, edge, g: int) -> int:
@@ -418,13 +467,13 @@ def count_girth_cycles_through_edge(G: Graph, edge, g: int) -> int:
     the girth of G.  Each cycle corresponds to exactly one simple path of
     length g-1 between the endpoints that avoids the edge itself, read off
     as a non-backtracking walk count."""
-    girth_g, walks = _girth_walks(G)[0]
+    (girth_g,), walks = _girth_walks(G)
     if g != girth_g:
         raise ValueError(f"g={g} is not the girth of the graph")
     u, v = edge
     if not G.has_edge(u, v):
         raise ValueError(f"{edge} is not an edge")
-    return int(walks[0][u, v])
+    return int(walks[0][0, u, v])
 
 
 def cycle_counts_through_vertices(G: Graph, length: int) -> list[int]:
@@ -436,10 +485,10 @@ def cycle_counts_through_vertices(G: Graph, length: int) -> list[int]:
     through a vertex, each traversed in both directions.  Other lengths
     raise ValueError.
     """
-    g, walks = _girth_walks(G, beyond=1)[0]
+    (g,), walks = _girth_walks(G, beyond=1)
     if length not in (g, g + 1):
         raise ValueError(f"length {length} is neither the girth {g} nor girth + 1")
-    return [int(c) // 2 for c in walks[length - g + 1].diagonal()]
+    return [int(c) // 2 for c in walks[length - g + 1][0].diagonal()]
 
 
 def _bfs_levels(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -457,7 +506,7 @@ def _bfs_levels(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     starts, ends = offsets[:-1], offsets[1:]
     deg = np.concatenate([G.deg for G in graphs])
     rows = np.arange(len(deg)).repeat(deg)
-    indices = np.concatenate([G.indices + start for G, start in zip(graphs, starts.tolist())])
+    indices = np.concatenate([G.indices for G in graphs]) + starts.repeat([len(G.indices) for G in graphs])
     level = np.full(len(deg), -1)
     level[starts[starts < ends]] = 0
     depth = 0
@@ -497,89 +546,97 @@ def verify_many(graphs) -> list:
     instance that ``verify_egr`` would raise.
 
     Connectivity and bipartiteness come from one BFS over all the graphs
-    (``_reach_and_parity``).  The graphs that pass the degree checks are
-    grouped by order n and degree k, and each group takes one stacked walk
-    pass, split into stacks of at most MAX_STACK_CELLS matrix entries (a
-    graph larger than that runs alone).
+    (``_reach_and_parity``), and each graph's least and largest degree from
+    one reduction over their concatenated degrees.  The graphs that pass
+    the degree checks are grouped by order n alone, and each group takes
+    one stacked walk pass, split into stacks of at most MAX_STACK_CELLS
+    matrix entries (a graph larger than that runs alone).
     """
     graphs = list(graphs)
     if not graphs:
         return []
     results: list = [None] * len(graphs)
     unreached, bipartite = _reach_and_parity(graphs)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, G in enumerate(graphs):
+    orders = np.array([G.n for G in graphs])
+    low = np.zeros(len(graphs), dtype=np.int64)
+    high = np.zeros(len(graphs), dtype=np.int64)
+    if (nonempty := orders > 0).any():
+        degrees = np.concatenate([G.deg for G in graphs])
+        starts = (np.cumsum(orders) - orders)[nonempty]
+        low[nonempty] = np.minimum.reduceat(degrees, starts)
+        high[nonempty] = np.maximum.reduceat(degrees, starts)
+    groups: dict[int, list[int]] = {}
+    for i, (G, k, top) in enumerate(zip(graphs, low.tolist(), high.tolist())):
         if G.n == 0:
             results[i] = NotEdgeGirthRegular("disconnected", None, "empty graph")
-            continue
-        v = unreached[i]
-        if v is not None:
+        elif (v := unreached[i]) is not None:
             results[i] = NotEdgeGirthRegular("disconnected", v, f"vertex {v} unreachable from 0")
-            continue
-        deg = G.deg
-        k = int(deg[0])
-        if (deg != k).any():
+        elif k != top:
+            deg = G.deg
             k = int(np.bincount(deg).argmax())  # argmax takes the first, so the smallest, mode
             v = int(np.flatnonzero(deg != k)[0])
             results[i] = NotEdgeGirthRegular(
                 "not_regular", v, f"vertex {v} has degree {deg[v]}, expected {k}"
             )
-            continue
-        if k < 3:
+        elif k < 3:
             results[i] = NotEdgeGirthRegular("degree_too_small", k, f"degree {k} < 3")
-            continue
-        # connected and k-regular with k >= 3, so G has a cycle
-        groups.setdefault((G.n, k), []).append(i)
-    for (n, k), members in groups.items():
+        else:
+            # connected and k-regular with k >= 3, so G has a cycle
+            groups.setdefault(G.n, []).append(i)
+    for n, members in groups.items():
         size = max(1, MAX_STACK_CELLS // (n * n))
         for start in range(0, len(members), size):
             stack = members[start : start + size]
             try:
-                found = _girth_walks(*(graphs[i] for i in stack))
+                girth, walks = _girth_walks(*(graphs[i] for i in stack))
             except ValueError as exc:  # over the vertex cap
                 for i in stack:
                     results[i] = exc
                 continue
             verdicts = _lambda_verdicts(
-                [graphs[i] for i in stack], k, found, [bipartite[i] for i in stack]
+                [graphs[i] for i in stack], girth, walks[0], [bipartite[i] for i in stack]
             )
             for i, verdict in zip(stack, verdicts):
                 results[i] = verdict
     return results
 
 
-def _lambda_verdicts(graphs, k: int, found: list, bipartite: list[bool]) -> list:
-    """The verdicts of connected k-regular graphs of one order n, given
-    their girths and walk matrices from ``_girth_walks`` and whether each is
-    bipartite: the signature, or the NotEdgeGirthRegular for the first edge
-    in ``edges()`` order whose girth-cycle count A_{g-1}[u, v] differs from
-    that of the first edge.
+def _lambda_verdicts(graphs, girth: list[int], counts: np.ndarray, bipartite: list[bool]) -> list:
+    """The verdicts of connected regular graphs of one order n and degree
+    at least 3, given their girths, the (B, n, n) stack of their A_{g-1}
+    from ``_girth_walks`` and whether each is bipartite: the signature, or
+    the NotEdgeGirthRegular for the first edge in ``edges()`` order whose
+    girth-cycle count A_{g-1}[u, v] differs from that of the first edge.
 
-    Each graph lists k neighbours per vertex in ascending order, so the
-    entries v > u of its (n, k) neighbour table, read row by row, are its
-    n*k/2 edges (u, v) in ``edges()`` order."""
+    The graphs' CSR entries v > u, concatenated, are their edges (u, v) in
+    ``edges()`` order, graph after graph; one gather reads every count, and
+    each graph's edges are one segment for the reductions."""
     n = graphs[0].n
-    table = np.array([G.indices for G in graphs]).reshape(len(graphs), n, k)
-    upper = table > np.arange(n)[:, None]
-    us = upper.nonzero()[1].reshape(len(graphs), -1)
-    vs = table[upper].reshape(len(graphs), -1)
-    counts = np.array([walks[0][u, v] for (_, walks), u, v in zip(found, us, vs)])
-    deviant = counts != counts[:, :1]
-    # per graph: its first deviant edge, or edge 0 when there is none
-    at = (np.arange(len(graphs)), deviant.argmax(axis=1))
+    deg = np.concatenate([G.deg for G in graphs])
+    vs = np.concatenate([G.indices for G in graphs])
+    bs, us = np.divmod(np.arange(len(deg)).repeat(deg), n)
+    upper = vs > us
+    bs, us, vs = bs[upper], us[upper], vs[upper]
+    counts = counts[bs, us, vs]
+    # every graph has an edge, so each segment is nonempty, and a graph has
+    # a deviant edge exactly when its least and largest counts differ
+    starts = np.searchsorted(bs, np.arange(len(graphs)))
+    lam = counts[starts]
+    deviant = np.flatnonzero(counts != lam[bs])
+    at = np.append(deviant, 0)[np.searchsorted(deviant, starts)]
     columns = zip(
-        counts[:, 0].tolist(),
-        deviant[at].tolist(),
+        deg[::n].tolist(),
+        lam.tolist(),
         us[at].tolist(),
         vs[at].tolist(),
         counts[at].tolist(),
-        counts.min(axis=1).tolist(),
-        counts.max(axis=1).tolist(),
+        np.minimum.reduceat(counts, starts).tolist(),
+        np.maximum.reduceat(counts, starts).tolist(),
     )
     verdicts = []
-    for (g, _), bip, (lam, wrong, u, v, c, low, high) in zip(found, bipartite, columns):
+    for g, bip, (k, lam, u, v, c, low, high) in zip(girth, bipartite, columns):
         lam = int(lam)
-        if not wrong:
+        if low == high:
             verdicts.append(EgrSignature(n=n, k=k, g=g, lam=lam, bipartite=bip))
             continue
         e = (u, v)
@@ -680,22 +737,24 @@ def graph6_decode_many(texts) -> list:
     that ``graph6_decode`` would raise.
 
     Each string takes only the checks of ``_graph6_body``; the bodies that
-    pass are grouped by vertex count n, and each group is decoded in one
-    pass (``_decode_group``)."""
+    pass, whatever their vertex counts, are decoded together in one pass
+    (``_decode_bodies``)."""
     results: list = []
-    groups: dict[int, tuple[bytearray, list[int]]] = {}
+    buf = bytearray()
+    orders, ends, members = [], [], []
     for i, text in enumerate(texts):
         try:
             n, body = _graph6_body(text)
         except Graph6Error as exc:
             results.append(exc)
             continue
-        buf, members = groups.setdefault(n, (bytearray(), []))
         buf += body
+        orders.append(n)
+        ends.append(len(buf))
         members.append(i)
         results.append(None)
-    for n, (buf, members) in groups.items():
-        for i, G in zip(members, _decode_group(n, len(members), buf)):
+    if members:
+        for i, G in zip(members, _decode_bodies(orders, ends, buf)):
             results[i] = G
     return results
 
@@ -749,18 +808,23 @@ def _graph6_body(text: str) -> tuple[int, memoryview]:
     return n, memoryview(data)[pos:]
 
 
-def _decode_group(n: int, count: int, buf: bytearray) -> list[Graph]:
-    """The ``count`` graphs on n vertices whose graph6 adjacency bytes,
-    checked by ``_graph6_body``, are concatenated in ``buf``.
+def _decode_bodies(orders: list[int], ends: list[int], buf: bytearray) -> list[Graph]:
+    """The graphs whose graph6 adjacency bytes, checked by ``_graph6_body``,
+    are concatenated in ``buf``: graph b has orders[b] vertices and its
+    bytes end at ends[b].
 
-    One pass: the set bits of the bodies, read MAX_DECODE_BYTES bytes at a
-    time and unpacked only from their nonzero bytes, map to their pairs
-    u < v through ``_column_starts(n)``; both orientations of each pair,
-    as codes (b*n + u)*n + v of graph b, take one sort, and ``_csr``
-    splits them into the graphs."""
-    nbytes = len(buf) // count
+    One pass: the set bits, read MAX_DECODE_BYTES bytes at a time and
+    unpacked only from their nonzero bytes, find their graphs by a search
+    on ``ends`` and their pairs u < v through ``_column_starts``, which
+    does not depend on n; both orientations of each pair, as codes
+    r*width + c in the union's vertex numbering, take one sort, and
+    ``_csr`` splits them into the graphs."""
+    width = max(orders)
+    first = np.cumsum([0] + orders)  # each graph's first union vertex
+    stop = np.array(ends, dtype=np.int64)
+    start = stop - np.diff(stop, prepend=0)
     flat = np.frombuffer(buf, dtype=np.uint8)
-    starts = _column_starts(n)
+    starts = _column_starts(width)
     parts = [np.zeros(0, dtype=np.int64)]
     for lo in range(0, len(flat), MAX_DECODE_BYTES):
         six = flat[lo : lo + MAX_DECODE_BYTES] - 63
@@ -768,19 +832,20 @@ def _decode_group(n: int, count: int, buf: bytearray) -> list[Graph]:
         # each byte carries six data bits, most significant first, below two
         # zero bits: unpacked bit i is data bit (i & 7) - 2 of byte i >> 3
         ones = np.flatnonzero(np.unpackbits(six[full]))
-        b, j = np.divmod(full[ones >> 3] + lo, nbytes)
-        bit = 6 * j + (ones & 7) - 2
+        at = full[ones >> 3] + lo
+        b = np.searchsorted(stop, at, side="right")
+        bit = 6 * (at - start[b]) + (ones & 7) - 2
         v = np.searchsorted(starts, bit, side="right") - 1
         u = bit - starts[v]
-        row = b * n
-        parts += [(row + u) * n + v, (row + v) * n + u]
+        row = first[b]
+        parts += [(row + u) * width + v, (row + v) * width + u]
     codes = np.concatenate(parts)
     codes.sort()
     # the bit map gives each graph's pairs u < v once, in range; checked all the same
-    if not (_in_range(codes, count * n * n) and _distinct(codes)):
-        raise AssertionError(f"graph6 bit map formed a repeated or out-of-range entry at n={n}")
+    if not (_in_range(codes, int(first[-1]) * width) and _distinct(codes)):
+        raise AssertionError("graph6 bit map formed a repeated or out-of-range entry")
     graphs = []
-    for csr in _csr(n, count, codes):
+    for csr in _csr(orders, width, codes):
         G = Graph.__new__(Graph)
         G._store(*csr, None)
         graphs.append(G)

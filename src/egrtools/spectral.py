@@ -6,8 +6,9 @@ Exact integer moments are the ground truth here; the floating spectrum
 (LAPACK ``eigvalsh``) is checked against them at runtime, never the other
 way around: every spectrum ``eigenvalues`` returns has matched the exact
 moments of lengths 0..MOMENT_CHECK_LENGTH.  The moments take the adjacency
-matrix and the exactness rule of ``graph_core`` (float64 while no count
-exceeds 2**53, Python ints beyond), the same ones its walk pass uses.
+matrix and the exactness rule of ``graph_core`` (float32 while no count
+exceeds 2**24, float64 while none exceeds 2**53, Python ints beyond), the
+same ones its walk pass uses.
 
 A caller that already holds work can pass it in instead of having it
 redone: ``eigenvalues(G, moments=walk_moments(G, L))`` checks against the

@@ -372,3 +372,50 @@ def test_verify_path_and_stream_is_a_usage_error(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "verify", str(path), "--stdin-g6-stream")
     assert code == EXIT_USAGE and out == ""
     assert _one_error_line(err, "give a path or --stdin-g6-stream, not both")
+
+
+def _broken(*args, **kwargs):
+    raise RuntimeError("an unexpected fault\nover two lines")
+
+
+@pytest.mark.parametrize(
+    "argv,target",
+    [
+        (["construct", "--family", "named", "--name", "petersen"], "verify_egr"),
+        (["verify", "petersen.g6"], "verify_many"),
+        (["verify", "--stdin-g6-stream"], "verify_many"),
+        (["bounds", "-k", "3", "-g", "5", "-l", "4"], "bound_report"),
+        (["report", "--family", "named", "--name", "petersen"], "certify_extremal"),
+    ],
+    ids=["construct", "verify", "verify-stream", "bounds", "report"],
+)
+def test_an_escaping_exception_is_an_internal_error(tmp_path, monkeypatch, capsys, argv, target):
+    import io
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "petersen.g6").write_text(graph6_encode(petersen()) + "\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(graph6_encode(petersen()) + "\n"))
+    monkeypatch.setattr(cli, target, _broken)
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_INTERNAL and out == ""
+    assert err == "internal error: RuntimeError: an unexpected fault over two lines\n"
+    assert "Traceback" not in err
+
+
+# Each probe is just past its cap; the cap, not the backstop, must answer it.
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["construct", "--family", "named", "--name", "complete_bipartite(3001)"],
+         "complete_bipartite(3001) is past the size cap complete_bipartite(3000)"),
+        (["report", "--family", "named", "--name", "cycle(9000001)"], "cycle(9000001) is past the size cap cycle(9000000)"),
+        (["construct", "--family", "biaffine1", "--q", "47"], "verification is capped at 4096 vertices (got n = 4418)"),
+        (["report", "--family", "pencil", "--q", "11"], "report is capped at 2048 vertices (got n = 2928)"),
+        (["bounds", "-k", "100000", "-g", "200", "-l", "1"], "past the float range"),
+    ],
+    ids=["named-construct", "named-report", "verify-cap", "report-cap", "decimal"],
+)
+def test_caps_answer_their_probes_before_the_backstop(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert _one_error_line(err, message) and "Traceback" not in err

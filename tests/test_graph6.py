@@ -252,3 +252,48 @@ def test_block_decoder_memory_stays_near_the_input_size():
         tracemalloc.stop()
     assert all(G.num_edges() == n and (G.deg == 2).all() for G in graphs)
     assert peak < 2 * size
+
+
+def _alone(line: str):
+    """graph6_decode on one line, its Graph6Error taken as the result."""
+    try:
+        return graph6_decode(line)
+    except Graph6Error as exc:
+        return exc
+
+
+def assert_same_result(got, want):
+    if isinstance(want, Graph6Error):
+        assert isinstance(got, Graph6Error)
+        assert (str(got), got.offset) == (str(want), want.offset)
+    else:
+        assert_same_csr(got, want)
+
+
+def mixed_orders(rng) -> list[str]:
+    """Graphs on 0, 1, 2, 62 and 63 vertices (the first long-form count),
+    twice each, with a malformed line after each."""
+    bad = [line for line, _, _ in MALFORMED_REPORTS]
+    lines = []
+    for i, n in enumerate((0, 1, 2, 62, 63, 63, 62, 2, 1, 0)):
+        lines += [graph6_encode(random_graph(rng, n)), bad[i % len(bad)]]
+    return lines
+
+
+def test_one_pass_over_mixed_orders_matches_each_line_alone():
+    lines = mixed_orders(random.Random(63))
+    assert sum(line.startswith("~") for line in lines[::2]) == 2
+    decoded = graph6_decode_many(lines)
+    assert [isinstance(G, Graph) for G in decoded] == [True, False] * 10
+    for line, got in zip(lines, decoded):
+        assert_same_result(got, _alone(line))
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 7, 100])
+def test_decode_chunks_may_end_inside_a_body(chunk, monkeypatch):
+    lines = mixed_orders(random.Random(chunk))
+    expected = [_alone(line) for line in lines]
+    # the bodies on 62 and 63 vertices take 316 and 326 bytes
+    monkeypatch.setattr(graph_core, "MAX_DECODE_BYTES", chunk)
+    for got, want in zip(graph6_decode_many(lines), expected):
+        assert_same_result(got, want)

@@ -26,7 +26,6 @@ from egrtools.graph_core import (
     _exact_dtype,
     _girth_walks,
     _nb_walks,
-    _object_length,
     count_girth_cycles_through_edge,
     graph6_decode,
     graph6_encode,
@@ -35,6 +34,7 @@ from egrtools.graph_core import (
 from egrtools.spectral import walk_moments
 from oracles import (
     all_cycles,
+    complete,
     degree_preserving_switch,
     edge_cycle_count_dfs,
     edge_cycle_count_naive,
@@ -202,7 +202,8 @@ def test_girth_examples():
     assert [verify_egr(G).g for G in (petersen(), complete_bipartite(3), heawood(), tutte_coxeter())] == [5, 4, 6, 8]
     assert _girth_walks(cycle_graph(8))[0][0] == 8
     tree = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
-    assert _girth_walks(tree) == [(math.inf, [])]
+    girth, walks = _girth_walks(tree)
+    assert girth == [math.inf] and not any(w.any() for w in walks)
 
 
 def test_girth_against_brute_force():
@@ -259,34 +260,41 @@ def test_vertex_count_rejects_lengths_other_than_g_and_g_plus_1():
 
 
 def test_exact_dtype_boundary():
-    # float64 holds every integer up to 2**53 and no further
+    # float32 holds every integer up to 2**24, float64 up to 2**53, and no further
+    assert _exact_dtype(0) is np.float32
+    assert _exact_dtype(2**24) is np.float32
+    assert _exact_dtype(2**24 + 1) is np.float64
     assert _exact_dtype(2**53) is np.float64
     assert _exact_dtype(2**53 + 1) is object
-    assert _exact_dtype(0) is np.float64
 
 
 @pytest.mark.parametrize("bound", [2**53, 3 * 2**3, 1, 2, 6, 7])
 def test_object_length_matches_the_per_step_rule(bound, monkeypatch):
-    # the length computed once equals the first l >= 2 at which the per-step
-    # rule, k * max(k-1, 1)**(l-1) past the bound, sends the step to Python ints
+    # the walk pass goes to Python ints at the first l >= 2 at which the
+    # per-step rule, k * max(k-1, 1)**(l-1) past the bound, says so, and stays
+    # there; K_{k+1} is k-regular and its walks never die out
     monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", bound)
-    for k in [*range(0, 40), 2**20, 2**26 + 1, 2**52, 2**53 - 1, 2**53, 2**53 + 1]:
+    for k in range(2, 9):
         first = next(
-            (l for l in range(2, 200) if _exact_dtype(k * max(k - 1, 1) ** (l - 1)) is object),
-            math.inf,
+            (l for l in range(2, 61) if _exact_dtype(k * max(k - 1, 1) ** (l - 1)) is object),
+            61,
         )
-        assert _object_length(k) == first, k
+        dtypes = [w.dtype for _, w in zip(range(60), _nb_walks(complete(k + 1)))]
+        got = next((l for l, d in enumerate(dtypes, start=1) if d == object), 61)
+        assert got == first, k
+        assert all(d == object for d in dtypes[got - 1 :]), k
 
 
 def test_walk_pass_switches_to_python_ints_past_the_walk_bound(monkeypatch):
-    # the step forming A_l stays in float64 while k(k-1)**(l-1) is within
-    # the bound: with the bound at 3 * 2**3, Petersen's A_1..A_4 are float64
-    # and A_5 on, whose entries reach 3 * 2**4 in general, Python ints
+    # the step forming A_l stays in floats while k(k-1)**(l-1) is within
+    # the bound: with the bound at 3 * 2**3, Petersen's A_1..A_4 are float32
+    # (the bound is below 2**24) and A_5 on, whose entries reach 3 * 2**4 in
+    # general, Python ints
     G = petersen()
     exact = [walks for _, walks in zip(range(7), _nb_walks(G))]
     monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 3 * 2**3)
     walks = [walks for _, walks in zip(range(7), _nb_walks(G))]
-    assert [w.dtype for w in walks] == [np.float64] * 4 + [np.dtype(object)] * 3
+    assert [w.dtype for w in walks] == [np.float32] * 4 + [np.dtype(object)] * 3
     assert all(type(x) is int for x in walks[4].flat)
     for got, want in zip(walks, exact):
         assert got.tolist() == want.astype(np.int64).tolist()

@@ -61,7 +61,7 @@ def test_moments_match_eigenvalue_powers():
 
 def test_moments_match_walk_oracle():
     # seeded irregular graphs, sparse to dense, and K_{k,k}, at the longest
-    # moment length: both sides of the float64 bound are exercised
+    # moment length: every tier of the exactness rule is exercised
     rng = random.Random(11)
     graphs = [complete_bipartite(k) for k in (1, 2, 5, 9)]
     for _ in range(8):
@@ -75,7 +75,7 @@ def test_moments_match_walk_oracle():
         moments = walk_moments(G, L)
         assert moments == expected
         assert all(type(m) is int for m in moments)
-    assert dtypes == {np.float64, object}
+    assert dtypes == {np.float32, np.float64, object}
 
 
 class _CountedProducts(np.ndarray):
@@ -123,6 +123,36 @@ def test_moment_dtype_follows_k_to_the_L(monkeypatch):
     moments = walk_moments(Graph.from_edges(48, edges), 16)
     assert moments == [48] + [0 if l % 2 else 6 * 8**l for l in range(1, 17)]
     assert dtypes[2] is np.float64
+
+
+# the report-grid graphs, at the moment length ``report`` asks for
+REPORT_GRID = [
+    ("biaffine1", 7, None),
+    ("gq_truncation", 4, None),
+    ("ovoid_spread", 4, None),
+    ("pencil", 3, None),
+    ("pencil", 4, None),
+    ("named", None, "hoffman_singleton"),
+    ("named", None, "tutte_coxeter"),
+]
+
+
+@pytest.mark.parametrize("family,q,name", REPORT_GRID)
+def test_float32_moments_match_python_ints_on_the_report_grid(family, q, name, monkeypatch):
+    dtypes = []
+
+    def spy(G, dtype):
+        dtypes.append(dtype)
+        return graph_core._adjacency(G, dtype)
+
+    G = cli.build_family(family, q, name)
+    L = min(verify_egr(G).g + 1, MAX_MOMENT_LENGTH)
+    monkeypatch.setattr(spectral, "_adjacency", spy)
+    moments = walk_moments(G, L)
+    monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 1)
+    exact = walk_moments(G, L)
+    assert dtypes == [np.float32, object]
+    assert moments == exact and all(type(m) is int for m in moments)
 
 
 def test_trivial_lengths():

@@ -164,12 +164,13 @@ def test_verify_many_matches_per_graph_verification_and_oracles(monkeypatch):
 
 def test_stack_members_reach_their_girths_at_different_lengths():
     graphs = [build() for build in STACK_10_3.values()]
-    found = _girth_walks(*graphs, beyond=1)
-    assert [g for g, _ in found] == [3, 4, 5, 4]
-    for G, (g, walks) in zip(graphs, found):
-        alone_g, alone = _girth_walks(G, beyond=1)[0]
-        assert alone_g == g and len(walks) == len(alone) == 3
-        assert all(np.array_equal(a, b) for a, b in zip(walks, alone))
+    girth, walks = _girth_walks(*graphs, beyond=1)
+    assert girth == [3, 4, 5, 4]
+    assert len(walks) == 3 and all(w.shape == (4, 10, 10) for w in walks)
+    for b, G in enumerate(graphs):
+        alone_g, alone = _girth_walks(G, beyond=1)
+        assert alone_g == [girth[b]] and len(alone) == 3
+        assert all(np.array_equal(w[b], a[0]) for w, a in zip(walks, alone))
     # one stacked product per step, each member's slice its own walk matrix
     for _, stacked, *alone in zip(range(8), _nb_walks(*graphs), *(_nb_walks(G) for G in graphs)):
         assert stacked.shape == (4, 10, 10)
@@ -178,28 +179,28 @@ def test_stack_members_reach_their_girths_at_different_lengths():
 
 def test_a_forest_member_does_not_hold_up_the_stack():
     path = Graph.from_edges(10, [(i, i + 1) for i in range(9)])
-    found = _girth_walks(path, cycle_graph(10), petersen(), beyond=1)
-    assert found[0] == (float("inf"), [])
-    assert [g for g, _ in found[1:]] == [10, 5]
+    girth, walks = _girth_walks(path, cycle_graph(10), petersen(), beyond=1)
+    assert girth == [float("inf"), 10, 5]
+    assert not any(w[0].any() for w in walks)
 
 
 def test_stacked_python_int_path_matches_float64(monkeypatch):
     # the stacked counterpart of the single-graph switch test: with the
-    # bound at 3 * 2**3, A_1..A_4 of a stack of cubic graphs are float64
+    # bound at 3 * 2**3, A_1..A_4 of a stack of cubic graphs are float32
     # and A_5 on Python ints, with the same counts
     graphs = [build() for build in STACK_10_3.values()]
     exact = [w for _, w in zip(range(7), _nb_walks(*graphs))]
     verdicts = [verdict_key(v) for v in verify_many(graphs)]
     monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 3 * 2**3)
     walks = [w for _, w in zip(range(7), _nb_walks(*graphs))]
-    assert [w.dtype for w in walks] == [np.float64] * 4 + [np.dtype(object)] * 3
+    assert [w.dtype for w in walks] == [np.float32] * 4 + [np.dtype(object)] * 3
     assert all(type(x) is int for x in walks[4].flat)
     for got, want in zip(walks, exact):
         assert got.tolist() == want.astype(np.int64).tolist()
     # a bound of 1 runs every step in Python ints; the verdicts stay the same
     monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 1)
     walks = _nb_walks(*graphs)
-    assert next(walks).dtype == np.float64 and next(walks).dtype == object
+    assert next(walks).dtype == np.float32 and next(walks).dtype == object
     assert [verdict_key(v) for v in verify_many(graphs)] == verdicts
 
 
@@ -216,7 +217,7 @@ def test_stacks_are_capped_by_cell_count(cells, sizes, monkeypatch):
     monkeypatch.setattr(graph_core, "MAX_STACK_CELLS", cells)
     monkeypatch.setattr(graph_core, "_girth_walks", recorded)
     assert [verdict_key(v) for v in verify_many(graphs)] == expected
-    # K4 and the dodecahedron are alone in their (n, k) groups
+    # K4 and the dodecahedron are alone in their order groups
     assert sorted(seen) == sorted(sizes + [1, 1])
 
 
@@ -248,3 +249,79 @@ def test_union_bfs_matches_networkx():
         assert v == (missing[0] if missing else None)
         assert bip == nx.is_bipartite(H.subgraph(component))
         assert v is None or type(v) is int
+
+
+def complement(G: Graph) -> Graph:
+    return Graph.from_edges(G.n, [(u, v) for u in range(G.n) for v in range(u + 1, G.n) if not G.has_edge(u, v)])
+
+
+# five graphs on 10 vertices of degrees 3..7, which share one walk stack
+ORDER_10_DEGREES = {
+    "petersen": petersen,
+    "circulant_10_12": lambda: Graph.from_edges(10, [(i, (i + j) % 10) for i in range(10) for j in (1, 2)]),
+    "K55": lambda: complete_bipartite(5),
+    "petersen_complement": lambda: complement(petersen()),
+    "cycle_10_complement": lambda: complement(cycle_graph(10)),
+}
+
+
+def test_one_block_mixes_orders_degrees_and_verdicts(monkeypatch):
+    names = list(MIXED) + list(ORDER_10_DEGREES)
+    graphs = [build() for build in MIXED.values()] + [build() for build in ORDER_10_DEGREES.values()]
+    monkeypatch.setattr(graph_core, "MAX_VERIFY_VERTICES", 49)  # Hoffman-Singleton (n = 50) is over it
+    stacks = []
+
+    def recorded(*members, **kwargs):
+        stacks.append((members[0].n, sorted({G.degree(0) for G in members})))
+        return _girth_walks(*members, **kwargs)
+
+    monkeypatch.setattr(graph_core, "_girth_walks", recorded)
+    together = verify_many(graphs)
+    # one stack per order, whatever the degrees of its members
+    orders = [n for n, _ in stacks]
+    assert len(orders) == len(set(orders))
+    assert dict(stacks)[10] == [3, 4, 5, 6, 7]
+    assert [verdict_key(v) for v in together] == [verdict_key(v) for v in one_by_one(graphs)]
+    kinds = {verdict_key(v)[1] if verdict_key(v)[0] == "not_egr" else verdict_key(v)[0] for v in together}
+    assert kinds == {"egr", "nonuniform_cycle_counts", "not_regular", "degree_too_small", "disconnected", "error"}
+    assert any(isinstance(v, NotEdgeGirthRegular) and str(v) == "empty graph" for v in together)
+    walked = [
+        G.degree(0)
+        for G, v in zip(graphs, together)
+        if isinstance(v, EgrSignature) or getattr(v, "kind", None) == "nonuniform_cycle_counts"
+    ]
+    assert set(walked) == {3, 4, 5, 6, 7}
+    assert {v.g for v in together if isinstance(v, EgrSignature)} == {3, 4, 5, 6, 7, 8}
+    for name, G, verdict in zip(names, graphs, together):
+        if isinstance(verdict, NotEdgeGirthRegular):
+            w = verdict.witness
+            assert w is None or type(w) is int or all(type(x) is int for x in w), name
+            assert all(type(c) is int for c in verdict.details.values()), name
+        elif isinstance(verdict, EgrSignature):
+            assert all(type(x) is int for x in (verdict.n, verdict.k, verdict.g, verdict.lam)), name
+            assert type(verdict.bipartite) is bool, name
+
+
+def test_stacked_pass_crosses_float32_float64_and_python_ints(monkeypatch):
+    # with the bounds at 6 and 3 * 2**3, the step bounds 3 * 2**(l-1) of a
+    # stack of cubic graphs put A_1, A_2 in float32, A_3, A_4 in float64 and
+    # A_5 on in Python ints, with the same counts and verdicts
+    graphs = [build() for build in STACK_10_3.values()]
+    exact = [w for _, w in zip(range(7), _nb_walks(*graphs))]
+    girth, found = _girth_walks(*graphs, beyond=1)
+    verdicts = [verdict_key(v) for v in verify_many(graphs)]
+    monkeypatch.setattr(graph_core, "_FLOAT32_EXACT_MAX", 6)
+    monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 3 * 2**3)
+    walks = [w for _, w in zip(range(7), _nb_walks(*graphs))]
+    assert [w.dtype for w in walks] == [np.float32] * 2 + [np.float64] * 2 + [np.dtype(object)] * 3
+    assert all(type(x) is int for x in walks[4].flat)
+    for got, want in zip(walks, exact):
+        assert got.tolist() == want.astype(np.int64).tolist()
+    # the members close at lengths 3, 4, 5 and 4, so the returned stacks
+    # gather slices of every dtype and widen to hold them exactly
+    crossed_girth, crossed = _girth_walks(*graphs, beyond=1)
+    assert crossed_girth == girth == [3, 4, 5, 4]
+    assert [w.dtype for w in crossed] == [np.float64, np.dtype(object), np.dtype(object)]
+    for got, want in zip(crossed, found):
+        assert got.tolist() == want.astype(np.int64).tolist()
+    assert [verdict_key(v) for v in verify_many(graphs)] == verdicts
