@@ -18,6 +18,21 @@ from .graph_core import EgrSignature
 from .spectral import tree_walk_count
 
 
+# bound_report's integers grow like k**g, and its time with their size,
+# most at k = 3 and odd g.  At this cap (one thread): k = 3, g = 12617
+# took 29.7 s and g = 12618 16.4 s, k = 4, g = 9999 17.6 s, k = 10,
+# g = 6019 5.1 s, k = 1000, g = 2000 0.3 s; past it, k = 3, g = 15141 took
+# 52 s and g = 16001 about 56 s.  The CLI rejects a pair (k, g) with k**g
+# past this many bits before any work.
+MAX_BOUND_BITS = 20_000
+
+
+def in_domain(k: int, g: int) -> bool:
+    """Whether k**g, for k >= 2, has at most MAX_BOUND_BITS bits; True for
+    k < 2, which bound_report rejects on its own.  k**g is not formed."""
+    return k < 2 or g <= MAX_BOUND_BITS / math.log2(k)
+
+
 class DegenerateBound(ArithmeticError):
     """The bound's denominator vanished for these parameters."""
 

@@ -1,21 +1,23 @@
 """Command-line front end: construct, verify, bounds, report.
 
 Exit codes: 0 success (or verified egr), 1 verified-not-egr, 2 usage or
-input error (a graph over the verify or report vertex cap, or an --out
-path that cannot be written, included), 3
-internal inconsistency (a construction failed its own verification, a
-spectrum failed its exact moment check, or the float tight-spectrum
-verdict disagreed with its exact incidence identity) or any other
-exception that escapes a command, reported as one ``internal error:``
-line without a traceback.  A stream verify
-reports each malformed or oversized line and goes on; it exits with the
-largest code of any line.  It works on blocks of STREAM_BLOCK_LINES input
-lines: it decodes a block's lines with one ``graph6_decode_many`` call,
-verifies its graphs with one ``verify_many`` call, and writes the block's
-records in line order with one write and a flush, to stdout or the --out
-file, the same bytes a line at a time would print.
-Reports are JSON with a frozen field layout (schema_version 1); rationals
-are emitted as {num, den, decimal}, never as bare floats.
+input error (a graph over the verify or report vertex cap, a bounds pair
+(k, g) past bounds.MAX_BOUND_BITS, or an --out path that cannot be
+written, included), 3 internal inconsistency (a construction failed its
+own verification, a spectrum failed its exact moment check, or the float
+tight-spectrum verdict disagreed with its exact incidence identity) or any
+other exception that escapes a command, reported as one ``internal
+error:`` line without a traceback.  A stream verify reports each
+malformed or oversized line and goes on; it exits with the largest code
+of any line.  It works on blocks of STREAM_BLOCK_LINES input lines: the
+graph6 block decoder reads a block into one union, one ``verify_many``
+call verifies it, and the block's records, written from fixed templates
+whose string fields take json's own escaper, are byte-identical to
+``json.dumps(record, sort_keys=True)``; they go out in line order with
+one write and a flush, to stdout or the --out file, the same bytes a line
+at a time would print.  Reports are JSON with a frozen field layout
+(schema_version 1); rationals are emitted as {num, den, decimal}, never as
+bare floats.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ import time
 from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, graph_core
-from .bounds import bound_report, certify_extremal
+from .bounds import MAX_BOUND_BITS, bound_report, certify_extremal, in_domain
 from .constructions import (
     FAMILIES,
     FAMILY_ORDER,
@@ -43,11 +46,11 @@ from .constructions import (
 )
 from .galois import GF, prime_power
 from .graph_core import (
+    EgrSignature,
     Graph,
     Graph6Error,
     NotEdgeGirthRegular,
     graph6_decode,
-    graph6_decode_many,
     graph6_encode,
     verify_egr,
     verify_many,
@@ -64,8 +67,10 @@ EXIT_INTERNAL = 3
 # stdin lines a stream verify reads, verifies and writes out at a time
 STREAM_BLOCK_LINES = 256
 
-# writes each stream record as json.dumps(record, sort_keys=True) would
-_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
+# stream records, as json.dumps(record, sort_keys=True) writes them
+_EGR_LINE = '{"egr": true, "line": %d, "signature": {"bipartite": %s, "g": %d, "k": %d, "lambda": %d, "n": %d}}\n'
+_NOT_EGR_LINE = '{"egr": false, "failure": {"kind": %s, "message": %s, "witness": %s}, "line": %d}\n'
+_ERROR_LINE = '{"error": %s, "line": %d}\n'
 
 
 class UsageError(Exception):
@@ -199,35 +204,31 @@ def cmd_construct(args, argv) -> int:
     return EXIT_OK
 
 
-def _record(verdict) -> tuple[int, dict]:
-    """The exit code and JSON record of one ``verify_many`` verdict."""
+def _record_line(verdict, line: int) -> tuple[int, str]:
+    """The exit code and JSON line of stream line ``line``, from its
+    ``verify_many`` verdict or its Graph6Error."""
+    if isinstance(verdict, EgrSignature):
+        bipartite = "true" if verdict.bipartite else "false"
+        return EXIT_OK, _EGR_LINE % (line, bipartite, verdict.g, verdict.k, verdict.lam, verdict.n)
     if isinstance(verdict, NotEdgeGirthRegular):
-        return EXIT_NOT_EGR, {
-            "egr": False,
-            "failure": {"kind": verdict.kind, "witness": repr(verdict.witness), "message": str(verdict)},
-        }
-    if isinstance(verdict, ValueError):  # a graph over the verify vertex cap
-        return EXIT_USAGE, {"error": str(verdict)}
-    return EXIT_OK, {"egr": True, "signature": _signature_json(verdict)}
+        fields = (verdict.kind, str(verdict), repr(verdict.witness))
+        return EXIT_NOT_EGR, _NOT_EGR_LINE % (*map(encode_basestring_ascii, fields), line)
+    # a malformed line, or a graph over the verify vertex cap
+    return EXIT_USAGE, _ERROR_LINE % (encode_basestring_ascii(str(verdict)), line)
 
 
 def _verify_block(lines: list[str], first: int) -> tuple[int, str]:
     """The largest exit code and the output text of a block of stream lines,
-    the first of them line number ``first``: the lines are decoded with one
-    ``graph6_decode_many`` call, a malformed one giving its own error
-    record, and the graphs are verified in one ``verify_many`` call; blank
-    lines give no record."""
+    the first of them line number ``first``: one union from the block
+    decoder, one ``verify_many`` call on it, and one record per nonblank
+    line, a malformed line's record holding its decode error."""
     numbered = [(lineno, line) for lineno, line in enumerate(lines, start=first) if line.strip()]
-    decoded = graph6_decode_many([line for _, line in numbered])
-    verdicts = iter(verify_many([G for G in decoded if isinstance(G, Graph)]))
+    errors, union = graph_core._decode_block([line for _, line in numbered])
+    verdicts = iter(verify_many(union))
     worst, out = EXIT_OK, []
-    for (lineno, _), G in zip(numbered, decoded):
-        if isinstance(G, Graph6Error):
-            code, result = EXIT_USAGE, {"error": str(G)}
-        else:
-            code, result = _record(next(verdicts))
-        result["line"] = lineno
-        out.append(_RECORD_ENCODER.encode(result) + "\n")
+    for (lineno, _), error in zip(numbered, errors):
+        code, text = _record_line(next(verdicts) if error is None else error, lineno)
+        out.append(text)
         worst = max(worst, code)
     return worst, "".join(out)
 
@@ -273,14 +274,19 @@ def cmd_verify(args, argv) -> int:
     verdict = verify_many([G])[0]
     if isinstance(verdict, ValueError):  # over the verify vertex cap
         raise UsageError(str(verdict))
-    code, result = _record(verdict)
-    doc.update(result)
+    if isinstance(verdict, NotEdgeGirthRegular):
+        code, doc["egr"] = EXIT_NOT_EGR, False
+        doc["failure"] = {"kind": verdict.kind, "witness": repr(verdict.witness), "message": str(verdict)}
+    else:
+        code, doc["egr"], doc["signature"] = EXIT_OK, True, _signature_json(verdict)
     doc["input"] = args.path
     _emit(doc, args.out)
     return code
 
 
 def cmd_bounds(args, argv) -> int:
+    if not in_domain(args.k, args.g):
+        raise UsageError(f"bounds are capped at k**g <= 2**{MAX_BOUND_BITS} (got k = {args.k}, g = {args.g})")
     try:
         rep = bound_report(args.k, args.g, args.lam, args.bipartite)
     except ValueError as exc:
@@ -288,7 +294,10 @@ def cmd_bounds(args, argv) -> int:
         return EXIT_USAGE
     doc = _report_skeleton(argv)
     doc["bounds"] = _bounds_json(rep)
-    _emit(doc, args.out)
+    try:
+        _emit(doc, args.out)
+    except ValueError:  # json.dumps met an integer past Python's int-to-str digit limit
+        raise UsageError("a bound has too many digits to print as a JSON integer") from None
     return EXIT_OK
 
 

@@ -3,75 +3,71 @@ graph6 I/O.
 
 A ``Graph`` holds its adjacency as compressed sparse rows: int64 arrays
 ``indptr``, ``indices`` (sorted within each row) and ``deg``, validated
-with numpy when the graph is built.  Verification reads those arrays
-directly: the degrees, the edge list, the dense adjacency of the walk pass
-and graph6 encoding.  ``G.adj``, a cached list of neighbour lists in
-Python ints, serves the JSON output of ``construct``.
+with numpy when the graph is built.  ``G.adj``, a cached list of
+neighbour lists in Python ints, serves the JSON output of ``construct``.
 
-``verify_many`` verifies a list of graphs at once, and ``verify_egr(G)`` is
-``verify_many([G])``.  Connectivity (with the smallest unreachable vertex
-as witness) and bipartiteness come from one level-synchronous numpy BFS
-over the disjoint union of the graphs in CSR, rooted at every graph's
-vertex 0 (``_bfs_levels``, the package's one BFS, which also gives
-``spectral`` its colour classes), and regularity from one least and one
-largest degree per graph, reduced over the graphs' concatenated degrees.
-The graphs that pass the degree checks are grouped by order alone, and
-each group takes one walk pass over a (B, n, n) stack of its matrices,
-whatever their degrees: one stacked product per step instead of one per
-graph, and one gather of every member's girth-cycle counts.  So a block's
-fixed costs grow with the number of distinct orders in it, not with the
-number of graphs or of (order, degree) pairs.
+One block core verifies graphs: ``verify_many`` concatenates a list of
+graphs into one disjoint union in CSR (``_Union``; one graph's own arrays
+serve, with no copy), a stream block stays one union from the graph6
+block decoder to its verdicts, and ``verify_egr(G)`` is
+``verify_many([G])``.  Connectivity (the smallest unreachable vertex as
+witness) and bipartiteness come from one frontier BFS over the union,
+rooted at every graph's vertex 0, which reads each adjacency entry once
+(``_bfs_levels``, the package's one BFS, which also gives ``spectral`` its
+colour classes); regularity from each graph's segment of the degrees.
+The graphs that pass are sorted by order alone, whatever their degrees,
+and fill (B, n, n) stacks straight from the union's entries.  Each stack
+takes the one walk engine (``_girth_walks`` over ``_nb_walks``, both on a
+prebuilt stack), its members' A_{g-1} is gathered on their edges into one
+count array for the block, and one pass over that array gives every
+verdict.  So a block's fixed costs grow with its number of distinct
+orders, not with its number of graphs.
 
 Girth and cycle counts come from one pass over the non-backtracking walk
 matrices A_l (entry [u, w]: walks of l edges from u to w that never
 reverse the edge just used).  The girth g of each graph in a stack is the
-first l at which its A_l has a nonzero diagonal.  In a graph of girth g,
-a non-backtracking walk of fewer than g edges repeats no vertex, so a walk
-of g-1 edges between the ends of an edge uv is a path that closes one
-g-cycle through uv.  A closed
-non-backtracking walk shorter than 2g holds a single cycle; unless it is
-that cycle, it adds a tail walked out and back, for at least g+2 edges.
-So a closed walk of g or g+1 edges from v is a cycle through v, counted
-once in each direction.
+first l at which its A_l has a nonzero diagonal, read as a strided view.
+In a graph of girth g, a non-backtracking walk of fewer than g edges
+repeats no vertex, so a walk of g-1 edges between the ends of an edge uv
+is a path that closes one g-cycle through uv.  A closed non-backtracking
+walk shorter than 2g holds a single cycle; unless it is that cycle, it
+adds a tail walked out and back, for at least g+2 edges.  So a closed
+walk of g or g+1 edges from v is a cycle through v, counted once in each
+direction.
 
 The counts are exact integers under one rule, ``_exact_dtype``: a
 computation runs in float32 while no integer it forms can pass 2**24, in
-float64 while none can pass 2**53, and in Python ints beyond, so no count
-can wrap or round.  A float type holds every integer up to 2**24 (float32,
-a 24-bit significand) or 2**53 (float64); the counts are nonnegative, so
-every partial sum of a product lies between 0 and the final sum, and a
-sum of integers within that range is formed exactly in any order and
-with or without fused multiply-adds (``galois._float_dtype`` rests on the
-same argument).  With maximum degree k, at most N_l = k(k-1)**(l-1)
-non-backtracking walks of l steps leave a vertex.  The step forming A_l
-forms the entries of A_l (at most N_l), the partial sums of A_{l-1} A
-(sums over one row of A_{l-1}, at most N_{l-1}) and A_{l-1}(D - I) (each
-walk it counts extends in deg - 1 ways, at most N_l).  So that step takes
-the dtype the rule gives k * max(k-1, 1)**(l-1); the max covers k = 1,
-where A A forms ones.  A stack takes the rule once per step, with k its
-largest degree, and widens at each crossing.
+float64 while none can pass 2**53, and in Python ints beyond.  Within
+those ranges a float type holds every integer, and since the counts are
+nonnegative every partial sum of a product lies between 0 and the final
+sum, so a sum is formed exactly in any order, with or without fused
+multiply-adds (``galois._float_dtype`` rests on the same argument).  With
+maximum degree k, at most N_l = k(k-1)**(l-1) non-backtracking walks of l
+steps leave a vertex.  The step forming A_l forms the entries of A_l (at
+most N_l), the partial sums of A_{l-1} A (at most N_{l-1}) and
+A_{l-1}(D - I) (each walk it counts extends in deg - 1 ways, at most
+N_l), so it takes the dtype the rule gives k * max(k-1, 1)**(l-1); the
+max covers k = 1, where A A forms ones.  A stack takes the rule once per
+step, with k its largest degree, and widens at each crossing.
 
 graph6 (McKay's format) stores the upper triangle column by column, six
 bits to a printable byte, so bit i of a body is the pair u < v with
 v(v-1)/2 <= i < v(v+1)/2 and u = i - v(v-1)/2, whatever the vertex count n.
-``graph6_decode_many`` decodes a block of lines, and
-``graph6_decode(text)`` is that block decoder on one line.  Each line
-takes only the checks in O(1) Python steps (header, ASCII, byte range
-63..126, body length, padding, each with its byte offset); the valid
-bodies, whatever their n, are concatenated and take one numpy pass: a
-search on the bodies' end offsets gives each set bit its line, the bit
-map gives its pair, both orientations of every pair become codes
-r*W + c, with r the row in the numbering of the disjoint union of the
-graphs and W the largest n, one sort orders them, and one bincount
-splits them into the graphs' CSR arrays.  A code is below V*W, V the
-union's vertex count.  A line of n vertices has at least n/62 bytes (one
-header byte for n <= 62; for larger n at least n(n-1)/12 body bytes), so
-V is at most 62 times the input's bytes, and W is at most GRAPH6_MAX_N =
-10**6: the codes fit int64 for any input under 10**11 bytes.  The pass
-reads the bodies MAX_DECODE_BYTES bytes at a time and unpacks only the
-nonzero ones, so it never holds more than 8 * MAX_DECODE_BYTES bytes of
-bits (512 KiB), and its peak, besides the graphs it returns, stays near
-the size of the input.
+The block decoder ``_decode_block`` reads a block of lines into one union;
+``graph6_decode_many`` splits that union into Graphs, and
+``graph6_decode(text)`` is ``graph6_decode_many([text])``.  Each line takes
+only the checks in O(1) Python steps (header, ASCII, byte range 63..126,
+body length, padding, each with its byte offset); the valid bodies,
+whatever their n, take one numpy pass that turns both orientations of
+every pair into a code r*W + c, r the row in the union's vertex numbering
+and W the largest n, and one sort.  A code is below V*W, V the union's
+vertex count; a line of n vertices has at least n/62 bytes (one header
+byte for n <= 62, else at least n(n-1)/12 body bytes), so V is at most 62
+times the input's bytes, and W is at most GRAPH6_MAX_N = 10**6: the codes
+fit int64 for any input under 10**11 bytes.  The pass unpacks only the
+nonzero bytes, MAX_DECODE_BYTES at a time, so it never holds more than
+8 * MAX_DECODE_BYTES bytes of bits (512 KiB), and its peak, besides the
+graphs it returns, stays near the size of the input.
 """
 
 from __future__ import annotations
@@ -80,6 +76,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import chain, pairwise
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,7 +140,7 @@ class Graph:
             and np.array_equal(codes, np.sort(indices * n + rows))
         ):
             raise ValueError(_first_fault(n, rows, cols))
-        self._store(*_csr([n], n, codes)[0], labels)
+        self._store(*_split(_from_codes([n], n, codes))[0], labels)
 
     @classmethod
     def from_edges(cls, n: int, edges, labels=None) -> "Graph":
@@ -166,7 +163,7 @@ class Graph:
         if not _distinct(codes):
             raise ValueError(_first_fault(n, rows, cols))
         G = cls.__new__(cls)
-        G._store(*_csr([n], n, codes)[0], labels)
+        G._store(*_split(_from_codes([n], n, codes))[0], labels)
         return G
 
     def _store(self, indptr, indices, deg, labels) -> None:
@@ -241,36 +238,57 @@ def _distinct(codes: np.ndarray) -> bool:
     return not (codes[1:] == codes[:-1]).any()
 
 
-def _csr(orders, width: int, codes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The CSR arrays (indptr, indices, deg) of graphs of the given orders,
-    from the sorted codes r*width + v of their adjacency entries: entry v
-    (below width) of row r, r numbering the vertices of the disjoint union,
-    where the vertices of each graph follow those of the graphs before it.
-    The arrays are read-only views into arrays the graphs share."""
-    orders = np.asarray(orders, dtype=np.int64)
-    first = np.zeros(len(orders) + 1, dtype=np.int64)  # each graph's first union vertex
-    np.cumsum(orders, out=first[1:])
-    rows, indices = np.divmod(codes, max(width, 1))
+class _Union(NamedTuple):
+    """Graphs as one disjoint union in CSR: graph b's vertices are the union
+    rows first[b]..first[b+1]-1, with entries from indptr[r] on and degree
+    deg[r]; entry i joins union row rows[i] to vertex cols[i] of its graph,
+    numbered within that graph."""
+
+    first: np.ndarray
+    indptr: np.ndarray
+    deg: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+
+def _from_codes(orders, width: int, codes: np.ndarray) -> _Union:
+    """The union of graphs of the given orders from the sorted codes
+    r*width + v of their entries: entry v (below width) of union row r."""
+    first = np.cumsum([0, *orders])
+    rows, cols = np.divmod(codes, max(width, 1))
     deg = np.bincount(rows, minlength=first[-1])
-    ends = np.zeros(len(deg) + 1, dtype=np.int64)  # where each union row's entries end
-    np.cumsum(deg, out=ends[1:])
-    if len(orders) == 1:
-        # ends is the one graph's indptr; the general case would add three
-        # temporaries of n int64s to the peak on which the size caps rest
-        indptr = ends
+    indptr = np.zeros(len(deg) + 1, dtype=np.int64)  # no temporary: the size caps rest on this peak
+    np.cumsum(deg, out=indptr[1:])
+    return _Union(first, indptr, deg, rows, cols)
+
+
+def _union_of(graphs) -> _Union:
+    """The union of a list of graphs; one graph's own CSR arrays serve as
+    the union's, with no copy."""
+    if len(graphs) == 1:
+        (G,) = graphs
+        first, indptr, deg, cols = np.array([0, G.n]), G.indptr, G.deg, G.indices
     else:
-        # graph b's n_b + 1 row starts sit at union rows first[b]..first[b+1],
-        # less the entries of the graphs before it
-        sizes = orders + 1
-        indptr = ends[np.arange(len(ends) + len(orders) - 1) - np.arange(len(orders)).repeat(sizes)]
-        indptr -= ends[first[:-1]].repeat(sizes)
-    for a in (indptr, indices, deg):
+        first = np.cumsum([0] + [G.n for G in graphs])
+        deg = np.concatenate([G.deg for G in graphs])
+        cols = np.concatenate([G.indices for G in graphs])
+        indptr = np.concatenate(([0], deg.cumsum()))
+    return _Union(first, indptr, deg, np.arange(len(deg)).repeat(deg), cols)
+
+
+def _split(u: _Union) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each graph's CSR arrays (indptr, indices, deg), read-only views into
+    the union's, but for the shifted indptr of a graph after the first."""
+    first, ends, deg, _, cols = u
+    for a in (ends, deg, cols):
         a.setflags(write=False)
     vs, es = first.tolist(), ends[first].tolist()
-    return [
-        (indptr[a + b : c + b + 1], indices[x:y], deg[a:c])
-        for b, (a, c, x, y) in enumerate(zip(vs, vs[1:], es, es[1:]))
-    ]
+    csrs = []
+    for a, c, x, y in zip(vs, vs[1:], es, es[1:]):
+        indptr = ends[a : c + 1] - x if a else ends[: c + 1]
+        indptr.setflags(write=False)
+        csrs.append((indptr, cols[x:y], deg[a:c]))
+    return csrs
 
 
 def _first_fault(n: int, rows: np.ndarray, cols: np.ndarray) -> str:
@@ -373,93 +391,93 @@ def _adjacency(graphs, dtype) -> np.ndarray:
     return A
 
 
-def _nb_walks(*graphs: Graph):
-    """Yield the non-backtracking walk matrices A_1, A_2, ... of graphs of
-    one order n, exactly, as (B, n, n) stacks (entry b of a stack belongs to
-    graphs[b]), and stop at the first all-zero stack.
+def _cap_error(n: int) -> ValueError:
+    """The error for a graph of n vertices, over MAX_VERIFY_VERTICES."""
+    return ValueError(f"verification is capped at {MAX_VERIFY_VERTICES} vertices (got n = {n})")
 
-    A_1 = A, A_2 = A^2 - D, A_{l+1} = A_l A - A_{l-1}(D - I), one stacked
-    product per step.  A_1 holds zeros and ones; the step forming A_l takes
-    the dtype ``_exact_dtype`` gives k * max(k-1, 1)**(l-1) (k the largest
-    degree in the stack; see the module docstring), so the pass widens
-    from float32 to float64 to Python ints as that bound crosses 2**24 and
-    2**53.  Raises ValueError before allocating anything when n is over
-    MAX_VERIFY_VERTICES.
-    """
-    n = graphs[0].n
-    if n > MAX_VERIFY_VERTICES:
-        raise ValueError(f"verification is capped at {MAX_VERIFY_VERTICES} vertices (got n = {n})")
-    dtype = _exact_dtype(1)
-    A = _adjacency(graphs, dtype)
+
+def _walk_stack(G: Graph) -> np.ndarray:
+    """G's adjacency as a walk stack of one, after the vertex cap check."""
+    if G.n > MAX_VERIFY_VERTICES:
+        raise _cap_error(G.n)
+    return _adjacency([G], _exact_dtype(1))
+
+
+def _nb_walks(A: np.ndarray):
+    """Yield the non-backtracking walk matrices A_1 = A, A_2, ... of a
+    prebuilt (B, n, n) stack A of adjacency matrices, exactly, as (B, n, n)
+    stacks, and stop at the first all-zero stack.  A_2 = A^2 - D, with D
+    subtracted on the diagonal alone, and A_{l+1} = A_l A - A_{l-1}(D - I):
+    one stacked product per step.  The step forming A_l takes the dtype
+    ``_exact_dtype`` gives k * max(k-1, 1)**(l-1), k the stack's largest
+    degree (see the module docstring), widening from float32 to float64 to
+    Python ints."""
+    B, n, _ = A.shape
     deg = A.sum(axis=1)
     k = int(deg.max(initial=0))
-    back = np.zeros_like(A)
-    back.reshape(len(graphs), -1)[:, :: n + 1] = deg
     # (D - I) acts on the right, scaling column w by deg(w) - 1
-    cur, step = A, (deg - 1)[:, None, :]
+    step = (deg - 1)[:, None, :]
     # a non-backtracking walk can always go on from a vertex of degree >= 2,
     # so only a stack with a vertex of degree < 2 can die out
     endless = deg.size and deg.min() >= 2
-    bound = k
+    dtype, bound = A.dtype, k
+    prev, cur = None, A
     while endless or cur.any():
         yield cur
-        if dtype is not object:
+        if dtype != object:
             bound *= max(k - 1, 1)
-            if (wider := _exact_dtype(bound)) is not dtype:
+            if (wider := np.dtype(_exact_dtype(bound))) != dtype:
                 dtype = wider
-                A, back, cur, step = (_widen(m, dtype) for m in (A, back, cur, step))
+                A, deg, step, cur = (_widen(m, dtype) for m in (A, deg, step, cur))
+                prev = None if prev is None else _widen(prev, dtype)
         nxt = cur @ A
-        nxt -= back
-        np.multiply(cur, step, out=back)
-        cur = nxt
+        if prev is None:
+            nxt.reshape(B, -1)[:, :: n + 1] -= deg
+        else:
+            nxt -= prev * step
+        prev, cur = cur, nxt
 
 
-def _girth_walks(*graphs: Graph, beyond: int = 0) -> tuple[list, list[np.ndarray]]:
-    """The girths of graphs of one order n (math.inf for a forest) and
-    their walk matrices A_{g-1}, A_g, ..., A_{g+beyond}, from one stacked
-    pass, as 2 + beyond (B, n, n) stacks: slice b of stack j is
-    A_{g-1+j} of graphs[b], g its girth (zero for a forest).  The list of
-    stacks is empty when no graph has an edge.
-
-    The pass stops once every member has its matrices or is known to be a
-    forest: the stack is all zero, or the pass has reached length n, the
-    longest a cycle can be, without a closed walk for it.
-    """
+def _girth_walks(A: np.ndarray, beyond: int = 0) -> tuple[list, list[np.ndarray]]:
+    """The girths of the graphs of a prebuilt (B, n, n) adjacency stack A
+    (math.inf for a forest) and, from one walk pass, their A_{g-1}, and
+    A_g, ..., A_{g+beyond} too when beyond > 0, each a (B, n, n) stack whose
+    slice b belongs to graph b (zero for a forest).  The pass stops once
+    every member has its matrices or is known to be a forest: the stack is
+    all zero, or the pass has reached length n, the longest a cycle can be,
+    without a closed walk for it."""
+    B, n, _ = A.shape
+    walks: list = [None] * (2 + beyond if beyond else 1)
 
     def put(j, members, src):
-        if len(members) == len(graphs):
+        if len(members) == B:
             walks[j] = src  # the pass never writes to a stack it has yielded
             return
         # the dtype of the pass only widens, so a stack takes its sources' dtype
-        walks[j] = _widen(walks[j], src.dtype)
+        walks[j] = np.zeros_like(src) if walks[j] is None else _widen(walks[j], src.dtype)
         walks[j][members] = src[members]
 
-    n = graphs[0].n
-    girth = np.zeros(len(graphs), dtype=np.int64)  # 0 until found
-    walks: list[np.ndarray] = []
-    left = len(graphs)  # members still without their girth
-    last = 0  # the last length a member with its girth still needs
-    prev = None
-    for length, cur in enumerate(_nb_walks(*graphs), start=1):
-        if not walks:
-            walks = [np.zeros_like(cur) for _ in range(2 + beyond)]
-        for j in range(2, min(2 + beyond, length + 1)):
-            if (later := np.flatnonzero(girth == length + 1 - j)).size:
+    girth = np.zeros(B, dtype=np.int64)  # 0 until found
+    # the members still without their girth; the last length a closed one needs
+    left, last, prev = B, 0, None
+    for length, cur in enumerate(_nb_walks(A), start=1):
+        for j in range(2, min(len(walks), length + 1)):
+            if (later := (girth == length + 1 - j).nonzero()[0]).size:
                 put(j, later, cur)
-        # A_1 and A_2 have zero diagonals; the entries are nonnegative, so a
-        # nonzero diagonal has a nonzero trace
-        if length > 2 and (closed := cur.trace(axis1=1, axis2=2)).any():
-            fresh = np.flatnonzero((closed != 0) & (girth == 0))
-            if fresh.size:
+        # A_1 and A_2 have zero diagonals
+        if left and length > 2 and (diag := cur.reshape(B, -1)[:, :: n + 1]).any():
+            fresh = diag.any(axis=1).nonzero()[0]
+            if (fresh := fresh[girth[fresh] == 0]).size:
                 girth[fresh] = length
                 put(0, fresh, prev)
-                put(1, fresh, cur)
+                if beyond:
+                    put(1, fresh, cur)
                 left -= fresh.size
                 last = length + beyond
         if length >= last and (length >= n or not left):
             break
         prev = cur
-    return [g or math.inf for g in girth.tolist()], walks
+    return [g or math.inf for g in girth.tolist()], [np.zeros_like(A) if w is None else w for w in walks]
 
 
 def count_girth_cycles_through_edge(G: Graph, edge, g: int) -> int:
@@ -467,7 +485,7 @@ def count_girth_cycles_through_edge(G: Graph, edge, g: int) -> int:
     the girth of G.  Each cycle corresponds to exactly one simple path of
     length g-1 between the endpoints that avoids the edge itself, read off
     as a non-backtracking walk count."""
-    (girth_g,), walks = _girth_walks(G)
+    (girth_g,), walks = _girth_walks(_walk_stack(G))
     if g != girth_g:
         raise ValueError(f"g={g} is not the girth of the graph")
     u, v = edge
@@ -485,170 +503,152 @@ def cycle_counts_through_vertices(G: Graph, length: int) -> list[int]:
     through a vertex, each traversed in both directions.  Other lengths
     raise ValueError.
     """
-    (g,), walks = _girth_walks(G, beyond=1)
+    (g,), walks = _girth_walks(_walk_stack(G), beyond=1)
     if length not in (g, g + 1):
         raise ValueError(f"length {length} is neither the girth {g} nor girth + 1")
     return [int(c) // 2 for c in walks[length - g + 1][0].diagonal()]
 
 
-def _bfs_levels(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One level-synchronous BFS over the disjoint union of graphs in CSR,
-    rooted at every graph's vertex 0.  Returns the offsets of the graphs'
-    vertices in the union (len(graphs) + 1 entries), the level of each union
-    vertex (its distance from its graph's vertex 0, -1 when unreached) and
-    the union's adjacency entries as arrays rows, indices (entry i runs from
-    rows[i] to indices[i]).
+def _ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The integers lo[i], ..., lo[i] + counts[i] - 1, range after range,
+    for a nonempty lo."""
+    ends = counts.cumsum()
+    return np.arange(ends[-1]) + (lo - ends + counts).repeat(counts)
 
-    Each level is one scan of all the entries for those that leave the
-    current level, so the cost is the edge count times the largest depth.
-    """
-    offsets = np.cumsum([0] + [G.n for G in graphs])
-    starts, ends = offsets[:-1], offsets[1:]
-    deg = np.concatenate([G.deg for G in graphs])
-    rows = np.arange(len(deg)).repeat(deg)
-    indices = np.concatenate([G.indices for G in graphs]) + starts.repeat([len(G.indices) for G in graphs])
+
+def _bfs_levels(u: _Union) -> tuple[np.ndarray, np.ndarray]:
+    """One frontier BFS over the union, rooted at every nonempty graph's
+    vertex 0: the level of each union vertex (its distance from its graph's
+    vertex 0, -1 when unreached), and the reached vertices with a neighbour
+    at their own level.  Each level gathers the entries of its frontier's
+    rows alone, so every entry is read once."""
+    first, indptr, deg, _, cols = u
+    if len(first) > 2:  # number the neighbours in the union
+        cols = cols + first[:-1].repeat(np.diff(indptr[first]))
     level = np.full(len(deg), -1)
-    level[starts[starts < ends]] = 0
-    depth = 0
-    while True:
-        fresh = indices[level[rows] == depth]
-        fresh = fresh[level[fresh] < 0]
-        if not fresh.size:
-            break
+    front = first[:-1][first[:-1] < first[1:]]
+    level[front] = 0
+    clash, depth = [front[:0]], 0
+    while front.size:
+        nbr = cols[_ranges(indptr[front], deg[front])]
+        at = level[nbr]
+        clash.append(nbr[at == depth])
         depth += 1
-        level[fresh] = depth
-    return offsets, level, rows, indices
-
-
-def _reach_and_parity(graphs) -> tuple[list[int | None], list[bool]]:
-    """For each of graphs, the smallest vertex unreachable from vertex 0
-    (None when there is none) and whether vertex 0's component is
-    bipartite, from one ``_bfs_levels`` pass.  A component is bipartite
-    exactly when no edge joins two vertices at the same distance from its
-    root.
-    """
-    offsets, level, rows, indices = _bfs_levels(graphs)
-    starts, ends = offsets[:-1], offsets[1:]
-    # the first unreached vertex at or after each graph's vertex 0
-    missing = np.flatnonzero(level < 0)
-    first = np.append(missing, len(level))[np.searchsorted(missing, starts)]
-    unreached = [v - a if v < b else None for v, a, b in zip(first.tolist(), starts.tolist(), ends.tolist())]
-    at = level[rows]
-    odd = rows[(at == level[indices]) & (at >= 0)]
-    bipartite = np.ones(len(graphs), dtype=bool)
-    bipartite[np.searchsorted(ends, odd, side="right")] = False
-    return unreached, bipartite.tolist()
+        level[nbr[at < 0]] = depth
+        front = (level == depth).nonzero()[0]
+    return level, np.concatenate(clash)
 
 
 def verify_many(graphs) -> list:
     """Verify each graph as ``verify_egr`` does, and return for each, in
     order, its EgrSignature, or the NotEdgeGirthRegular or ValueError
-    instance that ``verify_egr`` would raise.
+    instance that ``verify_egr`` would raise.  ``graphs`` is a list of
+    Graphs, concatenated into one union, or the union ``_decode_block``
+    gives a stream block; the block core ``_verify_union`` verifies it."""
+    if not isinstance(graphs, _Union):
+        graphs = list(graphs)
+        if not graphs:
+            return []
+        graphs = _union_of(graphs)
+    return _verify_union(graphs)
 
-    Connectivity and bipartiteness come from one BFS over all the graphs
-    (``_reach_and_parity``), and each graph's least and largest degree from
-    one reduction over their concatenated degrees.  The graphs that pass
-    the degree checks are grouped by order n alone, and each group takes
-    one stacked walk pass, split into stacks of at most MAX_STACK_CELLS
-    matrix entries (a graph larger than that runs alone).
-    """
-    graphs = list(graphs)
-    if not graphs:
-        return []
-    results: list = [None] * len(graphs)
-    unreached, bipartite = _reach_and_parity(graphs)
-    orders = np.array([G.n for G in graphs])
-    low = np.zeros(len(graphs), dtype=np.int64)
-    high = np.zeros(len(graphs), dtype=np.int64)
-    if (nonempty := orders > 0).any():
-        degrees = np.concatenate([G.deg for G in graphs])
-        starts = (np.cumsum(orders) - orders)[nonempty]
-        low[nonempty] = np.minimum.reduceat(degrees, starts)
-        high[nonempty] = np.maximum.reduceat(degrees, starts)
-    groups: dict[int, list[int]] = {}
-    for i, (G, k, top) in enumerate(zip(graphs, low.tolist(), high.tolist())):
-        if G.n == 0:
-            results[i] = NotEdgeGirthRegular("disconnected", None, "empty graph")
-        elif (v := unreached[i]) is not None:
-            results[i] = NotEdgeGirthRegular("disconnected", v, f"vertex {v} unreachable from 0")
+
+def _verify_union(u: _Union) -> list:
+    """The block core: the verdicts of the union's graphs, in order, as
+    ``verify_many`` returns them.  Connectivity and bipartiteness come from
+    one ``_bfs_levels`` pass, the degree checks from one reduction per
+    bound over the degrees; the graphs that pass take the walk pass
+    (``_girth_counts``), and one pass over all their edges compares each
+    edge's count with its graph's first edge's."""
+    first, _, deg, _, _ = u
+    orders = first[1:] - first[:-1]
+    level, clash = _bfs_levels(u)
+    # the first unreached vertex at or after each graph's vertex 0
+    missing = (level < 0).nonzero()[0]
+    unreached = np.concatenate((missing, [len(level)]))[missing.searchsorted(first[:-1])]
+    # a component is bipartite exactly when no edge joins two vertices at the same level
+    bipartite = np.ones(len(orders), dtype=bool)
+    bipartite[first[1:].searchsorted(clash, side="right")] = False
+    # a pad after the degrees ends the last graph's segment; an empty
+    # graph's segment reads the next graph's first degree, never used
+    low, high = (f.reduceat(np.concatenate((deg, [0])), first)[:-1] for f in (np.minimum, np.maximum))
+    cap, ns = MAX_VERIFY_VERTICES, orders.tolist()
+    results, walkers = [], []
+    columns = zip(first.tolist(), ns, (unreached - first[:-1]).tolist(), low.tolist(), high.tolist())
+    for i, (a, n, v, k, top) in enumerate(columns):
+        verdict = None
+        if n == 0:
+            verdict = NotEdgeGirthRegular("disconnected", None, "empty graph")
+        elif v < n:
+            verdict = NotEdgeGirthRegular("disconnected", v, f"vertex {v} unreachable from 0")
         elif k != top:
-            deg = G.deg
-            k = int(np.bincount(deg).argmax())  # argmax takes the first, so the smallest, mode
-            v = int(np.flatnonzero(deg != k)[0])
-            results[i] = NotEdgeGirthRegular(
-                "not_regular", v, f"vertex {v} has degree {deg[v]}, expected {k}"
-            )
+            d = deg[a : a + n]
+            k = int(np.bincount(d).argmax())  # argmax takes the first, so the smallest, mode
+            v = int(np.flatnonzero(d != k)[0])
+            verdict = NotEdgeGirthRegular("not_regular", v, f"vertex {v} has degree {d[v]}, expected {k}")
         elif k < 3:
-            results[i] = NotEdgeGirthRegular("degree_too_small", k, f"degree {k} < 3")
+            verdict = NotEdgeGirthRegular("degree_too_small", k, f"degree {k} < 3")
+        elif n > cap:
+            verdict = _cap_error(n)
         else:
-            # connected and k-regular with k >= 3, so G has a cycle
-            groups.setdefault(G.n, []).append(i)
-    for n, members in groups.items():
-        size = max(1, MAX_STACK_CELLS // (n * n))
-        for start in range(0, len(members), size):
-            stack = members[start : start + size]
-            try:
-                girth, walks = _girth_walks(*(graphs[i] for i in stack))
-            except ValueError as exc:  # over the vertex cap
-                for i in stack:
-                    results[i] = exc
-                continue
-            verdicts = _lambda_verdicts(
-                [graphs[i] for i in stack], girth, walks[0], [bipartite[i] for i in stack]
-            )
-            for i, verdict in zip(stack, verdicts):
-                results[i] = verdict
+            walkers.append(i)  # connected and k-regular with k >= 3, so it has a cycle
+        results.append(verdict)
+    if not walkers:
+        return results
+    w = np.array(sorted(walkers, key=ns.__getitem__))
+    girth, us, vs, counts, seg, edges = _girth_counts(u, w)
+    # each graph's edges are one nonempty segment, and a graph has a deviant
+    # edge exactly when its least and largest counts differ
+    lam = counts[seg]
+    deviant = (counts != lam.repeat(edges)).nonzero()[0]
+    at = np.concatenate((deviant, [0]))[deviant.searchsorted(seg)]
+    fewest, most = np.minimum.reduceat(counts, seg).tolist(), np.maximum.reduceat(counts, seg).tolist()
+    witness = zip(zip(us[at].tolist(), vs[at].tolist()), counts[at].tolist())
+    columns = zip(w.tolist(), girth, orders[w].tolist(), low[w].tolist(), bipartite[w].tolist(), lam.tolist())
+    for (i, g, n, k, bip, lam), (e, c), least, largest in zip(columns, witness, fewest, most):
+        if least == largest:
+            results[i] = EgrSignature(n=n, k=k, g=g, lam=lam, bipartite=bip)
+            continue
+        message = f"edge {e} lies on {c} girth cycles, expected {lam}"
+        details = {"min_count": least, "max_count": largest}
+        results[i] = NotEdgeGirthRegular("nonuniform_cycle_counts", e, message, details=details)
     return results
 
 
-def _lambda_verdicts(graphs, girth: list[int], counts: np.ndarray, bipartite: list[bool]) -> list:
-    """The verdicts of connected regular graphs of one order n and degree
-    at least 3, given their girths, the (B, n, n) stack of their A_{g-1}
-    from ``_girth_walks`` and whether each is bipartite: the signature, or
-    the NotEdgeGirthRegular for the first edge in ``edges()`` order whose
-    girth-cycle count A_{g-1}[u, v] differs from that of the first edge.
-
-    The graphs' CSR entries v > u, concatenated, are their edges (u, v) in
-    ``edges()`` order, graph after graph; one gather reads every count, and
-    each graph's edges are one segment for the reductions."""
-    n = graphs[0].n
-    deg = np.concatenate([G.deg for G in graphs])
-    vs = np.concatenate([G.indices for G in graphs])
-    bs, us = np.divmod(np.arange(len(deg)).repeat(deg), n)
-    upper = vs > us
-    bs, us, vs = bs[upper], us[upper], vs[upper]
-    counts = counts[bs, us, vs]
-    # every graph has an edge, so each segment is nonempty, and a graph has
-    # a deviant edge exactly when its least and largest counts differ
-    starts = np.searchsorted(bs, np.arange(len(graphs)))
-    lam = counts[starts]
-    deviant = np.flatnonzero(counts != lam[bs])
-    at = np.append(deviant, 0)[np.searchsorted(deviant, starts)]
-    columns = zip(
-        deg[::n].tolist(),
-        lam.tolist(),
-        us[at].tolist(),
-        vs[at].tolist(),
-        counts[at].tolist(),
-        np.minimum.reduceat(counts, starts).tolist(),
-        np.maximum.reduceat(counts, starts).tolist(),
-    )
-    verdicts = []
-    for g, bip, (k, lam, u, v, c, low, high) in zip(girth, bipartite, columns):
-        lam = int(lam)
-        if low == high:
-            verdicts.append(EgrSignature(n=n, k=k, g=g, lam=lam, bipartite=bip))
-            continue
-        e = (u, v)
-        verdicts.append(
-            NotEdgeGirthRegular(
-                "nonuniform_cycle_counts",
-                e,
-                f"edge {e} lies on {int(c)} girth cycles, expected {lam}",
-                details={"min_count": int(low), "max_count": int(high)},
-            )
-        )
-    return verdicts
+def _girth_counts(u: _Union, w: np.ndarray) -> tuple:
+    """The walk pass over the union's graphs w, sorted by order, each
+    connected, regular of degree >= 3 and under the vertex cap: their
+    girths, then for their edges (u, v), u < v, in ``edges()`` order, graph
+    after graph, the arrays u, v and A_{g-1}[u, v] (the girth cycles through
+    uv), and where each graph's edges start and how many it has.  The graphs
+    of one order n fill (B, n, n) stacks of at most MAX_STACK_CELLS entries
+    (a larger graph runs alone) straight from the union's entries."""
+    first, indptr, _, rows, cols = u
+    start, stop = first[w], first[w + 1]
+    lo = indptr[start]
+    cnt, orders = indptr[stop] - lo, stop - start  # each graph's entries and vertices
+    at = _ranges(lo, cnt)
+    us, vs = rows[at] - start.repeat(cnt), cols[at]
+    # a run of one order fills stacks of `size` members, each at its slot
+    size = np.maximum(1, MAX_STACK_CELLS // (orders * orders))
+    pos = np.arange(len(w))
+    head = pos * np.concatenate(([True], orders[1:] != orders[:-1]))
+    slot = (pos - np.maximum.accumulate(head)) % size
+    nn = orders.repeat(cnt)
+    flat = (slot.repeat(cnt) * nn + us) * nn + vs  # entry (slot, u, v) of its stack
+    ends, ns = [0, *cnt.cumsum().tolist()], orders.tolist()
+    girth, parts = [], []
+    for a, b in pairwise([*(slot == 0).nonzero()[0].tolist(), len(w)]):
+        n, p = ns[a], flat[ends[a] : ends[b]]
+        A = np.zeros((b - a, n, n), dtype=_exact_dtype(1))
+        A.reshape(-1)[p] = 1
+        g, walks = _girth_walks(A)
+        girth += g
+        c = walks[0].reshape(-1)[p]
+        parts.append(c if c.dtype == object else c.astype(np.int64))
+    upper = us < vs
+    edges = cnt // 2
+    return girth, us[upper], vs[upper], np.concatenate(parts)[upper], edges.cumsum() - edges, edges
 
 
 def verify_egr(G: Graph) -> EgrSignature:
@@ -657,11 +657,9 @@ def verify_egr(G: Graph) -> EgrSignature:
     NotEdgeGirthRegular with the first violated condition and a witness.
     The expected degree k is the most common degree, ties going to the
     smallest; an irregular graph fails at its first vertex of another
-    degree.
-    The girth and the counts come from one walk pass, which raises
-    ValueError for a connected regular graph of degree >= 3 on more than
-    MAX_VERIFY_VERTICES vertices.  This is ``verify_many([G])``.
-    """
+    degree.  A connected regular graph of degree >= 3 on more than
+    MAX_VERIFY_VERTICES vertices raises ValueError.  This is
+    ``verify_many([G])``, on G's own arrays."""
     result = verify_many([G])[0]
     if isinstance(result, Exception):
         raise result
@@ -733,30 +731,15 @@ def graph6_decode(text: str) -> Graph:
 
 def graph6_decode_many(texts) -> list:
     """Decode each of the graph6 strings ``texts`` as ``graph6_decode``
-    does, and return for each, in order, its Graph or the Graph6Error
-    that ``graph6_decode`` would raise.
-
-    Each string takes only the checks of ``_graph6_body``; the bodies that
-    pass, whatever their vertex counts, are decoded together in one pass
-    (``_decode_bodies``)."""
-    results: list = []
-    buf = bytearray()
-    orders, ends, members = [], [], []
-    for i, text in enumerate(texts):
-        try:
-            n, body = _graph6_body(text)
-        except Graph6Error as exc:
-            results.append(exc)
-            continue
-        buf += body
-        orders.append(n)
-        ends.append(len(buf))
-        members.append(i)
-        results.append(None)
-    if members:
-        for i, G in zip(members, _decode_bodies(orders, ends, buf)):
-            results[i] = G
-    return results
+    does, and return for each, in order, its Graph or the Graph6Error that
+    ``graph6_decode`` would raise: ``_decode_block``, then a split."""
+    errors, union = _decode_block(texts)
+    graphs = []
+    for csr in _split(union):
+        graphs.append(G := Graph.__new__(Graph))
+        G._store(*csr, None)
+    decoded = iter(graphs)
+    return [next(decoded) if exc is None else exc for exc in errors]
 
 
 def _graph6_body(text: str) -> tuple[int, memoryview]:
@@ -808,18 +791,31 @@ def _graph6_body(text: str) -> tuple[int, memoryview]:
     return n, memoryview(data)[pos:]
 
 
-def _decode_bodies(orders: list[int], ends: list[int], buf: bytearray) -> list[Graph]:
-    """The graphs whose graph6 adjacency bytes, checked by ``_graph6_body``,
-    are concatenated in ``buf``: graph b has orders[b] vertices and its
-    bytes end at ends[b].
+def _decode_block(texts) -> tuple[list, _Union]:
+    """The block decoder: for each of the graph6 strings ``texts``, the
+    Graph6Error that ``graph6_decode`` would raise, or None, and the union
+    of the valid strings' graphs, in order.
 
-    One pass: the set bits, read MAX_DECODE_BYTES bytes at a time and
-    unpacked only from their nonzero bytes, find their graphs by a search
-    on ``ends`` and their pairs u < v through ``_column_starts``, which
-    does not depend on n; both orientations of each pair, as codes
-    r*width + c in the union's vertex numbering, take one sort, and
-    ``_csr`` splits them into the graphs."""
-    width = max(orders)
+    Each string takes only the checks of ``_graph6_body``.  The valid
+    bodies, whatever their vertex counts, are concatenated and take one
+    pass: the set bits, read MAX_DECODE_BYTES bytes at a time and unpacked
+    only from their nonzero bytes, find their graphs by a search on the
+    bodies' end offsets and their pairs u < v through ``_column_starts``,
+    which does not depend on n; both orientations of each pair, as codes
+    r*width + c in the union's vertex numbering, take one sort."""
+    errors: list = []
+    orders, ends, buf = [], [], bytearray()
+    for text in texts:
+        try:
+            n, body = _graph6_body(text)
+        except Graph6Error as exc:
+            errors.append(exc)
+            continue
+        buf += body
+        orders.append(n)
+        ends.append(len(buf))
+        errors.append(None)
+    width = max(orders, default=0)
     first = np.cumsum([0] + orders)  # each graph's first union vertex
     stop = np.array(ends, dtype=np.int64)
     start = stop - np.diff(stop, prepend=0)
@@ -844,9 +840,4 @@ def _decode_bodies(orders: list[int], ends: list[int], buf: bytearray) -> list[G
     # the bit map gives each graph's pairs u < v once, in range; checked all the same
     if not (_in_range(codes, int(first[-1]) * width) and _distinct(codes)):
         raise AssertionError("graph6 bit map formed a repeated or out-of-range entry")
-    graphs = []
-    for csr in _csr(orders, width, codes):
-        G = Graph.__new__(Graph)
-        G._store(*csr, None)
-        graphs.append(G)
-    return graphs
+    return errors, _from_codes(orders, width, codes)

@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.linalg import eigvalsh
 
-from .graph_core import EgrSignature, Graph, _adjacency, _bfs_levels, _exact_dtype
+from .graph_core import EgrSignature, Graph, _adjacency, _bfs_levels, _exact_dtype, _union_of
 
 MAX_MOMENT_LENGTH = 16
 MAX_MOMENT_VERTICES = 2048
@@ -237,8 +237,8 @@ def _tight_identity(G: Graph, k: int) -> bool:
     neighbour and a graph that meets the identity is connected: an
     unreached vertex, like an edge joining equal levels, means False.
     """
-    _, level, rows, indices = _bfs_levels([G])
-    if G.n < 4 or (level < 0).any() or (level[rows] == level[indices]).any():
+    level, clash = _bfs_levels(_union_of([G]))
+    if G.n < 4 or (level < 0).any() or clash.size:
         return False
     right = (level % 2).astype(bool)
     if 2 * right.sum() != G.n:

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from egrtools import cli, graph_core
+from egrtools import bounds, cli, graph_core
+from egrtools.bounds import bound_report
 from egrtools.cli import EXIT_NOT_EGR, EXIT_OK, EXIT_USAGE, main
 from egrtools.constructions import petersen
 from egrtools.galois import GF
@@ -148,6 +149,41 @@ def test_bounds_past_float_range_is_a_usage_error(capsys, k, g):
     code, out, err = run(capsys, "bounds", "-k", str(k), "-g", str(g), "-l", "1")
     assert code == EXIT_USAGE and out == ""
     assert _one_error_line(err, "past the float range") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("g", [20000, 30000])
+def test_bounds_past_the_domain_exit_before_bound_report(capsys, monkeypatch, g):
+    # bound_report takes more than 60 s at k = 3, g = 20000
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bound_report(*args)
+
+    monkeypatch.setattr(cli, "bound_report", counted)
+    code, out, err = run(capsys, "bounds", "-k", "3", "-g", str(g), "-l", "1")
+    assert code == EXIT_USAGE and out == "" and calls == []
+    assert _one_error_line(err, f"bounds are capped at k**g <= 2**20000 (got k = 3, g = {g})")
+    # a pair inside the domain does enter it
+    assert run(capsys, "bounds", "-k", "3", "-g", "5", "-l", "4")[0] == EXIT_OK and len(calls) == 1
+
+
+def test_bounds_domain_is_k_to_the_g_in_bits():
+    assert bounds.MAX_BOUND_BITS == 20000
+    assert bounds.in_domain(4, 10000) and not bounds.in_domain(4, 10001)
+    assert bounds.in_domain(3, 12618) and not bounds.in_domain(3, 12619)
+    assert bounds.in_domain(2**20000, 1) and not bounds.in_domain(2**20000, 2)
+    # no float overflow on an enormous g, and k < 2 is left to bound_report
+    assert not bounds.in_domain(3, 10**400) and bounds.in_domain(1, 10**400)
+
+
+def test_a_bound_past_the_int_to_str_limit_is_a_usage_error(capsys, monkeypatch):
+    # k = 3, g = 10000 is inside the domain, but its even-girth bound has a
+    # numerator of more than 4300 digits, which json.dumps cannot print
+    monkeypatch.setattr(cli, "_bounds_json", lambda rep: {"best": 10**5000})
+    code, out, err = run(capsys, "bounds", "-k", "3", "-g", "6", "-l", "1")
+    assert code == EXIT_USAGE and out == ""
+    assert _one_error_line(err, "a bound has too many digits to print as a JSON integer")
 
 
 def test_report_pencil(capsys):

@@ -22,10 +22,12 @@ from egrtools.graph_core import (
     EgrSignature,
     Graph,
     NotEdgeGirthRegular,
+    _adjacency,
     _bfs_levels,
     _exact_dtype,
     _girth_walks,
     _nb_walks,
+    _union_of,
     count_girth_cycles_through_edge,
     graph6_decode,
     graph6_encode,
@@ -41,6 +43,11 @@ from oracles import (
     vertex_cycle_count_dfs,
     vertex_cycle_count_naive,
 )
+
+
+def stack(*graphs: Graph) -> np.ndarray:
+    """The graphs' adjacency matrices as the walk pass's prebuilt stack."""
+    return _adjacency(graphs, _exact_dtype(1))
 
 
 def test_graph_validation():
@@ -200,9 +207,9 @@ def test_graph_basics():
 
 def test_girth_examples():
     assert [verify_egr(G).g for G in (petersen(), complete_bipartite(3), heawood(), tutte_coxeter())] == [5, 4, 6, 8]
-    assert _girth_walks(cycle_graph(8))[0][0] == 8
+    assert _girth_walks(stack(cycle_graph(8)))[0][0] == 8
     tree = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
-    girth, walks = _girth_walks(tree)
+    girth, walks = _girth_walks(stack(tree))
     assert girth == [math.inf] and not any(w.any() for w in walks)
 
 
@@ -279,7 +286,7 @@ def test_object_length_matches_the_per_step_rule(bound, monkeypatch):
             (l for l in range(2, 61) if _exact_dtype(k * max(k - 1, 1) ** (l - 1)) is object),
             61,
         )
-        dtypes = [w.dtype for _, w in zip(range(60), _nb_walks(complete(k + 1)))]
+        dtypes = [w.dtype for _, w in zip(range(60), _nb_walks(stack(complete(k + 1))))]
         got = next((l for l, d in enumerate(dtypes, start=1) if d == object), 61)
         assert got == first, k
         assert all(d == object for d in dtypes[got - 1 :]), k
@@ -291,9 +298,9 @@ def test_walk_pass_switches_to_python_ints_past_the_walk_bound(monkeypatch):
     # (the bound is below 2**24) and A_5 on, whose entries reach 3 * 2**4 in
     # general, Python ints
     G = petersen()
-    exact = [walks for _, walks in zip(range(7), _nb_walks(G))]
+    exact = [walks for _, walks in zip(range(7), _nb_walks(stack(G)))]
     monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 3 * 2**3)
-    walks = [walks for _, walks in zip(range(7), _nb_walks(G))]
+    walks = [walks for _, walks in zip(range(7), _nb_walks(stack(G)))]
     assert [w.dtype for w in walks] == [np.float32] * 4 + [np.dtype(object)] * 3
     assert all(type(x) is int for x in walks[4].flat)
     for got, want in zip(walks, exact):
@@ -325,7 +332,7 @@ def test_engine_matches_independent_oracles(name):
     G = DIFFERENTIAL_GRAPHS[name]()
     H = nx.Graph(G.edges())
     g = nx.girth(H)
-    assert _girth_walks(G)[0][0] == g
+    assert _girth_walks(stack(G))[0][0] == g
     cycles = [set(c) for c in nx.simple_cycles(H, length_bound=g + 1)]
     edges = list(G.edges())
     counts = [count_girth_cycles_through_edge(G, e, g) for e in edges]
@@ -382,7 +389,7 @@ def _walk_results(G: Graph):
         verdict = verify_egr(G)
     except NotEdgeGirthRegular as exc:
         verdict = (exc.kind, exc.witness, str(exc), exc.details)
-    g = _girth_walks(G)[0][0]
+    g = _girth_walks(stack(G))[0][0]
     edges = [count_girth_cycles_through_edge(G, e, g) for e in list(G.edges())[:3]]
     vertices = [cycle_counts_through_vertices(G, length)[:3] for length in (g, g + 1)]
     return verdict, edges, vertices, walk_moments(G, 8)
@@ -488,8 +495,9 @@ def test_bipartition():
     assert not verify_egr(petersen()).bipartite
     G = heawood()
     assert verify_egr(G).bipartite
-    _, level, rows, indices = _bfs_levels([G])
-    assert (level[rows] % 2 != level[indices] % 2).all()
+    level, clash = _bfs_levels(_union_of([G]))
+    rows, indices = np.arange(G.n).repeat(G.deg), G.indices
+    assert (level[rows] % 2 != level[indices] % 2).all() and not clash.size
     colour = nx.bipartite.color(nx.Graph(G.edges()))
     assert (level % 2).tolist() == [int(colour[v] != colour[0]) for v in range(G.n)]
 

@@ -1,4 +1,5 @@
 import io
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -71,3 +72,66 @@ def test_stream_run_leaves_numpy_ma_unimported():
     if before == "True":
         pytest.skip("this numpy imports numpy.ma with numpy itself")
     assert (code, after) == (str(EXIT_USAGE), "False")
+
+
+def _hostile_stream():
+    """One stream of malformed lines and valid graphs of several orders,
+    short and long form, with blank lines and graph6 headers between."""
+    from egrtools.constructions import complete_bipartite, cycle_graph, heawood, petersen, tutte_coxeter
+    from egrtools.graph_core import GRAPH6_MAX_N, Graph, graph6_encode
+
+    k4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    good = [graph6_encode(G) for G in (petersen(), k4, heawood(), tutte_coxeter(), complete_bipartite(3))]
+    big = GRAPH6_MAX_N + 1
+    return [
+        good[0],
+        "~?",  # truncated long-form vertex count
+        "",
+        ">>graph6<<" + good[1],
+        "~~???",  # truncated very-long-form vertex count
+        "Ié" + good[0][2:],  # non-ASCII byte
+        good[2] + "\r",
+        "A@",  # n = 2: the one data bit is 0, a padding bit is not
+        "~~" + "".join(chr(63 + ((big >> s) & 63)) for s in (30, 24, 18, 12, 6, 0)),  # n > GRAPH6_MAX_N
+        good[0][:-1],  # a body byte short
+        "   ",
+        good[3] + "?",  # a body byte too many
+        graph6_encode(cycle_graph(63)),  # long form, degree 2
+        "I" + "\x7f" * 9,  # byte outside 63..126
+        ">>graph6<<",
+        graph6_encode(complete_bipartite(32)),  # long form, over the patched vertex cap
+        good[4],
+        "\t" + good[1] + "  ",
+    ]
+
+
+@pytest.mark.parametrize("block", [1, 3, 256])
+def test_hostile_stream_gets_each_line_alone_verdict(block, capsys, monkeypatch):
+    # each bad line gets the record of graph6_decode's error, each good line
+    # that of verify_egr on it alone, whatever the block boundaries
+    from egrtools.graph_core import NotEdgeGirthRegular, graph6_decode, verify_egr
+
+    lines = _hostile_stream()
+    monkeypatch.setattr(cli, "STREAM_BLOCK_LINES", block)
+    monkeypatch.setattr("egrtools.graph_core.MAX_VERIFY_VERTICES", 63)
+    expected, codes = [], []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            sig = verify_egr(graph6_decode(line))
+            record, code = {"egr": True, "signature": {"n": sig.n, "k": sig.k, "g": sig.g, "lambda": sig.lam, "bipartite": sig.bipartite}}, 0
+        except NotEdgeGirthRegular as exc:
+            failure = {"kind": exc.kind, "witness": repr(exc.witness), "message": str(exc)}
+            record, code = {"egr": False, "failure": failure}, 1
+        except ValueError as exc:  # Graph6Error, or a graph over the vertex cap
+            record, code = {"error": str(exc)}, EXIT_USAGE
+        expected.append(json.dumps(dict(record, line=lineno), sort_keys=True) + "\n")
+        codes.append(code)
+    kinds = [json.loads(r) for r in expected]
+    assert sum("error" in r for r in kinds) == 10 and sum(r.get("egr") is True for r in kinds) == 5
+    assert any(r.get("egr") is False for r in kinds)
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    code = main(["verify", "--stdin-g6-stream"])
+    assert capsys.readouterr().out == "".join(expected)
+    assert code == max(codes) == EXIT_USAGE

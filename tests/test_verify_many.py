@@ -22,13 +22,21 @@ from egrtools.graph_core import (
     EgrSignature,
     Graph,
     NotEdgeGirthRegular,
+    _adjacency,
+    _exact_dtype,
     _girth_walks,
     _nb_walks,
-    _reach_and_parity,
+    _bfs_levels,
+    _union_of,
     verify_egr,
     verify_many,
 )
 from oracles import complete, coxeter, degree_preserving_switch, edge_cycle_count_dfs, generalized_petersen
+
+
+def stack(*graphs: Graph) -> np.ndarray:
+    """The graphs' adjacency matrices as the walk pass's prebuilt stack."""
+    return _adjacency(graphs, _exact_dtype(1))
 
 
 def two_diamonds() -> Graph:
@@ -164,22 +172,22 @@ def test_verify_many_matches_per_graph_verification_and_oracles(monkeypatch):
 
 def test_stack_members_reach_their_girths_at_different_lengths():
     graphs = [build() for build in STACK_10_3.values()]
-    girth, walks = _girth_walks(*graphs, beyond=1)
+    girth, walks = _girth_walks(stack(*graphs), beyond=1)
     assert girth == [3, 4, 5, 4]
     assert len(walks) == 3 and all(w.shape == (4, 10, 10) for w in walks)
     for b, G in enumerate(graphs):
-        alone_g, alone = _girth_walks(G, beyond=1)
+        alone_g, alone = _girth_walks(stack(G), beyond=1)
         assert alone_g == [girth[b]] and len(alone) == 3
         assert all(np.array_equal(w[b], a[0]) for w, a in zip(walks, alone))
     # one stacked product per step, each member's slice its own walk matrix
-    for _, stacked, *alone in zip(range(8), _nb_walks(*graphs), *(_nb_walks(G) for G in graphs)):
+    for _, stacked, *alone in zip(range(8), _nb_walks(stack(*graphs)), *(_nb_walks(stack(G)) for G in graphs)):
         assert stacked.shape == (4, 10, 10)
         assert all(np.array_equal(stacked[b], a[0]) for b, a in enumerate(alone))
 
 
 def test_a_forest_member_does_not_hold_up_the_stack():
     path = Graph.from_edges(10, [(i, i + 1) for i in range(9)])
-    girth, walks = _girth_walks(path, cycle_graph(10), petersen(), beyond=1)
+    girth, walks = _girth_walks(stack(path, cycle_graph(10), petersen()), beyond=1)
     assert girth == [float("inf"), 10, 5]
     assert not any(w[0].any() for w in walks)
 
@@ -189,17 +197,17 @@ def test_stacked_python_int_path_matches_float64(monkeypatch):
     # bound at 3 * 2**3, A_1..A_4 of a stack of cubic graphs are float32
     # and A_5 on Python ints, with the same counts
     graphs = [build() for build in STACK_10_3.values()]
-    exact = [w for _, w in zip(range(7), _nb_walks(*graphs))]
+    exact = [w for _, w in zip(range(7), _nb_walks(stack(*graphs)))]
     verdicts = [verdict_key(v) for v in verify_many(graphs)]
     monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 3 * 2**3)
-    walks = [w for _, w in zip(range(7), _nb_walks(*graphs))]
+    walks = [w for _, w in zip(range(7), _nb_walks(stack(*graphs)))]
     assert [w.dtype for w in walks] == [np.float32] * 4 + [np.dtype(object)] * 3
     assert all(type(x) is int for x in walks[4].flat)
     for got, want in zip(walks, exact):
         assert got.tolist() == want.astype(np.int64).tolist()
     # a bound of 1 runs every step in Python ints; the verdicts stay the same
     monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 1)
-    walks = _nb_walks(*graphs)
+    walks = _nb_walks(stack(*graphs))
     assert next(walks).dtype == np.float32 and next(walks).dtype == object
     assert [verdict_key(v) for v in verify_many(graphs)] == verdicts
 
@@ -210,9 +218,9 @@ def test_stacks_are_capped_by_cell_count(cells, sizes, monkeypatch):
     expected = [verdict_key(v) for v in one_by_one(graphs)]
     seen = []
 
-    def recorded(*members, **kwargs):
-        seen.append(len(members))
-        return _girth_walks(*members, **kwargs)
+    def recorded(A, **kwargs):
+        seen.append(len(A))
+        return _girth_walks(A, **kwargs)
 
     monkeypatch.setattr(graph_core, "MAX_STACK_CELLS", cells)
     monkeypatch.setattr(graph_core, "_girth_walks", recorded)
@@ -236,8 +244,14 @@ def test_union_bfs_matches_networkx():
         Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
         Graph.from_edges(7, [(0, 1), (0, 2), (1, 3), (2, 3), (4, 5), (5, 6), (4, 6)]),
     ]
-    unreached, bipartite = _reach_and_parity(graphs)
-    for G, v, bip in zip(graphs, unreached, bipartite):
+    # the BFS reads as _verify_union reads it: each graph's first unreached
+    # vertex, and whether a vertex of its component meets its own level
+    union = _union_of(graphs)
+    level, clash = _bfs_levels(union)
+    for G, start in zip(graphs, union.first.tolist()):
+        unreached = np.flatnonzero(level[start : start + G.n] < 0).tolist()
+        v = unreached[0] if unreached else None
+        bip = not ((clash >= start) & (clash < start + G.n)).any()
         if G.n == 0:
             assert (v, bip) == (None, True)
             continue
@@ -271,9 +285,10 @@ def test_one_block_mixes_orders_degrees_and_verdicts(monkeypatch):
     monkeypatch.setattr(graph_core, "MAX_VERIFY_VERTICES", 49)  # Hoffman-Singleton (n = 50) is over it
     stacks = []
 
-    def recorded(*members, **kwargs):
-        stacks.append((members[0].n, sorted({G.degree(0) for G in members})))
-        return _girth_walks(*members, **kwargs)
+    def recorded(A, **kwargs):
+        # each member's vertex 0 has the degree of its row 0
+        stacks.append((A.shape[1], sorted(set(A[:, 0].sum(axis=1).astype(int).tolist()))))
+        return _girth_walks(A, **kwargs)
 
     monkeypatch.setattr(graph_core, "_girth_walks", recorded)
     together = verify_many(graphs)
@@ -307,19 +322,19 @@ def test_stacked_pass_crosses_float32_float64_and_python_ints(monkeypatch):
     # stack of cubic graphs put A_1, A_2 in float32, A_3, A_4 in float64 and
     # A_5 on in Python ints, with the same counts and verdicts
     graphs = [build() for build in STACK_10_3.values()]
-    exact = [w for _, w in zip(range(7), _nb_walks(*graphs))]
-    girth, found = _girth_walks(*graphs, beyond=1)
+    exact = [w for _, w in zip(range(7), _nb_walks(stack(*graphs)))]
+    girth, found = _girth_walks(stack(*graphs), beyond=1)
     verdicts = [verdict_key(v) for v in verify_many(graphs)]
     monkeypatch.setattr(graph_core, "_FLOAT32_EXACT_MAX", 6)
     monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 3 * 2**3)
-    walks = [w for _, w in zip(range(7), _nb_walks(*graphs))]
+    walks = [w for _, w in zip(range(7), _nb_walks(stack(*graphs)))]
     assert [w.dtype for w in walks] == [np.float32] * 2 + [np.float64] * 2 + [np.dtype(object)] * 3
     assert all(type(x) is int for x in walks[4].flat)
     for got, want in zip(walks, exact):
         assert got.tolist() == want.astype(np.int64).tolist()
     # the members close at lengths 3, 4, 5 and 4, so the returned stacks
     # gather slices of every dtype and widen to hold them exactly
-    crossed_girth, crossed = _girth_walks(*graphs, beyond=1)
+    crossed_girth, crossed = _girth_walks(stack(*graphs), beyond=1)
     assert crossed_girth == girth == [3, 4, 5, 4]
     assert [w.dtype for w in crossed] == [np.float64, np.dtype(object), np.dtype(object)]
     for got, want in zip(crossed, found):
