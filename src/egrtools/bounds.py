@@ -20,10 +20,10 @@ from .spectral import tree_walk_count
 
 # bound_report's integers grow like k**g, and its time with their size,
 # most at k = 3 and odd g.  At this cap (one thread): k = 3, g = 12617
-# took 29.7 s and g = 12618 16.4 s, k = 4, g = 9999 17.6 s, k = 10,
-# g = 6019 5.1 s, k = 1000, g = 2000 0.3 s; past it, k = 3, g = 15141 took
-# 52 s and g = 16001 about 56 s.  The CLI rejects a pair (k, g) with k**g
-# past this many bits before any work.
+# takes 0.5 s (29.7 s while each tree-walk term took its own binomial),
+# k = 4, g = 9999 0.5 s, k = 10, g = 6019 0.3 s; past it, k = 3, g = 20000
+# takes 0.7 s.  The CLI rejects a pair (k, g) with k**g past this many bits
+# before any work.
 MAX_BOUND_BITS = 20_000
 
 

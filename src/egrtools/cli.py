@@ -1,21 +1,19 @@
 """Command-line front end: construct, verify, bounds, report.
 
 Exit codes: 0 success (or verified egr), 1 verified-not-egr, 2 usage or
-input error (a graph over the verify or report vertex cap, a bounds pair
-(k, g) past bounds.MAX_BOUND_BITS, or an --out path that cannot be
-written, included), 3 internal inconsistency (a construction failed its
+input error (an argument argparse rejects, a graph over the verify or
+report vertex cap, a bounds pair (k, g) past bounds.MAX_BOUND_BITS, or an
+--out path that cannot be written, included; each prints one ``error:``
+line), 3 internal inconsistency (a construction failed its
 own verification, a spectrum failed its exact moment check, or the float
 tight-spectrum verdict disagreed with its exact incidence identity) or any
 other exception that escapes a command, reported as one ``internal
 error:`` line without a traceback.  A stream verify reports each
 malformed or oversized line and goes on; it exits with the largest code
-of any line.  It works on blocks of STREAM_BLOCK_LINES input lines: the
-graph6 block decoder reads a block into one union, one ``verify_many``
-call verifies it, and the block's records, written from fixed templates
-whose string fields take json's own escaper, are byte-identical to
-``json.dumps(record, sort_keys=True)``; they go out in line order with
-one write and a flush, to stdout or the --out file, the same bytes a line
-at a time would print.  Reports are JSON with a frozen field layout
+of any line.  It decodes and verifies STREAM_BLOCK_LINES lines at a time
+as one union (``_verify_block``) and writes their records, byte for byte
+``json.dumps(record, sort_keys=True)``, with one write and a flush.
+Reports are JSON with a frozen field layout
 (schema_version 1); rationals are emitted as {num, den, decimal}, never as
 bare floats.
 """
@@ -75,6 +73,13 @@ _ERROR_LINE = '{"error": %s, "line": %d}\n'
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose errors print one ``error:`` line, not a usage block."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def family_order(family: str, q: int | None = None, name: str | None = None) -> int:
@@ -193,7 +198,7 @@ def cmd_construct(args, argv) -> int:
             "name": args.name,
             "signature": _signature_json(sig),
             "adjacency": G.adj,
-            "labels": G.labels,
+            "labels": None if G.labels is None else list(G.labels),
         }
     summary = {"signature": _signature_json(sig)}
     if args.out:
@@ -262,15 +267,11 @@ def cmd_verify(args, argv) -> int:
             return _verify_stream(fh)
     try:
         with open(args.path) as fh:
-            text = fh.read()
+            G = graph6_decode(fh.read())
     except OSError as exc:
-        print(f"cannot read {args.path}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        G = graph6_decode(text)
+        raise UsageError(f"cannot read {args.path}: {exc}") from None
     except Graph6Error as exc:
-        print(f"malformed graph6 input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"malformed graph6 input: {exc}") from None
     verdict = verify_many([G])[0]
     if isinstance(verdict, ValueError):  # over the verify vertex cap
         raise UsageError(str(verdict))
@@ -290,8 +291,7 @@ def cmd_bounds(args, argv) -> int:
     try:
         rep = bound_report(args.k, args.g, args.lam, args.bipartite)
     except ValueError as exc:
-        print(f"invalid triple: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"invalid triple: {exc}") from None
     doc = _report_skeleton(argv)
     doc["bounds"] = _bounds_json(rep)
     try:
@@ -359,53 +359,48 @@ def cmd_report(args, argv) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="egrtools",
         description="Construct, verify, and certify edge-girth-regular graphs.",
     )
     top.add_argument("--version", action="version", version=f"egrtools {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("construct", help="build a graph family and print its signature")
-    pc.add_argument("--family", required=True)
-    pc.add_argument("--q", type=int)
-    pc.add_argument("--name")
+    out = _Parser(add_help=False)
+    out.add_argument("--out")
+    family = _Parser(add_help=False, parents=[out])
+    family.add_argument("--family", required=True)
+    family.add_argument("--q", type=int)
+    family.add_argument("--name")
+
+    pc = sub.add_parser("construct", parents=[family], help="build a graph family and print its signature")
     pc.add_argument("--format", choices=("graph6", "json"), default="graph6")
-    pc.add_argument("--out")
     pc.set_defaults(fn=cmd_construct)
 
-    pv = sub.add_parser("verify", help="verify a graph6 file for edge-girth-regularity")
+    pv = sub.add_parser("verify", parents=[out], help="verify a graph6 file for edge-girth-regularity")
     pv.add_argument("path", nargs="?")
     pv.add_argument("--stdin-g6-stream", action="store_true", help="verify one graph6 string per stdin line")
-    pv.add_argument("--out")
     pv.set_defaults(fn=cmd_verify)
 
-    pb = sub.add_parser("bounds", help="lower-bound report for a (k, g, lambda) triple")
+    pb = sub.add_parser("bounds", parents=[out], help="lower-bound report for a (k, g, lambda) triple")
     pb.add_argument("-k", type=int, required=True)
     pb.add_argument("-g", type=int, required=True)
     pb.add_argument("-l", "--lam", type=int, required=True, dest="lam")
     pb.add_argument("--bipartite", action="store_true")
-    pb.add_argument("--out")
     pb.set_defaults(fn=cmd_bounds)
 
-    pr = sub.add_parser("report", help="end-to-end construct/verify/spectrum/bounds report")
-    pr.add_argument("--family", required=True)
-    pr.add_argument("--q", type=int)
-    pr.add_argument("--name")
-    pr.add_argument("--out")
+    pr = sub.add_parser("report", parents=[family], help="end-to-end construct/verify/spectrum/bounds report")
     pr.set_defaults(fn=cmd_report)
     return top
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
+        args = _parser().parse_args(argv)
         return args.fn(args, ["egrtools"] + argv)
+    except SystemExit:  # the parser's --help or --version
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,6 +9,8 @@ two runs produce identical adjacency lists.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -17,8 +19,9 @@ from .geometry import (
     IncidenceGeometry,
     ovoid_search,
     pg2_geometry,
-    pg_points,
-    plane_incidence,
+    plane_rows,
+    point_array,
+    rows_through,
     singer_pencil,
     spread_search,
     symplectic_gq,
@@ -28,12 +31,11 @@ from .graph_core import Graph
 
 FAMILIES = ("biaffine1", "biaffine2", "gq_truncation", "ovoid_spread", "pencil", "named")
 
-# Largest q each family builds in under 60 s and 1 GiB peak RSS (2 CPUs,
-# one BLAS thread, Python 3.11, numpy 2.4).  Memory binds, mostly in the
-# Graph's CSR build over the q^3 or q^4 edges: biaffine q=193 5.6 s /
-# 987 MiB, q=197 1048 MiB; gq_truncation q=49 7.2 s / 861 MiB, q=53
-# 1155 MiB; pencil q=19 4.5 s / 394 MiB, q=23 25 s / 1854 MiB;
-# ovoid_spread q=4, the ovoid search in W(8) not finishing in 200 s.
+# Largest q each family built in 60 s and 1 GiB when its CSR came from edge
+# codes (2 CPUs, one BLAS thread, Python 3.11, numpy 2.4).  From the block
+# rows these take 1.5 s / 391 MiB, 2.3 s / 340 MiB and 0.6 s / 189 MiB, and
+# biaffine q=256 (3.3 s / 869 MiB), gq_truncation q=64 (7.2 s / 883 MiB) and
+# pencil q=27 (4.3 s / 924 MiB) fit too.  W(8)'s ovoid search passes 200 s.
 MAX_ORDER = {"biaffine1": 193, "biaffine2": 193, "gq_truncation": 49, "ovoid_spread": 4, "pencil": 19}
 
 
@@ -72,23 +74,58 @@ def _check_size(kind: str, size: int) -> None:
         )
 
 
+class VertexLabels(Sequence):
+    """Read-only labels of a geometric graph, each made when read: a run
+    (tag, ids, rows) of ``parts`` labels its vertex i (tag, coordinates of
+    point ids[i]), or (tag, coordinates of the points in rows[ids[i]])."""
+
+    def __init__(self, coords: np.ndarray, parts):
+        self._coords, self._parts = coords, parts
+        self._ends = np.cumsum([len(ids) for _, ids, _ in parts]).tolist()
+
+    def __len__(self) -> int:
+        return self._ends[-1]
+
+    def __getitem__(self, v):
+        if isinstance(v, slice):
+            return [self[i] for i in range(*v.indices(len(self)))]
+        v = range(len(self))[v]  # negative v counts from the end; IndexError past it
+        i = bisect_right(self._ends, v)
+        tag, ids, rows = self._parts[i]
+        at = ids[v - self._ends[i] + len(ids)]
+        if rows is None:
+            return tag, tuple(self._coords[at].tolist())
+        return tag, tuple(map(tuple, self._coords[rows[at]].tolist()))
+
+
+def _two_sided_graph(first, second, keep_first, keep_second, labels) -> Graph:
+    """The bipartite graph on the kept rows of ``first`` (row i lists,
+    ascending, the rows of ``second`` joined to i), then those of its
+    inverse ``second``.  A kept row less its deleted entries, renumbered by
+    a cumulative sum of the other side's mask, is a sorted CSR row."""
+    sides = ((first, keep_first, keep_second), (second, keep_second, keep_first))
+    kept = [keep[:, None] & other_keep[rows] for rows, keep, other_keep in sides]
+    deg = [np.count_nonzero(mask[keep], axis=1) for mask, (_, keep, _) in zip(kept, sides)]
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(deg))))
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    offsets, at = (np.count_nonzero(keep_first), 0), 0  # the second side's vertices follow the first's
+    for (rows, _, other_keep), mask, offset in zip(sides, kept, offsets):
+        entries = rows[mask]
+        np.take(np.cumsum(other_keep) - 1 + offset, entries, out=indices[at : at + len(entries)])
+        at += len(entries)
+    return Graph._from_csr(indptr, indices, labels)
+
+
 def levi_graph(geom: IncidenceGeometry, keep_points=None, keep_blocks=None) -> Graph:
     """Bipartite incidence graph of a geometry, optionally restricted by
     boolean masks over its points and blocks (None keeps all).  Point
-    vertices come first and carry their coordinates as labels; block
-    vertices carry their point-coordinate tuples."""
-    pts = np.arange(geom.n_points) if keep_points is None else np.arange(geom.n_points)[keep_points]
-    rows = geom.blocks if keep_blocks is None else geom.blocks[keep_blocks]
-    # one (point vertex, block vertex) pair per incidence; -1 marks a point not kept
-    vertex_of = np.full(geom.n_points, -1, dtype=np.int64)
-    vertex_of[pts] = np.arange(len(pts))
-    left = vertex_of[rows]
-    right = np.broadcast_to(np.arange(len(pts), len(pts) + len(rows))[:, None], left.shape)
-    kept = left >= 0
-    coords = geom.points
-    labels = [("point", coords[p]) for p in pts.tolist()]
-    labels += [("line", tuple(map(coords.__getitem__, row))) for row in rows.tolist()]
-    return Graph.from_edges(len(pts) + len(rows), np.stack((left[kept], right[kept]), axis=1), labels)
+    vertices come first and carry ("point", coordinates) as labels; block
+    vertices carry ("line", the coordinates of the block's points)."""
+    keep_points = np.ones(geom.n_points, dtype=bool) if keep_points is None else keep_points
+    keep_blocks = np.ones(geom.n_blocks, dtype=bool) if keep_blocks is None else keep_blocks
+    parts = [("point", np.flatnonzero(keep_points), None), ("line", np.flatnonzero(keep_blocks), geom.blocks)]
+    labels = VertexLabels(geom.coords, parts)
+    return _two_sided_graph(geom.blocks_through(), geom.blocks, keep_points, keep_blocks, labels)
 
 
 def build_biaffine(F: Field, kind: int) -> Graph:
@@ -128,14 +165,13 @@ def build_gq_truncation(F: Field) -> Graph:
         raise ValueError("GQ truncation needs q >= 3 (q = 2 degenerates to degree 2)")
     check_order("gq_truncation", F.q)
     geom = symplectic_gq(F)
-    through = geom.blocks_through()
     P = 0
-    e0 = through[P, 0]
+    on_P = np.flatnonzero((geom.blocks == P).any(axis=1))
     keep_points = np.ones(geom.n_points, dtype=bool)
-    keep_points[geom.blocks[through[P]]] = False
-    keep_blocks = np.ones(geom.n_blocks, dtype=bool)
-    keep_blocks[through[geom.blocks[e0]]] = False
-    return levi_graph(geom, keep_points, keep_blocks)
+    keep_points[geom.blocks[on_P]] = False
+    on_e0 = np.zeros(geom.n_points, dtype=bool)
+    on_e0[geom.blocks[on_P[0]]] = True
+    return levi_graph(geom, keep_points, ~on_e0[geom.blocks].any(axis=1))
 
 
 def build_ovoid_spread(F: Field) -> Graph:
@@ -169,15 +205,20 @@ def build_pencil_graph(F: Field) -> Graph:
     since each point lies on its own tangent plane.
     """
     check_order("pencil", F.q)
-    points = pg_points(3, F)
-    n = len(points)
-    plane_of = np.empty(n, dtype=np.intp)
+    coords = point_array(3, F)
+    n = len(coords)
+    plane_of = np.full(n, -1, dtype=np.intp)
     for member in singer_pencil(F):
         at, planes = tangent_planes(F, member)
         plane_of[at] = planes
-    left, right = np.nonzero(plane_incidence(F)[plane_of])
-    labels = [("left", pt) for pt in points] + [("right", pt) for pt in points]
-    return Graph.from_edges(2 * n, np.stack((left, right + n), axis=1), labels)
+    # each plane is tangent to one member at one point, so that every point
+    # lies on q^2+q+1 tangent planes, as rows_through needs
+    if not (np.bincount(plane_of, minlength=n) == 1).all():
+        raise ArithmeticError("tangent planes of the pencil are not one per point")
+    tangent = plane_rows(F)[plane_of]
+    everything = np.ones(n, dtype=bool)
+    labels = VertexLabels(coords, [("left", np.arange(n), None), ("right", np.arange(n), None)])
+    return _two_sided_graph(tangent, rows_through(tangent, n), everything, everything, labels)
 
 
 # ----------------------------------------------------------------------

@@ -1,57 +1,42 @@
 """Finite field GF(p^e) arithmetic from lookup tables.
 
-Elements are plain integers in ``[0, q)``.  The integer encodes the
-coefficient vector of a polynomial over the coefficient field in base
-``p`` (base ``|F|`` when the field is built as an extension of another
-field ``F``), least-significant digit = constant term.  An element of
-the coefficient field is itself a string of base-``p`` digits, so every
-index is a string of ``e`` base-``p`` digits, and addition is digit-wise
-addition mod ``p``.
+Elements are plain integers in ``[0, q)``: the coefficient vector of a
+polynomial over the coefficient field in base ``p`` (base ``|F|`` when the
+field is built as an extension of another field ``F``), least-significant
+digit = constant term.  An element of the coefficient field is itself a
+string of base-``p`` digits, so every index is a string of ``e`` base-``p``
+digits, and addition is digit-wise addition mod ``p``.
 
-Tables.  Each field keeps ``exp[i] = g**i`` for a multiplicative
-generator ``g``, its inverse ``log``, and the Zech logarithms
-``zech[n] = log(1 + g**n)`` (built on the first addition).  Every scalar
-operation is a range check plus a constant number of list lookups:
-``a*b = exp[log a + log b]``, ``a + b = exp[log a + zech[log b - log a]]``
-and ``-a = exp[log a + log(-1)]``.
+Tables.  Each field keeps ``exp[i] = g**i`` for its smallest
+multiplicative generator ``g``, the inverse ``log``, and the Zech
+logarithms ``zech[n] = log(1 + g**n)`` (built on the first addition), each
+a read-only int32 numpy array: GF(2, 20) keeps 8 MiB of them after its
+build, 12 MiB once ``zech`` exists.  A scalar operation is a range check
+plus a few lookups through memoryviews of those buffers, which yield
+Python ints: ``a*b = exp[log a + log b]``,
+``a + b = exp[log a + zech[log b - log a]]`` and
+``-a = exp[log a + log(-1)]``.  Bulk code indexes the arrays themselves,
+and fields of order at most ``MAX_TABLE_ORDER`` expose numpy add/neg/mul/inv
+tables (``Field.tables``) for vectorised geometry.
 
-Linear algebra.  Every index is a vector of e base-p digits, and
-multiplication by an element g is a GF(p)-linear map on it: the e x e
-matrix M_g over GF(p), row j the digits of g * p**j.  The tables are built
-from these matrices, with no scalar field arithmetic on the hot path.
+Building.  Multiplication by g is a GF(p)-linear map on the digit vectors:
+the e x e matrix M_g over GF(p), row j the digits of g * p**j, a sum of the
+basis matrices M_{p**j} weighted by g's digits.  So the tables come from
+matrix arithmetic, with no scalar field operation on the hot path: batches
+of candidate matrices are powered to find g (``_first_generator``;
+constants lie in a proper subfield and are skipped when the degree is at
+least 2), and exp is filled by doubling, ``exp[h:2h] = exp[:h] * g**h``,
+through a float scratch that is exact by ``_float_dtype``
+(``_double_powers``).  Every build checks that g**(q-1) = 1 and that exp
+is a bijection onto the nonzero elements.
 
-Generator test.  M_g is a sum of the e basis matrices M_{p**j} weighted by
-g's digits.  g generates the multiplicative group exactly when
-M_g**((q-1)/r) != I for every prime r | q-1; the candidates are taken in
-index order, GENERATOR_BATCH at a time, and each batch is powered by
-repeated squaring in int64.  Constants (indices below the coefficient
-field's order) lie in a proper subfield and are skipped when the degree
-is at least 2.  The chosen g is the smallest generator.
-
-Doubling.  The exp table is filled by doubling, ``exp[h:2h] = exp[:h] *
-g**h``: the digit rows already filled times ``M_g**h`` mod p, log2(q)
-steps in all, starting from M_g itself.  The digits are stored in the
-smallest integer dtype that holds a digit; each block's product runs
-SCRATCH_ROWS rows at a time through one fixed float scratch (a BLAS gemm)
-and is reduced mod p exactly, in float32 or float64 by the rule of
-``_float_dtype``; one more product with the place values p**j gives the
-rows' exp entries.  Every build checks that g**(q-1) = 1 and that exp is a
-bijection onto the nonzero elements.
-
-Bulk tables.  Fields of order at most ``MAX_TABLE_ORDER`` expose numpy
-add/neg/mul/inv tables (``Field.tables``) for vectorised geometry.
-
-Modulus search.  The reducing modulus is always the lexicographically
-smallest monic irreducible polynomial, coefficients compared constant-term
-first, so every field -- and everything built on top of it -- is
-reproducible byte-for-byte across runs.  The candidates with a nonzero
-constant term are taken in that order, SEARCH_BATCH at a time, and each
-batch is divided by all monic polynomials of one degree at once, smallest
-degree first: the remainder mod every divisor d is one GF(p)-linear map of
-the candidate's coefficient digits, read off precomputed tables of
-x**i mod d.  The coefficient arithmetic runs on arrays -- mod p over a
-prime field, through the base field's exp/log tables for an extension --
-so GF(p, e) and ``Field.extension`` share the one search.
+Modulus search.  The reducing modulus is the lexicographically smallest
+monic irreducible polynomial, coefficients compared constant-term first,
+so every field -- and everything built on top of it -- is reproducible
+byte-for-byte across runs.  Batches of candidates are divided by every
+monic polynomial of one degree at once (``_smallest_irreducible``), on
+arrays of coefficients (``_Coefficients``), so GF(p, e) and
+``Field.extension`` share the one search.
 
 Size caps: q <= 2**20 for ``GF``, q**d <= 2**24 for ``Field.extension``,
 q <= 2**8 for ``Field.tables``.
@@ -184,19 +169,11 @@ class Field:
 
     def coords(self, a: int) -> tuple[int, ...]:
         """Coefficient vector of ``a`` over the coefficient field."""
-        if not 0 <= a < self.q:
-            raise ValueError(f"element index {a} out of range for field of order {self.q}")
-        v = []
-        for _ in range(self.degree):
-            a, r = divmod(a, self._csize)
-            v.append(r)
-        return tuple(v)
+        self._reject(a)
+        return tuple(a // self._csize**i % self._csize for i in range(self.degree))
 
     def from_coords(self, v) -> int:
-        idx = 0
-        for c in reversed(list(v)):
-            idx = idx * self._csize + c
-        return idx
+        return sum(c * self._csize**i for i, c in enumerate(v))
 
     # -- table construction --
 
@@ -219,28 +196,30 @@ class Field:
         if ((digits[-1].astype(np.int64) @ step) % p != digits[0]).any():  # g**(q-1) != 1
             raise ArithmeticError("multiplicative group is not cyclic of order q-1")
         del digits
-        hits = np.bincount(exp, minlength=q)
-        bijective = hits[0] == 0 and (hits[1:] == 1).all()
-        del hits
-        if not bijective:
+        # q-1 entries, one on each nonzero element: a bijection onto them
+        if (np.bincount(exp, minlength=q)[1:] != 1).any():
             raise ArithmeticError("multiplicative group is not cyclic of order q-1")
         log = np.zeros(q, dtype=np.int32)
         log[exp] = np.arange(order, dtype=np.int32)
         self.generator = gen
-        # free each numpy table once its list exists, to keep the peak low
-        self._exp = exp.tolist()
-        del exp
-        self._log = log.tolist()
+        for table in (exp, log):
+            table.setflags(write=False)
+        self._exp, self._log, self._exp_at, self._log_at = exp, log, memoryview(exp), memoryview(log)
 
     @cached_property
-    def _zech(self) -> list[int]:
+    def _zech(self) -> np.ndarray:
         """zech[n] = log(1 + g**n), or -1 where 1 + g**n = 0.  Adding 1
         adds 1 to the constant base-p digit."""
-        x = np.array(self._exp, dtype=np.int64)
+        x = self._exp.copy()
         low = x % self.p
         x += (low + 1) % self.p - low
-        log = np.array(self._log, dtype=np.int64)
-        return np.where(x == 0, -1, log[x]).tolist()
+        zech = np.where(x == 0, -1, self._log[x]).astype(np.int32)
+        zech.setflags(write=False)
+        return zech
+
+    @cached_property
+    def _zech_at(self) -> memoryview:
+        return memoryview(self._zech)
 
     @cached_property
     def tables(self) -> FieldTables:
@@ -253,12 +232,10 @@ class Field:
         d = _digits(np.arange(q), p, e)
         add = ((d[:, None, :] + d[None, :, :]) % p) @ weights
         neg = ((-d) % p) @ weights
-        exp = np.array(self._exp)
-        log = np.array(self._log)
-        mul = exp[(log[:, None] + log[None, :]) % self._order]
+        mul = self._exp[(self._log[:, None] + self._log[None, :]) % self._order]
         mul[0, :] = 0
         mul[:, 0] = 0
-        inv = exp[(-log) % self._order]
+        inv = self._exp[(-self._log) % self._order]
         inv[0] = 0
         return FieldTables(*(t.astype(np.uint8) for t in (add, neg, mul, inv)))
 
@@ -274,9 +251,9 @@ class Field:
             return b
         if b == 0:
             return a
-        la = self._log[a]
-        z = self._zech[(self._log[b] - la) % self._order]
-        return 0 if z < 0 else self._exp[(la + z) % self._order]
+        la = self._log_at[a]
+        z = self._zech_at[(self._log_at[b] - la) % self._order]
+        return 0 if z < 0 else self._exp_at[(la + z) % self._order]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -286,21 +263,21 @@ class Field:
             self._reject(a)
         if a == 0:
             return 0
-        return self._exp[(self._log[a] + self._log_neg1) % self._order]
+        return self._exp_at[(self._log_at[a] + self._log_neg1) % self._order]
 
     def mul(self, a: int, b: int) -> int:
         if not (0 <= a < self.q and 0 <= b < self.q):
             self._reject(a, b)
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % self._order]
+        return self._exp_at[(self._log_at[a] + self._log_at[b]) % self._order]
 
     def inv(self, a: int) -> int:
         if not 0 <= a < self.q:
             self._reject(a)
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
-        return self._exp[(-self._log[a]) % self._order]
+        return self._exp_at[(-self._log_at[a]) % self._order]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -312,7 +289,7 @@ class Field:
             if n < 0:
                 raise ZeroDivisionError("inversion of zero field element")
             return 1 if n == 0 else 0
-        return self._exp[(self._log[a] * n) % self._order]
+        return self._exp_at[(self._log_at[a] * n) % self._order]
 
     def frobenius(self, a: int) -> int:
         """The field automorphism a -> a**p (p = characteristic)."""
@@ -326,7 +303,7 @@ class Field:
             raise ZeroDivisionError("zero has no multiplicative order")
         from math import gcd
 
-        return self._order // gcd(self._log[a], self._order)
+        return self._order // gcd(self._log_at[a], self._order)
 
     def extension(self, d: int) -> "Field":
         """Degree-``d`` extension of this field.
@@ -359,16 +336,14 @@ class _Coefficients:
         self.p = p
         self.f = 1 if base is None else base.e
         self.size = p**self.f
-        if self.f > 1:
-            self._log = np.array(base._log, dtype=np.int64)
-            # log a + log b < 2(size - 1) indexes the doubled table unreduced
-            self._exp = np.array(base._exp * 2, dtype=np.int64)
+        self.base = base
 
     def mul(self, a, b) -> np.ndarray:
         a, b = np.asarray(a), np.asarray(b)
         if self.f == 1:
             return a * b % self.p
-        return np.where((a == 0) | (b == 0), 0, self._exp[self._log[a] + self._log[b]])
+        exp, log = self.base._exp, self.base._log
+        return np.where((a == 0) | (b == 0), 0, exp[(log[a] + log[b]) % (self.size - 1)])
 
     def sub(self, a, b) -> np.ndarray:
         a, b = np.asarray(a), np.asarray(b)

@@ -1,32 +1,23 @@
-"""Projective geometries over GF(q) as numpy incidence arrays: PG(2,q),
-PG(3,q), the symplectic generalized quadrangle W(q), pencils of ovoids
-from a Singer cycle, tangent planes, and deterministic ovoid/spread
-search.
+"""Projective geometries over GF(q) as numpy index arrays: PG(2,q),
+PG(3,q) and its planes, the symplectic generalized quadrangle W(q),
+pencils of ovoids from a Singer cycle, tangent planes, and deterministic
+ovoid/spread search.
 
 Points are the rows of an (N x d) array of field-element indices
 (``point_array``), normalized so the first nonzero coordinate is 1 and
-sorted lexicographically; ``pg_points`` gives the same points as
-tuples.  A hyperplane is named by the same kind of canonical vector, its
-dual coordinates, so plane i of PG(3,q) is the plane with the
-coordinates of point i.
+sorted lexicographically; ``pg_points`` gives the same points as tuples.
+A hyperplane is named by the same kind of canonical vector, its dual
+coordinates, so plane i of PG(3,q) is the plane with the coordinates of
+point i.
 
-Each line is listed once, from its reduced row-echelon basis (r, s):
-pivot columns i < j, r leading at i with a 0 at j, s leading at j.
-
-- PG(2,q): every such basis of GF(q)^3 is a line.
-- W(q): the bases of GF(q)^4 with <r, s> = 0, the totally isotropic lines
-  of PG(3,q) (Payne & Thas, Finite Generalized Quadrangles, 3.1).
-- PG(3,q): the planes x points incidence (``plane_incidence``) gives
-  tangent planes, the pencil's cap check and the pencil graph's edges.
-
-An ``IncidenceGeometry`` holds its blocks as one read-only
-(blocks x (q+1)) int64 array of point indices, a sorted row per block;
-``blocks_through()`` is its inverse, a (points x (q+1)) array of block
-indices.  Builders index and mask these arrays directly.
-
-A dense incidence array is never allocated past ``MAX_INCIDENCE_CELLS``
-entries; larger requests raise ValueError.  Block and point indices are
-reproducible: every enumeration is in lexicographic order.
+One enumerator lists every subspace once, as a sorted row of point
+indices, from its reduced row-echelon basis: the lines of PG(2,q), the
+totally isotropic lines of W(q) (Payne & Thas, Finite Generalized
+Quadrangles, 3.1) and the planes of PG(3,q) (``plane_rows``), with no
+dense points x planes array.  An ``IncidenceGeometry`` holds its lines as
+one read-only (blocks x (q+1)) int64 array, which builders index and mask
+directly.  Every enumeration is in lexicographic order, so indices are
+reproducible.
 """
 
 from __future__ import annotations
@@ -38,12 +29,6 @@ from itertools import combinations
 import numpy as np
 
 from .galois import Field
-
-# Largest dense incidence array, in entries (256 MiB of bool): the planes
-# x points of PG(3,25) fit, those of PG(3,27) do not.  The table lookups that
-# fill it run over blocks of at most _BLOCK_CELLS entries.
-MAX_INCIDENCE_CELLS = 2**28
-_BLOCK_CELLS = 2**20
 
 
 def normalize_point(F: Field, coords) -> tuple[int, ...]:
@@ -92,47 +77,22 @@ def pg_points(dim: int, F: Field) -> tuple[tuple[int, ...], ...]:
 
 def point_index(F: Field, vectors: np.ndarray) -> np.ndarray:
     """Index into point_array(d-1, F) of the projective point of each
-    nonzero row of the (K x d) array ``vectors``."""
-    q = F.q
-    dim = vectors.shape[1] - 1
+    nonzero row of the (K x d) array ``vectors``, in int32 while q**d fits
+    it.  Scaled to lead with 1 and read as a base-q number v, a row leading
+    at position d-1-m lies in [q**m, 2 q**m): its index is v - q**m plus
+    the (q**m - 1)/(q - 1) points that lead later."""
+    q, (K, d) = F.q, vectors.shape
     tab = F.tables
     lead = (vectors != 0).argmax(axis=1)
-    scale = tab.inv[vectors[np.arange(len(vectors)), lead]]
-    canon = tab.mul[scale[:, None], vectors].astype(np.int64)
-    # rank = (points whose leading 1 comes later) + (tail read in base q)
-    top = q ** (dim - lead)
-    return (top - 1) // (q - 1) + canon @ (q ** np.arange(dim, -1, -1)) - top
-
-
-def incidence(F: Field, duals: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Boolean (len(duals) x len(points)) matrix, entry [i, j] true when
-    sum_k duals[i, k] * points[j, k] == 0 in F.  Built in blocks of rows,
-    so the table lookups never hold more than _BLOCK_CELLS entries; a
-    matrix of more than MAX_INCIDENCE_CELLS entries raises ValueError."""
-    if len(duals) * len(points) > MAX_INCIDENCE_CELLS:
-        raise ValueError(
-            f"incidence array of {len(duals)} x {len(points)} exceeds the cap of {MAX_INCIDENCE_CELLS} entries"
-        )
-    tab = F.tables
-    out = np.empty((len(duals), len(points)), dtype=bool)
-    rows = max(1, _BLOCK_CELLS // max(1, len(points)))
-    for lo in range(0, len(duals), rows):
-        block = duals[lo : lo + rows]
-        acc = tab.mul[block[:, :1], points[:, 0]]
-        for k in range(1, duals.shape[1]):
-            acc = tab.add[acc, tab.mul[block[:, k : k + 1], points[:, k]]]
-        np.equal(acc, 0, out=out[lo : lo + rows])
-    return out
-
-
-@lru_cache(maxsize=None)
-def plane_incidence(F: Field) -> np.ndarray:
-    """Read-only planes x points incidence of PG(3,q); plane i has the
-    dual coordinates of point i."""
-    pts = point_array(3, F)
-    inc = incidence(F, pts, pts)
-    inc.setflags(write=False)
-    return inc
+    canon = tab.mul[tab.inv[vectors[np.arange(K), lead]][:, None], vectors]
+    v = np.zeros(K, dtype=np.int32 if q**d < 2**31 else np.int64)
+    for c in range(d):
+        v *= q
+        v += canon[:, c]
+    tops = (q ** np.arange(d)).astype(v.dtype)
+    offset = tops - (tops - 1) // (q - 1)
+    v -= offset[tops.searchsorted(v, side="right") - 1]
+    return v
 
 
 # eq=False: numpy compares the blocks arrays entrywise, so field-wise == and
@@ -141,65 +101,100 @@ def plane_incidence(F: Field) -> np.ndarray:
 class IncidenceGeometry:
     """Point-block incidence structure with indexed points and blocks.
 
-    points: canonical coordinate tuples, lexicographically sorted.
+    coords: read-only (points x d) array of canonical point coordinates,
+        lexicographically sorted (``point_array``).
     blocks: read-only (blocks x (q+1)) int64 array; row b holds the point
         indices of block b in ascending order, and the rows are sorted
         lexicographically.
     """
 
-    points: tuple[tuple[int, ...], ...]
+    coords: np.ndarray
     blocks: np.ndarray
 
     @property
     def n_points(self) -> int:
-        return len(self.points)
+        return len(self.coords)
 
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
 
     def blocks_through(self) -> np.ndarray:
-        """(points x (q+1)) array: row p holds the indices of the blocks
-        through point p in ascending order.  Every point must lie on the
-        same number of blocks, as in PG(2,q) and W(q)."""
-        order = np.argsort(self.blocks, axis=None, kind="stable")
-        return (order // self.blocks.shape[1]).reshape(self.n_points, -1)
+        """(points x (q+1)) array: row p lists, ascending, the blocks through
+        point p, each point being on equally many (as in PG(2,q) and W(q))."""
+        return rows_through(self.blocks, self.n_points)
 
 
-def _echelon_bases(F: Field, dim: int):
-    """For each pivot pair i < j, the echelon bases (r, s) of the lines of
-    PG(dim, q) with those pivots as two uint8 arrays: every point with its
-    leading 1 at i and a 0 at j, paired with every point leading at j."""
+def rows_through(rows: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of an (m x k) array holding each index 0..n-1 equally often:
+    row p lists, ascending, the rows that hold p."""
+    return (np.argsort(rows, axis=None, kind="stable") // rows.shape[1]).reshape(n, -1)
+
+
+def _echelon_bases(F: Field, dim: int, rank: int):
+    """For each pivot tuple p_0 < ... < p_{rank-1}, the pivots and the
+    reduced echelon bases (b_0, ..., b_{rank-1}) of the subspaces of
+    GF(q)^(dim+1) with those pivots, as uint8 arrays: b_l runs over the
+    points leading at p_l with a 0 at every later pivot."""
     pts = point_array(dim, F).astype(np.uint8)
     lead = (pts != 0).argmax(axis=1)
-    for i, j in combinations(range(dim + 1), 2):
-        r, s = pts[(lead == i) & (pts[:, j] == 0)], pts[lead == j]
-        yield np.repeat(r, len(s), axis=0), np.tile(s, (len(r), 1))
+    for pivots in combinations(range(dim + 1), rank):
+        choices = [pts[(lead == p) & (pts[:, pivots[l + 1 :]] == 0).all(axis=1)] for l, p in enumerate(pivots)]
+        picks = np.indices([len(c) for c in choices]).reshape(rank, -1)
+        yield pivots, [c[i] for c, i in zip(choices, picks)]
 
 
-def _geometry(F: Field, dim: int, bases) -> IncidenceGeometry:
-    """The geometry on the points of PG(dim, q) with a line for each
-    echelon basis (r, s) in ``bases``: the points s and r + t s, canonical
-    as they stand.  ArithmeticError unless, as in PG(2,q) and W(q), there
-    are as many lines as points, q+1 on each line and q+1 through each."""
-    tab, q, n = F.tables, F.q, len(point_array(dim, F))
-    t = np.arange(q, dtype=np.uint8)[:, None]
-    rows = [np.concatenate([s[:, None], tab.add[r[:, None], tab.mul[t, s[:, None]]]], axis=1) for r, s in bases]
-    blocks = np.sort(point_index(F, np.concatenate(rows).reshape(-1, dim + 1)).reshape(-1, q + 1), axis=1)
-    blocks = blocks[np.lexsort(blocks.T[::-1])]
-    # blocks[0, 0] is the least index; a zero vector gives a negative one
-    ok = len(blocks) == n and blocks[0, 0] >= 0 and (blocks[:, 1:] > blocks[:, :-1]).all()
+def _subspace_rows(F: Field, dim: int, groups) -> np.ndarray:
+    """A sorted row of point indices per subspace of ``groups``, as
+    ``_echelon_bases`` lists them.  The points leading at p_l are b_l +
+    sum_{m>l} t_m b_m, canonical as they stand (1 at p_l, t_m at p_m), so
+    the index of each, as in ``point_index``, is summed column by column
+    with field arithmetic only in the columns that are no pivot."""
+    tab, q = F.tables, F.q
+    dtype = np.int32 if q ** (dim + 1) < 2**31 else np.int64
+    w = (q ** np.arange(dim, -1, -1)).astype(dtype)  # place value of each coordinate
+    t = np.arange(q, dtype=dtype)
+    rows = []
+    for pivots, basis in groups:
+        free = [c for c in range(dim + 1) if c not in pivots]
+        parts = []
+        for l, lead in enumerate(pivots):
+            base = np.full(1, (w[lead] - 1) // (q - 1), dtype=dtype)
+            for p in pivots[l + 1 :]:
+                base = (base[:, None] + t * w[p]).ravel()
+            index = np.repeat(base[None, :], len(basis[l]), axis=0)
+            for c in free:
+                x = basis[l][:, c, None]
+                for b in basis[l + 1 :]:
+                    x = tab.add[x[:, :, None], tab.mul[t, b[:, c, None]][:, None, :]].reshape(len(x), x.shape[1] * q)
+                index += x.astype(dtype) * w[c]
+            parts.append(index)
+        rows.append(np.concatenate(parts, axis=1))
+    return np.sort(np.concatenate(rows), axis=1)
+
+
+def _geometry(F: Field, dim: int, groups) -> IncidenceGeometry:
+    """The points of PG(dim, q) with a line per echelon basis in
+    ``groups``.  ArithmeticError unless, as in PG(2,q) and W(q), there are
+    as many lines as points, q+1 on each line and q+1 through each."""
+    q, n = F.q, len(point_array(dim, F))
+    blocks = _subspace_rows(F, dim, groups).astype(np.int64)
+    # two lines share at most one point, so their first two points order
+    # them; distinct pairs (checked) make that the lexicographic order
+    blocks = blocks[np.lexsort((blocks[:, 1], blocks[:, 0]))]
+    pairs = blocks[:, 0] * n + blocks[:, 1]
+    ok = len(blocks) == n and (pairs[1:] > pairs[:-1]).all() and (blocks[:, 1:] > blocks[:, :-1]).all()
     if not (ok and (np.bincount(blocks.ravel(), minlength=n) == q + 1).all()):
         raise ArithmeticError(f"lines of PG({dim},{q}) do not form the geometry; field arithmetic is broken")
     blocks.setflags(write=False)
-    return IncidenceGeometry(points=pg_points(dim, F), blocks=blocks)
+    return IncidenceGeometry(coords=point_array(dim, F), blocks=blocks)
 
 
 @lru_cache(maxsize=None)
 def pg2_geometry(F: Field) -> IncidenceGeometry:
     """The projective plane PG(2,q): q^2+q+1 points and lines, one line
-    for every echelon basis of GF(q)^3."""
-    return _geometry(F, 2, _echelon_bases(F, 2))
+    for every echelon basis of a 2-space of GF(q)^3."""
+    return _geometry(F, 2, _echelon_bases(F, 2, 2))
 
 
 @lru_cache(maxsize=None)
@@ -217,7 +212,36 @@ def symplectic_gq(F: Field) -> IncidenceGeometry:
             form = add[form, mul[jr, s[:, k]]]
         return r[form == 0], s[form == 0]
 
-    return _geometry(F, 3, (isotropic(r, s) for r, s in _echelon_bases(F, 3)))
+    return _geometry(F, 3, ((pivots, isotropic(*basis)) for pivots, basis in _echelon_bases(F, 3, 2)))
+
+
+@lru_cache(maxsize=None)
+def plane_rows(F: Field) -> np.ndarray:
+    """The planes of PG(3,q) as a read-only (N x (q^2+q+1)) int64 array:
+    row i holds, ascending, the points x with point_i . x = 0.  The form is
+    symmetric, so row i also lists the planes through point i.  A 3-space
+    with echelon basis b, pivots all columns but m, has the dual vector
+    with 1 at m and -b_l[m] at the pivot of b_l.  ArithmeticError unless
+    the duals are the N points and each point is on q^2+q+1 planes."""
+    q, neg = F.q, F.tables.neg
+    n = len(point_array(3, F))
+    groups = list(_echelon_bases(F, 3, 3))
+    duals = []
+    for pivots, basis in groups:
+        m = 6 - sum(pivots)  # the column that is no pivot
+        d = np.ones((len(basis[0]), 4), dtype=np.uint8)
+        d[:, pivots] = neg[np.stack([b[:, m] for b in basis], axis=1)]
+        duals.append(d)
+    rows = _subspace_rows(F, 3, groups).astype(np.int64)
+    plane = point_index(F, np.concatenate(duals))
+    planes = np.full(n, -1, dtype=np.int64)
+    planes[plane] = np.arange(len(plane))
+    ok = len(plane) == n and (planes >= 0).all() and (rows[:, 1:] > rows[:, :-1]).all()
+    if not (ok and (np.bincount(rows.ravel(), minlength=n) == q * q + q + 1).all()):
+        raise ArithmeticError(f"planes of PG(3,{q}) do not form the geometry; field arithmetic is broken")
+    rows = rows[planes]
+    rows.setflags(write=False)
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -227,27 +251,18 @@ def singer_pencil(F: Field) -> tuple[tuple[int, ...], ...]:
     PG(3,q) points are identified with GF(q^4)* / GF(q)*.  Multiplication
     by a generator w of GF(q^4)* induces a cyclic (Singer) permutation of
     the q^3+q^2+q+1 points; the orbits of its subgroup of order q^2+1
-    (generated by the (q+1)-st power) are the pencil members.  Returned as
-    q+1 sorted tuples of point indices into pg_points(3, F).
-
-    The construction is verified before returning: the members partition
-    the point set, each has q^2+1 points, and none contains three
-    collinear points.  A failure raises ArithmeticError -- it would mean
-    an arithmetic bug, not a mathematical possibility.
+    (generated by the (q+1)-st power) are the pencil members, returned as
+    q+1 sorted tuples of point indices.  ArithmeticError, an arithmetic
+    bug, unless they partition the points and none holds three collinear
+    points.
     """
     q = F.q
     E = F.extension(4)
     n = (q**4 - 1) // (q - 1)  # q^3 + q^2 + q + 1; w^t for t < n meets each point once
-    powers = np.array(E._exp[:n], dtype=np.int64)
-    point_of_exponent = point_index(F, (powers[:, None] // q ** np.arange(4)) % q)
-    members = []
-    for r in range(q + 1):
-        orbit = np.sort(point_of_exponent[r :: q + 1])
-        if (orbit[1:] == orbit[:-1]).any():
-            raise ArithmeticError("pencil member has wrong cardinality")
-        members.append(orbit)
-
-    if not (np.sort(np.concatenate(members)) == np.arange(n)).all():
+    point_of_exponent = point_index(F, (E._exp[:n, None] // q ** np.arange(4)) % q)
+    # q+1 orbits of q^2+1 exponents each: a partition exactly when no point repeats
+    members = [np.sort(point_of_exponent[r :: q + 1]) for r in range(q + 1)]
+    if not (np.sort(point_of_exponent) == np.arange(n)).all():
         raise ArithmeticError("pencil members do not partition PG(3,q)")
     for member in members:
         if _collinear_triples(F, member):
@@ -261,7 +276,8 @@ def _collinear_triples(F: Field, points) -> int:
     the sum over planes of C(|plane & set|, 3) is C(m, 3) plus q times
     the collinear triples."""
     members = np.array(sorted(set(points)), dtype=np.intp)
-    c = plane_incidence(F)[:, members].sum(axis=1, dtype=np.int64)
+    # |plane & set| for every plane: the planes through point r are row r
+    c = np.bincount(plane_rows(F)[members].ravel(), minlength=len(plane_rows(F)))
     m = len(members)
     on_planes = int((c * (c - 1) * (c - 2)).sum()) // 6
     return (on_planes - m * (m - 1) * (m - 2) // 6) // F.q
@@ -272,20 +288,16 @@ def tangent_planes(F: Field, ovoid) -> tuple[np.ndarray, np.ndarray]:
     the index of its tangent plane, the one plane meeting the set in that
     point alone.  ValueError unless every point has exactly one."""
     members = np.array(sorted(set(ovoid)), dtype=np.intp)
-    on = plane_incidence(F)[:, members]
-    tangent = on & (on.sum(axis=1) == 1)[:, None]
-    counts = tangent.sum(axis=0)
+    through = plane_rows(F)[members]
+    tangent = np.bincount(through.ravel(), minlength=len(plane_rows(F)))[through] == 1
+    counts = tangent.sum(axis=1)
     bad = np.flatnonzero(counts != 1)
     if len(bad):
         raise ValueError(
             f"expected exactly one tangent plane through point {members[bad[0]]}, "
             f"found {counts[bad[0]]}; the point set is not an ovoid"
         )
-    return members, tangent.argmax(axis=0)
-
-
-def _gq_order(G: IncidenceGeometry) -> int:
-    return G.blocks.shape[1] - 1
+    return members, through[np.arange(len(members)), tangent.argmax(axis=1)]
 
 
 def _first_cover_solution(n_items: int, compat: list[int], target: int, cover_masks: list[int]):
@@ -296,69 +308,59 @@ def _first_cover_solution(n_items: int, compat: list[int], target: int, cover_ma
     ``cover_masks`` are bitmasks over items; every mask must intersect the
     chosen set (ovoids must meet every line, spreads must cover every
     point).  Depth-first in increasing index order, so the first solution
-    found is the lexicographically smallest.
+    found is the lexicographically smallest.  Its own stack, a level per
+    chosen item (the items still to try there, the chosen mask), frees its
+    depth from Python's recursion limit: W(32)'s spread takes 1025 levels.
     """
+
+    def feasible(depth: int, reach: int, cand: int) -> bool:
+        return depth + cand.bit_count() >= target and all(mask & reach for mask in cover_masks)
+
     full = (1 << n_items) - 1
-    chosen: list[int] = []
-    result: list[int] | None = None
+    if not target:
+        return ()
+    stack = [[full, 0]] if feasible(0, full, full) else []
+    while stack:
+        level = stack[-1]
+        rest, mask = level
+        if not rest:
+            stack.pop()
+            continue
+        v = (rest & -rest).bit_length() - 1
+        level[0] = rest = rest & (rest - 1)
+        mask |= 1 << v
+        if len(stack) == target:
+            return tuple(i for i, bit in enumerate(reversed(bin(mask))) if bit == "1")
+        cand = rest & compat[v]
+        if feasible(len(stack), mask | cand, cand):
+            stack.append([cand, mask])
+    return None
 
-    def feasible(chosen_mask: int, cand: int) -> bool:
-        if (len(chosen) + (cand.bit_count())) < target:
-            return False
-        reach = chosen_mask | cand
-        return all(mask & reach for mask in cover_masks)
 
-    def dfs(cand: int, chosen_mask: int) -> bool:
-        nonlocal result
-        if len(chosen) == target:
-            result = list(chosen)
-            return True
-        if not feasible(chosen_mask, cand):
-            return False
-        rest = cand
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            chosen.append(v)
-            if dfs(cand & compat[v] & ~((1 << (v + 1)) - 1), chosen_mask | (1 << v)):
-                return True
-            chosen.pop()
-        return False
-
-    dfs(full, 0)
-    return tuple(result) if result is not None else None
+def _cover_search(rows: list[list[int]], n_items: int, target: int):
+    """``_first_cover_solution`` over items 0..n_items-1 where the items of
+    one row clash pairwise and every row must be hit."""
+    clash = [0] * n_items
+    for row in rows:
+        for a, b in combinations(row, 2):
+            clash[a] |= 1 << b
+            clash[b] |= 1 << a
+    full = (1 << n_items) - 1
+    compat = [full & ~(clash[v] | (1 << v)) for v in range(n_items)]
+    return _first_cover_solution(n_items, compat, target, [sum(1 << v for v in row) for row in rows])
 
 
 def ovoid_search(G: IncidenceGeometry):
     """Lexicographically smallest ovoid of a GQ of order (q,q): q^2+1
-    pairwise non-collinear points.  Returns None when the exhaustive
-    search finds none (e.g. W(q) for odd q)."""
-    q = _gq_order(G)
-    n = G.n_points
-    blocks = G.blocks.tolist()
-    collinear = [0] * n
-    for blk in blocks:
-        for a, b in combinations(blk, 2):
-            collinear[a] |= 1 << b
-            collinear[b] |= 1 << a
-    full = (1 << n) - 1
-    compat = [full & ~(collinear[v] | (1 << v)) for v in range(n)]
-    line_masks = [sum(1 << p for p in blk) for blk in blocks]
-    return _first_cover_solution(n, compat, q * q + 1, line_masks)
+    pairwise non-collinear points, meeting every line.  Returns None when
+    the exhaustive search finds none (e.g. W(q) for odd q)."""
+    q = G.blocks.shape[1] - 1
+    return _cover_search(G.blocks.tolist(), G.n_points, q * q + 1)
 
 
 def spread_search(G: IncidenceGeometry):
     """Lexicographically smallest spread of a GQ of order (q,q): q^2+1
-    pairwise disjoint lines.  Returns None when none exists."""
-    q = _gq_order(G)
-    m = G.n_blocks
-    meets = [0] * m
-    through = G.blocks_through().tolist()
-    for lines in through:
-        for a, b in combinations(lines, 2):
-            meets[a] |= 1 << b
-            meets[b] |= 1 << a
-    full = (1 << m) - 1
-    compat = [full & ~(meets[b] | (1 << b)) for b in range(m)]
-    point_masks = [sum(1 << b for b in lines) for lines in through]
-    return _first_cover_solution(m, compat, q * q + 1, point_masks)
+    pairwise disjoint lines, covering every point.  Returns None when none
+    exists."""
+    q = G.blocks.shape[1] - 1
+    return _cover_search(G.blocks_through().tolist(), G.n_blocks, q * q + 1)

@@ -1,27 +1,19 @@
 """Simple-graph data model, exact girth/cycle-count verifiers, and
 graph6 I/O.
 
-A ``Graph`` holds its adjacency as compressed sparse rows: int64 arrays
-``indptr``, ``indices`` (sorted within each row) and ``deg``, validated
-with numpy when the graph is built.  ``G.adj``, a cached list of
-neighbour lists in Python ints, serves the JSON output of ``construct``.
+A ``Graph`` holds its adjacency as compressed sparse rows (see its
+docstring).
 
-One block core verifies graphs: ``verify_many`` concatenates a list of
-graphs into one disjoint union in CSR (``_Union``; one graph's own arrays
-serve, with no copy), a stream block stays one union from the graph6
-block decoder to its verdicts, and ``verify_egr(G)`` is
-``verify_many([G])``.  Connectivity (the smallest unreachable vertex as
-witness) and bipartiteness come from one frontier BFS over the union,
-rooted at every graph's vertex 0, which reads each adjacency entry once
-(``_bfs_levels``, the package's one BFS, which also gives ``spectral`` its
-colour classes); regularity from each graph's segment of the degrees.
-The graphs that pass are sorted by order alone, whatever their degrees,
-and fill (B, n, n) stacks straight from the union's entries.  Each stack
-takes the one walk engine (``_girth_walks`` over ``_nb_walks``, both on a
-prebuilt stack), its members' A_{g-1} is gathered on their edges into one
-count array for the block, and one pass over that array gives every
-verdict.  So a block's fixed costs grow with its number of distinct
-orders, not with its number of graphs.
+One block core verifies graphs: ``verify_many`` takes a list of graphs as
+one disjoint union in CSR (``_Union``; one graph's own arrays serve, with
+no copy), a stream block stays one union from the graph6 block decoder to
+its verdicts, and ``verify_egr(G)`` is ``verify_many([G])``.  One frontier
+BFS over the union (``_bfs_levels``, the package's one BFS) gives
+connectivity and bipartiteness, and each graph's segment of the degrees
+its regularity; the graphs that pass fill (B, n, n) stacks by order for
+the one walk engine (``_girth_walks`` over ``_nb_walks``), and one pass
+over their edges' counts gives every verdict.  So a block's fixed costs
+grow with its number of distinct orders, not with its number of graphs.
 
 Girth and cycle counts come from one pass over the non-backtracking walk
 matrices A_l (entry [u, w]: walks of l edges from u to w that never
@@ -53,21 +45,16 @@ step, with k its largest degree, and widens at each crossing.
 graph6 (McKay's format) stores the upper triangle column by column, six
 bits to a printable byte, so bit i of a body is the pair u < v with
 v(v-1)/2 <= i < v(v+1)/2 and u = i - v(v-1)/2, whatever the vertex count n.
-The block decoder ``_decode_block`` reads a block of lines into one union;
-``graph6_decode_many`` splits that union into Graphs, and
-``graph6_decode(text)`` is ``graph6_decode_many([text])``.  Each line takes
-only the checks in O(1) Python steps (header, ASCII, byte range 63..126,
-body length, padding, each with its byte offset); the valid bodies,
-whatever their n, take one numpy pass that turns both orientations of
-every pair into a code r*W + c, r the row in the union's vertex numbering
-and W the largest n, and one sort.  A code is below V*W, V the union's
-vertex count; a line of n vertices has at least n/62 bytes (one header
-byte for n <= 62, else at least n(n-1)/12 body bytes), so V is at most 62
-times the input's bytes, and W is at most GRAPH6_MAX_N = 10**6: the codes
-fit int64 for any input under 10**11 bytes.  The pass unpacks only the
-nonzero bytes, MAX_DECODE_BYTES at a time, so it never holds more than
-8 * MAX_DECODE_BYTES bytes of bits (512 KiB), and its peak, besides the
-graphs it returns, stays near the size of the input.
+The block decoder ``_decode_block`` reads a block of lines into one union
+(``graph6_decode_many`` splits it into Graphs), as codes r*W + c, r the
+row in the union's vertex numbering and W the largest n.  A code is below
+V*W, V the union's vertex count; a line of n vertices has at least n/62
+bytes (one header byte for n <= 62, else at least n(n-1)/12 body bytes),
+so V is at most 62 times the input's bytes, and W is at most
+GRAPH6_MAX_N = 10**6: the codes fit int64 for any input under 10**11
+bytes.  The pass unpacks only the nonzero bytes, MAX_DECODE_BYTES at a
+time, so its peak, besides the graphs it returns, stays near the size of
+the input.
 """
 
 from __future__ import annotations
@@ -115,7 +102,9 @@ class Graph:
     adjacency.  On a fault they raise ValueError naming the first one in
     vertex order, then neighbour order, a loop before a parallel edge
     before an out-of-range neighbour; asymmetry is reported only when no
-    other fault exists.
+    other fault exists.  Geometric builds pass CSR arrays valid by
+    construction to the private ``Graph._from_csr``, and their labels are a
+    read-only ``constructions.VertexLabels`` sequence, not a list.
 
     Equality and hashing consider adjacency only; labels are metadata.
     """
@@ -164,6 +153,17 @@ class Graph:
             raise ValueError(_first_fault(n, rows, cols))
         G = cls.__new__(cls)
         G._store(*_split(_from_codes([n], n, codes))[0], labels)
+        return G
+
+    @classmethod
+    def _from_csr(cls, indptr: np.ndarray, indices: np.ndarray, labels) -> "Graph":
+        """Graph from valid int64 CSR arrays (rows sorted, no loops or
+        repeats, symmetric), kept read-only, and ``labels`` as they are."""
+        G = cls.__new__(cls)
+        G._store(indptr, indices, np.diff(indptr), None)
+        for a in (indptr, indices, G.deg):
+            a.setflags(write=False)
+        G.labels = labels
         return G
 
     def _store(self, indptr, indices, deg, labels) -> None:
@@ -359,14 +359,10 @@ class NotEdgeGirthRegular(Exception):
 
 
 def _exact_dtype(bound: int):
-    """The one exactness rule for walk counts, given ``bound``, an upper
-    bound on every integer a computation forms: float32 when it is at most
-    2**24, float64 when it is at most 2**53, else object (Python ints).
-
-    The counts are nonnegative, so no partial sum passes its final value,
-    and a float type forms them exactly in any order while they stay
-    within the range where it holds every integer.
-    """
+    """The one exactness rule for walk counts (see the module docstring),
+    given ``bound``, an upper bound on every integer a computation forms:
+    float32 when it is at most 2**24, float64 when it is at most 2**53,
+    else object (Python ints)."""
     if bound > _FLOAT_EXACT_MAX:
         return object
     return np.float32 if bound <= _FLOAT32_EXACT_MAX else np.float64
@@ -734,11 +730,7 @@ def graph6_decode_many(texts) -> list:
     does, and return for each, in order, its Graph or the Graph6Error that
     ``graph6_decode`` would raise: ``_decode_block``, then a split."""
     errors, union = _decode_block(texts)
-    graphs = []
-    for csr in _split(union):
-        graphs.append(G := Graph.__new__(Graph))
-        G._store(*csr, None)
-    decoded = iter(graphs)
+    decoded = iter([Graph._from_csr(indptr, cols, None) for indptr, cols, _ in _split(union)])
     return [next(decoded) if exc is None else exc for exc in errors]
 
 

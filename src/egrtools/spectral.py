@@ -8,22 +8,12 @@ way around: every spectrum ``eigenvalues`` returns has matched the exact
 moments of lengths 0..MOMENT_CHECK_LENGTH.  The moments take the adjacency
 matrix and the exactness rule of ``graph_core`` (float32 while no count
 exceeds 2**24, float64 while none exceeds 2**53, Python ints beyond), the
-same ones its walk pass uses.
-
-A caller that already holds work can pass it in instead of having it
-redone: ``eigenvalues(G, moments=walk_moments(G, L))`` checks against the
-first MOMENT_CHECK_LENGTH + 1 of those moments, and
-``certify_tight_spectrum(G, sig, spectrum=eigenvalues(G))`` reads that
-spectrum instead of solving again.  Both check what they are given
-(moments 0..2 are n, 0 and 2|E|; a spectrum has G.n values) and raise
-ValueError when it cannot belong to G.
-
-The tight four-value spectrum of a bipartite girth-4 graph is also
-decided exactly.  It holds exactly when the n/2 x n/2 biadjacency matrix N
-satisfies NN^T = N^TN = (k - mu)I + mu J with mu = k(k-1)/(n/2 - 1) an
-integer, i.e. when the graph is the incidence graph of a symmetric
-2-(n/2, k, mu) design; the float verdict must agree with that identity or
-the certificate raises ArithmeticError.
+same ones its walk pass uses.  A caller that already holds the moments or
+the spectrum passes them in (``eigenvalues(G, moments=...)``,
+``certify_tight_spectrum(G, sig, spectrum=...)``), and each is checked to
+belong to G.  The tight four-value spectrum of a bipartite girth-4 graph
+is also decided exactly, by the symmetric-design identity of
+``_tight_identity``, and the float verdict must agree with it.
 """
 
 from __future__ import annotations
@@ -82,12 +72,6 @@ def walk_moments(G: Graph, L: int) -> list[int]:
     return moments
 
 
-def _returns(s: int, j: int) -> int:
-    """Dyck paths of 2s steps (s >= 1) that return to zero j times
-    (1 <= j <= s): the ballot number j/(2s-j) * binom(2s-j, s)."""
-    return j * math.comb(2 * s - j, s) // (2 * s - j)
-
-
 def tree_walk_count(length: int, k: int) -> int:
     """Closed walks of the given length from a vertex of the infinite
     k-regular tree (equivalently: cycle-free closed walks in any
@@ -97,7 +81,10 @@ def tree_walk_count(length: int, k: int) -> int:
     Dyck path.  Each of its s steps away has k choices at the root and
     k-1 elsewhere, and a path returning to the root j times takes j of
     them at the root, so
-    c(2s, k) = sum_j j/(2s-j) binom(2s-j, s) k^j (k-1)^(s-j), j = 1..s.
+    c(2s, k) = sum_j R_j k^j (k-1)^(s-j), j = 1..s, with the ballot numbers
+    R_j = j/(2s-j) binom(2s-j, s): R_s = 1 and R_{j-1} = R_j (j-1)(2s-j) /
+    (j(s-j+1)), exactly.  Horner's rule in k from j = s down carries R_j and
+    (k-1)^(s-j) along, one big-int product per term.
     """
     if length < 0:
         raise ValueError("walk length must be nonnegative")
@@ -106,9 +93,12 @@ def tree_walk_count(length: int, k: int) -> int:
     if length % 2:
         return 0
     s = length // 2
-    if s == 0:
-        return 1
-    return sum(_returns(s, j) * k**j * (k - 1) ** (s - j) for j in range(1, s + 1))
+    total, ballot, power = 0, 1, 1
+    for j in range(s, 0, -1):
+        total = total * k + ballot * power
+        ballot = ballot * (j - 1) * (2 * s - j) // (j * (s - j + 1))
+        power *= k - 1
+    return total * k if s else 1
 
 
 def catalan(s: int) -> int:
@@ -128,11 +118,12 @@ def tree_walk_polynomial(length: int) -> list[int]:
     s = length // 2
     if s == 0:
         return [1]
-    coeffs = [0] * (s + 1)
-    for j in range(1, s + 1):
+    coeffs, ballot = [0] * (s + 1), 1
+    for j in range(s, 0, -1):  # the ballot numbers R_j as in tree_walk_count
         m = s - j
         for i in range(m + 1):  # k^j * binom(m, i) k^i (-1)^(m-i)
-            coeffs[j + i] += (-1) ** (m - i) * _returns(s, j) * math.comb(m, i)
+            coeffs[j + i] += (-1) ** (m - i) * ballot * math.comb(m, i)
+        ballot = ballot * (j - 1) * (2 * s - j) // (j * (s - j + 1))
     return coeffs
 
 

@@ -1,4 +1,5 @@
-"""The line sets pinned in data/geometry_pins.json and how each pin is taken.
+"""The line sets pinned in data/geometry_pins.json, the plane rows of PG(3,q)
+pinned in data/plane_pins.json, and how each pin is taken.
 
 A spec (name, q) names PG(2,q) when name is "pg2" and W(q) when it is
 "w".  Geometries are built through the uncached builders, so that a pass
@@ -51,3 +52,13 @@ def pin_of(spec, geom: geometry.IncidenceGeometry) -> dict:
         "shape": list(blocks.shape),
         "blocks_sha256": hashlib.sha256(blocks.tobytes()).hexdigest(),
     }
+
+
+# every order the dense planes x points incidence of PG(3,q) was built for
+PLANE_ORDERS = _prime_powers(25)
+
+
+def plane_pin_of(q: int, rows: np.ndarray) -> dict:
+    """Shape and sha256 of the plane rows of PG(3,q) as little-endian int64."""
+    rows = np.ascontiguousarray(rows, dtype="<i8")
+    return {"q": q, "shape": list(rows.shape), "rows_sha256": hashlib.sha256(rows.tobytes()).hexdigest()}

@@ -1,10 +1,12 @@
 """Brute-force and depth-first oracles, deliberately independent of the
-library's non-backtracking walk engine and of its incidence arrays: used
+library's non-backtracking walk engine and of its subspace enumerator: used
 to cross-check derived expected values and the engines themselves."""
 
 import math
 from collections import deque
 from itertools import combinations, product
+
+import numpy as np
 
 from egrtools.geometry import normalize_point
 from egrtools.graph_core import Graph
@@ -216,6 +218,17 @@ def dot(F, a, x) -> int:
     for ai, xi in zip(a, x):
         s = F.add(s, F.mul(ai, xi))
     return s
+
+
+def incidence(F, duals: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Boolean (len(duals) x len(points)) matrix, entry [i, j] true when
+    sum_k duals[i, k] * points[j, k] == 0 in F, from the bulk field tables
+    (the dense incidence the plane rows of PG(3,q) once came from)."""
+    tab = F.tables
+    acc = tab.mul[duals[:, :1], points[:, 0]]
+    for k in range(1, duals.shape[1]):
+        acc = tab.add[acc, tab.mul[duals[:, k : k + 1], points[:, k]]]
+    return acc == 0
 
 
 def line_through(F, x, y) -> tuple[tuple[int, ...], ...]:

@@ -220,3 +220,34 @@ def test_certificate_names_tight_bound():
     v = certify_extremal(verify_egr(build_pencil_graph(F[2])))
     assert "spectral_even" in v.tight_bounds
     assert "not an exhaustive minimality proof" in v.statement
+
+
+# The paper's Remark: the truncated W(q) is egr(2q^3, q, 8, (q-1)^2((q-2)^2+1))
+# and n_2(q, 8, lambda) >= 2(q^3 - 6q + 10), an excess of 2(6q - 10).  The
+# bound is the Moore bound plus 2 ceil(2(q-1)^2(q-2)/q), which equals the
+# closed form only when 4/q < 1: at q = 3 and 4 the exact bound is 36 and
+# 98, not 38 and 100, and the gaps are 18 and 30.
+def _remark_signature(q: int):
+    from egrtools.graph_core import EgrSignature
+
+    return EgrSignature(n=2 * q**3, k=q, g=8, lam=(q - 1) ** 2 * ((q - 2) ** 2 + 1), bipartite=True)
+
+
+@pytest.mark.parametrize("q,bound,gap", [(3, 36, 18), (4, 98, 30)] + [
+    (q, 2 * (q**3 - 6 * q + 10), 2 * (6 * q - 10)) for q in (5, 7, 8, 9, 11, 13, 16, 49)
+])
+def test_remark_bound_and_gap(q, bound, gap):
+    sig = _remark_signature(q)
+    assert dfjr_bound(sig.k, sig.g, sig.lam, bipartite=True) == bound
+    assert certify_extremal(sig).gap == gap
+
+
+def test_remark_on_a_built_and_verified_gq_truncation(capsys):
+    import json
+
+    from egrtools.cli import main
+
+    assert main(["report", "--family", "gq_truncation", "--q", "5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["signature"] == {"n": 250, "k": 5, "g": 8, "lambda": 160, "bipartite": True}
+    assert doc["bounds"]["best"] == 210 and doc["extremal"]["gap"] == 40

@@ -142,6 +142,44 @@ def test_bounds_command(capsys):
 def test_bounds_invalid_triple(capsys):
     code, _, err = run(capsys, "bounds", "-k", "2", "-g", "5", "-l", "1")
     assert code == EXIT_USAGE
+    assert _one_error_line(err, "invalid triple: need k >= 3, g >= 3, lambda >= 1")
+
+
+# CLI-argument probes: each exits 2 with one error line and no traceback.
+# "DIR" stands for a directory, which no --out can write.
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["construct", "--family", "pencil", "--q", "2.5"], "argument --q: invalid int value: '2.5'"),
+        (["construct", "--family", "pencil", "--q", "1e3"], "argument --q: invalid int value: '1e3'"),
+        (["construct", "--family", "pencil", "--q", ""], "argument --q: invalid int value: ''"),
+        (["report", "--family", "biaffine1", "--q", "2.5"], "argument --q: invalid int value: '2.5'"),
+        (["report", "--family", "biaffine1", "--q", "1e3"], "argument --q: invalid int value: '1e3'"),
+        (["report", "--family", "biaffine1", "--q", ""], "argument --q: invalid int value: ''"),
+        (["bounds", "-k", "2", "-g", "5", "-l", "1"], "invalid triple"),
+        (["bounds", "-k", "-3", "-g", "5", "-l", "1"], "invalid triple"),
+        (["bounds", "-k", "3", "-g", "2", "-l", "1"], "invalid triple"),
+        (["bounds", "-k", "3", "-g", "5", "-l", "0"], "invalid triple"),
+        (["bounds", "-k", "3", "-g", "5", "-l", "-4"], "invalid triple"),
+        (["bounds", "-k", "3", "-g", "5", "-l", "x"], "argument -l/--lam: invalid int value: 'x'"),
+        (["bounds", "-k", "3", "-g", "5"], "the following arguments are required: -l/--lam"),
+        (["construct", "--family", "named", "--name", "petersen", "--out", "DIR"], "cannot write DIR"),
+        (["verify", "petersen.g6", "--out", "DIR"], "cannot write DIR"),
+        (["verify", "--stdin-g6-stream", "--out", "DIR"], "cannot write DIR"),
+        (["bounds", "-k", "3", "-g", "5", "-l", "4", "--out", "DIR"], "cannot write DIR"),
+        (["report", "--family", "named", "--name", "petersen", "--out", "DIR"], "cannot write DIR"),
+    ],
+)
+def test_cli_argument_probes(tmp_path, monkeypatch, capsys, argv, message):
+    import io
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "DIR").mkdir()
+    (tmp_path / "petersen.g6").write_text(graph6_encode(petersen()) + "\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(graph6_encode(petersen()) + "\n"))
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert _one_error_line(err, message) and "Traceback" not in err
 
 
 @pytest.mark.parametrize("k,g", [(100000, 200), (1000, 2000)])
@@ -153,7 +191,7 @@ def test_bounds_past_float_range_is_a_usage_error(capsys, k, g):
 
 @pytest.mark.parametrize("g", [20000, 30000])
 def test_bounds_past_the_domain_exit_before_bound_report(capsys, monkeypatch, g):
-    # bound_report takes more than 60 s at k = 3, g = 20000
+    # the domain cap answers before bound_report runs, whatever its cost
     calls = []
 
     def counted(*args):

@@ -5,19 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from geometry_pins import GEOMETRY_SPECS, build_uncached, pin_of, spec_id
-from oracles import dot, line_through
+from geometry_pins import GEOMETRY_SPECS, PLANE_ORDERS, build_uncached, pin_of, plane_pin_of, spec_id
+from oracles import dot, incidence, line_through
 
 from egrtools import geometry
-from egrtools.galois import GF
+from egrtools.galois import GF, prime_power
 from egrtools.geometry import (
-    MAX_INCIDENCE_CELLS,
-    incidence,
     normalize_point,
     ovoid_search,
     pg2_geometry,
     pg_points,
-    plane_incidence,
+    plane_rows,
     point_array,
     point_index,
     singer_pencil,
@@ -28,6 +26,7 @@ from egrtools.geometry import (
 
 FIELDS = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5)}
 GEOMETRY_PINS = json.loads((Path(__file__).with_name("data") / "geometry_pins.json").read_text())["geometries"]
+PLANE_PINS = json.loads((Path(__file__).with_name("data") / "plane_pins.json").read_text())["planes"]
 
 
 def test_point_counts():
@@ -157,7 +156,7 @@ def test_tangent_plane_rejects_non_ovoid():
 
 def test_plane_points_size():
     F = FIELDS[3]
-    assert plane_incidence(F).sum(axis=1).tolist() == [13] * 40  # q^2 + q + 1 points on each plane
+    assert [len(set(row)) for row in plane_rows(F).tolist()] == [13] * 40  # q^2 + q + 1 points on each plane
 
 
 def test_ovoid_and_spread_of_w2():
@@ -216,8 +215,11 @@ def test_incidence_matches_scalar_form(dim, q):
     F = GF(2, 3) if q == 8 else GF(3, 2) if q == 9 else FIELDS[q]
     pts = pg_points(dim, F)
     assert point_array(dim, F).tolist() == [list(p) for p in pts]
+    # the dense oracle against the scalar form, and the plane rows against it
     inc = incidence(F, point_array(dim, F), point_array(dim, F))
     assert inc.tolist() == [[dot(F, a, x) == 0 for x in pts] for a in pts]
+    if dim == 3:
+        assert plane_rows(F).tolist() == [np.flatnonzero(row).tolist() for row in inc]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -289,21 +291,15 @@ def test_plane_points_match_scalar_form():
     F = FIELDS[4]
     pts = pg_points(3, F)
     for dual in [(0, 0, 0, 1), (1, 2, 3, 1), (2, 3, 1, 0), (3, 0, 0, 0)]:
-        row = plane_incidence(F)[pts.index(normalize_point(F, dual))]
-        assert np.flatnonzero(row).tolist() == [i for i, x in enumerate(pts) if dot(F, dual, x) == 0]
+        row = plane_rows(F)[pts.index(normalize_point(F, dual))]
+        assert row.tolist() == [i for i, x in enumerate(pts) if dot(F, dual, x) == 0]
 
 
-def test_incidence_cap_is_checked_before_allocating():
-    side = 2**14
-    duals = np.broadcast_to(np.zeros(4, dtype=np.int64), (side + 1, 4))
-    points = np.broadcast_to(np.zeros(4, dtype=np.int64), (side, 4))
-    assert (side + 1) * side > MAX_INCIDENCE_CELLS >= side * side
-    with pytest.raises(ValueError, match="exceeds the cap"):
-        incidence(FIELDS[2], duals, points)
-    # PG(3,27) has 20440 points; PG(2,131), with 17293, builds its lines
-    # without a dense incidence array
-    with pytest.raises(ValueError, match="exceeds the cap"):
-        plane_incidence(GF(3, 3))
+def test_planes_and_lines_build_without_a_dense_array():
+    # PG(3,27), with 20440 points, was past the dense incidence cap; its
+    # planes list a row per plane, the same way PG(2,131) lists its lines
+    rows = plane_rows.__wrapped__(GF(3, 3))
+    assert rows.shape == (20440, 757) and rows.dtype == np.int64 and not rows.flags.writeable
     assert pg2_geometry(GF(131)).blocks.shape == (17293, 132)
 
 
@@ -315,3 +311,40 @@ def test_geometry_pins_cover_the_specs():
 def test_lines_are_pinned(spec, pin):
     # the blocks array of PG(2,q) or W(q), byte for byte
     assert pin_of(spec, build_uncached(spec)) == pin
+
+
+def test_plane_pins_cover_the_orders():
+    assert [pin["q"] for pin in PLANE_PINS] == PLANE_ORDERS
+
+
+@pytest.mark.parametrize("pin", PLANE_PINS, ids=[f"PG(3,{pin['q']})" for pin in PLANE_PINS])
+def test_planes_are_pinned(pin):
+    # the plane rows of PG(3,q), byte for byte as the dense incidence gave them
+    q = pin["q"]
+    assert plane_pin_of(q, plane_rows.__wrapped__(GF(*prime_power(q)))) == pin
+
+
+def test_cover_search_runs_deeper_than_the_recursion_limit():
+    import sys
+
+    n = 2 * sys.getrecursionlimit() + 50
+    full = (1 << n) - 1
+    # every item compatible with every other: the only n-subset is all of them
+    assert geometry._first_cover_solution(n, [full] * n, n, [full, 1 << (n - 1)]) == tuple(range(n))
+    # items i and i+1 clash, so the first n/2-subset alternates from 0
+    compat = [full & ~(1 << max(i - 1, 0) | 1 << i | 1 << min(i + 1, n - 1)) for i in range(n)]
+    assert geometry._first_cover_solution(n, compat, (n + 1) // 2, [full]) == tuple(range(0, n, 2))
+
+
+# recorded from the recursive search, before it kept its own stack
+SEARCH_PINS = {
+    2: ((0, 1, 6, 10, 14), (0, 4, 8, 12, 13)),
+    4: ((0, 1, 10, 16, 19, 27, 30, 36, 43, 46, 52, 60, 63, 66, 76, 79, 82),
+        (0, 6, 12, 18, 24, 39, 44, 45, 50, 55, 60, 61, 66, 71, 76, 77, 82)),
+}
+
+
+@pytest.mark.parametrize("q", sorted(SEARCH_PINS))
+def test_ovoid_and_spread_searches_are_pinned(q):
+    geom = symplectic_gq(FIELDS[q])
+    assert (ovoid_search(geom), spread_search(geom)) == SEARCH_PINS[q]
