@@ -16,6 +16,13 @@ as one union (``_verify_block``) and writes their records, byte for byte
 Reports are JSON with a frozen field layout
 (schema_version 1); rationals are emitted as {num, den, decimal}, never as
 bare floats.
+
+The subcommands are one table, ``_COMMANDS`` (name: help line, argument
+adder, handler).  When the first argument names a command, ``main`` builds
+that command's subparser alone under the top level, since argparse's
+cost grows with the tree; ``--help``, ``--version`` and a missing or
+unknown command build the full tree.  Either way every help, usage and
+error text is the same.
 """
 
 from __future__ import annotations
@@ -358,46 +365,67 @@ def cmd_report(args, argv) -> int:
     return EXIT_OK
 
 
-def _parser() -> argparse.ArgumentParser:
+def _out_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out")
+
+
+def _family_arguments(p: argparse.ArgumentParser) -> None:
+    _out_arguments(p)
+    p.add_argument("--family", required=True)
+    p.add_argument("--q", type=int)
+    p.add_argument("--name")
+
+
+def _construct_arguments(p: argparse.ArgumentParser) -> None:
+    _family_arguments(p)
+    p.add_argument("--format", choices=("graph6", "json"), default="graph6")
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    _out_arguments(p)
+    p.add_argument("path", nargs="?")
+    p.add_argument("--stdin-g6-stream", action="store_true", help="verify one graph6 string per stdin line")
+
+
+def _bounds_arguments(p: argparse.ArgumentParser) -> None:
+    _out_arguments(p)
+    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-g", type=int, required=True)
+    p.add_argument("-l", "--lam", type=int, required=True, dest="lam")
+    p.add_argument("--bipartite", action="store_true")
+
+
+# each subcommand: its help line, the function adding its arguments, its handler
+_COMMANDS = {
+    "construct": ("build a graph family and print its signature", _construct_arguments, cmd_construct),
+    "verify": ("verify a graph6 file for edge-girth-regularity", _verify_arguments, cmd_verify),
+    "bounds": ("lower-bound report for a (k, g, lambda) triple", _bounds_arguments, cmd_bounds),
+    "report": ("end-to-end construct/verify/spectrum/bounds report", _family_arguments, cmd_report),
+}
+
+
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser: the top level with every subcommand of
+    _COMMANDS, or with ``command`` alone, which parses that command's
+    arguments, and prints its help and errors, as the full tree does."""
     top = _Parser(
         prog="egrtools",
         description="Construct, verify, and certify edge-girth-regular graphs.",
     )
     top.add_argument("--version", action="version", version=f"egrtools {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
-
-    out = _Parser(add_help=False)
-    out.add_argument("--out")
-    family = _Parser(add_help=False, parents=[out])
-    family.add_argument("--family", required=True)
-    family.add_argument("--q", type=int)
-    family.add_argument("--name")
-
-    pc = sub.add_parser("construct", parents=[family], help="build a graph family and print its signature")
-    pc.add_argument("--format", choices=("graph6", "json"), default="graph6")
-    pc.set_defaults(fn=cmd_construct)
-
-    pv = sub.add_parser("verify", parents=[out], help="verify a graph6 file for edge-girth-regularity")
-    pv.add_argument("path", nargs="?")
-    pv.add_argument("--stdin-g6-stream", action="store_true", help="verify one graph6 string per stdin line")
-    pv.set_defaults(fn=cmd_verify)
-
-    pb = sub.add_parser("bounds", parents=[out], help="lower-bound report for a (k, g, lambda) triple")
-    pb.add_argument("-k", type=int, required=True)
-    pb.add_argument("-g", type=int, required=True)
-    pb.add_argument("-l", "--lam", type=int, required=True, dest="lam")
-    pb.add_argument("--bipartite", action="store_true")
-    pb.set_defaults(fn=cmd_bounds)
-
-    pr = sub.add_parser("report", parents=[family], help="end-to-end construct/verify/spectrum/bounds report")
-    pr.set_defaults(fn=cmd_report)
+    for name in [command] if command else _COMMANDS:
+        help_line, add_arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        p.set_defaults(fn=handler)
     return top
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
         return args.fn(args, ["egrtools"] + argv)
     except SystemExit:  # the parser's --help or --version
         return EXIT_OK

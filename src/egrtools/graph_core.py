@@ -94,7 +94,8 @@ class Graph:
     The neighbours of v are ``indices[indptr[v]:indptr[v + 1]]`` in
     ascending order and ``deg[v]`` is their count; all three are read-only
     int64 arrays.  ``adj`` is the same adjacency as a list of sorted lists
-    of Python ints, built on first use and cached, for JSON output.
+    of Python ints, built on first use and cached, for JSON output; the
+    colour classes of ``_bipartition`` are cached beside it.
 
     ``Graph(adj)`` takes a sequence whose entry v holds the neighbours of v
     in any order; ``Graph.from_edges`` takes the edges.  Both validate with
@@ -109,7 +110,7 @@ class Graph:
     Equality and hashing consider adjacency only; labels are metadata.
     """
 
-    __slots__ = ("indptr", "indices", "deg", "labels", "_adj")
+    __slots__ = ("indptr", "indices", "deg", "labels", "_adj", "_sides")
 
     def __init__(self, adj, labels=None):
         n = len(adj)
@@ -171,7 +172,7 @@ class Graph:
             raise ValueError("labels length must equal vertex count")
         self.indptr, self.indices, self.deg = indptr, indices, deg
         self.labels = list(labels) if labels is not None else None
-        self._adj = None
+        self._adj = self._sides = None
 
     @property
     def adj(self) -> list[list[int]]:
@@ -369,8 +370,8 @@ def _exact_dtype(bound: int):
 
 
 def _widen(a: np.ndarray, dtype) -> np.ndarray:
-    """The exact integers of ``a`` in ``dtype``, a wider float type or
-    object, which takes them as Python ints."""
+    """The exact integers of ``a`` in ``dtype``, a float type that holds
+    them or object, which takes them as Python ints."""
     if a.dtype == dtype:
         return a
     return a.astype(np.int64).astype(object) if np.dtype(dtype) == object else a.astype(dtype)
@@ -533,6 +534,21 @@ def _bfs_levels(u: _Union) -> tuple[np.ndarray, np.ndarray]:
         level[nbr[at < 0]] = depth
         front = (level == depth).nonzero()[0]
     return level, np.concatenate(clash)
+
+
+def _bipartition(G: Graph) -> np.ndarray | None:
+    """G's colour classes when G is connected, bipartite and has an edge:
+    a read-only bool array, True at the vertices an odd distance from
+    vertex 0; else None.  From one ``_bfs_levels`` pass, kept on G for later
+    calls (``G._sides``: None until computed, False when there are no
+    classes)."""
+    if G._sides is None:
+        level, clash = _bfs_levels(_union_of([G]))
+        G._sides = False
+        if G.num_edges() and level.min() >= 0 and not clash.size:
+            G._sides = level % 2 == 1
+            G._sides.setflags(write=False)
+    return None if G._sides is False else G._sides
 
 
 def verify_many(graphs) -> list:

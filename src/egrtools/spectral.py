@@ -3,17 +3,37 @@ adjacency matrix, cycle-free walk counts on the k-regular tree, and the
 adjacency spectrum with multiplicity grouping.
 
 Exact integer moments are the ground truth here; the floating spectrum
-(LAPACK ``eigvalsh``) is checked against them at runtime, never the other
-way around: every spectrum ``eigenvalues`` returns has matched the exact
-moments of lengths 0..MOMENT_CHECK_LENGTH.  The moments take the adjacency
-matrix and the exactness rule of ``graph_core`` (float32 while no count
-exceeds 2**24, float64 while none exceeds 2**53, Python ints beyond), the
-same ones its walk pass uses.  A caller that already holds the moments or
-the spectrum passes them in (``eigenvalues(G, moments=...)``,
+(LAPACK ``eigvalsh``, or ``svd`` on the half-order route) is checked
+against them at runtime, never the other way around: every spectrum
+``eigenvalues`` returns has matched the exact moments of lengths
+0..MOMENT_CHECK_LENGTH.  The moments take the adjacency matrix and the
+exactness rule of ``graph_core`` (float32 while no count exceeds 2**24,
+float64 while none exceeds 2**53, Python ints beyond), the same ones its
+walk pass uses.  A caller that already holds the moments or the spectrum
+passes them in (``eigenvalues(G, moments=...)``,
 ``certify_tight_spectrum(G, sig, spectrum=...)``), and each is checked to
 belong to G.  The tight four-value spectrum of a bipartite girth-4 graph
 is also decided exactly, by the symmetric-design identity of
 ``_tight_identity``, and the float verdict must agree with it.
+
+The half-order route.  A connected bipartite graph with an edge (every
+family ``report`` builds: each is the Levi graph of an incidence
+structure) has a biadjacency matrix N, a x b with a <= b, its colour
+classes from the package's one BFS (``graph_core._bipartition``, cached on
+the graph).  Then A**2 = diag(NN^T, N^TN), so
+trace(A**(2j)) = 2 trace((NN^T)**j) for j >= 1, every odd moment is 0,
+and the eigenvalues of A are +-sigma_i, the singular values of N, and
+b - a zeros (Brouwer & Haemers, *Spectra of Graphs*, 2012, section 1.3).
+Both stages then run at order a <= n/2, about an eighth of the work per
+matrix product.  The moments stay exact: an entry of (NN^T)**j counts
+walks of 2j steps, so the k**L bound and its dtype are those of the
+full-order chain.  The spectrum comes from ``svd(N)``, not from
+``eigvalsh(NN^T)``: an eigenvalue of NN^T near 0 carries an absolute error
+near machine epsilon, and its square root keeps only half the digits, so a
+zero eigenvalue of A would come out near 1e-7 and change the 9-digit
+report bytes; the singular values of N are accurate to machine epsilon
+themselves.  Every other graph (not bipartite, or disconnected) takes the
+full-order route on A.
 """
 
 from __future__ import annotations
@@ -23,9 +43,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.linalg import eigvalsh
+from numpy.linalg import eigvalsh, svd
 
-from .graph_core import EgrSignature, Graph, _adjacency, _bfs_levels, _exact_dtype, _union_of
+from .graph_core import EgrSignature, Graph, _adjacency, _bipartition, _exact_dtype, _widen
 
 MAX_MOMENT_LENGTH = 16
 MAX_MOMENT_VERTICES = 2048
@@ -40,15 +60,19 @@ def walk_moments(G: Graph, L: int) -> list[int]:
     """Exact trace of A**l for l = 0..L, i.e. the closed-walk counts
     sum_i lambda_i**l.
 
-    Keeps only two consecutive powers A**j, A**(j+1) and reads
-    trace(A**l) as the Python-int sum of the row sums of
-    A**floor(l/2) * A**ceil(l/2) entrywise (A is symmetric); row i sums to
-    A**l[i, i].  So A**j costs one product each for j = 2..ceil(L/2): at
-    an even last length L, A**(L/2 + 1) is never formed.  With maximum
-    degree k, every entry of a power, every
-    partial sum of a product and every partial row sum counts walks of at
-    most L steps from one vertex, so none exceeds k**L, and the arrays take
-    their dtype from graph_core._exact_dtype(k**L).
+    A connected bipartite G with an edge takes the half-order route: with
+    N its biadjacency matrix (rows the smaller colour class),
+    A**2 = diag(NN^T, N^TN), so trace(A**(2j)) = 2 trace((NN^T)**j) for
+    j >= 1 and every odd moment is 0.  The chain of ``_power_traces`` then
+    runs on M = NN^T, of order at most n/2, up to j = L // 2.  Any other
+    graph runs the same chain on A up to L.  Entry (u, v) of M**j counts
+    the walks of 2j steps from u to v, so the bound below holds on either
+    route, and M itself (entries at most k, formed in float64) is exact.
+
+    With maximum degree k, every entry of a power, every partial sum of a
+    product and every partial row sum counts walks of at most L steps from
+    one vertex, so none exceeds k**L, and the arrays take their dtype from
+    graph_core._exact_dtype(k**L).
 
     moments[0] = n, moments[1] = 0 (no loops), moments[2] = 2|E|.
     """
@@ -57,19 +81,55 @@ def walk_moments(G: Graph, L: int) -> list[int]:
     if G.n > MAX_MOMENT_VERTICES:
         raise ValueError(f"moment computation capped at {MAX_MOMENT_VERTICES} vertices")
     k = int(G.deg.max(initial=0))
-    A = _adjacency([G], _exact_dtype(k**L))[0]
-    moments = [G.n]
-    low, high = np.eye(G.n, dtype=A.dtype), A
-    for length in range(1, L + 1):
-        if length % 2 == 0:
+    dtype = _exact_dtype(k**L)
+    N = _biadjacency(G, float)
+    if N is None:
+        return [G.n] + _power_traces(_adjacency([G], dtype)[0], L)
+    half = _power_traces(_widen(N @ N.T, dtype), L // 2)
+    return [G.n] + [0 if length % 2 else 2 * half[length // 2 - 1] for length in range(1, L + 1)]
+
+
+def _power_traces(B: np.ndarray, J: int) -> list[int]:
+    """trace(B**j) for j = 1..J of the symmetric matrix B, as Python ints:
+    the one moment chain, run on A or on NN^T (``walk_moments``).
+
+    Keeps only two consecutive powers B**i, B**(i+1) and reads
+    trace(B**j) as the Python-int sum of the row sums of
+    B**floor(j/2) * B**ceil(j/2) entrywise (B is symmetric); row r sums to
+    B**j[r, r].  So B**i costs one product each for i = 2..ceil(J/2): at an
+    even last power J, B**(J/2 + 1) is never formed.  The products run in
+    B's dtype."""
+    traces = []
+    low, high = np.eye(len(B), dtype=B.dtype), B
+    for j in range(1, J + 1):
+        if j % 2 == 0:
             low = high
-            if length < L:  # A**(length/2 + 1), read only at length + 1
-                high = high @ A
+            if j < J:  # B**(j/2 + 1), read only at j + 1
+                high = high @ B
             entrywise = low * low
         else:
             entrywise = low * high
-        moments.append(sum(int(d) for d in entrywise.sum(axis=1)))
-    return moments
+        traces.append(sum(int(d) for d in entrywise.sum(axis=1)))
+    return traces
+
+
+def _biadjacency(G: Graph, dtype) -> np.ndarray | None:
+    """The 0/1 biadjacency matrix N of G in ``dtype`` when G is connected,
+    bipartite and has an edge (``graph_core._bipartition``), else None.
+    Its rows are the smaller colour class, vertex 0's on a tie, and its
+    columns the other class, each in vertex order."""
+    right = _bipartition(G)
+    if right is None:
+        return None
+    rows = right if 2 * right.sum() < G.n else ~right
+    # each vertex's position within its colour class
+    pos = np.where(rows, np.cumsum(rows), np.cumsum(~rows)) - 1
+    src = np.arange(G.n).repeat(G.deg)
+    own = rows[src]
+    a = int(rows.sum())
+    N = np.zeros((a, G.n - a), dtype=dtype)
+    N[pos[src[own]], pos[G.indices[own]]] = 1
+    return N
 
 
 def tree_walk_count(length: int, k: int) -> int:
@@ -164,10 +224,18 @@ def _check_moments(vals: np.ndarray, exact: list[int]) -> None:
 
 
 def eigenvalues(G: Graph, tol: float = 1e-10, moments: list[int] | None = None) -> Spectrum:
-    """All adjacency eigenvalues of G, descending, from LAPACK eigvalsh
-    and checked against the exact walk moments of lengths
-    0..MOMENT_CHECK_LENGTH; grouped into multiplicities at 1e4 * tol.
-    Raises ArithmeticError when the check fails.
+    """All adjacency eigenvalues of G, descending, checked against the
+    exact walk moments of lengths 0..MOMENT_CHECK_LENGTH; grouped into
+    multiplicities at 1e4 * tol, each group's value the mean of its
+    members.  Raises ArithmeticError when the check fails.
+
+    A connected bipartite G with an edge takes the half-order route: the
+    eigenvalues are +-sigma, sigma the singular values of its a x b
+    biadjacency matrix N (LAPACK ``svd``), and b - a zeros.  ``svd`` and not
+    ``eigvalsh(NN^T)``, because the square root of a near-zero eigenvalue
+    of NN^T keeps only half the digits: a zero eigenvalue would read about
+    1e-7 (module docstring).  Every other graph takes LAPACK ``eigvalsh`` on
+    the adjacency matrix.
 
     ``moments``, when given, is ``walk_moments(G, L)`` for some
     L >= MOMENT_CHECK_LENGTH, and the check reads its first
@@ -186,17 +254,22 @@ def eigenvalues(G: Graph, tol: float = 1e-10, moments: list[int] | None = None) 
             raise ValueError(f"moments 0..2 are {list(moments[:3])}, not (n, 0, 2|E|) = {head} of this graph")
     if G.n == 0:
         return Spectrum(values=(), groups=())
-    vals = eigvalsh(_adjacency([G], float)[0])[::-1]
+    N = _biadjacency(G, float)
+    if N is None:
+        vals = eigvalsh(_adjacency([G], float)[0])[::-1]
+    else:
+        sigma = svd(N, compute_uv=False)
+        vals = np.concatenate((sigma, np.zeros(abs(N.shape[0] - N.shape[1])), -sigma[::-1]))
     _check_moments(vals, walk_moments(G, MOMENT_CHECK_LENGTH) if moments is None else moments)
     group_tol = 1e4 * tol
+    values = vals.tolist()
     groups: list[tuple[float, int]] = []
     start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or abs(vals[i] - vals[start]) > group_tol:
-            chunk = vals[start:i]
-            groups.append((float(np.mean(chunk)), len(chunk)))
+    for i in range(1, len(values) + 1):
+        if i == len(values) or abs(values[i] - values[start]) > group_tol:
+            groups.append((float(np.mean(vals[start:i])), i - start))
             start = i
-    return Spectrum(values=tuple(float(v) for v in vals), groups=tuple(groups))
+    return Spectrum(values=tuple(values), groups=tuple(groups))
 
 
 @dataclass(frozen=True)
@@ -223,27 +296,18 @@ def _tight_identity(G: Graph, k: int) -> bool:
     neighbours, at most k.  The identity holds exactly when G has the tight
     spectrum {+-k, +-sqrt(k - mu)^(n/2 - 1)}, and k - mu = (nk - 2k^2)/(n - 2).
 
-    The colour classes are the parities of the BFS levels from vertex 0.
-    With k >= 2, mu >= 1, so any two vertices of one class share a
-    neighbour and a graph that meets the identity is connected: an
-    unreached vertex, like an edge joining equal levels, means False.
+    N is ``_biadjacency``'s.  With k >= 2, mu >= 1, so any two vertices of
+    one class share a neighbour and a graph that meets the identity is
+    connected: a graph without colour classes (disconnected, or not
+    bipartite) means False.
     """
-    level, clash = _bfs_levels(_union_of([G]))
-    if G.n < 4 or (level < 0).any() or clash.size:
-        return False
-    right = (level % 2).astype(bool)
-    if 2 * right.sum() != G.n:
+    N = None if G.n < 4 else _biadjacency(G, float)
+    if N is None or 2 * len(N) != G.n:
         return False
     half = G.n // 2
     mu, rem = divmod(k * (k - 1), half - 1)
     if rem:
         return False
-    # each vertex's position within its colour class
-    pos = np.where(right, np.cumsum(right), np.cumsum(~right)) - 1
-    us, vs = G.edge_arrays()
-    left_end = np.where(right[us], vs, us)
-    N = np.zeros((half, half))
-    N[pos[left_end], pos[us + vs - left_end]] = 1
     target = np.full((half, half), float(mu))
     np.fill_diagonal(target, k)
     return np.array_equal(N @ N.T, target) and np.array_equal(N.T @ N, target)

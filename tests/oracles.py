@@ -194,6 +194,25 @@ def closed_walks_at_root(G: Graph, root: int, length: int) -> int:
     return x[root]
 
 
+def matrix_power_traces(G: Graph, L: int) -> list[int]:
+    """trace(A**l) for l = 0..L, from integer matrix powers of the dense
+    adjacency matrix in int64.  With maximum degree k, every entry and
+    partial sum of A**l is at most k**l, so k**L < 2**63 keeps them exact;
+    a larger k**L raises ValueError."""
+    k = max(map(len, G.adj), default=0)
+    if k**L >= 2**63:
+        raise ValueError(f"k**L = {k}**{L} is past int64")
+    A = np.zeros((G.n, G.n), dtype=np.int64)
+    for u, nbrs in enumerate(G.adj):
+        A[u, nbrs] = 1
+    power = np.eye(G.n, dtype=np.int64)
+    traces = [G.n]
+    for _ in range(L):
+        power = power @ A
+        traces.append(int(power.trace()))
+    return traces
+
+
 def tree_walk_counts(L: int, k: int) -> list[int]:
     """Closed walks of lengths 0..L from the root of the infinite k-regular
     tree, by a dynamic program over the distance from the root: stepping

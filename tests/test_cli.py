@@ -493,3 +493,36 @@ def test_caps_answer_their_probes_before_the_backstop(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
     assert _one_error_line(err, message) and "Traceback" not in err
+
+
+# Every parser outcome, each compared with the full tree's: the top-level
+# help and version, each command's help, an unknown and a missing command,
+# and one usage error per command.
+PARSER_CASES = [
+    ["--help"],
+    ["--version"],
+    *[[command, "--help"] for command in cli._COMMANDS],
+    ["nope"],
+    [],
+    ["construct", "--family", "pencil", "--q", "2", "--format", "xml"],
+    ["verify", "a.g6", "b.g6"],
+    ["bounds", "-k", "2", "-g", "5", "-l", "1"],
+    ["report", "--family", "pencil", "--q", "2.5"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "no-command")
+def test_one_command_parser_matches_the_full_parser(monkeypatch, capsys, argv):
+    built = []
+    for name, (help_line, add_arguments, handler) in cli._COMMANDS.items():
+        def counted(p, name=name, add_arguments=add_arguments):
+            built.append(name)
+            add_arguments(p)
+
+        monkeypatch.setitem(cli._COMMANDS, name, (help_line, counted, handler))
+    routed = run(capsys, *argv)
+    assert built == (argv[:1] if argv and argv[0] in cli._COMMANDS else list(cli._COMMANDS))
+    full = cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda command=None: full())
+    assert run(capsys, *argv) == routed
+    assert routed[0] == (EXIT_OK if {"--help", "--version"} & set(argv) else EXIT_USAGE)

@@ -28,7 +28,13 @@ from egrtools.spectral import (
     tree_walk_polynomial,
     walk_moments,
 )
-from oracles import closed_walks_at_root, degree_preserving_switch, tree_walk_counts, truncated_tree
+from oracles import (
+    closed_walks_at_root,
+    degree_preserving_switch,
+    matrix_power_traces,
+    tree_walk_counts,
+    truncated_tree,
+)
 
 # closed-walk polynomials in the degree k, as printed lists of coefficients
 PRINTED_POLYS = {
@@ -103,26 +109,79 @@ def test_moments_form_only_the_powers_they_read(monkeypatch):
         assert _CountedProducts.products == max(0, (L + 1) // 2 - 1)
 
 
+def _spy_chains(monkeypatch) -> list:
+    """Record the dtype and order of the matrix each moment chain runs on."""
+    chains = []
+
+    def spy(B, J):
+        chains.append((B.dtype, len(B)))
+        return power_traces(B, J)
+
+    power_traces = spectral._power_traces
+    monkeypatch.setattr(spectral, "_power_traces", spy)
+    return chains
+
+
 def test_moment_dtype_follows_k_to_the_L(monkeypatch):
     # every count walk_moments forms is at most k**L, so float64 serves
     # while k**L <= 2**53 whatever n is: 10**15 < 2**53 < 10**16
-    dtypes = []
-
-    def spy(G, dtype):
-        dtypes.append(dtype)
-        return graph_core._adjacency(G, dtype)
-
-    monkeypatch.setattr(spectral, "_adjacency", spy)
+    chains = _spy_chains(monkeypatch)
     k10 = complete_bipartite(10)
     # K_{k,k} has eigenvalues +-k once and 0 otherwise
     assert walk_moments(k10, 15) == [20] + [0 if l % 2 else 2 * 10**l for l in range(1, 16)]
     assert walk_moments(k10, 16)[16] == 2 * 10**16
-    assert dtypes == [np.float64, object]
-    # three disjoint K_{8,8}: n * k**16 = 48 * 2**48 > 2**53, k**16 = 2**48
+    # connected and bipartite: the chain runs on NN^T, of order 10
+    assert chains == [(np.float64, 10), (object, 10)]
+    # three disjoint K_{8,8}: n * k**16 = 48 * 2**48 > 2**53, k**16 = 2**48;
+    # disconnected, so the chain runs on A
     edges = [(8 * c + i, 8 * c + 8 + j) for c in (0, 2, 4) for i in range(8) for j in range(8)]
     moments = walk_moments(Graph.from_edges(48, edges), 16)
     assert moments == [48] + [0 if l % 2 else 6 * 8**l for l in range(1, 17)]
-    assert dtypes[2] is np.float64
+    assert chains[2] == (np.float64, 48)
+
+
+# (graph constructor, route): the half-order route runs the moment chain on
+# NN^T, of the smaller colour class's order; the full-order route on A
+HALF_ORDER_ORACLE_GRAPHS = {
+    **{
+        f"{family}_q{q}": (lambda family=family, q=q: cli.build_family(family, q), "half")
+        for family in ("biaffine1", "biaffine2", "gq_truncation", "pencil")
+        for q in (2, 3, 4, 5)
+        if q > 2 or family == "pencil"
+    },
+    "ovoid_spread_q4": (lambda: cli.build_family("ovoid_spread", 4), "half"),
+    "heawood": (heawood, "half"),
+    "tutte_coxeter": (tutte_coxeter, "half"),
+    "petersen": (petersen, "full"),
+    "hoffman_singleton": (lambda: cli.build_family("named", name="hoffman_singleton"), "full"),
+    "k33": (lambda: complete_bipartite(3), "half"),
+    # at L = 16, k**L = 10**16 > 2**53: M = NN^T takes Python ints
+    "k10_10": (lambda: complete_bipartite(10), "half"),
+    "k23": (lambda: Graph.from_edges(5, [(i, j) for i in range(2) for j in range(2, 5)]), "half"),
+    "path5": (lambda: Graph.from_edges(5, [(i, i + 1) for i in range(4)]), "half"),
+    "two_k33": (
+        lambda: Graph.from_edges(12, [(6 * c + i, 6 * c + 3 + j) for c in (0, 1) for i in range(3) for j in range(3)]),
+        "full",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HALF_ORDER_ORACLE_GRAPHS))
+def test_half_order_route_matches_the_dense_oracles(name, monkeypatch):
+    build, route = HALF_ORDER_ORACLE_GRAPHS[name]
+    G = build()
+    chains = _spy_chains(monkeypatch)
+    k = int(G.deg.max())
+    # the longest length whose integer powers int64 holds, at most 16
+    L = max(length for length in range(MAX_MOMENT_LENGTH + 1) if k**length < 2**63)
+    assert walk_moments(G, L) == matrix_power_traces(G, L)
+    dense = np.linalg.eigvalsh(graph_core._adjacency([G], float)[0])[::-1]
+    assert np.abs(np.array(eigenvalues(G).values) - dense).max() <= 1e-9
+    order = G.n
+    if route == "half":  # the smaller colour class
+        order = min(np.bincount(list(nx.bipartite.color(nx.Graph(G.edges())).values())))
+    # one chain for walk_moments(G, L), one for the check inside eigenvalues(G)
+    assert [n for _, n in chains] == [order, order]
 
 
 # the report-grid graphs, at the moment length ``report`` asks for
@@ -139,19 +198,13 @@ REPORT_GRID = [
 
 @pytest.mark.parametrize("family,q,name", REPORT_GRID)
 def test_float32_moments_match_python_ints_on_the_report_grid(family, q, name, monkeypatch):
-    dtypes = []
-
-    def spy(G, dtype):
-        dtypes.append(dtype)
-        return graph_core._adjacency(G, dtype)
-
     G = cli.build_family(family, q, name)
     L = min(verify_egr(G).g + 1, MAX_MOMENT_LENGTH)
-    monkeypatch.setattr(spectral, "_adjacency", spy)
+    chains = _spy_chains(monkeypatch)
     moments = walk_moments(G, L)
     monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 1)
     exact = walk_moments(G, L)
-    assert dtypes == [np.float32, object]
+    assert [dtype for dtype, _ in chains] == [np.float32, object]
     assert moments == exact and all(type(m) is int for m in moments)
 
 
@@ -349,7 +402,8 @@ def _hypercube(d: int) -> Graph:
 
 
 def test_report_computes_moments_and_spectrum_once(monkeypatch, capsys):
-    calls = {"eigvalsh": 0, "walk_moments": 0}
+    # one eigensolve, eigvalsh or svd, and one moment chain, in walk_moments
+    calls = {"eigensolve": 0, "walk_moments": 0, "_power_traces": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -361,10 +415,16 @@ def test_report_computes_moments_and_spectrum_once(monkeypatch, capsys):
     moments = counted("walk_moments", spectral.walk_moments)
     monkeypatch.setattr(spectral, "walk_moments", moments)
     monkeypatch.setattr(cli, "walk_moments", moments)
-    monkeypatch.setattr(spectral, "eigvalsh", counted("eigvalsh", spectral.eigvalsh))
-    assert main(["report", "--family", "pencil", "--q", "2"]) == 0
-    assert json.loads(capsys.readouterr().out)["tight_spectrum"]["certified"] is True
-    assert calls == {"eigvalsh": 1, "walk_moments": 1}
+    monkeypatch.setattr(spectral, "_power_traces", counted("_power_traces", spectral._power_traces))
+    for solver in ("eigvalsh", "svd"):
+        monkeypatch.setattr(spectral, solver, counted("eigensolve", getattr(spectral, solver)))
+    for argv in (["--family", "pencil", "--q", "2"], ["--family", "named", "--name", "petersen"]):
+        calls.update(dict.fromkeys(calls, 0))
+        assert main(["report", *argv]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        # pencil q=2 takes the half-order route, Petersen the full one
+        assert doc["signature"]["bipartite"] is doc["tight_spectrum"]["certified"] is (argv[1] == "pencil")
+        assert calls == {"eigensolve": 1, "walk_moments": 1, "_power_traces": 1}
 
 
 def test_exact_identity_overrides_the_tolerance():
