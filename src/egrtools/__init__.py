@@ -15,7 +15,6 @@ from .galois import GF, Field, is_prime
 from .geometry import (
     IncidenceGeometry,
     normalize_point,
-    ovoid_search,
     pg2_geometry,
     pg_points,
     singer_pencil,
@@ -83,7 +82,6 @@ __all__ = [
     "pg2_geometry",
     "symplectic_gq",
     "singer_pencil",
-    "ovoid_search",
     "spread_search",
     "Graph",
     "EgrSignature",

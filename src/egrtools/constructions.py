@@ -1,9 +1,10 @@
 """Edge-girth-regular graph families built from finite geometries, plus
 the named reference graphs used throughout the test suite.
 
-Every builder is a pure function of its parameters: deleted flags and
-base points are always the lexicographically smallest valid choice, so
-two runs produce identical adjacency lists.
+Every builder is a pure function of its parameters: deleted flags, base
+points and spreads are always the lexicographically smallest valid
+choice, and W(q)'s ovoid is the elliptic quadric, so two runs produce
+identical adjacency lists.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 from .galois import Field
 from .geometry import (
     IncidenceGeometry,
-    ovoid_search,
+    _tangent_planes,
+    elliptic_quadric,
     pg2_geometry,
     plane_rows,
     point_array,
@@ -25,7 +27,6 @@ from .geometry import (
     singer_pencil,
     spread_search,
     symplectic_gq,
-    tangent_planes,
 )
 from .graph_core import Graph
 
@@ -33,10 +34,11 @@ FAMILIES = ("biaffine1", "biaffine2", "gq_truncation", "ovoid_spread", "pencil",
 
 # Largest q each family built in 60 s and 1 GiB when its CSR came from edge
 # codes (2 CPUs, one BLAS thread, Python 3.11, numpy 2.4).  From the block
-# rows these take 1.5 s / 391 MiB, 2.3 s / 340 MiB and 0.6 s / 189 MiB, and
+# rows these take 1.1 s / 391 MiB, 1.7 s / 340 MiB and 0.7 s / 189 MiB, and
 # biaffine q=256 (3.3 s / 869 MiB), gq_truncation q=64 (7.2 s / 883 MiB) and
-# pencil q=27 (4.3 s / 924 MiB) fit too.  W(8)'s ovoid search passes 200 s.
-MAX_ORDER = {"biaffine1": 193, "biaffine2": 193, "gq_truncation": 49, "ovoid_spread": 4, "pencil": 19}
+# pencil q=27 (4.3 s / 924 MiB) fit too.  ovoid_spread q=16 takes 0.7 s /
+# 44 MiB; at q=32 the spread search alone takes 81 s / 528 MiB.
+MAX_ORDER = {"biaffine1": 193, "biaffine2": 193, "gq_truncation": 49, "ovoid_spread": 16, "pencil": 19}
 
 
 # Round sizes of complete_bipartite(k) and cycle(n) that build in under
@@ -176,21 +178,19 @@ def build_gq_truncation(F: Field) -> Graph:
 
 def build_ovoid_spread(F: Field) -> Graph:
     """Levi graph of W(q) minus an ovoid and a spread (q even, q >= 4):
-    q-regular, bipartite, girth 8, order 2q(q^2+1)."""
+    q-regular, bipartite, girth 8, order 2q(q^2+1).  The ovoid is the
+    elliptic quadric (``geometry.elliptic_quadric``), the spread the
+    lexicographically smallest one (``geometry.spread_search``)."""
     if F.q == 2:
         raise ValueError("q = 2 degenerates to degree 2")
-    if F.q % 2 != 0:
-        raise ValueError(f"W({F.q}) has no ovoid for odd q; construction unavailable")
     check_order("ovoid_spread", F.q)
+    ovoid = elliptic_quadric(F)
     geom = symplectic_gq(F)
-    ovoid = ovoid_search(geom)
-    if ovoid is None:
-        raise ValueError(f"no ovoid found in W({F.q})")
     spread = spread_search(geom)
     if spread is None:
         raise ValueError(f"no spread found in W({F.q})")
     keep_points = np.ones(geom.n_points, dtype=bool)
-    keep_points[list(ovoid)] = False
+    keep_points[ovoid] = False
     keep_blocks = np.ones(geom.n_blocks, dtype=bool)
     keep_blocks[list(spread)] = False
     return levi_graph(geom, keep_points, keep_blocks)
@@ -207,10 +207,9 @@ def build_pencil_graph(F: Field) -> Graph:
     check_order("pencil", F.q)
     coords = point_array(3, F)
     n = len(coords)
-    plane_of = np.full(n, -1, dtype=np.intp)
-    for member in singer_pencil(F):
-        at, planes = tangent_planes(F, member)
-        plane_of[at] = planes
+    members = np.array(singer_pencil(F))
+    plane_of = np.empty(n, dtype=np.intp)
+    plane_of[members] = _tangent_planes(F, members)
     # each plane is tangent to one member at one point, so that every point
     # lies on q^2+q+1 tangent planes, as rows_through needs
     if not (np.bincount(plane_of, minlength=n) == 1).all():

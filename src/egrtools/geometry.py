@@ -1,7 +1,7 @@
 """Projective geometries over GF(q) as numpy index arrays: PG(2,q),
 PG(3,q) and its planes, the symplectic generalized quadrangle W(q),
-pencils of ovoids from a Singer cycle, tangent planes, and deterministic
-ovoid/spread search.
+pencils of ovoids from a Singer cycle, tangent planes, the elliptic-quadric
+ovoid of W(q) for q even, and a deterministic spread search.
 
 Points are the rows of an (N x d) array of field-element indices
 (``point_array``), normalized so the first nonzero coordinate is 1 and
@@ -22,6 +22,7 @@ reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -260,44 +261,91 @@ def singer_pencil(F: Field) -> tuple[tuple[int, ...], ...]:
     E = F.extension(4)
     n = (q**4 - 1) // (q - 1)  # q^3 + q^2 + q + 1; w^t for t < n meets each point once
     point_of_exponent = point_index(F, (E._exp[:n, None] // q ** np.arange(4)) % q)
-    # q+1 orbits of q^2+1 exponents each: a partition exactly when no point repeats
-    members = [np.sort(point_of_exponent[r :: q + 1]) for r in range(q + 1)]
     if not (np.sort(point_of_exponent) == np.arange(n)).all():
         raise ArithmeticError("pencil members do not partition PG(3,q)")
-    for member in members:
-        if _collinear_triples(F, member):
-            raise ArithmeticError("pencil member contains three collinear points")
-    return tuple(tuple(member.tolist()) for member in members)
+    # q+1 orbits of q^2+1 exponents each, r, r + q+1, ...: a partition, as no point repeats
+    members = np.sort(point_of_exponent.reshape(-1, q + 1).T, axis=1)
+    if _collinear_triples(F, members).any():
+        raise ArithmeticError("pencil member contains three collinear points")
+    return tuple(map(tuple, members.tolist()))
 
 
-def _collinear_triples(F: Field, points) -> int:
-    """Number of collinear triples in a set of PG(3,q) point indices.  A
-    non-collinear triple lies on one plane and a collinear one on q+1, so
-    the sum over planes of C(|plane & set|, 3) is C(m, 3) plus q times
-    the collinear triples."""
-    members = np.array(sorted(set(points)), dtype=np.intp)
-    # |plane & set| for every plane: the planes through point r are row r
-    c = np.bincount(plane_rows(F)[members].ravel(), minlength=len(plane_rows(F)))
-    m = len(members)
-    on_planes = int((c * (c - 1) * (c - 2)).sum()) // 6
-    return (on_planes - m * (m - 1) * (m - 2) // 6) // F.q
+def _plane_meets(F: Field, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For an (m x s) array whose row i holds s distinct points of PG(3,q),
+    the (row, plane) pairs of the planes through each point, as codes
+    i * planes + plane in an (m x s x (q^2+q+1)) array (row r of
+    ``plane_rows`` lists the planes through point r), and the count of
+    each code, |plane & row i|, from one bincount."""
+    rows = plane_rows(F)
+    codes = rows[sets]
+    codes += len(rows) * np.arange(len(sets))[:, None, None]
+    return codes, np.bincount(codes.ravel(), minlength=len(sets) * len(rows))
+
+
+def _collinear_triples(F: Field, sets: np.ndarray) -> np.ndarray:
+    """Number of collinear triples in each row of an (m x s) array of
+    distinct PG(3,q) points.  A non-collinear triple lies on one plane and
+    a collinear one on q+1, so the sum over planes of C(|plane & row|, 3)
+    is C(s, 3) plus q times the collinear triples."""
+    c = _plane_meets(F, sets)[1].reshape(len(sets), -1)
+    on_planes = (c * (c - 1) * (c - 2)).sum(axis=1) // 6
+    return (on_planes - math.comb(sets.shape[1], 3)) // F.q
+
+
+def _tangent_planes(F: Field, sets: np.ndarray) -> np.ndarray:
+    """The tangent plane of each point of an (m x s) array of distinct
+    PG(3,q) points, row by row: the one plane meeting the point's row in
+    that point alone.  ValueError unless every point has exactly one."""
+    codes, c = _plane_meets(F, sets)
+    tangent = c[codes] == 1
+    counts = tangent.sum(axis=2)
+    bad = np.flatnonzero(counts != 1)
+    if len(bad):
+        raise ValueError(
+            f"expected exactly one tangent plane through point {sets.flat[bad[0]]}, "
+            f"found {counts.flat[bad[0]]}; the point set is not an ovoid"
+        )
+    return codes[tangent].reshape(sets.shape) % len(plane_rows(F))
 
 
 def tangent_planes(F: Field, ovoid) -> tuple[np.ndarray, np.ndarray]:
     """(M, planes): the sorted distinct points M of the ovoid and, for each,
-    the index of its tangent plane, the one plane meeting the set in that
-    point alone.  ValueError unless every point has exactly one."""
+    the index of its tangent plane (``_tangent_planes`` on one row)."""
     members = np.array(sorted(set(ovoid)), dtype=np.intp)
-    through = plane_rows(F)[members]
-    tangent = np.bincount(through.ravel(), minlength=len(plane_rows(F)))[through] == 1
-    counts = tangent.sum(axis=1)
-    bad = np.flatnonzero(counts != 1)
-    if len(bad):
-        raise ValueError(
-            f"expected exactly one tangent plane through point {members[bad[0]]}, "
-            f"found {counts[bad[0]]}; the point set is not an ovoid"
-        )
-    return members, through[np.arange(len(members)), tangent.argmax(axis=1)]
+    return members, _tangent_planes(F, members[None, :])[0]
+
+
+def elliptic_quadric(F: Field) -> np.ndarray:
+    """The ovoid of W(q), q even, as ascending point indices: the zeros of
+    the elliptic quadric Q(x) = d x0^2 + x0 x1 + x1^2 + x2 x3, d the
+    smallest field element of absolute trace 1 (Payne & Thas, Finite
+    Generalized Quadrangles, 1.8 and 3.2).  In characteristic 2 the polar
+    form of Q is W(q)'s alternating form, and with trace 1, x^2 + x + d has
+    no root, so Q is elliptic.  ValueError for odd q; ArithmeticError, an
+    arithmetic bug, unless the zeros are q^2+1 points and every line of
+    W(q) meets them once (``_check_ovoid``)."""
+    if F.p != 2:
+        raise ValueError(f"W({F.q}) has no ovoid for odd q; construction unavailable")
+    add, mul = F.tables.add, F.tables.mul
+    trace = power = np.arange(F.q)
+    for _ in range(F.e - 1):  # x + x^2 + x^4 + ... + x^(q/2)
+        power = mul[power, power]
+        trace = add[trace, power]
+    d = int(np.argmax(trace == 1))
+    x0, x1, x2, x3 = point_array(3, F).T
+    form = add[add[mul[d, mul[x0, x0]], mul[x0, x1]], add[mul[x1, x1], mul[x2, x3]]]
+    return _check_ovoid(F, np.flatnonzero(form == 0))
+
+
+def _check_ovoid(F: Field, points: np.ndarray) -> np.ndarray:
+    """``points`` when they are q^2+1 points of W(q) and every line of W(q)
+    meets them once; else ArithmeticError."""
+    q, blocks = F.q, symplectic_gq(F).blocks
+    on = np.zeros(len(point_array(3, F)), dtype=bool)
+    on[points] = True
+    if len(points) != q * q + 1 or not (on[blocks].sum(axis=1) == 1).all():
+        raise ArithmeticError(f"the elliptic quadric is not an ovoid of W({q}); field arithmetic is broken")
+    return points
 
 
 def _first_cover_solution(n_items: int, compat: list[int], target: int, cover_masks: list[int]):
@@ -348,14 +396,6 @@ def _cover_search(rows: list[list[int]], n_items: int, target: int):
     full = (1 << n_items) - 1
     compat = [full & ~(clash[v] | (1 << v)) for v in range(n_items)]
     return _first_cover_solution(n_items, compat, target, [sum(1 << v for v in row) for row in rows])
-
-
-def ovoid_search(G: IncidenceGeometry):
-    """Lexicographically smallest ovoid of a GQ of order (q,q): q^2+1
-    pairwise non-collinear points, meeting every line.  Returns None when
-    the exhaustive search finds none (e.g. W(q) for odd q)."""
-    q = G.blocks.shape[1] - 1
-    return _cover_search(G.blocks.tolist(), G.n_points, q * q + 1)
 
 
 def spread_search(G: IncidenceGeometry):

@@ -9,7 +9,8 @@ one disjoint union in CSR (``_Union``; one graph's own arrays serve, with
 no copy), a stream block stays one union from the graph6 block decoder to
 its verdicts, and ``verify_egr(G)`` is ``verify_many([G])``.  One frontier
 BFS over the union (``_bfs_levels``, the package's one BFS) gives
-connectivity and bipartiteness, and each graph's segment of the degrees
+connectivity, bipartiteness and each Graph's colour classes, kept on it
+for the spectral stage, and each graph's segment of the degrees
 its regularity; the graphs that pass fill (B, n, n) stacks by order for
 the one walk engine (``_girth_walks`` over ``_nb_walks``), and one pass
 over their edges' counts gives every verdict.  So a block's fixed costs
@@ -95,7 +96,8 @@ class Graph:
     ascending order and ``deg[v]`` is their count; all three are read-only
     int64 arrays.  ``adj`` is the same adjacency as a list of sorted lists
     of Python ints, built on first use and cached, for JSON output; the
-    colour classes of ``_bipartition`` are cached beside it.
+    colour classes of ``_bipartition`` and the biadjacency matrix of
+    ``spectral._biadjacency`` are cached beside it.
 
     ``Graph(adj)`` takes a sequence whose entry v holds the neighbours of v
     in any order; ``Graph.from_edges`` takes the edges.  Both validate with
@@ -110,7 +112,7 @@ class Graph:
     Equality and hashing consider adjacency only; labels are metadata.
     """
 
-    __slots__ = ("indptr", "indices", "deg", "labels", "_adj", "_sides")
+    __slots__ = ("indptr", "indices", "deg", "labels", "_adj", "_sides", "_biadj")
 
     def __init__(self, adj, labels=None):
         n = len(adj)
@@ -172,7 +174,7 @@ class Graph:
             raise ValueError("labels length must equal vertex count")
         self.indptr, self.indices, self.deg = indptr, indices, deg
         self.labels = list(labels) if labels is not None else None
-        self._adj = self._sides = None
+        self._adj = self._sides = self._biadj = None
 
     @property
     def adj(self) -> list[list[int]]:
@@ -539,16 +541,22 @@ def _bfs_levels(u: _Union) -> tuple[np.ndarray, np.ndarray]:
 def _bipartition(G: Graph) -> np.ndarray | None:
     """G's colour classes when G is connected, bipartite and has an edge:
     a read-only bool array, True at the vertices an odd distance from
-    vertex 0; else None.  From one ``_bfs_levels`` pass, kept on G for later
-    calls (``G._sides``: None until computed, False when there are no
-    classes)."""
+    vertex 0; else None.  Kept on G (``G._sides``: None until computed,
+    False when there are no classes) by the ``_bfs_levels`` pass of
+    ``verify_many``, or of the first call here."""
     if G._sides is None:
         level, clash = _bfs_levels(_union_of([G]))
-        G._sides = False
-        if G.num_edges() and level.min() >= 0 and not clash.size:
-            G._sides = level % 2 == 1
-            G._sides.setflags(write=False)
+        _keep_sides(G, level, not clash.size)
     return None if G._sides is False else G._sides
+
+
+def _keep_sides(G: Graph, level: np.ndarray, bipartite: bool) -> None:
+    """Set ``G._sides`` from G's levels in a ``_bfs_levels`` pass and
+    whether no edge of G joins two vertices of one level."""
+    G._sides = False
+    if G.num_edges() and bipartite and level.min() >= 0:
+        G._sides = level % 2 == 1
+        G._sides.setflags(write=False)
 
 
 def verify_many(graphs) -> list:
@@ -556,22 +564,22 @@ def verify_many(graphs) -> list:
     order, its EgrSignature, or the NotEdgeGirthRegular or ValueError
     instance that ``verify_egr`` would raise.  ``graphs`` is a list of
     Graphs, concatenated into one union, or the union ``_decode_block``
-    gives a stream block; the block core ``_verify_union`` verifies it."""
-    if not isinstance(graphs, _Union):
-        graphs = list(graphs)
-        if not graphs:
-            return []
-        graphs = _union_of(graphs)
-    return _verify_union(graphs)
+    gives a stream block; the block core ``_verify_union`` verifies it.
+    Graphs keep their colour classes from its BFS (``_bipartition``)."""
+    if isinstance(graphs, _Union):
+        return _verify_union(graphs)
+    graphs = list(graphs)
+    return _verify_union(_union_of(graphs), graphs) if graphs else []
 
 
-def _verify_union(u: _Union) -> list:
+def _verify_union(u: _Union, graphs=()) -> list:
     """The block core: the verdicts of the union's graphs, in order, as
     ``verify_many`` returns them.  Connectivity and bipartiteness come from
     one ``_bfs_levels`` pass, the degree checks from one reduction per
     bound over the degrees; the graphs that pass take the walk pass
     (``_girth_counts``), and one pass over all their edges compares each
-    edge's count with its graph's first edge's."""
+    edge's count with its graph's first edge's.  ``graphs``, the Graphs
+    the union was made of, if any, keep their colour classes."""
     first, _, deg, _, _ = u
     orders = first[1:] - first[:-1]
     level, clash = _bfs_levels(u)
@@ -581,6 +589,8 @@ def _verify_union(u: _Union) -> list:
     # a component is bipartite exactly when no edge joins two vertices at the same level
     bipartite = np.ones(len(orders), dtype=bool)
     bipartite[first[1:].searchsorted(clash, side="right")] = False
+    for i, G in enumerate(graphs):
+        _keep_sides(G, level[first[i] : first[i + 1]], bipartite[i])
     # a pad after the degrees ends the last graph's segment; an empty
     # graph's segment reads the next graph's first degree, never used
     low, high = (f.reduceat(np.concatenate((deg, [0])), first)[:-1] for f in (np.minimum, np.maximum))

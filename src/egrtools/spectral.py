@@ -20,7 +20,8 @@ The half-order route.  A connected bipartite graph with an edge (every
 family ``report`` builds: each is the Levi graph of an incidence
 structure) has a biadjacency matrix N, a x b with a <= b, its colour
 classes from the package's one BFS (``graph_core._bipartition``, cached on
-the graph).  Then A**2 = diag(NN^T, N^TN), so
+the graph); N is built once per graph and cached too (``_biadjacency_of``).
+Then A**2 = diag(NN^T, N^TN), so
 trace(A**(2j)) = 2 trace((NN^T)**j) for j >= 1, every odd moment is 0,
 and the eigenvalues of A are +-sigma_i, the singular values of N, and
 b - a zeros (Brouwer & Haemers, *Spectra of Graphs*, 2012, section 1.3).
@@ -82,7 +83,7 @@ def walk_moments(G: Graph, L: int) -> list[int]:
         raise ValueError(f"moment computation capped at {MAX_MOMENT_VERTICES} vertices")
     k = int(G.deg.max(initial=0))
     dtype = _exact_dtype(k**L)
-    N = _biadjacency(G, float)
+    N = _biadjacency_of(G)
     if N is None:
         return [G.n] + _power_traces(_adjacency([G], dtype)[0], L)
     half = _power_traces(_widen(N @ N.T, dtype), L // 2)
@@ -113,11 +114,23 @@ def _power_traces(B: np.ndarray, J: int) -> list[int]:
     return traces
 
 
-def _biadjacency(G: Graph, dtype) -> np.ndarray | None:
-    """The 0/1 biadjacency matrix N of G in ``dtype`` when G is connected,
-    bipartite and has an edge (``graph_core._bipartition``), else None.
-    Its rows are the smaller colour class, vertex 0's on a tie, and its
-    columns the other class, each in vertex order."""
+def _biadjacency_of(G: Graph) -> np.ndarray | None:
+    """``_biadjacency(G)``, built on the first call and kept on G
+    (``G._biadj``: None until built, False when G has none), so that
+    ``walk_moments``, ``eigenvalues`` and ``_tight_identity`` share one N.
+    At the report cap of 2048 vertices N holds at most 1024 x 1024 float64
+    entries, 8 MiB, for as long as G lives."""
+    if G._biadj is None:
+        N = _biadjacency(G)
+        G._biadj = False if N is None else N
+    return None if G._biadj is False else G._biadj
+
+
+def _biadjacency(G: Graph) -> np.ndarray | None:
+    """The read-only 0/1 float64 biadjacency matrix N of G when G is
+    connected, bipartite and has an edge (``graph_core._bipartition``),
+    else None.  Its rows are the smaller colour class, vertex 0's on a tie,
+    and its columns the other class, each in vertex order."""
     right = _bipartition(G)
     if right is None:
         return None
@@ -127,8 +140,9 @@ def _biadjacency(G: Graph, dtype) -> np.ndarray | None:
     src = np.arange(G.n).repeat(G.deg)
     own = rows[src]
     a = int(rows.sum())
-    N = np.zeros((a, G.n - a), dtype=dtype)
+    N = np.zeros((a, G.n - a))
     N[pos[src[own]], pos[G.indices[own]]] = 1
+    N.setflags(write=False)
     return N
 
 
@@ -254,7 +268,7 @@ def eigenvalues(G: Graph, tol: float = 1e-10, moments: list[int] | None = None) 
             raise ValueError(f"moments 0..2 are {list(moments[:3])}, not (n, 0, 2|E|) = {head} of this graph")
     if G.n == 0:
         return Spectrum(values=(), groups=())
-    N = _biadjacency(G, float)
+    N = _biadjacency_of(G)
     if N is None:
         vals = eigvalsh(_adjacency([G], float)[0])[::-1]
     else:
@@ -296,12 +310,12 @@ def _tight_identity(G: Graph, k: int) -> bool:
     neighbours, at most k.  The identity holds exactly when G has the tight
     spectrum {+-k, +-sqrt(k - mu)^(n/2 - 1)}, and k - mu = (nk - 2k^2)/(n - 2).
 
-    N is ``_biadjacency``'s.  With k >= 2, mu >= 1, so any two vertices of
+    N is ``_biadjacency_of``'s.  With k >= 2, mu >= 1, so any two vertices of
     one class share a neighbour and a graph that meets the identity is
     connected: a graph without colour classes (disconnected, or not
     bipartite) means False.
     """
-    N = None if G.n < 4 else _biadjacency(G, float)
+    N = None if G.n < 4 else _biadjacency_of(G)
     if N is None or 2 * len(N) != G.n:
         return False
     half = G.n // 2

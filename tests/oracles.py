@@ -8,7 +8,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from egrtools.geometry import normalize_point
+from egrtools.geometry import IncidenceGeometry, _cover_search, normalize_point
 from egrtools.graph_core import Graph
 
 
@@ -229,6 +229,15 @@ def tree_walk_counts(L: int, k: int) -> list[int]:
         ways = nxt
         counts.append(ways.get(0, 0))
     return counts
+
+
+def ovoid_search(G: IncidenceGeometry):
+    """Lexicographically smallest ovoid of a GQ of order (q,q) by
+    exhaustive search: q^2+1 pairwise non-collinear points, meeting every
+    line.  None when there is none (W(q) for odd q).  It finishes up to
+    W(4); W(8) did not finish in 200 s."""
+    q = G.blocks.shape[1] - 1
+    return _cover_search(G.blocks.tolist(), G.n_points, q * q + 1)
 
 
 def dot(F, a, x) -> int:

@@ -2,8 +2,9 @@ import egrtools
 from egrtools import geometry, graph_core
 
 # public names that were removed; the one walk pass and the one BFS in
-# graph_core cover what they did
-REMOVED = ["girth", "bipartition", "distance_layers", "count_cycles_through_vertex", "tangent_plane"]
+# graph_core cover what they did, and the elliptic quadric gives W(q)'s
+# ovoid (the exhaustive ovoid search is a test oracle)
+REMOVED = ["girth", "bipartition", "distance_layers", "count_cycles_through_vertex", "tangent_plane", "ovoid_search"]
 
 
 def test_every_public_name_resolves():
@@ -18,5 +19,5 @@ def test_removed_names_are_gone():
         assert not hasattr(egrtools, name), name
     for name in ["girth", "bfs_distances", "distance_layers", "bipartition", "count_cycles_through_vertex"]:
         assert not hasattr(graph_core, name), name
-    for name in ["tangent_plane", "plane_points"]:
+    for name in ["tangent_plane", "plane_points", "ovoid_search"]:
         assert not hasattr(geometry, name), name

@@ -48,6 +48,18 @@ def test_construct_json_format_carries_labels(capsys):
     assert inner["adjacency"] and len(inner["adjacency"]) == 16
 
 
+def test_construct_ovoid_spread_q8(capsys):
+    # the elliptic-quadric ovoid takes the family past q = 4; q = 16
+    # (n = 8224) is past the verify cap
+    code, out, _ = run(capsys, "construct", "--family", "ovoid_spread", "--q", "8", "--format", "graph6")
+    assert code == EXIT_OK
+    sig = json.loads(out)["signature"]
+    assert sig == {"n": 1040, "k": 8, "g": 8, "lambda": 1764, "bipartite": True}
+    code, out, err = run(capsys, "construct", "--family", "ovoid_spread", "--q", "16")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: verification is capped at 4096 vertices (got n = 8224)\n"
+
+
 def test_construct_invalid_family_and_q(capsys):
     code, _, err = run(capsys, "construct", "--family", "ovoid_spread", "--q", "3")
     assert code == EXIT_USAGE
@@ -298,7 +310,7 @@ def test_construct_bad_q_is_a_usage_error(capsys, q, message):
 
 
 @pytest.mark.parametrize("family,q", [("biaffine1", 197), ("biaffine2", 197), ("gq_truncation", 53),
-                                      ("ovoid_spread", 8), ("pencil", 23)])
+                                      ("ovoid_spread", 32), ("pencil", 23)])
 def test_report_over_size_cap_is_a_usage_error(capsys, family, q):
     code, out, err = run(capsys, "report", "--family", family, "--q", str(q))
     assert code == EXIT_USAGE

@@ -58,9 +58,11 @@ def test_gq_truncation_deletion_counts():
 
 
 def test_ovoid_spread_signature():
-    sig = verify_egr(build_ovoid_spread(F[4]))
-    assert (sig.n, sig.k, sig.g, sig.lam) == (136, 4, 8, 36)
-    assert sig.bipartite
+    # lambda is ((q-1)(q-2))^2 at both q; not pinned as a formula
+    for field, expected in ((F[4], (136, 4, 8, 36)), (GF(2, 3), (1040, 8, 8, 1764))):
+        sig = verify_egr(build_ovoid_spread(field))
+        assert (sig.n, sig.k, sig.g, sig.lam) == expected
+        assert sig.bipartite
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -180,7 +182,7 @@ BUILDERS = {
 @pytest.mark.parametrize(
     "family,q",
     [(f, q) for f in ("biaffine1", "biaffine2", "gq_truncation") for q in (3, 4, 5, 7, 8, 9)]
-    + [("ovoid_spread", 4)]
+    + [("ovoid_spread", q) for q in (4, 8)]
     + [("pencil", q) for q in (2, 3, 4, 5, 7, 8, 9)],
 )
 def test_family_order_is_the_built_order(family, q):
@@ -273,7 +275,7 @@ def test_labels_are_pinned(family, q):
 
 # The next q above each family's cap that the family takes (ovoid_spread
 # needs q even).
-OVER_CAP = {"biaffine1": 197, "biaffine2": 197, "gq_truncation": 53, "ovoid_spread": 8, "pencil": 23}
+OVER_CAP = {"biaffine1": 197, "biaffine2": 197, "gq_truncation": 53, "ovoid_spread": 32, "pencil": 23}
 
 
 @pytest.mark.parametrize("family", sorted(OVER_CAP))

@@ -6,13 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from geometry_pins import GEOMETRY_SPECS, PLANE_ORDERS, build_uncached, pin_of, plane_pin_of, spec_id
-from oracles import dot, incidence, line_through
+from oracles import dot, incidence, line_through, ovoid_search
 
 from egrtools import geometry
 from egrtools.galois import GF, prime_power
 from egrtools.geometry import (
+    _check_ovoid,
+    elliptic_quadric,
     normalize_point,
-    ovoid_search,
     pg2_geometry,
     pg_points,
     plane_rows,
@@ -259,9 +260,8 @@ def test_collinear_triples_match_brute_force():
         brute = sum(
             1 for a, b, c in combinations(chosen, 3) if pts[c] in line_through(F, pts[a], pts[b])
         )
-        assert geometry._collinear_triples(F, chosen) == brute
-    for member in singer_pencil(F):
-        assert geometry._collinear_triples(F, member) == 0
+        assert geometry._collinear_triples(F, np.array([chosen])).tolist() == [brute]
+    assert geometry._collinear_triples(F, np.array(singer_pencil(F))).tolist() == [0] * 4
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -336,7 +336,8 @@ def test_cover_search_runs_deeper_than_the_recursion_limit():
     assert geometry._first_cover_solution(n, compat, (n + 1) // 2, [full]) == tuple(range(0, n, 2))
 
 
-# recorded from the recursive search, before it kept its own stack
+# recorded from the recursive search, before it kept its own stack; the
+# ovoid search is the test oracle, the spread search the library's
 SEARCH_PINS = {
     2: ((0, 1, 6, 10, 14), (0, 4, 8, 12, 13)),
     4: ((0, 1, 10, 16, 19, 27, 30, 36, 43, 46, 52, 60, 63, 66, 76, 79, 82),
@@ -348,3 +349,35 @@ SEARCH_PINS = {
 def test_ovoid_and_spread_searches_are_pinned(q):
     geom = symplectic_gq(FIELDS[q])
     assert (ovoid_search(geom), spread_search(geom)) == SEARCH_PINS[q]
+
+
+def test_elliptic_quadric_is_the_searched_ovoid_of_w4():
+    F = FIELDS[4]
+    assert tuple(elliptic_quadric(F).tolist()) == ovoid_search(symplectic_gq(F)) == SEARCH_PINS[4][0]
+
+
+@pytest.mark.parametrize("q", [4, 8, 16, 32])
+def test_elliptic_quadric_meets_every_line_once(q):
+    F = GF(*prime_power(q))
+    ovoid = elliptic_quadric(F)
+    assert len(ovoid) == q * q + 1
+    on = np.zeros(len(point_array(3, F)), dtype=int)
+    on[ovoid] = 1
+    assert (on[symplectic_gq(F).blocks].sum(axis=1) == 1).all()
+
+
+def test_ovoid_check_refuses_a_swapped_point():
+    F = FIELDS[4]
+    ovoid = elliptic_quadric(F)
+    outside = np.setdiff1d(np.arange(len(point_array(3, F))), ovoid)
+    for swap in (0, 8, 16):
+        for new in (outside[0], outside[-1]):
+            points = np.sort(np.concatenate((np.delete(ovoid, swap), [new])))
+            with pytest.raises(ArithmeticError, match="not an ovoid of W"):
+                _check_ovoid(F, points)
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_elliptic_quadric_needs_q_even(q):
+    with pytest.raises(ValueError, match="no ovoid for odd q"):
+        elliptic_quadric(GF(*prime_power(q)))

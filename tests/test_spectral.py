@@ -402,8 +402,10 @@ def _hypercube(d: int) -> Graph:
 
 
 def test_report_computes_moments_and_spectrum_once(monkeypatch, capsys):
-    # one eigensolve, eigvalsh or svd, and one moment chain, in walk_moments
-    calls = {"eigensolve": 0, "walk_moments": 0, "_power_traces": 0}
+    # one eigensolve, eigvalsh or svd, and one moment chain, in walk_moments;
+    # one BFS, verify's, and one build of N (None for Petersen), shared by
+    # the moments, the spectrum and the exact identity
+    calls = {"eigensolve": 0, "walk_moments": 0, "_power_traces": 0, "_bfs_levels": 0, "_biadjacency": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -418,13 +420,15 @@ def test_report_computes_moments_and_spectrum_once(monkeypatch, capsys):
     monkeypatch.setattr(spectral, "_power_traces", counted("_power_traces", spectral._power_traces))
     for solver in ("eigvalsh", "svd"):
         monkeypatch.setattr(spectral, solver, counted("eigensolve", getattr(spectral, solver)))
+    monkeypatch.setattr(graph_core, "_bfs_levels", counted("_bfs_levels", graph_core._bfs_levels))
+    monkeypatch.setattr(spectral, "_biadjacency", counted("_biadjacency", spectral._biadjacency))
     for argv in (["--family", "pencil", "--q", "2"], ["--family", "named", "--name", "petersen"]):
         calls.update(dict.fromkeys(calls, 0))
         assert main(["report", *argv]) == 0
         doc = json.loads(capsys.readouterr().out)
         # pencil q=2 takes the half-order route, Petersen the full one
         assert doc["signature"]["bipartite"] is doc["tight_spectrum"]["certified"] is (argv[1] == "pencil")
-        assert calls == {"eigensolve": 1, "walk_moments": 1, "_power_traces": 1}
+        assert calls == dict.fromkeys(calls, 1)
 
 
 def test_exact_identity_overrides_the_tolerance():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from egrtools import cli
+from egrtools import cli, graph_core
 from egrtools.cli import EXIT_USAGE, main
 
 DATA = Path(__file__).with_name("data")
@@ -26,6 +26,26 @@ def test_stream_sample_output_is_byte_identical(block, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out == (DATA / "stream_sample.jsonl").read_text(encoding="utf-8")
     assert code == EXIT_USAGE
+
+
+def test_stream_blocks_set_no_graph_state(capsys, monkeypatch):
+    # a decoded block reaches verify_many as a union, with no Graph whose
+    # colour classes could be kept
+    unions = []
+
+    def verify_many(graphs):
+        unions.append(isinstance(graphs, graph_core._Union))
+        return graph_core.verify_many(graphs)
+
+    def keep_sides(*args):
+        raise AssertionError("a stream block set a Graph's colour classes")
+
+    monkeypatch.setattr(cli, "verify_many", verify_many)
+    monkeypatch.setattr(graph_core, "_keep_sides", keep_sides)
+    monkeypatch.setattr("sys.stdin", io.StringIO((DATA / "stream_sample.g6").read_text(encoding="utf-8")))
+    assert main(["verify", "--stdin-g6-stream"]) == EXIT_USAGE
+    assert capsys.readouterr().out == (DATA / "stream_sample.jsonl").read_text(encoding="utf-8")
+    assert unions and all(unions)
 
 
 class Recorder(io.StringIO):
