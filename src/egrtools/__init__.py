@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .galois import GF, Field, is_prime
 from .geometry import (
     IncidenceGeometry,
-    normalize_point,
     pg2_geometry,
     pg_points,
     singer_pencil,
@@ -26,8 +25,6 @@ from .graph_core import (
     Graph,
     Graph6Error,
     NotEdgeGirthRegular,
-    count_girth_cycles_through_edge,
-    cycle_counts_through_vertices,
     graph6_decode,
     graph6_decode_many,
     graph6_encode,
@@ -77,7 +74,6 @@ __all__ = [
     "Field",
     "is_prime",
     "IncidenceGeometry",
-    "normalize_point",
     "pg_points",
     "pg2_geometry",
     "symplectic_gq",
@@ -87,8 +83,6 @@ __all__ = [
     "EgrSignature",
     "NotEdgeGirthRegular",
     "Graph6Error",
-    "count_girth_cycles_through_edge",
-    "cycle_counts_through_vertices",
     "verify_egr",
     "verify_many",
     "graph6_encode",

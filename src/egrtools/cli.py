@@ -188,7 +188,7 @@ def _emit(doc: dict, out_path: str | None) -> None:
 def cmd_construct(args, argv) -> int:
     n = family_order(args.family, args.q, args.name)
     if n > graph_core.MAX_VERIFY_VERTICES:
-        raise UsageError(f"verification is capped at {graph_core.MAX_VERIFY_VERTICES} vertices (got n = {n})")
+        raise UsageError(str(graph_core._cap_error(n)))
     G = build_family(args.family, args.q, args.name)
     try:
         sig = verify_egr(G)

@@ -32,19 +32,6 @@ import numpy as np
 from .galois import Field
 
 
-def normalize_point(F: Field, coords) -> tuple[int, ...]:
-    """Canonical projective representative: scale so the first nonzero
-    coordinate equals 1."""
-    coords = tuple(coords)
-    for c in coords:
-        if c != 0:
-            if c == 1:
-                return coords
-            s = F.inv(c)
-            return tuple(F.mul(s, x) for x in coords)
-    raise ValueError("the all-zero vector is not a projective point")
-
-
 @lru_cache(maxsize=None)
 def point_array(dim: int, F: Field) -> np.ndarray:
     """The points of PG(dim, q) as a read-only (N x (dim+1)) int64 array
@@ -306,13 +293,6 @@ def _tangent_planes(F: Field, sets: np.ndarray) -> np.ndarray:
             f"found {counts.flat[bad[0]]}; the point set is not an ovoid"
         )
     return codes[tangent].reshape(sets.shape) % len(plane_rows(F))
-
-
-def tangent_planes(F: Field, ovoid) -> tuple[np.ndarray, np.ndarray]:
-    """(M, planes): the sorted distinct points M of the ovoid and, for each,
-    the index of its tangent plane (``_tangent_planes`` on one row)."""
-    members = np.array(sorted(set(ovoid)), dtype=np.intp)
-    return members, _tangent_planes(F, members[None, :])[0]
 
 
 def elliptic_quadric(F: Field) -> np.ndarray:

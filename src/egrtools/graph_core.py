@@ -22,15 +22,11 @@ reverse the edge just used).  The girth g of each graph in a stack is the
 first l at which its A_l has a nonzero diagonal, read as a strided view.
 In a graph of girth g, a non-backtracking walk of fewer than g edges
 repeats no vertex, so a walk of g-1 edges between the ends of an edge uv
-is a path that closes one g-cycle through uv.  A closed non-backtracking
-walk shorter than 2g holds a single cycle; unless it is that cycle, it
-adds a tail walked out and back, for at least g+2 edges.  So a closed
-walk of g or g+1 edges from v is a cycle through v, counted once in each
-direction.
+is a path that closes one g-cycle through uv.
 
 The counts are exact integers under one rule, ``_exact_dtype``: a
 computation runs in float32 while no integer it forms can pass 2**24, in
-float64 while none can pass 2**53, and in Python ints beyond.  Within
+float64 while none can pass 2**53, and in Python ints past that.  Within
 those ranges a float type holds every integer, and since the counts are
 nonnegative every partial sum of a product lies between 0 and the final
 sum, so a sum is formed exactly in any order, with or without fused
@@ -395,13 +391,6 @@ def _cap_error(n: int) -> ValueError:
     return ValueError(f"verification is capped at {MAX_VERIFY_VERTICES} vertices (got n = {n})")
 
 
-def _walk_stack(G: Graph) -> np.ndarray:
-    """G's adjacency as a walk stack of one, after the vertex cap check."""
-    if G.n > MAX_VERIFY_VERTICES:
-        raise _cap_error(G.n)
-    return _adjacency([G], _exact_dtype(1))
-
-
 def _nb_walks(A: np.ndarray):
     """Yield the non-backtracking walk matrices A_1 = A, A_2, ... of a
     prebuilt (B, n, n) stack A of adjacency matrices, exactly, as (B, n, n)
@@ -437,75 +426,34 @@ def _nb_walks(A: np.ndarray):
         prev, cur = cur, nxt
 
 
-def _girth_walks(A: np.ndarray, beyond: int = 0) -> tuple[list, list[np.ndarray]]:
+def _girth_walks(A: np.ndarray) -> tuple[list, np.ndarray]:
     """The girths of the graphs of a prebuilt (B, n, n) adjacency stack A
-    (math.inf for a forest) and, from one walk pass, their A_{g-1}, and
-    A_g, ..., A_{g+beyond} too when beyond > 0, each a (B, n, n) stack whose
-    slice b belongs to graph b (zero for a forest).  The pass stops once
-    every member has its matrices or is known to be a forest: the stack is
-    all zero, or the pass has reached length n, the longest a cycle can be,
-    without a closed walk for it."""
+    (math.inf for a forest) and, from one walk pass, their A_{g-1}, a
+    (B, n, n) stack whose slice b belongs to graph b (zero for a forest).
+    The pass stops once every member has its girth or is known to be a
+    forest: the stack is all zero, or the pass has reached length n, the
+    longest a cycle can be, without a closed walk for it."""
     B, n, _ = A.shape
-    walks: list = [None] * (2 + beyond if beyond else 1)
-
-    def put(j, members, src):
-        if len(members) == B:
-            walks[j] = src  # the pass never writes to a stack it has yielded
-            return
-        # the dtype of the pass only widens, so a stack takes its sources' dtype
-        walks[j] = np.zeros_like(src) if walks[j] is None else _widen(walks[j], src.dtype)
-        walks[j][members] = src[members]
-
     girth = np.zeros(B, dtype=np.int64)  # 0 until found
-    # the members still without their girth; the last length a closed one needs
-    left, last, prev = B, 0, None
+    # the members still without their girth; their A_{g-1} stack once one has it
+    left, walks, prev = B, None, None
     for length, cur in enumerate(_nb_walks(A), start=1):
-        for j in range(2, min(len(walks), length + 1)):
-            if (later := (girth == length + 1 - j).nonzero()[0]).size:
-                put(j, later, cur)
         # A_1 and A_2 have zero diagonals
-        if left and length > 2 and (diag := cur.reshape(B, -1)[:, :: n + 1]).any():
+        if length > 2 and (diag := cur.reshape(B, -1)[:, :: n + 1]).any():
             fresh = diag.any(axis=1).nonzero()[0]
             if (fresh := fresh[girth[fresh] == 0]).size:
                 girth[fresh] = length
-                put(0, fresh, prev)
-                if beyond:
-                    put(1, fresh, cur)
                 left -= fresh.size
-                last = length + beyond
-        if length >= last and (length >= n or not left):
+                if fresh.size == B:
+                    walks = prev  # the pass never writes to a stack it has yielded
+                else:
+                    # the dtype of the pass only widens, so the stack takes prev's dtype
+                    walks = np.zeros_like(prev) if walks is None else _widen(walks, prev.dtype)
+                    walks[fresh] = prev[fresh]
+        if length >= n or not left:
             break
         prev = cur
-    return [g or math.inf for g in girth.tolist()], [np.zeros_like(A) if w is None else w for w in walks]
-
-
-def count_girth_cycles_through_edge(G: Graph, edge, g: int) -> int:
-    """Number of distinct g-cycles containing the edge, where g must be
-    the girth of G.  Each cycle corresponds to exactly one simple path of
-    length g-1 between the endpoints that avoids the edge itself, read off
-    as a non-backtracking walk count."""
-    (girth_g,), walks = _girth_walks(_walk_stack(G))
-    if g != girth_g:
-        raise ValueError(f"g={g} is not the girth of the graph")
-    u, v = edge
-    if not G.has_edge(u, v):
-        raise ValueError(f"{edge} is not an edge")
-    return int(walks[0][0, u, v])
-
-
-def cycle_counts_through_vertices(G: Graph, length: int) -> list[int]:
-    """Number of distinct cycles of the given length through each vertex
-    0..n-1, for length g or g+1 where g is the girth of G, from one walk
-    pass.
-
-    Closed non-backtracking walks of these lengths are exactly the cycles
-    through a vertex, each traversed in both directions.  Other lengths
-    raise ValueError.
-    """
-    (g,), walks = _girth_walks(_walk_stack(G), beyond=1)
-    if length not in (g, g + 1):
-        raise ValueError(f"length {length} is neither the girth {g} nor girth + 1")
-    return [int(c) // 2 for c in walks[length - g + 1][0].diagonal()]
+    return [g or math.inf for g in girth.tolist()], np.zeros_like(A) if walks is None else walks
 
 
 def _ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -666,7 +614,7 @@ def _girth_counts(u: _Union, w: np.ndarray) -> tuple:
         A.reshape(-1)[p] = 1
         g, walks = _girth_walks(A)
         girth += g
-        c = walks[0].reshape(-1)[p]
+        c = walks.reshape(-1)[p]
         parts.append(c if c.dtype == object else c.astype(np.int64))
     upper = us < vs
     edges = cnt // 2

@@ -8,7 +8,7 @@ against them at runtime, never the other way around: every spectrum
 ``eigenvalues`` returns has matched the exact moments of lengths
 0..MOMENT_CHECK_LENGTH.  The moments take the adjacency matrix and the
 exactness rule of ``graph_core`` (float32 while no count exceeds 2**24,
-float64 while none exceeds 2**53, Python ints beyond), the same ones its
+float64 while none exceeds 2**53, Python ints past that), the same ones its
 walk pass uses.  A caller that already holds the moments or the spectrum
 passes them in (``eigenvalues(G, moments=...)``,
 ``certify_tight_spectrum(G, sig, spectrum=...)``), and each is checked to

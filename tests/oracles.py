@@ -8,7 +8,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from egrtools.geometry import IncidenceGeometry, _cover_search, normalize_point
+from egrtools.geometry import IncidenceGeometry, _cover_search
 from egrtools.graph_core import Graph
 
 
@@ -257,6 +257,19 @@ def incidence(F, duals: np.ndarray, points: np.ndarray) -> np.ndarray:
     for k in range(1, duals.shape[1]):
         acc = tab.add[acc, tab.mul[duals[:, k : k + 1], points[:, k]]]
     return acc == 0
+
+
+def normalize_point(F, coords) -> tuple[int, ...]:
+    """Canonical projective representative: scale so the first nonzero
+    coordinate equals 1."""
+    coords = tuple(coords)
+    for c in coords:
+        if c != 0:
+            if c == 1:
+                return coords
+            s = F.inv(c)
+            return tuple(F.mul(s, x) for x in coords)
+    raise ValueError("the all-zero vector is not a projective point")
 
 
 def line_through(F, x, y) -> tuple[tuple[int, ...], ...]:

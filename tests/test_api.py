@@ -2,9 +2,21 @@ import egrtools
 from egrtools import geometry, graph_core
 
 # public names that were removed; the one walk pass and the one BFS in
-# graph_core cover what they did, and the elliptic quadric gives W(q)'s
-# ovoid (the exhaustive ovoid search is a test oracle)
-REMOVED = ["girth", "bipartition", "distance_layers", "count_cycles_through_vertex", "tangent_plane", "ovoid_search"]
+# graph_core cover what they did, the elliptic quadric gives W(q)'s ovoid,
+# and names that only tests called are gone or test oracles (the cycle
+# counters, the exhaustive ovoid search, tangent_planes, normalize_point)
+REMOVED = [
+    "girth",
+    "bipartition",
+    "distance_layers",
+    "count_cycles_through_vertex",
+    "tangent_plane",
+    "ovoid_search",
+    "count_girth_cycles_through_edge",
+    "cycle_counts_through_vertices",
+    "tangent_planes",
+    "normalize_point",
+]
 
 
 def test_every_public_name_resolves():
@@ -17,7 +29,15 @@ def test_removed_names_are_gone():
     for name in REMOVED:
         assert name not in egrtools.__all__
         assert not hasattr(egrtools, name), name
-    for name in ["girth", "bfs_distances", "distance_layers", "bipartition", "count_cycles_through_vertex"]:
+    for name in [
+        "girth",
+        "bfs_distances",
+        "distance_layers",
+        "bipartition",
+        "count_cycles_through_vertex",
+        "count_girth_cycles_through_edge",
+        "cycle_counts_through_vertices",
+    ]:
         assert not hasattr(graph_core, name), name
-    for name in ["tangent_plane", "plane_points", "ovoid_search"]:
+    for name in ["tangent_plane", "plane_points", "ovoid_search", "tangent_planes", "normalize_point"]:
         assert not hasattr(geometry, name), name

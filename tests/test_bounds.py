@@ -27,7 +27,8 @@ from egrtools.constructions import (
     tutte_coxeter,
 )
 from egrtools.galois import GF
-from egrtools.graph_core import cycle_counts_through_vertices, verify_egr
+from egrtools.graph_core import verify_egr
+from oracles import vertex_cycle_count_dfs
 
 F = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5)}
 
@@ -138,7 +139,7 @@ def test_vertex_cycle_cap_values():
 
 def test_vertex_cap_sharp_on_petersen():
     G = petersen()
-    counts = cycle_counts_through_vertices(G, 6)
+    counts = [vertex_cycle_count_dfs(G, v, 6) for v in range(G.n)]
     assert max(counts) == vertex_cycle_cap(3, 5, 4) == 6
 
 
@@ -201,7 +202,7 @@ def test_cap_soundness_on_odd_girth_graphs():
     for G in (petersen(), hoffman_singleton()):
         sig = verify_egr(G)
         cap = vertex_cycle_cap(sig.k, sig.g, sig.lam)
-        counts = cycle_counts_through_vertices(G, sig.g + 1)
+        counts = [vertex_cycle_count_dfs(G, v, sig.g + 1) for v in range(G.n)]
         assert max(counts) == cap  # sharp for both
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from egrtools.constructions import (
     build_biaffine,
-    build_gq_truncation,
     complete_bipartite,
     cycle_graph,
     heawood,
@@ -16,24 +15,23 @@ from egrtools.constructions import (
 )
 import numpy as np
 
-from egrtools import cycle_counts_through_vertices, graph_core
+from egrtools import graph_core
 from egrtools.galois import GF
 from egrtools.graph_core import (
     EgrSignature,
     Graph,
     NotEdgeGirthRegular,
-    _adjacency,
     _bfs_levels,
     _exact_dtype,
     _girth_walks,
     _nb_walks,
     _union_of,
-    count_girth_cycles_through_edge,
     graph6_decode,
     graph6_encode,
     verify_egr,
 )
 from egrtools.spectral import walk_moments
+from engine import edge_counts, stack, vertex_counts
 from oracles import (
     all_cycles,
     complete,
@@ -43,11 +41,6 @@ from oracles import (
     vertex_cycle_count_dfs,
     vertex_cycle_count_naive,
 )
-
-
-def stack(*graphs: Graph) -> np.ndarray:
-    """The graphs' adjacency matrices as the walk pass's prebuilt stack."""
-    return _adjacency(graphs, _exact_dtype(1))
 
 
 def test_graph_validation():
@@ -174,9 +167,6 @@ def test_has_edge_rejects_vertices_out_of_range():
     for u, v in [(-1, 4), (10, 4), (4, -1), (4, 10)]:
         with pytest.raises(ValueError, match="out of range"):
             G.has_edge(u, v)
-    for edge in [(-1, 4), (10, 4)]:
-        with pytest.raises(ValueError, match="out of range"):
-            count_girth_cycles_through_edge(G, edge, 5)
 
 
 def test_majority_degree_ties_go_to_the_smallest():
@@ -210,7 +200,7 @@ def test_girth_examples():
     assert _girth_walks(stack(cycle_graph(8)))[0][0] == 8
     tree = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
     girth, walks = _girth_walks(stack(tree))
-    assert girth == [math.inf] and not any(w.any() for w in walks)
+    assert girth == [math.inf] and not walks.any()
 
 
 def test_girth_against_brute_force():
@@ -220,50 +210,40 @@ def test_girth_against_brute_force():
 
 
 def test_edge_counts_petersen():
-    G = petersen()
-    for e in G.edges():
-        assert count_girth_cycles_through_edge(G, e, 5) == 4
+    assert edge_counts(petersen()) == (5, [4] * 15)
 
 
 def test_edge_counts_match_naive_oracle():
     G = heawood()
-    for e in list(G.edges())[:7]:
-        assert count_girth_cycles_through_edge(G, e, 6) == edge_cycle_count_naive(G, e, 6) == 8
-
-
-def test_edge_count_requires_true_girth():
-    with pytest.raises(ValueError, match="girth"):
-        count_girth_cycles_through_edge(petersen(), (0, 1), 6)
+    g, counts = edge_counts(G)
+    assert g == 6
+    assert counts[:7] == [edge_cycle_count_naive(G, e, 6) for e in G.edges()[:7]] == [8] * 7
 
 
 def test_edge_count_sum_counts_each_cycle_g_times():
     G = petersen()
-    total = sum(count_girth_cycles_through_edge(G, e, 5) for e in G.edges())
-    assert total == 5 * len(all_cycles(G, 5))
+    assert sum(edge_counts(G)[1]) == 5 * len(all_cycles(G, 5))
     assert len(all_cycles(G, 5)) == 12  # the 12 pentagons
 
 
 def test_vertex_counts_petersen():
     G = petersen()
-    assert cycle_counts_through_vertices(G, 5)[0] == 6  # k * lambda / 2
-    assert cycle_counts_through_vertices(G, 6)[0] == 6
-    assert cycle_counts_through_vertices(G, 6)[3] == vertex_cycle_count_naive(G, 3, 6)
+    assert vertex_counts(G, edge_counts(G)[1])[0] == 6  # k * lambda / 2
+    assert vertex_cycle_count_dfs(G, 0, 6) == 6
+    assert vertex_cycle_count_dfs(G, 3, 6) == vertex_cycle_count_naive(G, 3, 6)
 
 
 def test_vertex_count_consistency_with_global():
     G = petersen()
-    assert sum(cycle_counts_through_vertices(G, 6)) == 6 * len(all_cycles(G, 6))
+    assert sum(vertex_cycle_count_dfs(G, v, 6) for v in range(G.n)) == 6 * len(all_cycles(G, 6))
 
 
 def test_girth_cycles_per_vertex_is_half_k_lambda():
     for G in (petersen(), heawood(), complete_bipartite(4)):
         sig = verify_egr(G)
-        assert cycle_counts_through_vertices(G, sig.g) == [sig.k * sig.lam // 2] * G.n
-
-
-def test_vertex_count_rejects_lengths_other_than_g_and_g_plus_1():
-    with pytest.raises(ValueError, match="girth"):
-        cycle_counts_through_vertices(petersen(), 7)
+        per_vertex = vertex_counts(G, edge_counts(G)[1])
+        assert per_vertex == [vertex_cycle_count_dfs(G, v, sig.g) for v in range(G.n)]
+        assert per_vertex == [sig.k * sig.lam // 2] * G.n
 
 
 def test_exact_dtype_boundary():
@@ -331,17 +311,16 @@ DIFFERENTIAL_GRAPHS = {
 def test_engine_matches_independent_oracles(name):
     G = DIFFERENTIAL_GRAPHS[name]()
     H = nx.Graph(G.edges())
-    g = nx.girth(H)
-    assert _girth_walks(stack(G))[0][0] == g
+    g, counts = edge_counts(G)
+    assert g == nx.girth(H)
     cycles = [set(c) for c in nx.simple_cycles(H, length_bound=g + 1)]
     edges = list(G.edges())
-    counts = [count_girth_cycles_through_edge(G, e, g) for e in edges]
     assert counts == [edge_cycle_count_dfs(G, e, g) for e in edges]
     assert counts == [sum(len(c) == g and set(e) <= c for c in cycles) for e in edges]
-    for length in (g, g + 1):
-        per_vertex = cycle_counts_through_vertices(G, length)
-        assert per_vertex == [vertex_cycle_count_dfs(G, v, length) for v in range(G.n)]
-        assert per_vertex == [sum(len(c) == length and v in c for c in cycles) for v in range(G.n)]
+    per_vertex = {length: [vertex_cycle_count_dfs(G, v, length) for v in range(G.n)] for length in (g, g + 1)}
+    assert vertex_counts(G, counts) == per_vertex[g]
+    for length, dfs in per_vertex.items():
+        assert dfs == [sum(len(c) == length and v in c for c in cycles) for v in range(G.n)]
     # every case is connected and regular but not edge-girth-regular
     with pytest.raises(NotEdgeGirthRegular) as err:
         verify_egr(G)
@@ -350,49 +329,15 @@ def test_engine_matches_independent_oracles(name):
     assert err.value.details == {"min_count": min(counts), "max_count": max(counts)}
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        petersen,
-        heawood,
-        lambda: build_gq_truncation(GF(3)),
-        DIFFERENTIAL_GRAPHS["petersen_switch"],
-        DIFFERENTIAL_GRAPHS["heawood_switch"],
-    ],
-    ids=["petersen", "heawood", "gq_truncation_q3", "petersen_switch", "heawood_switch"],
-)
-def test_vertex_cycle_counts_come_from_one_walk_pass(build, monkeypatch):
-    G = build()
-    g = nx.girth(nx.Graph(G.edges()))
-    passes = []
-
-    def counted(*args, **kwargs):
-        passes.append(args)
-        return _girth_walks(*args, **kwargs)
-
-    for length in (g, g + 1):
-        expected = [vertex_cycle_count_dfs(G, v, length) for v in range(G.n)]
-        with monkeypatch.context() as m:
-            m.setattr(graph_core, "_girth_walks", counted)
-            counts = cycle_counts_through_vertices(G, length)
-        assert counts == expected
-        assert all(type(c) is int for c in counts)
-    assert len(passes) == 2
-    with pytest.raises(ValueError, match="girth"):
-        cycle_counts_through_vertices(G, g + 2)
-
-
 def _walk_results(G: Graph):
-    """verify_egr's verdict, the count_* results on the first three edges
-    and vertices, and walk_moments(G, 8)."""
+    """G's A_{g-1} stack from the walk pass, and verify_egr's verdict, G's
+    girth, its per-edge counts from the block core and walk_moments(G, 8)."""
     try:
         verdict = verify_egr(G)
     except NotEdgeGirthRegular as exc:
         verdict = (exc.kind, exc.witness, str(exc), exc.details)
-    g = _girth_walks(stack(G))[0][0]
-    edges = [count_girth_cycles_through_edge(G, e, g) for e in list(G.edges())[:3]]
-    vertices = [cycle_counts_through_vertices(G, length)[:3] for length in (g, g + 1)]
-    return verdict, edges, vertices, walk_moments(G, 8)
+    girth, walks = _girth_walks(stack(G))
+    return walks, (verdict, girth, edge_counts(G), walk_moments(G, 8))
 
 
 ONE_RULE_GRAPHS = {
@@ -408,10 +353,12 @@ def test_python_int_path_matches_float64(name, monkeypatch):
     # a bound of 1 sends every walk step and every moment product to
     # Python ints; the results must not change, down to their types
     G = ONE_RULE_GRAPHS[name]()
-    expected = _walk_results(G)
+    walks, expected = _walk_results(G)
     monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 1)
     assert _exact_dtype(G.degree(0)) is object
-    got = _walk_results(G)
+    got_walks, got = _walk_results(G)
+    assert got_walks.dtype == object and all(type(x) is int for x in got_walks.flat)
+    assert got_walks.tolist() == walks.astype(np.int64).tolist()
     assert got == expected
     assert repr(got) == repr(expected)
 

@@ -22,8 +22,6 @@ from egrtools.graph_core import (
     EgrSignature,
     Graph,
     NotEdgeGirthRegular,
-    _adjacency,
-    _exact_dtype,
     _girth_walks,
     _nb_walks,
     _bfs_levels,
@@ -31,12 +29,8 @@ from egrtools.graph_core import (
     verify_egr,
     verify_many,
 )
+from engine import stack
 from oracles import complete, coxeter, degree_preserving_switch, edge_cycle_count_dfs, generalized_petersen
-
-
-def stack(*graphs: Graph) -> np.ndarray:
-    """The graphs' adjacency matrices as the walk pass's prebuilt stack."""
-    return _adjacency(graphs, _exact_dtype(1))
 
 
 def two_diamonds() -> Graph:
@@ -172,13 +166,13 @@ def test_verify_many_matches_per_graph_verification_and_oracles(monkeypatch):
 
 def test_stack_members_reach_their_girths_at_different_lengths():
     graphs = [build() for build in STACK_10_3.values()]
-    girth, walks = _girth_walks(stack(*graphs), beyond=1)
+    girth, walks = _girth_walks(stack(*graphs))
     assert girth == [3, 4, 5, 4]
-    assert len(walks) == 3 and all(w.shape == (4, 10, 10) for w in walks)
+    assert walks.shape == (4, 10, 10)
     for b, G in enumerate(graphs):
-        alone_g, alone = _girth_walks(stack(G), beyond=1)
-        assert alone_g == [girth[b]] and len(alone) == 3
-        assert all(np.array_equal(w[b], a[0]) for w, a in zip(walks, alone))
+        alone_g, alone = _girth_walks(stack(G))
+        assert alone_g == [girth[b]]
+        assert np.array_equal(walks[b], alone[0])
     # one stacked product per step, each member's slice its own walk matrix
     for _, stacked, *alone in zip(range(8), _nb_walks(stack(*graphs)), *(_nb_walks(stack(G)) for G in graphs)):
         assert stacked.shape == (4, 10, 10)
@@ -187,9 +181,9 @@ def test_stack_members_reach_their_girths_at_different_lengths():
 
 def test_a_forest_member_does_not_hold_up_the_stack():
     path = Graph.from_edges(10, [(i, i + 1) for i in range(9)])
-    girth, walks = _girth_walks(stack(path, cycle_graph(10), petersen()), beyond=1)
+    girth, walks = _girth_walks(stack(path, cycle_graph(10), petersen()))
     assert girth == [float("inf"), 10, 5]
-    assert not any(w[0].any() for w in walks)
+    assert not walks[0].any()
 
 
 def test_stacked_python_int_path_matches_float64(monkeypatch):
@@ -218,9 +212,9 @@ def test_stacks_are_capped_by_cell_count(cells, sizes, monkeypatch):
     expected = [verdict_key(v) for v in one_by_one(graphs)]
     seen = []
 
-    def recorded(A, **kwargs):
+    def recorded(A):
         seen.append(len(A))
-        return _girth_walks(A, **kwargs)
+        return _girth_walks(A)
 
     monkeypatch.setattr(graph_core, "MAX_STACK_CELLS", cells)
     monkeypatch.setattr(graph_core, "_girth_walks", recorded)
@@ -285,10 +279,10 @@ def test_one_block_mixes_orders_degrees_and_verdicts(monkeypatch):
     monkeypatch.setattr(graph_core, "MAX_VERIFY_VERTICES", 49)  # Hoffman-Singleton (n = 50) is over it
     stacks = []
 
-    def recorded(A, **kwargs):
+    def recorded(A):
         # each member's vertex 0 has the degree of its row 0
         stacks.append((A.shape[1], sorted(set(A[:, 0].sum(axis=1).astype(int).tolist()))))
-        return _girth_walks(A, **kwargs)
+        return _girth_walks(A)
 
     monkeypatch.setattr(graph_core, "_girth_walks", recorded)
     together = verify_many(graphs)
@@ -323,7 +317,7 @@ def test_stacked_pass_crosses_float32_float64_and_python_ints(monkeypatch):
     # A_5 on in Python ints, with the same counts and verdicts
     graphs = [build() for build in STACK_10_3.values()]
     exact = [w for _, w in zip(range(7), _nb_walks(stack(*graphs)))]
-    girth, found = _girth_walks(stack(*graphs), beyond=1)
+    girth, found = _girth_walks(stack(*graphs))
     verdicts = [verdict_key(v) for v in verify_many(graphs)]
     monkeypatch.setattr(graph_core, "_FLOAT32_EXACT_MAX", 6)
     monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 3 * 2**3)
@@ -332,11 +326,19 @@ def test_stacked_pass_crosses_float32_float64_and_python_ints(monkeypatch):
     assert all(type(x) is int for x in walks[4].flat)
     for got, want in zip(walks, exact):
         assert got.tolist() == want.astype(np.int64).tolist()
-    # the members close at lengths 3, 4, 5 and 4, so the returned stacks
-    # gather slices of every dtype and widen to hold them exactly
-    crossed_girth, crossed = _girth_walks(stack(*graphs), beyond=1)
+    # the members close at lengths 3, 4, 5 and 4, so the returned A_{g-1}
+    # stack gathers A_2 (float32), A_3 and A_4 (float64) and widens to
+    # float64 to hold them exactly
+    crossed_girth, crossed = _girth_walks(stack(*graphs))
     assert crossed_girth == girth == [3, 4, 5, 4]
-    assert [w.dtype for w in crossed] == [np.float64, np.dtype(object), np.dtype(object)]
-    for got, want in zip(crossed, found):
-        assert got.tolist() == want.astype(np.int64).tolist()
+    assert crossed.dtype == np.float64
+    assert crossed.tolist() == found.astype(np.int64).tolist()
+    assert [verdict_key(v) for v in verify_many(graphs)] == verdicts
+    # with the float64 bound at 12, A_4 is in Python ints, and the stack
+    # widens from float32 through float64 to them
+    monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 12)
+    crossed_girth, crossed = _girth_walks(stack(*graphs))
+    assert crossed_girth == girth
+    assert crossed.dtype == object and all(type(x) is int for x in crossed.flat)
+    assert crossed.tolist() == found.astype(np.int64).tolist()
     assert [verdict_key(v) for v in verify_many(graphs)] == verdicts
