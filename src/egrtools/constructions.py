@@ -18,10 +18,9 @@ import numpy as np
 from .galois import Field
 from .geometry import (
     IncidenceGeometry,
-    _tangent_planes,
+    _singer_plane,
     elliptic_quadric,
     pg2_geometry,
-    plane_rows,
     point_array,
     rows_through,
     singer_pencil,
@@ -34,10 +33,13 @@ FAMILIES = ("biaffine1", "biaffine2", "gq_truncation", "ovoid_spread", "pencil",
 
 # Largest q each family built in 60 s and 1 GiB when its CSR came from edge
 # codes (2 CPUs, one BLAS thread, Python 3.11, numpy 2.4).  From the block
-# rows these take 1.1 s / 391 MiB, 1.7 s / 340 MiB and 0.7 s / 189 MiB, and
-# biaffine q=256 (3.3 s / 869 MiB), gq_truncation q=64 (7.2 s / 883 MiB) and
-# pencil q=27 (4.3 s / 924 MiB) fit too.  ovoid_spread q=16 takes 0.7 s /
-# 44 MiB; at q=32 the spread search alone takes 81 s / 528 MiB.
+# rows these take 1.1 s / 391 MiB, 1.7 s / 340 MiB and 0.5 s / 169 MiB, and
+# biaffine q=256 (3.3 s / 869 MiB) and gq_truncation q=64 (7.2 s / 883 MiB)
+# fit too.  The pencil from its Singer difference set (one process each,
+# field included): q=19 0.5 s / 169 MiB, q=23 1.2 s / 381 MiB, q=25
+# 2.1-2.4 s / 516 MiB, q=27 2.6-3.3 s / 739 MiB, q=29 3.6-4.1 s / 1036 MiB.
+# ovoid_spread q=16 takes 0.7 s / 44 MiB; at q=32 the spread search alone
+# takes 81 s / 528 MiB.
 MAX_ORDER = {"biaffine1": 193, "biaffine2": 193, "gq_truncation": 49, "ovoid_spread": 16, "pencil": 19}
 
 
@@ -205,18 +207,24 @@ def build_pencil_graph(F: Field) -> Graph:
     since each point lies on its own tangent plane.
     """
     check_order("pencil", F.q)
-    coords = point_array(3, F)
-    n = len(coords)
-    members = np.array(singer_pencil(F))
-    plane_of = np.empty(n, dtype=np.intp)
-    plane_of[members] = _tangent_planes(F, members)
+    singer_pencil(F)  # its members are ovoids
+    q, (point_of, D) = F.q, _singer_plane(F)
+    n = len(point_of)
+    # codes[i, j] = t when member 0's exponent i(q+1) is D[j] + t, on plane D + t
+    codes = (np.arange(0, n, q + 1)[:, None] - D) % n
+    once = np.bincount(codes.ravel(), minlength=n)[codes] == 1
+    if not (once.sum(axis=1) == 1).all():
+        raise ArithmeticError("pencil member has a point without exactly one tangent plane")
+    # w^r moves member 0 onto member r: exponent i(q+1) + r is on tangent plane t + r
+    tangent_at = (codes[once][:, None] + np.arange(q + 1)).ravel() % n
     # each plane is tangent to one member at one point, so that every point
     # lies on q^2+q+1 tangent planes, as rows_through needs
-    if not (np.bincount(plane_of, minlength=n) == 1).all():
+    if not (np.bincount(tangent_at, minlength=n) == 1).all():
         raise ArithmeticError("tangent planes of the pencil are not one per point")
-    tangent = plane_rows(F)[plane_of]
+    tangent = np.empty((n, len(D)), dtype=point_of.dtype)
+    tangent[point_of] = np.sort(point_of[(D + tangent_at[:, None]) % n], axis=1)
     everything = np.ones(n, dtype=bool)
-    labels = VertexLabels(coords, [("left", np.arange(n), None), ("right", np.arange(n), None)])
+    labels = VertexLabels(point_array(3, F), [("left", np.arange(n), None), ("right", np.arange(n), None)])
     return _two_sided_graph(tangent, rows_through(tangent, n), everything, everything, labels)
 
 

@@ -1,23 +1,22 @@
 """Projective geometries over GF(q) as numpy index arrays: PG(2,q),
-PG(3,q) and its planes, the symplectic generalized quadrangle W(q),
-pencils of ovoids from a Singer cycle, tangent planes, the elliptic-quadric
-ovoid of W(q) for q even, and a deterministic spread search.
+PG(3,q) and its Singer cycle, the symplectic generalized quadrangle W(q),
+pencils of ovoids, the elliptic-quadric ovoid of W(q) for q even, and a
+deterministic spread search.
 
 Points are the rows of an (N x d) array of field-element indices
 (``point_array``), normalized so the first nonzero coordinate is 1 and
 sorted lexicographically; ``pg_points`` gives the same points as tuples.
-A hyperplane is named by the same kind of canonical vector, its dual
-coordinates, so plane i of PG(3,q) is the plane with the coordinates of
-point i.
 
-One enumerator lists every subspace once, as a sorted row of point
-indices, from its reduced row-echelon basis: the lines of PG(2,q), the
-totally isotropic lines of W(q) (Payne & Thas, Finite Generalized
-Quadrangles, 3.1) and the planes of PG(3,q) (``plane_rows``), with no
-dense points x planes array.  An ``IncidenceGeometry`` holds its lines as
-one read-only (blocks x (q+1)) int64 array, which builders index and mask
-directly.  Every enumeration is in lexicographic order, so indices are
-reproducible.
+One enumerator lists every line once, as a sorted row of point indices,
+from its reduced row-echelon basis: the lines of PG(2,q) and the totally
+isotropic lines of W(q) (Payne & Thas, Finite Generalized Quadrangles,
+3.1), with no dense points x points array.  An ``IncidenceGeometry``
+holds its lines as one read-only (blocks x (q+1)) int64 array, which
+builders index and mask directly.  Every enumeration is in lexicographic
+order, so indices are reproducible.  The planes of PG(3,q) are not
+enumerated: numbered by the powers of a generator of GF(q^4), the points
+of one plane form a planar difference set D mod (q^4-1)/(q-1), and every
+plane is a translate D + t (``_singer_plane``; Singer 1938).
 """
 
 from __future__ import annotations
@@ -119,45 +118,36 @@ def rows_through(rows: np.ndarray, n: int) -> np.ndarray:
     return (np.argsort(rows, axis=None, kind="stable") // rows.shape[1]).reshape(n, -1)
 
 
-def _echelon_bases(F: Field, dim: int, rank: int):
-    """For each pivot tuple p_0 < ... < p_{rank-1}, the pivots and the
-    reduced echelon bases (b_0, ..., b_{rank-1}) of the subspaces of
-    GF(q)^(dim+1) with those pivots, as uint8 arrays: b_l runs over the
-    points leading at p_l with a 0 at every later pivot."""
+def _echelon_bases(F: Field, dim: int):
+    """For each pivot pair p0 < p1, the pivots and the reduced echelon bases
+    (b0, b1) of the lines of PG(dim,q) with those pivots, as uint8 arrays:
+    b0 runs over the points leading at p0 with a 0 at p1, b1 over the
+    points leading at p1, in every pairing."""
     pts = point_array(dim, F).astype(np.uint8)
     lead = (pts != 0).argmax(axis=1)
-    for pivots in combinations(range(dim + 1), rank):
-        choices = [pts[(lead == p) & (pts[:, pivots[l + 1 :]] == 0).all(axis=1)] for l, p in enumerate(pivots)]
-        picks = np.indices([len(c) for c in choices]).reshape(rank, -1)
-        yield pivots, [c[i] for c, i in zip(choices, picks)]
+    for p0, p1 in combinations(range(dim + 1), 2):
+        b0, b1 = pts[(lead == p0) & (pts[:, p1] == 0)], pts[lead == p1]
+        yield (p0, p1), (np.repeat(b0, len(b1), axis=0), np.tile(b1, (len(b0), 1)))
 
 
-def _subspace_rows(F: Field, dim: int, groups) -> np.ndarray:
-    """A sorted row of point indices per subspace of ``groups``, as
-    ``_echelon_bases`` lists them.  The points leading at p_l are b_l +
-    sum_{m>l} t_m b_m, canonical as they stand (1 at p_l, t_m at p_m), so
-    the index of each, as in ``point_index``, is summed column by column
+def _line_rows(F: Field, dim: int, groups) -> np.ndarray:
+    """A sorted row of point indices per line of ``groups``, as
+    ``_echelon_bases`` lists them.  The line's points are b1 and b0 + t b1,
+    t in GF(q), canonical as they stand (1 at p1, or 1 at p0 and t at p1),
+    so the index of each, as in ``point_index``, is summed column by column
     with field arithmetic only in the columns that are no pivot."""
     tab, q = F.tables, F.q
     dtype = np.int32 if q ** (dim + 1) < 2**31 else np.int64
     w = (q ** np.arange(dim, -1, -1)).astype(dtype)  # place value of each coordinate
     t = np.arange(q, dtype=dtype)
     rows = []
-    for pivots, basis in groups:
-        free = [c for c in range(dim + 1) if c not in pivots]
-        parts = []
-        for l, lead in enumerate(pivots):
-            base = np.full(1, (w[lead] - 1) // (q - 1), dtype=dtype)
-            for p in pivots[l + 1 :]:
-                base = (base[:, None] + t * w[p]).ravel()
-            index = np.repeat(base[None, :], len(basis[l]), axis=0)
-            for c in free:
-                x = basis[l][:, c, None]
-                for b in basis[l + 1 :]:
-                    x = tab.add[x[:, :, None], tab.mul[t, b[:, c, None]][:, None, :]].reshape(len(x), x.shape[1] * q)
-                index += x.astype(dtype) * w[c]
-            parts.append(index)
-        rows.append(np.concatenate(parts, axis=1))
+    for (p0, p1), (b0, b1) in groups:
+        moving = np.repeat(((w[p0] - 1) // (q - 1) + t * w[p1])[None, :], len(b0), axis=0)  # b0 + t b1
+        fixed = np.full(len(b1), (w[p1] - 1) // (q - 1), dtype=dtype)  # b1
+        for c in [c for c in range(dim + 1) if c not in (p0, p1)]:
+            moving += tab.add[b0[:, c, None], tab.mul[t, b1[:, c, None]]].astype(dtype) * w[c]
+            fixed += b1[:, c].astype(dtype) * w[c]
+        rows.append(np.concatenate((moving, fixed[:, None]), axis=1))
     return np.sort(np.concatenate(rows), axis=1)
 
 
@@ -166,7 +156,7 @@ def _geometry(F: Field, dim: int, groups) -> IncidenceGeometry:
     ``groups``.  ArithmeticError unless, as in PG(2,q) and W(q), there are
     as many lines as points, q+1 on each line and q+1 through each."""
     q, n = F.q, len(point_array(dim, F))
-    blocks = _subspace_rows(F, dim, groups).astype(np.int64)
+    blocks = _line_rows(F, dim, groups).astype(np.int64)
     # two lines share at most one point, so their first two points order
     # them; distinct pairs (checked) make that the lexicographic order
     blocks = blocks[np.lexsort((blocks[:, 1], blocks[:, 0]))]
@@ -182,7 +172,7 @@ def _geometry(F: Field, dim: int, groups) -> IncidenceGeometry:
 def pg2_geometry(F: Field) -> IncidenceGeometry:
     """The projective plane PG(2,q): q^2+q+1 points and lines, one line
     for every echelon basis of a 2-space of GF(q)^3."""
-    return _geometry(F, 2, _echelon_bases(F, 2, 2))
+    return _geometry(F, 2, _echelon_bases(F, 2))
 
 
 @lru_cache(maxsize=None)
@@ -200,99 +190,51 @@ def symplectic_gq(F: Field) -> IncidenceGeometry:
             form = add[form, mul[jr, s[:, k]]]
         return r[form == 0], s[form == 0]
 
-    return _geometry(F, 3, ((pivots, isotropic(*basis)) for pivots, basis in _echelon_bases(F, 3, 2)))
+    return _geometry(F, 3, ((pivots, isotropic(*basis)) for pivots, basis in _echelon_bases(F, 3)))
 
 
 @lru_cache(maxsize=None)
-def plane_rows(F: Field) -> np.ndarray:
-    """The planes of PG(3,q) as a read-only (N x (q^2+q+1)) int64 array:
-    row i holds, ascending, the points x with point_i . x = 0.  The form is
-    symmetric, so row i also lists the planes through point i.  A 3-space
-    with echelon basis b, pivots all columns but m, has the dual vector
-    with 1 at m and -b_l[m] at the pivot of b_l.  ArithmeticError unless
-    the duals are the N points and each point is on q^2+q+1 planes."""
-    q, neg = F.q, F.tables.neg
-    n = len(point_array(3, F))
-    groups = list(_echelon_bases(F, 3, 3))
-    duals = []
-    for pivots, basis in groups:
-        m = 6 - sum(pivots)  # the column that is no pivot
-        d = np.ones((len(basis[0]), 4), dtype=np.uint8)
-        d[:, pivots] = neg[np.stack([b[:, m] for b in basis], axis=1)]
-        duals.append(d)
-    rows = _subspace_rows(F, 3, groups).astype(np.int64)
-    plane = point_index(F, np.concatenate(duals))
-    planes = np.full(n, -1, dtype=np.int64)
-    planes[plane] = np.arange(len(plane))
-    ok = len(plane) == n and (planes >= 0).all() and (rows[:, 1:] > rows[:, :-1]).all()
-    if not (ok and (np.bincount(rows.ravel(), minlength=n) == q * q + q + 1).all()):
-        raise ArithmeticError(f"planes of PG(3,{q}) do not form the geometry; field arithmetic is broken")
-    rows = rows[planes]
-    rows.setflags(write=False)
-    return rows
+def _singer_plane(F: Field) -> tuple[np.ndarray, np.ndarray]:
+    """The Singer cycle of PG(3,q) as exponents (Singer 1938).  With w the
+    generator of GF(q^4)* and n = (q^4 - 1)/(q - 1), the powers w^i, i < n,
+    meet each point once: ``point_of[i]`` is the point index of w^i, its
+    base-q digits read as coordinates.  Multiplication by w is GF(q)-linear,
+    so plane D + t (mod n) is a plane for every t, D the exponents of the
+    plane x0 = 0, and these are the n planes.  ArithmeticError unless
+    point_of is a bijection and D is a planar difference set: every nonzero
+    residue mod n is d - d' exactly q+1 times, as two planes share a line."""
+    q, exp = F.q, F.extension(4)._exp
+    n = (q**4 - 1) // (q - 1)
+    point_of = point_index(F, (exp[:n, None] // q ** np.arange(4)) % q)
+    if not (np.sort(point_of) == np.arange(n)).all():
+        raise ArithmeticError(f"the powers of w do not meet each point of PG(3,{q}) once")
+    D = np.flatnonzero(exp[:n] % q == 0)
+    differences = np.bincount(((D[:, None] - D) % n).ravel(), minlength=n)
+    if differences[0] != q * q + q + 1 or not (differences[1:] == q + 1).all():
+        raise ArithmeticError(f"the plane x0 = 0 of PG(3,{q}) is not a planar difference set")
+    return point_of, D
 
 
 @lru_cache(maxsize=None)
 def singer_pencil(F: Field) -> tuple[tuple[int, ...], ...]:
     """Partition of the points of PG(3,q) into q+1 disjoint ovoids.
 
-    PG(3,q) points are identified with GF(q^4)* / GF(q)*.  Multiplication
-    by a generator w of GF(q^4)* induces a cyclic (Singer) permutation of
-    the q^3+q^2+q+1 points; the orbits of its subgroup of order q^2+1
-    (generated by the (q+1)-st power) are the pencil members, returned as
-    q+1 sorted tuples of point indices.  ArithmeticError, an arithmetic
-    bug, unless they partition the points and none holds three collinear
-    points.
+    The orbits of the subgroup of order q^2+1 of the Singer cycle
+    (``_singer_plane``), generated by w^(q+1), are the pencil members:
+    member r holds the exponents r, r + q+1, ..., returned as q+1 sorted
+    tuples of point indices.  ArithmeticError, an arithmetic bug, when a
+    member holds three collinear points.  Member r and plane D + t are
+    member 0 and plane D + t - r moved by w^r, so member 0 speaks for all:
+    a non-collinear triple lies on one plane and a collinear one on q+1, so
+    the sum over planes of C(|plane & member 0|, 3) is C(q^2+1, 3) plus q
+    times the collinear triples.
     """
-    q = F.q
-    E = F.extension(4)
-    n = (q**4 - 1) // (q - 1)  # q^3 + q^2 + q + 1; w^t for t < n meets each point once
-    point_of_exponent = point_index(F, (E._exp[:n, None] // q ** np.arange(4)) % q)
-    if not (np.sort(point_of_exponent) == np.arange(n)).all():
-        raise ArithmeticError("pencil members do not partition PG(3,q)")
-    # q+1 orbits of q^2+1 exponents each, r, r + q+1, ...: a partition, as no point repeats
-    members = np.sort(point_of_exponent.reshape(-1, q + 1).T, axis=1)
-    if _collinear_triples(F, members).any():
+    q, (point_of, D) = F.q, _singer_plane(F)
+    n = len(point_of)
+    c = np.bincount(((np.arange(0, n, q + 1)[:, None] - D) % n).ravel())
+    if (c * (c - 1) * (c - 2)).sum() // 6 != math.comb(q * q + 1, 3):
         raise ArithmeticError("pencil member contains three collinear points")
-    return tuple(map(tuple, members.tolist()))
-
-
-def _plane_meets(F: Field, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For an (m x s) array whose row i holds s distinct points of PG(3,q),
-    the (row, plane) pairs of the planes through each point, as codes
-    i * planes + plane in an (m x s x (q^2+q+1)) array (row r of
-    ``plane_rows`` lists the planes through point r), and the count of
-    each code, |plane & row i|, from one bincount."""
-    rows = plane_rows(F)
-    codes = rows[sets]
-    codes += len(rows) * np.arange(len(sets))[:, None, None]
-    return codes, np.bincount(codes.ravel(), minlength=len(sets) * len(rows))
-
-
-def _collinear_triples(F: Field, sets: np.ndarray) -> np.ndarray:
-    """Number of collinear triples in each row of an (m x s) array of
-    distinct PG(3,q) points.  A non-collinear triple lies on one plane and
-    a collinear one on q+1, so the sum over planes of C(|plane & row|, 3)
-    is C(s, 3) plus q times the collinear triples."""
-    c = _plane_meets(F, sets)[1].reshape(len(sets), -1)
-    on_planes = (c * (c - 1) * (c - 2)).sum(axis=1) // 6
-    return (on_planes - math.comb(sets.shape[1], 3)) // F.q
-
-
-def _tangent_planes(F: Field, sets: np.ndarray) -> np.ndarray:
-    """The tangent plane of each point of an (m x s) array of distinct
-    PG(3,q) points, row by row: the one plane meeting the point's row in
-    that point alone.  ValueError unless every point has exactly one."""
-    codes, c = _plane_meets(F, sets)
-    tangent = c[codes] == 1
-    counts = tangent.sum(axis=2)
-    bad = np.flatnonzero(counts != 1)
-    if len(bad):
-        raise ValueError(
-            f"expected exactly one tangent plane through point {sets.flat[bad[0]]}, "
-            f"found {counts.flat[bad[0]]}; the point set is not an ovoid"
-        )
-    return codes[tangent].reshape(sets.shape) % len(plane_rows(F))
+    return tuple(map(tuple, np.sort(point_of.reshape(-1, q + 1).T, axis=1).tolist()))
 
 
 def elliptic_quadric(F: Field) -> np.ndarray:
@@ -365,17 +307,22 @@ def _first_cover_solution(n_items: int, compat: list[int], target: int, cover_ma
     return None
 
 
-def _cover_search(rows: list[list[int]], n_items: int, target: int):
+def _cover_search(rows: np.ndarray, n_items: int, target: int):
     """``_first_cover_solution`` over items 0..n_items-1 where the items of
-    one row clash pairwise and every row must be hit."""
-    clash = [0] * n_items
-    for row in rows:
-        for a, b in combinations(row, 2):
-            clash[a] |= 1 << b
-            clash[b] |= 1 << a
+    one row of the (m x s) array ``rows`` clash pairwise and every row must
+    be hit, each item lying in equally many rows.  numpy sets the bits of
+    each mask in a row of little-endian bytes: a row's own mask, then, ORed
+    together, the masks of the rows through an item (the item itself
+    included, a bit the search never reads)."""
+    m, s = rows.shape
+    cover = np.zeros((m, n_items // 8 + 1), dtype=np.uint8)
+    np.bitwise_or.at(cover, (np.arange(m).repeat(s), rows.ravel() >> 3), (1 << (rows.ravel() & 7)).astype(np.uint8))
+    clash = np.zeros((n_items, cover.shape[1]), dtype=np.uint8)
+    for through in rows_through(rows, n_items).T:
+        clash |= cover[through]
     full = (1 << n_items) - 1
-    compat = [full & ~(clash[v] | (1 << v)) for v in range(n_items)]
-    return _first_cover_solution(n_items, compat, target, [sum(1 << v for v in row) for row in rows])
+    compat = [full ^ int.from_bytes(bits.tobytes(), "little") for bits in clash]
+    return _first_cover_solution(n_items, compat, target, [int.from_bytes(bits.tobytes(), "little") for bits in cover])
 
 
 def spread_search(G: IncidenceGeometry):
@@ -383,4 +330,4 @@ def spread_search(G: IncidenceGeometry):
     pairwise disjoint lines, covering every point.  Returns None when none
     exists."""
     q = G.blocks.shape[1] - 1
-    return _cover_search(G.blocks_through().tolist(), G.n_blocks, q * q + 1)
+    return _cover_search(G.blocks_through(), G.n_blocks, q * q + 1)

@@ -306,9 +306,17 @@ def _tight_identity(G: Graph, k: int) -> bool:
     classes of n/2 vertices, mu = k(k-1)/(n/2 - 1) an integer, and the
     biadjacency matrix N with NN^T = N^TN = (k - mu)I + mu J.
 
-    Exact in float64: every entry of NN^T and N^TN counts common
-    neighbours, at most k.  The identity holds exactly when G has the tight
-    spectrum {+-k, +-sqrt(k - mu)^(n/2 - 1)}, and k - mu = (nk - 2k^2)/(n - 2).
+    Exact in float64: every entry of NN^T counts common neighbours, at most
+    k.  The identity holds exactly when G has the tight spectrum
+    {+-k, +-sqrt(k - mu)^(n/2 - 1)}, and k - mu = (nk - 2k^2)/(n - 2).
+
+    One product decides it.  N is 0/1, so the diagonal of NN^T = (k - mu)I
+    + mu J says N's row sums are k: NJ = kJ.  Row sums are at most n/2, so
+    mu <= k.  When k > mu, NN^T is invertible (eigenvalues k - mu and
+    k - mu + mu n/2 = k^2), hence so is N, and 1^T N N^T = k^2 1^T = k 1^T N^T
+    gives column sums k too: JN = kJ.  Then N^TN = N^-1 (NN^T) N
+    = (k - mu)I + mu N^-1 J N = (k - mu)I + mu J.  When k = mu, k = n/2
+    (N has an edge, so k >= 1), so N = J and N^TN = kJ as well.
 
     N is ``_biadjacency_of``'s.  With k >= 2, mu >= 1, so any two vertices of
     one class share a neighbour and a graph that meets the identity is
@@ -324,7 +332,7 @@ def _tight_identity(G: Graph, k: int) -> bool:
         return False
     target = np.full((half, half), float(mu))
     np.fill_diagonal(target, k)
-    return np.array_equal(N @ N.T, target) and np.array_equal(N.T @ N, target)
+    return np.array_equal(N @ N.T, target)
 
 
 def certify_tight_spectrum(

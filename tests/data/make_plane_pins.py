@@ -7,7 +7,8 @@ Row i of a pin's array holds, ascending, the points of the plane with the
 dual coordinates of point i, read off the dense planes x points incidence
 (``oracles.incidence``), whose cost grows as the square of the point
 count.  The pins were recorded from that dense builder, so they tie the
-enumerated plane rows (``geometry.plane_rows``) to it byte for byte.
+planes of the pencil, the Singer translates of one difference set
+(``tests/test_geometry.py::plane_rows``), to it byte for byte.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """The line sets pinned in data/geometry_pins.json, the plane rows of PG(3,q)
-pinned in data/plane_pins.json, and how each pin is taken.
+pinned in data/plane_pins.json, the pencil graphs pinned in
+data/pencil_pins.json, and how each pin is taken.
 
 A spec (name, q) names PG(2,q) when name is "pg2" and W(q) when it is
 "w".  Geometries are built through the uncached builders, so that a pass
@@ -12,7 +13,9 @@ import hashlib
 import numpy as np
 
 from egrtools import geometry
+from egrtools.constructions import build_pencil_graph
 from egrtools.galois import GF, prime_power
+from egrtools.graph_core import graph6_encode
 
 
 def _prime_powers(limit: int) -> list[int]:
@@ -62,3 +65,16 @@ def plane_pin_of(q: int, rows: np.ndarray) -> dict:
     """Shape and sha256 of the plane rows of PG(3,q) as little-endian int64."""
     rows = np.ascontiguousarray(rows, dtype="<i8")
     return {"q": q, "shape": list(rows.shape), "rows_sha256": hashlib.sha256(rows.tobytes()).hexdigest()}
+
+
+# the pencil orders up to the report cap (q = 9) and two above it
+PENCIL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13]
+
+
+def pencil_pin_of(q: int) -> dict:
+    """Vertex count and the sha256 of graph6_encode and of repr(list(labels))
+    of the pencil graph at q."""
+    G = build_pencil_graph(GF(*prime_power(q)))
+    graph6, labels = graph6_encode(G).encode(), repr(list(G.labels)).encode()
+    return {"q": q, "n": G.n, "graph6_sha256": hashlib.sha256(graph6).hexdigest(),
+            "labels_sha256": hashlib.sha256(labels).hexdigest()}

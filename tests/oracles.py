@@ -237,7 +237,7 @@ def ovoid_search(G: IncidenceGeometry):
     line.  None when there is none (W(q) for odd q).  It finishes up to
     W(4); W(8) did not finish in 200 s."""
     q = G.blocks.shape[1] - 1
-    return _cover_search(G.blocks.tolist(), G.n_points, q * q + 1)
+    return _cover_search(G.blocks, G.n_points, q * q + 1)
 
 
 def dot(F, a, x) -> int:

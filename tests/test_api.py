@@ -3,7 +3,8 @@ from egrtools import geometry, graph_core
 
 # public names that were removed; the one walk pass and the one BFS in
 # graph_core cover what they did, the elliptic quadric gives W(q)'s ovoid,
-# and names that only tests called are gone or test oracles (the cycle
+# the Singer difference set gives the pencil's planes (plane_rows), and
+# names that only tests called are gone or test oracles (the cycle
 # counters, the exhaustive ovoid search, tangent_planes, normalize_point)
 REMOVED = [
     "girth",
@@ -16,6 +17,7 @@ REMOVED = [
     "cycle_counts_through_vertices",
     "tangent_planes",
     "normalize_point",
+    "plane_rows",
 ]
 
 
@@ -39,5 +41,5 @@ def test_removed_names_are_gone():
         "cycle_counts_through_vertices",
     ]:
         assert not hasattr(graph_core, name), name
-    for name in ["tangent_plane", "plane_points", "ovoid_search", "tangent_planes", "normalize_point"]:
+    for name in ["tangent_plane", "plane_points", "ovoid_search", "tangent_planes", "normalize_point", "plane_rows"]:
         assert not hasattr(geometry, name), name

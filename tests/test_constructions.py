@@ -4,6 +4,7 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
+from geometry_pins import PENCIL_ORDERS, pencil_pin_of
 
 from egrtools.bounds import certify_extremal
 from egrtools.constructions import (
@@ -229,6 +230,19 @@ def test_graph6_is_pinned(family, q):
     assert _sha256(graph6_encode(G)) == GRAPH6_SHA256[family, q]
 
 
+PENCIL_PINS = json.loads((Path(__file__).parent / "data" / "pencil_pins.json").read_text())["pencils"]
+
+
+def test_pencil_pins_cover_the_orders():
+    assert [pin["q"] for pin in PENCIL_PINS] == PENCIL_ORDERS
+
+
+@pytest.mark.parametrize("pin", PENCIL_PINS, ids=[f"q{pin['q']}" for pin in PENCIL_PINS])
+def test_pencil_is_pinned(pin):
+    # graph6 and labels, byte for byte as the enumerated planes gave them
+    assert pencil_pin_of(pin["q"]) == pin
+
+
 # (family, q): (vertex count, first label, last label, sha256 of repr(labels))
 LABELS = {
     ("biaffine1", 3): (
@@ -289,7 +303,7 @@ def test_size_cap_rejects_next_q_before_building(family):
     with pytest.raises(ValueError, match=f"capped at q <= {MAX_ORDER[family]}"):
         check_order(family, q)
     caches = [geometry.point_array, geometry.pg2_geometry, geometry.symplectic_gq,
-              geometry.singer_pencil, geometry.plane_rows]
+              geometry.singer_pencil, geometry._singer_plane]
     misses = [c.cache_info().misses for c in caches]
     with pytest.raises(ValueError, match="capped"):
         BUILDERS[family](GF(*prime_power(q)))

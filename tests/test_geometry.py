@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from itertools import combinations
 from pathlib import Path
@@ -8,15 +9,15 @@ import pytest
 from geometry_pins import GEOMETRY_SPECS, PLANE_ORDERS, build_uncached, pin_of, plane_pin_of, spec_id
 from oracles import dot, incidence, line_through, normalize_point, ovoid_search
 
-from egrtools import geometry
+from egrtools import constructions, geometry
+from egrtools.constructions import build_pencil_graph
 from egrtools.galois import GF, prime_power
 from egrtools.geometry import (
     _check_ovoid,
-    _tangent_planes,
+    _singer_plane,
     elliptic_quadric,
     pg2_geometry,
     pg_points,
-    plane_rows,
     point_array,
     point_index,
     singer_pencil,
@@ -27,6 +28,29 @@ from egrtools.geometry import (
 FIELDS = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5)}
 GEOMETRY_PINS = json.loads((Path(__file__).with_name("data") / "geometry_pins.json").read_text())["geometries"]
 PLANE_PINS = json.loads((Path(__file__).with_name("data") / "plane_pins.json").read_text())["planes"]
+
+
+def plane_rows(F) -> np.ndarray:
+    """The planes of PG(3,q) as the Singer translates D + t of
+    ``_singer_plane`` give them, in the order of the dense incidence: row i
+    holds, ascending, the points x with point_i . x = 0.  Plane D + t is
+    the zero set of the linear form x -> digit 0 of w^-t x, whose dual
+    vector holds digit 0 of w^-t e_j at j, e_j the element with digit j
+    alone (index q^j)."""
+    point_of, D = _singer_plane(F)
+    q, n, E = F.q, len(point_of), F.extension(4)
+    t = np.arange(n)[:, None]
+    dual = E._exp[(E._log[q ** np.arange(4)] - t) % (q**4 - 1)] % q
+    rows = np.empty((n, len(D)), dtype=np.int64)
+    rows[point_index(F, dual)] = np.sort(point_of[(D + t) % n], axis=1)
+    return rows
+
+
+def tangent_rows(F) -> np.ndarray:
+    """Row p lists, ascending, the points of the tangent plane at p of the
+    pencil member through p, read off the pencil graph's left vertex p."""
+    G = build_pencil_graph(F)
+    return np.array([G.adj[p] for p in range(G.n // 2)]) - G.n // 2
 
 
 def test_point_counts():
@@ -132,9 +156,8 @@ def test_singer_pencil_members_have_no_three_collinear_q2():
 @pytest.mark.parametrize("q", [2, 3])
 def test_tangent_planes_biject_points_to_planes(q):
     F = FIELDS[q]
-    n = q**3 + q**2 + q + 1
-    planes = np.concatenate([_tangent_planes(F, np.array([member]))[0] for member in singer_pencil(F)])
-    assert sorted(planes.tolist()) == list(range(n))  # pairwise distinct and exhaust all planes
+    # pairwise distinct and exhaust all planes
+    assert sorted(tangent_rows(F).tolist()) == sorted(plane_rows(F).tolist())
 
 
 def test_tangent_plane_counts_planes_through_point():
@@ -145,18 +168,23 @@ def test_tangent_plane_counts_planes_through_point():
     assert len(through) == 7  # q^2 + q + 1
 
 
-def test_tangent_plane_rejects_non_ovoid():
+def test_tangent_plane_rejects_non_ovoid(monkeypatch):
     F = FIELDS[2]
-    # a line is emphatically not a cap: every plane through it meets it 3 times
-    geom = symplectic_gq(F)
-    fake = list(geom.blocks[0]) + [max(geom.blocks[0]) + 1, max(geom.blocks[0]) + 2]
-    with pytest.raises(ValueError, match="not an ovoid"):
-        _tangent_planes(F, np.array([fake]))
+    point_of, _ = _singer_plane(F)
+    # with runs of 7 consecutive exponents as the "planes", every one meets
+    # member 0 (the multiples of 3 mod 15) in 2 or 3 points: no tangents
+    monkeypatch.setattr(constructions, "_singer_plane", lambda F: (point_of, np.arange(7)))
+    monkeypatch.setattr(constructions, "singer_pencil", lambda F: None)
+    with pytest.raises(ArithmeticError, match="without exactly one tangent plane"):
+        build_pencil_graph(F)
 
 
 def test_plane_points_size():
     F = FIELDS[3]
-    assert [len(set(row)) for row in plane_rows(F).tolist()] == [13] * 40  # q^2 + q + 1 points on each plane
+    point_of, D = _singer_plane(F)
+    translates = [sorted(point_of[(D + t) % 40].tolist()) for t in range(40)]
+    assert [len(set(row)) for row in translates] == [13] * 40  # q^2 + q + 1 points on each plane
+    assert len(set(map(tuple, translates))) == 40
 
 
 def test_ovoid_and_spread_of_w2():
@@ -251,38 +279,88 @@ def test_symplectic_lines_match_pairwise_scan(q):
 
 
 def test_collinear_triples_match_brute_force():
+    # singer_pencil's count: a non-collinear triple lies on one plane D + t
+    # and a collinear one on q+1, so sum_t C(|S & (D + t)|, 3) = C(|S|, 3) + q
+    # times the collinear triples, here for sets S of exponents
     F = FIELDS[3]
     pts = pg_points(3, F)
+    point_of, D = _singer_plane(F)
+
+    def by_planes(S):
+        c = np.bincount(((np.array(S)[:, None] - D) % 40).ravel())
+        return ((c * (c - 1) * (c - 2)).sum() // 6 - math.comb(len(S), 3)) // 3
+
+    def brute(S):
+        triples = combinations(point_of[S].tolist(), 3)
+        return sum(1 for a, b, c in triples if pts[c] in line_through(F, pts[a], pts[b]))
+
     rng = random.Random(3)
-    for size in (3, 6, 10, 14):
-        chosen = rng.sample(range(len(pts)), size)
-        brute = sum(
-            1 for a, b, c in combinations(chosen, 3) if pts[c] in line_through(F, pts[a], pts[b])
-        )
-        assert geometry._collinear_triples(F, np.array([chosen])).tolist() == [brute]
-    assert geometry._collinear_triples(F, np.array(singer_pencil(F))).tolist() == [0] * 4
+    for S in [rng.sample(range(40), size) for size in (3, 6, 10, 14)]:
+        assert by_planes(S) == brute(S)
+    members = [list(range(r, 40, 4)) for r in range(4)]
+    assert [by_planes(S) for S in members] == [brute(S) for S in members] == [0] * 4
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_tangent_planes_match_single_point_search(q):
     F = FIELDS[q]
     pts = pg_points(3, F)
+    rows = tangent_rows(F)
     for member in singer_pencil(F):
-        planes = _tangent_planes(F, np.array([member]))[0]
         # by the scalar form: the planes that meet the member in one point
         tangent = {}
-        for b, dual in enumerate(pts):
+        for dual in pts:
             on = [i for i in member if dot(F, dual, pts[i]) == 0]
             if len(on) == 1:
-                tangent.setdefault(on[0], []).append(b)
-        assert [[b] for b in planes.tolist()] == [tangent[p] for p in member]
+                tangent.setdefault(on[0], []).append([i for i, x in enumerate(pts) if dot(F, dual, x) == 0])
+        assert [[rows[p].tolist()] for p in member] == [tangent[p] for p in member]
 
 
-def test_tangent_planes_reject_non_ovoid():
+def test_tangent_planes_reject_non_ovoid(monkeypatch):
     F = FIELDS[3]
-    line = symplectic_gq(F).blocks[0]  # q^2 planes through each point meet the line there alone
-    with pytest.raises(ValueError, match="exactly one tangent plane"):
-        _tangent_planes(F, line[None, :])
+    point_of, _ = _singer_plane(F)
+    # runs of 13 consecutive exponents as the "planes" meet member 0 (the
+    # multiples of 4 mod 40) in 3 or 4 points: the count finds collinear triples
+    monkeypatch.setattr(geometry, "_singer_plane", lambda F: (point_of, np.arange(13)))
+    with pytest.raises(ArithmeticError, match="three collinear points"):
+        singer_pencil.__wrapped__(F)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_pencil_tangent_rows_match_dense_incidence(q):
+    F = GF(*prime_power(q))
+    pts = point_array(3, F)
+    inc = incidence(F, pts, pts)  # row b: the points of the plane with the coordinates of point b
+    expected = np.full((len(pts), q * q + q + 1), -1)
+    for member in map(list, singer_pencil(F)):
+        meets = inc[:, member]
+        for b in np.flatnonzero(meets.sum(axis=1) == 1):
+            p = member[int(np.argmax(meets[b]))]
+            assert (expected[p] == -1).all()  # one tangent plane at each point
+            expected[p] = np.flatnonzero(inc[b])
+    assert (tangent_rows(F) == expected).all()
+
+
+def test_singer_plane_rejects_a_corrupted_exponent_map(monkeypatch):
+    F = GF(3)
+    E = F.extension(4)
+    exp = E._exp.copy()
+    exp[7] = exp[8]  # w^7 and w^8 at one point, and a point that no power meets
+    monkeypatch.setattr(E, "_exp", exp)
+    with pytest.raises(ArithmeticError, match="do not meet each point of PG"):
+        _singer_plane.__wrapped__(F)
+
+
+def test_singer_plane_rejects_a_corrupted_difference_set(monkeypatch):
+    F = GF(3)
+    E = F.extension(4)
+    point_of, D = _singer_plane(F)
+    a, b = D[1], np.setdiff1d(np.arange(40), D)[0]
+    exp = E._exp.copy()
+    exp[[a, b]] = exp[[b, a]]  # still one power per point, but D loses a and gains b
+    monkeypatch.setattr(E, "_exp", exp)
+    with pytest.raises(ArithmeticError, match="not a planar difference set"):
+        _singer_plane.__wrapped__(F)
 
 
 def test_plane_points_match_scalar_form():
@@ -295,9 +373,10 @@ def test_plane_points_match_scalar_form():
 
 def test_planes_and_lines_build_without_a_dense_array():
     # PG(3,27), with 20440 points, was past the dense incidence cap; its
-    # planes list a row per plane, the same way PG(2,131) lists its lines
-    rows = plane_rows.__wrapped__(GF(3, 3))
-    assert rows.shape == (20440, 757) and rows.dtype == np.int64 and not rows.flags.writeable
+    # planes are the translates of one difference set, and PG(2,131) lists
+    # a row per line
+    point_of, D = _singer_plane.__wrapped__(GF(3, 3))
+    assert point_of.shape == (20440,) and D.shape == (757,)
     assert pg2_geometry(GF(131)).blocks.shape == (17293, 132)
 
 
@@ -317,9 +396,9 @@ def test_plane_pins_cover_the_orders():
 
 @pytest.mark.parametrize("pin", PLANE_PINS, ids=[f"PG(3,{pin['q']})" for pin in PLANE_PINS])
 def test_planes_are_pinned(pin):
-    # the plane rows of PG(3,q), byte for byte as the dense incidence gave them
+    # the Singer translates, byte for byte as the dense incidence gave the planes
     q = pin["q"]
-    assert plane_pin_of(q, plane_rows.__wrapped__(GF(*prime_power(q)))) == pin
+    assert plane_pin_of(q, plane_rows(GF(*prime_power(q)))) == pin
 
 
 def test_cover_search_runs_deeper_than_the_recursion_limit():

@@ -454,6 +454,21 @@ def test_exact_identity_overrides_the_tolerance():
         certify_tight_spectrum(switched, sig, tol=100.0)
 
 
+def test_tight_identity_decides_from_one_product():
+    # NN^T = (k - mu)I + mu J decides the identity; N^TN is formed here only
+    switched = degree_preserving_switch(build_pencil_graph(GF(2)), keep_sides=True)
+    cases = [(build_pencil_graph(GF(2)), 7), (build_pencil_graph(GF(3)), 13), (heawood(), 3),
+             (complete_bipartite(4), 4), (switched, 7)]  # k = mu at K(4,4)
+    verdicts = []
+    for G, k in cases:
+        N, half = spectral._biadjacency_of(G), G.n // 2
+        mu = k * (k - 1) // (half - 1)
+        target = (k - mu) * np.eye(half) + mu
+        verdicts.append(spectral._tight_identity(G, k))
+        assert verdicts[-1] == (np.array_equal(N @ N.T, target) and np.array_equal(N.T @ N, target))
+    assert verdicts == [True, True, True, True, False]  # the switch breaks NN^T
+
+
 def test_exact_identity_refuses_what_the_float_check_refuses(monkeypatch):
     q4 = _hypercube(4)
     sig = verify_egr(q4)
