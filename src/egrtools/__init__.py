@@ -17,7 +17,6 @@ from .geometry import (
     pg2_geometry,
     pg_points,
     singer_pencil,
-    spread_search,
     symplectic_gq,
 )
 from .graph_core import (
@@ -78,7 +77,6 @@ __all__ = [
     "pg2_geometry",
     "symplectic_gq",
     "singer_pencil",
-    "spread_search",
     "Graph",
     "EgrSignature",
     "NotEdgeGirthRegular",

@@ -1,10 +1,11 @@
 """Edge-girth-regular graph families built from finite geometries, plus
 the named reference graphs used throughout the test suite.
 
-Every builder is a pure function of its parameters: deleted flags, base
-points and spreads are always the lexicographically smallest valid
-choice, and W(q)'s ovoid is the elliptic quadric, so two runs produce
-identical adjacency lists.
+Every builder is a pure function of its parameters: deleted flags and
+base points are always the lexicographically smallest valid choice, and
+W(q)'s ovoid and spread are the elliptic quadric and the regular spread of
+a pencil of alternating forms, so two runs produce identical adjacency
+lists.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from .geometry import (
     elliptic_quadric,
     pg2_geometry,
     point_array,
+    regular_spread,
     rows_through,
     singer_pencil,
-    spread_search,
     symplectic_gq,
 )
 from .graph_core import Graph
@@ -38,9 +39,10 @@ FAMILIES = ("biaffine1", "biaffine2", "gq_truncation", "ovoid_spread", "pencil",
 # fit too.  The pencil from its Singer difference set (one process each,
 # field included): q=19 0.5 s / 169 MiB, q=23 1.2 s / 381 MiB, q=25
 # 2.1-2.4 s / 516 MiB, q=27 2.6-3.3 s / 739 MiB, q=29 3.6-4.1 s / 1036 MiB.
-# ovoid_spread q=16 takes 0.7 s / 44 MiB; at q=32 the spread search alone
-# takes 81 s / 528 MiB.
-MAX_ORDER = {"biaffine1": 193, "biaffine2": 193, "gq_truncation": 49, "ovoid_spread": 16, "pencil": 19}
+# ovoid_spread from the regular spread: q=16 0.03 s / 35 MiB, q=32
+# 0.3-0.4 s / 94 MiB, q=64 5.8 s / 887 MiB, less than 15% under 1 GiB, so
+# the cap is 32.
+MAX_ORDER = {"biaffine1": 193, "biaffine2": 193, "gq_truncation": 49, "ovoid_spread": 32, "pencil": 19}
 
 
 # Round sizes of complete_bipartite(k) and cycle(n) that build in under
@@ -182,19 +184,17 @@ def build_ovoid_spread(F: Field) -> Graph:
     """Levi graph of W(q) minus an ovoid and a spread (q even, q >= 4):
     q-regular, bipartite, girth 8, order 2q(q^2+1).  The ovoid is the
     elliptic quadric (``geometry.elliptic_quadric``), the spread the
-    lexicographically smallest one (``geometry.spread_search``)."""
+    regular spread (``geometry.regular_spread``), which is the
+    lexicographically smallest spread at q <= 32."""
     if F.q == 2:
         raise ValueError("q = 2 degenerates to degree 2")
     check_order("ovoid_spread", F.q)
     ovoid = elliptic_quadric(F)
     geom = symplectic_gq(F)
-    spread = spread_search(geom)
-    if spread is None:
-        raise ValueError(f"no spread found in W({F.q})")
     keep_points = np.ones(geom.n_points, dtype=bool)
     keep_points[ovoid] = False
     keep_blocks = np.ones(geom.n_blocks, dtype=bool)
-    keep_blocks[list(spread)] = False
+    keep_blocks[regular_spread(F)] = False
     return levi_graph(geom, keep_points, keep_blocks)
 
 

@@ -1,7 +1,7 @@
 """Projective geometries over GF(q) as numpy index arrays: PG(2,q),
 PG(3,q) and its Singer cycle, the symplectic generalized quadrangle W(q),
-pencils of ovoids, the elliptic-quadric ovoid of W(q) for q even, and a
-deterministic spread search.
+pencils of ovoids, and the elliptic-quadric ovoid and the regular spread
+of W(q) for q even, each in closed form and checked as it is built.
 
 Points are the rows of an (N x d) array of field-element indices
 (``point_array``), normalized so the first nonzero coordinate is 1 and
@@ -237,6 +237,17 @@ def singer_pencil(F: Field) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, np.sort(point_of.reshape(-1, q + 1).T, axis=1).tolist()))
 
 
+def _absolute_trace(F: Field) -> np.ndarray:
+    """Tr(x) = x + x^2 + x^4 + ... + x^(q/2) of every element x of GF(q),
+    q even, indexed by x: 0 or 1, as Tr maps GF(q) onto GF(2)."""
+    add, mul = F.tables.add, F.tables.mul
+    trace = power = np.arange(F.q)
+    for _ in range(F.e - 1):
+        power = mul[power, power]
+        trace = add[trace, power]
+    return trace
+
+
 def elliptic_quadric(F: Field) -> np.ndarray:
     """The ovoid of W(q), q even, as ascending point indices: the zeros of
     the elliptic quadric Q(x) = d x0^2 + x0 x1 + x1^2 + x2 x3, d the
@@ -249,11 +260,7 @@ def elliptic_quadric(F: Field) -> np.ndarray:
     if F.p != 2:
         raise ValueError(f"W({F.q}) has no ovoid for odd q; construction unavailable")
     add, mul = F.tables.add, F.tables.mul
-    trace = power = np.arange(F.q)
-    for _ in range(F.e - 1):  # x + x^2 + x^4 + ... + x^(q/2)
-        power = mul[power, power]
-        trace = add[trace, power]
-    d = int(np.argmax(trace == 1))
+    d = int(np.argmax(_absolute_trace(F) == 1))
     x0, x1, x2, x3 = point_array(3, F).T
     form = add[add[mul[d, mul[x0, x0]], mul[x0, x1]], add[mul[x1, x1], mul[x2, x3]]]
     return _check_ovoid(F, np.flatnonzero(form == 0))
@@ -270,64 +277,39 @@ def _check_ovoid(F: Field, points: np.ndarray) -> np.ndarray:
     return points
 
 
-def _first_cover_solution(n_items: int, compat: list[int], target: int, cover_masks: list[int]):
-    """Lexicographically first size-``target`` subset of 0..n_items-1 that is
-    pairwise compatible and hits every cover mask, or None.
+def regular_spread(F: Field) -> np.ndarray:
+    """A spread of W(q), q even, as ascending line indices: the lines of
+    W(q) that are totally isotropic for a second alternating form too,
+    B2(x, y) = d (x0 y1 + x1 y0) + (x0 y3 + x3 y0) + (x1 y2 + x2 y1), d the
+    smallest field element with Tr(1/d) = 1 (a regular spread; Payne &
+    Thas, Finite Generalized Quadrangles, 1.8 and 3.2).  A line is
+    isotropic when B2 vanishes on its first two points, which span it.
+    Every form B2 + t B1 of the pencil, B1 W(q)'s own form, has Pfaffian
+    t^2 + d t + 1, which has no root as Tr(1/d^2) = Tr(1/d) = 1; so none
+    is degenerate, and through each point x the one line on both x^B1 and
+    x^B2 is the one spread line.  It is the lexicographically smallest
+    spread of W(q) at q = 2, 4, 8, 16 and 32.  ValueError for odd q;
+    ArithmeticError, an arithmetic bug, unless the lines are q^2+1 and
+    cover every point once (``_check_spread``)."""
+    if F.p != 2:
+        raise ValueError(f"the regular spread of W({F.q}) is built for even q only")
+    add, mul, inv = F.tables.add, F.tables.mul, F.tables.inv
+    d = int(np.argmax(_absolute_trace(F)[inv] == 1))
+    coords, blocks = point_array(3, F), symplectic_gq(F).blocks
+    r, s = coords[blocks[:, 0]].T, coords[blocks[:, 1]].T
 
-    ``compat[i]`` is a bitmask of items compatible with item i.
-    ``cover_masks`` are bitmasks over items; every mask must intersect the
-    chosen set (ovoids must meet every line, spreads must cover every
-    point).  Depth-first in increasing index order, so the first solution
-    found is the lexicographically smallest.  Its own stack, a level per
-    chosen item (the items still to try there, the chosen mask), frees its
-    depth from Python's recursion limit: W(32)'s spread takes 1025 levels.
-    """
+    def polar(i, j):  # x_i y_j + x_j y_i
+        return add[mul[r[i], s[j]], mul[r[j], s[i]]]
 
-    def feasible(depth: int, reach: int, cand: int) -> bool:
-        return depth + cand.bit_count() >= target and all(mask & reach for mask in cover_masks)
-
-    full = (1 << n_items) - 1
-    if not target:
-        return ()
-    stack = [[full, 0]] if feasible(0, full, full) else []
-    while stack:
-        level = stack[-1]
-        rest, mask = level
-        if not rest:
-            stack.pop()
-            continue
-        v = (rest & -rest).bit_length() - 1
-        level[0] = rest = rest & (rest - 1)
-        mask |= 1 << v
-        if len(stack) == target:
-            return tuple(i for i, bit in enumerate(reversed(bin(mask))) if bit == "1")
-        cand = rest & compat[v]
-        if feasible(len(stack), mask | cand, cand):
-            stack.append([cand, mask])
-    return None
+    form = add[add[mul[d, polar(0, 1)], polar(0, 3)], polar(1, 2)]
+    return _check_spread(F, np.flatnonzero(form == 0))
 
 
-def _cover_search(rows: np.ndarray, n_items: int, target: int):
-    """``_first_cover_solution`` over items 0..n_items-1 where the items of
-    one row of the (m x s) array ``rows`` clash pairwise and every row must
-    be hit, each item lying in equally many rows.  numpy sets the bits of
-    each mask in a row of little-endian bytes: a row's own mask, then, ORed
-    together, the masks of the rows through an item (the item itself
-    included, a bit the search never reads)."""
-    m, s = rows.shape
-    cover = np.zeros((m, n_items // 8 + 1), dtype=np.uint8)
-    np.bitwise_or.at(cover, (np.arange(m).repeat(s), rows.ravel() >> 3), (1 << (rows.ravel() & 7)).astype(np.uint8))
-    clash = np.zeros((n_items, cover.shape[1]), dtype=np.uint8)
-    for through in rows_through(rows, n_items).T:
-        clash |= cover[through]
-    full = (1 << n_items) - 1
-    compat = [full ^ int.from_bytes(bits.tobytes(), "little") for bits in clash]
-    return _first_cover_solution(n_items, compat, target, [int.from_bytes(bits.tobytes(), "little") for bits in cover])
-
-
-def spread_search(G: IncidenceGeometry):
-    """Lexicographically smallest spread of a GQ of order (q,q): q^2+1
-    pairwise disjoint lines, covering every point.  Returns None when none
-    exists."""
-    q = G.blocks.shape[1] - 1
-    return _cover_search(G.blocks_through(), G.n_blocks, q * q + 1)
+def _check_spread(F: Field, lines: np.ndarray) -> np.ndarray:
+    """``lines`` when they are q^2+1 lines of W(q) that cover every point
+    once; else ArithmeticError."""
+    q, blocks = F.q, symplectic_gq(F).blocks
+    covered = np.bincount(blocks[lines].ravel(), minlength=len(point_array(3, F)))
+    if len(lines) != q * q + 1 or not (covered == 1).all():
+        raise ArithmeticError(f"the regular spread is not a spread of W({q}); field arithmetic is broken")
+    return lines

@@ -8,7 +8,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from egrtools.geometry import IncidenceGeometry, _cover_search
+from egrtools.geometry import IncidenceGeometry, rows_through
 from egrtools.graph_core import Graph
 
 
@@ -229,6 +229,69 @@ def tree_walk_counts(L: int, k: int) -> list[int]:
         ways = nxt
         counts.append(ways.get(0, 0))
     return counts
+
+
+def _first_cover_solution(n_items: int, compat: list[int], target: int, cover_masks: list[int]):
+    """Lexicographically first size-``target`` subset of 0..n_items-1 that is
+    pairwise compatible and hits every cover mask, or None.
+
+    ``compat[i]`` is a bitmask of items compatible with item i.
+    ``cover_masks`` are bitmasks over items; every mask must intersect the
+    chosen set (ovoids must meet every line, spreads must cover every
+    point).  Depth-first in increasing index order, so the first solution
+    found is the lexicographically smallest.  Its own stack, a level per
+    chosen item (the items still to try there, the chosen mask), frees its
+    depth from Python's recursion limit: W(32)'s spread takes 1025 levels.
+    """
+
+    def feasible(depth: int, reach: int, cand: int) -> bool:
+        return depth + cand.bit_count() >= target and all(mask & reach for mask in cover_masks)
+
+    full = (1 << n_items) - 1
+    if not target:
+        return ()
+    stack = [[full, 0]] if feasible(0, full, full) else []
+    while stack:
+        level = stack[-1]
+        rest, mask = level
+        if not rest:
+            stack.pop()
+            continue
+        v = (rest & -rest).bit_length() - 1
+        level[0] = rest = rest & (rest - 1)
+        mask |= 1 << v
+        if len(stack) == target:
+            return tuple(i for i, bit in enumerate(reversed(bin(mask))) if bit == "1")
+        cand = rest & compat[v]
+        if feasible(len(stack), mask | cand, cand):
+            stack.append([cand, mask])
+    return None
+
+
+def _cover_search(rows: np.ndarray, n_items: int, target: int):
+    """``_first_cover_solution`` over items 0..n_items-1 where the items of
+    one row of the (m x s) array ``rows`` clash pairwise and every row must
+    be hit, each item lying in equally many rows.  numpy sets the bits of
+    each mask in a row of little-endian bytes: a row's own mask, then, ORed
+    together, the masks of the rows through an item (the item itself
+    included, a bit the search never reads)."""
+    m, s = rows.shape
+    cover = np.zeros((m, n_items // 8 + 1), dtype=np.uint8)
+    np.bitwise_or.at(cover, (np.arange(m).repeat(s), rows.ravel() >> 3), (1 << (rows.ravel() & 7)).astype(np.uint8))
+    clash = np.zeros((n_items, cover.shape[1]), dtype=np.uint8)
+    for through in rows_through(rows, n_items).T:
+        clash |= cover[through]
+    full = (1 << n_items) - 1
+    compat = [full ^ int.from_bytes(bits.tobytes(), "little") for bits in clash]
+    return _first_cover_solution(n_items, compat, target, [int.from_bytes(bits.tobytes(), "little") for bits in cover])
+
+
+def spread_search(G: IncidenceGeometry):
+    """Lexicographically smallest spread of a GQ of order (q,q): q^2+1
+    pairwise disjoint lines, covering every point.  Returns None when none
+    exists."""
+    q = G.blocks.shape[1] - 1
+    return _cover_search(G.blocks_through(), G.n_blocks, q * q + 1)
 
 
 def ovoid_search(G: IncidenceGeometry):

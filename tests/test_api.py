@@ -3,9 +3,10 @@ from egrtools import geometry, graph_core
 
 # public names that were removed; the one walk pass and the one BFS in
 # graph_core cover what they did, the elliptic quadric gives W(q)'s ovoid,
-# the Singer difference set gives the pencil's planes (plane_rows), and
-# names that only tests called are gone or test oracles (the cycle
-# counters, the exhaustive ovoid search, tangent_planes, normalize_point)
+# the Singer difference set gives the pencil's planes (plane_rows), the
+# regular spread gives W(q)'s spread, and names that only tests called are
+# gone or test oracles (the cycle counters, the exhaustive ovoid and spread
+# searches, tangent_planes, normalize_point)
 REMOVED = [
     "girth",
     "bipartition",
@@ -18,6 +19,7 @@ REMOVED = [
     "tangent_planes",
     "normalize_point",
     "plane_rows",
+    "spread_search",
 ]
 
 
@@ -41,5 +43,15 @@ def test_removed_names_are_gone():
         "cycle_counts_through_vertices",
     ]:
         assert not hasattr(graph_core, name), name
-    for name in ["tangent_plane", "plane_points", "ovoid_search", "tangent_planes", "normalize_point", "plane_rows"]:
+    for name in [
+        "tangent_plane",
+        "plane_points",
+        "ovoid_search",
+        "tangent_planes",
+        "normalize_point",
+        "plane_rows",
+        "spread_search",
+        "_cover_search",
+        "_first_cover_solution",
+    ]:
         assert not hasattr(geometry, name), name

@@ -310,7 +310,7 @@ def test_construct_bad_q_is_a_usage_error(capsys, q, message):
 
 
 @pytest.mark.parametrize("family,q", [("biaffine1", 197), ("biaffine2", 197), ("gq_truncation", 53),
-                                      ("ovoid_spread", 32), ("pencil", 23)])
+                                      ("ovoid_spread", 64), ("pencil", 23)])
 def test_report_over_size_cap_is_a_usage_error(capsys, family, q):
     code, out, err = run(capsys, "report", "--family", family, "--q", str(q))
     assert code == EXIT_USAGE

@@ -59,10 +59,11 @@ def test_gq_truncation_deletion_counts():
 
 
 def test_ovoid_spread_signature():
-    # lambda is ((q-1)(q-2))^2 at both q; not pinned as a formula
+    # egr(2q(q^2+1), q, 8, ((q-1)(q-2))^2) (Kiss, Miklavic and Szonyi)
     for field, expected in ((F[4], (136, 4, 8, 36)), (GF(2, 3), (1040, 8, 8, 1764))):
+        q = field.q
         sig = verify_egr(build_ovoid_spread(field))
-        assert (sig.n, sig.k, sig.g, sig.lam) == expected
+        assert (sig.n, sig.k, sig.g, sig.lam) == expected == (2 * q * (q * q + 1), q, 8, ((q - 1) * (q - 2)) ** 2)
         assert sig.bipartite
 
 
@@ -288,8 +289,8 @@ def test_labels_are_pinned(family, q):
 
 
 # The next q above each family's cap that the family takes (ovoid_spread
-# needs q even).
-OVER_CAP = {"biaffine1": 197, "biaffine2": 197, "gq_truncation": 53, "ovoid_spread": 32, "pencil": 23}
+# needs q a power of 2).
+OVER_CAP = {"biaffine1": 197, "biaffine2": 197, "gq_truncation": 53, "ovoid_spread": 64, "pencil": 23}
 
 
 @pytest.mark.parametrize("family", sorted(OVER_CAP))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -7,21 +8,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 from geometry_pins import GEOMETRY_SPECS, PLANE_ORDERS, build_uncached, pin_of, plane_pin_of, spec_id
-from oracles import dot, incidence, line_through, normalize_point, ovoid_search
+from oracles import _first_cover_solution, dot, incidence, line_through, normalize_point, ovoid_search, spread_search
 
 from egrtools import constructions, geometry
 from egrtools.constructions import build_pencil_graph
 from egrtools.galois import GF, prime_power
 from egrtools.geometry import (
     _check_ovoid,
+    _check_spread,
     _singer_plane,
     elliptic_quadric,
     pg2_geometry,
     pg_points,
     point_array,
     point_index,
+    regular_spread,
     singer_pencil,
-    spread_search,
     symplectic_gq,
 )
 
@@ -407,14 +409,14 @@ def test_cover_search_runs_deeper_than_the_recursion_limit():
     n = 2 * sys.getrecursionlimit() + 50
     full = (1 << n) - 1
     # every item compatible with every other: the only n-subset is all of them
-    assert geometry._first_cover_solution(n, [full] * n, n, [full, 1 << (n - 1)]) == tuple(range(n))
+    assert _first_cover_solution(n, [full] * n, n, [full, 1 << (n - 1)]) == tuple(range(n))
     # items i and i+1 clash, so the first n/2-subset alternates from 0
     compat = [full & ~(1 << max(i - 1, 0) | 1 << i | 1 << min(i + 1, n - 1)) for i in range(n)]
-    assert geometry._first_cover_solution(n, compat, (n + 1) // 2, [full]) == tuple(range(0, n, 2))
+    assert _first_cover_solution(n, compat, (n + 1) // 2, [full]) == tuple(range(0, n, 2))
 
 
-# recorded from the recursive search, before it kept its own stack; the
-# ovoid search is the test oracle, the spread search the library's
+# recorded from the recursive search, before it kept its own stack; both
+# searches are test oracles
 SEARCH_PINS = {
     2: ((0, 1, 6, 10, 14), (0, 4, 8, 12, 13)),
     4: ((0, 1, 10, 16, 19, 27, 30, 36, 43, 46, 52, 60, 63, 66, 76, 79, 82),
@@ -458,3 +460,34 @@ def test_ovoid_check_refuses_a_swapped_point():
 def test_elliptic_quadric_needs_q_even(q):
     with pytest.raises(ValueError, match="no ovoid for odd q"):
         elliptic_quadric(GF(*prime_power(q)))
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_regular_spread_is_the_searched_spread(q):
+    F = GF(*prime_power(q))
+    assert tuple(regular_spread(F).tolist()) == spread_search(symplectic_gq(F))
+
+
+def test_regular_spread_of_w32_is_the_searched_spread():
+    # sha256 of spread_search at q = 32, printed by data/make_spread_pin.py
+    searched = "9c74e02d4d04499494d95dc362cf827e80c43d84fdb8da2f60515ce8b085ce72"
+    spread = np.asarray(regular_spread(GF(2, 5)), dtype="<i8")
+    assert hashlib.sha256(spread.tobytes()).hexdigest() == searched
+
+
+def test_spread_check_refuses_a_swapped_line():
+    F = FIELDS[4]
+    spread, blocks = regular_spread(F), symplectic_gq(F).blocks
+    for swap in (0, 8, 16):
+        # the other lines through the first and last point of the swapped line
+        meeting = np.flatnonzero(np.isin(blocks, blocks[spread[swap], [0, -1]]).any(axis=1))
+        for new in np.setdiff1d(meeting, spread)[[0, -1]]:
+            lines = np.sort(np.concatenate((np.delete(spread, swap), [new])))
+            with pytest.raises(ArithmeticError, match="not a spread of W"):
+                _check_spread(F, lines)
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_regular_spread_needs_q_even(q):
+    with pytest.raises(ValueError, match="even q only"):
+        regular_spread(GF(*prime_power(q)))
