@@ -2,10 +2,12 @@
 """Exact closed-walk moments vs. floating-point spectra.
 
 Integer moments (traces of adjacency powers) are computed exactly; the
-spectrum comes from LAPACK eigvalsh and is checked against the exact
-moments at runtime before it is returned, and the four-eigenvalue
+spectrum comes from LAPACK (eigvalsh, or svd of the biadjacency matrix of
+a connected bipartite graph), is checked against the exact moments at
+runtime before it is returned, and carries them
+(``eigenvalues(G, length=L).moments``).  The four-eigenvalue
 tight-spectrum certificate, cross-checked by the exact identity
-NN^T = (k - mu)I + mu J on the biadjacency matrix N, is issued for the
+(n - 2)(m_4 - 2k^4) = (nk - 2k^2)^2 on those moments, is issued for the
 pencil graphs from the spectrum already computed.
 """
 
@@ -55,9 +57,9 @@ for q in (2, 3):
     print(f"    -> {cert.reason}")
     assert cert.certified
 
-spec = eigenvalues(petersen())
+spec = eigenvalues(petersen(), length=6)
 print(f"  petersen: {[(round(v, 6), m) for v, m in spec.groups]}")
-m = walk_moments(petersen(), 6)
-print(f"  petersen exact moments 0..6: {m}")
+m = spec.moments
+print(f"  petersen exact moments 0..6: {list(m)}")
 checks = [abs(sum(v**l for v in spec.values) - m[l]) < 1e-6 for l in range(7)]
 print(f"  eigenvalue powers reproduce every exact moment: {all(checks)}")

@@ -2,13 +2,16 @@
 
 Exit codes: 0 success (or verified egr), 1 verified-not-egr, 2 usage or
 input error (an argument argparse rejects, a graph over the verify or
-report vertex cap, a bounds pair (k, g) past bounds.MAX_BOUND_BITS, or an
---out path that cannot be written, included; each prints one ``error:``
-line), 3 internal inconsistency (a construction failed its
-own verification, a spectrum failed its exact moment check, or the float
-tight-spectrum verdict disagreed with its exact incidence identity) or any
-other exception that escapes a command, reported as one ``internal
-error:`` line without a traceback.  A stream verify reports each
+report vertex cap, a named graph of degree below 3, a bounds pair (k, g)
+past bounds.MAX_BOUND_BITS, or an --out path that cannot be written,
+included; each prints one ``error:`` line), 3 internal inconsistency (a
+construction failed its own verification, a spectrum failed its exact
+moment check, or the float tight-spectrum verdict disagreed with its
+exact moment identity) or any other exception that escapes a command,
+reported as one ``internal error:`` line without a traceback.  A report
+makes one ``eigenvalues`` call: the spectrum it returns carries the exact
+moments the report prints, and the tight-spectrum certificate reads
+them.  A stream verify reports each
 malformed or oversized line and goes on; it exits with the largest code
 of any line.  It decodes and verifies STREAM_BLOCK_LINES lines at a time
 as one union (``_verify_block``) and writes their records, byte for byte
@@ -46,6 +49,7 @@ from .constructions import (
     build_ovoid_spread,
     build_pencil_graph,
     check_order,
+    named_degree,
     named_graph,
     named_order,
 )
@@ -60,7 +64,7 @@ from .graph_core import (
     verify_egr,
     verify_many,
 )
-from .spectral import MAX_MOMENT_VERTICES, certify_tight_spectrum, eigenvalues, walk_moments
+from .spectral import MAX_MOMENT_VERTICES, certify_tight_spectrum, eigenvalues
 
 SCHEMA_VERSION = 1
 
@@ -92,8 +96,9 @@ class _Parser(argparse.ArgumentParser):
 def family_order(family: str, q: int | None = None, name: str | None = None) -> int:
     """Vertex count of the graph ``build_family`` builds for these
     arguments, from its closed form, after the argument checks that
-    ``build_family`` makes; nothing is built.  UsageError when a check
-    fails."""
+    ``build_family`` makes and, for a named graph, a check of its degree
+    in closed form: one below 3 can never verify; nothing is built.
+    UsageError when a check fails."""
     if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
     if family == "named" and name is None:
@@ -102,6 +107,9 @@ def family_order(family: str, q: int | None = None, name: str | None = None) -> 
         raise UsageError(f"--q is required for family {family}")
     try:
         if family == "named":
+            k = named_degree(name)
+            if k < 3:
+                raise UsageError(f"{name} has degree {k}; verification needs degree k >= 3")
             return named_order(name)
         prime_power(q)
         check_order(family, q)
@@ -333,15 +341,14 @@ def cmd_report(args, argv) -> int:
     doc["graph6"] = graph6_encode(G)
 
     t0 = time.perf_counter()
-    moments = walk_moments(G, min(sig.g + 1, 16))
     try:
-        spec = eigenvalues(G, moments=moments)
+        spec = eigenvalues(G, length=min(sig.g + 1, 16))
         tight = certify_tight_spectrum(G, sig, spectrum=spec)
     except ArithmeticError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     timing["spectrum"] = time.perf_counter() - t0
-    doc["moments"] = moments
+    doc["moments"] = list(spec.moments)
     # + 0.0 prints a zero eigenvalue as 0.0, whichever sign the solver left
     doc["spectrum"] = {
         "min": round(spec.smallest, 9) + 0.0,

@@ -289,18 +289,18 @@ def cycle_graph(n: int) -> Graph:
     return Graph.from_edges(n, np.stack((np.arange(n), (np.arange(n) + 1) % n), axis=1))
 
 
-# name -> (order, builder)
+# name -> (order, degree, builder)
 _NAMED = {
-    "petersen": (10, petersen),
-    "hoffman_singleton": (50, hoffman_singleton),
-    "heawood": (14, heawood),
-    "tutte_coxeter": (30, tutte_coxeter),
+    "petersen": (10, 3, petersen),
+    "hoffman_singleton": (50, 7, hoffman_singleton),
+    "heawood": (14, 3, heawood),
+    "tutte_coxeter": (30, 3, tutte_coxeter),
 }
 
 
 def _named(name: str):
-    """(order, builder) of a reference graph by name; ValueError for an
-    unknown name or a size past its cap."""
+    """(order, degree, builder) of a reference graph by name; ValueError
+    for an unknown name or a size past its cap."""
     key = name.strip().lower()
     if key in _NAMED:
         return _NAMED[key]
@@ -309,8 +309,8 @@ def _named(name: str):
         size = int(m.group(2))
         _check_size(m.group(1), size)
         if m.group(1) == "complete_bipartite":
-            return 2 * size, lambda: complete_bipartite(size)
-        return size, lambda: cycle_graph(size)
+            return 2 * size, size, lambda: complete_bipartite(size)
+        return size, 2, lambda: cycle_graph(size)
     raise ValueError(
         f"unknown graph name {name!r}; expected one of {sorted(_NAMED)}, "
         "complete_bipartite(k), or cycle(n)"
@@ -322,7 +322,13 @@ def named_order(name: str) -> int:
     return _named(name)[0]
 
 
+def named_degree(name: str) -> int:
+    """Degree of ``named_graph(name)``, every one regular, without
+    building it."""
+    return _named(name)[1]
+
+
 def named_graph(name: str) -> Graph:
     """Reference graph by name: petersen, hoffman_singleton, heawood,
     tutte_coxeter, complete_bipartite(k), cycle(n)."""
-    return _named(name)[1]()
+    return _named(name)[2]()

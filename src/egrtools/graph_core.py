@@ -92,8 +92,7 @@ class Graph:
     ascending order and ``deg[v]`` is their count; all three are read-only
     int64 arrays.  ``adj`` is the same adjacency as a list of sorted lists
     of Python ints, built on first use and cached, for JSON output; the
-    colour classes of ``_bipartition`` and the biadjacency matrix of
-    ``spectral._biadjacency`` are cached beside it.
+    colour classes of ``_bipartition`` are cached beside it.
 
     ``Graph(adj)`` takes a sequence whose entry v holds the neighbours of v
     in any order; ``Graph.from_edges`` takes the edges.  Both validate with
@@ -108,7 +107,7 @@ class Graph:
     Equality and hashing consider adjacency only; labels are metadata.
     """
 
-    __slots__ = ("indptr", "indices", "deg", "labels", "_adj", "_sides", "_biadj")
+    __slots__ = ("indptr", "indices", "deg", "labels", "_adj", "_sides")
 
     def __init__(self, adj, labels=None):
         n = len(adj)
@@ -170,7 +169,7 @@ class Graph:
             raise ValueError("labels length must equal vertex count")
         self.indptr, self.indices, self.deg = indptr, indices, deg
         self.labels = list(labels) if labels is not None else None
-        self._adj = self._sides = self._biadj = None
+        self._adj = self._sides = None
 
     @property
     def adj(self) -> list[list[int]]:
@@ -380,8 +379,9 @@ def _adjacency(graphs, dtype) -> np.ndarray:
     stack."""
     n = graphs[0].n
     A = np.zeros((len(graphs), n, n), dtype=dtype)
-    # entry (b, u, v) is flat position (b*n + u)*n + v
-    rows = np.arange(0, len(graphs) * n * n, n).repeat(np.concatenate([G.deg for G in graphs]))
+    # entry (b, u, v) is flat position (b*n + u)*n + v; at n = 0 the range
+    # is empty, and a step of 0 would raise
+    rows = np.arange(0, len(graphs) * n * n, max(n, 1)).repeat(np.concatenate([G.deg for G in graphs]))
     A.ravel()[rows + np.concatenate([G.indices for G in graphs])] = 1
     return A
 

@@ -6,22 +6,21 @@ Exact integer moments are the ground truth here; the floating spectrum
 (LAPACK ``eigvalsh``, or ``svd`` on the half-order route) is checked
 against them at runtime, never the other way around: every spectrum
 ``eigenvalues`` returns has matched the exact moments of lengths
-0..MOMENT_CHECK_LENGTH.  The moments take the adjacency matrix and the
+0..MOMENT_CHECK_LENGTH and carries those of lengths 0..``length``
+(``Spectrum.moments``), from the one matrix and the one moment chain it
+shares with ``walk_moments`` (``_matrix_moments``).  The moments take the
 exactness rule of ``graph_core`` (float32 while no count exceeds 2**24,
-float64 while none exceeds 2**53, Python ints past that), the same ones its
-walk pass uses.  A caller that already holds the moments or the spectrum
-passes them in (``eigenvalues(G, moments=...)``,
-``certify_tight_spectrum(G, sig, spectrum=...)``), and each is checked to
-belong to G.  The tight four-value spectrum of a bipartite girth-4 graph
-is also decided exactly, by the symmetric-design identity of
-``_tight_identity``, and the float verdict must agree with it.
+float64 while none exceeds 2**53, Python ints past that), the one its walk
+pass uses.  ``certify_tight_spectrum`` takes a spectrum already computed,
+checked to belong to G, and also decides the tight four-value spectrum of
+a bipartite girth-4 graph exactly, by one integer identity on its moments
+(``_tight_identity``); the float verdict must agree with it.
 
 The half-order route.  A connected bipartite graph with an edge (every
 family ``report`` builds: each is the Levi graph of an incidence
 structure) has a biadjacency matrix N, a x b with a <= b, its colour
 classes from the package's one BFS (``graph_core._bipartition``, cached on
-the graph); N is built once per graph and cached too (``_biadjacency_of``).
-Then A**2 = diag(NN^T, N^TN), so
+the graph).  Then A**2 = diag(NN^T, N^TN), so
 trace(A**(2j)) = 2 trace((NN^T)**j) for j >= 1, every odd moment is 0,
 and the eigenvalues of A are +-sigma_i, the singular values of N, and
 b - a zeros (Brouwer & Haemers, *Spectra of Graphs*, 2012, section 1.3).
@@ -59,40 +58,47 @@ MOMENT_CHECK_RTOL = 1e-9
 
 def walk_moments(G: Graph, L: int) -> list[int]:
     """Exact trace of A**l for l = 0..L, i.e. the closed-walk counts
-    sum_i lambda_i**l.
-
-    A connected bipartite G with an edge takes the half-order route: with
-    N its biadjacency matrix (rows the smaller colour class),
-    A**2 = diag(NN^T, N^TN), so trace(A**(2j)) = 2 trace((NN^T)**j) for
-    j >= 1 and every odd moment is 0.  The chain of ``_power_traces`` then
-    runs on M = NN^T, of order at most n/2, up to j = L // 2.  Any other
-    graph runs the same chain on A up to L.  Entry (u, v) of M**j counts
-    the walks of 2j steps from u to v, so the bound below holds on either
-    route, and M itself (entries at most k, formed in float64) is exact.
-
-    With maximum degree k, every entry of a power, every partial sum of a
-    product and every partial row sum counts walks of at most L steps from
-    one vertex, so none exceeds k**L, and the arrays take their dtype from
-    graph_core._exact_dtype(k**L).
-
-    moments[0] = n, moments[1] = 0 (no loops), moments[2] = 2|E|.
-    """
+    sum_i lambda_i**l (``_matrix_moments``): moments[0] = n, moments[1] = 0
+    (no loops), moments[2] = 2|E|."""
+    if L < 0:
+        raise ValueError("moment length must be nonnegative")
     if L > MAX_MOMENT_LENGTH:
         raise ValueError(f"moment length capped at {MAX_MOMENT_LENGTH}")
     if G.n > MAX_MOMENT_VERTICES:
         raise ValueError(f"moment computation capped at {MAX_MOMENT_VERTICES} vertices")
-    k = int(G.deg.max(initial=0))
-    dtype = _exact_dtype(k**L)
-    N = _biadjacency_of(G)
+    return _matrix_moments(G, L)[1]
+
+
+def _matrix_moments(G: Graph, L: int) -> tuple[np.ndarray, list[int]]:
+    """The one matrix B a spectral call builds, and trace(A**l) for
+    l = 0..L exactly, from the one moment chain on it.
+
+    A connected bipartite G with an edge takes the half-order route: B is
+    its biadjacency matrix N (``_biadjacency``, rows the smaller colour
+    class, so fewer than n), A**2 = diag(NN^T, N^TN), so
+    trace(A**(2j)) = 2 trace((NN^T)**j) for j >= 1 and every odd moment is
+    0.  The chain of ``_power_traces`` then runs on M = NN^T up to
+    j = L // 2.  Any other graph has B = A in float64, of n rows, and the
+    chain runs on A up to L.  Entry (u, v) of M**j counts the walks of 2j
+    steps from u to v, so the bound below holds on either route, and M
+    itself (entries at most k, formed in float64) is exact.
+
+    With maximum degree k, every entry of a power, every partial sum of a
+    product and every partial row sum counts walks of at most L steps from
+    one vertex, so none exceeds k**L, and the chain takes its dtype from
+    graph_core._exact_dtype(k**L)."""
+    dtype = _exact_dtype(int(G.deg.max(initial=0)) ** L)
+    N = _biadjacency(G)
     if N is None:
-        return [G.n] + _power_traces(_adjacency([G], dtype)[0], L)
+        A = _adjacency([G], float)[0]
+        return A, [G.n] + _power_traces(_widen(A, dtype), L)
     half = _power_traces(_widen(N @ N.T, dtype), L // 2)
-    return [G.n] + [0 if length % 2 else 2 * half[length // 2 - 1] for length in range(1, L + 1)]
+    return N, [G.n] + [0 if length % 2 else 2 * half[length // 2 - 1] for length in range(1, L + 1)]
 
 
 def _power_traces(B: np.ndarray, J: int) -> list[int]:
     """trace(B**j) for j = 1..J of the symmetric matrix B, as Python ints:
-    the one moment chain, run on A or on NN^T (``walk_moments``).
+    the one moment chain, run on A or on NN^T (``_matrix_moments``).
 
     Keeps only two consecutive powers B**i, B**(i+1) and reads
     trace(B**j) as the Python-int sum of the row sums of
@@ -112,18 +118,6 @@ def _power_traces(B: np.ndarray, J: int) -> list[int]:
             entrywise = low * high
         traces.append(sum(int(d) for d in entrywise.sum(axis=1)))
     return traces
-
-
-def _biadjacency_of(G: Graph) -> np.ndarray | None:
-    """``_biadjacency(G)``, built on the first call and kept on G
-    (``G._biadj``: None until built, False when G has none), so that
-    ``walk_moments``, ``eigenvalues`` and ``_tight_identity`` share one N.
-    At the report cap of 2048 vertices N holds at most 1024 x 1024 float64
-    entries, 8 MiB, for as long as G lives."""
-    if G._biadj is None:
-        N = _biadjacency(G)
-        G._biadj = False if N is None else N
-    return None if G._biadj is False else G._biadj
 
 
 def _biadjacency(G: Graph) -> np.ndarray | None:
@@ -204,10 +198,12 @@ def tree_walk_polynomial(length: int) -> list[int]:
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues of an adjacency matrix, descending, with multiplicity
-    groups (value, count) merged within the grouping tolerance."""
+    groups (value, count) merged within the grouping tolerance, and the
+    exact moments ``walk_moments(G, length)`` they were checked against."""
 
     values: tuple[float, ...]
     groups: tuple[tuple[float, int], ...]
+    moments: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -237,11 +233,14 @@ def _check_moments(vals: np.ndarray, exact: list[int]) -> None:
             )
 
 
-def eigenvalues(G: Graph, tol: float = 1e-10, moments: list[int] | None = None) -> Spectrum:
+def eigenvalues(G: Graph, tol: float = 1e-10, length: int = MOMENT_CHECK_LENGTH) -> Spectrum:
     """All adjacency eigenvalues of G, descending, checked against the
     exact walk moments of lengths 0..MOMENT_CHECK_LENGTH; grouped into
     multiplicities at 1e4 * tol, each group's value the mean of its
-    members.  Raises ArithmeticError when the check fails.
+    members.  The returned ``moments`` are ``walk_moments(G, length)``,
+    from the same matrix as the spectrum; ``length`` must lie in
+    MOMENT_CHECK_LENGTH..MAX_MOMENT_LENGTH, else ValueError.  Raises
+    ArithmeticError when the check fails.
 
     A connected bipartite G with an edge takes the half-order route: the
     eigenvalues are +-sigma, sigma the singular values of its a x b
@@ -249,32 +248,20 @@ def eigenvalues(G: Graph, tol: float = 1e-10, moments: list[int] | None = None) 
     ``eigvalsh(NN^T)``, because the square root of a near-zero eigenvalue
     of NN^T keeps only half the digits: a zero eigenvalue would read about
     1e-7 (module docstring).  Every other graph takes LAPACK ``eigvalsh`` on
-    the adjacency matrix.
-
-    ``moments``, when given, is ``walk_moments(G, L)`` for some
-    L >= MOMENT_CHECK_LENGTH, and the check reads its first
-    MOMENT_CHECK_LENGTH + 1 entries instead of computing them.  A shorter
-    list, or one whose entries 0..2 are not (n, 0, 2|E|), raises
-    ValueError."""
+    the adjacency matrix."""
+    if not MOMENT_CHECK_LENGTH <= length <= MAX_MOMENT_LENGTH:
+        raise ValueError(f"moment length must lie in {MOMENT_CHECK_LENGTH}..{MAX_MOMENT_LENGTH}, got {length}")
     if G.n > MAX_MOMENT_VERTICES:
         raise ValueError(f"eigensolver capped at {MAX_MOMENT_VERTICES} vertices")
-    if moments is not None:
-        if len(moments) <= MOMENT_CHECK_LENGTH:
-            raise ValueError(
-                f"need the moments of lengths 0..{MOMENT_CHECK_LENGTH}, got {len(moments)} of them"
-            )
-        head = [G.n, 0, 2 * G.num_edges()]
-        if list(moments[:3]) != head:
-            raise ValueError(f"moments 0..2 are {list(moments[:3])}, not (n, 0, 2|E|) = {head} of this graph")
+    B, moments = _matrix_moments(G, length)
     if G.n == 0:
-        return Spectrum(values=(), groups=())
-    N = _biadjacency_of(G)
-    if N is None:
-        vals = eigvalsh(_adjacency([G], float)[0])[::-1]
+        return Spectrum(values=(), groups=(), moments=tuple(moments))
+    if len(B) == G.n:
+        vals = eigvalsh(B)[::-1]
     else:
-        sigma = svd(N, compute_uv=False)
-        vals = np.concatenate((sigma, np.zeros(abs(N.shape[0] - N.shape[1])), -sigma[::-1]))
-    _check_moments(vals, walk_moments(G, MOMENT_CHECK_LENGTH) if moments is None else moments)
+        sigma = svd(B, compute_uv=False)
+        vals = np.concatenate((sigma, np.zeros(abs(B.shape[0] - B.shape[1])), -sigma[::-1]))
+    _check_moments(vals, moments)
     group_tol = 1e4 * tol
     values = vals.tolist()
     groups: list[tuple[float, int]] = []
@@ -283,7 +270,7 @@ def eigenvalues(G: Graph, tol: float = 1e-10, moments: list[int] | None = None) 
         if i == len(values) or abs(values[i] - values[start]) > group_tol:
             groups.append((float(np.mean(vals[start:i])), i - start))
             start = i
-    return Spectrum(values=tuple(values), groups=tuple(groups))
+    return Spectrum(values=tuple(values), groups=tuple(groups), moments=tuple(moments))
 
 
 @dataclass(frozen=True)
@@ -301,38 +288,25 @@ class TightSpectrumResult:
         return self.certified
 
 
-def _tight_identity(G: Graph, k: int) -> bool:
-    """Whether G is the incidence graph of a symmetric design: two colour
-    classes of n/2 vertices, mu = k(k-1)/(n/2 - 1) an integer, and the
-    biadjacency matrix N with NN^T = N^TN = (k - mu)I + mu J.
+def _tight_identity(G: Graph, k: int, moments) -> bool:
+    """Whether G, with exact walk moments m_0..m_4 (``moments``), has the
+    tight spectrum {+-k, +-sqrt((nk - 2k^2)/(n - 2))^((n - 2)/2)}: G is
+    connected and bipartite (``_bipartition``), n >= 4, m_0 = n, m_2 = nk
+    and (n - 2)(m_4 - 2k^4) = (nk - 2k^2)^2.
 
-    Exact in float64: every entry of NN^T counts common neighbours, at most
-    k.  The identity holds exactly when G has the tight spectrum
-    {+-k, +-sqrt(k - mu)^(n/2 - 1)}, and k - mu = (nk - 2k^2)/(n - 2).
-
-    One product decides it.  N is 0/1, so the diagonal of NN^T = (k - mu)I
-    + mu J says N's row sums are k: NJ = kJ.  Row sums are at most n/2, so
-    mu <= k.  When k > mu, NN^T is invertible (eigenvalues k - mu and
-    k - mu + mu n/2 = k^2), hence so is N, and 1^T N N^T = k^2 1^T = k 1^T N^T
-    gives column sums k too: JN = kJ.  Then N^TN = N^-1 (NN^T) N
-    = (k - mu)I + mu N^-1 J N = (k - mu)I + mu J.  When k = mu, k = n/2
-    (N has an edge, so k >= 1), so N = J and N^TN = kJ as well.
-
-    N is ``_biadjacency_of``'s.  With k >= 2, mu >= 1, so any two vertices of
-    one class share a neighbour and a graph that meets the identity is
-    connected: a graph without colour classes (disconnected, or not
-    bipartite) means False.
-    """
-    N = None if G.n < 4 else _biadjacency_of(G)
-    if N is None or 2 * len(N) != G.n:
+    The squares x_i of G's a <= n/2 nonnegative eigenvalues sum to nk/2,
+    and their squares to m_4/2.  The largest eigenvalue is at least the
+    average degree k, so x_1 >= k^2, and Cauchy-Schwarz over the other
+    a - 1 <= n/2 - 1 squares gives the equation with ">=".  Equality holds
+    exactly when a = n/2, x_1 = k^2 and the other x_i are all equal: the
+    tight spectrum.  It is the symmetric-design identity
+    NN^T = N^TN = (k - mu)I + mu J on the biadjacency matrix N in spectral
+    form (A^2 = diag(NN^T, N^TN)), with no N.  A disjoint union of tight
+    graphs can meet the equation (2K_2 does), hence the connectivity."""
+    n = G.n
+    if n < 4 or _bipartition(G) is None or moments[0] != n or moments[2] != n * k:
         return False
-    half = G.n // 2
-    mu, rem = divmod(k * (k - 1), half - 1)
-    if rem:
-        return False
-    target = np.full((half, half), float(mu))
-    np.fill_diagonal(target, k)
-    return np.array_equal(N @ N.T, target)
+    return (n - 2) * (moments[4] - 2 * k**4) == (n * k - 2 * k * k) ** 2
 
 
 def certify_tight_spectrum(
@@ -344,13 +318,17 @@ def certify_tight_spectrum(
 
     The verdict compares ``spectrum`` (default: ``eigenvalues(G)``) with
     the pattern within ``tol``.  It is then checked against the exact
-    identity NN^T = N^TN = (k - mu)I + mu J on the biadjacency matrix N,
-    mu = k(k-1)/(n/2 - 1), which holds exactly when the spectrum is tight
-    and needs mu to be an integer; ArithmeticError is raised when the two
-    disagree.  A ``spectrum`` with other than G.n values raises ValueError.
+    identity (n - 2)(m_4 - 2k^4) = (nk - 2k^2)^2 on the spectrum's own
+    exact walk moments (``_tight_identity``), which holds exactly when the
+    spectrum is tight; ArithmeticError is raised when the two disagree.  A
+    ``spectrum`` whose moments 0..2 are not (n, 0, 2|E|) of G, one of
+    another graph, raises ValueError.
     """
-    if spectrum is not None and spectrum.n != G.n:
-        raise ValueError(f"spectrum has {spectrum.n} eigenvalues, the graph {G.n} vertices")
+    head = (G.n, 0, 2 * G.num_edges())
+    if spectrum is not None and spectrum.moments[:3] != head:
+        raise ValueError(
+            f"spectrum moments 0..2 are {spectrum.moments[:3]}, not (n, 0, 2|E|) = {head} of this graph"
+        )
     if sig.g != 4 or not sig.bipartite:
         return TightSpectrumResult(
             certified=False,
@@ -366,10 +344,10 @@ def certify_tight_spectrum(
     spec = eigenvalues(G) if spectrum is None else spectrum
     deviation = max(abs(a - b) for a, b in zip(spec.values, expected))
     certified = deviation <= tol
-    if _tight_identity(G, k) != certified:
+    if _tight_identity(G, k, spec.moments) != certified:
         raise ArithmeticError(
             f"tight-spectrum verdict {certified} (deviation {deviation:.3e}, tolerance {tol:.1e}) "
-            f"disagrees with the exact identity NN^T = N^TN = (k - mu)I + mu J"
+            f"disagrees with the exact identity (n - 2)(m_4 - 2k^4) = (nk - 2k^2)^2"
         )
     if not certified:
         return TightSpectrumResult(

@@ -146,6 +146,41 @@ def degree_preserving_switch(G: Graph, keep_sides: bool = False) -> Graph:
     raise AssertionError("no switch keeps the graph simple")
 
 
+def symmetric_design_identity(G: Graph, k: int) -> bool:
+    """Whether G is the incidence graph of a symmetric design: connected
+    and bipartite with colour classes of n/2 vertices each, n >= 4,
+    mu = k(k-1)/(n/2 - 1) an integer, and its biadjacency matrix N with
+    NN^T = N^TN = (k - mu)I + mu J.  Colour classes from a plain BFS, both
+    products in int64."""
+    if G.n < 4:
+        return False
+    side = [-1] * G.n
+    side[0] = 0
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for w in G.adj[u]:
+            if side[w] < 0:
+                side[w] = 1 - side[u]
+                queue.append(w)
+            elif side[w] == side[u]:
+                return False
+    rows = [v for v in range(G.n) if side[v] == 0]
+    cols = [v for v in range(G.n) if side[v] == 1]
+    if -1 in side or 2 * len(rows) != G.n:  # disconnected, or unequal classes
+        return False
+    half = G.n // 2
+    mu, rem = divmod(k * (k - 1), half - 1)
+    if rem:
+        return False
+    A = np.zeros((G.n, G.n), dtype=np.int64)
+    for u, nbrs in enumerate(G.adj):
+        A[u, nbrs] = 1
+    N = A[np.ix_(rows, cols)]
+    target = (k - mu) * np.eye(half, dtype=np.int64) + mu
+    return np.array_equal(N @ N.T, target) and np.array_equal(N.T @ N, target)
+
+
 def complete(n: int) -> Graph:
     return Graph.from_edges(n, list(combinations(range(n), 2)))
 

@@ -350,6 +350,16 @@ def test_named_graph_past_its_size_cap_is_a_usage_error(capsys, command, name, c
     assert _one_error_line(err, f"{name} is past the size cap {cap}")
 
 
+@pytest.mark.parametrize("command", ["construct", "report"])
+@pytest.mark.parametrize("name,k", [("cycle(7)", 2), ("complete_bipartite(1)", 1), ("complete_bipartite(2)", 2)])
+def test_named_graph_below_degree_3_is_a_usage_error(capsys, monkeypatch, command, name, k):
+    # no such graph can verify; the degree comes in closed form, so nothing is built
+    monkeypatch.setattr(cli, "named_graph", None)
+    code, out, err = run(capsys, command, "--family", "named", "--name", name)
+    assert code == EXIT_USAGE and out == ""
+    assert _one_error_line(err, f"{name} has degree {k}; verification needs degree k >= 3")
+
+
 # Each probe with a lowered cap is one vertex past it.
 @pytest.mark.parametrize(
     "argv,patch,message",

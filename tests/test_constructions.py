@@ -17,6 +17,7 @@ from egrtools.constructions import (
     check_order,
     complete_bipartite,
     cycle_graph,
+    named_degree,
     named_graph,
     named_order,
 )
@@ -152,7 +153,9 @@ def test_named_size_cap_is_checked_before_building(name):
 
 def test_named_order_matches_the_built_graph():
     for name in ("petersen", "hoffman_singleton", "heawood", "tutte_coxeter", "complete_bipartite(4)", "cycle(7)"):
-        assert named_order(name) == named_graph(name).n
+        G = named_graph(name)
+        assert named_order(name) == G.n
+        assert (G.deg == named_degree(name)).all()
 
 
 def test_named_graph_values():

@@ -32,6 +32,7 @@ from oracles import (
     closed_walks_at_root,
     degree_preserving_switch,
     matrix_power_traces,
+    symmetric_design_identity,
     tree_walk_counts,
     truncated_tree,
 )
@@ -211,11 +212,15 @@ def test_float32_moments_match_python_ints_on_the_report_grid(family, q, name, m
 def test_trivial_lengths():
     assert walk_moments(petersen(), 0) == [10]
     assert tree_walk_count(0, 5) == 1
+    assert walk_moments(Graph([]), 4) == [0, 0, 0, 0, 0]
+    assert eigenvalues(Graph([])).moments == (0, 0, 0, 0, 0)
 
 
 def test_moments_caps():
     with pytest.raises(ValueError):
         walk_moments(petersen(), 17)
+    with pytest.raises(ValueError, match="nonnegative"):
+        walk_moments(petersen(), -1)
 
 
 @pytest.mark.parametrize("length", [2, 4, 6, 8])
@@ -402,33 +407,33 @@ def _hypercube(d: int) -> Graph:
 
 
 def test_report_computes_moments_and_spectrum_once(monkeypatch, capsys):
-    # one eigensolve, eigvalsh or svd, and one moment chain, in walk_moments;
-    # one BFS, verify's, and one build of N (None for Petersen), shared by
-    # the moments, the spectrum and the exact identity
-    calls = {"eigensolve": 0, "walk_moments": 0, "_power_traces": 0, "_bfs_levels": 0, "_biadjacency": 0}
+    # per report: one matrix built (N, or A when G has no colour classes),
+    # one moment chain and one eigensolve on it, one BFS (verify's), and no
+    # separate walk_moments call; the certificate reads the spectrum's moments
+    calls = {"matrix": 0, "_power_traces": 0, "eigensolve": 0, "_bfs_levels": 0, "walk_moments": 0}
 
-    def counted(name, fn):
+    def counted(name, fn, built=lambda result: True):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            calls[name] += built(result)
+            return result
 
         return wrapper
 
-    moments = counted("walk_moments", spectral.walk_moments)
-    monkeypatch.setattr(spectral, "walk_moments", moments)
-    monkeypatch.setattr(cli, "walk_moments", moments)
+    monkeypatch.setattr(spectral, "_biadjacency", counted("matrix", spectral._biadjacency, lambda N: N is not None))
+    monkeypatch.setattr(spectral, "_adjacency", counted("matrix", spectral._adjacency))
     monkeypatch.setattr(spectral, "_power_traces", counted("_power_traces", spectral._power_traces))
     for solver in ("eigvalsh", "svd"):
         monkeypatch.setattr(spectral, solver, counted("eigensolve", getattr(spectral, solver)))
     monkeypatch.setattr(graph_core, "_bfs_levels", counted("_bfs_levels", graph_core._bfs_levels))
-    monkeypatch.setattr(spectral, "_biadjacency", counted("_biadjacency", spectral._biadjacency))
+    monkeypatch.setattr(spectral, "walk_moments", counted("walk_moments", spectral.walk_moments))
     for argv in (["--family", "pencil", "--q", "2"], ["--family", "named", "--name", "petersen"]):
         calls.update(dict.fromkeys(calls, 0))
         assert main(["report", *argv]) == 0
         doc = json.loads(capsys.readouterr().out)
         # pencil q=2 takes the half-order route, Petersen the full one
         assert doc["signature"]["bipartite"] is doc["tight_spectrum"]["certified"] is (argv[1] == "pencil")
-        assert calls == dict.fromkeys(calls, 1)
+        assert calls == {"matrix": 1, "_power_traces": 1, "eigensolve": 1, "_bfs_levels": 1, "walk_moments": 0}
 
 
 def test_exact_identity_overrides_the_tolerance():
@@ -443,8 +448,8 @@ def test_exact_identity_overrides_the_tolerance():
     assert res.reason == "spectrum deviates from the tight pattern by 1.073e+00 > 1.0e-06"
     with pytest.raises(ArithmeticError, match="verdict True .* disagrees with the exact identity"):
         certify_tight_spectrum(switched, sig, tol=100.0)
-    # a switch between the two sides keeps pencil q=2 bipartite with an
-    # integral mu = 3, so the refusal comes from NN^T itself
+    # a switch between the two sides keeps pencil q=2 bipartite, connected
+    # and 7-regular, so the refusal comes from the m_4 equation itself
     G = build_pencil_graph(GF(2))
     sig = verify_egr(G)
     switched = degree_preserving_switch(G, keep_sides=True)
@@ -454,34 +459,54 @@ def test_exact_identity_overrides_the_tolerance():
         certify_tight_spectrum(switched, sig, tol=100.0)
 
 
-def test_tight_identity_decides_from_one_product():
-    # NN^T = (k - mu)I + mu J decides the identity; N^TN is formed here only
-    switched = degree_preserving_switch(build_pencil_graph(GF(2)), keep_sides=True)
-    cases = [(build_pencil_graph(GF(2)), 7), (build_pencil_graph(GF(3)), 13), (heawood(), 3),
-             (complete_bipartite(4), 4), (switched, 7)]  # k = mu at K(4,4)
-    verdicts = []
-    for G, k in cases:
-        N, half = spectral._biadjacency_of(G), G.n // 2
-        mu = k * (k - 1) // (half - 1)
-        target = (k - mu) * np.eye(half) + mu
-        verdicts.append(spectral._tight_identity(G, k))
-        assert verdicts[-1] == (np.array_equal(N @ N.T, target) and np.array_equal(N.T @ N, target))
-    assert verdicts == [True, True, True, True, False]  # the switch breaks NN^T
+# (graph constructor, verdict of the symmetric-design identity)
+DESIGN_ORACLE_GRAPHS = {
+    "pencil_q2": (lambda: build_pencil_graph(GF(2)), True),
+    "pencil_q3": (lambda: build_pencil_graph(GF(3)), True),
+    "pencil_q4": (lambda: build_pencil_graph(GF(2, 2)), True),
+    "heawood": (heawood, True),
+    "k33": (lambda: complete_bipartite(3), True),
+    "k44": (lambda: complete_bipartite(4), True),  # k = mu, N = J
+    # a switch between the two sides keeps pencil q=2 bipartite, with mu = 3
+    "pencil_q2_switched": (lambda: degree_preserving_switch(build_pencil_graph(GF(2)), keep_sides=True), False),
+    "pencil_q3_switched": (lambda: degree_preserving_switch(build_pencil_graph(GF(3))), False),  # not bipartite
+    "q3": (lambda: _hypercube(3), True),
+    "q4": (lambda: _hypercube(4), False),  # mu = 12/7
+    "petersen": (petersen, False),
+    "tutte_coxeter": (tutte_coxeter, False),
+    "biaffine1_q3": (lambda: cli.build_family("biaffine1", 3), False),
+    "gq_truncation_q3": (lambda: cli.build_family("gq_truncation", 3), False),
+    "ovoid_spread_q4": (lambda: cli.build_family("ovoid_spread", 4), False),
+    # bipartite with classes of 3, mu = 1 an integer and average degree 2,
+    # but degrees 3, 2, 2, 2, 2, 1: a 4-cycle 0123 with a path 0-4-5
+    "c4_with_tail": (lambda: Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)]), False),
+}
+
+
+@pytest.mark.parametrize("name", list(DESIGN_ORACLE_GRAPHS))
+def test_moment_identity_matches_the_design_oracle(name):
+    build, verdict = DESIGN_ORACLE_GRAPHS[name]
+    G = build()
+    k, rem = divmod(2 * G.num_edges(), G.n)  # the average degree
+    assert rem == 0
+    assert symmetric_design_identity(G, k) is verdict
+    assert spectral._tight_identity(G, k, walk_moments(G, 4)) is verdict
 
 
 def test_exact_identity_refuses_what_the_float_check_refuses(monkeypatch):
     q4 = _hypercube(4)
     sig = verify_egr(q4)
-    assert not spectral._tight_identity(q4, sig.k)  # mu = 12/7 is not an integer
+    # spectrum {+-4, +-2^4, 0^6}: 14 (m_4 - 2 * 4**4) = 14 * 128 > (64 - 32)**2
+    assert not spectral._tight_identity(q4, sig.k, walk_moments(q4, 4))
     k34 = Graph.from_edges(7, [(u, v) for u in range(3) for v in range(3, 7)])
-    assert not spectral._tight_identity(k34, 3)  # colour classes of 3 and 4 vertices
-    monkeypatch.setattr(spectral, "_tight_identity", lambda G, k: True)
+    assert not spectral._tight_identity(k34, 3, walk_moments(k34, 4))  # m_2 = 24, not nk = 21
+    monkeypatch.setattr(spectral, "_tight_identity", lambda G, k, moments: True)
     with pytest.raises(ArithmeticError, match="verdict False"):
         certify_tight_spectrum(q4, sig)
 
 
 def test_report_exits_3_when_the_exact_identity_disagrees(monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr(spectral, "_tight_identity", lambda G, k: False)
+    monkeypatch.setattr(spectral, "_tight_identity", lambda G, k, moments: False)
     out = tmp_path / "report.json"
     code = main(["report", "--family", "pencil", "--q", "2", "--out", str(out)])
     captured = capsys.readouterr()
@@ -509,18 +534,19 @@ def test_pass_through_gives_the_same_results(name):
     sig = verify_egr(G)
     spec = eigenvalues(G)
     for L in (4, min(sig.g + 1, MAX_MOMENT_LENGTH)):
-        assert eigenvalues(G, moments=walk_moments(G, L)) == spec
+        longer = eigenvalues(G, length=L)
+        assert longer.moments == tuple(walk_moments(G, L))
+        assert (longer.values, longer.groups) == (spec.values, spec.groups)
     # dataclass equality compares every field: verdict, reason, lambda2^2, spectrum
     assert certify_tight_spectrum(G, sig, spectrum=spec) == certify_tight_spectrum(G, sig)
 
 
 def test_pass_through_input_is_checked():
     G = petersen()
-    with pytest.raises(ValueError, match="lengths 0..4, got 4"):
-        eigenvalues(G, moments=walk_moments(G, 3))
-    wrong = walk_moments(G, 6)
-    wrong[2] += 2
-    with pytest.raises(ValueError, match=r"not \(n, 0, 2\|E\|\)"):
-        eigenvalues(G, moments=wrong)
-    with pytest.raises(ValueError, match="10 eigenvalues, the graph 14 vertices"):
-        certify_tight_spectrum(heawood(), verify_egr(heawood()), spectrum=eigenvalues(G))
+    for length in (-1, 3, MAX_MOMENT_LENGTH + 1):
+        with pytest.raises(ValueError, match=f"must lie in 4..16, got {length}"):
+            eigenvalues(G, length=length)
+    # another graph's spectrum: another order, or the same order and another size
+    for H, other in ((heawood(), G), (complete_bipartite(4), _hypercube(3))):
+        with pytest.raises(ValueError, match=r"not \(n, 0, 2\|E\|\)"):
+            certify_tight_spectrum(H, verify_egr(H), spectrum=eigenvalues(other))
