@@ -6,9 +6,10 @@ spectrum comes from LAPACK (eigvalsh, or svd of the biadjacency matrix of
 a connected bipartite graph), is checked against the exact moments at
 runtime before it is returned, and carries them
 (``eigenvalues(G, length=L).moments``).  The four-eigenvalue
-tight-spectrum certificate, cross-checked by the exact identity
-(n - 2)(m_4 - 2k^4) = (nk - 2k^2)^2 on those moments, is issued for the
-pencil graphs from the spectrum already computed.
+tight-spectrum certificate, cross-checked by the girth-4 bound met with
+equality on the verified signature (n = egr4_bound(k, lambda,
+bipartite=True)), is issued for the pencil graphs from the spectrum
+already computed.
 """
 
 from egrtools import (

@@ -6,19 +6,19 @@ report vertex cap, a named graph of degree below 3, a bounds pair (k, g)
 past bounds.MAX_BOUND_BITS, or an --out path that cannot be written,
 included; each prints one ``error:`` line), 3 internal inconsistency (a
 construction failed its own verification, a spectrum failed its exact
-moment check, or the float tight-spectrum verdict disagreed with its
-exact moment identity) or any other exception that escapes a command,
-reported as one ``internal error:`` line without a traceback.  A report
-makes one ``eigenvalues`` call: the spectrum it returns carries the exact
-moments the report prints, and the tight-spectrum certificate reads
-them.  A stream verify reports each
-malformed or oversized line and goes on; it exits with the largest code
-of any line.  It decodes and verifies STREAM_BLOCK_LINES lines at a time
-as one union (``_verify_block``) and writes their records, byte for byte
+moment check, or the float tight-spectrum verdict disagreed with the exact
+one, the girth-4 bound met with equality on the verified signature) or
+any other exception that escapes a command, reported as one ``internal
+error:`` line without a traceback.  A report makes one ``eigenvalues``
+call: the spectrum it returns carries the exact moments the report
+prints, and the tight-spectrum certificate checks them against the
+signature.  A stream verify reports each malformed or oversized line and
+goes on; it exits with the largest code of any line.  It decodes and
+verifies STREAM_BLOCK_LINES lines at a time as one union
+(``_verify_block``) and writes their records, byte for byte
 ``json.dumps(record, sort_keys=True)``, with one write and a flush.
-Reports are JSON with a frozen field layout
-(schema_version 1); rationals are emitted as {num, den, decimal}, never as
-bare floats.
+Reports are JSON with a frozen field layout (schema_version 1); rationals
+are emitted as {num, den, decimal}, never as bare floats.
 
 The subcommands are one table, ``_COMMANDS`` (name: help line, argument
 adder, handler).  When the first argument names a command, ``main`` builds
@@ -198,11 +198,7 @@ def cmd_construct(args, argv) -> int:
     if n > graph_core.MAX_VERIFY_VERTICES:
         raise UsageError(str(graph_core._cap_error(n)))
     G = build_family(args.family, args.q, args.name)
-    try:
-        sig = verify_egr(G)
-    except NotEdgeGirthRegular as exc:
-        print(f"internal error: construction failed verification: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    sig = verify_egr(G)
     if args.format == "graph6":
         graph = graph6_encode(G)
     else:
@@ -331,11 +327,7 @@ def cmd_report(args, argv) -> int:
     timing["construct"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    try:
-        sig = verify_egr(G)
-    except NotEdgeGirthRegular as exc:
-        print(f"internal error: construction failed verification: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    sig = verify_egr(G)
     timing["verify"] = time.perf_counter() - t0
     doc["signature"] = _signature_json(sig)
     doc["graph6"] = graph6_encode(G)
@@ -439,6 +431,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NotEdgeGirthRegular as exc:  # construct and report verify what they build
+        print(f"internal error: construction failed verification: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except Exception as exc:
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)

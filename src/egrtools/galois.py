@@ -63,15 +63,8 @@ _FLOAT32_EXACT_MAX = 2**24
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test."""
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Trial-division primality test: n is its own one prime factor."""
+    return _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -374,15 +374,10 @@ def _widen(a: np.ndarray, dtype) -> np.ndarray:
     return a.astype(np.int64).astype(object) if np.dtype(dtype) == object else a.astype(dtype)
 
 
-def _adjacency(graphs, dtype) -> np.ndarray:
-    """Dense adjacency matrices of graphs of one order n, as a (B, n, n)
-    stack."""
-    n = graphs[0].n
-    A = np.zeros((len(graphs), n, n), dtype=dtype)
-    # entry (b, u, v) is flat position (b*n + u)*n + v; at n = 0 the range
-    # is empty, and a step of 0 would raise
-    rows = np.arange(0, len(graphs) * n * n, max(n, 1)).repeat(np.concatenate([G.deg for G in graphs]))
-    A.ravel()[rows + np.concatenate([G.indices for G in graphs])] = 1
+def _adjacency(G: Graph, dtype) -> np.ndarray:
+    """The dense n x n adjacency matrix of G in ``dtype``."""
+    A = np.zeros((G.n, G.n), dtype=dtype)
+    A[np.arange(G.n).repeat(G.deg), G.indices] = 1
     return A
 
 

@@ -12,9 +12,10 @@ shares with ``walk_moments`` (``_matrix_moments``).  The moments take the
 exactness rule of ``graph_core`` (float32 while no count exceeds 2**24,
 float64 while none exceeds 2**53, Python ints past that), the one its walk
 pass uses.  ``certify_tight_spectrum`` takes a spectrum already computed,
-checked to belong to G, and also decides the tight four-value spectrum of
-a bipartite girth-4 graph exactly, by one integer identity on its moments
-(``_tight_identity``); the float verdict must agree with it.
+refuses one whose moments 0..4 are not those of G's verified signature,
+and decides the tight four-value spectrum of a bipartite girth-4 graph
+exactly as the paper's girth-4 bound met with equality on that signature
+(``bounds.egr4_bound``); the float verdict must agree with it.
 
 The half-order route.  A connected bipartite graph with an edge (every
 family ``report`` builds: each is the Levi graph of an incidence
@@ -90,7 +91,7 @@ def _matrix_moments(G: Graph, L: int) -> tuple[np.ndarray, list[int]]:
     dtype = _exact_dtype(int(G.deg.max(initial=0)) ** L)
     N = _biadjacency(G)
     if N is None:
-        A = _adjacency([G], float)[0]
+        A = _adjacency(G, float)
         return A, [G.n] + _power_traces(_widen(A, dtype), L)
     half = _power_traces(_widen(N @ N.T, dtype), L // 2)
     return N, [G.n] + [0 if length % 2 else 2 * half[length // 2 - 1] for length in range(1, L + 1)]
@@ -288,42 +289,29 @@ class TightSpectrumResult:
         return self.certified
 
 
-def _tight_identity(G: Graph, k: int, moments) -> bool:
-    """Whether G, with exact walk moments m_0..m_4 (``moments``), has the
-    tight spectrum {+-k, +-sqrt((nk - 2k^2)/(n - 2))^((n - 2)/2)}: G is
-    connected and bipartite (``_bipartition``), n >= 4, m_0 = n, m_2 = nk
-    and (n - 2)(m_4 - 2k^4) = (nk - 2k^2)^2.
-
-    The squares x_i of G's a <= n/2 nonnegative eigenvalues sum to nk/2,
-    and their squares to m_4/2.  The largest eigenvalue is at least the
-    average degree k, so x_1 >= k^2, and Cauchy-Schwarz over the other
-    a - 1 <= n/2 - 1 squares gives the equation with ">=".  Equality holds
-    exactly when a = n/2, x_1 = k^2 and the other x_i are all equal: the
-    tight spectrum.  It is the symmetric-design identity
-    NN^T = N^TN = (k - mu)I + mu J on the biadjacency matrix N in spectral
-    form (A^2 = diag(NN^T, N^TN)), with no N.  A disjoint union of tight
-    graphs can meet the equation (2K_2 does), hence the connectivity."""
-    n = G.n
-    if n < 4 or _bipartition(G) is None or moments[0] != n or moments[2] != n * k:
-        return False
-    return (n - 2) * (moments[4] - 2 * k**4) == (n * k - 2 * k * k) ** 2
-
-
 def certify_tight_spectrum(
     G: Graph, sig: EgrSignature, tol: float = 1e-6, spectrum: Spectrum | None = None
 ) -> TightSpectrumResult:
     """Certificate that the spectrum matches the tight four-eigenvalue
-    pattern (implying the graph meets the girth-4 lower bound with
-    equality).  Refuses when the signature is not bipartite of girth 4.
+    pattern, the equality case of the bipartite girth-4 order bound.
+    Refuses when the signature is not bipartite of girth 4.
 
     The verdict compares ``spectrum`` (default: ``eigenvalues(G)``) with
     the pattern within ``tol``.  It is then checked against the exact
-    identity (n - 2)(m_4 - 2k^4) = (nk - 2k^2)^2 on the spectrum's own
-    exact walk moments (``_tight_identity``), which holds exactly when the
-    spectrum is tight; ArithmeticError is raised when the two disagree.  A
-    ``spectrum`` whose moments 0..2 are not (n, 0, 2|E|) of G, one of
-    another graph, raises ValueError.
+    verdict on the verified signature, n = ``bounds.egr4_bound(k, lambda,
+    bipartite=True)``; ArithmeticError is raised when the two disagree.
+    The bound is Cauchy-Schwarz on the squares of the n/2 nonnegative
+    eigenvalues, given m_2 = nk and m_4 = nk(2k - 1 + lambda): each vertex
+    starts k^2 + k(k - 1) closed 4-walks that trace no cycle, and each of
+    the nk lambda / 8 4-cycles gives 8 more.  Equality holds exactly when
+    the spectrum is tight (Brouwer & Haemers, *Spectra of Graphs*, 2012,
+    section 1.3).  A ``spectrum`` whose moments 0..2 are not (n, 0, 2|E|)
+    of G raises ValueError, and so does any spectrum, passed or computed,
+    whose moments 0..4 are not (n, 0, nk, 0, nk(2k - 1 + lambda)) of the
+    signature: either is one of another graph.
     """
+    from .bounds import egr4_bound  # bounds imports this module
+
     head = (G.n, 0, 2 * G.num_edges())
     if spectrum is not None and spectrum.moments[:3] != head:
         raise ValueError(
@@ -336,29 +324,25 @@ def certify_tight_spectrum(
             f"{'bipartite' if sig.bipartite else 'non-bipartite'}",
         )
     n, k = sig.n, sig.k
+    spec = eigenvalues(G) if spectrum is None else spectrum
+    signature = (n, 0, n * k, 0, n * k * (2 * k - 1 + sig.lam))
+    if spec.moments[:5] != signature:
+        raise ValueError(
+            f"spectrum moments 0..4 are {spec.moments[:5]}, "
+            f"not (n, 0, nk, 0, nk(2k - 1 + lambda)) = {signature} of the signature"
+        )
     lam2sq = Fraction(n * k - 2 * k * k, n - 2)
-    if lam2sq < 0:
-        return TightSpectrumResult(certified=False, reason="nk < 2k^2: no admissible spectrum", lambda2_squared=lam2sq)
     s = math.sqrt(float(lam2sq))
     expected = sorted([float(k), float(-k)] + [s] * ((n - 2) // 2) + [-s] * ((n - 2) // 2), reverse=True)
-    spec = eigenvalues(G) if spectrum is None else spectrum
     deviation = max(abs(a - b) for a, b in zip(spec.values, expected))
     certified = deviation <= tol
-    if _tight_identity(G, k, spec.moments) != certified:
+    if (n == egr4_bound(k, sig.lam, bipartite=True)) != certified:
         raise ArithmeticError(
             f"tight-spectrum verdict {certified} (deviation {deviation:.3e}, tolerance {tol:.1e}) "
-            f"disagrees with the exact identity (n - 2)(m_4 - 2k^4) = (nk - 2k^2)^2"
+            f"disagrees with the exact identity n = egr4_bound(k, lambda, bipartite=True)"
         )
-    if not certified:
-        return TightSpectrumResult(
-            certified=False,
-            reason=f"spectrum deviates from the tight pattern by {deviation:.3e} > {tol:.1e}",
-            lambda2_squared=lam2sq,
-            spectrum=spec,
-        )
-    return TightSpectrumResult(
-        certified=True,
-        reason=f"spectrum is {{+-{k}, +-sqrt({lam2sq})^({(n - 2) // 2})}} within {tol:.1e}",
-        lambda2_squared=lam2sq,
-        spectrum=spec,
-    )
+    if certified:
+        reason = f"spectrum is {{+-{k}, +-sqrt({lam2sq})^({(n - 2) // 2})}} within {tol:.1e}"
+    else:
+        reason = f"spectrum deviates from the tight pattern by {deviation:.3e} > {tol:.1e}"
+    return TightSpectrumResult(certified=certified, reason=reason, lambda2_squared=lam2sq, spectrum=spec)

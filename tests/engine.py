@@ -9,7 +9,7 @@ from egrtools.graph_core import Graph, _adjacency, _exact_dtype, _girth_counts, 
 
 def stack(*graphs: Graph) -> np.ndarray:
     """The graphs' adjacency matrices as the walk pass's prebuilt stack."""
-    return _adjacency(graphs, _exact_dtype(1))
+    return np.stack([_adjacency(G, _exact_dtype(1)) for G in graphs])
 
 
 def edge_counts(G: Graph) -> tuple[int, list[int]]:

@@ -5,10 +5,11 @@ import pytest
 
 from egrtools import bounds, cli, graph_core
 from egrtools.bounds import bound_report
-from egrtools.cli import EXIT_NOT_EGR, EXIT_OK, EXIT_USAGE, main
-from egrtools.constructions import petersen
+from egrtools.cli import EXIT_INTERNAL, EXIT_NOT_EGR, EXIT_OK, EXIT_USAGE, main
+from egrtools.constructions import build_pencil_graph, petersen
 from egrtools.galois import GF
-from egrtools.graph_core import Graph, graph6_encode
+from egrtools.graph_core import Graph, NotEdgeGirthRegular, graph6_encode
+from oracles import degree_preserving_switch
 
 
 def run(capsys, *argv):
@@ -338,6 +339,21 @@ def test_report_over_vertex_cap_exits_before_verifying(capsys, monkeypatch):
     code, out, err = run(capsys, "report", "--family", "named", "--name", "petersen")
     assert code == EXIT_USAGE and out == ""
     assert _one_error_line(err, "report is capped at 9 vertices (got n = 10)")
+
+
+@pytest.mark.parametrize("command", ["construct", "report"])
+def test_a_build_that_fails_its_own_verification_exits_3(tmp_path, capsys, monkeypatch, command):
+    # one switch leaves pencil q=2 7-regular of girth 4, with edges on no 4-cycle
+    def switched(F):
+        return degree_preserving_switch(build_pencil_graph(F))
+
+    monkeypatch.setitem(cli._BUILDERS, "pencil", switched)
+    with pytest.raises(NotEdgeGirthRegular) as failure:
+        graph_core.verify_egr(switched(GF(2)))
+    out_path = tmp_path / "out"
+    code, out, err = run(capsys, command, "--family", "pencil", "--q", "2", "--out", str(out_path))
+    assert code == EXIT_INTERNAL and out == "" and not out_path.exists()
+    assert err == f"internal error: construction failed verification: {failure.value}\n"
 
 
 @pytest.mark.parametrize("command", ["construct", "report"])

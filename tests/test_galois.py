@@ -173,6 +173,8 @@ def test_determinism_across_instances():
 
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert not any(map(is_prime, (-3, 0, 1, 1048575)))  # 1048575 = 3 * 5**2 * 11 * 31 * 41
+    assert is_prime(1048573)
 
 
 def _digit_add(F, a, b, sign=1):

@@ -6,7 +6,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from egrtools import cli, graph_core, spectral
+from egrtools import bounds, cli, graph_core, spectral
+from egrtools.bounds import egr4_bound
 from egrtools.cli import EXIT_INTERNAL, main
 from egrtools.constructions import (
     build_biaffine,
@@ -98,8 +99,8 @@ class _CountedProducts(np.ndarray):
 def test_moments_form_only_the_powers_they_read(monkeypatch):
     # one product for each of A**2 .. A**ceil(L/2): at an even last length
     # L the moment reads A**(L/2) alone, so A**(L/2 + 1) is never formed
-    def counted(graphs, dtype):
-        return graph_core._adjacency(graphs, dtype).view(_CountedProducts)
+    def counted(G, dtype):
+        return graph_core._adjacency(G, dtype).view(_CountedProducts)
 
     monkeypatch.setattr(spectral, "_adjacency", counted)
     G = petersen()
@@ -176,7 +177,7 @@ def test_half_order_route_matches_the_dense_oracles(name, monkeypatch):
     # the longest length whose integer powers int64 holds, at most 16
     L = max(length for length in range(MAX_MOMENT_LENGTH + 1) if k**length < 2**63)
     assert walk_moments(G, L) == matrix_power_traces(G, L)
-    dense = np.linalg.eigvalsh(graph_core._adjacency([G], float)[0])[::-1]
+    dense = np.linalg.eigvalsh(graph_core._adjacency(G, float))[::-1]
     assert np.abs(np.array(eigenvalues(G).values) - dense).max() <= 1e-9
     order = G.n
     if route == "half":  # the smaller colour class
@@ -406,6 +407,49 @@ def _hypercube(d: int) -> Graph:
     return Graph.from_edges(2**d, [(i, i ^ (1 << b)) for i in range(2**d) for b in range(d) if i < i ^ (1 << b)])
 
 
+def _crown(k: int) -> Graph:
+    """K_{k,k} minus a perfect matching."""
+    return Graph.from_edges(2 * k, [(i, k + j) for i in range(k) for j in range(k) if i != j])
+
+
+# every family at q <= 5, the named graphs, K_{k,k} (k = 3..8), K_{k,k}
+# minus a perfect matching (k = 4..8) and Q_d (d = 3..5): each verifies,
+# with girth 4 or at least 5
+MOMENT_PIN_GRAPHS = {
+    **{
+        f"{family}_q{q}": (lambda family=family, q=q: cli.build_family(family, q))
+        for family in ("biaffine1", "biaffine2", "gq_truncation", "pencil")
+        for q in (2, 3, 4, 5)
+        if q > 2 or family == "pencil"
+    },
+    "ovoid_spread_q4": lambda: cli.build_family("ovoid_spread", 4),
+    **{
+        name: (lambda name=name: cli.build_family("named", name=name))
+        for name in ("petersen", "hoffman_singleton", "heawood", "tutte_coxeter")
+    },
+    **{f"k{k}{k}": (lambda k=k: complete_bipartite(k)) for k in range(3, 9)},
+    **{f"k{k}{k}_minus_matching": (lambda k=k: _crown(k)) for k in range(4, 9)},
+    **{f"q{d}": (lambda d=d: _hypercube(d)) for d in range(3, 6)},
+}
+
+
+@pytest.mark.parametrize("name", list(MOMENT_PIN_GRAPHS))
+def test_fourth_moment_is_fixed_by_the_signature(name):
+    # each vertex starts k^2 + k(k - 1) closed 4-walks that trace no cycle,
+    # and each of the nk lambda / 8 4-cycles gives 8 more: the certificate
+    # rests on this, so on girth 4 it agrees with the bound and NN^T
+    G = MOMENT_PIN_GRAPHS[name]()
+    sig = verify_egr(G)
+    n, k = sig.n, sig.k
+    m4 = walk_moments(G, 4)[4]
+    if sig.g == 4:
+        assert m4 == n * k * (2 * k - 1 + sig.lam)
+        tight = n == egr4_bound(k, sig.lam, bipartite=True)
+        assert certify_tight_spectrum(G, sig).certified is tight is symmetric_design_identity(G, k)
+    else:
+        assert sig.g >= 5 and m4 == n * k * (2 * k - 1) == n * tree_walk_count(4, k)
+
+
 def test_report_computes_moments_and_spectrum_once(monkeypatch, capsys):
     # per report: one matrix built (N, or A when G has no colour classes),
     # one moment chain and one eigensolve on it, one BFS (verify's), and no
@@ -437,26 +481,33 @@ def test_report_computes_moments_and_spectrum_once(monkeypatch, capsys):
 
 
 def test_exact_identity_overrides_the_tolerance():
-    # one switch breaks the symmetric design behind pencil q=3 (and here
-    # its bipartiteness); eigenvalues lie in [-k, k], so a tolerance of 100
-    # passes any spectrum and only the exact identity can refuse it
-    G = build_pencil_graph(GF(3))
-    sig = verify_egr(G)
-    switched = degree_preserving_switch(G)
-    res = certify_tight_spectrum(switched, sig)
-    assert not res.certified
-    assert res.reason == "spectrum deviates from the tight pattern by 1.073e+00 > 1.0e-06"
+    # Q4 = egr(16, 4, 4, 3) lies above its bound, 14; eigenvalues lie in
+    # [-k, k], so a tolerance of 100 passes any spectrum and only the exact
+    # verdict can refuse it
+    q4 = _hypercube(4)
+    sig = verify_egr(q4)
+    assert egr4_bound(sig.k, sig.lam, bipartite=True) == 14 < sig.n
     with pytest.raises(ArithmeticError, match="verdict True .* disagrees with the exact identity"):
-        certify_tight_spectrum(switched, sig, tol=100.0)
+        certify_tight_spectrum(q4, sig, tol=100.0)
+    # one switch breaks the symmetric design behind pencil q=3 (and here its
+    # bipartiteness): its moments are not those of pencil's signature
+    G = build_pencil_graph(GF(3))
+    with pytest.raises(ValueError, match=r"not \(n, 0, nk, 0, nk\(2k - 1 \+ lambda\)\)"):
+        certify_tight_spectrum(degree_preserving_switch(G), verify_egr(G), tol=100.0)
+
+
+def test_a_spectrum_of_another_graph_with_the_same_head_is_refused():
     # a switch between the two sides keeps pencil q=2 bipartite, connected
-    # and 7-regular, so the refusal comes from the m_4 equation itself
+    # and 7-regular, so moments 0..3 agree; m_4 = 5298, not 30 * 7 * 25
     G = build_pencil_graph(GF(2))
     sig = verify_egr(G)
     switched = degree_preserving_switch(G, keep_sides=True)
     assert nx.is_bipartite(nx.Graph(switched.edges()))
-    assert not certify_tight_spectrum(switched, sig).certified
-    with pytest.raises(ArithmeticError, match="disagrees with the exact identity"):
-        certify_tight_spectrum(switched, sig, tol=100.0)
+    spec = eigenvalues(switched)
+    assert spec.moments[:4] == (30, 0, 210, 0) and spec.moments[4] == 5298 != 30 * 7 * (2 * 7 - 1 + sig.lam) == 5250
+    for graph, spectrum in ((G, spec), (switched, None)):
+        with pytest.raises(ValueError, match=r"0\.\.4 are \(30, 0, 210, 0, 5298\), .* = \(30, 0, 210, 0, 5250\)"):
+            certify_tight_spectrum(graph, sig, spectrum=spectrum)
 
 
 # (graph constructor, verdict of the symmetric-design identity)
@@ -467,9 +518,6 @@ DESIGN_ORACLE_GRAPHS = {
     "heawood": (heawood, True),
     "k33": (lambda: complete_bipartite(3), True),
     "k44": (lambda: complete_bipartite(4), True),  # k = mu, N = J
-    # a switch between the two sides keeps pencil q=2 bipartite, with mu = 3
-    "pencil_q2_switched": (lambda: degree_preserving_switch(build_pencil_graph(GF(2)), keep_sides=True), False),
-    "pencil_q3_switched": (lambda: degree_preserving_switch(build_pencil_graph(GF(3))), False),  # not bipartite
     "q3": (lambda: _hypercube(3), True),
     "q4": (lambda: _hypercube(4), False),  # mu = 12/7
     "petersen": (petersen, False),
@@ -477,36 +525,34 @@ DESIGN_ORACLE_GRAPHS = {
     "biaffine1_q3": (lambda: cli.build_family("biaffine1", 3), False),
     "gq_truncation_q3": (lambda: cli.build_family("gq_truncation", 3), False),
     "ovoid_spread_q4": (lambda: cli.build_family("ovoid_spread", 4), False),
-    # bipartite with classes of 3, mu = 1 an integer and average degree 2,
-    # but degrees 3, 2, 2, 2, 2, 1: a 4-cycle 0123 with a path 0-4-5
-    "c4_with_tail": (lambda: Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)]), False),
 }
 
 
 @pytest.mark.parametrize("name", list(DESIGN_ORACLE_GRAPHS))
 def test_moment_identity_matches_the_design_oracle(name):
+    # on a bipartite girth-4 signature, the certificate, the bound met with
+    # equality and NN^T = N^TN = (k - mu)I + mu J agree; Heawood is a design
+    # too, but of girth 6, outside the certificate's precondition
     build, verdict = DESIGN_ORACLE_GRAPHS[name]
     G = build()
-    k, rem = divmod(2 * G.num_edges(), G.n)  # the average degree
-    assert rem == 0
-    assert symmetric_design_identity(G, k) is verdict
-    assert spectral._tight_identity(G, k, walk_moments(G, 4)) is verdict
+    sig = verify_egr(G)
+    assert symmetric_design_identity(G, sig.k) is verdict
+    if sig.g == 4 and sig.bipartite:
+        assert (sig.n == egr4_bound(sig.k, sig.lam, bipartite=True)) is verdict
+        assert certify_tight_spectrum(G, sig).certified is verdict
 
 
 def test_exact_identity_refuses_what_the_float_check_refuses(monkeypatch):
     q4 = _hypercube(4)
     sig = verify_egr(q4)
-    # spectrum {+-4, +-2^4, 0^6}: 14 (m_4 - 2 * 4**4) = 14 * 128 > (64 - 32)**2
-    assert not spectral._tight_identity(q4, sig.k, walk_moments(q4, 4))
-    k34 = Graph.from_edges(7, [(u, v) for u in range(3) for v in range(3, 7)])
-    assert not spectral._tight_identity(k34, 3, walk_moments(k34, 4))  # m_2 = 24, not nk = 21
-    monkeypatch.setattr(spectral, "_tight_identity", lambda G, k, moments: True)
+    # spectrum {+-4, +-2^4, 0^6}, five values: a bound of 16 would call it tight
+    monkeypatch.setattr(bounds, "egr4_bound", lambda k, lam, bipartite=False: 16)
     with pytest.raises(ArithmeticError, match="verdict False"):
         certify_tight_spectrum(q4, sig)
 
 
 def test_report_exits_3_when_the_exact_identity_disagrees(monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr(spectral, "_tight_identity", lambda G, k, moments: False)
+    monkeypatch.setattr(bounds, "egr4_bound", lambda k, lam, bipartite=False: 0)
     out = tmp_path / "report.json"
     code = main(["report", "--family", "pencil", "--q", "2", "--out", str(out)])
     captured = capsys.readouterr()
