@@ -236,11 +236,11 @@ def _record_line(verdict, line: int) -> tuple[int, str]:
 def _verify_block(lines: list[str], first: int) -> tuple[int, str]:
     """The largest exit code and the output text of a block of stream lines,
     the first of them line number ``first``: one union from the block
-    decoder, one ``verify_many`` call on it, and one record per nonblank
-    line, a malformed line's record holding its decode error."""
+    decoder, one ``graph_core._verify_union`` call on it, and one record
+    per nonblank line, a malformed line's record holding its decode error."""
     numbered = [(lineno, line) for lineno, line in enumerate(lines, start=first) if line.strip()]
     errors, union = graph_core._decode_block([line for _, line in numbered])
-    verdicts = iter(verify_many(union))
+    verdicts = iter(graph_core._verify_union(union))
     worst, out = EXIT_OK, []
     for (lineno, _), error in zip(numbered, errors):
         code, text = _record_line(next(verdicts) if error is None else error, lineno)

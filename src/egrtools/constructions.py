@@ -16,7 +16,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .galois import Field
+from .galois import GF, Field
 from .geometry import (
     IncidenceGeometry,
     _singer_plane,
@@ -24,7 +24,6 @@ from .geometry import (
     pg2_geometry,
     point_array,
     regular_spread,
-    rows_through,
     singer_pencil,
     symplectic_gq,
 )
@@ -36,9 +35,10 @@ FAMILIES = ("biaffine1", "biaffine2", "gq_truncation", "ovoid_spread", "pencil",
 # codes (2 CPUs, one BLAS thread, Python 3.11, numpy 2.4).  From the block
 # rows these take 1.1 s / 391 MiB, 1.7 s / 340 MiB and 0.5 s / 169 MiB, and
 # biaffine q=256 (3.3 s / 869 MiB) and gq_truncation q=64 (7.2 s / 883 MiB)
-# fit too.  The pencil from its Singer difference set (one process each,
-# field included): q=19 0.5 s / 169 MiB, q=23 1.2 s / 381 MiB, q=25
-# 2.1-2.4 s / 516 MiB, q=27 2.6-3.3 s / 739 MiB, q=29 3.6-4.1 s / 1036 MiB.
+# fit too.  The pencil from its Singer difference set, tangent rows in
+# closed form (one process each, field included): q=19 0.2 s / 167 MiB,
+# q=23 0.7 s / 377 MiB, q=25 1.2 s / 511 MiB, q=27 1.6 s / 746 MiB, q=29
+# 1.8 s / 1046 MiB.
 # ovoid_spread from the regular spread: q=16 0.03 s / 35 MiB, q=32
 # 0.3-0.4 s / 94 MiB, q=64 5.8 s / 887 MiB, less than 15% under 1 GiB, so
 # the cap is 32.
@@ -204,28 +204,31 @@ def build_pencil_graph(F: Field) -> Graph:
     plane, at p, of the pencil ovoid through p.
 
     (q^2+q+1)-regular of girth 4; contains every diagonal edge (p, p')
-    since each point lies on its own tangent plane.
+    since each point lies on its own tangent plane.  In the exponents of
+    ``_singer_plane``, D + c is the one plane through w^0 that meets member
+    0 only there.  Multiplication by w^e is a collineation taking w^0 to
+    w^e, member 0 to the member through w^e and plane D + t to D + t + e,
+    so the tangent plane at w^e is D + e + c, and right vertex w^f is
+    joined to left vertex w^e exactly when e is in f - c - D.
     """
     check_order("pencil", F.q)
     singer_pencil(F)  # its members are ovoids
     q, (point_of, D) = F.q, _singer_plane(F)
     n = len(point_of)
-    # codes[i, j] = t when member 0's exponent i(q+1) is D[j] + t, on plane D + t
-    codes = (np.arange(0, n, q + 1)[:, None] - D) % n
-    once = np.bincount(codes.ravel(), minlength=n)[codes] == 1
-    if not (once.sum(axis=1) == 1).all():
+    # |plane D + t & member 0|, invariant under t -> t + q+1 as member 0 is,
+    # so the tangency at w^0 speaks for every point of member 0
+    meets = np.bincount((np.arange(0, n, q + 1)[:, None] - D).ravel() % n, minlength=n)
+    through = -D % n  # the planes D + t through w^0
+    c = through[meets[through] == 1]
+    if len(c) != 1:
         raise ArithmeticError("pencil member has a point without exactly one tangent plane")
-    # w^r moves member 0 onto member r: exponent i(q+1) + r is on tangent plane t + r
-    tangent_at = (codes[once][:, None] + np.arange(q + 1)).ravel() % n
-    # each plane is tangent to one member at one point, so that every point
-    # lies on q^2+q+1 tangent planes, as rows_through needs
-    if not (np.bincount(tangent_at, minlength=n) == 1).all():
-        raise ArithmeticError("tangent planes of the pencil are not one per point")
-    tangent = np.empty((n, len(D)), dtype=point_of.dtype)
-    tangent[point_of] = np.sort(point_of[(D + tangent_at[:, None]) % n], axis=1)
+    e = np.arange(n)[:, None]
+    left, right = (np.empty((n, len(D)), dtype=point_of.dtype) for _ in range(2))
+    left[point_of] = np.sort(point_of[(e + c + D) % n], axis=1)
+    right[point_of] = np.sort(point_of[(e - c - D) % n], axis=1)
     everything = np.ones(n, dtype=bool)
     labels = VertexLabels(point_array(3, F), [("left", np.arange(n), None), ("right", np.arange(n), None)])
-    return _two_sided_graph(tangent, rows_through(tangent, n), everything, everything, labels)
+    return _two_sided_graph(left, right, everything, everything, labels)
 
 
 # ----------------------------------------------------------------------
@@ -261,15 +264,11 @@ def hoffman_singleton() -> Graph:
 
 def heawood() -> Graph:
     """Heawood graph, as the incidence graph of the Fano plane."""
-    from .galois import GF
-
     return levi_graph(pg2_geometry(GF(2)))
 
 
 def tutte_coxeter() -> Graph:
     """Tutte-Coxeter graph (the 8-cage), as the incidence graph of W(2)."""
-    from .galois import GF
-
     return levi_graph(symplectic_gq(GF(2)))
 
 

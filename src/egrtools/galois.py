@@ -8,16 +8,13 @@ string of base-``p`` digits, so every index is a string of ``e`` base-``p``
 digits, and addition is digit-wise addition mod ``p``.
 
 Tables.  Each field keeps ``exp[i] = g**i`` for its smallest
-multiplicative generator ``g``, the inverse ``log``, and the Zech
-logarithms ``zech[n] = log(1 + g**n)`` (built on the first addition), each
-a read-only int32 numpy array: GF(2, 20) keeps 8 MiB of them after its
-build, 12 MiB once ``zech`` exists.  A scalar operation is a range check
-plus a few lookups through memoryviews of those buffers, which yield
-Python ints: ``a*b = exp[log a + log b]``,
-``a + b = exp[log a + zech[log b - log a]]`` and
-``-a = exp[log a + log(-1)]``.  Bulk code indexes the arrays themselves,
-and fields of order at most ``MAX_TABLE_ORDER`` expose numpy add/neg/mul/inv
-tables (``Field.tables``) for vectorised geometry.
+multiplicative generator ``g`` and the inverse ``log``, each a read-only
+int32 numpy array: GF(2, 20) keeps 8 MiB of them.  A scalar product is a
+range check plus a few lookups through memoryviews of those buffers, which
+yield Python ints: ``a*b = exp[log a + log b]``; a scalar sum, difference
+or negation adds the base-p digits mod p.  Bulk code indexes the arrays
+themselves, and fields of order at most ``MAX_TABLE_ORDER`` expose numpy
+add/neg/mul/inv tables (``Field.tables``) for vectorised geometry.
 
 Building.  Multiplication by g is a GF(p)-linear map on the digit vectors:
 the e x e matrix M_g over GF(p), row j the digits of g * p**j, a sum of the
@@ -45,6 +42,7 @@ q <= 2**8 for ``Field.tables``.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from math import gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -149,8 +147,6 @@ class Field:
         self.q = csize**self.degree
         self.e = self.degree * (base.e if base is not None else 1)
         self._order = self.q - 1
-        # log(-1): -1 = 1 in characteristic 2, else g**((q-1)/2)
-        self._log_neg1 = 0 if p == 2 else self._order // 2
         self._build_tables(_Coefficients(p, base))
 
     # -- digit vector <-> element index --
@@ -200,21 +196,6 @@ class Field:
         self._exp, self._log, self._exp_at, self._log_at = exp, log, memoryview(exp), memoryview(log)
 
     @cached_property
-    def _zech(self) -> np.ndarray:
-        """zech[n] = log(1 + g**n), or -1 where 1 + g**n = 0.  Adding 1
-        adds 1 to the constant base-p digit."""
-        x = self._exp.copy()
-        low = x % self.p
-        x += (low + 1) % self.p - low
-        zech = np.where(x == 0, -1, self._log[x]).astype(np.int32)
-        zech.setflags(write=False)
-        return zech
-
-    @cached_property
-    def _zech_at(self) -> memoryview:
-        return memoryview(self._zech)
-
-    @cached_property
     def tables(self) -> FieldTables:
         """Numpy add/neg/mul/inv tables over the whole field, for bulk
         (vectorised) arithmetic; ValueError above MAX_TABLE_ORDER."""
@@ -237,37 +218,32 @@ class Field:
     def elements(self) -> range:
         return range(self.q)
 
+    def _digitwise(self, a: int, b: int, sign: int) -> int:
+        """a + sign*b, adding the base-p digits mod p."""
+        self._reject(a, b)
+        p, out, place = self.p, 0, 1
+        while a or b:
+            out += (a % p + sign * (b % p)) % p * place
+            a, b, place = a // p, b // p, place * p
+        return out
+
     def add(self, a: int, b: int) -> int:
-        if not (0 <= a < self.q and 0 <= b < self.q):
-            self._reject(a, b)
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        la = self._log_at[a]
-        z = self._zech_at[(self._log_at[b] - la) % self._order]
-        return 0 if z < 0 else self._exp_at[(la + z) % self._order]
+        return self._digitwise(a, b, 1)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._digitwise(a, b, -1)
 
     def neg(self, a: int) -> int:
-        if not 0 <= a < self.q:
-            self._reject(a)
-        if a == 0:
-            return 0
-        return self._exp_at[(self._log_at[a] + self._log_neg1) % self._order]
+        return self._digitwise(0, a, -1)
 
     def mul(self, a: int, b: int) -> int:
-        if not (0 <= a < self.q and 0 <= b < self.q):
-            self._reject(a, b)
+        self._reject(a, b)
         if a == 0 or b == 0:
             return 0
         return self._exp_at[(self._log_at[a] + self._log_at[b]) % self._order]
 
     def inv(self, a: int) -> int:
-        if not 0 <= a < self.q:
-            self._reject(a)
+        self._reject(a)
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
         return self._exp_at[(-self._log_at[a]) % self._order]
@@ -276,8 +252,7 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, n: int) -> int:
-        if not 0 <= a < self.q:
-            self._reject(a)
+        self._reject(a)
         if a == 0:
             if n < 0:
                 raise ZeroDivisionError("inversion of zero field element")
@@ -290,12 +265,9 @@ class Field:
 
     def mul_order(self, a: int) -> int:
         """Multiplicative order of a nonzero element."""
-        if not 0 <= a < self.q:
-            self._reject(a)
+        self._reject(a)
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative order")
-        from math import gcd
-
         return self._order // gcd(self._log_at[a], self._order)
 
     def extension(self, d: int) -> "Field":

@@ -56,7 +56,6 @@ the input.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import chain, pairwise
@@ -505,12 +504,9 @@ def _keep_sides(G: Graph, level: np.ndarray, bipartite: bool) -> None:
 def verify_many(graphs) -> list:
     """Verify each graph as ``verify_egr`` does, and return for each, in
     order, its EgrSignature, or the NotEdgeGirthRegular or ValueError
-    instance that ``verify_egr`` would raise.  ``graphs`` is a list of
-    Graphs, concatenated into one union, or the union ``_decode_block``
-    gives a stream block; the block core ``_verify_union`` verifies it.
-    Graphs keep their colour classes from its BFS (``_bipartition``)."""
-    if isinstance(graphs, _Union):
-        return _verify_union(graphs)
+    instance that ``verify_egr`` would raise.  The Graphs are concatenated
+    into one union, which the block core ``_verify_union`` verifies, and
+    keep their colour classes from its BFS (``_bipartition``)."""
     graphs = list(graphs)
     return _verify_union(_union_of(graphs), graphs) if graphs else []
 
@@ -652,17 +648,12 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
-# a stream of graph6 lines repeats a few vertex counts
-@functools.lru_cache(maxsize=64)
 def _column_starts(n: int) -> np.ndarray:
     """The graph6 bit map: graph6 lists the upper triangle column by
     column, so edge (u, v), u < v, is bit _column_starts(n)[v] + u, where
-    entry v is v(v-1)/2 for v = 0..n.  Cached per n, and read-only so that
-    no caller can change the cached array."""
+    entry v is v(v-1)/2 for v = 0..n."""
     v = np.arange(n + 1, dtype=np.int64)
-    starts = v * (v - 1) // 2
-    starts.setflags(write=False)
-    return starts
+    return v * (v - 1) // 2
 
 
 def graph6_encode(G: Graph) -> str:

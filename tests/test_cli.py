@@ -493,11 +493,11 @@ def _broken(*args, **kwargs):
 @pytest.mark.parametrize(
     "argv,target",
     [
-        (["construct", "--family", "named", "--name", "petersen"], "verify_egr"),
-        (["verify", "petersen.g6"], "verify_many"),
-        (["verify", "--stdin-g6-stream"], "verify_many"),
-        (["bounds", "-k", "3", "-g", "5", "-l", "4"], "bound_report"),
-        (["report", "--family", "named", "--name", "petersen"], "certify_extremal"),
+        (["construct", "--family", "named", "--name", "petersen"], "cli.verify_egr"),
+        (["verify", "petersen.g6"], "cli.verify_many"),
+        (["verify", "--stdin-g6-stream"], "graph_core._verify_union"),
+        (["bounds", "-k", "3", "-g", "5", "-l", "4"], "cli.bound_report"),
+        (["report", "--family", "named", "--name", "petersen"], "cli.certify_extremal"),
     ],
     ids=["construct", "verify", "verify-stream", "bounds", "report"],
 )
@@ -507,7 +507,7 @@ def test_an_escaping_exception_is_an_internal_error(tmp_path, monkeypatch, capsy
     monkeypatch.chdir(tmp_path)
     (tmp_path / "petersen.g6").write_text(graph6_encode(petersen()) + "\n")
     monkeypatch.setattr("sys.stdin", io.StringIO(graph6_encode(petersen()) + "\n"))
-    monkeypatch.setattr(cli, target, _broken)
+    monkeypatch.setattr(f"egrtools.{target}", _broken)
     code, out, err = run(capsys, *argv)
     assert code == cli.EXIT_INTERNAL and out == ""
     assert err == "internal error: RuntimeError: an unexpected fault over two lines\n"

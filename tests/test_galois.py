@@ -82,7 +82,9 @@ def test_field_axioms_exhaustive_small(p, e):
             assert F.mul(a, F.inv(a)) == 1
 
 
-@pytest.mark.parametrize("make", [lambda: GF(3, 4), lambda: GF(2, 2).extension(4), lambda: GF(5).extension(4)])
+@pytest.mark.parametrize(
+    "make", [lambda: GF(3, 4), lambda: GF(2, 2).extension(4), lambda: GF(5).extension(4), lambda: GF(3, 2).extension(2)]
+)
 def test_field_axioms_randomized_large(make):
     F = make()
     rng = random.Random(20240517)
@@ -225,6 +227,7 @@ def test_tables_match_schoolbook_exhaustively(q):
         lambda: GF(5).extension(4),
         lambda: GF(2, 16),
         lambda: GF(3, 10),
+        lambda: GF(3, 2).extension(2),
     ],
 )
 def test_tables_match_schoolbook_on_sample(make):

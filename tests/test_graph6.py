@@ -164,12 +164,8 @@ def test_decoder_fuzz_never_raises_anything_else():
         assert isinstance(G, Graph)
 
 
-def test_column_starts_are_cached_and_read_only():
+def test_column_starts():
     starts = graph_core._column_starts(40)
-    assert graph_core._column_starts(40) is starts
-    assert not starts.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        starts[3] = 0
     assert starts.dtype == np.int64
     assert starts.tolist() == [v * (v - 1) // 2 for v in range(41)]
 

@@ -29,18 +29,19 @@ def test_stream_sample_output_is_byte_identical(block, capsys, monkeypatch):
 
 
 def test_stream_blocks_set_no_graph_state(capsys, monkeypatch):
-    # a decoded block reaches verify_many as a union, with no Graph whose
-    # colour classes could be kept
+    # a decoded block reaches the block core as a union, with no Graph
+    # whose colour classes could be kept
     unions = []
+    verify_union = graph_core._verify_union
 
-    def verify_many(graphs):
-        unions.append(isinstance(graphs, graph_core._Union))
-        return graph_core.verify_many(graphs)
+    def wrapped(u, graphs=()):
+        unions.append(isinstance(u, graph_core._Union) and not graphs)
+        return verify_union(u, graphs)
 
     def keep_sides(*args):
         raise AssertionError("a stream block set a Graph's colour classes")
 
-    monkeypatch.setattr(cli, "verify_many", verify_many)
+    monkeypatch.setattr(graph_core, "_verify_union", wrapped)
     monkeypatch.setattr(graph_core, "_keep_sides", keep_sides)
     monkeypatch.setattr("sys.stdin", io.StringIO((DATA / "stream_sample.g6").read_text(encoding="utf-8")))
     assert main(["verify", "--stdin-g6-stream"]) == EXIT_USAGE
