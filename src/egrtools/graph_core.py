@@ -24,10 +24,8 @@ In a graph of girth g, a non-backtracking walk of fewer than g edges
 repeats no vertex, so a walk of g-1 edges between the ends of an edge uv
 is a path that closes one g-cycle through uv.
 
-The counts are exact integers under one rule, ``_exact_dtype``: a
-computation runs in float32 while no integer it forms can pass 2**24, in
-float64 while none can pass 2**53, and in Python ints past that.  Within
-those ranges a float type holds every integer, and since the counts are
+The counts are exact integers in floats.  float32 holds every integer up
+to 2**24 and float64 every one up to 2**53, and since the counts are
 nonnegative every partial sum of a product lies between 0 and the final
 sum, so a sum is formed exactly in any order, with or without fused
 multiply-adds (``galois._float_dtype`` rests on the same argument).  With
@@ -35,9 +33,24 @@ maximum degree k, at most N_l = k(k-1)**(l-1) non-backtracking walks of l
 steps leave a vertex.  The step forming A_l forms the entries of A_l (at
 most N_l), the partial sums of A_{l-1} A (at most N_{l-1}) and
 A_{l-1}(D - I) (each walk it counts extends in deg - 1 ways, at most
-N_l), so it takes the dtype the rule gives k * max(k-1, 1)**(l-1); the
-max covers k = 1, where A A forms ones.  A stack takes the rule once per
-step, with k its largest degree, and widens at each crossing.
+N_l), so it is exact in float32 while k * max(k-1, 1)**(l-1) <= 2**24, k
+the stack's largest degree (the max covers k = 1, where A A forms ones).
+A stack runs in float32 that far and in float64 after it.
+
+float64 suffices because the pass's one caller, ``_girth_counts``, stacks
+only connected graphs, regular of degree k >= 3, on at most
+MAX_VERIFY_VERTICES vertices.  A member still open at step l has girth
+g >= l, so the step's entries for it are at most k(k-1)**(g-1), and the
+Moore bound (``bounds.moore_bound``) caps that: n >= 1 + k(k-1)**(d-1)
+for g = 2d+1 gives k(k-1)**(g-1) < n**3, and n >= 2(k-1)**(d-1) for
+g = 2d gives k(k-1)**(g-1) <= k(k-1)n**2/4.  Over every pair (k, g) with
+moore_bound(k, g) <= 4096 the largest value is 1.76e13 < 2**44 (k = 2048,
+g = 4).  A closed member's slice may stop being exact, but it is never
+read again, and it cannot overflow: only n <= 362 gives a stack more than
+one member (MAX_STACK_CELLS // n**2 >= 2), where the girth is at most 14
+and the entries stay below 361 * 360**13 < 2**119.  ``_exact_dtype``
+states the rule with a third tier, Python ints past 2**53, for
+``spectral``'s moments, whose powers can pass it.
 
 graph6 (McKay's format) stores the upper triangle column by column, six
 bits to a printable byte, so bit i of a body is the pair u < v with
@@ -56,7 +69,6 @@ the input.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain, pairwise
 from typing import NamedTuple
@@ -356,21 +368,14 @@ class NotEdgeGirthRegular(Exception):
 
 
 def _exact_dtype(bound: int):
-    """The one exactness rule for walk counts (see the module docstring),
-    given ``bound``, an upper bound on every integer a computation forms:
-    float32 when it is at most 2**24, float64 when it is at most 2**53,
-    else object (Python ints)."""
+    """The dtype that forms every integer up to ``bound``, an upper bound
+    on every integer a count computation forms, exactly (see the module
+    docstring): float32 when it is at most 2**24, float64 when it is at
+    most 2**53, else object (Python ints).  The walk pass starts from its
+    float32 tier; ``spectral``'s moments take all three."""
     if bound > _FLOAT_EXACT_MAX:
         return object
     return np.float32 if bound <= _FLOAT32_EXACT_MAX else np.float64
-
-
-def _widen(a: np.ndarray, dtype) -> np.ndarray:
-    """The exact integers of ``a`` in ``dtype``, a float type that holds
-    them or object, which takes them as Python ints."""
-    if a.dtype == dtype:
-        return a
-    return a.astype(np.int64).astype(object) if np.dtype(dtype) == object else a.astype(dtype)
 
 
 def _adjacency(G: Graph, dtype) -> np.ndarray:
@@ -387,31 +392,24 @@ def _cap_error(n: int) -> ValueError:
 
 def _nb_walks(A: np.ndarray):
     """Yield the non-backtracking walk matrices A_1 = A, A_2, ... of a
-    prebuilt (B, n, n) stack A of adjacency matrices, exactly, as (B, n, n)
-    stacks, and stop at the first all-zero stack.  A_2 = A^2 - D, with D
-    subtracted on the diagonal alone, and A_{l+1} = A_l A - A_{l-1}(D - I):
-    one stacked product per step.  The step forming A_l takes the dtype
-    ``_exact_dtype`` gives k * max(k-1, 1)**(l-1), k the stack's largest
-    degree (see the module docstring), widening from float32 to float64 to
-    Python ints."""
+    prebuilt float32 (B, n, n) stack A of adjacency matrices, as (B, n, n)
+    stacks, without end.  A_2 = A^2 - D, with D subtracted on the diagonal
+    alone, and A_{l+1} = A_l A - A_{l-1}(D - I): one stacked product per
+    step.  The steps run in float32 while k * max(k-1, 1)**(l-1) <= 2**24,
+    k the stack's largest degree, and in float64 after that; the module
+    docstring shows why that keeps every count ``_girth_walks`` reads
+    exact."""
     B, n, _ = A.shape
     deg = A.sum(axis=1)
-    k = int(deg.max(initial=0))
+    k = int(deg.max())
     # (D - I) acts on the right, scaling column w by deg(w) - 1
     step = (deg - 1)[:, None, :]
-    # a non-backtracking walk can always go on from a vertex of degree >= 2,
-    # so only a stack with a vertex of degree < 2 can die out
-    endless = deg.size and deg.min() >= 2
-    dtype, bound = A.dtype, k
-    prev, cur = None, A
-    while endless or cur.any():
+    bound, prev, cur = k, None, A
+    while True:
         yield cur
-        if dtype != object:
-            bound *= max(k - 1, 1)
-            if (wider := np.dtype(_exact_dtype(bound))) != dtype:
-                dtype = wider
-                A, deg, step, cur = (_widen(m, dtype) for m in (A, deg, step, cur))
-                prev = None if prev is None else _widen(prev, dtype)
+        if A.dtype == np.float32 and (bound := bound * max(k - 1, 1)) > _FLOAT32_EXACT_MAX:
+            A, deg, step, cur = (m.astype(np.float64) for m in (A, deg, step, cur))
+            prev = None if prev is None else prev.astype(np.float64)
         nxt = cur @ A
         if prev is None:
             nxt.reshape(B, -1)[:, :: n + 1] -= deg
@@ -422,11 +420,11 @@ def _nb_walks(A: np.ndarray):
 
 def _girth_walks(A: np.ndarray) -> tuple[list, np.ndarray]:
     """The girths of the graphs of a prebuilt (B, n, n) adjacency stack A
-    (math.inf for a forest) and, from one walk pass, their A_{g-1}, a
-    (B, n, n) stack whose slice b belongs to graph b (zero for a forest).
-    The pass stops once every member has its girth or is known to be a
-    forest: the stack is all zero, or the pass has reached length n, the
-    longest a cycle can be, without a closed walk for it."""
+    and, from one walk pass, their A_{g-1}, a (B, n, n) stack whose slice b
+    belongs to graph b.  The pass stops once every member has its girth.
+    Every member must have a cycle (``_girth_counts`` sends only connected
+    graphs of degree >= 3): a member still without a closed walk at length
+    n, the longest a cycle can be, raises AssertionError."""
     B, n, _ = A.shape
     girth = np.zeros(B, dtype=np.int64)  # 0 until found
     # the members still without their girth; their A_{g-1} stack once one has it
@@ -442,12 +440,13 @@ def _girth_walks(A: np.ndarray) -> tuple[list, np.ndarray]:
                     walks = prev  # the pass never writes to a stack it has yielded
                 else:
                     # the dtype of the pass only widens, so the stack takes prev's dtype
-                    walks = np.zeros_like(prev) if walks is None else _widen(walks, prev.dtype)
+                    walks = np.zeros_like(prev) if walks is None else walks.astype(prev.dtype, copy=False)
                     walks[fresh] = prev[fresh]
-        if length >= n or not left:
-            break
+        if not left:
+            return girth.tolist(), walks
+        if length >= n:
+            raise AssertionError("a member of the walk stack has no cycle")
         prev = cur
-    return [g or math.inf for g in girth.tolist()], np.zeros_like(A) if walks is None else walks
 
 
 def _ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -606,7 +605,7 @@ def _girth_counts(u: _Union, w: np.ndarray) -> tuple:
         g, walks = _girth_walks(A)
         girth += g
         c = walks.reshape(-1)[p]
-        parts.append(c if c.dtype == object else c.astype(np.int64))
+        parts.append(c.astype(np.int64))
     upper = us < vs
     edges = cnt // 2
     return girth, us[upper], vs[upper], np.concatenate(parts)[upper], edges.cumsum() - edges, edges

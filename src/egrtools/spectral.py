@@ -9,12 +9,13 @@ against them at runtime, never the other way around: every spectrum
 0..MOMENT_CHECK_LENGTH and carries those of lengths 0..``length``
 (``Spectrum.moments``), from the one matrix and the one moment chain it
 shares with ``walk_moments`` (``_matrix_moments``).  The moments take the
-exactness rule of ``graph_core`` (float32 while no count exceeds 2**24,
-float64 while none exceeds 2**53, Python ints past that), the one its walk
-pass uses.  ``certify_tight_spectrum`` takes a spectrum already computed,
-refuses one whose moments 0..4 are not those of G's verified signature,
-and decides the tight four-value spectrum of a bipartite girth-4 graph
-exactly as the paper's girth-4 bound met with equality on that signature
+exactness rule ``graph_core._exact_dtype`` (float32 while no count exceeds
+2**24, float64 while none exceeds 2**53, Python ints past that); the walk
+pass of ``graph_core`` needs only its two float tiers.
+``certify_tight_spectrum`` takes a spectrum already computed, refuses one
+whose moments 0..4 are not those of G's verified signature, and decides
+the tight four-value spectrum of a bipartite girth-4 graph exactly as the
+paper's girth-4 bound met with equality on that signature
 (``bounds.egr4_bound``); the float verdict must agree with it.
 
 The half-order route.  A connected bipartite graph with an edge (every
@@ -46,7 +47,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.linalg import eigvalsh, svd
 
-from .graph_core import EgrSignature, Graph, _adjacency, _bipartition, _exact_dtype, _widen
+from .graph_core import EgrSignature, Graph, _adjacency, _bipartition, _exact_dtype
 
 MAX_MOMENT_LENGTH = 16
 MAX_MOMENT_VERTICES = 2048
@@ -68,6 +69,14 @@ def walk_moments(G: Graph, L: int) -> list[int]:
     if G.n > MAX_MOMENT_VERTICES:
         raise ValueError(f"moment computation capped at {MAX_MOMENT_VERTICES} vertices")
     return _matrix_moments(G, L)[1]
+
+
+def _widen(a: np.ndarray, dtype) -> np.ndarray:
+    """The exact integers of ``a`` in ``dtype``, a float type that holds
+    them or object, which takes them as Python ints."""
+    if a.dtype == dtype:
+        return a
+    return a.astype(np.int64).astype(object) if np.dtype(dtype) == object else a.astype(dtype)
 
 
 def _matrix_moments(G: Graph, L: int) -> tuple[np.ndarray, list[int]]:

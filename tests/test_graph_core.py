@@ -1,4 +1,3 @@
-import math
 import random
 
 import networkx as nx
@@ -16,6 +15,7 @@ from egrtools.constructions import (
 import numpy as np
 
 from egrtools import graph_core
+from egrtools.bounds import moore_bound
 from egrtools.galois import GF
 from egrtools.graph_core import (
     EgrSignature,
@@ -198,9 +198,10 @@ def test_graph_basics():
 def test_girth_examples():
     assert [verify_egr(G).g for G in (petersen(), complete_bipartite(3), heawood(), tutte_coxeter())] == [5, 4, 6, 8]
     assert _girth_walks(stack(cycle_graph(8)))[0][0] == 8
+    # the walk pass takes graphs with a cycle only, and a forest breaks that contract
     tree = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
-    girth, walks = _girth_walks(stack(tree))
-    assert girth == [math.inf] and not walks.any()
+    with pytest.raises(AssertionError, match="no cycle"):
+        _girth_walks(stack(tree))
 
 
 def test_girth_against_brute_force():
@@ -257,34 +258,46 @@ def test_exact_dtype_boundary():
 
 @pytest.mark.parametrize("bound", [2**53, 3 * 2**3, 1, 2, 6, 7])
 def test_object_length_matches_the_per_step_rule(bound, monkeypatch):
-    # the walk pass goes to Python ints at the first l >= 2 at which the
-    # per-step rule, k * max(k-1, 1)**(l-1) past the bound, says so, and stays
-    # there; K_{k+1} is k-regular and its walks never die out
-    monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", bound)
+    # with the float32 bound patched, the walk pass goes to float64 at the
+    # first l >= 2 at which k * max(k-1, 1)**(l-1) passes it, stays there,
+    # and never reaches Python ints, whatever the float64 bound; K_{k+1} is
+    # k-regular and its walks never die out
+    monkeypatch.setattr(graph_core, "_FLOAT32_EXACT_MAX", bound)
+    monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 1)
     for k in range(2, 9):
-        first = next(
-            (l for l in range(2, 61) if _exact_dtype(k * max(k - 1, 1) ** (l - 1)) is object),
-            61,
-        )
+        first = next((l for l in range(2, 61) if k * max(k - 1, 1) ** (l - 1) > bound), 61)
         dtypes = [w.dtype for _, w in zip(range(60), _nb_walks(stack(complete(k + 1))))]
-        got = next((l for l, d in enumerate(dtypes, start=1) if d == object), 61)
-        assert got == first, k
-        assert all(d == object for d in dtypes[got - 1 :]), k
+        assert dtypes == [np.float32] * (first - 1) + [np.float64] * (60 - first + 1), k
 
 
 def test_walk_pass_switches_to_python_ints_past_the_walk_bound(monkeypatch):
-    # the step forming A_l stays in floats while k(k-1)**(l-1) is within
-    # the bound: with the bound at 3 * 2**3, Petersen's A_1..A_4 are float32
-    # (the bound is below 2**24) and A_5 on, whose entries reach 3 * 2**4 in
-    # general, Python ints
+    # the step forming A_l stays in float32 while k(k-1)**(l-1) is within
+    # the float32 bound: with that bound at 3 * 2**3, Petersen's A_1..A_4 are
+    # float32 and A_5 on, whose entries reach 3 * 2**4 in general, float64;
+    # a float64 bound of 1 changes nothing
     G = petersen()
     exact = [walks for _, walks in zip(range(7), _nb_walks(stack(G)))]
-    monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 3 * 2**3)
+    monkeypatch.setattr(graph_core, "_FLOAT32_EXACT_MAX", 3 * 2**3)
+    monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 1)
     walks = [walks for _, walks in zip(range(7), _nb_walks(stack(G)))]
-    assert [w.dtype for w in walks] == [np.float32] * 4 + [np.dtype(object)] * 3
-    assert all(type(x) is int for x in walks[4].flat)
+    assert [w.dtype for w in walks] == [np.float32] * 4 + [np.float64] * 3
     for got, want in zip(walks, exact):
-        assert got.tolist() == want.astype(np.int64).tolist()
+        assert got.tolist() == want.tolist()
+
+
+def test_float64_covers_the_walk_pass_up_to_the_vertex_cap():
+    # a k-regular graph with at most MAX_VERIFY_VERTICES vertices has
+    # moore_bound(k, g) <= MAX_VERIFY_VERTICES, and the walk pass forms no
+    # count above k(k-1)**(g-1) for a member still open; float64 must hold
+    # every one of them exactly
+    cap = graph_core.MAX_VERIFY_VERTICES
+    largest = 0
+    for k in range(3, cap):
+        g = 3
+        while moore_bound(k, g) <= cap:
+            largest = max(largest, k * (k - 1) ** (g - 1))
+            g += 1
+    assert 0 < largest <= graph_core._FLOAT_EXACT_MAX
 
 
 def _random_regular(k: int, n: int, seed: int) -> Graph:
@@ -350,15 +363,15 @@ ONE_RULE_GRAPHS = {
 
 @pytest.mark.parametrize("name", sorted(ONE_RULE_GRAPHS))
 def test_python_int_path_matches_float64(name, monkeypatch):
-    # a bound of 1 sends every walk step and every moment product to
-    # Python ints; the results must not change, down to their types
+    # a bound of 1 sends every moment product to Python ints and leaves the
+    # walk pass in floats; the results must not change, down to their types
     G = ONE_RULE_GRAPHS[name]()
     walks, expected = _walk_results(G)
     monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 1)
     assert _exact_dtype(G.degree(0)) is object
     got_walks, got = _walk_results(G)
-    assert got_walks.dtype == object and all(type(x) is int for x in got_walks.flat)
-    assert got_walks.tolist() == walks.astype(np.int64).tolist()
+    assert got_walks.dtype == walks.dtype == np.float32
+    assert np.array_equal(got_walks, walks)
     assert got == expected
     assert repr(got) == repr(expected)
 

@@ -10,6 +10,7 @@ import pytest
 from egrtools import graph_core
 from egrtools.constructions import (
     build_biaffine,
+    build_gq_truncation,
     complete_bipartite,
     cycle_graph,
     heawood,
@@ -180,30 +181,47 @@ def test_stack_members_reach_their_girths_at_different_lengths():
 
 
 def test_a_forest_member_does_not_hold_up_the_stack():
+    # the walk pass takes graphs with a cycle only: a forest member stops the
+    # stack at length n with an AssertionError rather than run on
     path = Graph.from_edges(10, [(i, i + 1) for i in range(9)])
-    girth, walks = _girth_walks(stack(path, cycle_graph(10), petersen()))
-    assert girth == [float("inf"), 10, 5]
-    assert not walks[0].any()
+    with pytest.raises(AssertionError, match="no cycle"):
+        _girth_walks(stack(path, cycle_graph(10), petersen()))
 
 
 def test_stacked_python_int_path_matches_float64(monkeypatch):
     # the stacked counterpart of the single-graph switch test: with the
-    # bound at 3 * 2**3, A_1..A_4 of a stack of cubic graphs are float32
-    # and A_5 on Python ints, with the same counts
+    # float32 bound at 3 * 2**3, A_1..A_4 of a stack of cubic graphs are
+    # float32 and A_5 on float64, with the same counts and verdicts, and a
+    # float64 bound of 1 changes nothing
     graphs = [build() for build in STACK_10_3.values()]
     exact = [w for _, w in zip(range(7), _nb_walks(stack(*graphs)))]
     verdicts = [verdict_key(v) for v in verify_many(graphs)]
-    monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 3 * 2**3)
-    walks = [w for _, w in zip(range(7), _nb_walks(stack(*graphs)))]
-    assert [w.dtype for w in walks] == [np.float32] * 4 + [np.dtype(object)] * 3
-    assert all(type(x) is int for x in walks[4].flat)
-    for got, want in zip(walks, exact):
-        assert got.tolist() == want.astype(np.int64).tolist()
-    # a bound of 1 runs every step in Python ints; the verdicts stay the same
+    monkeypatch.setattr(graph_core, "_FLOAT32_EXACT_MAX", 3 * 2**3)
     monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 1)
-    walks = _nb_walks(stack(*graphs))
-    assert next(walks).dtype == np.float32 and next(walks).dtype == object
+    walks = [w for _, w in zip(range(7), _nb_walks(stack(*graphs)))]
+    assert [w.dtype for w in walks] == [np.float32] * 4 + [np.float64] * 3
+    for got, want in zip(walks, exact):
+        assert got.tolist() == want.tolist()
     assert [verdict_key(v) for v in verify_many(graphs)] == verdicts
+
+
+def test_a_mixed_degree_stack_stays_in_floats(monkeypatch):
+    # K_128 closes at length 3 and the truncated W(4), also on 128 vertices,
+    # runs on to its girth in the same stack, where K_128's slice grows as
+    # 127 * 126**(l-1): the pass goes to float64 and no further
+    graphs = [complete(128), build_gq_truncation(GF(2, 2))]
+    expected = [verdict_key(v) for v in one_by_one(graphs)]
+    stacks = []
+
+    def recorded(A):
+        for walks in _nb_walks(A):
+            stacks.append((walks.shape, walks.dtype))
+            yield walks
+
+    monkeypatch.setattr(graph_core, "_nb_walks", recorded)
+    assert [verdict_key(v) for v in verify_many(graphs)] == expected
+    assert {shape for shape, _ in stacks} == {(2, 128, 128)}
+    assert {dtype for _, dtype in stacks} == {np.dtype(np.float32), np.dtype(np.float64)}
 
 
 @pytest.mark.parametrize("cells, sizes", [(2**18, [4]), (250, [2, 2]), (99, [1, 1, 1, 1])])
@@ -312,33 +330,25 @@ def test_one_block_mixes_orders_degrees_and_verdicts(monkeypatch):
 
 
 def test_stacked_pass_crosses_float32_float64_and_python_ints(monkeypatch):
-    # with the bounds at 6 and 3 * 2**3, the step bounds 3 * 2**(l-1) of a
-    # stack of cubic graphs put A_1, A_2 in float32, A_3, A_4 in float64 and
-    # A_5 on in Python ints, with the same counts and verdicts
+    # with the float32 bound at 6, the step bounds 3 * 2**(l-1) of a stack of
+    # cubic graphs put A_1, A_2 in float32 and A_3 on in float64, with the
+    # same counts and verdicts, and a float64 bound of 1 changes nothing:
+    # the pass has no Python-int tier
     graphs = [build() for build in STACK_10_3.values()]
     exact = [w for _, w in zip(range(7), _nb_walks(stack(*graphs)))]
     girth, found = _girth_walks(stack(*graphs))
     verdicts = [verdict_key(v) for v in verify_many(graphs)]
     monkeypatch.setattr(graph_core, "_FLOAT32_EXACT_MAX", 6)
-    monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 3 * 2**3)
+    monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 1)
     walks = [w for _, w in zip(range(7), _nb_walks(stack(*graphs)))]
-    assert [w.dtype for w in walks] == [np.float32] * 2 + [np.float64] * 2 + [np.dtype(object)] * 3
-    assert all(type(x) is int for x in walks[4].flat)
+    assert [w.dtype for w in walks] == [np.float32] * 2 + [np.float64] * 5
     for got, want in zip(walks, exact):
-        assert got.tolist() == want.astype(np.int64).tolist()
+        assert got.tolist() == want.tolist()
     # the members close at lengths 3, 4, 5 and 4, so the returned A_{g-1}
     # stack gathers A_2 (float32), A_3 and A_4 (float64) and widens to
     # float64 to hold them exactly
     crossed_girth, crossed = _girth_walks(stack(*graphs))
     assert crossed_girth == girth == [3, 4, 5, 4]
     assert crossed.dtype == np.float64
-    assert crossed.tolist() == found.astype(np.int64).tolist()
-    assert [verdict_key(v) for v in verify_many(graphs)] == verdicts
-    # with the float64 bound at 12, A_4 is in Python ints, and the stack
-    # widens from float32 through float64 to them
-    monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 12)
-    crossed_girth, crossed = _girth_walks(stack(*graphs))
-    assert crossed_girth == girth
-    assert crossed.dtype == object and all(type(x) is int for x in crossed.flat)
-    assert crossed.tolist() == found.astype(np.int64).tolist()
+    assert crossed.tolist() == found.tolist()
     assert [verdict_key(v) for v in verify_many(graphs)] == verdicts
