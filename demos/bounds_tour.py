@@ -22,6 +22,7 @@ from egrtools import (
     petersen,
     verify_egr,
 )
+from egrtools.constructions import FAMILIES
 
 print("Petersen chain")
 print("-" * 72)
@@ -37,7 +38,7 @@ print()
 print("Girth-4 tightness: pencil graphs and K_{k,k}")
 print("-" * 72)
 for q in (2, 3):
-    k, lam = q * q + q + 1, q**3 + q**2
+    _, k, _, lam = FAMILIES["pencil"].signature(q)
     value = egr4_bound(k, lam, bipartite=True)
     sig = verify_egr(build_pencil_graph(GF(q)))
     print(f"  pencil q={q}: bound 2(k^3-2k^2+2k-1+lam)/(lam+k-1) = {value}, order = {sig.n}")

@@ -5,16 +5,16 @@ input error (an argument argparse rejects, a graph over the verify or
 report vertex cap, a named graph of degree below 3, a bounds pair (k, g)
 past bounds.MAX_BOUND_BITS, or an --out path that cannot be written,
 included; each prints one ``error:`` line), 3 internal inconsistency (a
-construction failed its own verification, a spectrum failed its exact
-moment check, or the float tight-spectrum verdict disagreed with the exact
-one, the girth-4 bound met with equality on the verified signature) or
-any other exception that escapes a command, reported as one ``internal
-error:`` line without a traceback.  A report makes one ``eigenvalues``
-call: the spectrum it returns carries the exact moments the report
-prints, and the tight-spectrum certificate checks them against the
-signature.  A stream verify reports each malformed or oversized line and
-goes on; it exits with the largest code of any line.  It decodes and
-verifies STREAM_BLOCK_LINES lines at a time as one union
+construction failed its own verification or its family's closed form, a
+spectrum failed its exact moment check, or the float tight-spectrum
+verdict disagreed with the exact one, the girth-4 bound met with equality
+on the verified signature) or any other exception that escapes a command,
+reported as one ``internal error:`` line without a traceback.  A report
+makes one ``eigenvalues`` call: the spectrum it returns carries the exact
+moments the report prints, and the tight-spectrum certificate checks them
+against the signature.  A stream verify reports each malformed or
+oversized line and goes on; it exits with the largest code of any line.
+It decodes and verifies STREAM_BLOCK_LINES lines at a time as one union
 (``_verify_block``) and writes their records, byte for byte
 ``json.dumps(record, sort_keys=True)``, with one write and a flush.
 Reports are JSON with a frozen field layout (schema_version 1); rationals
@@ -41,18 +41,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__, graph_core
 from .bounds import MAX_BOUND_BITS, bound_report, certify_extremal, in_domain
-from .constructions import (
-    FAMILIES,
-    FAMILY_ORDER,
-    build_biaffine,
-    build_gq_truncation,
-    build_ovoid_spread,
-    build_pencil_graph,
-    check_order,
-    named_degree,
-    named_graph,
-    named_order,
-)
+from .constructions import FAMILIES, check_order, named_degree, named_graph, named_order
 from .galois import GF, prime_power
 from .graph_core import (
     EgrSignature,
@@ -99,8 +88,8 @@ def family_order(family: str, q: int | None = None, name: str | None = None) -> 
     ``build_family`` makes and, for a named graph, a check of its degree
     in closed form: one below 3 can never verify; nothing is built.
     UsageError when a check fails."""
-    if family not in FAMILIES:
-        raise UsageError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
+    if family not in FAMILIES and family != "named":
+        raise UsageError(f"unknown family {family!r}; choose from {', '.join([*FAMILIES, 'named'])}")
     if family == "named" and name is None:
         raise UsageError("--name is required for the named family")
     if family != "named" and q is None:
@@ -115,24 +104,23 @@ def family_order(family: str, q: int | None = None, name: str | None = None) -> 
         check_order(family, q)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return FAMILY_ORDER[family](q)
-
-
-_BUILDERS = {
-    "biaffine1": lambda F: build_biaffine(F, 1),
-    "biaffine2": lambda F: build_biaffine(F, 2),
-    "gq_truncation": build_gq_truncation,
-    "ovoid_spread": build_ovoid_spread,
-    "pencil": build_pencil_graph,
-}
+    return FAMILIES[family].signature(q)[0]
 
 
 def build_family(family: str, q: int | None = None, name: str | None = None) -> Graph:
     family_order(family, q, name)
     try:
-        return named_graph(name) if family == "named" else _BUILDERS[family](GF(*prime_power(q)))
+        return named_graph(name) if family == "named" else FAMILIES[family].build(GF(*prime_power(q)))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _check_closed_form(family: str, q: int | None, sig: EgrSignature) -> None:
+    """ArithmeticError when a verified (n, k, g, lambda) is not its family's closed form."""
+    if family in FAMILIES:
+        got, expected = (sig.n, sig.k, sig.g, sig.lam), FAMILIES[family].signature(q)
+        if got != expected:
+            raise ArithmeticError(f"{family} q={q} verified as egr{got}, not its closed form egr{expected}")
 
 
 def _rat_json(value) -> dict:
@@ -199,6 +187,7 @@ def cmd_construct(args, argv) -> int:
         raise UsageError(str(graph_core._cap_error(n)))
     G = build_family(args.family, args.q, args.name)
     sig = verify_egr(G)
+    _check_closed_form(args.family, args.q, sig)
     if args.format == "graph6":
         graph = graph6_encode(G)
     else:
@@ -329,6 +318,7 @@ def cmd_report(args, argv) -> int:
     t0 = time.perf_counter()
     sig = verify_egr(G)
     timing["verify"] = time.perf_counter() - t0
+    _check_closed_form(args.family, args.q, sig)
     doc["signature"] = _signature_json(sig)
     doc["graph6"] = graph6_encode(G)
 

@@ -33,7 +33,7 @@ def _prime_powers(limit: int) -> list[int]:
 # built from the dense points x points incidence
 GEOMETRY_SPECS = [("pg2", q) for q in _prime_powers(127)] + [("w", q) for q in _prime_powers(25)]
 
-_BUILDERS = {"pg2": geometry.pg2_geometry, "w": geometry.symplectic_gq}
+_GEOMETRIES = {"pg2": geometry.pg2_geometry, "w": geometry.symplectic_gq}
 
 
 def spec_id(spec) -> str:
@@ -43,7 +43,7 @@ def spec_id(spec) -> str:
 
 def build_uncached(spec) -> geometry.IncidenceGeometry:
     name, q = spec
-    return _BUILDERS[name].__wrapped__(GF(*prime_power(q)))
+    return _GEOMETRIES[name].__wrapped__(GF(*prime_power(q)))
 
 
 def pin_of(spec, geom: geometry.IncidenceGeometry) -> dict:

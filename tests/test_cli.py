@@ -6,7 +6,7 @@ import pytest
 from egrtools import bounds, cli, graph_core
 from egrtools.bounds import bound_report
 from egrtools.cli import EXIT_INTERNAL, EXIT_NOT_EGR, EXIT_OK, EXIT_USAGE, main
-from egrtools.constructions import build_pencil_graph, petersen
+from egrtools.constructions import FAMILIES, build_pencil_graph, petersen
 from egrtools.galois import GF
 from egrtools.graph_core import Graph, NotEdgeGirthRegular, graph6_encode
 from oracles import degree_preserving_switch
@@ -347,13 +347,26 @@ def test_a_build_that_fails_its_own_verification_exits_3(tmp_path, capsys, monke
     def switched(F):
         return degree_preserving_switch(build_pencil_graph(F))
 
-    monkeypatch.setitem(cli._BUILDERS, "pencil", switched)
+    monkeypatch.setitem(FAMILIES, "pencil", FAMILIES["pencil"]._replace(build=switched))
     with pytest.raises(NotEdgeGirthRegular) as failure:
         graph_core.verify_egr(switched(GF(2)))
     out_path = tmp_path / "out"
     code, out, err = run(capsys, command, "--family", "pencil", "--q", "2", "--out", str(out_path))
     assert code == EXIT_INTERNAL and out == "" and not out_path.exists()
     assert err == f"internal error: construction failed verification: {failure.value}\n"
+
+
+@pytest.mark.parametrize("command", ["construct", "report"])
+def test_a_build_off_its_closed_form_exits_3(tmp_path, capsys, monkeypatch, command):
+    # biaffine1's row building kind 2: an egr graph, but not egr(18, 3, 6, 4)
+    monkeypatch.setitem(FAMILIES, "biaffine1", FAMILIES["biaffine1"]._replace(build=FAMILIES["biaffine2"].build))
+    out_path = tmp_path / "out"
+    code, out, err = run(capsys, command, "--family", "biaffine1", "--q", "3", "--out", str(out_path))
+    assert code == EXIT_INTERNAL and out == "" and not out_path.exists()
+    assert err == (
+        "internal error: ArithmeticError: biaffine1 q=3 verified as egr(16, 3, 6, 6), "
+        "not its closed form egr(18, 3, 6, 4)\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["construct", "report"])
@@ -398,8 +411,8 @@ def test_vertex_caps_are_checked_before_building(capsys, monkeypatch, argv, patc
 
     if patch is not None:
         monkeypatch.setattr(*patch)
-    for family in cli._BUILDERS:
-        monkeypatch.setitem(cli._BUILDERS, family, builder)
+    for family, row in FAMILIES.items():
+        monkeypatch.setitem(FAMILIES, family, row._replace(build=builder))
     misses = GF.cache_info().misses
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == ""

@@ -4,12 +4,13 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
-from geometry_pins import PENCIL_ORDERS, pencil_pin_of
+from geometry_pins import PENCIL_ORDERS, _prime_powers, pencil_pin_of
 
 from egrtools.bounds import certify_extremal
 from egrtools.constructions import (
-    FAMILY_ORDER,
+    FAMILIES,
     MAX_NAMED_SIZE,
+    MAX_ORDER,
     build_biaffine,
     build_gq_truncation,
     build_ovoid_spread,
@@ -23,30 +24,9 @@ from egrtools.constructions import (
 )
 from egrtools.galois import GF, prime_power
 from egrtools.geometry import symplectic_gq
-from egrtools.graph_core import Graph, graph6_encode, verify_egr
+from egrtools.graph_core import EgrSignature, Graph, graph6_encode, verify_egr
 
 F = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5)}
-
-
-@pytest.mark.parametrize("q", [3, 4, 5])
-def test_biaffine_type1_signature(q):
-    sig = verify_egr(build_biaffine(F[q], 1))
-    assert (sig.n, sig.k, sig.g, sig.lam) == (2 * q * q, q, 6, (q - 1) ** 2 * (q - 2))
-    assert sig.bipartite
-
-
-@pytest.mark.parametrize("q", [3, 4, 5])
-def test_biaffine_type2_signature(q):
-    sig = verify_egr(build_biaffine(F[q], 2))
-    assert (sig.n, sig.k, sig.g, sig.lam) == (2 * q * q - 2, q, 6, (q - 1) * (q * q - 3 * q + 3))
-    assert sig.bipartite
-
-
-@pytest.mark.parametrize("q", [3, 4])
-def test_gq_truncation_signature(q):
-    sig = verify_egr(build_gq_truncation(F[q]))
-    assert (sig.n, sig.k, sig.g, sig.lam) == (2 * q**3, q, 8, (q - 1) ** 2 * ((q - 2) ** 2 + 1))
-    assert sig.bipartite
 
 
 def test_gq_truncation_deletion_counts():
@@ -57,23 +37,6 @@ def test_gq_truncation_deletion_counts():
     lines_kept = G.n - points_kept
     assert geom.n_points - points_kept == 1 + (q + 1) * q
     assert geom.n_blocks - lines_kept == q + 1 + q * q
-
-
-def test_ovoid_spread_signature():
-    # egr(2q(q^2+1), q, 8, ((q-1)(q-2))^2) (Kiss, Miklavic and Szonyi)
-    for field, expected in ((F[4], (136, 4, 8, 36)), (GF(2, 3), (1040, 8, 8, 1764))):
-        q = field.q
-        sig = verify_egr(build_ovoid_spread(field))
-        assert (sig.n, sig.k, sig.g, sig.lam) == expected == (2 * q * (q * q + 1), q, 8, ((q - 1) * (q - 2)) ** 2)
-        assert sig.bipartite
-
-
-@pytest.mark.parametrize("q", [2, 3])
-def test_pencil_signature(q):
-    sig = verify_egr(build_pencil_graph(F[q]))
-    n = q**3 + q**2 + q + 1
-    assert (sig.n, sig.k, sig.g, sig.lam) == (2 * n, q * q + q + 1, 4, q**3 + q**2)
-    assert sig.bipartite
 
 
 def test_pencil_contains_diagonal_edges():
@@ -175,15 +138,6 @@ def test_cycle_graph_bounds_args():
         cycle_graph(2)
 
 
-BUILDERS = {
-    "biaffine1": lambda F: build_biaffine(F, 1),
-    "biaffine2": lambda F: build_biaffine(F, 2),
-    "gq_truncation": build_gq_truncation,
-    "ovoid_spread": build_ovoid_spread,
-    "pencil": build_pencil_graph,
-}
-
-
 @pytest.mark.parametrize(
     "family,q",
     [(f, q) for f in ("biaffine1", "biaffine2", "gq_truncation") for q in (3, 4, 5, 7, 8, 9)]
@@ -191,7 +145,38 @@ BUILDERS = {
     + [("pencil", q) for q in (2, 3, 4, 5, 7, 8, 9)],
 )
 def test_family_order_is_the_built_order(family, q):
-    assert FAMILY_ORDER[family](q) == BUILDERS[family](GF(*prime_power(q))).n
+    # the row's whole closed form, its order n included, is the verified signature
+    row = FAMILIES[family]
+    sig = verify_egr(row.build(GF(*prime_power(q))))
+    assert (sig.n, sig.k, sig.g, sig.lam) == row.signature(q)
+    assert sig.bipartite
+
+
+# gap = n - best lower bound of each closed form, as certify_extremal gives
+# it; the paper's Remark puts gq_truncation's at 2(6q-10), from q = 5 on
+EXTREMALITY_GAP = {
+    "biaffine1": lambda q: 0,
+    "biaffine2": lambda q: 0,
+    "gq_truncation": lambda q: {3: 18, 4: 30}.get(q, 2 * (6 * q - 10)),
+    "ovoid_spread": lambda q: 12 * q - 16,
+    "pencil": lambda q: 0,
+}
+
+
+def _orders_taken(family):
+    """Each q up to the family's size cap that its builder takes: a prime
+    power, 3 or more (2 or more for the pencil), even for ovoid_spread."""
+    low = 2 if family == "pencil" else 3
+    return [q for q in _prime_powers(MAX_ORDER[family]) if q >= low and (family != "ovoid_spread" or q % 2 == 0)]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_extremality_gap_of_each_closed_form_up_to_the_cap(family):
+    # nothing is built
+    for q in _orders_taken(family):
+        # every family is the Levi graph of an incidence structure, so bipartite
+        verdict = certify_extremal(EgrSignature(*FAMILIES[family].signature(q), bipartite=True))
+        assert verdict.gap == EXTREMALITY_GAP[family](q), q
 
 
 # sha256 of graph6_encode of each family/q, recorded with the per-element
@@ -230,7 +215,7 @@ def _sha256(text: str) -> str:
 
 @pytest.mark.parametrize("family,q", sorted(GRAPH6_SHA256))
 def test_graph6_is_pinned(family, q):
-    G = BUILDERS[family](GF(*prime_power(q)))
+    G = FAMILIES[family].build(GF(*prime_power(q)))
     assert _sha256(graph6_encode(G)) == GRAPH6_SHA256[family, q]
 
 
@@ -285,7 +270,7 @@ LABELS = {
 @pytest.mark.parametrize("family,q", sorted(LABELS))
 def test_labels_are_pinned(family, q):
     n, first, last, digest = LABELS[family, q]
-    labels = BUILDERS[family](GF(*prime_power(q))).labels
+    labels = FAMILIES[family].build(GF(*prime_power(q))).labels
     assert (len(labels), labels[0], labels[-1]) == (n, first, last)
     assert all(type(c) is int for _, coords in labels[:3] for c in coords)
     assert _sha256(repr(list(labels))) == digest
@@ -299,18 +284,17 @@ OVER_CAP = {"biaffine1": 197, "biaffine2": 197, "gq_truncation": 53, "ovoid_spre
 @pytest.mark.parametrize("family", sorted(OVER_CAP))
 def test_size_cap_rejects_next_q_before_building(family):
     from egrtools import geometry
-    from egrtools.constructions import MAX_ORDER
 
     q = OVER_CAP[family]
     assert MAX_ORDER[family] < q
     check_order(family, MAX_ORDER[family])
-    with pytest.raises(ValueError, match=f"capped at q <= {MAX_ORDER[family]}"):
+    with pytest.raises(ValueError, match=rf"^{family} is capped at q <= {MAX_ORDER[family]} \(got q = {q}\)$"):
         check_order(family, q)
     caches = [geometry.point_array, geometry.pg2_geometry, geometry.symplectic_gq,
               geometry.singer_pencil, geometry._singer_plane]
     misses = [c.cache_info().misses for c in caches]
     with pytest.raises(ValueError, match="capped"):
-        BUILDERS[family](GF(*prime_power(q)))
+        FAMILIES[family].build(GF(*prime_power(q)))
     assert [c.cache_info().misses for c in caches] == misses
 
 
@@ -323,6 +307,6 @@ LEVI_PINS = json.loads((Path(__file__).parent / "data" / "levi_pins.json").read_
 @pytest.mark.parametrize("key", sorted(LEVI_PINS))
 def test_levi_graphs_match_tuple_block_record(key):
     family, _, q = key.partition("/")
-    G = BUILDERS[family](GF(*prime_power(int(q)))) if q else named_graph(family)
+    G = FAMILIES[family].build(GF(*prime_power(int(q)))) if q else named_graph(family)
     got = {"adj": repr(G.adj), "labels": repr(list(G.labels)), "graph6": graph6_encode(G)}
     assert {k: _sha256(v) for k, v in got.items()} == LEVI_PINS[key]
