@@ -29,6 +29,46 @@ from egrtools.graph_core import EgrSignature, Graph, graph6_encode, verify_egr
 F = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5)}
 
 
+def _signature_of(G):
+    sig = verify_egr(G)
+    assert sig.bipartite
+    return (sig.n, sig.k, sig.g, sig.lam)
+
+
+# each family's closed form written out, checked against the build and FAMILIES
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_biaffine_type1_signature(q):
+    expected = (2 * q * q, q, 6, (q - 1) ** 2 * (q - 2))
+    assert _signature_of(build_biaffine(F[q], 1)) == expected == FAMILIES["biaffine1"].signature(q)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_biaffine_type2_signature(q):
+    expected = (2 * q * q - 2, q, 6, (q - 1) * (q * q - 3 * q + 3))
+    assert _signature_of(build_biaffine(F[q], 2)) == expected == FAMILIES["biaffine2"].signature(q)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_gq_truncation_signature(q):
+    expected = (2 * q**3, q, 8, (q - 1) ** 2 * ((q - 2) ** 2 + 1))
+    assert _signature_of(build_gq_truncation(F[q])) == expected == FAMILIES["gq_truncation"].signature(q)
+
+
+def test_ovoid_spread_signature():
+    # egr(2q(q^2+1), q, 8, ((q-1)(q-2))^2) (Kiss, Miklavic and Szonyi)
+    for field, expected in ((F[4], (136, 4, 8, 36)), (GF(2, 3), (1040, 8, 8, 1764))):
+        q = field.q
+        assert expected == (2 * q * (q * q + 1), q, 8, ((q - 1) * (q - 2)) ** 2)
+        assert _signature_of(build_ovoid_spread(field)) == expected == FAMILIES["ovoid_spread"].signature(q)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_pencil_signature(q):
+    n = q**3 + q**2 + q + 1
+    expected = (2 * n, q * q + q + 1, 4, q**3 + q**2)
+    assert _signature_of(build_pencil_graph(F[q])) == expected == FAMILIES["pencil"].signature(q)
+
+
 def test_gq_truncation_deletion_counts():
     q = 3
     geom = symplectic_gq(F[q])
