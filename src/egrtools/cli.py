@@ -14,8 +14,10 @@ makes one ``eigenvalues`` call: the spectrum it returns carries the exact
 moments the report prints, and the tight-spectrum certificate checks them
 against the signature.  A stream verify reports each malformed or
 oversized line and goes on; it exits with the largest code of any line.
-It decodes and verifies STREAM_BLOCK_LINES lines at a time as one union
-(``_verify_block``) and writes their records, byte for byte
+It decodes and verifies a block of lines at a time, at most
+STREAM_BLOCK_LINES lines and STREAM_BLOCK_BYTES characters (``_blocks``),
+as one union (``_verify_block``), and writes their records straight from
+the rows of the block's verdict table, byte for byte
 ``json.dumps(record, sort_keys=True)``, with one write and a flush.
 Reports are JSON with a frozen field layout (schema_version 1); rationals
 are emitted as {num, den, decimal}, never as bare floats.
@@ -36,8 +38,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import islice
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import __version__, graph_core
 from .bounds import MAX_BOUND_BITS, bound_report, certify_extremal, in_domain
@@ -62,8 +63,14 @@ EXIT_NOT_EGR = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-# stdin lines a stream verify reads, verifies and writes out at a time
-STREAM_BLOCK_LINES = 256
+# A stream verify reads, verifies and writes out a block of stdin lines at
+# a time: at most STREAM_BLOCK_LINES lines and STREAM_BLOCK_BYTES characters
+# (``_blocks``).  A graph6 body of b bytes holds at most 12b adjacency
+# entries, so the byte budget bounds a block's union, which a line count
+# does not; at MAX_DECODE_BYTES, a block's bodies take one decode pass.  The
+# line count bounds how many records of short lines wait for one write.
+STREAM_BLOCK_LINES = 4096
+STREAM_BLOCK_BYTES = graph_core.MAX_DECODE_BYTES
 
 # stream records, as json.dumps(record, sort_keys=True) writes them
 _EGR_LINE = '{"egr": true, "line": %d, "signature": {"bipartite": %s, "g": %d, "k": %d, "lambda": %d, "n": %d}}\n'
@@ -209,40 +216,68 @@ def cmd_construct(args, argv) -> int:
     return EXIT_OK
 
 
-def _record_line(verdict, line: int) -> tuple[int, str]:
-    """The exit code and JSON line of stream line ``line``, from its
-    ``verify_many`` verdict or its Graph6Error."""
-    if isinstance(verdict, EgrSignature):
-        bipartite = "true" if verdict.bipartite else "false"
-        return EXIT_OK, _EGR_LINE % (line, bipartite, verdict.g, verdict.k, verdict.lam, verdict.n)
-    if isinstance(verdict, NotEdgeGirthRegular):
-        fields = (verdict.kind, str(verdict), repr(verdict.witness))
-        return EXIT_NOT_EGR, _NOT_EGR_LINE % (*map(encode_basestring_ascii, fields), line)
-    # a malformed line, or a graph over the verify vertex cap
-    return EXIT_USAGE, _ERROR_LINE % (encode_basestring_ascii(str(verdict)), line)
+def _record_line(row, line: int) -> tuple[int, str]:
+    """The exit code and JSON line of stream line ``line``, from its row of
+    the block's verdict table (``graph_core._Verdicts``)."""
+    kind, n, k, g, lam, bipartite = row[:6]
+    if kind == graph_core.EGR:
+        return EXIT_OK, _EGR_LINE % (line, "true" if bipartite else "false", g, k, lam, n)
+    if kind == graph_core.OVER_CAP:
+        return EXIT_USAGE, _error_line(graph_core._cap_error(n), line)
+    name, witness, message = graph_core._failure(row)
+    return EXIT_NOT_EGR, _NOT_EGR_LINE % (_json_str(name), _json_str(message), _json_str(repr(witness)), line)
+
+
+def _error_line(error: ValueError, line: int) -> str:
+    """The JSON line of a stream line that is malformed or over the vertex cap."""
+    return _ERROR_LINE % (_json_str(str(error)), line)
 
 
 def _verify_block(lines: list[str], first: int) -> tuple[int, str]:
     """The largest exit code and the output text of a block of stream lines,
     the first of them line number ``first``: one union from the block
     decoder, one ``graph_core._verify_union`` call on it, and one record
-    per nonblank line, a malformed line's record holding its decode error."""
+    per nonblank line, from its row of the verdict table, or for a
+    malformed line from its decode error."""
     numbered = [(lineno, line) for lineno, line in enumerate(lines, start=first) if line.strip()]
     errors, union = graph_core._decode_block([line for _, line in numbered])
-    verdicts = iter(graph_core._verify_union(union))
+    rows = graph_core._verify_union(union).rows()
     worst, out = EXIT_OK, []
     for (lineno, _), error in zip(numbered, errors):
-        code, text = _record_line(next(verdicts) if error is None else error, lineno)
+        if error is None:
+            code, text = _record_line(next(rows), lineno)
+        else:
+            code, text = EXIT_USAGE, _error_line(error, lineno)
         out.append(text)
         worst = max(worst, code)
     return worst, "".join(out)
+
+
+def _blocks(lines):
+    """The stream's lines in blocks: a block closes at STREAM_BLOCK_LINES
+    lines, or before a line that would take it past STREAM_BLOCK_BYTES
+    characters, or once it holds that many; so a line longer than the
+    budget is a block of its own.  A block is yielded as soon as it closes."""
+    most, budget = STREAM_BLOCK_LINES, STREAM_BLOCK_BYTES
+    block, size = [], 0
+    for line in lines:
+        size += len(line)
+        if size > budget and block:
+            yield block
+            block, size = [], len(line)
+        block.append(line)
+        if size >= budget or len(block) == most:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
 
 
 def _verify_stream(out) -> int:
     """Verify stdin a block at a time, writing each block's records to
     ``out`` with one write and a flush; the largest exit code of any line."""
     worst, first = EXIT_OK, 1
-    while lines := list(islice(sys.stdin, STREAM_BLOCK_LINES)):
+    for lines in _blocks(sys.stdin):
         code, text = _verify_block(lines, first)
         out.write(text)
         out.flush()
@@ -255,7 +290,6 @@ def cmd_verify(args, argv) -> int:
         raise UsageError("give a path or --stdin-g6-stream, not both")
     if not args.path and not args.stdin_g6_stream:
         raise UsageError("verify needs a path or --stdin-g6-stream")
-    doc = _report_skeleton(argv)
     if args.stdin_g6_stream:
         if not args.out:
             return _verify_stream(sys.stdout)
@@ -275,6 +309,7 @@ def cmd_verify(args, argv) -> int:
     verdict = verify_many([G])[0]
     if isinstance(verdict, ValueError):  # over the verify vertex cap
         raise UsageError(str(verdict))
+    doc = _report_skeleton(argv)
     if isinstance(verdict, NotEdgeGirthRegular):
         code, doc["egr"] = EXIT_NOT_EGR, False
         doc["failure"] = {"kind": verdict.kind, "witness": repr(verdict.witness), "message": str(verdict)}

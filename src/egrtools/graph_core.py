@@ -13,8 +13,15 @@ connectivity, bipartiteness and each Graph's colour classes, kept on it
 for the spectral stage, and each graph's segment of the degrees
 its regularity; the graphs that pass fill (B, n, n) stacks by order for
 the one walk engine (``_girth_walks`` over ``_nb_walks``), and one pass
-over their edges' counts gives every verdict.  So a block's fixed costs
+over their edges' counts settles the rest.  So a block's fixed costs
 grow with its number of distinct orders, not with its number of graphs.
+The block core's product is a verdict table (``_Verdicts``), one int64
+column per field with a row per graph, which has two readers:
+``verify_many`` makes each row an EgrSignature or an exception, and the
+stream verify (``cli._verify_block``) writes each row as a JSON line.
+``_failure`` words a failing row for both.  A stream block is bounded by
+its bytes: a graph6 body of b bytes sets at most 6b bits, each one edge,
+so it holds at most 12b adjacency entries, and so does a block's union.
 
 Girth and cycle counts come from one pass over the non-backtracking walk
 matrices A_l (entry [u, w]: walks of l edges from u to w that never
@@ -264,7 +271,8 @@ def _from_codes(orders, width: int, codes: np.ndarray) -> _Union:
     """The union of graphs of the given orders from the sorted codes
     r*width + v of their entries: entry v (below width) of union row r."""
     first = np.cumsum([0, *orders])
-    rows, cols = np.divmod(codes, max(width, 1))
+    rows = codes // max(width, 1)  # np.divmod takes about four times as long
+    cols = codes - rows * width
     deg = np.bincount(rows, minlength=first[-1])
     indptr = np.zeros(len(deg) + 1, dtype=np.int64)  # no temporary: the size caps rest on this peak
     np.cumsum(deg, out=indptr[1:])
@@ -431,7 +439,7 @@ def _girth_walks(A: np.ndarray) -> tuple[list, np.ndarray]:
     left, walks, prev = B, None, None
     for length, cur in enumerate(_nb_walks(A), start=1):
         # A_1 and A_2 have zero diagonals
-        if length > 2 and (diag := cur.reshape(B, -1)[:, :: n + 1]).any():
+        if length > 2 and np.count_nonzero(diag := cur.reshape(B, -1)[:, :: n + 1]):
             fresh = diag.any(axis=1).nonzero()[0]
             if (fresh := fresh[girth[fresh] == 0]).size:
                 girth[fresh] = length
@@ -505,74 +513,135 @@ def verify_many(graphs) -> list:
     order, its EgrSignature, or the NotEdgeGirthRegular or ValueError
     instance that ``verify_egr`` would raise.  The Graphs are concatenated
     into one union, which the block core ``_verify_union`` verifies, and
-    keep their colour classes from its BFS (``_bipartition``)."""
+    keep their colour classes from its BFS (``_bipartition``); each row of
+    its verdict table becomes one verdict (``_verdict``)."""
     graphs = list(graphs)
-    return _verify_union(_union_of(graphs), graphs) if graphs else []
+    return [_verdict(row) for row in _verify_union(_union_of(graphs), graphs).rows()] if graphs else []
 
 
-def _verify_union(u: _Union, graphs=()) -> list:
-    """The block core: the verdicts of the union's graphs, in order, as
-    ``verify_many`` returns them.  Connectivity and bipartiteness come from
-    one ``_bfs_levels`` pass, the degree checks from one reduction per
-    bound over the degrees; the graphs that pass take the walk pass
-    (``_girth_counts``), and one pass over all their edges compares each
-    edge's count with its graph's first edge's.  ``graphs``, the Graphs
-    the union was made of, if any, keep their colour classes."""
+# The verdict table's kind codes, in the order verify_egr checks them: an
+# empty graph, a vertex unreachable from vertex 0, two degrees, degree
+# below 3, more than MAX_VERIFY_VERTICES vertices, edges on different
+# numbers of girth cycles; EGR passes every check.
+EGR, EMPTY, DISCONNECTED, NOT_REGULAR, DEGREE_TOO_SMALL, OVER_CAP, NONUNIFORM = range(7)
+
+
+class _Verdicts(NamedTuple):
+    """The block core's verdict table: one int64 column per field, entry i
+    for graph i of the union.  Every row has its kind code and order n; the
+    other fields hold what its kind reports:
+
+    - k: the degree (EGR, DEGREE_TOO_SMALL, NONUNIFORM), the expected,
+      most common, degree (NOT_REGULAR);
+    - g, lam, bipartite (1 or 0): the signature (EGR); g and lam, the count
+      on the graph's first edge, also for NONUNIFORM;
+    - x, y: the unreached vertex x (DISCONNECTED), the vertex x of degree
+      y (NOT_REGULAR), the first edge (x, y) off lam (NONUNIFORM);
+    - count, least, most: that edge's count and the least and largest
+      count on any edge (NONUNIFORM).
+
+    ``_failure`` words a failing row, ``_verdict`` makes it a verdict."""
+
+    kind: np.ndarray
+    n: np.ndarray
+    k: np.ndarray
+    g: np.ndarray
+    lam: np.ndarray
+    bipartite: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    count: np.ndarray
+    least: np.ndarray
+    most: np.ndarray
+
+    def rows(self):
+        """The table's rows, in order, as tuples of Python ints."""
+        return zip(*(column.tolist() for column in self))
+
+
+def _failure(row) -> tuple[str, object, str]:
+    """The NotEdgeGirthRegular kind, witness and message of a verdict-table
+    row of a failing kind other than OVER_CAP (``_cap_error`` words that)."""
+    kind, _, k, _, lam, _, x, y, count, _, _ = row
+    if kind == NONUNIFORM:
+        return "nonuniform_cycle_counts", (x, y), f"edge {(x, y)} lies on {count} girth cycles, expected {lam}"
+    if kind == DISCONNECTED:
+        return "disconnected", x, f"vertex {x} unreachable from 0"
+    if kind == NOT_REGULAR:
+        return "not_regular", x, f"vertex {x} has degree {y}, expected {k}"
+    if kind == DEGREE_TOO_SMALL:
+        return "degree_too_small", k, f"degree {k} < 3"
+    return "disconnected", None, "empty graph"
+
+
+def _verdict(row):
+    """The ``verify_many`` verdict of a verdict-table row: an EgrSignature,
+    the ValueError of ``_cap_error``, or a NotEdgeGirthRegular."""
+    kind, n, k, g, lam, bipartite, *_, least, most = row
+    if kind == EGR:
+        return EgrSignature(n=n, k=k, g=g, lam=lam, bipartite=bool(bipartite))
+    if kind == OVER_CAP:
+        return _cap_error(n)
+    details = {"min_count": least, "max_count": most} if kind == NONUNIFORM else None
+    return NotEdgeGirthRegular(*_failure(row), details=details)
+
+
+def _verify_union(u: _Union, graphs=()) -> _Verdicts:
+    """The block core: the verdict table of the union's graphs, in order.
+    Connectivity and bipartiteness come from one ``_bfs_levels`` pass, the
+    degree checks from one reduction per bound over the degrees, and each
+    graph's kind from masks over both; only an irregular graph's witness
+    takes a count of its own degrees.  The graphs that pass take the walk
+    pass (``_girth_counts``), and one pass over all their edges compares
+    each edge's count with its graph's first edge's.  ``graphs``, the
+    Graphs the union was made of, if any, keep their colour classes."""
     first, _, deg, _, _ = u
     orders = first[1:] - first[:-1]
     level, clash = _bfs_levels(u)
-    # the first unreached vertex at or after each graph's vertex 0
+    # x: the first unreached vertex at or after each graph's vertex 0, in its graph's numbering
     missing = (level < 0).nonzero()[0]
-    unreached = np.concatenate((missing, [len(level)]))[missing.searchsorted(first[:-1])]
+    x = np.concatenate((missing, [len(level)]))[missing.searchsorted(first[:-1])] - first[:-1]
     # a component is bipartite exactly when no edge joins two vertices at the same level
-    bipartite = np.ones(len(orders), dtype=bool)
-    bipartite[first[1:].searchsorted(clash, side="right")] = False
+    bipartite = np.ones(len(orders), dtype=np.int64)
+    bipartite[first[1:].searchsorted(clash, side="right")] = 0
     for i, G in enumerate(graphs):
         _keep_sides(G, level[first[i] : first[i + 1]], bipartite[i])
     # a pad after the degrees ends the last graph's segment; an empty
     # graph's segment reads the next graph's first degree, never used
-    low, high = (f.reduceat(np.concatenate((deg, [0])), first)[:-1] for f in (np.minimum, np.maximum))
-    cap, ns = MAX_VERIFY_VERTICES, orders.tolist()
-    results, walkers = [], []
-    columns = zip(first.tolist(), ns, (unreached - first[:-1]).tolist(), low.tolist(), high.tolist())
-    for i, (a, n, v, k, top) in enumerate(columns):
-        verdict = None
-        if n == 0:
-            verdict = NotEdgeGirthRegular("disconnected", None, "empty graph")
-        elif v < n:
-            verdict = NotEdgeGirthRegular("disconnected", v, f"vertex {v} unreachable from 0")
-        elif k != top:
-            d = deg[a : a + n]
-            k = int(np.bincount(d).argmax())  # argmax takes the first, so the smallest, mode
-            v = int(np.flatnonzero(d != k)[0])
-            verdict = NotEdgeGirthRegular("not_regular", v, f"vertex {v} has degree {d[v]}, expected {k}")
-        elif k < 3:
-            verdict = NotEdgeGirthRegular("degree_too_small", k, f"degree {k} < 3")
-        elif n > cap:
-            verdict = _cap_error(n)
-        else:
-            walkers.append(i)  # connected and k-regular with k >= 3, so it has a cycle
-        results.append(verdict)
-    if not walkers:
-        return results
-    w = np.array(sorted(walkers, key=ns.__getitem__))
+    padded = np.concatenate((deg, [0]))
+    k, high = np.minimum.reduceat(padded, first)[:-1], np.maximum.reduceat(padded, first)[:-1]
+    # every kind starts as EGR (0); the first check a graph fails sets its
+    # kind, so the later checks go first
+    kind, g, lam, y, count, least, most = np.zeros((7, len(orders)), dtype=np.int64)
+    kind[orders > MAX_VERIFY_VERTICES] = OVER_CAP
+    kind[k < 3] = DEGREE_TOO_SMALL
+    kind[k != high] = NOT_REGULAR
+    kind[x < orders] = DISCONNECTED
+    kind[orders == 0] = EMPTY
+    table = _Verdicts(kind, orders, k, g, lam, bipartite, x, y, count, least, most)
+    for i in (kind == NOT_REGULAR).nonzero()[0].tolist():
+        d = deg[first[i] : first[i + 1]]
+        k[i] = np.bincount(d).argmax()  # argmax takes the first, so the smallest, mode
+        x[i] = (d != k[i]).argmax()
+        y[i] = d[x[i]]
+    # connected and k-regular with k >= 3, so each has a cycle; sorted by order
+    w = (kind == EGR).nonzero()[0]
+    if not w.size:
+        return table
+    w = w[orders[w].argsort(kind="stable")]
     girth, us, vs, counts, seg, edges = _girth_counts(u, w)
     # each graph's edges are one nonempty segment, and a graph has a deviant
     # edge exactly when its least and largest counts differ
-    lam = counts[seg]
-    deviant = (counts != lam.repeat(edges)).nonzero()[0]
-    at = np.concatenate((deviant, [0]))[deviant.searchsorted(seg)]
-    fewest, most = np.minimum.reduceat(counts, seg).tolist(), np.maximum.reduceat(counts, seg).tolist()
-    witness = zip(zip(us[at].tolist(), vs[at].tolist()), counts[at].tolist())
-    columns = zip(w.tolist(), girth, orders[w].tolist(), low[w].tolist(), bipartite[w].tolist(), lam.tolist())
-    for (i, g, n, k, bip, lam), (e, c), least, largest in zip(columns, witness, fewest, most):
-        if least == largest:
-            results[i] = EgrSignature(n=n, k=k, g=g, lam=lam, bipartite=bip)
-            continue
-        message = f"edge {e} lies on {c} girth cycles, expected {lam}"
-        details = {"min_count": least, "max_count": largest}
-        results[i] = NotEdgeGirthRegular("nonuniform_cycle_counts", e, message, details=details)
-    return results
+    g[w], lam[w] = girth, counts[seg]
+    deviant = (counts != lam[w].repeat(edges)).nonzero()[0]
+    if deviant.size:
+        fewest, largest = np.minimum.reduceat(counts, seg), np.maximum.reduceat(counts, seg)
+        off = (fewest != largest).nonzero()[0]
+        at = deviant[deviant.searchsorted(seg[off])]  # each graph's first deviant edge
+        i = w[off]
+        kind[i], x[i], y[i], count[i] = NONUNIFORM, us[at], vs[at], counts[at]
+        least[i], most[i] = fewest[off], largest[off]
+    return table
 
 
 def _girth_counts(u: _Union, w: np.ndarray) -> tuple:
@@ -604,11 +673,12 @@ def _girth_counts(u: _Union, w: np.ndarray) -> tuple:
         A.reshape(-1)[p] = 1
         g, walks = _girth_walks(A)
         girth += g
-        c = walks.reshape(-1)[p]
-        parts.append(c.astype(np.int64))
-    upper = us < vs
+        parts.append(walks.reshape(-1)[p])
+    # an index array: a boolean mask this irregular gathers several times slower
+    upper = (us < vs).nonzero()[0]
     edges = cnt // 2
-    return girth, us[upper], vs[upper], np.concatenate(parts)[upper], edges.cumsum() - edges, edges
+    counts = np.concatenate(parts)[upper].astype(np.int64)  # float64 holds each count exactly
+    return girth, us[upper], vs[upper], counts, edges.cumsum() - edges, edges
 
 
 def verify_egr(G: Graph) -> EgrSignature:

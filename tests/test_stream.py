@@ -12,15 +12,18 @@ from egrtools.cli import EXIT_USAGE, main
 DATA = Path(__file__).with_name("data")
 
 
-@pytest.mark.parametrize("block", [None, 1, 7])
-def test_stream_sample_output_is_byte_identical(block, capsys, monkeypatch):
+@pytest.mark.parametrize("lines,budget", [(None, 2**12), (1, None), (7, None), (None, 100)], ids=["None", "1", "7", "100B"])
+def test_stream_sample_output_is_byte_identical(lines, budget, capsys, monkeypatch):
     # stream_sample.jsonl was recorded when the stream verified one line at
-    # a time; the sample crosses a block boundary and holds blank and
-    # malformed lines on both sides of it
+    # a time; the sample spans several blocks (None keeps the default line
+    # count, under which a 4 KiB budget still splits it) and holds blank and
+    # malformed lines on both sides of a boundary
     text = (DATA / "stream_sample.g6").read_text(encoding="utf-8")
-    assert len(text.splitlines()) > cli.STREAM_BLOCK_LINES
-    if block:
-        monkeypatch.setattr(cli, "STREAM_BLOCK_LINES", block)
+    if lines:
+        monkeypatch.setattr(cli, "STREAM_BLOCK_LINES", lines)
+    if budget:
+        monkeypatch.setattr(cli, "STREAM_BLOCK_BYTES", budget)
+    assert len(text.splitlines()) > cli.STREAM_BLOCK_LINES or len(text) > cli.STREAM_BLOCK_BYTES
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code = main(["verify", "--stdin-g6-stream"])
     out = capsys.readouterr().out
@@ -64,17 +67,59 @@ class Recorder(io.StringIO):
         self.calls.append(("flush", None))
 
 
+class Lines:
+    """stdin that logs each line it hands out in a Recorder's calls."""
+
+    def __init__(self, text, calls):
+        self.lines, self.calls = text.splitlines(keepends=True), calls
+
+    def __iter__(self):
+        for line in self.lines:
+            self.calls.append(("read", None))
+            yield line
+
+
+def _calls_by_rule(lines) -> tuple[list, set]:
+    """The reads, writes and flushes of a stream, by its rule written out,
+    and which rules closed a block.  A block closes once it holds
+    STREAM_BLOCK_LINES lines ("lines") or STREAM_BLOCK_BYTES characters
+    ("budget"), and before a line that would take it past STREAM_BLOCK_BYTES
+    ("bytes"); it is written, one record per nonblank line, and flushed as
+    soon as it closes."""
+    calls, block, closed = [], [], set()
+
+    def close(limit):
+        calls.extend([("write", sum(bool(line.strip()) for line in block)), ("flush", None)])
+        closed.add(limit)
+        block.clear()
+
+    for line in lines:
+        calls.append(("read", None))
+        if block and sum(map(len, block)) + len(line) > cli.STREAM_BLOCK_BYTES:
+            close("bytes")
+        block.append(line)
+        if len(block) == cli.STREAM_BLOCK_LINES:
+            close("lines")
+        elif sum(map(len, block)) >= cli.STREAM_BLOCK_BYTES:
+            close("budget")
+    if block:
+        close("end")
+    return calls, closed
+
+
 def test_stream_writes_each_block_once_and_flushes(monkeypatch):
     text = (DATA / "stream_sample.g6").read_text(encoding="utf-8")
-    lines = text.splitlines(keepends=True)
-    blocks = [lines[i : i + cli.STREAM_BLOCK_LINES] for i in range(0, len(lines), cli.STREAM_BLOCK_LINES)]
+    # limits under which the 281-line, 16 KB sample closes blocks by each
+    # rule; its longest lines, as long as the budget, are blocks of their own
+    monkeypatch.setattr(cli, "STREAM_BLOCK_LINES", 6)
+    monkeypatch.setattr(cli, "STREAM_BLOCK_BYTES", 241)
+    expected, closed = _calls_by_rule(text.splitlines(keepends=True))
+    assert {"lines", "bytes", "budget"} <= closed
     out = Recorder()
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", Lines(text, out.calls))
     monkeypatch.setattr("sys.stdout", out)
     main(["verify", "--stdin-g6-stream"])
-    # one record per nonblank line of each block
-    records = [sum(bool(line.strip()) for line in block) for block in blocks]
-    assert out.calls == [call for n in records for call in (("write", n), ("flush", None))]
+    assert out.calls == expected
     assert out.getvalue() == (DATA / "stream_sample.jsonl").read_text(encoding="utf-8")
 
 
@@ -100,8 +145,10 @@ def _hostile_stream():
     short and long form, with blank lines and graph6 headers between."""
     from egrtools.constructions import complete_bipartite, cycle_graph, heawood, petersen, tutte_coxeter
     from egrtools.graph_core import GRAPH6_MAX_N, Graph, graph6_encode
+    from oracles import degree_preserving_switch
 
     k4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    two_k4 = Graph.from_edges(8, [(i + a, j + a) for a in (0, 4) for i in range(4) for j in range(i + 1, 4)])
     good = [graph6_encode(G) for G in (petersen(), k4, heawood(), tutte_coxeter(), complete_bipartite(3))]
     big = GRAPH6_MAX_N + 1
     return [
@@ -123,17 +170,28 @@ def _hostile_stream():
         graph6_encode(complete_bipartite(32)),  # long form, over the patched vertex cap
         good[4],
         "\t" + good[1] + "  ",
+        "?",  # n = 0
+        graph6_encode(two_k4),  # disconnected
+        graph6_encode(Graph.from_edges(10, petersen().edges()[1:])),  # irregular
+        graph6_encode(degree_preserving_switch(petersen())),  # nonuniform counts
+        graph6_encode(cycle_graph(900)),  # 67 429 bytes, longer than the default block budget
     ]
 
 
-@pytest.mark.parametrize("block", [1, 3, 256])
-def test_hostile_stream_gets_each_line_alone_verdict(block, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "limit,value",
+    [("LINES", 1), ("LINES", 3), ("LINES", 256), ("BYTES", 16), ("BYTES", 100), ("BYTES", 1000)],
+    ids=["1", "3", "256", "16B", "100B", "1000B"],
+)
+def test_hostile_stream_gets_each_line_alone_verdict(limit, value, capsys, monkeypatch):
     # each bad line gets the record of graph6_decode's error, each good line
-    # that of verify_egr on it alone, whatever the block boundaries
+    # that of verify_egr on it alone, whatever the block boundaries, by line
+    # count or by byte budget
     from egrtools.graph_core import NotEdgeGirthRegular, graph6_decode, verify_egr
 
     lines = _hostile_stream()
-    monkeypatch.setattr(cli, "STREAM_BLOCK_LINES", block)
+    assert max(map(len, lines)) > cli.STREAM_BLOCK_BYTES
+    monkeypatch.setattr(cli, f"STREAM_BLOCK_{limit}", value)
     monkeypatch.setattr("egrtools.graph_core.MAX_VERIFY_VERTICES", 63)
     expected, codes = [], []
     for lineno, line in enumerate(lines, start=1):
@@ -151,7 +209,10 @@ def test_hostile_stream_gets_each_line_alone_verdict(block, capsys, monkeypatch)
         codes.append(code)
     kinds = [json.loads(r) for r in expected]
     assert sum("error" in r for r in kinds) == 10 and sum(r.get("egr") is True for r in kinds) == 5
-    assert any(r.get("egr") is False for r in kinds)
+    # every failing kind of the verdict table, and the empty graph among them
+    failures = [r["failure"] for r in kinds if r.get("egr") is False]
+    assert {f["kind"] for f in failures} == {"disconnected", "not_regular", "degree_too_small", "nonuniform_cycle_counts"}
+    assert any(f["message"] == "empty graph" for f in failures)
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
     code = main(["verify", "--stdin-g6-stream"])
     assert capsys.readouterr().out == "".join(expected)
