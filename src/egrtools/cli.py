@@ -17,8 +17,9 @@ oversized line and goes on; it exits with the largest code of any line.
 It decodes and verifies a block of lines at a time, at most
 STREAM_BLOCK_LINES lines and STREAM_BLOCK_BYTES characters (``_blocks``),
 as one union (``_verify_block``), and writes their records straight from
-the rows of the block's verdict table, byte for byte
-``json.dumps(record, sort_keys=True)``, with one write and a flush.
+the rows of the block's verdict table, each with one % of ints into its
+kind's template, byte for byte ``json.dumps(record, sort_keys=True)``,
+with one write and a flush.
 Reports are JSON with a frozen field layout (schema_version 1); rationals
 are emitted as {num, den, decimal}, never as bare floats.
 
@@ -39,6 +40,7 @@ import time
 from datetime import datetime, timezone
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 
 from . import __version__, graph_core
 from .bounds import MAX_BOUND_BITS, bound_report, certify_extremal, in_domain
@@ -74,8 +76,28 @@ STREAM_BLOCK_BYTES = graph_core.MAX_DECODE_BYTES
 
 # stream records, as json.dumps(record, sort_keys=True) writes them
 _EGR_LINE = '{"egr": true, "line": %d, "signature": {"bipartite": %s, "g": %d, "k": %d, "lambda": %d, "n": %d}}\n'
-_NOT_EGR_LINE = '{"egr": false, "failure": {"kind": %s, "message": %s, "witness": %s}, "line": %d}\n'
 _ERROR_LINE = '{"error": %s, "line": %d}\n'
+
+# the fields of a stream block's verdict-table rows, each row followed by its line number
+_ROW_FIELDS = (*graph_core._Verdicts._fields, "line")
+
+
+def _not_egr_line(failure: graph_core._Failure) -> tuple[str, itemgetter]:
+    """The stream record of a failing kind, as one % template of ints, and
+    the getter of the row fields it reads: the message's, the witness's and
+    the line number.  JSON escapes no character of a decimal int, so the
+    escaped % templates give the escaped message and witness."""
+    template = (
+        f'{{"egr": false, "failure": {{"kind": {_json_str(failure.kind)}, "message": {_json_str(failure.message)}, '
+        f'"witness": {_json_str(failure.witness)}}}, "line": %d}}\n'
+    )
+    # with one field alone (the line number) the getter gives an int, which % takes as well
+    return template, itemgetter(*map(_ROW_FIELDS.index, (*failure.reads, *failure.shown, "line")))
+
+
+_NOT_EGR_LINES = {kind: _not_egr_line(failure) for kind, failure in graph_core._FAILURES.items()}
+# the exit code of a stream line of each verdict-table kind
+_EXIT_CODES = {graph_core.EGR: EXIT_OK, graph_core.OVER_CAP: EXIT_USAGE, **dict.fromkeys(_NOT_EGR_LINES, EXIT_NOT_EGR)}
 
 
 class UsageError(Exception):
@@ -216,16 +238,17 @@ def cmd_construct(args, argv) -> int:
     return EXIT_OK
 
 
-def _record_line(row, line: int) -> tuple[int, str]:
-    """The exit code and JSON line of stream line ``line``, from its row of
-    the block's verdict table (``graph_core._Verdicts``)."""
-    kind, n, k, g, lam, bipartite = row[:6]
+def _record_line(row) -> str:
+    """The JSON line of a stream line, from its row of the block's verdict
+    table (``graph_core._Verdicts``) followed by its line number."""
+    kind = row[0]
     if kind == graph_core.EGR:
-        return EXIT_OK, _EGR_LINE % (line, "true" if bipartite else "false", g, k, lam, n)
+        _, n, k, g, lam, bipartite = row[:6]
+        return _EGR_LINE % (row[-1], "true" if bipartite else "false", g, k, lam, n)
     if kind == graph_core.OVER_CAP:
-        return EXIT_USAGE, _error_line(graph_core._cap_error(n), line)
-    name, witness, message = graph_core._failure(row)
-    return EXIT_NOT_EGR, _NOT_EGR_LINE % (_json_str(name), _json_str(message), _json_str(repr(witness)), line)
+        return _error_line(graph_core._cap_error(row[1]), row[-1])
+    template, read = _NOT_EGR_LINES[kind]
+    return template % read(row)
 
 
 def _error_line(error: ValueError, line: int) -> str:
@@ -241,16 +264,17 @@ def _verify_block(lines: list[str], first: int) -> tuple[int, str]:
     malformed line from its decode error."""
     numbered = [(lineno, line) for lineno, line in enumerate(lines, start=first) if line.strip()]
     errors, union = graph_core._decode_block([line for _, line in numbered])
-    rows = graph_core._verify_union(union).rows()
-    worst, out = EXIT_OK, []
-    for (lineno, _), error in zip(numbered, errors):
-        if error is None:
-            code, text = _record_line(next(rows), lineno)
-        else:
-            code, text = EXIT_USAGE, _error_line(error, lineno)
-        out.append(text)
-        worst = max(worst, code)
-    return worst, "".join(out)
+    decoded = [lineno for (lineno, _), error in zip(numbered, errors) if error is None]
+    table = graph_core._verify_union(union)
+    records = [_record_line(row) for row in table.rows(decoded)]
+    worst = max(map(_EXIT_CODES.__getitem__, set(table.kind.tolist())), default=EXIT_OK)
+    if len(decoded) < len(numbered):  # each malformed line's record goes in its place
+        worst, decoded_records = EXIT_USAGE, iter(records)
+        records = [
+            next(decoded_records) if error is None else _error_line(error, lineno)
+            for (lineno, _), error in zip(numbered, errors)
+        ]
+    return worst, "".join(records)
 
 
 def _blocks(lines):

@@ -19,17 +19,27 @@ The block core's product is a verdict table (``_Verdicts``), one int64
 column per field with a row per graph, which has two readers:
 ``verify_many`` makes each row an EgrSignature or an exception, and the
 stream verify (``cli._verify_block``) writes each row as a JSON line.
-``_failure`` words a failing row for both.  A stream block is bounded by
+One table, ``_FAILURES``, words each failing kind for both, as %
+templates of ints: ``_failure`` formats a row from it, and ``cli`` turns
+it into one JSON line template per kind.  A stream block is bounded by
 its bytes: a graph6 body of b bytes sets at most 6b bits, each one edge,
 so it holds at most 12b adjacency entries, and so does a block's union.
 
 Girth and cycle counts come from one pass over the non-backtracking walk
 matrices A_l (entry [u, w]: walks of l edges from u to w that never
 reverse the edge just used).  The girth g of each graph in a stack is the
-first l at which its A_l has a nonzero diagonal, read as a strided view.
-In a graph of girth g, a non-backtracking walk of fewer than g edges
-repeats no vertex, so a walk of g-1 edges between the ends of an edge uv
-is a path that closes one g-cycle through uv.
+first l at which its A_l has a nonzero diagonal.  In a graph of girth g,
+a non-backtracking walk of fewer than g edges repeats no vertex, so a
+walk of g-1 edges between the ends of an edge uv is a path that closes
+one g-cycle through uv.  The pass reads each diagonal one step early, as
+the closing diagonal: A_{l+1} = A_l A - A_{l-1}(D - I), and while a graph
+has girth above l the diagonal of A_{l-1} is zero, so the diagonal of
+A_{l+1} is that of A_l A, the row sums of the entrywise product A_l * A
+(A is symmetric).  Its zero test is exact in float32 and float64 alike:
+each term is a nonnegative integer formed exactly (an exact count times 0
+or 1), so the sum is zero exactly when every term is, whatever its
+rounding.  A stack thus stops at the A_{g-1} of its largest girth g,
+after g-2 products, and never forms an A_g, nor widens to float64 for it.
 
 The counts are exact integers in floats.  float32 holds every integer up
 to 2**24 and float64 every one up to 2**53, and since the counts are
@@ -64,10 +74,11 @@ bits to a printable byte, so bit i of a body is the pair u < v with
 v(v-1)/2 <= i < v(v+1)/2 and u = i - v(v-1)/2, whatever the vertex count n.
 The block decoder ``_decode_block`` reads a block of lines into one union
 (``graph6_decode_many`` splits it into Graphs), as codes r*W + c, r the
-row in the union's vertex numbering and W the largest n.  A code is below
-V*W, V the union's vertex count; a line of n vertices has at least n/62
-bytes (one header byte for n <= 62, else at least n(n-1)/12 body bytes),
-so V is at most 62 times the input's bytes, and W is at most
+row in the union's vertex numbering and W the least power of two at or
+above the largest n.  A code is below V*W, V the union's vertex count; a
+line of n vertices has at least n/62 bytes (one header byte for n <= 62,
+else at least n(n-1)/12 body bytes), so V is at most 62 times the
+input's bytes, and W is at most 2**20, the power of two above
 GRAPH6_MAX_N = 10**6: the codes fit int64 for any input under 10**11
 bytes.  The pass unpacks only the nonzero bytes, MAX_DECODE_BYTES at a
 time, so its peak, besides the graphs it returns, stays near the size of
@@ -88,7 +99,7 @@ _FLOAT_EXACT_MAX = 2**53
 
 # The largest vertex count the walk pass takes, measured on one thread: it
 # holds four dense n x n float64 matrices and makes one n x n product per
-# step, g - 1 of them to reach the girth g, and a graph of degree >= 3 on
+# step, g - 2 of them to settle the girth g, and a graph of degree >= 3 on
 # 4096 vertices has g <= 22 (Moore bound).  22 walk matrices of a random
 # cubic graph took 54 s / 575 MiB peak at n = 4096 and 66 s / 655 MiB at
 # n = 4400 (2 CPUs, OpenBLAS, one thread), measured in float64; the steps
@@ -132,9 +143,10 @@ class Graph:
         deg = np.fromiter(map(len, adj), dtype=np.int64, count=n)
         rows = np.arange(n, dtype=np.int64).repeat(deg)
         cols = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=len(rows))
-        # with every neighbour in range, sorting the codes u*n + v sorts each
-        # row and keeps the rows in place
-        start = rows * n
+        # with every neighbour in range, sorting the codes u*width + v sorts
+        # each row and keeps the rows in place
+        width = _code_width(n)
+        start = rows * width
         codes = start + cols
         codes.sort()
         indices = codes - start
@@ -142,10 +154,10 @@ class Graph:
             _in_range(cols, n)
             and not (indices == rows).any()
             and _distinct(codes)
-            and np.array_equal(codes, np.sort(indices * n + rows))
+            and np.array_equal(codes, np.sort(indices * width + rows))
         ):
             raise ValueError(_first_fault(n, rows, cols))
-        self._store(*_split(_from_codes([n], n, codes))[0], labels)
+        self._store(*_split(_from_codes([n], width, codes))[0], labels)
 
     @classmethod
     def from_edges(cls, n: int, edges, labels=None) -> "Graph":
@@ -161,14 +173,15 @@ class Graph:
             raise ValueError(f"neighbor {e[i, j]} of {e[i, 1 - j]} out of range")
         rows = np.concatenate((e[:, 0], e[:, 1]))
         cols = np.concatenate((e[:, 1], e[:, 0]))
-        codes = rows * n + cols
+        width = _code_width(n)
+        codes = rows * width + cols
         codes.sort()
         # both orientations are listed, so the adjacency is symmetric and a
         # loop shows up as a repeated code, like a repeated edge
         if not _distinct(codes):
             raise ValueError(_first_fault(n, rows, cols))
         G = cls.__new__(cls)
-        G._store(*_split(_from_codes([n], n, codes))[0], labels)
+        G._store(*_split(_from_codes([n], width, codes))[0], labels)
         return G
 
     @classmethod
@@ -267,12 +280,20 @@ class _Union(NamedTuple):
     cols: np.ndarray
 
 
+def _code_width(n: int) -> int:
+    """The width of the codes r*width + v of the entries of graphs on at
+    most n vertices: the least power of two >= n, so that ``_from_codes``
+    splits a code with a shift and a mask."""
+    return 1 << max(n - 1, 0).bit_length()
+
+
 def _from_codes(orders, width: int, codes: np.ndarray) -> _Union:
     """The union of graphs of the given orders from the sorted codes
-    r*width + v of their entries: entry v (below width) of union row r."""
+    r*width + v of their entries, width from ``_code_width``: entry v
+    (below width) of union row r."""
     first = np.cumsum([0, *orders])
-    rows = codes // max(width, 1)  # np.divmod takes about four times as long
-    cols = codes - rows * width
+    rows = codes >> (width.bit_length() - 1)
+    cols = codes & (width - 1)
     deg = np.bincount(rows, minlength=first[-1])
     indptr = np.zeros(len(deg) + 1, dtype=np.int64)  # no temporary: the size caps rest on this peak
     np.cumsum(deg, out=indptr[1:])
@@ -429,32 +450,35 @@ def _nb_walks(A: np.ndarray):
 def _girth_walks(A: np.ndarray) -> tuple[list, np.ndarray]:
     """The girths of the graphs of a prebuilt (B, n, n) adjacency stack A
     and, from one walk pass, their A_{g-1}, a (B, n, n) stack whose slice b
-    belongs to graph b.  The pass stops once every member has its girth.
-    Every member must have a cycle (``_girth_counts`` sends only connected
-    graphs of degree >= 3): a member still without a closed walk at length
-    n, the longest a cycle can be, raises AssertionError."""
+    belongs to graph b.  From A_2 on, each A_l gives the diagonal of
+    A_{l+1}, the closing diagonal, as the row sums of A_l * A (see the
+    module docstring); a member whose closing diagonal is nonzero has girth
+    l + 1 and its counts in A_l.  So the pass stops at the A_{g-1} of the
+    stack's largest girth g, and never forms an A_g.  Every member must
+    have a cycle (``_girth_counts`` sends only connected graphs of degree
+    >= 3): a member still without a closed walk at length n, the longest a
+    cycle can be, raises AssertionError."""
     B, n, _ = A.shape
     girth = np.zeros(B, dtype=np.int64)  # 0 until found
     # the members still without their girth; their A_{g-1} stack once one has it
-    left, walks, prev = B, None, None
+    left, walks = B, None
     for length, cur in enumerate(_nb_walks(A), start=1):
-        # A_1 and A_2 have zero diagonals
-        if length > 2 and np.count_nonzero(diag := cur.reshape(B, -1)[:, :: n + 1]):
-            fresh = diag.any(axis=1).nonzero()[0]
+        # A_1 and A_2 have zero diagonals, so the first closing diagonal is A_3's
+        if length > 1 and np.count_nonzero(closing := np.einsum("bij,bij->bi", cur, A)):
+            fresh = closing.any(axis=1).nonzero()[0]
             if (fresh := fresh[girth[fresh] == 0]).size:
-                girth[fresh] = length
+                girth[fresh] = length + 1
                 left -= fresh.size
                 if fresh.size == B:
-                    walks = prev  # the pass never writes to a stack it has yielded
+                    walks = cur  # the pass never writes to a stack it has yielded
                 else:
-                    # the dtype of the pass only widens, so the stack takes prev's dtype
-                    walks = np.zeros_like(prev) if walks is None else walks.astype(prev.dtype, copy=False)
-                    walks[fresh] = prev[fresh]
+                    # the dtype of the pass only widens, so the stack takes cur's dtype
+                    walks = np.zeros_like(cur) if walks is None else walks.astype(cur.dtype, copy=False)
+                    walks[fresh] = cur[fresh]
         if not left:
             return girth.tolist(), walks
-        if length >= n:
+        if length + 1 >= n:
             raise AssertionError("a member of the walk stack has no cycle")
-        prev = cur
 
 
 def _ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -554,24 +578,54 @@ class _Verdicts(NamedTuple):
     least: np.ndarray
     most: np.ndarray
 
-    def rows(self):
-        """The table's rows, in order, as tuples of Python ints."""
-        return zip(*(column.tolist() for column in self))
+    def rows(self, *extra):
+        """The table's rows, in order, as tuples of Python ints, each
+        followed by its entry of every sequence in ``extra``."""
+        return zip(*(column.tolist() for column in self), *extra)
+
+
+class _Failure(NamedTuple):
+    """The wording of a failing kind: its NotEdgeGirthRegular kind, its
+    message as a % template of ints over the verdict-table fields
+    ``reads``, and the repr of its witness as a % template over the first
+    of them, one per %: no field (the witness is None), one (an int) or two
+    (a tuple)."""
+
+    kind: str
+    message: str
+    witness: str
+    reads: tuple[str, ...]
+
+    @property
+    def shown(self) -> tuple[str, ...]:
+        """The fields the witness reads."""
+        return self.reads[: self.witness.count("%")]
+
+
+# Every failing kind but OVER_CAP (``_cap_error`` words that): ``_failure``
+# formats it for verify_many, and ``cli`` writes stream records from it.
+_FAILURES = {
+    EMPTY: _Failure("disconnected", "empty graph", "None", ()),
+    DISCONNECTED: _Failure("disconnected", "vertex %d unreachable from 0", "%d", ("x",)),
+    NOT_REGULAR: _Failure("not_regular", "vertex %d has degree %d, expected %d", "%d", ("x", "y", "k")),
+    DEGREE_TOO_SMALL: _Failure("degree_too_small", "degree %d < 3", "%d", ("k",)),
+    NONUNIFORM: _Failure(
+        "nonuniform_cycle_counts",
+        "edge (%d, %d) lies on %d girth cycles, expected %d",
+        "(%d, %d)",
+        ("x", "y", "count", "lam"),
+    ),
+}
 
 
 def _failure(row) -> tuple[str, object, str]:
     """The NotEdgeGirthRegular kind, witness and message of a verdict-table
-    row of a failing kind other than OVER_CAP (``_cap_error`` words that)."""
-    kind, _, k, _, lam, _, x, y, count, _, _ = row
-    if kind == NONUNIFORM:
-        return "nonuniform_cycle_counts", (x, y), f"edge {(x, y)} lies on {count} girth cycles, expected {lam}"
-    if kind == DISCONNECTED:
-        return "disconnected", x, f"vertex {x} unreachable from 0"
-    if kind == NOT_REGULAR:
-        return "not_regular", x, f"vertex {x} has degree {y}, expected {k}"
-    if kind == DEGREE_TOO_SMALL:
-        return "degree_too_small", k, f"degree {k} < 3"
-    return "disconnected", None, "empty graph"
+    row of a failing kind, from its ``_FAILURES`` entry."""
+    failure = _FAILURES[row[0]]
+    values = tuple(row[_Verdicts._fields.index(field)] for field in failure.reads)
+    shown = values[: len(failure.shown)]
+    witness = shown[0] if len(shown) == 1 else shown or None
+    return failure.kind, witness, failure.message % values
 
 
 def _verdict(row):
@@ -656,8 +710,13 @@ def _girth_counts(u: _Union, w: np.ndarray) -> tuple:
     start, stop = first[w], first[w + 1]
     lo = indptr[start]
     cnt, orders = indptr[stop] - lo, stop - start  # each graph's entries and vertices
+    edges = cnt // 2
+    # each array over the entries is dropped after its last use, and only
+    # the upper entries' u, v and positions live through the walk pass
     at = _ranges(lo, cnt)
-    us, vs = rows[at] - start.repeat(cnt), cols[at]
+    us = rows[at] - start.repeat(cnt)
+    vs = cols[at]
+    del at
     # a run of one order fills stacks of `size` members, each at its slot
     size = np.maximum(1, MAX_STACK_CELLS // (orders * orders))
     pos = np.arange(len(w))
@@ -665,20 +724,24 @@ def _girth_counts(u: _Union, w: np.ndarray) -> tuple:
     slot = (pos - np.maximum.accumulate(head)) % size
     nn = orders.repeat(cnt)
     flat = (slot.repeat(cnt) * nn + us) * nn + vs  # entry (slot, u, v) of its stack
-    ends, ns = [0, *cnt.cumsum().tolist()], orders.tolist()
-    girth, parts = [], []
-    for a, b in pairwise([*(slot == 0).nonzero()[0].tolist(), len(w)]):
-        n, p = ns[a], flat[ends[a] : ends[b]]
-        A = np.zeros((b - a, n, n), dtype=_exact_dtype(1))
-        A.reshape(-1)[p] = 1
-        g, walks = _girth_walks(A)
-        girth += g
-        parts.append(walks.reshape(-1)[p])
+    del nn
     # an index array: a boolean mask this irregular gathers several times slower
     upper = (us < vs).nonzero()[0]
-    edges = cnt // 2
-    counts = np.concatenate(parts)[upper].astype(np.int64)  # float64 holds each count exactly
-    return girth, us[upper], vs[upper], counts, edges.cumsum() - edges, edges
+    us = us[upper]
+    vs = vs[upper]
+    read = flat[upper]
+    del upper
+    ends, tops, ns = [0, *cnt.cumsum().tolist()], [0, *edges.cumsum().tolist()], orders.tolist()
+    girth, parts = [], []
+    for a, b in pairwise([*(slot == 0).nonzero()[0].tolist(), len(w)]):
+        n = ns[a]
+        A = np.zeros((b - a, n, n), dtype=_exact_dtype(1))
+        A.reshape(-1)[flat[ends[a] : ends[b]]] = 1
+        g, walks = _girth_walks(A)
+        girth += g
+        parts.append(walks.reshape(-1)[read[tops[a] : tops[b]]])
+    counts = np.concatenate(parts).astype(np.int64)  # float64 holds each count exactly
+    return girth, us, vs, counts, edges.cumsum() - edges, edges
 
 
 def verify_egr(G: Graph) -> EgrSignature:
@@ -820,10 +883,11 @@ def _decode_block(texts) -> tuple[list, _Union]:
     Each string takes only the checks of ``_graph6_body``.  The valid
     bodies, whatever their vertex counts, are concatenated and take one
     pass: the set bits, read MAX_DECODE_BYTES bytes at a time and unpacked
-    only from their nonzero bytes, find their graphs by a search on the
-    bodies' end offsets and their pairs u < v through ``_column_starts``,
-    which does not depend on n; both orientations of each pair, as codes
-    r*width + c in the union's vertex numbering, take one sort."""
+    only from their nonzero bytes, take their graphs from an array of each
+    byte's graph, one repeat over the bodies' lengths in that span, and
+    their pairs u < v through ``_column_starts``, which does not depend on
+    n; both orientations of each pair, as codes r*width + c in the union's
+    vertex numbering (``_code_width``), take one sort."""
     errors: list = []
     orders, ends, buf = [], [], bytearray()
     for text in texts:
@@ -836,22 +900,27 @@ def _decode_block(texts) -> tuple[list, _Union]:
         orders.append(n)
         ends.append(len(buf))
         errors.append(None)
-    width = max(orders, default=0)
+    most = max(orders, default=0)
+    width = _code_width(most)
     first = np.cumsum([0] + orders)  # each graph's first union vertex
     stop = np.array(ends, dtype=np.int64)
     start = stop - np.diff(stop, prepend=0)
     flat = np.frombuffer(buf, dtype=np.uint8)
-    starts = _column_starts(width)
+    starts = _column_starts(most)
     parts = [np.zeros(0, dtype=np.int64)]
     for lo in range(0, len(flat), MAX_DECODE_BYTES):
-        six = flat[lo : lo + MAX_DECODE_BYTES] - 63
+        hi = min(lo + MAX_DECODE_BYTES, len(flat))
+        # the graphs a..z-1 whose bodies meet bytes lo..hi-1, and each byte's graph
+        a, z = np.searchsorted(stop, [lo, hi - 1], side="right") + [0, 1]
+        graph = np.arange(a, z).repeat(np.minimum(stop[a:z], hi) - np.maximum(start[a:z], lo))
+        six = flat[lo:hi] - 63
         full = np.flatnonzero(six)
         # each byte carries six data bits, most significant first, below two
         # zero bits: unpacked bit i is data bit (i & 7) - 2 of byte i >> 3
         ones = np.flatnonzero(np.unpackbits(six[full]))
-        at = full[ones >> 3] + lo
-        b = np.searchsorted(stop, at, side="right")
-        bit = 6 * (at - start[b]) + (ones & 7) - 2
+        at = full[ones >> 3]
+        b = graph[at]
+        bit = 6 * (at + lo - start[b]) + (ones & 7) - 2
         v = np.searchsorted(starts, bit, side="right") - 1
         u = bit - starts[v]
         row = first[b]

@@ -180,6 +180,44 @@ def test_stack_members_reach_their_girths_at_different_lengths():
         assert all(np.array_equal(stacked[b], a[0]) for b, a in enumerate(alone))
 
 
+def _recorded_walks(monkeypatch) -> list:
+    """Patch ``_nb_walks`` to log the dtype of each walk stack it yields, one
+    list per pass; A_1 is the prebuilt stack, so a pass forms one product
+    per entry after its first."""
+    passes = []
+
+    def recorded(A):
+        passes.append([])
+        for walks in _nb_walks(A):
+            passes[-1].append(walks.dtype)
+            yield walks
+
+    monkeypatch.setattr(graph_core, "_nb_walks", recorded)
+    return passes
+
+
+@pytest.mark.parametrize("graphs", [["petersen"], list(STACK_10_3)], ids=["petersen", "stack_10_3"])
+def test_the_pass_stops_at_the_walks_of_the_largest_girth(graphs, monkeypatch):
+    # the closing diagonal of A_5 is read off A_4, so a stack whose largest
+    # girth is 5 forms A_2, A_3 and A_4 (three products) and never A_5
+    built = [STACK_10_3[name]() for name in graphs]
+    expected = [verdict_key(v) for v in verify_many(built)]
+    passes = _recorded_walks(monkeypatch)
+    assert [verdict_key(v) for v in verify_many(built)] == expected
+    assert [len(dtypes) - 1 for dtypes in passes] == [3]
+
+
+def test_the_closing_step_does_not_widen_the_pass(monkeypatch):
+    # with the float32 bound at 24, Petersen's A_1..A_4 fit float32 and
+    # only A_5 (3 * 2**4) would cross into float64; the pass reads A_5's
+    # diagonal off A_4 and forms no A_5, so it stays in float32
+    expected = verdict_key(verify_many([petersen()])[0])
+    monkeypatch.setattr(graph_core, "_FLOAT32_EXACT_MAX", 24)
+    passes = _recorded_walks(monkeypatch)
+    assert verdict_key(verify_many([petersen()])[0]) == expected == ("egr", repr(EgrSignature(10, 3, 5, 4, False)))
+    assert passes == [[np.dtype(np.float32)] * 4]
+
+
 def test_a_forest_member_does_not_hold_up_the_stack():
     # the walk pass takes graphs with a cycle only: a forest member stops the
     # stack at length n with an AssertionError rather than run on
