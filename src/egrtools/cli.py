@@ -69,8 +69,9 @@ EXIT_INTERNAL = 3
 # a time: at most STREAM_BLOCK_LINES lines and STREAM_BLOCK_BYTES characters
 # (``_blocks``).  A graph6 body of b bytes holds at most 12b adjacency
 # entries, so the byte budget bounds a block's union, which a line count
-# does not; at MAX_DECODE_BYTES, a block's bodies take one decode pass.  The
-# line count bounds how many records of short lines wait for one write.
+# does not; at MAX_DECODE_BYTES, a block takes one array pass and its
+# bodies one decode pass.  The line count bounds how many records of short
+# lines wait for one write.
 STREAM_BLOCK_LINES = 4096
 STREAM_BLOCK_BYTES = graph_core.MAX_DECODE_BYTES
 

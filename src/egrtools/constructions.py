@@ -103,7 +103,12 @@ def _two_sided_graph(first, second, keep_first, keep_second, labels) -> Graph:
     offsets, at = (np.count_nonzero(keep_first), 0), 0  # the second side's vertices follow the first's
     for (rows, _, other_keep), mask, offset in zip(sides, kept, offsets):
         entries = rows[mask]
-        np.take(np.cumsum(other_keep) - 1 + offset, entries, out=indices[at : at + len(entries)])
+        number = np.cumsum(other_keep) - 1 + offset
+        # checked once here, so the take can clip: with mode="raise", numpy
+        # always buffers out, a second copy of the largest array of the build
+        if entries.size and not 0 <= entries.min() <= entries.max() < len(number):
+            raise AssertionError("a row lists a vertex outside the other side")
+        np.take(number, entries, out=indices[at : at + len(entries)], mode="clip")
         at += len(entries)
     return Graph._from_csr(indptr, indices, labels)
 

@@ -71,17 +71,28 @@ states the rule with a third tier, Python ints past 2**53, for
 
 graph6 (McKay's format) stores the upper triangle column by column, six
 bits to a printable byte, so bit i of a body is the pair u < v with
-v(v-1)/2 <= i < v(v+1)/2 and u = i - v(v-1)/2, whatever the vertex count n.
-The block decoder ``_decode_block`` reads a block of lines into one union
-(``graph6_decode_many`` splits it into Graphs), as codes r*W + c, r the
-row in the union's vertex numbering and W the least power of two at or
-above the largest n.  A code is below V*W, V the union's vertex count; a
-line of n vertices has at least n/62 bytes (one header byte for n <= 62,
-else at least n(n-1)/12 body bytes), so V is at most 62 times the
-input's bytes, and W is at most 2**20, the power of two above
-GRAPH6_MAX_N = 10**6: the codes fit int64 for any input under 10**11
-bytes.  The pass unpacks only the nonzero bytes, MAX_DECODE_BYTES at a
-time, so its peak, besides the graphs it returns, stays near the size of
+v(v-1)/2 <= i < v(v+1)/2 and u = i - v(v-1)/2, whatever the vertex count n:
+the column v is floor((1 + sqrt(1 + 8i))/2), taken in float64 and
+corrected in integers (``_column``).  The block decoder ``_decode_block``
+reads a block of lines into one union (``graph6_decode_many`` splits it
+into Graphs).  It joins the lines a run at a time, the lines that start in
+one window of MAX_DECODE_BYTES characters, and checks a run with array
+operations over its bytes (``_canonical``) for the canonical form that
+``graph6_encode`` and networkx write: one optional trailing newline, bytes
+in 63..126, a short or long vertex count, the exact body length and zero
+padding bits.  A line that fails this pass, whether malformed or in
+another form (a header, other whitespace, non-ASCII text, the very-long
+count), goes to ``_graph6_body``, the one place that decides those forms
+and words every Graph6Error.  The union's entries are codes r*W + c, r
+the row in the union's vertex numbering and W the least power of two at
+or above the largest n.  A code is below V*W, V the union's vertex count;
+a line of n vertices has at least n/62 bytes (one header byte for n <= 62,
+else at least n(n-1)/12 body bytes), so V is at most 62 times the input's
+bytes, and W is at most 2**20, the power of two above GRAPH6_MAX_N =
+10**6: the codes fit int64 for any input under 10**11 bytes.  A run's
+checks hold its bytes a few times over, one byte each, and the bodies are
+unpacked only from their nonzero bytes, MAX_DECODE_BYTES at a time, so
+the decoder's peak, besides the graphs it returns, stays near the size of
 the input.
 """
 
@@ -766,9 +777,15 @@ def verify_egr(G: Graph) -> EgrSignature:
 GRAPH6_MAX_N = 10**6  # practical cap; the format itself allows 2^36 - 1
 _G6_HEADER = ">>graph6<<"
 _G6_BYTES = bytes(range(63, 127))
+# a translate table: 0 for each graph6 byte, 1 for every other byte
+_G6_OUTSIDE = bytes(not 63 <= byte <= 126 for byte in range(256))
+# bytes outside the graph6 range after a run's strings, so that reading
+# any string's first four bytes stays in the run
+_G6_PAD = "\0" * 4
 
 # The most graph6 bytes a decode pass unpacks at a time, one byte per bit:
-# 512 KiB of bits, whatever the line lengths and the number of lines.
+# 512 KiB of bits, whatever the line lengths and the number of lines; and
+# the window of characters whose strings take one array pass together.
 MAX_DECODE_BYTES = 2**16
 
 
@@ -780,12 +797,25 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
-def _column_starts(n: int) -> np.ndarray:
-    """The graph6 bit map: graph6 lists the upper triangle column by
-    column, so edge (u, v), u < v, is bit _column_starts(n)[v] + u, where
-    entry v is v(v-1)/2 for v = 0..n."""
-    v = np.arange(n + 1, dtype=np.int64)
-    return v * (v - 1) // 2
+def _column(bit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair u < v of each graph6 bit i, for any 0 <= i < 2**60 and
+    whatever the vertex count: the column v, with v(v-1)/2 <= i < v(v+1)/2,
+    and u = i - v(v-1)/2.  v is the closed form floor((1 + sqrt(1 + 8i))/2),
+    that is floor(sqrt(2i + 1/4) + 1/2), in float64, corrected in integers.
+    The float is never below the column: each step rounds monotonically,
+    and the root of the rounded square of a half-integer under 2**31
+    rounds back to it.  Once 2i + 1/4 is rounded (past 2**51) it can be
+    one above, which makes u negative, and then it is moved back a column."""
+    x = bit * 2.0
+    x += 0.25
+    np.sqrt(x, out=x)
+    x += 0.5
+    v = x.astype(np.int64)
+    u = bit - (v * (v - 1) >> 1)
+    over = u >> 63  # -1 where v is one too many, else 0
+    v += over
+    u += v & over
+    return u, v
 
 
 def graph6_encode(G: Graph) -> str:
@@ -801,7 +831,7 @@ def graph6_encode(G: Graph) -> str:
     else:
         head = [126, 126] + [63 + ((n >> s) & 63) for s in (30, 24, 18, 12, 6, 0)]
     us, vs = G.edge_arrays()
-    bits = _column_starts(n)[vs] + us
+    bits = vs * (vs - 1) // 2 + us
     body = np.zeros((n * (n - 1) // 2 + 5) // 6, dtype=np.uint8)
     np.bitwise_or.at(body, bits // 6, (32 >> (bits % 6)).astype(np.uint8))
     return bytes(head).decode("ascii") + (body + 63).tobytes().decode("ascii")
@@ -829,7 +859,9 @@ def graph6_decode_many(texts) -> list:
 def _graph6_body(text: str) -> tuple[int, memoryview]:
     """The vertex count n and the adjacency bytes of one graph6 string,
     which must be (n(n-1)/2 + 5) // 6 bytes in 63..126 whose padding bits
-    are zero; raises Graph6Error with a byte offset on malformed input."""
+    are zero; raises Graph6Error with a byte offset on malformed input.
+    The block decoder calls it for each string its array pass rejects, so
+    it decides every form but the canonical one and words every error."""
     s = text.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER) :]
@@ -880,54 +912,131 @@ def _decode_block(texts) -> tuple[list, _Union]:
     Graph6Error that ``graph6_decode`` would raise, or None, and the union
     of the valid strings' graphs, in order.
 
-    Each string takes only the checks of ``_graph6_body``.  The valid
-    bodies, whatever their vertex counts, are concatenated and take one
-    pass: the set bits, read MAX_DECODE_BYTES bytes at a time and unpacked
-    only from their nonzero bytes, take their graphs from an array of each
-    byte's graph, one repeat over the bodies' lengths in that span, and
-    their pairs u < v through ``_column_starts``, which does not depend on
-    n; both orientations of each pair, as codes r*width + c in the union's
-    vertex numbering (``_code_width``), take one sort."""
-    errors: list = []
-    orders, ends, buf = [], [], bytearray()
-    for text in texts:
-        try:
-            n, body = _graph6_body(text)
-        except Graph6Error as exc:
-            errors.append(exc)
-            continue
-        buf += body
-        orders.append(n)
-        ends.append(len(buf))
-        errors.append(None)
-    most = max(orders, default=0)
-    width = _code_width(most)
+    The strings are read in runs, the strings that start in one window of
+    MAX_DECODE_BYTES characters, so a stream block is one run and a run
+    holds at most that many characters besides its last string.  Each run
+    takes the array pass ``_canonical`` over its joined bytes, and each
+    string that pass rejects takes ``_graph6_body``, which raises its error
+    or returns its body.  The valid bodies then take ``_body_entries``, run
+    after run and then the bodies ``_graph6_body`` returned, and both
+    orientations of every edge, as codes r*width + c in the union's vertex
+    numbering (``_code_width``), take one sort."""
+    texts = list(texts)
+    errors: list = [None] * len(texts)
+    orders: list[int] = []
+    # (bodies concatenated, their lengths, their graphs): each run's
+    # canonical strings, then the strings whose bodies _graph6_body returned
+    runs, rest, rest_lengths, rest_graphs = [], bytearray(), [], []
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    window = (lengths.cumsum() - lengths) // MAX_DECODE_BYTES
+    for a, b in pairwise([0, *(np.flatnonzero(window[1:] != window[:-1]) + 1).tolist(), len(texts)]):
+        bodies, body_lengths, n, ok = _canonical(texts[a:b], lengths[a:b])
+        valid = ok.copy()
+        for i in (~ok).nonzero()[0].tolist():
+            try:
+                n[i], body = _graph6_body(texts[a + i])
+            except Graph6Error as exc:
+                errors[a + i] = exc
+                continue
+            valid[i] = True
+            rest += body
+            rest_lengths.append(len(body))
+        graph = len(orders) + valid.cumsum() - 1
+        runs.append((bodies, body_lengths, graph[ok]))
+        rest_graphs += graph[valid & ~ok].tolist()
+        orders += n[valid].tolist()
+    if rest:
+        runs.append(
+            (np.frombuffer(rest, dtype=np.uint8), np.array(rest_lengths, dtype=np.int64), np.array(rest_graphs))
+        )
+    width = _code_width(max(orders, default=0))
     first = np.cumsum([0] + orders)  # each graph's first union vertex
-    stop = np.array(ends, dtype=np.int64)
-    start = stop - np.diff(stop, prepend=0)
-    flat = np.frombuffer(buf, dtype=np.uint8)
-    starts = _column_starts(most)
     parts = [np.zeros(0, dtype=np.int64)]
-    for lo in range(0, len(flat), MAX_DECODE_BYTES):
-        hi = min(lo + MAX_DECODE_BYTES, len(flat))
-        # the graphs a..z-1 whose bodies meet bytes lo..hi-1, and each byte's graph
-        a, z = np.searchsorted(stop, [lo, hi - 1], side="right") + [0, 1]
-        graph = np.arange(a, z).repeat(np.minimum(stop[a:z], hi) - np.maximum(start[a:z], lo))
-        six = flat[lo:hi] - 63
-        full = np.flatnonzero(six)
-        # each byte carries six data bits, most significant first, below two
-        # zero bits: unpacked bit i is data bit (i & 7) - 2 of byte i >> 3
-        ones = np.flatnonzero(np.unpackbits(six[full]))
-        at = full[ones >> 3]
-        b = graph[at]
-        bit = 6 * (at + lo - start[b]) + (ones & 7) - 2
-        v = np.searchsorted(starts, bit, side="right") - 1
-        u = bit - starts[v]
-        row = first[b]
-        parts += [(row + u) * width + v, (row + v) * width + u]
+    for bodies, body_lengths, graphs in runs:
+        parts += _body_entries(bodies, body_lengths, first[graphs] * width, width)
     codes = np.concatenate(parts)
     codes.sort()
     # the bit map gives each graph's pairs u < v once, in range; checked all the same
     if not (_in_range(codes, int(first[-1]) * width) and _distinct(codes)):
         raise AssertionError("graph6 bit map formed a repeated or out-of-range entry")
     return errors, _from_codes(orders, width, codes)
+
+
+def _canonical(texts: list[str], lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The array pass over a run of graph6 strings, of the given lengths:
+    the bodies of the strings in canonical form, concatenated in order, and
+    their lengths; each string's vertex count, read only where it is
+    canonical; and which strings are.  Canonical is the form that
+    ``graph6_encode`` and networkx write: one optional trailing newline,
+    every other byte in 63..126, a short or long vertex count, exactly
+    (n(n-1)/2 + 5) // 6 body bytes and zero padding bits.  These are the
+    checks of ``_graph6_body`` on such a string, so it decodes the same.
+    Every other string is left to ``_graph6_body``: one with a header,
+    other whitespace, non-ASCII text or a very-long vertex count, and
+    every malformed one."""
+    joined = "".join([*texts, _G6_PAD])
+    if not joined.isascii():  # a non-ASCII string takes no bytes, so it is rejected as empty
+        texts = [text if text.isascii() else "" for text in texts]
+        lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+        joined = "".join([*texts, _G6_PAD])
+    raw = joined.encode("ascii")
+    del joined
+    data = np.frombuffer(raw, dtype=np.uint8)
+    stop = lengths.cumsum()
+    start = stop - lengths
+    # one trailing newline dropped (an empty string reads the byte before it, and fails all the same)
+    end = stop - (data[stop - 1] == 10)
+    head = data[start[:, None] + np.arange(4)].astype(np.int64) - 63
+    long = head[:, 0] == 63
+    n = np.where(long, (head[:, 1] << 12) | (head[:, 2] << 6) | head[:, 3], head[:, 0])
+    body = start + 1 + 3 * long
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    # whether a byte outside 63..126 lies in each string's content, then in what follows it
+    edges = np.empty(2 * len(texts), dtype=np.int64)
+    edges[::2], edges[1::2] = start, end
+    outside = np.logical_or.reduceat(np.frombuffer(raw.translate(_G6_OUTSIDE), dtype=bool), edges)
+    ok = (
+        ~outside[::2]
+        & (end - body == nbytes)
+        & ~(long & (head[:, 1] == 63))
+        & ((data[end - 1] - 63) & ((1 << (6 * nbytes - nbits)) - 1) == 0)
+    )
+    body, end = body[ok], end[ok]
+    # the bodies [body, end) of the canonical strings, as a running sum of
+    # 1 at each body's first byte and -1 after its last
+    keep = np.zeros(len(raw), dtype=np.int8)
+    keep[body] = 1
+    keep[end] -= 1
+    return data[keep.cumsum(dtype=np.int8).view(bool)], end - body, n, ok
+
+
+def _body_entries(bodies: np.ndarray, lengths: np.ndarray, offsets: np.ndarray, width: int) -> list:
+    """The codes r*width + c of both orientations of every edge of the
+    graph6 bodies concatenated in ``bodies``, of the given lengths, whose
+    graphs' first union rows r0 give ``offsets`` r0*width.  The set bits,
+    read MAX_DECODE_BYTES bytes at a time and unpacked only from their
+    nonzero bytes, take their bodies from an array of each byte's body, one
+    repeat over the bodies' lengths in that span, and their pairs u < v
+    from ``_column``, which does not depend on the vertex count."""
+    stop = lengths.cumsum()
+    start = stop - lengths
+    parts = []
+    for lo in range(0, len(bodies), MAX_DECODE_BYTES):
+        hi = min(lo + MAX_DECODE_BYTES, len(bodies))
+        # the bodies a..z-1 that meet bytes lo..hi-1, and each byte's body,
+        # numbered from a
+        a, z = np.searchsorted(stop, [lo, hi - 1], side="right") + [0, 1]
+        which = np.arange(z - a).repeat(np.minimum(stop[a:z], hi) - np.maximum(start[a:z], lo))
+        chunk = bodies[lo:hi]
+        full = np.flatnonzero(chunk != 63)
+        body = which[full]
+        # each byte carries six data bits, most significant first, below two
+        # zero bits: unpacked bit j is data bit (j & 7) - 2 of byte j >> 3,
+        # and byte p of the chunk starts bit 6(p + lo - start) of its body
+        ones = np.flatnonzero(np.unpackbits(chunk[full] - 63).view(bool))
+        byte = ones >> 3
+        u, v = _column((6 * full + (6 * (lo - start[a:z]) - 2)[body])[byte] + (ones & 7))
+        row = offsets[a:z][body][byte]
+        parts += [row + u * width + v, row + v * width + u]
+    return parts

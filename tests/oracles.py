@@ -1,6 +1,7 @@
 """Brute-force and depth-first oracles, deliberately independent of the
-library's non-backtracking walk engine and of its subspace enumerator: used
-to cross-check derived expected values and the engines themselves."""
+library's non-backtracking walk engine, of its subspace enumerator and of
+its graph6 block decoder: used to cross-check derived expected values and
+the engines themselves."""
 
 import math
 from collections import deque
@@ -9,7 +10,7 @@ from itertools import combinations, product
 import numpy as np
 
 from egrtools.geometry import IncidenceGeometry, rows_through
-from egrtools.graph_core import Graph
+from egrtools.graph_core import GRAPH6_MAX_N, Graph, Graph6Error
 
 
 def all_cycles(G: Graph, length: int) -> list[tuple[int, ...]]:
@@ -455,3 +456,50 @@ def smallest_irreducible(csize: int, degree: int, cadd, csub, cmul) -> list[int]
         if cand[0] != 0 and not any(divides(d, cand) for d in monic_divisors):
             return cand
     raise ArithmeticError("no irreducible polynomial found")
+
+
+def graph6_line(text: str) -> Graph:
+    """One graph6 string decoded on its own, by the per-string rules the
+    block decoder applied before its array pass: whitespace stripped, an
+    optional >>graph6<< header, ASCII bytes in 63..126, a short, long or
+    very-long vertex count up to GRAPH6_MAX_N, exactly (n(n-1)/2 + 5) // 6
+    body bytes and zero padding bits; the edges come from networkx.  Raises
+    Graph6Error with the decoder's message and byte offset."""
+    import networkx as nx
+
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<") :]
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6Error("non-ASCII byte in graph6 input", exc.start) from None
+    if not data:
+        raise Graph6Error("empty graph6 input", 0)
+    for i, byte in enumerate(data):
+        if not 63 <= byte <= 126:
+            raise Graph6Error(f"byte {byte!r} outside graph6 range 63..126", i)
+    if data[0] != 126:
+        n, pos = data[0] - 63, 1
+    elif len(data) >= 2 and data[1] != 126:
+        if len(data) < 4:
+            raise Graph6Error("truncated long-form vertex count", len(data))
+        n, pos = 0, 4
+        for byte in data[1:4]:
+            n = n * 64 + byte - 63
+    else:
+        if len(data) < 8:
+            raise Graph6Error("truncated very-long-form vertex count", len(data))
+        n, pos = 0, 8
+        for byte in data[2:8]:
+            n = n * 64 + byte - 63
+    if n > GRAPH6_MAX_N:
+        raise Graph6Error(f"graph6 decoding capped at n <= {GRAPH6_MAX_N}, got n={n}", 0)
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(data) - pos != nbytes:
+        raise Graph6Error(f"expected {nbytes} adjacency bytes for n={n}, got {len(data) - pos}", pos)
+    if nbytes and (data[-1] - 63) % 2 ** (6 * nbytes - nbits):
+        raise Graph6Error("nonzero padding bits", pos + nbytes - 1)
+    G = nx.from_graph6_bytes(data)
+    return Graph.from_edges(n, list(G.edges()))

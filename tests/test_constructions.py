@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import networkx as nx
+import numpy as np
 import pytest
 from geometry_pins import PENCIL_ORDERS, _prime_powers, pencil_pin_of
 
@@ -350,3 +351,20 @@ def test_levi_graphs_match_tuple_block_record(key):
     G = FAMILIES[family].build(GF(*prime_power(int(q)))) if q else named_graph(family)
     got = {"adj": repr(G.adj), "labels": repr(list(G.labels)), "graph6": graph6_encode(G)}
     assert {k: _sha256(v) for k, v in got.items()} == LEVI_PINS[key]
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("bad", [-1, -2])
+def test_two_sided_graph_rejects_a_negative_row_entry(side, bad):
+    # two disjoint edges as the rows of a 2 x 2 incidence; the takes clip,
+    # so a negative entry, which indexing would wrap, must fail a check
+    # (one past the other side fails the first indexing already)
+    from egrtools.constructions import _two_sided_graph
+
+    first, second = np.array([[0], [1]]), np.array([[0], [1]])
+    everything = np.ones(2, dtype=bool)
+    G = _two_sided_graph(first, second, everything, everything, None)
+    assert G.edges() == [(0, 2), (1, 3)]
+    (first if side == 0 else second)[1, 0] = bad
+    with pytest.raises(AssertionError, match="outside the other side"):
+        _two_sided_graph(first, second, everything, everything, None)

@@ -1,8 +1,12 @@
+import io
+import json
+import math
 import random
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 
 from egrtools.constructions import (
@@ -12,7 +16,7 @@ from egrtools.constructions import (
     cycle_graph,
     petersen,
 )
-from egrtools import graph_core
+from egrtools import cli, graph_core
 from egrtools.galois import GF
 from egrtools.graph_core import (
     GRAPH6_MAX_N,
@@ -164,10 +168,30 @@ def test_decoder_fuzz_never_raises_anything_else():
         assert isinstance(G, Graph)
 
 
-def test_column_starts():
-    starts = graph_core._column_starts(40)
-    assert starts.dtype == np.int64
-    assert starts.tolist() == [v * (v - 1) // 2 for v in range(41)]
+def test_closed_form_column():
+    # bit v(v-1)/2 starts column v, at u = 0, and the bit before it ends
+    # column v-1, at u = v-2: every v up to 2000, sampled v up to
+    # GRAPH6_MAX_N, and v near 2**30, where 2i + 1/4 is rounded in float64
+    # and the float root can land one column high; then sampled bits
+    rng = np.random.default_rng(2000)
+    v = np.concatenate((
+        np.arange(2, 2001),
+        rng.integers(2001, GRAPH6_MAX_N, 5000),
+        [GRAPH6_MAX_N],
+        rng.integers(2**30 - 2**20, 2**30, 5000),
+    ))
+    start = v * (v - 1) // 2
+    bits = np.concatenate((start, start - 1, [0], rng.integers(0, GRAPH6_MAX_N * (GRAPH6_MAX_N - 1) // 2, 5000)))
+    u, column = graph_core._column(bits)
+    assert u.dtype == column.dtype == np.int64
+    assert column.tolist() == [(1 + math.isqrt(1 + 8 * i)) // 2 for i in bits.tolist()]
+    assert (u == bits - column * (column - 1) // 2).all()
+    m = len(v)
+    assert (column[:m] == v).all() and not u[:m].any()
+    assert (column[m : 2 * m] == v - 1).all() and (u[m : 2 * m] == v - 2).all()
+    # the float form alone lands one column high on some of them, never low
+    miss = (np.sqrt(2.0 * bits + 0.25) + 0.5).astype(np.int64) - column
+    assert set(miss.tolist()) == {0, 1}
 
 
 def nx_graph6(G) -> str:
@@ -293,3 +317,105 @@ def test_decode_chunks_may_end_inside_a_body(chunk, monkeypatch):
     monkeypatch.setattr(graph_core, "MAX_DECODE_BYTES", chunk)
     for got, want in zip(graph6_decode_many(lines), expected):
         assert_same_result(got, want)
+
+
+def _count(n: int, form: str) -> str:
+    """The vertex count n in graph6's short, long or very-long form."""
+    if form == "short":
+        return chr(63 + n)
+    shifts = (12, 6, 0) if form == "long" else (30, 24, 18, 12, 6, 0)
+    return "~" * (1 if form == "long" else 2) + "".join(chr(63 + ((n >> s) & 63)) for s in shifts)
+
+
+def _mutations(rng, line: str, n: int) -> list[str]:
+    """Malformed and non-canonical variants of a valid graph6 line."""
+    k = rng.randrange(len(line))
+    out = chr(rng.choice([*range(0, 63), 127]))
+    found = [
+        line[:k] + out + line[k + 1 :],  # a byte out of range
+        line[:k] + line[k + 1 :],  # one byte missing
+        line[:k] + chr(rng.randint(63, 126)) + line[k:],  # one byte extra
+        ">>graph6<<" + line,
+        line + "\r\n",
+        "\t" + line,
+        line + "\t",
+        "  " + line,
+        line[:k] + "é" + line[k:],
+        line[:k] + "\u2003" + line[k + 1 :],  # in place of a byte
+        line + "\xa0",  # non-ASCII whitespace, stripped
+        " " + line,
+    ]
+    pad = (-(n * (n - 1) // 2)) % 6
+    if pad:  # set a padding bit
+        found.append(line[:-1] + chr(63 + ((ord(line[-1]) - 63) | 1 << rng.randrange(pad))))
+    return found
+
+
+def differential_corpus(seed: int) -> list[str]:
+    """Seeded graph6 lines: valid ones on 0, 1, 2, 62 and 63 vertices and a
+    few more, in every count form that holds n, each with its mutations
+    (``_mutations``); blank lines; and bare counts at the long-form and
+    very-long-form boundaries and at the decoder's cap."""
+    rng = random.Random(seed)
+    lines = ["", "  ", "\t", "\r"]
+    for n in (0, 1, 2, 5, 62, 63, 64, 90):
+        for p in (0.0, 0.1, 0.5, 1.0):
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            text = nx_graph6(Graph.from_edges(n, edges))
+            body = text[len(_count(n, "short" if n <= 62 else "long")) :]
+            for form in ("short", "long", "very-long")[n > 62 :]:
+                line = _count(n, form) + body
+                lines += [line, *_mutations(rng, line, n)]
+    for n, forms in ((62, ("short",)), (258047, ("long", "very-long")), (258048, ("very-long",)),
+                     (GRAPH6_MAX_N, ("very-long",)), (GRAPH6_MAX_N + 1, ("very-long",))):
+        lines += [_count(n, form) for form in forms]
+    rng.shuffle(lines)
+    return lines
+
+
+def _reference(line: str):
+    """oracles.graph6_line on one line, its Graph6Error taken as the result."""
+    try:
+        return oracles.graph6_line(line)
+    except Graph6Error as exc:
+        return exc
+
+
+def test_block_decoder_matches_the_per_line_reference():
+    lines = differential_corpus(29)
+    decoded = graph6_decode_many(lines + [line + "\n" for line in lines])
+    wanted = [_reference(line) for line in lines] * 2
+    assert 100 < sum(isinstance(G, Graph) for G in wanted) < len(wanted) - 100
+    for got, want in zip(decoded, wanted):
+        assert_same_result(got, want)
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_stream_blocks_match_the_per_line_reference(block, monkeypatch, capsys):
+    # every stream block's decode, line for line, and every malformed line's
+    # record, against the reference on the line alone; a line with a newline
+    # in it would be two stream lines
+    lines = [line for line in differential_corpus(block or 0) if "\n" not in line]
+    seen = []
+    decode_block = graph_core._decode_block
+
+    def recorded(texts):
+        errors, union = decode_block(texts)
+        graphs = iter(Graph._from_csr(indptr, cols, None) for indptr, cols, _ in graph_core._split(union))
+        seen.extend((text, next(graphs) if error is None else error) for text, error in zip(texts, errors))
+        return errors, union
+
+    if block:
+        monkeypatch.setattr(cli, "STREAM_BLOCK_LINES", block)
+    monkeypatch.setattr(graph_core, "_decode_block", recorded)
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(line + "\n" for line in lines)))
+    cli.main(["verify", "--stdin-g6-stream"])
+    records = [json.loads(record) for record in capsys.readouterr().out.splitlines()]
+    nonblank = [(number, line) for number, line in enumerate(lines, start=1) if line.strip()]
+    assert [text for text, _ in seen] == [line + "\n" for _, line in nonblank]
+    assert len(records) == len(nonblank)
+    for (number, line), (_, got), record in zip(nonblank, seen, records):
+        want = _reference(line)
+        assert_same_result(got, want)
+        if isinstance(want, Graph6Error):
+            assert record == {"error": str(want), "line": number}
