@@ -9,7 +9,10 @@ construction failed its own verification or its family's closed form, a
 spectrum failed its exact moment check, or the float tight-spectrum
 verdict disagreed with the exact one, the girth-4 bound met with equality
 on the verified signature) or any other exception that escapes a command,
-reported as one ``internal error:`` line without a traceback.  A report
+reported as one ``internal error:`` line without a traceback, and 141
+(128 + SIGPIPE, what a shell reports for a writer a closed pipe ends)
+when stdout is closed before the output is written, as by ``| head -1``,
+with nothing on stderr.  A report
 makes one ``eigenvalues`` call: the spectrum it returns carries the exact
 moments the report prints, and the tight-spectrum certificate checks them
 against the signature.  A stream verify reports each malformed or
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -64,6 +68,7 @@ EXIT_OK = 0
 EXIT_NOT_EGR = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_CLOSED_STDOUT = 141
 
 # A stream verify reads, verifies and writes out a block of stdin lines at
 # a time: at most STREAM_BLOCK_LINES lines and STREAM_BLOCK_BYTES characters
@@ -208,7 +213,7 @@ def _emit(doc: dict, out_path: str | None) -> None:
     if out_path:
         _write(out_path, text)
     else:
-        print(text)
+        print(text, flush=True)
 
 
 def cmd_construct(args, argv) -> int:
@@ -235,7 +240,7 @@ def cmd_construct(args, argv) -> int:
         _write(args.out, graph if args.format == "graph6" else json.dumps(graph, indent=2, sort_keys=True))
     else:
         summary["graph"] = graph
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(json.dumps(summary, indent=2, sort_keys=True), flush=True)
     return EXIT_OK
 
 
@@ -473,11 +478,20 @@ def _parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    # each command flushes what it writes to stdout, as the parser's help
+    # is flushed here, so a closed stdout raises in main, not in the exit flush
     try:
-        args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+        try:
+            args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+        except SystemExit:  # the parser's --help or --version
+            sys.stdout.flush()
+            return EXIT_OK
         return args.fn(args, ["egrtools"] + argv)
-    except SystemExit:  # the parser's --help or --version
-        return EXIT_OK
+    except BrokenPipeError:
+        # the reader is gone: point stdout at os.devnull, so that the exit
+        # flush of what is still buffered does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

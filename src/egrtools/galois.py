@@ -23,9 +23,12 @@ matrix arithmetic, with no scalar field operation on the hot path: batches
 of candidate matrices are powered to find g (``_first_generator``;
 constants lie in a proper subfield and are skipped when the degree is at
 least 2), and exp is filled by doubling, ``exp[h:2h] = exp[:h] * g**h``,
-through a float scratch that is exact by ``_float_dtype``
-(``_double_powers``).  Every build checks that g**(q-1) = 1 and that exp
-is a bijection onto the nonzero elements.
+through a fixed scratch (``_double_powers``).  Every GF(p) matrix product,
+here and in the search, is a float (BLAS) product of integers below p
+reduced by ``_reduce_mod``, exact by one rule on its inner dimension k
+(``_float_dtype``): float32 while k(p-1)**2 + p <= 2**24, else float64.
+Every build checks that g**(q-1) = 1 and that exp is a bijection onto the
+nonzero elements.
 
 Modulus search.  The reducing modulus is the lexicographically smallest
 monic irreducible polynomial, coefficients compared constant-term first,
@@ -33,7 +36,10 @@ so every field -- and everything built on top of it -- is reproducible
 byte-for-byte across runs.  Batches of candidates are divided by every
 monic polynomial of one degree at once (``_smallest_irreducible``), on
 arrays of coefficients (``_Coefficients``), so GF(p, e) and
-``Field.extension`` share the one search.
+``Field.extension`` share the one search.  One build gives the remainder
+maps of every divisor of every degree (``_divisor_maps``): the matrices of
+multiplication by x modulo all the divisors at once take x**0 to every
+x**i mod d by doubling.
 
 Size caps: q <= 2**20 for ``GF``, q**d <= 2**24 for ``Field.extension``,
 q <= 2**8 for ``Field.tables``.
@@ -169,7 +175,7 @@ class Field:
     def _build_tables(self, cf: _Coefficients):
         q, p, e, order, csize = self.q, self.p, self.e, self._order, self._csize
         if q == 2:
-            gen, step = 1, np.eye(1, dtype=np.int64)
+            gen, step = 1, np.eye(1, dtype=_float_dtype(p, e))
         else:
             # a constant c (index < csize) has c**(csize-1) = 1, so no
             # constant generates unless the field is its coefficient field
@@ -182,7 +188,7 @@ class Field:
         digits[0, 0] = 1
         exp = np.ones(order, dtype=np.int32)  # q <= MAX_EXTENSION_ORDER < 2**31
         _double_powers(digits, exp, step, p)
-        if ((digits[-1].astype(np.int64) @ step) % p != digits[0]).any():  # g**(q-1) != 1
+        if (_mul_mod(digits[-1].astype(step.dtype), step, p) != digits[0]).any():  # g**(q-1) != 1
             raise ArithmeticError("multiplicative group is not cyclic of order q-1")
         del digits
         # q-1 entries, one on each nonzero element: a bijection onto them
@@ -321,52 +327,95 @@ class _Coefficients:
         return _digits(np.asarray(a), self.p, self.f)
 
 
+def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p, for float arrays of integers below p whose dtype is
+    ``_float_dtype(p, inner dimension)`` or wider, so exact."""
+    y = a @ b
+    _reduce_mod(y, p)
+    return y
+
+
+def _remainder_rows(cf: _Coefficients, tails: np.ndarray, runs: list[tuple[int, int]], n: int, dtype) -> np.ndarray:
+    """rows[t, (i, k)], the digits of p**k x**i modulo the monic divisor
+    x**dd + sum_j tails[t, j] x**j for i <= n, on tails.shape[1]
+    coefficients, in floats of ``dtype``; ``runs`` lists (dd, count): the
+    tails come in runs of count divisors of degree dd.
+
+    X[t], the GF(p) matrix of multiplication by x modulo divisor t, holds
+    in row (i, k) the digits of p**k x**(i+1): a unit row below the top
+    coefficient and p**k * -tail on it.  The tail is zero past the
+    divisor's degree, so X maps a vector that is zero past the degree to
+    one that is too, and the unit rows past the top coefficient are never
+    used.  The rows come by doubling, rows[h:2h] = rows[:h] X**h; one array
+    holds X**h above the rows, so that one product by X**h gives both
+    X**(2h) and rows[h:2h]."""
+    p, f = cf.p, cf.f
+    m, w = len(tails), tails.shape[1] * f  # divisors, digits
+    work = np.zeros((m, w + (n + 1) * f, w), dtype=dtype)
+    work[:, :w] = np.eye(w, k=f, dtype=dtype)
+    top = cf.digits(cf.mul(p ** np.arange(f)[:, None], cf.sub(0, tails)[:, None, :])).reshape(m, f, w)
+    start = 0
+    for dd, count in runs:
+        work[start : start + count, (dd - 1) * f : dd * f] = top[start : start + count]
+        start += count
+    work[:, w + np.arange(f), np.arange(f)] = 1
+    h = 1
+    while h <= n:
+        k = min(h, n + 1 - h)
+        product = _mul_mod(work[:, : w + k * f], work[:, :w], p)
+        work[:, :w] = product[:, :w]
+        work[:, w + h * f : w + (h + k) * f] = product[:, w:]
+        h *= 2
+    return work[:, w:]
+
+
 def _basis_matrices(cf: _Coefficients, modulus: list[int]) -> np.ndarray:
     """B[j], the e x e matrix over GF(p) of multiplication by the element
-    of index p**j: row l holds the digits of p**j * p**l.  With j = i*f + k
-    that element is p**k * x**i (p**k in the coefficient field), so B[j] is
-    P[k] X**i: X multiplies by x, P[k] by p**k one coefficient at a time."""
+    of index p**j, in floats of ``_float_dtype(p, e)``: row l holds the
+    digits of p**j * p**l.  With j = (i, k) and l = (i', k'), digit k of
+    coefficient i, that product is c x**(i+i') with c = p**k p**k' in the
+    coefficient field, so its digits are the sum over c's digits c_m of c_m
+    times the digits of p**m x**(i+i') mod the modulus
+    (``_remainder_rows``)."""
     p, f, d = cf.p, cf.f, len(modulus) - 1
     e = d * f
+    dtype = _float_dtype(p, e)
+    rows = _remainder_rows(cf, np.array([modulus[:d]]), [(d, 1)], 2 * d - 2, dtype)[0].reshape(2 * d - 1, f, e)
     unit = p ** np.arange(f)
-    # row (i, k) of X: the digits of p**k x**(i+1), a unit row below the top
-    # coefficient and p**k * -(modulus without its leading term) on it
-    X = np.zeros((e, e), dtype=np.int64)
-    X[np.arange(e - f), np.arange(f, e)] = 1
-    X[e - f :] = cf.digits(cf.mul(unit[:, None], cf.sub(0, modulus[:d]))).reshape(f, e)
-    P = np.zeros((f, e, e), dtype=np.int64)
-    block = cf.digits(cf.mul(unit[:, None], unit))  # [k, k'] = digits of p**k * p**k'
-    for i in range(d):
-        P[:, i * f : (i + 1) * f, i * f : (i + 1) * f] = block
-    B = np.empty((e, e, e), dtype=np.int64)
-    Xi = np.eye(e, dtype=np.int64)
-    for i in range(d):
-        B[i * f : (i + 1) * f] = P @ Xi % p
-        Xi = Xi @ X % p
-    return B
+    c = cf.digits(cf.mul(unit[:, None], unit)).reshape(f * f, f).astype(dtype)  # [(k, k')] = digits of p**k p**k'
+    i = np.arange(d)
+    B = _mul_mod(c, rows[i[:, None] + i], p)  # [i, i', (k, k')]
+    return B.reshape(d, d, f, f, e).transpose(0, 2, 1, 3, 4).reshape(e, e, e)
 
 
 def _first_generator(B: np.ndarray, order: int, p: int, start: int):
     """(g, M_g) for the smallest index g >= start of multiplicative order
     ``order``, M_g its multiplication matrix; (None, None) if there is none.
 
-    Candidates go GENERATOR_BATCH at a time.  g generates exactly when
-    M_g**(order/r) != I for every prime r | order; the powers come from
-    repeated squaring of the whole batch in int64, exact because every dot
-    product is at most e(p-1)**2 <= 2**40 under the size caps."""
+    Candidates go GENERATOR_BATCH at a time, M_g being g's digits times
+    the basis matrices B.  g generates exactly when M_g**(order/r) != I for
+    every prime r | order.  Each candidate's stack holds its power for
+    every r and, last, the square M_g**(2**bit); each bit takes one product
+    of the stack by that square, kept for the square and for the powers
+    whose exponent has the bit.  All are floats of B's ``_float_dtype(p,
+    e)``: every factor's entries are below p and the inner dimension is e."""
     e = B.shape[0]
     exponents = [order // r for r in _prime_factors(order)]
-    eye = np.eye(e, dtype=np.int64)
+    # keep[bit] picks the products kept: the powers whose exponent has the bit, and the square
+    bits = range(max(exponents).bit_length())
+    keep = [np.array([*(n >> bit & 1 for n in exponents), 1], dtype=bool)[:, None, None] for bit in bits]
+    flat = B.reshape(e, e * e)
+    eye = np.eye(e, dtype=B.dtype)
     for first in range(start, order + 1, GENERATOR_BATCH):
         g = np.arange(first, min(first + GENERATOR_BATCH, order + 1))
-        M = np.einsum("nl,lij->nij", _digits(g, p, e), B) % p
-        powers = [np.broadcast_to(eye, M.shape)] * len(exponents)
-        square = M
-        for bit in range(max(exponents).bit_length()):
-            if bit:
-                square = square @ square % p
-            powers = [P @ square % p if n >> bit & 1 else P for P, n in zip(powers, exponents)]
-        generates = ~np.logical_or.reduce([(P == eye).all(axis=(1, 2)) for P in powers])
+        M = _mul_mod(_digits(g, p, e).astype(B.dtype), flat, p).reshape(len(g), e, e)
+        stack = np.empty((len(g), len(exponents) + 1, e, e), dtype=B.dtype)
+        stack[:, :-1] = eye
+        stack[:, -1] = M
+        rows, square = stack.reshape(len(g), -1, e), stack[:, -1]  # views of the stack
+        for kept in keep:
+            np.copyto(stack, _mul_mod(rows, square, p).reshape(stack.shape), where=kept)
+        generates = ~(stack[:, :-1] == eye).all(axis=(2, 3)).any(axis=1)
         if generates.any():
             i = int(generates.argmax())
             return int(g[i]), M[i]
@@ -374,9 +423,9 @@ def _first_generator(B: np.ndarray, order: int, p: int, start: int):
 
 
 def _float_dtype(p: int, e: int):
-    """The one exactness rule for the doubling's float products: float32
-    when e(p-1)**2 + p <= 2**24, else float64 (which the size caps keep
-    within its own 2**53).
+    """The one exactness rule for every float GF(p) product here, e its
+    inner dimension: float32 when e(p-1)**2 + p <= 2**24, else float64
+    (which the size caps keep within its own 2**53).
 
     A product entry x is a dot product of e digits and e matrix entries,
     all below p, so x <= e(p-1)**2, formed exactly from nonnegative partial
@@ -388,10 +437,10 @@ def _float_dtype(p: int, e: int):
     return np.float32 if e * (p - 1) ** 2 + p <= _FLOAT32_EXACT_MAX else np.float64
 
 
-def _reduce_mod(y: np.ndarray, p: int, z: np.ndarray) -> None:
-    """y = y - p*floor(y/p) in place, z a scratch of y's shape; exact for
-    the integers of ``_float_dtype``."""
-    np.divide(y, p, out=z)
+def _reduce_mod(y: np.ndarray, p: int, z: np.ndarray | None = None) -> None:
+    """y = y - p*floor(y/p) in place, z an optional scratch of y's shape;
+    exact for the integers of ``_float_dtype``."""
+    z = np.divide(y, p, out=z)
     np.floor(z, out=z)
     z *= p
     y -= z
@@ -399,7 +448,8 @@ def _reduce_mod(y: np.ndarray, p: int, z: np.ndarray) -> None:
 
 def _double_powers(digits: np.ndarray, exp: np.ndarray, step: np.ndarray, p: int) -> None:
     """Fill the base-p digit rows digits[1:] = g**1, g**2, ... from
-    digits[0] = 1 and step = M_g, and exp[1:] with their indices: each
+    digits[0] = 1 and step = M_g in floats of ``_float_dtype(p, e)`` (as
+    ``_first_generator`` gives it), and exp[1:] with their indices: each
     doubling sets digits[h:2h] to digits[:h] M_g**h mod p, then squares the
     step.  The products run SCRATCH_ROWS rows at a time through one fixed
     float scratch (BLAS gemm, exact by ``_float_dtype``) back into the
@@ -414,41 +464,39 @@ def _double_powers(digits: np.ndarray, exp: np.ndarray, step: np.ndarray, p: int
     h = 1
     while h < order:
         k = min(h, order - h)
-        m = step.astype(dtype)
         for s in range(0, k, rows):
             c = min(rows, k - s)
             x, y, z = src[:c], out[:c], quo[:c]
             x[...] = digits[s : s + c]
-            np.matmul(x, m, out=y)
+            np.matmul(x, step, out=y)
             _reduce_mod(y, p, z)
             digits[h + s : h + s + c] = y
             np.matmul(y, place, out=index[:c])
             exp[h + s : h + s + c] = index[:c]
         h *= 2
         if h < order:
-            step = step @ step % p
+            step = _mul_mod(step, step, p)
 
 
-def _remainder_map(cf: _Coefficients, dd: int, n: int) -> np.ndarray:
-    """The GF(p)-linear map, as a float64 matrix, from the coefficient
-    digits of a polynomial of degree <= n to the digits of its remainders
-    modulo every monic divisor of degree dd: column block t holds divisor
-    t, whose low coefficients are the base-Q digits of t.
+def _divisor_maps(cf: _Coefficients, n: int, dtype) -> list[np.ndarray]:
+    """W[dd - 1] for dd = 1, ..., n//2: the GF(p)-linear map from the
+    coefficient digits of a polynomial of degree <= n to the digits of its
+    remainders modulo every monic divisor of degree dd, column block t for
+    the divisor whose low coefficients are the base-Q digits of t.
 
     A polynomial sum c_i x**i leaves sum c_i (x**i mod d), and c_i is
     sum_k c_ik p**k over its digits, so the map's row (i, k) is the digits
-    of p**k (x**i mod d), from the tables x**i mod d for i <= n."""
-    Q, f = cf.size, cf.f
-    tails = _digits(np.arange(Q**dd), Q, dd)
-    T = np.zeros((n + 1, len(tails), dd), dtype=np.int64)
-    for i in range(dd):
-        T[i, :, i] = 1
-    for i in range(dd, n + 1):
-        # x**i = x * x**(i-1): shift up, and x**dd = -tail
-        T[i, :, 1:] = T[i - 1, :, :-1]
-        T[i] = cf.sub(T[i], cf.mul(T[i - 1, :, -1:], tails))
-    W = cf.digits(cf.mul(cf.p ** np.arange(f)[:, None, None, None], T))
-    return W.transpose(1, 0, 2, 3, 4).reshape((n + 1) * f, -1).astype(np.float64)
+    of p**k x**i mod d.  One build serves every divisor of every degree:
+    ``_remainder_rows`` on n//2 coefficients, in floats of ``dtype``."""
+    Q, p, f, w = cf.size, cf.p, cf.f, n // 2
+    runs = [(dd, Q**dd) for dd in range(1, w + 1)]
+    tails = _digits(np.concatenate([np.arange(count) for _, count in runs]), Q, w)
+    rows = _remainder_rows(cf, tails, runs, n, dtype)
+    maps, start = [], 0
+    for dd, count in runs:
+        maps.append(rows[start : start + count, :, : dd * f].transpose(1, 0, 2).reshape((n + 1) * f, -1))
+        start += count
+    return maps
 
 
 def _smallest_irreducible(cf: _Coefficients, n: int) -> list[int]:
@@ -458,31 +506,30 @@ def _smallest_irreducible(cf: _Coefficients, n: int) -> list[int]:
     Candidates with a nonzero constant term (the others are divisible by x)
     go SEARCH_BATCH at a time, in order.  A batch meets the monic divisors
     of degree 1, 2, ..., n//2 one degree at a time, all divisors of that
-    degree in one product with ``_remainder_map``; a candidate leaves at
-    the first degree that divides it, and the first one left is returned.
-    Each product takes at most SEARCH_CELLS cells, a slice of the
-    candidates at a time; its entries are at most (n+1) f (p-1)**2, exact
-    in float64 under the size caps."""
+    degree in one product with that degree's ``_divisor_maps`` map; a
+    candidate leaves at the first degree that divides it, and the first one
+    left is returned.  Each product takes at most SEARCH_CELLS cells, a
+    slice of the candidates at a time; its inner dimension is (n+1) f, so
+    the maps and products are floats of ``_float_dtype(p, (n+1) f)``."""
     if n == 1:
         return [0, 1]  # the polynomial x; never used for reduction
-    Q, p = cf.size, cf.p
+    Q, p, f = cf.size, cf.p, cf.f
+    dtype = _float_dtype(p, (n + 1) * f)
     place = Q ** np.arange(n - 1, -1, -1)  # c_0 is the most significant digit
-    maps = {}
+    maps = _divisor_maps(cf, n, dtype)
     for start in range(Q ** (n - 1), Q**n, SEARCH_BATCH):
         t = np.arange(start, min(start + SEARCH_BATCH, Q**n))
         cand = np.ones((len(t), n + 1), dtype=np.int64)
         cand[:, :n] = t[:, None] // place % Q
+        digits = cf.digits(cand).reshape(len(t), -1).astype(dtype)
         alive = np.arange(len(t))
-        for dd in range(1, n // 2 + 1):
-            if dd not in maps:
-                maps[dd] = _remainder_map(cf, dd, n)
-            W = maps[dd]
+        for dd, W in enumerate(maps, start=1):
             rows = max(1, SEARCH_CELLS // W.shape[1])
             kept = []
             for s in range(0, len(alive), rows):
                 part = alive[s : s + rows]
-                rem = cf.digits(cand[part]).reshape(len(part), -1).astype(np.float64) @ W
-                divisible = (np.fmod(rem, p) == 0).reshape(len(part), -1, dd * cf.f).all(axis=2).any(axis=1)
+                rem = _mul_mod(digits[part], W, p)
+                divisible = (rem == 0).reshape(len(part), -1, dd * f).all(axis=2).any(axis=1)
                 kept.append(part[~divisible])
             alive = np.concatenate(kept)
             if not len(alive):

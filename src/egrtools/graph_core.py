@@ -100,6 +100,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, pairwise
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -173,7 +174,9 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges, labels=None) -> "Graph":
         """Graph from its edges: an iterable of (u, v) pairs, or an m x 2
-        integer array, in any order and orientation."""
+        integer array, in any order and orientation.  n is any integer,
+        numpy's too (read with ``operator.index``); TypeError otherwise."""
+        n = index(n)
         e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
         if e.size == 0:
             e = e.reshape(0, 2)

@@ -1,11 +1,13 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
 from egrtools import bounds, cli, graph_core
 from egrtools.bounds import bound_report
-from egrtools.cli import EXIT_INTERNAL, EXIT_NOT_EGR, EXIT_OK, EXIT_USAGE, main
+from egrtools.cli import EXIT_CLOSED_STDOUT, EXIT_INTERNAL, EXIT_NOT_EGR, EXIT_OK, EXIT_USAGE, main
 from egrtools.constructions import FAMILIES, build_pencil_graph, petersen
 from egrtools.galois import GF
 from egrtools.graph_core import Graph, NotEdgeGirthRegular, graph6_encode
@@ -282,9 +284,6 @@ def test_version_flag(capsys):
 
 
 def test_construct_deterministic_across_processes():
-    import subprocess
-    import sys
-
     cmd = [sys.executable, "-m", "egrtools.cli", "construct", "--family", "biaffine1", "--q", "3"]
     runs = [subprocess.run(cmd, capture_output=True, text=True, check=True) for _ in range(2)]
     assert runs[0].stdout == runs[1].stdout
@@ -577,3 +576,25 @@ def test_one_command_parser_matches_the_full_parser(monkeypatch, capsys, argv):
     monkeypatch.setattr(cli, "_parser", lambda command=None: full())
     assert run(capsys, *argv) == routed
     assert routed[0] == (EXIT_OK if {"--help", "--version"} & set(argv) else EXIT_USAGE)
+
+
+@pytest.mark.parametrize(
+    "argv,stdin",
+    [
+        # a 95 KB report, more than a pipe holds
+        (["report", "--family", "biaffine1", "--q", "23"], ""),
+        # a first block of 4096 records, about 400 KB
+        (["verify", "--stdin-g6-stream"], (graph6_encode(petersen()) + "\n") * 5000),
+    ],
+    ids=["report", "stream"],
+)
+def test_a_closed_stdout_exits_quietly(argv, stdin):
+    # the writer is still writing when its reader closes after one line
+    cmd = [sys.executable, "-m", "egrtools.cli", *argv]
+    with subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdin.write(stdin.encode())  # 50 KB at most, which the pipe holds
+        proc.stdin.close()
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == EXIT_CLOSED_STDOUT

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -308,6 +309,43 @@ def test_search_and_generator_match_the_oracles():
         assert F.generator == smallest_generator(F), spec
         count += 1
     assert count > 580
+
+
+def _remainder(d: list[int], i: int, ops) -> list[int]:
+    """x**i mod the monic d, by schoolbook long division with the scalar
+    ops of the coefficient field."""
+    _, csub, cmul = ops
+    dd, r = len(d) - 1, [0] * i + [1]
+    for top in range(i, dd - 1, -1):
+        c = r[top]
+        for j in range(dd + 1):
+            r[top - dd + j] = csub(r[top - dd + j], cmul(c, d[j]))
+    return (r + [0] * dd)[:dd]
+
+
+@pytest.mark.parametrize(
+    "p,base",
+    [(2, None), (3, None), (5, None), (2, (2, 1)), (3, (3, 1)), (2, (2, 2)), (5, (5, 1))],
+    ids=["GF2", "GF3", "GF5", "GF2-base", "GF3-base", "GF4-base", "GF5-base"],
+)
+def test_divisor_maps_hold_every_remainder(p, base):
+    # every row of every divisor's map, not only those of a divisor that decides a search
+    F = None if base is None else GF(*base)
+    cf, ops = galois._Coefficients(p, F), coeff_ops(SimpleNamespace(p=p, base=F))
+    Q, f = cf.size, cf.f
+    for n in range(2, 7):
+        maps = galois._divisor_maps(cf, n, galois._float_dtype(p, (n + 1) * f))
+        assert len(maps) == n // 2
+        for dd, W in enumerate(maps, start=1):
+            W = W.reshape((n + 1) * f, Q**dd, dd * f)
+            for t in range(Q**dd):
+                d = [t // Q**j % Q for j in range(dd)] + [1]
+                for i in range(n + 1):
+                    r = _remainder(d, i, ops)
+                    for k in range(f):
+                        # digit k of each coefficient stands for p**k, itself an element of index p**k
+                        row = [ops[2](p**k, c) // p**m % p for c in r for m in range(f)]
+                        assert W[i * f + k, t].tolist() == row, (n, d, i, k)
 
 
 @pytest.mark.parametrize(

@@ -100,6 +100,15 @@ def test_from_edges_reports_the_first_fault(n, edges, message):
         assert str(err.value) == message
 
 
+def test_from_edges_takes_any_integer_vertex_count():
+    path = Graph([[1], [0, 2], [1], []])
+    for n in (np.int64(4), np.int32(4)):
+        assert Graph.from_edges(n, [(0, 1), (1, 2)]) == path
+    for n in (4.0, "4"):
+        with pytest.raises(TypeError):
+            Graph.from_edges(n, [(0, 1)])
+
+
 def test_from_edges_rejects_anything_but_pairs():
     with pytest.raises(ValueError, match="pairs"):
         Graph.from_edges(3, np.array([[0, 1, 2]]))
