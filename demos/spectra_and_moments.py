@@ -15,13 +15,11 @@ already computed.
 from egrtools import (
     GF,
     build_pencil_graph,
-    catalan,
     certify_tight_spectrum,
     eigenvalues,
     heawood,
     petersen,
     tree_walk_count,
-    tree_walk_polynomial,
     tutte_coxeter,
     verify_egr,
     walk_moments,
@@ -29,10 +27,9 @@ from egrtools import (
 
 print("Cycle-free closed-walk counts on the k-regular tree")
 print("-" * 72)
+print(" " * 9 + "".join(f"{f'k = {k}':>12}" for k in range(3, 8)))
 for length in (2, 4, 6, 8):
-    coeffs = tree_walk_polynomial(length)
-    terms = " + ".join(f"{c}k^{i}" for i, c in enumerate(coeffs) if c)
-    print(f"  c({length}, k) = {terms}   (leading coefficient C_{length//2} = {catalan(length//2)})")
+    print(f"  c({length}, k)" + "".join(f"{tree_walk_count(length, k):>12}" for k in range(3, 8)))
 
 print()
 print("Moments below the girth are pure tree walks: moments[l] = n * c(l, k)")

@@ -46,11 +46,9 @@ from .constructions import (
 )
 from .spectral import (
     Spectrum,
-    catalan,
     certify_tight_spectrum,
     eigenvalues,
     tree_walk_count,
-    tree_walk_polynomial,
     walk_moments,
 )
 from .bounds import (
@@ -64,7 +62,6 @@ from .bounds import (
     even_girth_bound,
     moore_bound,
     odd_girth_bound,
-    odd_girth_bound_g5,
     vertex_cycle_cap,
 )
 
@@ -100,8 +97,6 @@ __all__ = [
     "cycle_graph",
     "walk_moments",
     "tree_walk_count",
-    "tree_walk_polynomial",
-    "catalan",
     "eigenvalues",
     "Spectrum",
     "certify_tight_spectrum",
@@ -110,7 +105,6 @@ __all__ = [
     "egr4_bound",
     "even_girth_bound",
     "odd_girth_bound",
-    "odd_girth_bound_g5",
     "vertex_cycle_cap",
     "bound_report",
     "BoundReport",

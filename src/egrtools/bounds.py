@@ -130,16 +130,6 @@ def odd_girth_bound(k: int, g: int, lam: int) -> Fraction:
     return Fraction(num, den)
 
 
-def odd_girth_bound_g5(k: int, lam: int) -> Fraction:
-    """Expanded polynomial form of the odd-girth bound at g = 5; agrees
-    with odd_girth_bound(k, 5, lam) identically (tested on a grid)."""
-    num = 3 * k**6 + k**5 - 3 * k**4 + k**3 - 2 * k**4 * lam - k**3 * lam
-    den = 2 * k**4 + 3 * k**3 - 8 * k**2 + 5 * k - 1 - lam * lam - 2 * k * lam + lam
-    if den == 0:
-        raise DegenerateBound(f"odd-girth bound degenerate at k={k}, g=5, lambda={lam}")
-    return Fraction(num, den)
-
-
 def vertex_cycle_cap(k: int, g: int, lam: int):
     """Maximum number of (g+1)-cycles through any vertex of an odd-girth
     edge-girth-regular graph: binom(k,2) * ((k-1)**h - lam/(k-1)) with

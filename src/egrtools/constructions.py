@@ -1,11 +1,18 @@
 """Edge-girth-regular graph families built from finite geometries, plus
 the named reference graphs used throughout the test suite.
 
-Every builder is a pure function of its parameters: deleted flags and
-base points are always the lexicographically smallest valid choice, and
-W(q)'s ovoid and spread are the elliptic quadric and the regular spread of
-a pencil of alternating forms, so two runs produce identical adjacency
-lists.
+The biaffine planes and the paper's C_q are one rule, ``_truncation``
+(Araujo-Pardo, Balbuena and Heger, Discrete Math. 310, 2010): delete from
+a Levi graph the ball of radius r around a point P and a line l.
+biaffine1 is PG(2,q), (P, l) a flag, r = 1; biaffine2 PG(2,q), an
+anti-flag, r = 1; gq_truncation W(q), a flag, r = 2.  The split Cayley
+hexagon, a flag, r = 4 would be the next.  ``check_order`` is the one
+guard on q: each family's size cap, and degree 3 or more at q.
+
+Every builder is a pure function of its parameters: P is point 0 and l
+the first block through or missing it, and W(q)'s ovoid and spread are
+the elliptic quadric and the regular spread of a pencil of alternating
+forms, so two runs produce identical adjacency lists.
 """
 
 from __future__ import annotations
@@ -52,9 +59,13 @@ MAX_NAMED_SIZE = {"complete_bipartite": 3000, "cycle": 9_000_000}
 
 
 def check_order(family: str, q: int) -> None:
-    """ValueError when q is above the family's size cap, MAX_ORDER."""
+    """ValueError when q is above the family's size cap, MAX_ORDER, or
+    when its closed form in FAMILIES has degree below 3 at q."""
     if q > MAX_ORDER[family]:
         raise ValueError(f"{family} is capped at q <= {MAX_ORDER[family]} (got q = {q})")
+    k = FAMILIES[family].signature(q)[1]
+    if k < 3:
+        raise ValueError(f"{family} at q = {q} has degree {k}; verification needs degree k >= 3")
 
 
 def _check_size(kind: str, size: int) -> None:
@@ -125,48 +136,45 @@ def levi_graph(geom: IncidenceGeometry, keep_points=None, keep_blocks=None) -> G
     return _two_sided_graph(geom.blocks_through(), geom.blocks, keep_points, keep_blocks, labels)
 
 
-def build_biaffine(F: Field, kind: int) -> Graph:
-    """Incidence graph of a biaffine plane of order q.
+def _truncation(geom: IncidenceGeometry, incident: bool, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keep masks over the points and blocks of ``geom`` that delete the
+    ball of the given radius, at least 1, around point P = 0 and block l
+    (the first through P when ``incident``, else the first missing P) in
+    its Levi graph.  Each step past radius 1 adds the blocks through the
+    ball's points and the points on its blocks."""
+    # a block's row is ascending, so it holds point 0 exactly when it starts with it
+    on_P = geom.blocks[:, 0] == 0
+    ell = int(np.argmax(on_P == incident))
+    points = np.zeros(geom.n_points, dtype=bool)
+    points[0] = points[geom.blocks[ell]] = True
+    blocks = on_P
+    blocks[ell] = True
+    for _ in range(radius - 1):
+        grown = blocks | points[geom.blocks].any(axis=1)
+        points[geom.blocks[blocks]] = True
+        blocks = grown
+    return ~points, ~blocks
 
-    Starting from PG(2,q), delete a point P, a line l, all lines through
-    P and all points on l; the flag (P,l) is incident for kind 1,
-    non-incident for kind 2 (rows biaffine1 and biaffine2 of FAMILIES).
-    """
+
+def build_biaffine(F: Field, kind: int) -> Graph:
+    """Incidence graph of a biaffine plane of order q: PG(2,q) less the
+    ball of radius 1 around a point P and a line l (``_truncation``), a flag
+    for kind 1 and an anti-flag for kind 2 (rows biaffine1 and biaffine2 of
+    FAMILIES)."""
     if kind not in (1, 2):
         raise ValueError("kind must be 1 or 2")
-    if F.q < 3:
-        raise ValueError("biaffine construction needs q >= 3 (q = 2 degenerates to degree 2)")
     check_order(f"biaffine{kind}", F.q)
     geom = pg2_geometry(F)
-    P = 0
-    on_P = (geom.blocks == P).any(axis=1)
-    # the first line through P for kind 1, the first line missing P for kind 2
-    ell = int(np.argmax(on_P == (kind == 1)))
-    keep_points = np.ones(geom.n_points, dtype=bool)
-    keep_points[P] = keep_points[geom.blocks[ell]] = False
-    keep_blocks = ~on_P
-    keep_blocks[ell] = False
-    return levi_graph(geom, keep_points, keep_blocks)
+    return levi_graph(geom, *_truncation(geom, kind == 1, 1))
 
 
 def build_gq_truncation(F: Field) -> Graph:
-    """Truncated incidence graph of the symplectic quadrangle W(q).
-
-    Pick the lexicographically smallest point P and the smallest line e0
-    through it, then delete P, every point on a line through P, and every
-    line meeting e0.
-    """
-    if F.q < 3:
-        raise ValueError("GQ truncation needs q >= 3 (q = 2 degenerates to degree 2)")
+    """The paper's C_q: the symplectic quadrangle W(q) less the ball of
+    radius 2 around a flag (P, l) (``_truncation``), every point collinear
+    with P and every line meeting l."""
     check_order("gq_truncation", F.q)
     geom = symplectic_gq(F)
-    P = 0
-    on_P = np.flatnonzero((geom.blocks == P).any(axis=1))
-    keep_points = np.ones(geom.n_points, dtype=bool)
-    keep_points[geom.blocks[on_P]] = False
-    on_e0 = np.zeros(geom.n_points, dtype=bool)
-    on_e0[geom.blocks[on_P[0]]] = True
-    return levi_graph(geom, keep_points, ~on_e0[geom.blocks].any(axis=1))
+    return levi_graph(geom, *_truncation(geom, True, 2))
 
 
 def build_ovoid_spread(F: Field) -> Graph:
@@ -174,8 +182,6 @@ def build_ovoid_spread(F: Field) -> Graph:
     The ovoid is the elliptic quadric (``geometry.elliptic_quadric``), the
     spread the regular spread (``geometry.regular_spread``), which is the
     lexicographically smallest spread at q <= 32."""
-    if F.q == 2:
-        raise ValueError("q = 2 degenerates to degree 2")
     check_order("ovoid_spread", F.q)
     ovoid = elliptic_quadric(F)
     geom = symplectic_gq(F)

@@ -10,8 +10,9 @@ against them at runtime, never the other way around: every spectrum
 (``Spectrum.moments``), from the one matrix and the one moment chain it
 shares with ``walk_moments`` (``_matrix_moments``).  The moments take the
 exactness rule ``graph_core._exact_dtype`` (float32 while no count exceeds
-2**24, float64 while none exceeds 2**53, Python ints past that); the walk
-pass of ``graph_core`` needs only its two float tiers.
+2**24, float64 while none exceeds 2**53, Python ints past that, on a
+chain of order at most MAX_INT_CHAIN_ORDER); the walk pass of
+``graph_core`` needs only its two float tiers.
 ``certify_tight_spectrum`` takes a spectrum already computed, refuses one
 whose moments 0..4 are not those of G's verified signature, and decides
 the tight four-value spectrum of a bipartite girth-4 graph exactly as the
@@ -52,6 +53,14 @@ from .graph_core import EgrSignature, Graph, _adjacency, _bipartition, _exact_dt
 MAX_MOMENT_LENGTH = 16
 MAX_MOMENT_VERTICES = 2048
 
+# Largest order of the matrix a moment chain runs on (A, or NN^T on the
+# half-order route) once it takes Python ints, k**L past 2**53.  At L = 16
+# (2 CPUs, one BLAS thread): K_512 42.8-43.3 s / 94 MiB, K_{512,512} 28.8-32.1 s /
+# 106 MiB, K_{512,1536} 34.0 s / 151 MiB, K_{640,640} 51.9 s / 147 MiB; the
+# products grow as the order cubed, so time binds, and 2048 vertices would
+# take minutes at half order and about 40 min at full order.
+MAX_INT_CHAIN_ORDER = 512
+
 # every spectrum is checked against the exact moments of lengths
 # 0..MOMENT_CHECK_LENGTH, each within MOMENT_CHECK_RTOL * sum_i |lambda_i|**l
 MOMENT_CHECK_LENGTH = 4
@@ -61,7 +70,9 @@ MOMENT_CHECK_RTOL = 1e-9
 def walk_moments(G: Graph, L: int) -> list[int]:
     """Exact trace of A**l for l = 0..L, i.e. the closed-walk counts
     sum_i lambda_i**l (``_matrix_moments``): moments[0] = n, moments[1] = 0
-    (no loops), moments[2] = 2|E|."""
+    (no loops), moments[2] = 2|E|.  ValueError past MAX_MOMENT_LENGTH or
+    MAX_MOMENT_VERTICES, or for a Python-int chain past
+    MAX_INT_CHAIN_ORDER."""
     if L < 0:
         raise ValueError("moment length must be nonnegative")
     if L > MAX_MOMENT_LENGTH:
@@ -96,9 +107,17 @@ def _matrix_moments(G: Graph, L: int) -> tuple[np.ndarray, list[int]]:
     With maximum degree k, every entry of a power, every partial sum of a
     product and every partial row sum counts walks of at most L steps from
     one vertex, so none exceeds k**L, and the chain takes its dtype from
-    graph_core._exact_dtype(k**L)."""
+    graph_core._exact_dtype(k**L).  ValueError, before any product, when
+    that is Python ints and the chain's order is above
+    MAX_INT_CHAIN_ORDER."""
     dtype = _exact_dtype(int(G.deg.max(initial=0)) ** L)
     N = _biadjacency(G)
+    order = G.n if N is None else len(N)
+    if np.dtype(dtype) == object and order > MAX_INT_CHAIN_ORDER:
+        raise ValueError(
+            f"exact moments past 2**53 run on Python ints, capped at a chain of order {MAX_INT_CHAIN_ORDER}; "
+            f"this one has order {order}"
+        )
     if N is None:
         A = _adjacency(G, float)
         return A, [G.n] + _power_traces(_widen(A, dtype), L)
@@ -179,32 +198,6 @@ def tree_walk_count(length: int, k: int) -> int:
     return total * k if s else 1
 
 
-def catalan(s: int) -> int:
-    """The s-th Catalan number, binom(2s,s) - binom(2s,s+1)."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    return math.comb(2 * s, s) - math.comb(2 * s, s + 1)
-
-
-def tree_walk_polynomial(length: int) -> list[int]:
-    """Coefficients (ascending in k) of the closed tree-walk count as a
-    polynomial in the degree k: the sum of ``tree_walk_count`` with each
-    (k-1)^(s-j) expanded binomially.  The leading coefficient is the
-    Catalan number C_{length//2}, the number of Dyck paths."""
-    if length % 2:
-        raise ValueError("odd walk lengths count zero walks; no polynomial")
-    s = length // 2
-    if s == 0:
-        return [1]
-    coeffs, ballot = [0] * (s + 1), 1
-    for j in range(s, 0, -1):  # the ballot numbers R_j as in tree_walk_count
-        m = s - j
-        for i in range(m + 1):  # k^j * binom(m, i) k^i (-1)^(m-i)
-            coeffs[j + i] += (-1) ** (m - i) * ballot * math.comb(m, i)
-        ballot = ballot * (j - 1) * (2 * s - j) // (j * (s - j + 1))
-    return coeffs
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues of an adjacency matrix, descending, with multiplicity
@@ -249,8 +242,9 @@ def eigenvalues(G: Graph, tol: float = 1e-10, length: int = MOMENT_CHECK_LENGTH)
     multiplicities at 1e4 * tol, each group's value the mean of its
     members.  The returned ``moments`` are ``walk_moments(G, length)``,
     from the same matrix as the spectrum; ``length`` must lie in
-    MOMENT_CHECK_LENGTH..MAX_MOMENT_LENGTH, else ValueError.  Raises
-    ArithmeticError when the check fails.
+    MOMENT_CHECK_LENGTH..MAX_MOMENT_LENGTH, else ValueError, as for a
+    graph past MAX_MOMENT_VERTICES or a Python-int moment chain past
+    MAX_INT_CHAIN_ORDER.  Raises ArithmeticError when the check fails.
 
     A connected bipartite G with an edge takes the half-order route: the
     eigenvalues are +-sigma, sigma the singular values of its a x b

@@ -5,10 +5,12 @@ the engines themselves."""
 
 import math
 from collections import deque
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 
+from egrtools.bounds import DegenerateBound
 from egrtools.geometry import IncidenceGeometry, rows_through
 from egrtools.graph_core import GRAPH6_MAX_N, Graph, Graph6Error
 
@@ -267,6 +269,42 @@ def tree_walk_counts(L: int, k: int) -> list[int]:
     return counts
 
 
+def catalan(s: int) -> int:
+    """The s-th Catalan number, binom(2s,s) - binom(2s,s+1)."""
+    if s < 0:
+        raise ValueError("s must be nonnegative")
+    return math.comb(2 * s, s) - math.comb(2 * s, s + 1)
+
+
+def tree_walk_polynomial(length: int) -> list[int]:
+    """Coefficients (ascending in k) of the closed tree-walk count as a
+    polynomial in the degree k: the sum of ``tree_walk_count`` with each
+    (k-1)^(s-j) expanded binomially.  The leading coefficient is the
+    Catalan number C_{length//2}, the number of Dyck paths."""
+    if length % 2:
+        raise ValueError("odd walk lengths count zero walks; no polynomial")
+    s = length // 2
+    if s == 0:
+        return [1]
+    coeffs, ballot = [0] * (s + 1), 1
+    for j in range(s, 0, -1):  # the ballot numbers R_j as in tree_walk_count
+        m = s - j
+        for i in range(m + 1):  # k^j * binom(m, i) k^i (-1)^(m-i)
+            coeffs[j + i] += (-1) ** (m - i) * ballot * math.comb(m, i)
+        ballot = ballot * (j - 1) * (2 * s - j) // (j * (s - j + 1))
+    return coeffs
+
+
+def odd_girth_bound_g5(k: int, lam: int) -> Fraction:
+    """Expanded polynomial form of the odd-girth bound at g = 5; agrees
+    with odd_girth_bound(k, 5, lam) identically (tested on a grid)."""
+    num = 3 * k**6 + k**5 - 3 * k**4 + k**3 - 2 * k**4 * lam - k**3 * lam
+    den = 2 * k**4 + 3 * k**3 - 8 * k**2 + 5 * k - 1 - lam * lam - 2 * k * lam + lam
+    if den == 0:
+        raise DegenerateBound(f"odd-girth bound degenerate at k={k}, g=5, lambda={lam}")
+    return Fraction(num, den)
+
+
 def _first_cover_solution(n_items: int, compat: list[int], target: int, cover_masks: list[int]):
     """Lexicographically first size-``target`` subset of 0..n_items-1 that is
     pairwise compatible and hits every cover mask, or None.
@@ -503,3 +541,30 @@ def graph6_line(text: str) -> Graph:
         raise Graph6Error("nonzero padding bits", pos + nbytes - 1)
     G = nx.from_graph6_bytes(data)
     return Graph.from_edges(n, list(G.edges()))
+
+
+def biaffine_keep_masks(geom: IncidenceGeometry, kind: int) -> tuple[np.ndarray, np.ndarray]:
+    """The point and block keep masks of a biaffine plane as build_biaffine
+    computed them on their own: delete point 0, the first line through it
+    (kind 1) or missing it (kind 2), every line through point 0 and every
+    point on that line."""
+    P = 0
+    on_P = (geom.blocks == P).any(axis=1)
+    ell = int(np.argmax(on_P == (kind == 1)))
+    keep_points = np.ones(geom.n_points, dtype=bool)
+    keep_points[P] = keep_points[geom.blocks[ell]] = False
+    keep_blocks = ~on_P
+    keep_blocks[ell] = False
+    return keep_points, keep_blocks
+
+
+def gq_truncation_keep_masks(geom: IncidenceGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """The point and block keep masks of W(q)'s truncation as
+    build_gq_truncation computed them on their own: delete every point on a
+    line through point 0 and every line meeting the first of those lines."""
+    on_P = np.flatnonzero((geom.blocks == 0).any(axis=1))
+    keep_points = np.ones(geom.n_points, dtype=bool)
+    keep_points[geom.blocks[on_P]] = False
+    on_e0 = np.zeros(geom.n_points, dtype=bool)
+    on_e0[geom.blocks[on_P[0]]] = True
+    return keep_points, ~on_e0[geom.blocks].any(axis=1)

@@ -17,7 +17,6 @@ from egrtools.bounds import (
     egr4_bound,
     even_girth_bound,
     odd_girth_bound,
-    odd_girth_bound_g5,
     vertex_cycle_cap,
 )
 from egrtools.constructions import (
@@ -40,13 +39,12 @@ from egrtools.graph_core import (
     verify_egr,
 )
 from egrtools.spectral import (
-    catalan,
     certify_tight_spectrum,
     eigenvalues,
     tree_walk_count,
     walk_moments,
 )
-from oracles import vertex_cycle_count_dfs
+from oracles import catalan, odd_girth_bound_g5, vertex_cycle_count_dfs
 
 F = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5)}
 

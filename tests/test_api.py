@@ -1,12 +1,13 @@
 import egrtools
-from egrtools import geometry, graph_core
+from egrtools import bounds, geometry, graph_core, spectral
 
 # public names that were removed; the one walk pass and the one BFS in
 # graph_core cover what they did, the elliptic quadric gives W(q)'s ovoid,
 # the Singer difference set gives the pencil's planes (plane_rows), the
 # regular spread gives W(q)'s spread, and names that only tests called are
 # gone or test oracles (the cycle counters, the exhaustive ovoid and spread
-# searches, tangent_planes, normalize_point)
+# searches, tangent_planes, normalize_point, the Catalan numbers, the
+# tree-walk polynomial and the expanded g = 5 odd-girth bound)
 REMOVED = [
     "girth",
     "bipartition",
@@ -20,6 +21,9 @@ REMOVED = [
     "normalize_point",
     "plane_rows",
     "spread_search",
+    "catalan",
+    "tree_walk_polynomial",
+    "odd_girth_bound_g5",
 ]
 
 
@@ -55,3 +59,5 @@ def test_removed_names_are_gone():
         "_first_cover_solution",
     ]:
         assert not hasattr(geometry, name), name
+    for module, name in [(spectral, "catalan"), (spectral, "tree_walk_polynomial"), (bounds, "odd_girth_bound_g5")]:
+        assert not hasattr(module, name), name

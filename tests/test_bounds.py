@@ -12,7 +12,6 @@ from egrtools.bounds import (
     feasible_order,
     moore_bound,
     odd_girth_bound,
-    odd_girth_bound_g5,
     vertex_cycle_cap,
 )
 from egrtools.constructions import (
@@ -28,7 +27,7 @@ from egrtools.constructions import (
 )
 from egrtools.galois import GF
 from egrtools.graph_core import verify_egr
-from oracles import vertex_cycle_count_dfs
+from oracles import odd_girth_bound_g5, vertex_cycle_count_dfs
 
 F = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5)}
 

@@ -6,12 +6,14 @@ import networkx as nx
 import numpy as np
 import pytest
 from geometry_pins import PENCIL_ORDERS, _prime_powers, pencil_pin_of
+from oracles import biaffine_keep_masks, gq_truncation_keep_masks
 
 from egrtools.bounds import certify_extremal
 from egrtools.constructions import (
     FAMILIES,
     MAX_NAMED_SIZE,
     MAX_ORDER,
+    _truncation,
     build_biaffine,
     build_gq_truncation,
     build_ovoid_spread,
@@ -24,7 +26,7 @@ from egrtools.constructions import (
     named_order,
 )
 from egrtools.galois import GF, prime_power
-from egrtools.geometry import symplectic_gq
+from egrtools.geometry import pg2_geometry, symplectic_gq
 from egrtools.graph_core import EgrSignature, Graph, graph6_encode, verify_egr
 
 F = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5)}
@@ -87,16 +89,32 @@ def test_pencil_contains_diagonal_edges():
         assert G.has_edge(p, half + p)
 
 
+def test_truncation_masks_match_the_masks_they_replace():
+    # keep masks only, nothing built
+    for q in _prime_powers(49):
+        geom = pg2_geometry(GF(*prime_power(q)))
+        for kind in (1, 2):
+            for got, expected in zip(_truncation(geom, kind == 1, 1), biaffine_keep_masks(geom, kind)):
+                assert np.array_equal(got, expected), (kind, q)
+    for q in _prime_powers(16):
+        geom = symplectic_gq(GF(*prime_power(q)))
+        for got, expected in zip(_truncation(geom, True, 2), gq_truncation_keep_masks(geom)):
+            assert np.array_equal(got, expected), q
+
+
 def test_builders_reject_degenerate_q():
-    with pytest.raises(ValueError):
-        build_biaffine(F[2], 1)
-    with pytest.raises(ValueError):
-        build_gq_truncation(F[2])
+    # check_order reads the degree off each family's closed form; at q = 2
+    # only the pencil's is 3 or more
+    for family in ("biaffine1", "biaffine2", "gq_truncation", "ovoid_spread"):
+        message = rf"^{family} at q = 2 has degree 2; verification needs degree k >= 3$"
+        with pytest.raises(ValueError, match=message):
+            check_order(family, 2)
+        with pytest.raises(ValueError, match=message):
+            FAMILIES[family].build(F[2])
+    check_order("pencil", 2)
     with pytest.raises(ValueError, match="no ovoid"):
         build_ovoid_spread(F[3])
-    with pytest.raises(ValueError, match="degree 2"):
-        build_ovoid_spread(F[2])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="kind must be 1 or 2"):
         build_biaffine(F[3], 3)
 
 

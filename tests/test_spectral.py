@@ -22,19 +22,20 @@ from egrtools.galois import GF
 from egrtools.graph_core import Graph, _exact_dtype, verify_egr
 from egrtools.spectral import (
     MAX_MOMENT_LENGTH,
-    catalan,
     certify_tight_spectrum,
     eigenvalues,
     tree_walk_count,
-    tree_walk_polynomial,
     walk_moments,
 )
 from oracles import (
+    catalan,
     closed_walks_at_root,
+    complete,
     degree_preserving_switch,
     matrix_power_traces,
     symmetric_design_identity,
     tree_walk_counts,
+    tree_walk_polynomial,
     truncated_tree,
 )
 
@@ -140,6 +141,22 @@ def test_moment_dtype_follows_k_to_the_L(monkeypatch):
     moments = walk_moments(Graph.from_edges(48, edges), 16)
     assert moments == [48] + [0 if l % 2 else 6 * 8**l for l in range(1, 17)]
     assert chains[2] == (np.float64, 48)
+
+
+def test_python_int_chains_past_their_order_cap_raise_before_the_chain(monkeypatch):
+    def unreached(B, J):
+        raise AssertionError("the moment chain ran")
+
+    monkeypatch.setattr(spectral, "_power_traces", unreached)
+    cap = spectral.MAX_INT_CHAIN_ORDER
+    # k**16 > 2**53 on both; K_{cap+1,cap+1} takes the half-order route
+    # on NN^T of order cap + 1, K_{cap+1} the full-order route on A
+    message = rf"capped at a chain of order {cap}; this one has order {cap + 1}$"
+    for G in (complete_bipartite(cap + 1), complete(cap + 1)):
+        with pytest.raises(ValueError, match=message):
+            walk_moments(G, MAX_MOMENT_LENGTH)
+        with pytest.raises(ValueError, match=message):
+            eigenvalues(G, length=MAX_MOMENT_LENGTH)
 
 
 # (graph constructor, route): the half-order route runs the moment chain on
