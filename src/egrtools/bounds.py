@@ -19,11 +19,11 @@ from .spectral import tree_walk_count
 
 
 # bound_report's integers grow like k**g, and its time with their size,
-# most at k = 3 and odd g.  At this cap (one thread): k = 3, g = 12617
-# takes 0.5 s (29.7 s while each tree-walk term took its own binomial),
-# k = 4, g = 9999 0.5 s, k = 10, g = 6019 0.3 s; past it, k = 3, g = 20000
-# takes 0.7 s.  The CLI rejects a pair (k, g) with k**g past this many bits
-# before any work.
+# most at k = 3 and odd g.  At this cap (one thread), report and printing
+# together: k = 3, g = 12617 0.3 s (29.7 s while each tree-walk term took
+# its own binomial), k = 4, g = 9999 0.3 s, k = 10, g = 6019 0.2 s.  The
+# CLI rejects a pair (k, g) with k**g past this many bits before any work,
+# and prints every pair inside, past the float range and digit limit too.
 MAX_BOUND_BITS = 20_000
 
 
@@ -199,6 +199,8 @@ def bound_report(k: int, g: int, lam: int, bipartite: bool = False) -> BoundRepo
     if g % 2 == 0:
         spectral_even = even_girth_bound(k, g, lam, bipartite)
         contributions["spectral_even"] = feasible_order(spectral_even, k, bipartite)
+    elif g < 5:
+        notes += [f"{name}: defined for odd girth g >= 5; omitted" for name in ("vertex_cap", "spectral_odd")]
     else:
         vertex_cap = vertex_cycle_cap(k, g, lam)
         if vertex_cap is None:

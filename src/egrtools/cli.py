@@ -162,9 +162,9 @@ def _rat_json(value) -> dict:
     fr = Fraction(value)
     try:
         decimal = f"{float(fr):.6f}"
-    except OverflowError:
-        bits = (fr.numerator // fr.denominator).bit_length()
-        raise UsageError(f"a bound near 2**{bits} is past the float range of the report's decimal field") from None
+    except OverflowError:  # past the float range: rounded exactly, half to even
+        whole, frac = divmod(round(abs(fr) * 10**6), 10**6)
+        decimal = f"{'-' if fr < 0 else ''}{whole}.{frac:06d}"
     return {"num": fr.numerator, "den": fr.denominator, "decimal": decimal}
 
 
@@ -306,6 +306,9 @@ def _blocks(lines):
 def _verify_stream(out) -> int:
     """Verify stdin a block at a time, writing each block's records to
     ``out`` with one write and a flush; the largest exit code of any line."""
+    # a byte that is not UTF-8 fails its own line, as a lone surrogate
+    if hasattr(sys.stdin, "reconfigure"):
+        sys.stdin.reconfigure(errors="surrogateescape")
     worst, first = EXIT_OK, 1
     for lines in _blocks(sys.stdin):
         code, text = _verify_block(lines, first)
@@ -330,7 +333,7 @@ def cmd_verify(args, argv) -> int:
         with fh:
             return _verify_stream(fh)
     try:
-        with open(args.path) as fh:
+        with open(args.path, errors="surrogateescape") as fh:
             G = graph6_decode(fh.read())
     except OSError as exc:
         raise UsageError(f"cannot read {args.path}: {exc}") from None
@@ -358,11 +361,16 @@ def cmd_bounds(args, argv) -> int:
     except ValueError as exc:
         raise UsageError(f"invalid triple: {exc}") from None
     doc = _report_skeleton(argv)
-    doc["bounds"] = _bounds_json(rep)
+    # bounds in the domain run past Python's int-to-str digit limit
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
+        doc["bounds"] = _bounds_json(rep)
         _emit(doc, args.out)
-    except ValueError:  # json.dumps met an integer past Python's int-to-str digit limit
-        raise UsageError("a bound has too many digits to print as a JSON integer") from None
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return EXIT_OK
 
 

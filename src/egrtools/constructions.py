@@ -9,10 +9,13 @@ anti-flag, r = 1; gq_truncation W(q), a flag, r = 2.  The split Cayley
 hexagon, a flag, r = 4 would be the next.  ``check_order`` is the one
 guard on q: each family's size cap, and degree 3 or more at q.
 
-Every builder is a pure function of its parameters: P is point 0 and l
-the first block through or missing it, and W(q)'s ovoid and spread are
-the elliptic quadric and the regular spread of a pencil of alternating
-forms, so two runs produce identical adjacency lists.
+Every graph is given by one side's rows, each listing its neighbours on
+the other side: a geometry's blocks, or the pencil's right vertices;
+``_two_sided_graph`` masks them and sorts their transpose for the other
+side.  Every builder is a pure function of its parameters: P is point 0
+and l the first block through or missing it, and W(q)'s ovoid and spread
+are the elliptic quadric and the regular spread of a pencil of
+alternating forms, so two runs produce identical adjacency lists.
 """
 
 from __future__ import annotations
@@ -35,19 +38,15 @@ from .geometry import (
     singer_pencil,
     symplectic_gq,
 )
-from .graph_core import Graph
+from .graph_core import Graph, _code_width
 
 # Largest q each family built in 60 s and 1 GiB when its CSR came from edge
-# codes (2 CPUs, one BLAS thread, Python 3.11, numpy 2.4).  From the block
-# rows these take 1.1 s / 391 MiB, 1.7 s / 340 MiB and 0.5 s / 169 MiB, and
-# biaffine q=256 (3.3 s / 869 MiB) and gq_truncation q=64 (7.2 s / 883 MiB)
-# fit too.  The pencil from its Singer difference set, tangent rows in
-# closed form (one process each, field included): q=19 0.2 s / 167 MiB,
-# q=23 0.7 s / 377 MiB, q=25 1.2 s / 511 MiB, q=27 1.6 s / 746 MiB, q=29
-# 1.8 s / 1046 MiB.
-# ovoid_spread from the regular spread: q=16 0.03 s / 35 MiB, q=32
-# 0.3-0.4 s / 94 MiB, q=64 5.8 s / 887 MiB, less than 15% under 1 GiB, so
-# the cap is 32.
+# codes (2 CPUs, one BLAS thread, Python 3.11, numpy 2.4); the caps are kept.
+# Field and build, one process each, on that machine: biaffine q=193
+# 0.4-0.7 s / 267 MiB, q=256 1.3 s / 550 MiB; gq_truncation q=49
+# 0.8-0.9 s / 250 MiB, q=64 2.8 s / 595 MiB; ovoid_spread q=32 0.2 s /
+# 69 MiB, q=64 2.9 s / 594 MiB; pencil q=19 0.14-0.16 s / 123 MiB, q=23
+# 0.4 s / 263 MiB, q=27 1.0 s / 459 MiB, q=29 1.6 s / 637 MiB.
 MAX_ORDER = {"biaffine1": 193, "biaffine2": 193, "gq_truncation": 49, "ovoid_spread": 32, "pencil": 19}
 
 
@@ -101,27 +100,29 @@ class VertexLabels(Sequence):
         return tag, tuple(map(tuple, self._coords[rows[at]].tolist()))
 
 
-def _two_sided_graph(first, second, keep_first, keep_second, labels) -> Graph:
-    """The bipartite graph on the kept rows of ``first`` (row i lists,
-    ascending, the rows of ``second`` joined to i), then those of its
-    inverse ``second``.  A kept row less its deleted entries, renumbered by
-    a cumulative sum of the other side's mask, is a sorted CSR row."""
-    sides = ((first, keep_first, keep_second), (second, keep_second, keep_first))
-    kept = [keep[:, None] & other_keep[rows] for rows, keep, other_keep in sides]
-    deg = [np.count_nonzero(mask[keep], axis=1) for mask, (_, keep, _) in zip(kept, sides)]
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(deg))))
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    offsets, at = (np.count_nonzero(keep_first), 0), 0  # the second side's vertices follow the first's
-    for (rows, _, other_keep), mask, offset in zip(sides, kept, offsets):
-        entries = rows[mask]
-        number = np.cumsum(other_keep) - 1 + offset
-        # checked once here, so the take can clip: with mode="raise", numpy
-        # always buffers out, a second copy of the largest array of the build
-        if entries.size and not 0 <= entries.min() <= entries.max() < len(number):
-            raise AssertionError("a row lists a vertex outside the other side")
-        np.take(number, entries, out=indices[at : at + len(entries)], mode="clip")
-        at += len(entries)
-    return Graph._from_csr(indptr, indices, labels)
+def _two_sided_graph(rows, keep_first, keep_rows, labels) -> Graph:
+    """The bipartite graph on the kept first-side vertices, then the kept
+    rows of ``rows``, row j listing, ascending, the first-side vertices
+    joined to j.  A kept row less its deleted entries, renumbered by a
+    cumulative sum of ``keep_first``, is a sorted CSR row of the second
+    side.  The first side's rows are the transpose of those entries: the
+    codes v*width + j (``graph_core._code_width``) sorted in place."""
+    # checked once here, so the take can clip: with mode="raise", numpy
+    # always buffers out, a second copy of the largest array of the build
+    if rows.size and not 0 <= rows.min() <= rows.max() < len(keep_first):
+        raise AssertionError("a row lists a vertex outside the other side")
+    mask = keep_rows[:, None] & keep_first[rows]
+    a, deg = int(np.count_nonzero(keep_first)), np.count_nonzero(mask, axis=1)[keep_rows]
+    width = _code_width(a + len(deg))
+    indices = np.empty(2 * int(deg.sum()), dtype=np.int64)
+    first, second = np.split(indices, 2)
+    np.take(np.cumsum(keep_first) - 1, rows[mask], out=second, mode="clip")
+    np.multiply(second, width, out=first)
+    first += np.arange(a, a + len(deg)).repeat(deg)
+    first.sort()
+    deg = np.concatenate((np.bincount(first >> (width.bit_length() - 1), minlength=a), deg))
+    first &= width - 1
+    return Graph._from_csr(np.concatenate(([0], np.cumsum(deg))), indices, labels)
 
 
 def levi_graph(geom: IncidenceGeometry, keep_points=None, keep_blocks=None) -> Graph:
@@ -132,8 +133,7 @@ def levi_graph(geom: IncidenceGeometry, keep_points=None, keep_blocks=None) -> G
     keep_points = np.ones(geom.n_points, dtype=bool) if keep_points is None else keep_points
     keep_blocks = np.ones(geom.n_blocks, dtype=bool) if keep_blocks is None else keep_blocks
     parts = [("point", np.flatnonzero(keep_points), None), ("line", np.flatnonzero(keep_blocks), geom.blocks)]
-    labels = VertexLabels(geom.coords, parts)
-    return _two_sided_graph(geom.blocks_through(), geom.blocks, keep_points, keep_blocks, labels)
+    return _two_sided_graph(geom.blocks, keep_points, keep_blocks, VertexLabels(geom.coords, parts))
 
 
 def _truncation(geom: IncidenceGeometry, incident: bool, radius: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,13 +216,11 @@ def build_pencil_graph(F: Field) -> Graph:
     c = through[meets[through] == 1]
     if len(c) != 1:
         raise ArithmeticError("pencil member has a point without exactly one tangent plane")
-    e = np.arange(n)[:, None]
-    left, right = (np.empty((n, len(D)), dtype=point_of.dtype) for _ in range(2))
-    left[point_of] = np.sort(point_of[(e + c + D) % n], axis=1)
-    right[point_of] = np.sort(point_of[(e - c - D) % n], axis=1)
+    right = np.empty((n, len(D)), dtype=point_of.dtype)
+    right[point_of] = np.sort(point_of[(np.arange(n)[:, None] - c - D) % n], axis=1)
     everything = np.ones(n, dtype=bool)
     labels = VertexLabels(point_array(3, F), [("left", np.arange(n), None), ("right", np.arange(n), None)])
-    return _two_sided_graph(left, right, everything, everything, labels)
+    return _two_sided_graph(right, everything, everything, labels)
 
 
 class Family(NamedTuple):

@@ -12,11 +12,12 @@ from its reduced row-echelon basis: the lines of PG(2,q) and the totally
 isotropic lines of W(q) (Payne & Thas, Finite Generalized Quadrangles,
 3.1), with no dense points x points array.  An ``IncidenceGeometry``
 holds its lines as one read-only (blocks x (q+1)) int64 array, which
-builders index and mask directly.  Every enumeration is in lexicographic
-order, so indices are reproducible.  The planes of PG(3,q) are not
-enumerated: numbered by the powers of a generator of GF(q^4), the points
-of one plane form a planar difference set D mod (q^4-1)/(q-1), and every
-plane is a translate D + t (``_singer_plane``; Singer 1938).
+builders index and mask directly; no points x blocks inverse is formed.
+Every enumeration is in lexicographic order, so indices are reproducible.
+The planes of PG(3,q) are not enumerated: numbered by the powers of a
+generator of GF(q^4), the points of one plane form a planar difference
+set D mod (q^4-1)/(q-1), and every plane is a translate D + t
+(``_singer_plane``; Singer 1938).
 """
 
 from __future__ import annotations
@@ -105,17 +106,6 @@ class IncidenceGeometry:
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
-
-    def blocks_through(self) -> np.ndarray:
-        """(points x (q+1)) array: row p lists, ascending, the blocks through
-        point p, each point being on equally many (as in PG(2,q) and W(q))."""
-        return rows_through(self.blocks, self.n_points)
-
-
-def rows_through(rows: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of an (m x k) array holding each index 0..n-1 equally often:
-    row p lists, ascending, the rows that hold p."""
-    return (np.argsort(rows, axis=None, kind="stable") // rows.shape[1]).reshape(n, -1)
 
 
 def _echelon_bases(F: Field, dim: int):

@@ -11,7 +11,7 @@ from itertools import combinations, product
 import numpy as np
 
 from egrtools.bounds import DegenerateBound
-from egrtools.geometry import IncidenceGeometry, rows_through
+from egrtools.geometry import IncidenceGeometry
 from egrtools.graph_core import GRAPH6_MAX_N, Graph, Graph6Error
 
 
@@ -342,6 +342,13 @@ def _first_cover_solution(n_items: int, compat: list[int], target: int, cover_ma
     return None
 
 
+def rows_through(rows: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of an (m x k) array holding each index 0..n-1 equally often:
+    row p lists, ascending, the rows that hold p (for a geometry's blocks,
+    the blocks through each point)."""
+    return (np.argsort(rows, axis=None, kind="stable") // rows.shape[1]).reshape(n, -1)
+
+
 def _cover_search(rows: np.ndarray, n_items: int, target: int):
     """``_first_cover_solution`` over items 0..n_items-1 where the items of
     one row of the (m x s) array ``rows`` clash pairwise and every row must
@@ -365,7 +372,7 @@ def spread_search(G: IncidenceGeometry):
     pairwise disjoint lines, covering every point.  Returns None when none
     exists."""
     q = G.blocks.shape[1] - 1
-    return _cover_search(G.blocks_through(), G.n_blocks, q * q + 1)
+    return _cover_search(rows_through(G.blocks, G.n_points), G.n_blocks, q * q + 1)
 
 
 def ovoid_search(G: IncidenceGeometry):

@@ -57,7 +57,9 @@ def test_removed_names_are_gone():
         "spread_search",
         "_cover_search",
         "_first_cover_solution",
+        "rows_through",
     ]:
         assert not hasattr(geometry, name), name
+    assert not hasattr(geometry.IncidenceGeometry, "blocks_through")
     for module, name in [(spectral, "catalan"), (spectral, "tree_walk_polynomial"), (bounds, "odd_girth_bound_g5")]:
         assert not hasattr(module, name), name

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -26,7 +27,7 @@ from egrtools.constructions import (
     tutte_coxeter,
 )
 from egrtools.galois import GF
-from egrtools.graph_core import verify_egr
+from egrtools.graph_core import Graph, verify_egr
 from oracles import odd_girth_bound_g5, vertex_cycle_count_dfs
 
 F = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5)}
@@ -169,6 +170,22 @@ def test_bound_report_out_of_range_lambda_noted():
     assert rep.dfjr is None
     assert any("dfjr" in note for note in rep.notes)
     assert any("vertex_cap" in note for note in rep.notes)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_complete_graphs_certify_at_girth_three(n):
+    # K_n is egr(n, n-1, 3, n-2): Moore and dfjr both give n; the vertex cap
+    # and the odd-girth bound need g >= 5 and are omitted with a note each
+    sig = verify_egr(Graph.from_edges(n, combinations(range(n), 2)))
+    assert (sig.n, sig.k, sig.g, sig.lam) == (n, n - 1, 3, n - 2)
+    v = certify_extremal(sig)
+    assert v.certified and v.gap == 0 and v.tight_bounds == ("dfjr", "moore")
+    rep = v.report
+    assert rep.vertex_cap is None and rep.spectral_odd is None
+    assert rep.notes == (
+        "vertex_cap: defined for odd girth g >= 5; omitted",
+        "spectral_odd: defined for odd girth g >= 5; omitted",
+    )
 
 
 def test_soundness_on_all_constructions():

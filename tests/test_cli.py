@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -115,6 +117,41 @@ def test_verify_malformed_and_missing(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+def test_verify_file_with_a_byte_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bytes.g6"
+    path.write_bytes(b"C\xff~\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert _one_error_line(err, "malformed graph6 input: non-ASCII byte in graph6 input (byte 1)")
+
+
+# K_4, two bytes that are not UTF-8, K_4 again with a CRLF ending
+_NOT_UTF8_STREAM = b"C~\n\xff\xfe\nC~\r\n"
+_NOT_UTF8_RECORDS = [
+    '{"egr": true, "line": 1, "signature": {"bipartite": false, "g": 3, "k": 3, "lambda": 2, "n": 4}}',
+    '{"error": "non-ASCII byte in graph6 input (byte 0)", "line": 2}',
+    '{"egr": true, "line": 3, "signature": {"bipartite": false, "g": 3, "k": 3, "lambda": 2, "n": 4}}',
+]
+
+
+def test_verify_stream_with_a_byte_that_is_not_utf8(capsys, monkeypatch):
+    # stdin as Python opens it outside UTF-8 mode: strict, no newline translation
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(_NOT_UTF8_STREAM), encoding="utf-8", newline="\n"))
+    code = main(["verify", "--stdin-g6-stream"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().out.splitlines() == _NOT_UTF8_RECORDS
+
+
+def test_verify_stream_with_a_byte_that_is_not_utf8_through_real_stdin():
+    env = {**os.environ, "PYTHONUTF8": "0", "PYTHONIOENCODING": "utf-8"}
+    cmd = [sys.executable, "-m", "egrtools.cli", "verify", "--stdin-g6-stream"]
+    proc = subprocess.run(cmd, input=_NOT_UTF8_STREAM, capture_output=True, env=env)
+    assert (proc.returncode, proc.stderr) == (EXIT_USAGE, b"")
+    assert proc.stdout.decode().splitlines() == _NOT_UTF8_RECORDS
+
+
 def test_verify_stdin_stream(capsys, monkeypatch):
     import io
 
@@ -197,11 +234,76 @@ def test_cli_argument_probes(tmp_path, monkeypatch, capsys, argv, message):
     assert _one_error_line(err, message) and "Traceback" not in err
 
 
-@pytest.mark.parametrize("k,g", [(100000, 200), (1000, 2000)])
-def test_bounds_past_float_range_is_a_usage_error(capsys, k, g):
-    code, out, err = run(capsys, "bounds", "-k", str(k), "-g", str(g), "-l", "1")
-    assert code == EXIT_USAGE and out == ""
-    assert _one_error_line(err, "past the float range") and "Traceback" not in err
+def _loads(text):
+    """json.loads with Python's int-to-str digit limit (3.10.7 on) lifted,
+    for the longest integers of a bounds report."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return json.loads(text)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _bounds_doc(capsys, k, g, *bipartite):
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    code, out, err = run(capsys, "bounds", "-k", str(k), "-g", str(g), "-l", "1", *bipartite)
+    assert (code, err) == (EXIT_OK, "")
+    assert getattr(sys, "get_int_max_str_digits", int)() == limit  # restored
+    return _loads(out)["bounds"]
+
+
+def _check_decimals(doc):
+    """Each rational's decimal: float's within the float range, the exact
+    value rounded half to even past it."""
+    for key in ("spectral_even", "spectral_odd", "vertex_cycle_cap"):
+        if doc[key] is not None:
+            value = Fraction(doc[key]["num"], doc[key]["den"])
+            try:
+                decimal = f"{float(value):.6f}"
+            except OverflowError:
+                assert abs(value) > 2**1023
+                decimal = f"{round(value * 10**6)}"
+                decimal = f"{decimal[:-6]}.{decimal[-6:]}"
+            assert doc[key]["decimal"] == decimal
+
+
+# At lambda = 1 the first pairs of four degrees whose report passed the
+# float range, of k = 3 the first past Python's int-to-str digit limit, and
+# the pairs before them; then three pairs far past both.  Each prints.
+@pytest.mark.parametrize(
+    "k,g",
+    [(3, 2046), (3, 2047), (4, 1290), (4, 1291), (10, 644), (10, 645), (100, 306), (100, 307),
+     (3, 9013), (3, 9014), (3, 10000), (100000, 200), (1000, 2000)],
+)
+def test_bounds_past_float_range_print_exact_decimals(capsys, k, g):
+    for bipartite in ([], ["--bipartite"]) if g % 2 == 0 else ([],):
+        doc = _bounds_doc(capsys, k, g, *bipartite)
+        assert doc["best"] == max(doc["contributions"].values()) >= doc["moore"] == bounds.moore_bound(k, g)
+        _check_decimals(doc)
+
+
+@pytest.mark.parametrize("k", [3, 4, 10, 100])
+def test_bounds_domain_edge_prints_and_the_next_g_is_capped(capsys, monkeypatch, k):
+    g = int(bounds.MAX_BOUND_BITS / math.log2(k))
+    g += bounds.in_domain(k, g + 1) - (not bounds.in_domain(k, g))
+    assert bounds.in_domain(k, g) and not bounds.in_domain(k, g + 1)
+    _check_decimals(_bounds_doc(capsys, k, g))
+    monkeypatch.setattr(cli, "bound_report", None)  # the cap answers before any bound
+    code, out, err = run(capsys, "bounds", "-k", str(k), "-g", str(g + 1), "-l", "1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert _one_error_line(err, f"bounds are capped at k**g <= 2**20000 (got k = {k}, g = {g + 1})")
+
+
+def test_bounds_of_girth_three(capsys):
+    # K_4 is egr(4, 3, 3, 2): Moore and dfjr give 4, the rest need g >= 5
+    code, out, err = run(capsys, "bounds", "-k", "3", "-g", "3", "-l", "2")
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)["bounds"]
+    assert doc["contributions"] == {"dfjr": 4, "moore": 4} and doc["best"] == 4
+    assert doc["spectral_odd"] is None and doc["vertex_cycle_cap"] is None and len(doc["notes"]) == 2
 
 
 @pytest.mark.parametrize("g", [20000, 30000])
@@ -230,13 +332,12 @@ def test_bounds_domain_is_k_to_the_g_in_bits():
     assert not bounds.in_domain(3, 10**400) and bounds.in_domain(1, 10**400)
 
 
-def test_a_bound_past_the_int_to_str_limit_is_a_usage_error(capsys, monkeypatch):
-    # k = 3, g = 10000 is inside the domain, but its even-girth bound has a
-    # numerator of more than 4300 digits, which json.dumps cannot print
+def test_a_bound_past_the_int_to_str_limit_prints(capsys, monkeypatch):
+    # a 5001-digit integer is past Python's default int-to-str limit of 4300
     monkeypatch.setattr(cli, "_bounds_json", lambda rep: {"best": 10**5000})
     code, out, err = run(capsys, "bounds", "-k", "3", "-g", "6", "-l", "1")
-    assert code == EXIT_USAGE and out == ""
-    assert _one_error_line(err, "a bound has too many digits to print as a JSON integer")
+    assert (code, err) == (EXIT_OK, "")
+    assert _loads(out)["bounds"] == {"best": 10**5000}
 
 
 def test_report_pencil(capsys):
@@ -535,9 +636,9 @@ def test_an_escaping_exception_is_an_internal_error(tmp_path, monkeypatch, capsy
         (["report", "--family", "named", "--name", "cycle(9000001)"], "cycle(9000001) is past the size cap cycle(9000000)"),
         (["construct", "--family", "biaffine1", "--q", "47"], "verification is capped at 4096 vertices (got n = 4418)"),
         (["report", "--family", "pencil", "--q", "11"], "report is capped at 2048 vertices (got n = 2928)"),
-        (["bounds", "-k", "100000", "-g", "200", "-l", "1"], "past the float range"),
+        (["bounds", "-k", "3", "-g", "12619", "-l", "1"], "bounds are capped at k**g <= 2**20000 (got k = 3, g = 12619)"),
     ],
-    ids=["named-construct", "named-report", "verify-cap", "report-cap", "decimal"],
+    ids=["named-construct", "named-report", "verify-cap", "report-cap", "bounds-domain"],
 )
 def test_caps_answer_their_probes_before_the_backstop(capsys, argv, message):
     code, out, err = run(capsys, *argv)

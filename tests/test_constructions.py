@@ -374,15 +374,54 @@ def test_levi_graphs_match_tuple_block_record(key):
 @pytest.mark.parametrize("side", [0, 1])
 @pytest.mark.parametrize("bad", [-1, -2])
 def test_two_sided_graph_rejects_a_negative_row_entry(side, bad):
-    # two disjoint edges as the rows of a 2 x 2 incidence; the takes clip,
-    # so a negative entry, which indexing would wrap, must fail a check
-    # (one past the other side fails the first indexing already)
+    # two disjoint edges as the rows of a 2 x 2 incidence, the bad entry in
+    # row ``side``; the take clips, so a negative entry, which indexing
+    # would wrap, must fail a check (one past the first side fails the
+    # first indexing already)
     from egrtools.constructions import _two_sided_graph
 
-    first, second = np.array([[0], [1]]), np.array([[0], [1]])
+    rows = np.array([[0], [1]])
     everything = np.ones(2, dtype=bool)
-    G = _two_sided_graph(first, second, everything, everything, None)
+    G = _two_sided_graph(rows, everything, everything, None)
     assert G.edges() == [(0, 2), (1, 3)]
-    (first if side == 0 else second)[1, 0] = bad
+    rows[side, 0] = bad
     with pytest.raises(AssertionError, match="outside the other side"):
-        _two_sided_graph(first, second, everything, everything, None)
+        _two_sided_graph(rows, everything, everything, None)
+
+
+def _incidence_rows(kind, q):
+    """The rows of one incidence, each listing its first-side vertices:
+    the blocks of PG(2,q) or W(q), or the pencil graph's right rows."""
+    F = GF(*prime_power(q))
+    if kind == "pencil":
+        G = build_pencil_graph(F)
+        n = G.n // 2
+        return G.indices[G.indptr[n] :].reshape(n, -1), n
+    geom = (pg2_geometry if kind == "pg2" else symplectic_gq)(F)
+    return geom.blocks, geom.n_points
+
+
+@pytest.mark.parametrize(
+    "kind,q", [(kind, q) for kind in ("pg2", "w") for q in (2, 3, 4, 5, 7, 8, 9)] + [("pencil", q) for q in (2, 3, 4, 5)]
+)
+def test_two_sided_graph_matches_the_edges_of_the_kept_incidences(kind, q):
+    # random keep masks, plus a kept row with every entry deleted and a kept
+    # first-side vertex with no kept row; the CSR must be that of from_edges
+    from egrtools.constructions import _two_sided_graph
+
+    rows, n_first = _incidence_rows(kind, q)
+    rng = np.random.default_rng(q)
+    for _ in range(3):
+        keep_first = rng.random(n_first) < 0.8
+        keep_rows = rng.random(len(rows)) < 0.8
+        empty = rng.choice(len(rows))
+        lonely = rng.choice(np.setdiff1d(np.arange(n_first), rows[empty]))
+        keep_first[rows[empty]] = False
+        keep_rows[empty] = True
+        keep_rows[(rows == lonely).any(axis=1)] = False
+        keep_first[lonely] = True
+        first_id, row_id = np.cumsum(keep_first) - 1, np.cumsum(keep_rows) - 1 + keep_first.sum()
+        edges = [(first_id[v], row_id[j]) for j in np.flatnonzero(keep_rows) for v in rows[j] if keep_first[v]]
+        G = _two_sided_graph(rows, keep_first, keep_rows, None)
+        assert G == Graph.from_edges(keep_first.sum() + keep_rows.sum(), edges)
+        assert G.deg[row_id[empty]] == 0 and G.deg[first_id[lonely]] == 0

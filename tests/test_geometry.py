@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from geometry_pins import GEOMETRY_SPECS, PLANE_ORDERS, build_uncached, pin_of, plane_pin_of, spec_id
-from oracles import _first_cover_solution, dot, incidence, line_through, normalize_point, ovoid_search, spread_search
+from oracles import _first_cover_solution, dot, incidence, line_through, normalize_point, ovoid_search, rows_through, spread_search
 
 from egrtools import constructions, geometry
 from egrtools.constructions import build_pencil_graph
@@ -82,7 +82,7 @@ def test_projective_plane_axioms(q):
     assert geom.n_points == q * q + q + 1
     assert geom.n_blocks == q * q + q + 1
     assert all(len(b) == q + 1 for b in geom.blocks)
-    through = geom.blocks_through()
+    through = rows_through(geom.blocks, geom.n_points)
     assert all(len(t) == q + 1 for t in through)
     # two distinct points lie on exactly one common line
     for a, b in combinations(range(geom.n_points), 2):
@@ -96,7 +96,7 @@ def test_symplectic_gq_counts(q):
     assert geom.n_points == q**3 + q**2 + q + 1
     assert geom.n_blocks == (q + 1) * (q * q + 1)
     assert all(len(b) == q + 1 for b in geom.blocks)
-    through = geom.blocks_through()
+    through = rows_through(geom.blocks, geom.n_points)
     assert all(len(t) == q + 1 for t in through)
 
 
@@ -111,14 +111,14 @@ def test_blocks_array_and_blocks_through_match_scan(name, q):
         blocks[0, 0] = 1
     rows = blocks.tolist()
     assert rows == sorted(rows) and all(row == sorted(row) for row in rows)
-    through = geom.blocks_through()
+    through = rows_through(geom.blocks, geom.n_points)
     assert through.tolist() == [[b for b, row in enumerate(rows) if p in row] for p in range(geom.n_points)]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_gq_unique_trace_axiom(q):
     geom = symplectic_gq(FIELDS[q])
-    through = geom.blocks_through()
+    through = rows_through(geom.blocks, geom.n_points)
     line_sets = [set(b) for b in geom.blocks]
     collinear = [set() for _ in range(geom.n_points)]
     for blk in geom.blocks:
