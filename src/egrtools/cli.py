@@ -17,12 +17,13 @@ makes one ``eigenvalues`` call: the spectrum it returns carries the exact
 moments the report prints, and the tight-spectrum certificate checks them
 against the signature.  A stream verify reports each malformed or
 oversized line and goes on; it exits with the largest code of any line.
-It decodes and verifies a block of lines at a time, at most
-STREAM_BLOCK_LINES lines and STREAM_BLOCK_BYTES characters (``_blocks``),
-as one union (``_verify_block``), and writes their records straight from
-the rows of the block's verdict table, each with one % of ints into its
-kind's template, byte for byte ``json.dumps(record, sort_keys=True)``,
-with one write and a flush.
+It decodes and verifies a block of lines at a time as one union
+(``_verify_block``), in the blocks of ``graph_core._blocks``: at most
+graph_core.MAX_DECODE_BYTES characters, a longer line a block of its
+own.  It writes each block's records straight from the rows of its
+verdict table, each with one % of ints into its kind's template, byte
+for byte ``json.dumps(record, sort_keys=True)``, before it reads the
+next block (``_write_block``).
 Reports are JSON with a frozen field layout (schema_version 1); rationals
 are emitted as {num, den, decimal}, never as bare floats.
 
@@ -37,6 +38,7 @@ error text is the same.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -69,16 +71,6 @@ EXIT_NOT_EGR = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 EXIT_CLOSED_STDOUT = 141
-
-# A stream verify reads, verifies and writes out a block of stdin lines at
-# a time: at most STREAM_BLOCK_LINES lines and STREAM_BLOCK_BYTES characters
-# (``_blocks``).  A graph6 body of b bytes holds at most 12b adjacency
-# entries, so the byte budget bounds a block's union, which a line count
-# does not; at MAX_DECODE_BYTES, a block takes one array pass and its
-# bodies one decode pass.  The line count bounds how many records of short
-# lines wait for one write.
-STREAM_BLOCK_LINES = 4096
-STREAM_BLOCK_BYTES = graph_core.MAX_DECODE_BYTES
 
 # stream records, as json.dumps(record, sort_keys=True) writes them
 _EGR_LINE = '{"egr": true, "line": %d, "signature": {"bipartite": %s, "g": %d, "k": %d, "lambda": %d, "n": %d}}\n'
@@ -122,13 +114,19 @@ def family_order(family: str, q: int | None = None, name: str | None = None) -> 
     arguments, from its closed form, after the argument checks that
     ``build_family`` makes and, for a named graph, a check of its degree
     in closed form: one below 3 can never verify; nothing is built.
-    UsageError when a check fails."""
+    UsageError when a check fails, or when --q is given for the named
+    family or --name for another, which would be recorded but not used."""
     if family not in FAMILIES and family != "named":
         raise UsageError(f"unknown family {family!r}; choose from {', '.join([*FAMILIES, 'named'])}")
-    if family == "named" and name is None:
-        raise UsageError("--name is required for the named family")
-    if family != "named" and q is None:
+    if family == "named":
+        if name is None:
+            raise UsageError("--name is required for the named family")
+        if q is not None:
+            raise UsageError("--q does not apply to the named family")
+    elif q is None:
         raise UsageError(f"--q is required for family {family}")
+    elif name is not None:
+        raise UsageError(f"--name applies only to the named family, not {family}")
     try:
         if family == "named":
             k = named_degree(name)
@@ -283,37 +281,34 @@ def _verify_block(lines: list[str], first: int) -> tuple[int, str]:
     return worst, "".join(records)
 
 
-def _blocks(lines):
-    """The stream's lines in blocks: a block closes at STREAM_BLOCK_LINES
-    lines, or before a line that would take it past STREAM_BLOCK_BYTES
-    characters, or once it holds that many; so a line longer than the
-    budget is a block of its own.  A block is yielded as soon as it closes."""
-    most, budget = STREAM_BLOCK_LINES, STREAM_BLOCK_BYTES
-    block, size = [], 0
-    for line in lines:
-        size += len(line)
-        if size > budget and block:
-            yield block
-            block, size = [], len(line)
-        block.append(line)
-        if size >= budget or len(block) == most:
-            yield block
-            block, size = [], 0
-    if block:
-        yield block
+def _write_block(out, text: str) -> None:
+    """Write a block's records to ``out`` and flush.  Under
+    PYTHONUNBUFFERED=1 sys.stdout writes through to a raw file, which may
+    take part of a write, as a pipe whose reader closes mid-write does, and
+    the text layer drops the rest without an error; so over a raw file the
+    records' bytes are written until it has taken them all, and a closed
+    reader raises BrokenPipeError at the next write."""
+    raw = getattr(out, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        out.write(text)
+        out.flush()
+        return
+    data = memoryview(text.encode(out.encoding))
+    while data:
+        data = data[raw.write(data) :]
 
 
 def _verify_stream(out) -> int:
-    """Verify stdin a block at a time, writing each block's records to
-    ``out`` with one write and a flush; the largest exit code of any line."""
+    """Verify stdin a block at a time (``graph_core._blocks``), writing
+    each block's records to ``out`` before reading the next; the largest
+    exit code of any line."""
     # a byte that is not UTF-8 fails its own line, as a lone surrogate
     if hasattr(sys.stdin, "reconfigure"):
         sys.stdin.reconfigure(errors="surrogateescape")
     worst, first = EXIT_OK, 1
-    for lines in _blocks(sys.stdin):
+    for lines in graph_core._blocks(sys.stdin):
         code, text = _verify_block(lines, first)
-        out.write(text)
-        out.flush()
+        _write_block(out, text)
         worst, first = max(worst, code), first + len(lines)
     return worst
 

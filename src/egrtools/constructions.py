@@ -40,14 +40,13 @@ from .geometry import (
 )
 from .graph_core import Graph, _code_width
 
-# Largest q each family built in 60 s and 1 GiB when its CSR came from edge
-# codes (2 CPUs, one BLAS thread, Python 3.11, numpy 2.4); the caps are kept.
-# Field and build, one process each, on that machine: biaffine q=193
-# 0.4-0.7 s / 267 MiB, q=256 1.3 s / 550 MiB; gq_truncation q=49
-# 0.8-0.9 s / 250 MiB, q=64 2.8 s / 595 MiB; ovoid_spread q=32 0.2 s /
-# 69 MiB, q=64 2.9 s / 594 MiB; pencil q=19 0.14-0.16 s / 123 MiB, q=23
-# 0.4 s / 263 MiB, q=27 1.0 s / 459 MiB, q=29 1.6 s / 637 MiB.
-MAX_ORDER = {"biaffine1": 193, "biaffine2": 193, "gq_truncation": 49, "ovoid_spread": 32, "pencil": 19}
+# Largest q whose field and build take under 60 s and 870 MiB peak RSS,
+# 15% under 1 GiB; biaffine's cap is also galois.MAX_TABLE_ORDER.  One
+# process each, 2 CPUs, one BLAS thread, Python 3.11, numpy 2.4: biaffine
+# q=256 0.9-1.2 s / 566 MiB; gq_truncation q=67 2.7-3.1 s / 707 MiB, q=71
+# 3.6 s / 881 MiB; ovoid_spread q=64 2.3-2.4 s / 594 MiB; pencil q=29
+# 1.1-1.3 s / 658 MiB, q=31 1.6 s / 900 MiB.
+MAX_ORDER = {"biaffine1": 256, "biaffine2": 256, "gq_truncation": 67, "ovoid_spread": 64, "pencil": 29}
 
 
 # Round sizes of complete_bipartite(k) and cycle(n) that build in under

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -157,14 +158,19 @@ class Field:
 
     # -- digit vector <-> element index --
 
-    def _reject(self, *elems) -> None:
+    def _indices(self, *elems) -> list[int]:
+        """The element indices ``elems`` as ints, numpy's too (read with
+        ``operator.index``): TypeError for any other type, ValueError for
+        one out of range."""
+        elems = list(map(index, elems))
         for a in elems:
             if not 0 <= a < self.q:
                 raise ValueError(f"element index {a} out of range for field of order {self.q}")
+        return elems
 
     def coords(self, a: int) -> tuple[int, ...]:
         """Coefficient vector of ``a`` over the coefficient field."""
-        self._reject(a)
+        (a,) = self._indices(a)
         return tuple(a // self._csize**i % self._csize for i in range(self.degree))
 
     def from_coords(self, v) -> int:
@@ -226,7 +232,7 @@ class Field:
 
     def _digitwise(self, a: int, b: int, sign: int) -> int:
         """a + sign*b, adding the base-p digits mod p."""
-        self._reject(a, b)
+        a, b = self._indices(a, b)
         p, out, place = self.p, 0, 1
         while a or b:
             out += (a % p + sign * (b % p)) % p * place
@@ -243,13 +249,13 @@ class Field:
         return self._digitwise(0, a, -1)
 
     def mul(self, a: int, b: int) -> int:
-        self._reject(a, b)
+        a, b = self._indices(a, b)
         if a == 0 or b == 0:
             return 0
         return self._exp_at[(self._log_at[a] + self._log_at[b]) % self._order]
 
     def inv(self, a: int) -> int:
-        self._reject(a)
+        (a,) = self._indices(a)
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
         return self._exp_at[(-self._log_at[a]) % self._order]
@@ -258,7 +264,8 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, n: int) -> int:
-        self._reject(a)
+        (a,) = self._indices(a)
+        n = index(n)
         if a == 0:
             if n < 0:
                 raise ZeroDivisionError("inversion of zero field element")
@@ -271,7 +278,7 @@ class Field:
 
     def mul_order(self, a: int) -> int:
         """Multiplicative order of a nonzero element."""
-        self._reject(a)
+        (a,) = self._indices(a)
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative order")
         return self._order // gcd(self._log_at[a], self._order)

@@ -21,9 +21,12 @@ column per field with a row per graph, which has two readers:
 stream verify (``cli._verify_block``) writes each row as a JSON line.
 One table, ``_FAILURES``, words each failing kind for both, as %
 templates of ints: ``_failure`` formats a row from it, and ``cli`` turns
-it into one JSON line template per kind.  A stream block is bounded by
-its bytes: a graph6 body of b bytes sets at most 6b bits, each one edge,
-so it holds at most 12b adjacency entries, and so does a block's union.
+it into one JSON line template per kind.  The stream and
+``graph6_decode_many`` read graph6 lines in the blocks of one rule,
+``_blocks``: at most MAX_DECODE_BYTES characters, a longer line a block
+of its own.  A graph6 body of b bytes sets at most 6b bits, each one
+edge, so it holds at most 12b adjacency entries, and so does a block's
+union.
 
 Girth and cycle counts come from one pass over the non-backtracking walk
 matrices A_l (entry [u, w]: walks of l edges from u to w that never
@@ -75,9 +78,8 @@ v(v-1)/2 <= i < v(v+1)/2 and u = i - v(v-1)/2, whatever the vertex count n:
 the column v is floor((1 + sqrt(1 + 8i))/2), taken in float64 and
 corrected in integers (``_column``).  The block decoder ``_decode_block``
 reads a block of lines into one union (``graph6_decode_many`` splits it
-into Graphs).  It joins the lines a run at a time, the lines that start in
-one window of MAX_DECODE_BYTES characters, and checks a run with array
-operations over its bytes (``_canonical``) for the canonical form that
+into Graphs).  It joins the block's lines and checks them with array
+operations over their bytes (``_canonical``) for the canonical form that
 ``graph6_encode`` and networkx write: one optional trailing newline, bytes
 in 63..126, a short or long vertex count, the exact body length and zero
 padding bits.  A line that fails this pass, whether malformed or in
@@ -89,11 +91,11 @@ or above the largest n.  A code is below V*W, V the union's vertex count;
 a line of n vertices has at least n/62 bytes (one header byte for n <= 62,
 else at least n(n-1)/12 body bytes), so V is at most 62 times the input's
 bytes, and W is at most 2**20, the power of two above GRAPH6_MAX_N =
-10**6: the codes fit int64 for any input under 10**11 bytes.  A run's
+10**6: the codes fit int64 for any block under 10**11 bytes.  A block's
 checks hold its bytes a few times over, one byte each, and the bodies are
 unpacked only from their nonzero bytes, MAX_DECODE_BYTES at a time, so
 the decoder's peak, besides the graphs it returns, stays near the size of
-the input.
+the block.
 """
 
 from __future__ import annotations
@@ -175,8 +177,11 @@ class Graph:
     def from_edges(cls, n: int, edges, labels=None) -> "Graph":
         """Graph from its edges: an iterable of (u, v) pairs, or an m x 2
         integer array, in any order and orientation.  n is any integer,
-        numpy's too (read with ``operator.index``); TypeError otherwise."""
+        numpy's too (read with ``operator.index``); TypeError otherwise,
+        and ValueError when it is negative."""
         n = index(n)
+        if n < 0:
+            raise ValueError(f"vertex count {n} is negative")
         e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
         if e.size == 0:
             e = e.reshape(0, 2)
@@ -351,12 +356,10 @@ def _first_fault(n: int, rows: np.ndarray, cols: np.ndarray) -> str:
     those, the first entry whose reverse is missing."""
     order = np.lexsort((cols, rows))
     rows, cols = rows[order], cols[order]
-    prev = np.empty_like(cols)
-    prev[1:] = cols[:-1]
-    # a row's first entry is compared with -1, as if a -1 preceded it
-    prev[np.flatnonzero(np.diff(rows, prepend=-1))] = -1
     loop = cols == rows
-    parallel = cols == prev
+    # a row's first entry repeats nothing
+    parallel = np.zeros(len(cols), dtype=bool)
+    parallel[1:] = (cols[1:] == cols[:-1]) & (rows[1:] == rows[:-1])
     bad = np.flatnonzero(loop | parallel | (cols < 0) | (cols >= n))
     if bad.size:
         i = bad[0]
@@ -782,13 +785,14 @@ _G6_HEADER = ">>graph6<<"
 _G6_BYTES = bytes(range(63, 127))
 # a translate table: 0 for each graph6 byte, 1 for every other byte
 _G6_OUTSIDE = bytes(not 63 <= byte <= 126 for byte in range(256))
-# bytes outside the graph6 range after a run's strings, so that reading
-# any string's first four bytes stays in the run
+# bytes outside the graph6 range after a block's strings, so that reading
+# any string's first four bytes stays in the block
 _G6_PAD = "\0" * 4
 
-# The most graph6 bytes a decode pass unpacks at a time, one byte per bit:
-# 512 KiB of bits, whatever the line lengths and the number of lines; and
-# the window of characters whose strings take one array pass together.
+# The most characters of graph6 lines in one block (``_blocks``), but for
+# a longer line, which is a block of its own; and the most body bytes a
+# decode pass unpacks at a time, one byte per bit: 512 KiB of bits,
+# whatever the line lengths and the number of lines.
 MAX_DECODE_BYTES = 2**16
 
 
@@ -853,10 +857,35 @@ def graph6_decode(text: str) -> Graph:
 def graph6_decode_many(texts) -> list:
     """Decode each of the graph6 strings ``texts`` as ``graph6_decode``
     does, and return for each, in order, its Graph or the Graph6Error that
-    ``graph6_decode`` would raise: ``_decode_block``, then a split."""
-    errors, union = _decode_block(texts)
-    decoded = iter([Graph._from_csr(indptr, cols, None) for indptr, cols, _ in _split(union)])
-    return [next(decoded) if exc is None else exc for exc in errors]
+    ``graph6_decode`` would raise: ``_decode_block`` on each block of
+    ``_blocks``, then a split."""
+    results = []
+    for block in _blocks(texts):
+        errors, union = _decode_block(block)
+        decoded = iter([Graph._from_csr(indptr, cols, None) for indptr, cols, _ in _split(union)])
+        results += [next(decoded) if exc is None else exc for exc in errors]
+    return results
+
+
+def _blocks(lines):
+    """The strings ``lines`` in blocks of at most MAX_DECODE_BYTES
+    characters: a block closes before a line that would take it past the
+    budget, or once it holds that many, so a line longer than the budget is
+    a block of its own.  A block is yielded as soon as it closes, so a
+    stream's records of one block are written before the next is read."""
+    budget = MAX_DECODE_BYTES
+    block, size = [], 0
+    for line in lines:
+        size += len(line)
+        if size > budget and block:
+            yield block
+            block, size = [], len(line)
+        block.append(line)
+        if size >= budget:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
 
 
 def _graph6_body(text: str) -> tuple[int, memoryview]:
@@ -910,63 +939,48 @@ def _graph6_body(text: str) -> tuple[int, memoryview]:
     return n, memoryview(data)[pos:]
 
 
-def _decode_block(texts) -> tuple[list, _Union]:
-    """The block decoder: for each of the graph6 strings ``texts``, the
-    Graph6Error that ``graph6_decode`` would raise, or None, and the union
-    of the valid strings' graphs, in order.
+def _decode_block(texts: list[str]) -> tuple[list, _Union]:
+    """The block decoder: for each of the graph6 strings ``texts``, a block
+    of ``_blocks``, the Graph6Error that ``graph6_decode`` would raise, or
+    None, and the union of the valid strings' graphs, in order.
 
-    The strings are read in runs, the strings that start in one window of
-    MAX_DECODE_BYTES characters, so a stream block is one run and a run
-    holds at most that many characters besides its last string.  Each run
-    takes the array pass ``_canonical`` over its joined bytes, and each
-    string that pass rejects takes ``_graph6_body``, which raises its error
-    or returns its body.  The valid bodies then take ``_body_entries``, run
-    after run and then the bodies ``_graph6_body`` returned, and both
-    orientations of every edge, as codes r*width + c in the union's vertex
-    numbering (``_code_width``), take one sort."""
-    texts = list(texts)
+    The block takes one array pass, ``_canonical``, over its joined bytes,
+    and each string that pass rejects takes ``_graph6_body``, which raises
+    its error or returns its body.  The canonical bodies and then the bodies
+    ``_graph6_body`` returned take ``_body_entries``, and both orientations
+    of every edge, as codes r*width + c in the union's vertex numbering
+    (``_code_width``), take one sort."""
     errors: list = [None] * len(texts)
-    orders: list[int] = []
-    # (bodies concatenated, their lengths, their graphs): each run's
-    # canonical strings, then the strings whose bodies _graph6_body returned
-    runs, rest, rest_lengths, rest_graphs = [], bytearray(), [], []
     lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-    window = (lengths.cumsum() - lengths) // MAX_DECODE_BYTES
-    for a, b in pairwise([0, *(np.flatnonzero(window[1:] != window[:-1]) + 1).tolist(), len(texts)]):
-        bodies, body_lengths, n, ok = _canonical(texts[a:b], lengths[a:b])
-        valid = ok.copy()
-        for i in (~ok).nonzero()[0].tolist():
-            try:
-                n[i], body = _graph6_body(texts[a + i])
-            except Graph6Error as exc:
-                errors[a + i] = exc
-                continue
-            valid[i] = True
-            rest += body
-            rest_lengths.append(len(body))
-        graph = len(orders) + valid.cumsum() - 1
-        runs.append((bodies, body_lengths, graph[ok]))
-        rest_graphs += graph[valid & ~ok].tolist()
-        orders += n[valid].tolist()
-    if rest:
-        runs.append(
-            (np.frombuffer(rest, dtype=np.uint8), np.array(rest_lengths, dtype=np.int64), np.array(rest_graphs))
-        )
+    bodies, body_lengths, n, ok = _canonical(texts, lengths)
+    valid = ok.copy()
+    rest, rest_lengths = bytearray(), []
+    for i in (~ok).nonzero()[0].tolist():
+        try:
+            n[i], body = _graph6_body(texts[i])
+        except Graph6Error as exc:
+            errors[i] = exc
+            continue
+        valid[i] = True
+        rest += body
+        rest_lengths.append(len(body))
+    orders = n[valid].tolist()
     width = _code_width(max(orders, default=0))
-    first = np.cumsum([0] + orders)  # each graph's first union vertex
-    parts = [np.zeros(0, dtype=np.int64)]
-    for bodies, body_lengths, graphs in runs:
-        parts += _body_entries(bodies, body_lengths, first[graphs] * width, width)
-    codes = np.concatenate(parts)
+    # each string's first union vertex, times width; read only where it is valid
+    offsets = np.cumsum([0, *orders])[valid.cumsum() - 1] * width
+    parts = _body_entries(bodies, body_lengths, offsets[ok], width)
+    rest_bodies = np.frombuffer(rest, dtype=np.uint8)
+    parts += _body_entries(rest_bodies, np.array(rest_lengths, dtype=np.int64), offsets[valid & ~ok], width)
+    codes = np.concatenate([np.zeros(0, dtype=np.int64), *parts])
     codes.sort()
     # the bit map gives each graph's pairs u < v once, in range; checked all the same
-    if not (_in_range(codes, int(first[-1]) * width) and _distinct(codes)):
+    if not (_in_range(codes, sum(orders) * width) and _distinct(codes)):
         raise AssertionError("graph6 bit map formed a repeated or out-of-range entry")
     return errors, _from_codes(orders, width, codes)
 
 
 def _canonical(texts: list[str], lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The array pass over a run of graph6 strings, of the given lengths:
+    """The array pass over a block of graph6 strings, of the given lengths:
     the bodies of the strings in canonical form, concatenated in order, and
     their lengths; each string's vertex count, read only where it is
     canonical; and which strings are.  Canonical is the form that

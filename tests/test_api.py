@@ -1,5 +1,5 @@
 import egrtools
-from egrtools import bounds, geometry, graph_core, spectral
+from egrtools import bounds, cli, geometry, graph_core, spectral
 
 # public names that were removed; the one walk pass and the one BFS in
 # graph_core cover what they did, the elliptic quadric gives W(q)'s ovoid,
@@ -63,3 +63,6 @@ def test_removed_names_are_gone():
     assert not hasattr(geometry.IncidenceGeometry, "blocks_through")
     for module, name in [(spectral, "catalan"), (spectral, "tree_walk_polynomial"), (bounds, "odd_girth_bound_g5")]:
         assert not hasattr(module, name), name
+    # graph6 input is blocked by one rule, graph_core._blocks, bounded by MAX_DECODE_BYTES
+    for name in ["STREAM_BLOCK_LINES", "STREAM_BLOCK_BYTES", "_blocks"]:
+        assert not hasattr(cli, name), name

@@ -398,7 +398,7 @@ def test_construct_deterministic_across_processes():
         (-3, "not a prime power"),
         (6, "not a prime power"),
         (2**21, "exceeds the field-order cap 1048576"),
-        (1048573, "pencil is capped at q <= 19"),
+        (1048573, "pencil is capped at q <= 29"),
     ],
 )
 def test_construct_bad_q_is_a_usage_error(capsys, q, message):
@@ -410,12 +410,31 @@ def test_construct_bad_q_is_a_usage_error(capsys, q, message):
     assert GF.cache_info().misses == misses  # rejected before any field was built
 
 
-@pytest.mark.parametrize("family,q", [("biaffine1", 197), ("biaffine2", 197), ("gq_truncation", 53),
-                                      ("ovoid_spread", 64), ("pencil", 23)])
+@pytest.mark.parametrize("family,q", [("biaffine1", 257), ("biaffine2", 257), ("gq_truncation", 71),
+                                      ("ovoid_spread", 128), ("pencil", 31)])
 def test_report_over_size_cap_is_a_usage_error(capsys, family, q):
     code, out, err = run(capsys, "report", "--family", family, "--q", str(q))
     assert code == EXIT_USAGE
     assert out == "" and "capped at q <=" in err
+
+
+@pytest.mark.parametrize("command", ["construct", "report"])
+@pytest.mark.parametrize(
+    "arguments,message",
+    [
+        (["--family", "biaffine1", "--q", "3", "--name", "petersen"], "--name applies only to the named family, not biaffine1"),
+        (["--family", "named", "--name", "petersen", "--q", "7"], "--q does not apply to the named family"),
+    ],
+    ids=["name-for-a-family", "q-for-named"],
+)
+def test_an_argument_that_does_not_apply_is_a_usage_error(tmp_path, capsys, command, arguments, message):
+    # it would be recorded in the output, as if it had been used
+    out_path = tmp_path / "out.json"
+    json_format = ["--format", "json"] if command == "construct" else []
+    code, out, err = run(capsys, command, *arguments, *json_format, "--out", str(out_path))
+    assert code == EXIT_USAGE and out == ""
+    assert _one_error_line(err, message)
+    assert not out_path.exists()
 
 
 # Size caps are lowered below Petersen's 10 vertices, so no large graph is built.
@@ -580,7 +599,7 @@ def test_verify_stream_writes_out_file_block_by_block(tmp_path, capsys, monkeypa
     from pathlib import Path
 
     data = Path(__file__).with_name("data")
-    monkeypatch.setattr(cli, "STREAM_BLOCK_LINES", 7)
+    monkeypatch.setattr(graph_core, "MAX_DECODE_BYTES", 400)
     monkeypatch.setattr("sys.stdin", io.StringIO((data / "stream_sample.g6").read_text(encoding="utf-8")))
     out_path = tmp_path / "records.jsonl"
     code, out, err = run(capsys, "verify", "--stdin-g6-stream", "--out", str(out_path))
@@ -684,18 +703,24 @@ def test_one_command_parser_matches_the_full_parser(monkeypatch, capsys, argv):
     [
         # a 95 KB report, more than a pipe holds
         (["report", "--family", "biaffine1", "--q", "23"], ""),
-        # a first block of 4096 records, about 400 KB
+        # one block of 5000 records, about 500 KB
         (["verify", "--stdin-g6-stream"], (graph6_encode(petersen()) + "\n") * 5000),
+        # one block of 1000 records, about 100 KB
+        (["verify", "--stdin-g6-stream"], (graph6_encode(petersen()) + "\n") * 1000),
     ],
-    ids=["report", "stream"],
+    ids=["report", "stream", "stream-1000"],
 )
 def test_a_closed_stdout_exits_quietly(argv, stdin):
-    # the writer is still writing when its reader closes after one line
+    # the writer is still writing when its reader closes after one line;
+    # under PYTHONUNBUFFERED=1 stdout writes through to the pipe, which then
+    # takes part of the write that is under way
     cmd = [sys.executable, "-m", "egrtools.cli", *argv]
-    with subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        proc.stdin.write(stdin.encode())  # 50 KB at most, which the pipe holds
-        proc.stdin.close()
-        assert proc.stdout.readline()
-        proc.stdout.close()
-        assert proc.stderr.read() == b""
-        assert proc.wait(timeout=60) == EXIT_CLOSED_STDOUT
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"} | unbuffered
+        with subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            proc.stdin.write(stdin.encode())  # 50 KB at most, which the pipe holds
+            proc.stdin.close()
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+            assert proc.wait(timeout=60) == EXIT_CLOSED_STDOUT, unbuffered

@@ -337,7 +337,7 @@ def test_labels_are_pinned(family, q):
 
 # The next q above each family's cap that the family takes (ovoid_spread
 # needs q a power of 2).
-OVER_CAP = {"biaffine1": 197, "biaffine2": 197, "gq_truncation": 53, "ovoid_spread": 64, "pencil": 23}
+OVER_CAP = {"biaffine1": 257, "biaffine2": 257, "gq_truncation": 71, "ovoid_spread": 128, "pencil": 31}
 
 
 @pytest.mark.parametrize("family", sorted(OVER_CAP))

@@ -256,6 +256,24 @@ def test_elements_out_of_range_are_rejected():
         F.mul(0, F.q)
 
 
+def test_elements_are_read_as_integers():
+    # numpy's ints are taken and give Python ints; anything else, a float
+    # included, is a TypeError, as the exponent of pow is
+    F, K = GF(5), GF(3, 2)
+    assert F.add(np.int64(3), np.uint8(4)) == 2 and F.mul(np.int32(2), 3) == 1
+    assert F.pow(np.int64(2), np.int64(3)) == 3 and F.inv(np.int16(2)) == 3
+    assert K.coords(np.int64(7)) == (1, 2) and all(type(c) is int for c in K.coords(np.int64(7)))
+    for op in (F.add, F.sub, F.mul, F.div):
+        for a, b in ((1.5, 1), (1, 1.5), (1.0, 1)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    for op in (F.neg, F.inv, F.coords, F.mul_order, F.frobenius, lambda a: F.pow(a, 2)):
+        with pytest.raises(TypeError):
+            op(2.0)
+    with pytest.raises(TypeError):
+        F.pow(2, 1.5)
+
+
 def test_bulk_tables_capped():
     assert MAX_TABLE_ORDER == 2**8
     assert GF(2, 8).tables.mul.shape == (256, 256)

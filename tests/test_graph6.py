@@ -319,6 +319,31 @@ def test_decode_chunks_may_end_inside_a_body(chunk, monkeypatch):
         assert_same_result(got, want)
 
 
+def test_decode_many_reads_a_list_over_the_budget_block_by_block(monkeypatch):
+    # 20 lines, about 1.5 KB, under a 400-byte budget: each block of
+    # _blocks is decoded on its own, and each line decodes as it does alone
+    lines = mixed_orders(random.Random(400))
+    expected = [_alone(line) for line in lines]
+    blocks = []
+    decode_block = graph_core._decode_block
+
+    def recorded(texts):
+        blocks.append(texts)
+        return decode_block(texts)
+
+    monkeypatch.setattr(graph_core, "MAX_DECODE_BYTES", 400)
+    monkeypatch.setattr(graph_core, "_decode_block", recorded)
+    decoded = graph6_decode_many(lines)
+    assert len(blocks) > 2 and [line for block in blocks for line in block] == lines
+    for block, after in zip(blocks, blocks[1:]):
+        # a block closes once it holds the budget or before a line that would pass it
+        size = sum(map(len, block))
+        assert (size <= 400 or len(block) == 1) and (size >= 400 or size + len(after[0]) > 400)
+    assert len(decoded) == len(lines)
+    for got, want in zip(decoded, expected):
+        assert_same_result(got, want)
+
+
 def _count(n: int, form: str) -> str:
     """The vertex count n in graph6's short, long or very-long form."""
     if form == "short":
@@ -393,8 +418,9 @@ def test_block_decoder_matches_the_per_line_reference():
 @pytest.mark.parametrize("block", [1, 7, None])
 def test_stream_blocks_match_the_per_line_reference(block, monkeypatch, capsys):
     # every stream block's decode, line for line, and every malformed line's
-    # record, against the reference on the line alone; a line with a newline
-    # in it would be two stream lines
+    # record, against the reference on the line alone, with blocks of one
+    # line (a budget of 1 byte), of a few short lines (7 bytes) and of the
+    # default budget; a line with a newline in it would be two stream lines
     lines = [line for line in differential_corpus(block or 0) if "\n" not in line]
     seen = []
     decode_block = graph_core._decode_block
@@ -406,7 +432,7 @@ def test_stream_blocks_match_the_per_line_reference(block, monkeypatch, capsys):
         return errors, union
 
     if block:
-        monkeypatch.setattr(cli, "STREAM_BLOCK_LINES", block)
+        monkeypatch.setattr(graph_core, "MAX_DECODE_BYTES", block)
     monkeypatch.setattr(graph_core, "_decode_block", recorded)
     monkeypatch.setattr("sys.stdin", io.StringIO("".join(line + "\n" for line in lines)))
     cli.main(["verify", "--stdin-g6-stream"])

@@ -63,7 +63,7 @@ FAULTY_ADJACENCIES = [
     ([[1], [1, 0]], "loop at vertex 1"),
     ([[1], [2, 2], [1, 1]], "parallel edge 1-2"),
     ([[1, 1], [], [0]], "parallel edge 0-1"),
-    ([[-1, 1], [0]], "parallel edge 0--1"),
+    ([[-1, 1], [0]], "neighbor -1 of 0 out of range"),
     ([[0, 0], []], "loop at vertex 0"),
     ([[1, 1, 0], [0]], "loop at vertex 0"),
     ([[1], [0, 7]], "neighbor 7 of 1 out of range"),
@@ -71,6 +71,9 @@ FAULTY_ADJACENCIES = [
     ([[], [2], []], "asymmetric adjacency 1-2"),
     ([[1], [0, 0, 2, 2], [1, 2]], "parallel edge 1-0"),
     ([[3, 1, 1], [0], [], [0]], "parallel edge 0-1"),
+    # a row's first entry repeats nothing, a neighbour -1 included
+    ([[-1], [0]], "neighbor -1 of 0 out of range"),
+    ([[1], [0, -1]], "neighbor -1 of 1 out of range"),
 ]
 
 
@@ -107,6 +110,9 @@ def test_from_edges_takes_any_integer_vertex_count():
     for n in (4.0, "4"):
         with pytest.raises(TypeError):
             Graph.from_edges(n, [(0, 1)])
+    for n in (-1, np.int64(-1)):
+        with pytest.raises(ValueError, match=r"^vertex count -1 is negative$"):
+            Graph.from_edges(n, [])
 
 
 def test_from_edges_rejects_anything_but_pairs():

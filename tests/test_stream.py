@@ -6,24 +6,21 @@ from pathlib import Path
 
 import pytest
 
-from egrtools import cli, graph_core
+from egrtools import graph_core
 from egrtools.cli import EXIT_USAGE, main
 
 DATA = Path(__file__).with_name("data")
 
 
-@pytest.mark.parametrize("lines,budget", [(None, 2**12), (1, None), (7, None), (None, 100)], ids=["None", "1", "7", "100B"])
-def test_stream_sample_output_is_byte_identical(lines, budget, capsys, monkeypatch):
+@pytest.mark.parametrize("budget", [2**12, 1, 7, 100], ids=["None", "1", "7", "100B"])
+def test_stream_sample_output_is_byte_identical(budget, capsys, monkeypatch):
     # stream_sample.jsonl was recorded when the stream verified one line at
-    # a time; the sample spans several blocks (None keeps the default line
-    # count, under which a 4 KiB budget still splits it) and holds blank and
+    # a time; the 16 KB sample spans several blocks under each budget (a
+    # budget of 1 makes each line a block of its own) and holds blank and
     # malformed lines on both sides of a boundary
     text = (DATA / "stream_sample.g6").read_text(encoding="utf-8")
-    if lines:
-        monkeypatch.setattr(cli, "STREAM_BLOCK_LINES", lines)
-    if budget:
-        monkeypatch.setattr(cli, "STREAM_BLOCK_BYTES", budget)
-    assert len(text.splitlines()) > cli.STREAM_BLOCK_LINES or len(text) > cli.STREAM_BLOCK_BYTES
+    monkeypatch.setattr(graph_core, "MAX_DECODE_BYTES", budget)
+    assert len(text) > budget
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code = main(["verify", "--stdin-g6-stream"])
     out = capsys.readouterr().out
@@ -82,10 +79,9 @@ class Lines:
 def _calls_by_rule(lines) -> tuple[list, set]:
     """The reads, writes and flushes of a stream, by its rule written out,
     and which rules closed a block.  A block closes once it holds
-    STREAM_BLOCK_LINES lines ("lines") or STREAM_BLOCK_BYTES characters
-    ("budget"), and before a line that would take it past STREAM_BLOCK_BYTES
-    ("bytes"); it is written, one record per nonblank line, and flushed as
-    soon as it closes."""
+    MAX_DECODE_BYTES characters ("budget"), and before a line that would
+    take it past MAX_DECODE_BYTES ("bytes"); it is written, one record per
+    nonblank line, and flushed as soon as it closes."""
     calls, block, closed = [], [], set()
 
     def close(limit):
@@ -95,12 +91,10 @@ def _calls_by_rule(lines) -> tuple[list, set]:
 
     for line in lines:
         calls.append(("read", None))
-        if block and sum(map(len, block)) + len(line) > cli.STREAM_BLOCK_BYTES:
+        if block and sum(map(len, block)) + len(line) > graph_core.MAX_DECODE_BYTES:
             close("bytes")
         block.append(line)
-        if len(block) == cli.STREAM_BLOCK_LINES:
-            close("lines")
-        elif sum(map(len, block)) >= cli.STREAM_BLOCK_BYTES:
+        if sum(map(len, block)) >= graph_core.MAX_DECODE_BYTES:
             close("budget")
     if block:
         close("end")
@@ -109,12 +103,11 @@ def _calls_by_rule(lines) -> tuple[list, set]:
 
 def test_stream_writes_each_block_once_and_flushes(monkeypatch):
     text = (DATA / "stream_sample.g6").read_text(encoding="utf-8")
-    # limits under which the 281-line, 16 KB sample closes blocks by each
+    # a budget under which the 281-line, 16 KB sample closes blocks by each
     # rule; its longest lines, as long as the budget, are blocks of their own
-    monkeypatch.setattr(cli, "STREAM_BLOCK_LINES", 6)
-    monkeypatch.setattr(cli, "STREAM_BLOCK_BYTES", 241)
+    monkeypatch.setattr(graph_core, "MAX_DECODE_BYTES", 241)
     expected, closed = _calls_by_rule(text.splitlines(keepends=True))
-    assert {"lines", "bytes", "budget"} <= closed
+    assert {"bytes", "budget"} <= closed
     out = Recorder()
     monkeypatch.setattr("sys.stdin", Lines(text, out.calls))
     monkeypatch.setattr("sys.stdout", out)
@@ -178,20 +171,15 @@ def _hostile_stream():
     ]
 
 
-@pytest.mark.parametrize(
-    "limit,value",
-    [("LINES", 1), ("LINES", 3), ("LINES", 256), ("BYTES", 16), ("BYTES", 100), ("BYTES", 1000)],
-    ids=["1", "3", "256", "16B", "100B", "1000B"],
-)
-def test_hostile_stream_gets_each_line_alone_verdict(limit, value, capsys, monkeypatch):
+@pytest.mark.parametrize("budget", [1, 3, 256, 16, 100, 1000], ids=["1", "3", "256", "16B", "100B", "1000B"])
+def test_hostile_stream_gets_each_line_alone_verdict(budget, capsys, monkeypatch):
     # each bad line gets the record of graph6_decode's error, each good line
-    # that of verify_egr on it alone, whatever the block boundaries, by line
-    # count or by byte budget
+    # that of verify_egr on it alone, whatever the block boundaries; a
+    # budget of 1 makes each line a block of its own
     from egrtools.graph_core import NotEdgeGirthRegular, graph6_decode, verify_egr
 
     lines = _hostile_stream()
-    assert max(map(len, lines)) > cli.STREAM_BLOCK_BYTES
-    monkeypatch.setattr(cli, f"STREAM_BLOCK_{limit}", value)
+    assert max(map(len, lines)) > graph_core.MAX_DECODE_BYTES
     monkeypatch.setattr("egrtools.graph_core.MAX_VERIFY_VERTICES", 63)
     expected, codes = [], []
     for lineno, line in enumerate(lines, start=1):
@@ -213,6 +201,8 @@ def test_hostile_stream_gets_each_line_alone_verdict(limit, value, capsys, monke
     failures = [r["failure"] for r in kinds if r.get("egr") is False]
     assert {f["kind"] for f in failures} == {"disconnected", "not_regular", "degree_too_small", "nonuniform_cycle_counts"}
     assert any(f["message"] == "empty graph" for f in failures)
+    # the references decode under the default budget
+    monkeypatch.setattr(graph_core, "MAX_DECODE_BYTES", budget)
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
     code = main(["verify", "--stdin-g6-stream"])
     assert capsys.readouterr().out == "".join(expected)
