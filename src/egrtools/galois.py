@@ -23,12 +23,26 @@ matrix arithmetic, with no scalar field operation on the hot path: batches
 of candidate matrices are powered to find g (``_first_generator``;
 constants lie in a proper subfield and are skipped when the degree is at
 least 2), and exp is filled by doubling, ``exp[h:2h] = exp[:h] * g**h``,
-through a fixed scratch (``_double_powers``).  Every GF(p) matrix product,
-here and in the search, is a float (BLAS) product of integers below p
-reduced by ``_reduce_mod``, exact by one rule on its inner dimension k
-(``_float_dtype``): float32 while k(p-1)**2 + p <= 2**24, else float64.
-Every build checks that g**(q-1) = 1 and that exp is a bijection onto the
-nonzero elements.
+by one of two rules chosen by p:
+
+- p = 2 (``_double_bits``): an index's bits are its digits, so the product
+  by g**h is the XOR of the rows of M_g**h, as indices, over the index's
+  set bits, taken a byte at a time from tables of at most 256 entries
+  (``_byte_tables``), BYTE_PASS entries per pass; the rows of
+  M_g**(2h) come through the same tables.  No digit store and no float
+  product.
+- odd p (``_double_powers``): the digit rows times M_g**h mod p, through
+  a fixed float scratch, each row's index its product with the place
+  values.
+
+Every GF(p) matrix product, there and in the search, is a float (BLAS)
+product of integers below p reduced by ``_reduce_mod``, exact by one rule
+on its inner dimension k (``_float_dtype``): float32 while k(p-1)**2 + p
+<= 2**24, else float64.  Every build checks that g**(q-1) = 1, and that
+exp is a bijection onto the nonzero elements by the scatter that fills
+log: log starts at -1 and takes log[exp[i]] = i, and q-1 entries that
+reach every nonzero element and leave log[0] at -1 are a bijection, by
+pigeonhole.
 
 Modulus search.  The reducing modulus is the lexicographically smallest
 monic irreducible polynomial, coefficients compared constant-term first,
@@ -42,7 +56,10 @@ multiplication by x modulo all the divisors at once take x**0 to every
 x**i mod d by doubling.
 
 Size caps: q <= 2**20 for ``GF``, q**d <= 2**24 for ``Field.extension``,
-q <= 2**8 for ``Field.tables``.
+q <= 2**8 for ``Field.tables``.  At the extension cap (2 CPUs, one BLAS
+thread, one process each) GF(2).extension(24), GF(2, 12).extension(2)
+and GF(4093).extension(2) build in 0.75-0.95 s and peak at 223-235 MiB,
+most of it exp, log and the log scatter's arange, 64 MiB each.
 """
 
 from __future__ import annotations
@@ -61,6 +78,8 @@ MAX_TABLE_ORDER = 2**8
 GENERATOR_BATCH = 8
 # rows of the doubling's fixed float scratch
 SCRATCH_ROWS = 1024
+# exp entries per byte-table pass of the characteristic-2 doubling
+BYTE_PASS = 2**15
 # modulus candidates per batch, and the cells of one remainder product
 SEARCH_BATCH = 64
 SEARCH_CELLS = 2**18
@@ -189,19 +208,26 @@ class Field:
             gen, step = _first_generator(_basis_matrices(cf, self.modulus), order, p, start)
         if gen is None:
             raise ArithmeticError("no multiplicative generator found; modulus is not irreducible")
-        # digits[i] = base-p digits of g**i and exp[i] its index, by doubling
-        digits = np.zeros((order, e), dtype=np.min_scalar_type(p - 1))
-        digits[0, 0] = 1
         exp = np.ones(order, dtype=np.int32)  # q <= MAX_EXTENSION_ORDER < 2**31
-        _double_powers(digits, exp, step, p)
-        if (_mul_mod(digits[-1].astype(step.dtype), step, p) != digits[0]).any():  # g**(q-1) != 1
-            raise ArithmeticError("multiplicative group is not cyclic of order q-1")
-        del digits
-        # q-1 entries, one on each nonzero element: a bijection onto them
-        if (np.bincount(exp, minlength=q)[1:] != 1).any():
-            raise ArithmeticError("multiplicative group is not cyclic of order q-1")
-        log = np.zeros(q, dtype=np.int32)
+        if p == 2:
+            # an index's bits are its digits: exp by XOR byte tables
+            cycles = _double_bits(exp, step) == 1
+        else:
+            # digits[i] = base-p digits of g**i and exp[i] its index, by doubling
+            digits = np.zeros((order, e), dtype=np.min_scalar_type(p - 1))
+            digits[0, 0] = 1
+            _double_powers(digits, exp, step, p)
+            cycles = (_mul_mod(digits[-1].astype(step.dtype), step, p) == digits[0]).all()
+            del digits
+        if not cycles:
+            raise ArithmeticError("g**(q-1) != 1: multiplicative group is not cyclic of order q-1")
+        # q-1 entries that reach every nonzero element and miss 0 are a
+        # bijection onto the nonzero elements (pigeonhole)
+        log = np.full(q, -1, dtype=np.int32)
         log[exp] = np.arange(order, dtype=np.int32)
+        if log[0] != -1 or log[1:].min() < 0:
+            raise ArithmeticError("exp is not a bijection: multiplicative group is not cyclic of order q-1")
+        log[0] = 0
         self.generator = gen
         for table in (exp, log):
             table.setflags(write=False)
@@ -483,6 +509,59 @@ def _double_powers(digits: np.ndarray, exp: np.ndarray, step: np.ndarray, p: int
         h *= 2
         if h < order:
             step = _mul_mod(step, step, p)
+
+
+# _BYTE_BITS[j, y] = bit j of the byte y
+_BYTE_BITS = ((np.arange(256) >> np.arange(8)[:, None]) & 1).astype(np.int32)
+
+
+def _byte_tables(rows: np.ndarray) -> np.ndarray:
+    """T[b, y], the XOR of rows[8b + j] over the set bits j of the byte y
+    (y < 2**len(rows) when there are fewer than 8 rows).  When rows[j] is
+    the image of 2**j under a GF(2)-linear map L of the bits,
+    ``_apply_bytes`` with T maps any index x to L(x), byte by byte."""
+    w = min(8, len(rows))
+    nb = -(-len(rows) // w)
+    padded = np.zeros(w * nb, dtype=rows.dtype)
+    padded[: len(rows)] = rows
+    return np.bitwise_xor.reduce(_BYTE_BITS[:w, None, : 1 << w] * padded.reshape(nb, w).T[:, :, None], axis=0)
+
+
+def _apply_bytes(tables: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """tables[0][x & 255] ^ tables[1][(x >> 8) & 255] ^ ..., into ``out``."""
+    out = np.take(tables[0], x & 255, out=out)
+    for b in range(1, len(tables)):
+        out ^= tables[b][(x >> 8 * b) & 255]
+    return out
+
+
+def _double_bits(exp: np.ndarray, step: np.ndarray) -> int:
+    """Fill exp[1:] = g**1, g**2, ... from exp[0] = 1 over a field of
+    characteristic 2, step = M_g as ``_first_generator`` gives it, and
+    return g * exp[-1] = g**(q-1).
+
+    An index's bits are its base-2 digits, so multiplication by g**h is
+    the XOR of rows r_j of M_g**h, row j the index of g**h * 2**j, over
+    the set bits j of the index: byte tables (``_byte_tables``) take it
+    one byte at a time.  Each doubling sets exp[h:2h] to exp[:h] times
+    g**h, BYTE_PASS entries per pass so that a pass's temporaries stay in
+    cache, and the rows of M_g**(2h) are the rows of M_g**h times g**h,
+    r'_j = L_h(r_j), through the same tables: no digit store and no float
+    product."""
+    order = len(exp)
+    rows = step.astype(np.int32) @ (1 << np.arange(len(step), dtype=np.int32))
+    first = _byte_tables(rows)
+    tables, h = first, 1
+    while h < order:
+        k = min(h, order - h)
+        for s in range(0, k, BYTE_PASS):
+            c = min(BYTE_PASS, k - s)
+            _apply_bytes(tables, exp[s : s + c], out=exp[h + s : h + s + c])
+        h *= 2
+        if h < order:
+            rows = _apply_bytes(tables, rows)
+            tables = _byte_tables(rows)
+    return int(_apply_bytes(first, exp[-1:])[0])
 
 
 def _divisor_maps(cf: _Coefficients, n: int, dtype) -> list[np.ndarray]:

@@ -93,7 +93,7 @@ else at least n(n-1)/12 body bytes), so V is at most 62 times the input's
 bytes, and W is at most 2**20, the power of two above GRAPH6_MAX_N =
 10**6: the codes fit int64 for any block under 10**11 bytes.  A block's
 checks hold its bytes a few times over, one byte each, and the bodies are
-unpacked only from their nonzero bytes, MAX_DECODE_BYTES at a time, so
+unpacked only from their nonzero bytes, UNPACK_BYTES at a time, so
 the decoder's peak, besides the graphs it returns, stays near the size of
 the block.
 """
@@ -790,10 +790,12 @@ _G6_OUTSIDE = bytes(not 63 <= byte <= 126 for byte in range(256))
 _G6_PAD = "\0" * 4
 
 # The most characters of graph6 lines in one block (``_blocks``), but for
-# a longer line, which is a block of its own; and the most body bytes a
-# decode pass unpacks at a time, one byte per bit: 512 KiB of bits,
-# whatever the line lengths and the number of lines.
+# a longer line, which is a block of its own.
 MAX_DECODE_BYTES = 2**16
+# The most body bytes a decode pass unpacks at a time, one byte per bit:
+# 512 KiB of bits, whatever the line lengths, the number of lines and the
+# block budget.
+UNPACK_BYTES = 2**16
 
 
 class Graph6Error(ValueError):
@@ -1032,15 +1034,15 @@ def _body_entries(bodies: np.ndarray, lengths: np.ndarray, offsets: np.ndarray, 
     """The codes r*width + c of both orientations of every edge of the
     graph6 bodies concatenated in ``bodies``, of the given lengths, whose
     graphs' first union rows r0 give ``offsets`` r0*width.  The set bits,
-    read MAX_DECODE_BYTES bytes at a time and unpacked only from their
+    read UNPACK_BYTES bytes at a time and unpacked only from their
     nonzero bytes, take their bodies from an array of each byte's body, one
     repeat over the bodies' lengths in that span, and their pairs u < v
     from ``_column``, which does not depend on the vertex count."""
     stop = lengths.cumsum()
     start = stop - lengths
     parts = []
-    for lo in range(0, len(bodies), MAX_DECODE_BYTES):
-        hi = min(lo + MAX_DECODE_BYTES, len(bodies))
+    for lo in range(0, len(bodies), UNPACK_BYTES):
+        hi = min(lo + UNPACK_BYTES, len(bodies))
         # the bodies a..z-1 that meet bytes lo..hi-1, and each byte's body,
         # numbered from a
         a, z = np.searchsorted(stop, [lo, hi - 1], side="right") + [0, 1]

@@ -403,8 +403,27 @@ def test_float32_reduction_is_exact_up_to_the_edge():
         assert (y.astype(np.int64) == x % p).all()
 
 
-@pytest.mark.parametrize("spec", [(3, 5, None), (2, 2, 4), (2, 10, None)], ids=spec_id)
+@pytest.mark.parametrize("spec", [(3, 5, None), (3, 2, 3), (5, 6, None), (2, 2, 4), (2, 10, None)], ids=spec_id)
 def test_doubling_through_a_small_scratch(monkeypatch, spec):
     # every doubling block past 7 rows crosses several 7-row scratch loads
+    # (odd p) or 7-entry byte-table passes (p = 2)
     monkeypatch.setattr(galois, "SCRATCH_ROWS", 7)
+    monkeypatch.setattr(galois, "BYTE_PASS", 7)
     assert pin_of(spec, build_uncached(spec)) == FIELD_PINS[FIELD_SPECS.index(spec)]
+
+
+@pytest.mark.parametrize("p,e", [(2, 4), (3, 2)], ids=["bits", "digits"])
+def test_each_table_check_raises_on_each_path(monkeypatch, p, e):
+    F = GF(p, e)
+    B = galois._basis_matrices(galois._Coefficients(p, None), F.modulus)
+    # g**3 in GF(16) and g**2 in GF(9), of order 5 and 4: g**(q-1) = 1, but exp repeats
+    h = F.pow(F.generator, 3 if p == 2 else 2)
+    M = galois._mul_mod(galois._digits(np.array(h), p, e).astype(B.dtype), B.reshape(e, e * e), p).reshape(e, e)
+    monkeypatch.setattr(galois, "_first_generator", lambda *args: (h, M))
+    with pytest.raises(ArithmeticError, match="not a bijection"):
+        Field(p, F.modulus)
+    # a cycle of the 4 bits (order 4) and a shear over GF(3) (order 3), not dividing 15 and 8
+    step = np.roll(np.eye(4), 1, axis=1) if p == 2 else np.array([[1.0, 1.0], [0.0, 1.0]])
+    monkeypatch.setattr(galois, "_first_generator", lambda *args: (h, step.astype(B.dtype)))
+    with pytest.raises(ArithmeticError, match=r"g\*\*\(q-1\) != 1"):
+        Field(p, F.modulus)

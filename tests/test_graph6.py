@@ -314,7 +314,7 @@ def test_decode_chunks_may_end_inside_a_body(chunk, monkeypatch):
     lines = mixed_orders(random.Random(chunk))
     expected = [_alone(line) for line in lines]
     # the bodies on 62 and 63 vertices take 316 and 326 bytes
-    monkeypatch.setattr(graph_core, "MAX_DECODE_BYTES", chunk)
+    monkeypatch.setattr(graph_core, "UNPACK_BYTES", chunk)
     for got, want in zip(graph6_decode_many(lines), expected):
         assert_same_result(got, want)
 
