@@ -28,15 +28,13 @@ by one of two rules chosen by p:
 - p = 2 (``_double_bits``): an index's bits are its digits, so the product
   by g**h is the XOR of the rows of M_g**h, as indices, over the index's
   set bits, taken a byte at a time from tables of at most 256 entries
-  (``_byte_tables``), BYTE_PASS entries per pass; the rows of
-  M_g**(2h) come through the same tables.  No digit store and no float
-  product.
-- odd p (``_double_powers``): the digit rows times M_g**h mod p, through
-  a fixed float scratch, each row's index its product with the place
-  values.
+  (``_byte_tables``); the rows of M_g**(2h) come through the same
+  tables.  No digit store and no float product.
+- odd p (``_double_powers``): the digit rows times M_g**h mod p, in one
+  float product, each row's index its product with the place values.
 
 Every GF(p) matrix product, there and in the search, is a float (BLAS)
-product of integers below p reduced by ``_reduce_mod``, exact by one rule
+product of integers below p reduced mod p by ``_mul_mod``, exact by one rule
 on its inner dimension k (``_float_dtype``): float32 while k(p-1)**2 + p
 <= 2**24, else float64.  Every build checks that g**(q-1) = 1, and that
 exp is a bijection onto the nonzero elements by the scatter that fills
@@ -55,11 +53,14 @@ maps of every divisor of every degree (``_divisor_maps``): the matrices of
 multiplication by x modulo all the divisors at once take x**0 to every
 x**i mod d by doubling.
 
-Size caps: q <= 2**20 for ``GF``, q**d <= 2**24 for ``Field.extension``,
-q <= 2**8 for ``Field.tables``.  At the extension cap (2 CPUs, one BLAS
-thread, one process each) GF(2).extension(24), GF(2, 12).extension(2)
-and GF(4093).extension(2) build in 0.75-0.95 s and peak at 223-235 MiB,
-most of it exp, log and the log scatter's arange, 64 MiB each.
+Size caps: q <= MAX_FIELD_ORDER = 2**20 for ``GF`` and for
+``Field.extension`` alike, checked before any primality test or table,
+and q <= 2**8 for ``Field.tables``.  The largest field a family builds is
+the pencil's GF(29**4), 707 281 elements.  At the cap every doubling
+block and every search product is one array operation: GF(2, 20),
+GF(2, 10).extension(2), GF(1021).extension(2), GF(29).extension(4) and
+GF(1048573) each build in 0.04-0.06 s and peak at 43-57 MiB (2 CPUs, one
+BLAS thread, one process each).
 """
 
 from __future__ import annotations
@@ -72,17 +73,11 @@ from typing import NamedTuple
 import numpy as np
 
 MAX_FIELD_ORDER = 2**20
-MAX_EXTENSION_ORDER = 2**24
 MAX_TABLE_ORDER = 2**8
 # generator candidates tested per batch of matrix powers
 GENERATOR_BATCH = 8
-# rows of the doubling's fixed float scratch
-SCRATCH_ROWS = 1024
-# exp entries per byte-table pass of the characteristic-2 doubling
-BYTE_PASS = 2**15
-# modulus candidates per batch, and the cells of one remainder product
+# modulus candidates per batch
 SEARCH_BATCH = 64
-SEARCH_CELLS = 2**18
 _FLOAT32_EXACT_MAX = 2**24
 
 
@@ -208,7 +203,7 @@ class Field:
             gen, step = _first_generator(_basis_matrices(cf, self.modulus), order, p, start)
         if gen is None:
             raise ArithmeticError("no multiplicative generator found; modulus is not irreducible")
-        exp = np.ones(order, dtype=np.int32)  # q <= MAX_EXTENSION_ORDER < 2**31
+        exp = np.ones(order, dtype=np.int32)  # q <= MAX_FIELD_ORDER < 2**31
         if p == 2:
             # an index's bits are its digits: exp by XOR byte tables
             cycles = _double_bits(exp, step) == 1
@@ -318,10 +313,10 @@ class Field:
         with index < q (the constant polynomials), so the embedding is
         literally the identity on indices.
         """
+        d = index(d)  # a numpy degree would wrap in the cap check
         if d < 2:
             raise ValueError("extension degree must be at least 2")
-        if self.q**d > MAX_EXTENSION_ORDER:
-            raise ValueError(f"extension order {self.q}**{d} exceeds the cap {MAX_EXTENSION_ORDER}")
+        _check_order(self.q, d)
         return _extension_cached(self, d)
 
     def __repr__(self):
@@ -362,9 +357,13 @@ class _Coefficients:
 
 def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p, for float arrays of integers below p whose dtype is
-    ``_float_dtype(p, inner dimension)`` or wider, so exact."""
+    ``_float_dtype(p, inner dimension)`` or wider: y = a @ b, then
+    y - p*floor(y/p), each step exact by ``_float_dtype``."""
     y = a @ b
-    _reduce_mod(y, p)
+    z = y / p
+    np.floor(z, out=z)
+    z *= p
+    y -= z
     return y
 
 
@@ -458,7 +457,7 @@ def _first_generator(B: np.ndarray, order: int, p: int, start: int):
 def _float_dtype(p: int, e: int):
     """The one exactness rule for every float GF(p) product here, e its
     inner dimension: float32 when e(p-1)**2 + p <= 2**24, else float64
-    (which the size caps keep within its own 2**53).
+    (which the size cap keeps within its own 2**53).
 
     A product entry x is a dot product of e digits and e matrix entries,
     all below p, so x <= e(p-1)**2, formed exactly from nonnegative partial
@@ -470,42 +469,24 @@ def _float_dtype(p: int, e: int):
     return np.float32 if e * (p - 1) ** 2 + p <= _FLOAT32_EXACT_MAX else np.float64
 
 
-def _reduce_mod(y: np.ndarray, p: int, z: np.ndarray | None = None) -> None:
-    """y = y - p*floor(y/p) in place, z an optional scratch of y's shape;
-    exact for the integers of ``_float_dtype``."""
-    z = np.divide(y, p, out=z)
-    np.floor(z, out=z)
-    z *= p
-    y -= z
-
-
 def _double_powers(digits: np.ndarray, exp: np.ndarray, step: np.ndarray, p: int) -> None:
     """Fill the base-p digit rows digits[1:] = g**1, g**2, ... from
     digits[0] = 1 and step = M_g in floats of ``_float_dtype(p, e)`` (as
     ``_first_generator`` gives it), and exp[1:] with their indices: each
     doubling sets digits[h:2h] to digits[:h] M_g**h mod p, then squares the
-    step.  The products run SCRATCH_ROWS rows at a time through one fixed
-    float scratch (BLAS gemm, exact by ``_float_dtype``) back into the
-    narrow integer store; each reduced row's index, below q <= 2**24, is
-    one more exact product with the place values p**j."""
+    step.  Each doubling is one float product (BLAS gemm, exact by
+    ``_float_dtype``) back into the narrow integer store; each reduced
+    row's index, below q <= 2**20, is one more exact product with the
+    place values p**j."""
     order, e = digits.shape
     dtype = _float_dtype(p, e)
-    rows = min(SCRATCH_ROWS, order)
-    src, out, quo = (np.empty((rows, e), dtype=dtype) for _ in range(3))
-    index = np.empty(rows, dtype=dtype)
     place = (p ** np.arange(e)).astype(dtype)
     h = 1
     while h < order:
         k = min(h, order - h)
-        for s in range(0, k, rows):
-            c = min(rows, k - s)
-            x, y, z = src[:c], out[:c], quo[:c]
-            x[...] = digits[s : s + c]
-            np.matmul(x, step, out=y)
-            _reduce_mod(y, p, z)
-            digits[h + s : h + s + c] = y
-            np.matmul(y, place, out=index[:c])
-            exp[h + s : h + s + c] = index[:c]
+        y = _mul_mod(digits[:k].astype(dtype), step, p)
+        digits[h : h + k] = y
+        exp[h : h + k] = y @ place
         h *= 2
         if h < order:
             step = _mul_mod(step, step, p)
@@ -544,8 +525,7 @@ def _double_bits(exp: np.ndarray, step: np.ndarray) -> int:
     the XOR of rows r_j of M_g**h, row j the index of g**h * 2**j, over
     the set bits j of the index: byte tables (``_byte_tables``) take it
     one byte at a time.  Each doubling sets exp[h:2h] to exp[:h] times
-    g**h, BYTE_PASS entries per pass so that a pass's temporaries stay in
-    cache, and the rows of M_g**(2h) are the rows of M_g**h times g**h,
+    g**h, and the rows of M_g**(2h) are the rows of M_g**h times g**h,
     r'_j = L_h(r_j), through the same tables: no digit store and no float
     product."""
     order = len(exp)
@@ -554,9 +534,7 @@ def _double_bits(exp: np.ndarray, step: np.ndarray) -> int:
     tables, h = first, 1
     while h < order:
         k = min(h, order - h)
-        for s in range(0, k, BYTE_PASS):
-            c = min(BYTE_PASS, k - s)
-            _apply_bytes(tables, exp[s : s + c], out=exp[h + s : h + s + c])
+        _apply_bytes(tables, exp[:k], out=exp[h : h + k])
         h *= 2
         if h < order:
             rows = _apply_bytes(tables, rows)
@@ -594,9 +572,8 @@ def _smallest_irreducible(cf: _Coefficients, n: int) -> list[int]:
     of degree 1, 2, ..., n//2 one degree at a time, all divisors of that
     degree in one product with that degree's ``_divisor_maps`` map; a
     candidate leaves at the first degree that divides it, and the first one
-    left is returned.  Each product takes at most SEARCH_CELLS cells, a
-    slice of the candidates at a time; its inner dimension is (n+1) f, so
-    the maps and products are floats of ``_float_dtype(p, (n+1) f)``."""
+    left is returned.  A product's inner dimension is (n+1) f, so the maps
+    and products are floats of ``_float_dtype(p, (n+1) f)``."""
     if n == 1:
         return [0, 1]  # the polynomial x; never used for reduction
     Q, p, f = cf.size, cf.p, cf.f
@@ -610,19 +587,21 @@ def _smallest_irreducible(cf: _Coefficients, n: int) -> list[int]:
         digits = cf.digits(cand).reshape(len(t), -1).astype(dtype)
         alive = np.arange(len(t))
         for dd, W in enumerate(maps, start=1):
-            rows = max(1, SEARCH_CELLS // W.shape[1])
-            kept = []
-            for s in range(0, len(alive), rows):
-                part = alive[s : s + rows]
-                rem = _mul_mod(digits[part], W, p)
-                divisible = (rem == 0).reshape(len(part), -1, dd * f).all(axis=2).any(axis=1)
-                kept.append(part[~divisible])
-            alive = np.concatenate(kept)
+            rem = _mul_mod(digits[alive], W, p)
+            alive = alive[~(rem == 0).reshape(len(alive), -1, dd * f).all(axis=2).any(axis=1)]
             if not len(alive):
                 break
         if len(alive):
             return cand[alive[0]].tolist()
     raise ArithmeticError("no irreducible polynomial found")  # unreachable for q, degree valid
+
+
+def _check_order(base: int, d: int) -> None:
+    """ValueError when base**d, base >= 2, exceeds MAX_FIELD_ORDER, decided
+    without forming a power far past the cap: base**d >= max(base, 2**d),
+    so a base above the cap or a d past its bit length is refused alone."""
+    if base > MAX_FIELD_ORDER or d >= MAX_FIELD_ORDER.bit_length() or base**d > MAX_FIELD_ORDER:
+        raise ValueError(f"field order {base}**{d} exceeds the cap {MAX_FIELD_ORDER}")
 
 
 @lru_cache(maxsize=None)
@@ -635,12 +614,12 @@ def GF(p: int, e: int = 1) -> Field:
     """
     if not isinstance(p, int) or not isinstance(e, int):
         raise TypeError("p and e must be integers")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime (did you mean GF(p, e) with p**e = {p}?)")
     if e < 1:
         raise ValueError("extension degree e must be >= 1")
-    if p**e > MAX_FIELD_ORDER:
-        raise ValueError(f"field order {p}**{e} exceeds the cap {MAX_FIELD_ORDER}")
+    if p > 1:
+        _check_order(p, e)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime (did you mean GF(p, e) with p**e = {p}?)")
     return Field(p, _smallest_irreducible(_Coefficients(p, None), e), base=None)
 
 

@@ -69,8 +69,8 @@ g = 4).  A closed member's slice may stop being exact, but it is never
 read again, and it cannot overflow: only n <= 362 gives a stack more than
 one member (MAX_STACK_CELLS // n**2 >= 2), where the girth is at most 14
 and the entries stay below 361 * 360**13 < 2**119.  ``_exact_dtype``
-states the rule with a third tier, Python ints past 2**53, for
-``spectral``'s moments, whose powers can pass it.
+states the rule for ``spectral``'s moments too, which refuse a bound
+past 2**53.
 
 graph6 (McKay's format) stores the upper triangle column by column, six
 bits to a printable byte, so bit i of a body is the pair u < v with
@@ -417,10 +417,10 @@ def _exact_dtype(bound: int):
     """The dtype that forms every integer up to ``bound``, an upper bound
     on every integer a count computation forms, exactly (see the module
     docstring): float32 when it is at most 2**24, float64 when it is at
-    most 2**53, else object (Python ints).  The walk pass starts from its
-    float32 tier; ``spectral``'s moments take all three."""
+    most 2**53, else ValueError.  The walk pass starts from its float32
+    tier; ``spectral``'s moments take both."""
     if bound > _FLOAT_EXACT_MAX:
-        return object
+        raise ValueError(f"exact counts up to {bound} pass 2**53, past which float64 does not hold every integer")
     return np.float32 if bound <= _FLOAT32_EXACT_MAX else np.float64
 
 

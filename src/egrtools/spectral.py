@@ -9,10 +9,10 @@ against them at runtime, never the other way around: every spectrum
 0..MOMENT_CHECK_LENGTH and carries those of lengths 0..``length``
 (``Spectrum.moments``), from the one matrix and the one moment chain it
 shares with ``walk_moments`` (``_matrix_moments``).  The moments take the
-exactness rule ``graph_core._exact_dtype`` (float32 while no count exceeds
-2**24, float64 while none exceeds 2**53, Python ints past that, on a
-chain of order at most MAX_INT_CHAIN_ORDER); the walk pass of
-``graph_core`` needs only its two float tiers.
+exactness rule ``graph_core._exact_dtype``: float32 while no count exceeds
+2**24, float64 while none exceeds 2**53, and a ValueError, before any
+product, past that.  No ``report`` comes near it: its length is g + 1, and
+k**(g+1) <= 2**50 for every family and named graph under its vertex cap.
 ``certify_tight_spectrum`` takes a spectrum already computed, refuses one
 whose moments 0..4 are not those of G's verified signature, and decides
 the tight four-value spectrum of a bipartite girth-4 graph exactly as the
@@ -53,14 +53,6 @@ from .graph_core import EgrSignature, Graph, _adjacency, _bipartition, _exact_dt
 MAX_MOMENT_LENGTH = 16
 MAX_MOMENT_VERTICES = 2048
 
-# Largest order of the matrix a moment chain runs on (A, or NN^T on the
-# half-order route) once it takes Python ints, k**L past 2**53.  At L = 16
-# (2 CPUs, one BLAS thread): K_512 42.8-43.3 s / 94 MiB, K_{512,512} 28.8-32.1 s /
-# 106 MiB, K_{512,1536} 34.0 s / 151 MiB, K_{640,640} 51.9 s / 147 MiB; the
-# products grow as the order cubed, so time binds, and 2048 vertices would
-# take minutes at half order and about 40 min at full order.
-MAX_INT_CHAIN_ORDER = 512
-
 # every spectrum is checked against the exact moments of lengths
 # 0..MOMENT_CHECK_LENGTH, each within MOMENT_CHECK_RTOL * sum_i |lambda_i|**l
 MOMENT_CHECK_LENGTH = 4
@@ -71,8 +63,7 @@ def walk_moments(G: Graph, L: int) -> list[int]:
     """Exact trace of A**l for l = 0..L, i.e. the closed-walk counts
     sum_i lambda_i**l (``_matrix_moments``): moments[0] = n, moments[1] = 0
     (no loops), moments[2] = 2|E|.  ValueError past MAX_MOMENT_LENGTH or
-    MAX_MOMENT_VERTICES, or for a Python-int chain past
-    MAX_INT_CHAIN_ORDER."""
+    MAX_MOMENT_VERTICES, or when k**L, k the maximum degree, passes 2**53."""
     if L < 0:
         raise ValueError("moment length must be nonnegative")
     if L > MAX_MOMENT_LENGTH:
@@ -80,14 +71,6 @@ def walk_moments(G: Graph, L: int) -> list[int]:
     if G.n > MAX_MOMENT_VERTICES:
         raise ValueError(f"moment computation capped at {MAX_MOMENT_VERTICES} vertices")
     return _matrix_moments(G, L)[1]
-
-
-def _widen(a: np.ndarray, dtype) -> np.ndarray:
-    """The exact integers of ``a`` in ``dtype``, a float type that holds
-    them or object, which takes them as Python ints."""
-    if a.dtype == dtype:
-        return a
-    return a.astype(np.int64).astype(object) if np.dtype(dtype) == object else a.astype(dtype)
 
 
 def _matrix_moments(G: Graph, L: int) -> tuple[np.ndarray, list[int]]:
@@ -107,21 +90,14 @@ def _matrix_moments(G: Graph, L: int) -> tuple[np.ndarray, list[int]]:
     With maximum degree k, every entry of a power, every partial sum of a
     product and every partial row sum counts walks of at most L steps from
     one vertex, so none exceeds k**L, and the chain takes its dtype from
-    graph_core._exact_dtype(k**L).  ValueError, before any product, when
-    that is Python ints and the chain's order is above
-    MAX_INT_CHAIN_ORDER."""
+    graph_core._exact_dtype(k**L), which raises ValueError, before any
+    product, past 2**53."""
     dtype = _exact_dtype(int(G.deg.max(initial=0)) ** L)
     N = _biadjacency(G)
-    order = G.n if N is None else len(N)
-    if np.dtype(dtype) == object and order > MAX_INT_CHAIN_ORDER:
-        raise ValueError(
-            f"exact moments past 2**53 run on Python ints, capped at a chain of order {MAX_INT_CHAIN_ORDER}; "
-            f"this one has order {order}"
-        )
     if N is None:
         A = _adjacency(G, float)
-        return A, [G.n] + _power_traces(_widen(A, dtype), L)
-    half = _power_traces(_widen(N @ N.T, dtype), L // 2)
+        return A, [G.n] + _power_traces(A.astype(dtype, copy=False), L)
+    half = _power_traces((N @ N.T).astype(dtype, copy=False), L // 2)
     return N, [G.n] + [0 if length % 2 else 2 * half[length // 2 - 1] for length in range(1, L + 1)]
 
 
@@ -243,8 +219,8 @@ def eigenvalues(G: Graph, tol: float = 1e-10, length: int = MOMENT_CHECK_LENGTH)
     members.  The returned ``moments`` are ``walk_moments(G, length)``,
     from the same matrix as the spectrum; ``length`` must lie in
     MOMENT_CHECK_LENGTH..MAX_MOMENT_LENGTH, else ValueError, as for a
-    graph past MAX_MOMENT_VERTICES or a Python-int moment chain past
-    MAX_INT_CHAIN_ORDER.  Raises ArithmeticError when the check fails.
+    graph past MAX_MOMENT_VERTICES or one whose k**length passes 2**53.
+    Raises ArithmeticError when the check fails.
 
     A connected bipartite G with an edge takes the half-order route: the
     eigenvalues are +-sigma, sigma the singular values of its a x b

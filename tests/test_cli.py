@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from egrtools import bounds, cli, graph_core
+from egrtools import bounds, cli, constructions, graph_core
 from egrtools.bounds import bound_report
 from egrtools.cli import EXIT_CLOSED_STDOUT, EXIT_INTERNAL, EXIT_NOT_EGR, EXIT_OK, EXIT_USAGE, main
-from egrtools.constructions import FAMILIES, build_pencil_graph, petersen
-from egrtools.galois import GF
+from egrtools.constructions import FAMILIES, build_pencil_graph, named_degree, named_order, petersen
+from egrtools.galois import GF, prime_power
 from egrtools.graph_core import Graph, NotEdgeGirthRegular, graph6_encode
+from egrtools.spectral import MAX_MOMENT_LENGTH, MAX_MOMENT_VERTICES
 from oracles import degree_preserving_switch
 
 
@@ -724,3 +725,29 @@ def test_a_closed_stdout_exits_quietly(argv, stdin):
             proc.stdout.close()
             assert proc.stderr.read() == b""
             assert proc.wait(timeout=60) == EXIT_CLOSED_STDOUT, unbuffered
+
+
+# the girths of the named graphs, from the literature
+NAMED_GIRTHS = {"petersen": 5, "hoffman_singleton": 5, "heawood": 6, "tutte_coxeter": 8}
+
+
+def test_no_report_passes_the_float64_moment_bound():
+    # report asks eigenvalues for moments up to L = min(g + 1, 16), which
+    # refuse k**L past 2**53; from the closed forms alone, every family at
+    # every prime power q up to its cap and every named graph that passes
+    # the report's vertex cap stays within 2**50 (K_{1024,1024} meets it);
+    # a cycle, of degree 2, exits before the spectral stage
+    assert set(NAMED_GIRTHS) == set(constructions._NAMED)
+    signatures = []
+    for family, row in FAMILIES.items():
+        for q in range(2, constructions.MAX_ORDER[family] + 1):
+            try:
+                prime_power(q)
+            except ValueError:
+                continue
+            signatures.append(row.signature(q)[:3])
+    signatures += [(named_order(name), named_degree(name), g) for name, g in NAMED_GIRTHS.items()]
+    sizes = range(1, constructions.MAX_NAMED_SIZE["complete_bipartite"] + 1)
+    signatures += [(named_order(f"complete_bipartite({k})"), k, 4) for k in sizes]
+    largest = max(k ** min(g + 1, MAX_MOMENT_LENGTH) for n, k, g in signatures if n <= MAX_MOMENT_VERTICES)
+    assert largest == 2**50

@@ -8,6 +8,7 @@ import pytest
 from geometry_pins import PENCIL_ORDERS, _prime_powers, pencil_pin_of
 from oracles import biaffine_keep_masks, gq_truncation_keep_masks
 
+from egrtools import galois
 from egrtools.bounds import certify_extremal
 from egrtools.constructions import (
     FAMILIES,
@@ -355,6 +356,24 @@ def test_size_cap_rejects_next_q_before_building(family):
     with pytest.raises(ValueError, match="capped"):
         FAMILIES[family].build(GF(*prime_power(q)))
     assert [c.cache_info().misses for c in caches] == misses
+
+
+def test_every_field_a_family_builds_at_its_cap_is_within_the_field_cap(monkeypatch):
+    # a build at q = 4 records the extension degrees d its builder asks
+    # for (the pencil's Singer cycle takes GF(q^4)); at MAX_ORDER each field,
+    # GF(q) and every GF(q^d), must be one galois builds.  A fresh GF(4)
+    # keeps every cache keyed on the field cold, so each call is seen.
+    degrees = []
+    extension = galois.Field.extension
+    monkeypatch.setattr(galois.Field, "extension", lambda F, d: degrees.append(d) or extension(F, d))
+    asked = {}
+    for family, row in FAMILIES.items():
+        degrees.clear()
+        row.build(galois.GF.__wrapped__(2, 2))
+        asked[family] = sorted(set(degrees))
+        q = MAX_ORDER[family]
+        assert all(q**d <= galois.MAX_FIELD_ORDER for d in [1, *degrees]), family
+    assert asked == {family: [4] if family == "pencil" else [] for family in FAMILIES}
 
 
 # sha256 of repr(G.adj), repr(G.labels) and graph6_encode(G) of each Levi

@@ -11,7 +11,7 @@ from field_pins import FIELD_SPECS, build_uncached, pin_of, spec_id
 from oracles import coeff_ops, schoolbook_mul, smallest_generator, smallest_irreducible
 
 from egrtools import galois
-from egrtools.galois import GF, MAX_EXTENSION_ORDER, MAX_FIELD_ORDER, MAX_TABLE_ORDER, Field, is_prime, prime_power
+from egrtools.galois import GF, MAX_FIELD_ORDER, MAX_TABLE_ORDER, Field, is_prime, prime_power
 
 FIELD_PINS = json.loads((Path(__file__).with_name("data") / "field_pins.json").read_text())["fields"]
 
@@ -43,7 +43,28 @@ def test_size_caps():
     assert GF(2, 20).q == 2**20 <= MAX_FIELD_ORDER
     with pytest.raises(ValueError):
         GF(2, 13).extension(2)  # 2^26 > cap
-    assert MAX_EXTENSION_ORDER == 2**24
+    # extensions share the one cap
+    assert GF(2, 10).extension(2).q == MAX_FIELD_ORDER
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        GF(2, 10).extension(3)
+
+
+def test_size_caps_are_checked_before_any_costly_step(monkeypatch):
+    # past the cap, GF refuses before its trial-division primality test and
+    # both refuse before forming the order, however large p or the degree
+    def unreached(*args):
+        raise AssertionError(f"a primality test or a table build ran past the cap, on {args[0]}")
+
+    # 1021**8 wraps to a negative int64: a numpy degree is read as a Python int
+    extensions = [(GF(2), 2 * 10**8), (GF(2), 21), (GF(1021), 3), (GF(29), 5), (GF(1021), np.int64(8))]
+    monkeypatch.setattr(galois, "is_prime", unreached)
+    monkeypatch.setattr(galois, "Field", unreached)
+    for p, e in [(2**61 - 1, 1), (10**12 + 39, 2), (2, 21), (3, 2 * 10**8), (2**20 + 7, 1)]:
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            galois.GF.__wrapped__(p, e)
+    for F, d in extensions:
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            F.extension(d)
 
 
 def test_characteristic_arithmetic():
@@ -398,18 +419,9 @@ def test_float32_reduction_is_exact_up_to_the_edge():
     p, top = 4093, 4092**2
     for lo in range(0, top + 1, 2**20):
         x = np.arange(lo, min(lo + 2**20, top + 1))
-        y = x.astype(np.float32)
-        galois._reduce_mod(y, p, np.empty_like(y))
-        assert (y.astype(np.int64) == x % p).all()
-
-
-@pytest.mark.parametrize("spec", [(3, 5, None), (3, 2, 3), (5, 6, None), (2, 2, 4), (2, 10, None)], ids=spec_id)
-def test_doubling_through_a_small_scratch(monkeypatch, spec):
-    # every doubling block past 7 rows crosses several 7-row scratch loads
-    # (odd p) or 7-entry byte-table passes (p = 2)
-    monkeypatch.setattr(galois, "SCRATCH_ROWS", 7)
-    monkeypatch.setattr(galois, "BYTE_PASS", 7)
-    assert pin_of(spec, build_uncached(spec)) == FIELD_PINS[FIELD_SPECS.index(spec)]
+        y = galois._mul_mod(x.astype(np.float32)[:, None], np.ones((1, 1), np.float32), p)
+        assert y.dtype == np.float32
+        assert (y[:, 0].astype(np.int64) == x % p).all()
 
 
 @pytest.mark.parametrize("p,e", [(2, 4), (3, 2)], ids=["bits", "digits"])

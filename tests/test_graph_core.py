@@ -38,6 +38,7 @@ from oracles import (
     degree_preserving_switch,
     edge_cycle_count_dfs,
     edge_cycle_count_naive,
+    matrix_power_traces,
     vertex_cycle_count_dfs,
     vertex_cycle_count_naive,
 )
@@ -268,14 +269,15 @@ def test_exact_dtype_boundary():
     assert _exact_dtype(2**24) is np.float32
     assert _exact_dtype(2**24 + 1) is np.float64
     assert _exact_dtype(2**53) is np.float64
-    assert _exact_dtype(2**53 + 1) is object
+    with pytest.raises(ValueError, match=r"pass 2\*\*53"):
+        _exact_dtype(2**53 + 1)
 
 
 @pytest.mark.parametrize("bound", [2**53, 3 * 2**3, 1, 2, 6, 7])
 def test_object_length_matches_the_per_step_rule(bound, monkeypatch):
     # with the float32 bound patched, the walk pass goes to float64 at the
     # first l >= 2 at which k * max(k-1, 1)**(l-1) passes it, stays there,
-    # and never reaches Python ints, whatever the float64 bound; K_{k+1} is
+    # and a float64 bound of 1 changes nothing; K_{k+1} is
     # k-regular and its walks never die out
     monkeypatch.setattr(graph_core, "_FLOAT32_EXACT_MAX", bound)
     monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 1)
@@ -359,13 +361,13 @@ def test_engine_matches_independent_oracles(name):
 
 def _walk_results(G: Graph):
     """G's A_{g-1} stack from the walk pass, and verify_egr's verdict, G's
-    girth, its per-edge counts from the block core and walk_moments(G, 8)."""
+    girth and its per-edge counts from the block core."""
     try:
         verdict = verify_egr(G)
     except NotEdgeGirthRegular as exc:
         verdict = (exc.kind, exc.witness, str(exc), exc.details)
     girth, walks = _girth_walks(stack(G))
-    return walks, (verdict, girth, edge_counts(G), walk_moments(G, 8))
+    return walks, (verdict, girth, edge_counts(G))
 
 
 ONE_RULE_GRAPHS = {
@@ -378,13 +380,17 @@ ONE_RULE_GRAPHS = {
 
 @pytest.mark.parametrize("name", sorted(ONE_RULE_GRAPHS))
 def test_python_int_path_matches_float64(name, monkeypatch):
-    # a bound of 1 sends every moment product to Python ints and leaves the
-    # walk pass in floats; the results must not change, down to their types
+    # a float64 bound of 1 makes the moments refuse, as they do past 2**53,
+    # and leaves the walk pass in floats: its results must not change, down
+    # to their types
     G = ONE_RULE_GRAPHS[name]()
     walks, expected = _walk_results(G)
+    moments = walk_moments(G, 8)
     monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 1)
-    assert _exact_dtype(G.degree(0)) is object
+    with pytest.raises(ValueError, match=r"pass 2\*\*53"):
+        walk_moments(G, 8)
     got_walks, got = _walk_results(G)
+    assert moments == matrix_power_traces(G, 8)
     assert got_walks.dtype == walks.dtype == np.float32
     assert np.array_equal(got_walks, walks)
     assert got == expected

@@ -70,21 +70,26 @@ def test_moments_match_eigenvalue_powers():
 
 def test_moments_match_walk_oracle():
     # seeded irregular graphs, sparse to dense, and K_{k,k}, at the longest
-    # moment length: every tier of the exactness rule is exercised
+    # moment length with k**L within 2**53, one past which they refuse:
+    # both tiers of the exactness rule are exercised
     rng = random.Random(11)
     graphs = [complete_bipartite(k) for k in (1, 2, 5, 9)]
     for _ in range(8):
         n, p = rng.randint(1, 18), rng.random()
         graphs.append(Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]))
-    L = MAX_MOMENT_LENGTH
     dtypes = set()
     for G in graphs:
-        dtypes.add(_exact_dtype(max(map(len, G.adj)) ** L))
+        k = max(map(len, G.adj))
+        L = max(length for length in range(MAX_MOMENT_LENGTH + 1) if k**length <= 2**53)
+        if L < MAX_MOMENT_LENGTH:
+            with pytest.raises(ValueError, match=r"pass 2\*\*53"):
+                walk_moments(G, L + 1)
+        dtypes.add(_exact_dtype(k**L))
         expected = [sum(closed_walks_at_root(G, v, length) for v in range(G.n)) for length in range(L + 1)]
         moments = walk_moments(G, L)
         assert moments == expected
         assert all(type(m) is int for m in moments)
-    assert dtypes == {np.float32, np.float64, object}
+    assert dtypes == {np.float32, np.float64}
 
 
 class _CountedProducts(np.ndarray):
@@ -132,30 +137,30 @@ def test_moment_dtype_follows_k_to_the_L(monkeypatch):
     k10 = complete_bipartite(10)
     # K_{k,k} has eigenvalues +-k once and 0 otherwise
     assert walk_moments(k10, 15) == [20] + [0 if l % 2 else 2 * 10**l for l in range(1, 16)]
-    assert walk_moments(k10, 16)[16] == 2 * 10**16
+    with pytest.raises(ValueError, match=r"pass 2\*\*53"):
+        walk_moments(k10, 16)
     # connected and bipartite: the chain runs on NN^T, of order 10
-    assert chains == [(np.float64, 10), (object, 10)]
+    assert chains == [(np.float64, 10)]
     # three disjoint K_{8,8}: n * k**16 = 48 * 2**48 > 2**53, k**16 = 2**48;
     # disconnected, so the chain runs on A
     edges = [(8 * c + i, 8 * c + 8 + j) for c in (0, 2, 4) for i in range(8) for j in range(8)]
     moments = walk_moments(Graph.from_edges(48, edges), 16)
     assert moments == [48] + [0 if l % 2 else 6 * 8**l for l in range(1, 17)]
-    assert chains[2] == (np.float64, 48)
+    assert chains[1] == (np.float64, 48)
 
 
-def test_python_int_chains_past_their_order_cap_raise_before_the_chain(monkeypatch):
-    def unreached(B, J):
-        raise AssertionError("the moment chain ran")
+def test_moments_past_2_53_raise_before_any_product(monkeypatch):
+    def unreached(*args):
+        raise AssertionError("a matrix was built past 2**53")
 
-    monkeypatch.setattr(spectral, "_power_traces", unreached)
-    cap = spectral.MAX_INT_CHAIN_ORDER
-    # k**16 > 2**53 on both; K_{cap+1,cap+1} takes the half-order route
-    # on NN^T of order cap + 1, K_{cap+1} the full-order route on A
-    message = rf"capped at a chain of order {cap}; this one has order {cap + 1}$"
-    for G in (complete_bipartite(cap + 1), complete(cap + 1)):
-        with pytest.raises(ValueError, match=message):
+    for name in ("_power_traces", "_biadjacency", "_adjacency"):
+        monkeypatch.setattr(spectral, name, unreached)
+    # k**16 = 10**16 > 2**53 on both: K_{10,10} would take the half-order
+    # route on NN^T, K_11 the full-order route on A
+    for G in (complete_bipartite(10), complete(11)):
+        with pytest.raises(ValueError, match=r"exact counts up to 10000000000000000 pass 2\*\*53"):
             walk_moments(G, MAX_MOMENT_LENGTH)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=r"exact counts up to 10000000000000000 pass 2\*\*53"):
             eigenvalues(G, length=MAX_MOMENT_LENGTH)
 
 
@@ -174,7 +179,7 @@ HALF_ORDER_ORACLE_GRAPHS = {
     "petersen": (petersen, "full"),
     "hoffman_singleton": (lambda: cli.build_family("named", name="hoffman_singleton"), "full"),
     "k33": (lambda: complete_bipartite(3), "half"),
-    # at L = 16, k**L = 10**16 > 2**53: M = NN^T takes Python ints
+    # at L = 15, k**L = 10**15, just within 2**53: M = NN^T takes float64
     "k10_10": (lambda: complete_bipartite(10), "half"),
     "k23": (lambda: Graph.from_edges(5, [(i, j) for i in range(2) for j in range(2, 5)]), "half"),
     "path5": (lambda: Graph.from_edges(5, [(i, i + 1) for i in range(4)]), "half"),
@@ -191,8 +196,8 @@ def test_half_order_route_matches_the_dense_oracles(name, monkeypatch):
     G = build()
     chains = _spy_chains(monkeypatch)
     k = int(G.deg.max())
-    # the longest length whose integer powers int64 holds, at most 16
-    L = max(length for length in range(MAX_MOMENT_LENGTH + 1) if k**length < 2**63)
+    # the longest length whose counts float64 holds, at most 16
+    L = max(length for length in range(MAX_MOMENT_LENGTH + 1) if k**length <= 2**53)
     assert walk_moments(G, L) == matrix_power_traces(G, L)
     dense = np.linalg.eigvalsh(graph_core._adjacency(G, float))[::-1]
     assert np.abs(np.array(eigenvalues(G).values) - dense).max() <= 1e-9
@@ -217,14 +222,13 @@ REPORT_GRID = [
 
 @pytest.mark.parametrize("family,q,name", REPORT_GRID)
 def test_float32_moments_match_python_ints_on_the_report_grid(family, q, name, monkeypatch):
+    # the int64 oracle's traces, read as Python ints
     G = cli.build_family(family, q, name)
     L = min(verify_egr(G).g + 1, MAX_MOMENT_LENGTH)
     chains = _spy_chains(monkeypatch)
     moments = walk_moments(G, L)
-    monkeypatch.setattr(graph_core, "_FLOAT_EXACT_MAX", 1)
-    exact = walk_moments(G, L)
-    assert [dtype for dtype, _ in chains] == [np.float32, object]
-    assert moments == exact and all(type(m) is int for m in moments)
+    assert [dtype for dtype, _ in chains] == [np.float32]
+    assert moments == matrix_power_traces(G, L) and all(type(m) is int for m in moments)
 
 
 def test_trivial_lengths():

@@ -371,7 +371,7 @@ def test_stacked_pass_crosses_float32_float64_and_python_ints(monkeypatch):
     # with the float32 bound at 6, the step bounds 3 * 2**(l-1) of a stack of
     # cubic graphs put A_1, A_2 in float32 and A_3 on in float64, with the
     # same counts and verdicts, and a float64 bound of 1 changes nothing:
-    # the pass has no Python-int tier
+    # the pass has no tier past float64
     graphs = [build() for build in STACK_10_3.values()]
     exact = [w for _, w in zip(range(7), _nb_walks(stack(*graphs)))]
     girth, found = _girth_walks(stack(*graphs))
