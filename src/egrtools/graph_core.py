@@ -7,11 +7,13 @@ docstring).
 One block core verifies graphs: ``verify_many`` takes a list of graphs as
 one disjoint union in CSR (``_Union``; one graph's own arrays serve, with
 no copy), a stream block stays one union from the graph6 block decoder to
-its verdicts, and ``verify_egr(G)`` is ``verify_many([G])``.  One frontier
+its verdicts, and ``verify_egr(G)`` is ``verify_many([G])``.  The union
+holds each adjacency entry once, as its column (indptr and deg fix its
+row), and the walk pass each edge once, as its upper entry.  One frontier
 BFS over the union (``_bfs_levels``, the package's one BFS) gives
 connectivity, bipartiteness and each Graph's colour classes, kept on it
-for the spectral stage, and each graph's segment of the degrees
-its regularity; the graphs that pass fill (B, n, n) stacks by order for
+for the spectral stage, and each graph's segment of the degrees its
+regularity; the graphs that pass fill (B, n, n) stacks by order for
 the one walk engine (``_girth_walks`` over ``_nb_walks``), and one pass
 over their edges' counts settles the rest.  So a block's fixed costs
 grow with its number of distinct orders, not with its number of graphs.
@@ -87,15 +89,15 @@ another form (a header, other whitespace, non-ASCII text, the very-long
 count), goes to ``_graph6_body``, the one place that decides those forms
 and words every Graph6Error.  The union's entries are codes r*W + c, r
 the row in the union's vertex numbering and W the least power of two at
-or above the largest n.  A code is below V*W, V the union's vertex count;
-a line of n vertices has at least n/62 bytes (one header byte for n <= 62,
-else at least n(n-1)/12 body bytes), so V is at most 62 times the input's
-bytes, and W is at most 2**20, the power of two above GRAPH6_MAX_N =
-10**6: the codes fit int64 for any block under 10**11 bytes.  A block's
-checks hold its bytes a few times over, one byte each, and the bodies are
-unpacked only from their nonzero bytes, UNPACK_BYTES at a time, so
-the decoder's peak, besides the graphs it returns, stays near the size of
-the block.
+or above the largest n, sorted and then masked into its columns in place.
+A code is below V*W, V the union's vertex count; a line of n vertices has
+at least n/62 bytes (one header byte for n <= 62, else at least
+n(n-1)/12 body bytes), so V is at most 62 times the input's bytes, and W
+is at most 2**20, the power of two above GRAPH6_MAX_N = 10**6: the codes
+fit int64 for any block under 10**11 bytes.  A block's checks hold its
+bytes a few times over, one byte each, and the bodies are unpacked only
+from their nonzero bytes, UNPACK_BYTES at a time, so the decoder's peak,
+besides the graphs it returns, stays near the size of the block.
 """
 
 from __future__ import annotations
@@ -288,14 +290,13 @@ def _distinct(codes: np.ndarray) -> bool:
 
 class _Union(NamedTuple):
     """Graphs as one disjoint union in CSR: graph b's vertices are the union
-    rows first[b]..first[b+1]-1, with entries from indptr[r] on and degree
-    deg[r]; entry i joins union row rows[i] to vertex cols[i] of its graph,
-    numbered within that graph."""
+    rows first[b]..first[b+1]-1, and row r's deg[r] entries, from indptr[r]
+    on, hold its neighbours cols[i], numbered within its graph; indptr and
+    deg fix an entry's row, so no array holds it."""
 
     first: np.ndarray
     indptr: np.ndarray
     deg: np.ndarray
-    rows: np.ndarray
     cols: np.ndarray
 
 
@@ -309,34 +310,29 @@ def _code_width(n: int) -> int:
 def _from_codes(orders, width: int, codes: np.ndarray) -> _Union:
     """The union of graphs of the given orders from the sorted codes
     r*width + v of their entries, width from ``_code_width``: entry v
-    (below width) of union row r."""
+    (below width) of union row r.  The codes become its columns in place."""
     first = np.cumsum([0, *orders])
-    rows = codes >> (width.bit_length() - 1)
-    cols = codes & (width - 1)
-    deg = np.bincount(rows, minlength=first[-1])
+    deg = np.bincount(codes >> (width.bit_length() - 1), minlength=first[-1])
+    codes &= width - 1
     indptr = np.zeros(len(deg) + 1, dtype=np.int64)  # no temporary: the size caps rest on this peak
     np.cumsum(deg, out=indptr[1:])
-    return _Union(first, indptr, deg, rows, cols)
+    return _Union(first, indptr, deg, codes)
 
 
 def _union_of(graphs) -> _Union:
     """The union of a list of graphs; one graph's own CSR arrays serve as
     the union's, with no copy."""
+    first = np.cumsum([0] + [G.n for G in graphs])
     if len(graphs) == 1:
-        (G,) = graphs
-        first, indptr, deg, cols = np.array([0, G.n]), G.indptr, G.deg, G.indices
-    else:
-        first = np.cumsum([0] + [G.n for G in graphs])
-        deg = np.concatenate([G.deg for G in graphs])
-        cols = np.concatenate([G.indices for G in graphs])
-        indptr = np.concatenate(([0], deg.cumsum()))
-    return _Union(first, indptr, deg, np.arange(len(deg)).repeat(deg), cols)
+        return _Union(first, graphs[0].indptr, graphs[0].deg, graphs[0].indices)
+    deg = np.concatenate([G.deg for G in graphs])
+    return _Union(first, np.concatenate(([0], deg.cumsum())), deg, np.concatenate([G.indices for G in graphs]))
 
 
 def _split(u: _Union) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Each graph's CSR arrays (indptr, indices, deg), read-only views into
     the union's, but for the shifted indptr of a graph after the first."""
-    first, ends, deg, _, cols = u
+    first, ends, deg, cols = u
     for a in (ends, deg, cols):
         a.setflags(write=False)
     vs, es = first.tolist(), ends[first].tolist()
@@ -510,11 +506,13 @@ def _bfs_levels(u: _Union) -> tuple[np.ndarray, np.ndarray]:
     vertex 0: the level of each union vertex (its distance from its graph's
     vertex 0, -1 when unreached), and the reached vertices with a neighbour
     at their own level.  Each level gathers the entries of its frontier's
-    rows alone, so every entry is read once."""
-    first, indptr, deg, _, cols = u
+    rows alone, and the next frontier is the newly reached neighbours, each
+    once, so every entry is read once and a level costs its own entries."""
+    first, indptr, deg, cols = u
     if len(first) > 2:  # number the neighbours in the union
         cols = cols + first[:-1].repeat(np.diff(indptr[first]))
     level = np.full(len(deg), -1)
+    slot = np.empty(len(deg), dtype=np.int64)  # each newly reached vertex's position among them
     front = first[:-1][first[:-1] < first[1:]]
     level[front] = 0
     clash, depth = [front[:0]], 0
@@ -523,8 +521,10 @@ def _bfs_levels(u: _Union) -> tuple[np.ndarray, np.ndarray]:
         at = level[nbr]
         clash.append(nbr[at == depth])
         depth += 1
-        level[nbr[at < 0]] = depth
-        front = (level == depth).nonzero()[0]
+        fresh = nbr[at < 0]
+        level[fresh] = depth
+        slot[fresh] = pos = np.arange(len(fresh))
+        front = fresh[slot[fresh] == pos]  # once each, though reached from two vertices
     return level, np.concatenate(clash)
 
 
@@ -666,7 +666,7 @@ def _verify_union(u: _Union, graphs=()) -> _Verdicts:
     pass (``_girth_counts``), and one pass over all their edges compares
     each edge's count with its graph's first edge's.  ``graphs``, the
     Graphs the union was made of, if any, keep their colour classes."""
-    first, _, deg, _, _ = u
+    first, _, deg, _ = u
     orders = first[1:] - first[:-1]
     level, clash = _bfs_levels(u)
     # x: the first unreached vertex at or after each graph's vertex 0, in its graph's numbering
@@ -722,41 +722,41 @@ def _girth_counts(u: _Union, w: np.ndarray) -> tuple:
     after graph, the arrays u, v and A_{g-1}[u, v] (the girth cycles through
     uv), and where each graph's edges start and how many it has.  The graphs
     of one order n fill (B, n, n) stacks of at most MAX_STACK_CELLS entries
-    (a larger graph runs alone) straight from the union's entries."""
-    first, indptr, _, rows, cols = u
+    (a larger graph runs alone) from the upper entries alone, each setting
+    the cells (slot, u, v) and (slot, v, u) of its stack; an entry's row u,
+    numbered within its graph, comes from the degrees."""
+    first, indptr, deg, cols = u
     start, stop = first[w], first[w + 1]
     lo = indptr[start]
     cnt, orders = indptr[stop] - lo, stop - start  # each graph's entries and vertices
     edges = cnt // 2
     # each array over the entries is dropped after its last use, and only
-    # the upper entries' u, v and positions live through the walk pass
-    at = _ranges(lo, cnt)
-    us = rows[at] - start.repeat(cnt)
-    vs = cols[at]
-    del at
+    # the upper entries' u and v live through the walk pass
+    vs = cols[_ranges(lo, cnt)]
+    us = _ranges(0, orders).repeat(deg[_ranges(start, orders)])
+    # an index array: a boolean mask this irregular gathers several times slower
+    upper = (us < vs).nonzero()[0]
+    us = us[upper]
+    vs = vs[upper]
+    del upper
     # a run of one order fills stacks of `size` members, each at its slot
     size = np.maximum(1, MAX_STACK_CELLS // (orders * orders))
     pos = np.arange(len(w))
     head = pos * np.concatenate(([True], orders[1:] != orders[:-1]))
     slot = (pos - np.maximum.accumulate(head)) % size
-    nn = orders.repeat(cnt)
-    flat = (slot.repeat(cnt) * nn + us) * nn + vs  # entry (slot, u, v) of its stack
-    del nn
-    # an index array: a boolean mask this irregular gathers several times slower
-    upper = (us < vs).nonzero()[0]
-    us = us[upper]
-    vs = vs[upper]
-    read = flat[upper]
-    del upper
-    ends, tops, ns = [0, *cnt.cumsum().tolist()], [0, *edges.cumsum().tolist()], orders.tolist()
+    tops, ns = [0, *edges.cumsum().tolist()], orders.tolist()
     girth, parts = [], []
     for a, b in pairwise([*(slot == 0).nonzero()[0].tolist(), len(w)]):
-        n = ns[a]
+        n, x, y = ns[a], us[tops[a] : tops[b]], vs[tops[a] : tops[b]]
+        # cell (slot, u, v) of each upper entry, and (slot, v, u) (v - u)(n - 1) after it
+        cell = (np.arange(b - a).repeat(edges[a:b]) * n + x) * n + y
         A = np.zeros((b - a, n, n), dtype=_exact_dtype(1))
-        A.reshape(-1)[flat[ends[a] : ends[b]]] = 1
+        cells = A.reshape(-1)
+        cells[cell] = 1
+        cells[cell + (y - x) * (n - 1)] = 1
         g, walks = _girth_walks(A)
         girth += g
-        parts.append(walks.reshape(-1)[read[tops[a] : tops[b]]])
+        parts.append(walks.reshape(-1)[cell])
     counts = np.concatenate(parts).astype(np.int64)  # float64 holds each count exactly
     return girth, us, vs, counts, edges.cumsum() - edges, edges
 
@@ -948,15 +948,14 @@ def _decode_block(texts: list[str]) -> tuple[list, _Union]:
 
     The block takes one array pass, ``_canonical``, over its joined bytes,
     and each string that pass rejects takes ``_graph6_body``, which raises
-    its error or returns its body.  The canonical bodies and then the bodies
-    ``_graph6_body`` returned take ``_body_entries``, and both orientations
-    of every edge, as codes r*width + c in the union's vertex numbering
-    (``_code_width``), take one sort."""
+    its error or returns its body.  The canonical bodies, followed by those
+    ``_graph6_body`` returned, take one ``_body_entries`` pass, and both
+    orientations of every edge, as codes r*width + c in the union's vertex
+    numbering (``_code_width``), take one sort."""
     errors: list = [None] * len(texts)
     lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-    bodies, body_lengths, n, ok = _canonical(texts, lengths)
-    valid = ok.copy()
-    rest, rest_lengths = bytearray(), []
+    bodies, n, ok = _canonical(texts, lengths)
+    valid, rest = ok.copy(), bytearray()
     for i in (~ok).nonzero()[0].tolist():
         try:
             n[i], body = _graph6_body(texts[i])
@@ -965,15 +964,12 @@ def _decode_block(texts: list[str]) -> tuple[list, _Union]:
             continue
         valid[i] = True
         rest += body
-        rest_lengths.append(len(body))
     orders = n[valid].tolist()
     width = _code_width(max(orders, default=0))
     # each string's first union vertex, times width; read only where it is valid
     offsets = np.cumsum([0, *orders])[valid.cumsum() - 1] * width
-    parts = _body_entries(bodies, body_lengths, offsets[ok], width)
-    rest_bodies = np.frombuffer(rest, dtype=np.uint8)
-    parts += _body_entries(rest_bodies, np.array(rest_lengths, dtype=np.int64), offsets[valid & ~ok], width)
-    codes = np.concatenate([np.zeros(0, dtype=np.int64), *parts])
+    order = np.concatenate((ok.nonzero()[0], (valid & ~ok).nonzero()[0]))  # the canonical strings, then the rest
+    codes = _body_entries(np.concatenate((bodies, np.frombuffer(rest, dtype=np.uint8))), n[order], offsets[order], width)
     codes.sort()
     # the bit map gives each graph's pairs u < v once, in range; checked all the same
     if not (_in_range(codes, sum(orders) * width) and _distinct(codes)):
@@ -981,11 +977,11 @@ def _decode_block(texts: list[str]) -> tuple[list, _Union]:
     return errors, _from_codes(orders, width, codes)
 
 
-def _canonical(texts: list[str], lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _canonical(texts: list[str], lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The array pass over a block of graph6 strings, of the given lengths:
-    the bodies of the strings in canonical form, concatenated in order, and
-    their lengths; each string's vertex count, read only where it is
-    canonical; and which strings are.  Canonical is the form that
+    the bodies of the strings in canonical form, concatenated in order;
+    each string's vertex count, read only where it is canonical; and which
+    strings are.  Canonical is the form that
     ``graph6_encode`` and networkx write: one optional trailing newline,
     every other byte in 63..126, a short or long vertex count, exactly
     (n(n-1)/2 + 5) // 6 body bytes and zero padding bits.  These are the
@@ -1027,17 +1023,19 @@ def _canonical(texts: list[str], lengths: np.ndarray) -> tuple[np.ndarray, np.nd
     keep = np.zeros(len(raw), dtype=np.int8)
     keep[body] = 1
     keep[end] -= 1
-    return data[keep.cumsum(dtype=np.int8).view(bool)], end - body, n, ok
+    return data[keep.cumsum(dtype=np.int8).view(bool)], n, ok
 
 
-def _body_entries(bodies: np.ndarray, lengths: np.ndarray, offsets: np.ndarray, width: int) -> list:
+def _body_entries(bodies: np.ndarray, n: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
     """The codes r*width + c of both orientations of every edge of the
-    graph6 bodies concatenated in ``bodies``, of the given lengths, whose
-    graphs' first union rows r0 give ``offsets`` r0*width.  The set bits,
-    read UNPACK_BYTES bytes at a time and unpacked only from their
-    nonzero bytes, take their bodies from an array of each byte's body, one
-    repeat over the bodies' lengths in that span, and their pairs u < v
-    from ``_column``, which does not depend on the vertex count."""
+    graph6 bodies concatenated in ``bodies``, of graphs of n vertices (so
+    (n(n-1)/2 + 5) // 6 bytes each) whose first union rows r0 give
+    ``offsets`` r0*width.  The set bits, read UNPACK_BYTES bytes at a time
+    and unpacked only from their nonzero bytes, take their bodies from an
+    array of each byte's body, one repeat over the bodies' lengths in that
+    span, and their pairs u < v from ``_column``, which does not depend on
+    the vertex count."""
+    lengths = (n * (n - 1) // 2 + 5) // 6
     stop = lengths.cumsum()
     start = stop - lengths
     parts = []
@@ -1058,4 +1056,4 @@ def _body_entries(bodies: np.ndarray, lengths: np.ndarray, offsets: np.ndarray, 
         u, v = _column((6 * full + (6 * (lo - start[a:z]) - 2)[body])[byte] + (ones & 7))
         row = offsets[a:z][body][byte]
         parts += [row + u * width + v, row + v * width + u]
-    return parts
+    return np.concatenate([np.zeros(0, dtype=np.int64), *parts])

@@ -54,9 +54,13 @@ MAX_MOMENT_LENGTH = 16
 MAX_MOMENT_VERTICES = 2048
 
 # every spectrum is checked against the exact moments of lengths
-# 0..MOMENT_CHECK_LENGTH, each within MOMENT_CHECK_RTOL * sum_i |lambda_i|**l
+# 0..MOMENT_CHECK_LENGTH, each within MOMENT_CHECK_RTOL * sum_i |lambda_i|**l;
+# its eigenvalues within GROUP_TOL of a group's first are one multiplicity,
+# and it is tight when within TIGHT_TOL of the four-value pattern
 MOMENT_CHECK_LENGTH = 4
 MOMENT_CHECK_RTOL = 1e-9
+GROUP_TOL = 1e-6
+TIGHT_TOL = 1e-6
 
 
 def walk_moments(G: Graph, L: int) -> list[int]:
@@ -212,10 +216,10 @@ def _check_moments(vals: np.ndarray, exact: list[int]) -> None:
             )
 
 
-def eigenvalues(G: Graph, tol: float = 1e-10, length: int = MOMENT_CHECK_LENGTH) -> Spectrum:
+def eigenvalues(G: Graph, length: int = MOMENT_CHECK_LENGTH) -> Spectrum:
     """All adjacency eigenvalues of G, descending, checked against the
     exact walk moments of lengths 0..MOMENT_CHECK_LENGTH; grouped into
-    multiplicities at 1e4 * tol, each group's value the mean of its
+    multiplicities at GROUP_TOL, each group's value the mean of its
     members.  The returned ``moments`` are ``walk_moments(G, length)``,
     from the same matrix as the spectrum; ``length`` must lie in
     MOMENT_CHECK_LENGTH..MAX_MOMENT_LENGTH, else ValueError, as for a
@@ -242,12 +246,11 @@ def eigenvalues(G: Graph, tol: float = 1e-10, length: int = MOMENT_CHECK_LENGTH)
         sigma = svd(B, compute_uv=False)
         vals = np.concatenate((sigma, np.zeros(abs(B.shape[0] - B.shape[1])), -sigma[::-1]))
     _check_moments(vals, moments)
-    group_tol = 1e4 * tol
     values = vals.tolist()
     groups: list[tuple[float, int]] = []
     start = 0
     for i in range(1, len(values) + 1):
-        if i == len(values) or abs(values[i] - values[start]) > group_tol:
+        if i == len(values) or abs(values[i] - values[start]) > GROUP_TOL:
             groups.append((float(np.mean(vals[start:i])), i - start))
             start = i
     return Spectrum(values=tuple(values), groups=tuple(groups), moments=tuple(moments))
@@ -268,15 +271,13 @@ class TightSpectrumResult:
         return self.certified
 
 
-def certify_tight_spectrum(
-    G: Graph, sig: EgrSignature, tol: float = 1e-6, spectrum: Spectrum | None = None
-) -> TightSpectrumResult:
+def certify_tight_spectrum(G: Graph, sig: EgrSignature, spectrum: Spectrum | None = None) -> TightSpectrumResult:
     """Certificate that the spectrum matches the tight four-eigenvalue
     pattern, the equality case of the bipartite girth-4 order bound.
     Refuses when the signature is not bipartite of girth 4.
 
     The verdict compares ``spectrum`` (default: ``eigenvalues(G)``) with
-    the pattern within ``tol``.  It is then checked against the exact
+    the pattern within TIGHT_TOL.  It is then checked against the exact
     verdict on the verified signature, n = ``bounds.egr4_bound(k, lambda,
     bipartite=True)``; ArithmeticError is raised when the two disagree.
     The bound is Cauchy-Schwarz on the squares of the n/2 nonnegative
@@ -314,14 +315,14 @@ def certify_tight_spectrum(
     s = math.sqrt(float(lam2sq))
     expected = sorted([float(k), float(-k)] + [s] * ((n - 2) // 2) + [-s] * ((n - 2) // 2), reverse=True)
     deviation = max(abs(a - b) for a, b in zip(spec.values, expected))
-    certified = deviation <= tol
+    certified = deviation <= TIGHT_TOL
     if (n == egr4_bound(k, sig.lam, bipartite=True)) != certified:
         raise ArithmeticError(
-            f"tight-spectrum verdict {certified} (deviation {deviation:.3e}, tolerance {tol:.1e}) "
+            f"tight-spectrum verdict {certified} (deviation {deviation:.3e}, tolerance {TIGHT_TOL:.1e}) "
             f"disagrees with the exact identity n = egr4_bound(k, lambda, bipartite=True)"
         )
     if certified:
-        reason = f"spectrum is {{+-{k}, +-sqrt({lam2sq})^({(n - 2) // 2})}} within {tol:.1e}"
+        reason = f"spectrum is {{+-{k}, +-sqrt({lam2sq})^({(n - 2) // 2})}} within {TIGHT_TOL:.1e}"
     else:
-        reason = f"spectrum deviates from the tight pattern by {deviation:.3e} > {tol:.1e}"
+        reason = f"spectrum deviates from the tight pattern by {deviation:.3e} > {TIGHT_TOL:.1e}"
     return TightSpectrumResult(certified=certified, reason=reason, lambda2_squared=lam2sq, spectrum=spec)

@@ -501,20 +501,21 @@ def test_report_computes_moments_and_spectrum_once(monkeypatch, capsys):
         assert calls == {"matrix": 1, "_power_traces": 1, "eigensolve": 1, "_bfs_levels": 1, "walk_moments": 0}
 
 
-def test_exact_identity_overrides_the_tolerance():
+def test_exact_identity_overrides_the_tolerance(monkeypatch):
     # Q4 = egr(16, 4, 4, 3) lies above its bound, 14; eigenvalues lie in
     # [-k, k], so a tolerance of 100 passes any spectrum and only the exact
     # verdict can refuse it
+    monkeypatch.setattr(spectral, "TIGHT_TOL", 100.0)
     q4 = _hypercube(4)
     sig = verify_egr(q4)
     assert egr4_bound(sig.k, sig.lam, bipartite=True) == 14 < sig.n
     with pytest.raises(ArithmeticError, match="verdict True .* disagrees with the exact identity"):
-        certify_tight_spectrum(q4, sig, tol=100.0)
+        certify_tight_spectrum(q4, sig)
     # one switch breaks the symmetric design behind pencil q=3 (and here its
     # bipartiteness): its moments are not those of pencil's signature
     G = build_pencil_graph(GF(3))
     with pytest.raises(ValueError, match=r"not \(n, 0, nk, 0, nk\(2k - 1 \+ lambda\)\)"):
-        certify_tight_spectrum(degree_preserving_switch(G), verify_egr(G), tol=100.0)
+        certify_tight_spectrum(degree_preserving_switch(G), verify_egr(G))
 
 
 def test_a_spectrum_of_another_graph_with_the_same_head_is_refused():

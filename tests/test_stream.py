@@ -2,6 +2,8 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -47,6 +49,23 @@ def test_stream_blocks_set_no_graph_state(capsys, monkeypatch):
     assert main(["verify", "--stdin-g6-stream"]) == EXIT_USAGE
     assert capsys.readouterr().out == (DATA / "stream_sample.jsonl").read_text(encoding="utf-8")
     assert unions and all(unions)
+
+
+def test_dense_line_peaks_under_six_int64s_per_entry():
+    # decoding and verifying one K_512 line holds each of its 261 632
+    # adjacency entries as an int64 fewer than six times at once: the codes
+    # become the union's columns in place, the union stores no rows, and
+    # the walk pass keeps only the upper entries
+    line = graph_core.graph6_encode(graph_core.Graph.from_edges(512, combinations(range(512), 2)))
+    tracemalloc.start()
+    try:
+        errors, union = graph_core._decode_block([line])
+        table = graph_core._verify_union(union)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert errors == [None] and (table.kind.tolist(), table.lam.tolist()) == ([graph_core.EGR], [510])
+    assert peak < 6 * 8 * 512 * 511
 
 
 class Recorder(io.StringIO):

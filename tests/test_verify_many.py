@@ -1,6 +1,7 @@
 """verify_many and the stacked walk pass against per-graph verification,
 networkx and the path-enumeration oracles."""
 
+import math
 from collections import Counter
 
 import networkx as nx
@@ -31,7 +32,14 @@ from egrtools.graph_core import (
     verify_many,
 )
 from engine import stack
-from oracles import complete, coxeter, degree_preserving_switch, edge_cycle_count_dfs, generalized_petersen
+from oracles import (
+    _distances_avoiding,
+    complete,
+    coxeter,
+    degree_preserving_switch,
+    edge_cycle_count_dfs,
+    generalized_petersen,
+)
 
 
 def two_diamonds() -> Graph:
@@ -313,6 +321,29 @@ def test_union_bfs_matches_networkx():
         assert v == (missing[0] if missing else None)
         assert bip == nx.is_bipartite(H.subgraph(component))
         assert v is None or type(v) is int
+
+
+def test_union_bfs_levels_match_a_plain_bfs():
+    # the long even cycle's last level is one vertex that both of the level
+    # before it reach; K_12 reaches every vertex at level 1 from vertex 0;
+    # in the disconnected graph 1 and 2 both reach 3, which meets 4 at its
+    # own level, so a frontier holding 3 twice would list 4 twice
+    edges = [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (3, 4), (6, 7), (7, 8)]
+    graphs = [cycle_graph(2000), complete(12), Graph.from_edges(9, edges)]
+    union = _union_of(graphs)
+    level, clash = _bfs_levels(union)
+    expected_clash = []
+    for G, start in zip(graphs, union.first.tolist()):
+        dist = [-1 if d == math.inf else d for d in _distances_avoiding(G, 0)]
+        assert level[start : start + G.n].tolist() == dist
+        # a vertex meets its own level once per such neighbour
+        expected_clash += [start + v for u, v in G.edges() + [e[::-1] for e in G.edges()] if dist[u] == dist[v] >= 0]
+    assert sorted(clash.tolist()) == sorted(expected_clash)
+
+
+def test_union_keeps_each_entry_once():
+    # an entry's row follows from indptr and deg, so the union stores none
+    assert graph_core._Union._fields == ("first", "indptr", "deg", "cols")
 
 
 def complement(G: Graph) -> Graph:
